@@ -24,13 +24,6 @@ module Cluster = Fleet.Cluster
 let reps = 3
 let cache_scale = 16
 
-let engine_events machine =
-  let pmu = Machine.pmu machine in
-  Machine.accesses machine
-  + Pmu.total pmu Pmu.Context_switch
-  + Pmu.total pmu Pmu.Task_stolen
-  + Pmu.total pmu Pmu.Migration
-
 (* -- batch: morsel-driven scan + random updates + a fine-grain task storm
    on a bare scheduler (default hooks, no policy layer) — the least-
    advanced-worker loop, the deques and the per-access path with nothing
@@ -74,7 +67,7 @@ let run_batch () =
       : Sched.task);
   let makespan = Sched.run sched in
   let wall = Unix.gettimeofday () -. t0 in
-  (engine_events machine, wall, makespan)
+  (Engine.Stats.sim_events machine, wall, makespan)
 
 (* -- serve: the charm_serve configuration at a fixed load on one machine *)
 
@@ -97,7 +90,7 @@ let run_serve () =
   let t0 = Unix.gettimeofday () in
   let r = Server.run inst cfg in
   let wall = Unix.gettimeofday () -. t0 in
-  (engine_events inst.Sys_.machine, wall, r.Server.makespan_ns)
+  (Engine.Stats.sim_events inst.Sys_.machine, wall, r.Server.makespan_ns)
 
 (* -- fleet: a small cluster (event counts multiplied by N shards) *)
 

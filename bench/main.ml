@@ -1,7 +1,7 @@
 (* Bench driver: regenerates every table and figure of the paper's
    evaluation.  Run with no arguments for the full suite, or pass
    experiment names (fig1 fig3 fig4 fig5 fig7 tab1 fig8 fig9 tab2 fig10
-   fig11 fig12 fig13 fig14 ablation micro serve fault fleet taskgraph power
+   fig11 fig12 fig13 fig14 ablation serve fault fleet taskgraph power
    core) to run a subset.  [--json FILE] additionally writes
    machine-readable result rows for experiments that emit them (currently:
    fleet, taskgraph, power and core, whose committed baselines
@@ -25,7 +25,6 @@ let experiments =
     ("fig14", Fig14.run);
     ("fig1", Fig1.run);
     ("ablation", Ablation.run);
-    ("micro", Micro.run);
     ("serve", Serve.run);
     ("fault", Fault.run);
     ("fleet", Fleet_bench.run);

@@ -88,14 +88,6 @@ let server_config () =
     check = false;
   }
 
-let engine_events machine =
-  let open Chipsim in
-  let pmu = Machine.pmu machine in
-  Machine.accesses machine
-  + Pmu.total pmu Pmu.Context_switch
-  + Pmu.total pmu Pmu.Task_stolen
-  + Pmu.total pmu Pmu.Migration
-
 type row = {
   p99_us : float;
   avg_mw : float;
@@ -119,7 +111,7 @@ let run_one charm_config =
         (Charm.Power_cap.sheds pc, Charm.Power_cap.max_power_mw pc)
     | _ -> (0, 0.0)
   in
-  (report, energy_pj, sheds, peak_mw, engine_events inst.Sys_.machine, wall)
+  (report, energy_pj, sheds, peak_mw, Engine.Stats.sim_events inst.Sys_.machine, wall)
 
 let tenant_report (report : Server.report) name =
   List.find

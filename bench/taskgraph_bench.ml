@@ -78,22 +78,12 @@ let config ~comm_aware ~rate =
     check = false;
   }
 
-(* same definition of a simulated event as [bench core]: accesses charged
-   through the machine model plus scheduler events *)
-let engine_events machine =
-  let open Chipsim in
-  let pmu = Machine.pmu machine in
-  Machine.accesses machine
-  + Pmu.total pmu Pmu.Context_switch
-  + Pmu.total pmu Pmu.Task_stolen
-  + Pmu.total pmu Pmu.Migration
-
 let run_one ~comm_aware ~rate =
   let inst = Sys_.make ~cache_scale Sys_.Charm hetero_machine ~n_workers () in
   Util.attach_trace inst;
   let t0 = Unix.gettimeofday () in
   let report = Server.run inst (config ~comm_aware ~rate) in
-  (report, engine_events inst.Sys_.machine, Unix.gettimeofday () -. t0)
+  (report, Engine.Stats.sim_events inst.Sys_.machine, Unix.gettimeofday () -. t0)
 
 let tenant_report (report : Server.report) name =
   List.find

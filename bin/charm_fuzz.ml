@@ -1,43 +1,31 @@
-(* charm_fuzz: seeded scenario fuzzing for the simulator stack.
+(* charm_fuzz: seeded experiment fuzzing for the simulator stack.
 
-   Draws random end-to-end scenarios (topology, system, worker count,
-   fault schedule, batch workload or multi-tenant serving mix), runs each
-   with executable invariants on, and checks determinism (two fresh runs
-   must agree byte-for-byte on report, trace and results) plus functional
-   equality against sequential / single-worker references.  On failure the
-   scenario is shrunk to a minimal still-failing one and printed as a
-   ready-to-paste charm_run / charm_serve command line.
+   Draws random end-to-end experiments (topology, system, worker count,
+   fault schedule, batch workload, multi-tenant serving mix or fleet),
+   runs each with executable invariants on, and checks determinism (two
+   fresh runs must agree byte-for-byte on report, trace and results) plus
+   functional equality against sequential / single-worker references.  On
+   failure the experiment is shrunk to a minimal still-failing one and
+   printed as the charm_run / charm_serve command line that replays it.
 
    Examples:
      charm_fuzz --seeds 200 --smoke            # the CI gate
      charm_fuzz --seeds 50 --start-seed 1000   # a nightly shard
      charm_fuzz --plant skip-ready-clamp --seeds 50 --expect-violation
 
-   Exit codes: 0 all scenarios clean (or an expected violation was caught
-   and shrunk), 1 a scenario failed (repro on stdout and in --out), 2 a
-   planted violation was NOT caught. *)
+   Exit codes: 0 all experiments clean (or an expected violation was
+   caught and shrunk), 1 an experiment failed (repro on stdout and in
+   --out), 2 a planted violation was NOT caught or a flag value is
+   malformed (one line on stderr). *)
 
 open Cmdliner
 
-let plants = [ "skip-ready-clamp"; "vote-skip" ]
-
-let main seeds start_seed smoke plant expect_violation max_repro_faults out =
-  (match plant with
-  | Some kind ->
-      if not (List.mem kind plants) then begin
-        Printf.eprintf "charm_fuzz: unknown --plant kind %s (known: %s)\n" kind
-          (String.concat ", " plants);
-        exit 2
-      end;
-      (* the scheduler reads this lazily before the first quantum runs *)
-      Unix.putenv "CHARM_CHECK_PLANT" kind
-  | None -> ());
+let main seeds start_seed smoke plant expect_violation max_repro_faults out () =
   let mode = if smoke then Check.Scenario.Smoke else Check.Scenario.Deep in
   let outcome =
     Check.Fuzz.run
-      ~log:(fun line ->
-        Printf.eprintf "%s\n%!" line)
-      ~mode ~start_seed ~seeds ()
+      ~log:(fun line -> Printf.eprintf "%s\n%!" line)
+      ?plant ~mode ~start_seed ~seeds ()
   in
   let text = Check.Fuzz.outcome_to_text outcome in
   print_string text;
@@ -48,7 +36,8 @@ let main seeds start_seed smoke plant expect_violation max_repro_faults out =
       (match outcome with
       | Check.Fuzz.Failed f ->
           output_string oc
-            (Printf.sprintf "\n# minimized scenario spec\n%s\n" f.repro)
+            (Printf.sprintf "\n# minimized experiment\n%s\n"
+               (Experiment.to_string f.minimized))
       | Check.Fuzz.Clean _ -> ());
       close_out oc
   | None -> ());
@@ -59,7 +48,7 @@ let main seeds start_seed smoke plant expect_violation max_repro_faults out =
         "charm_fuzz: expected a violation but every scenario passed\n";
       exit 2
   | Check.Fuzz.Failed f, true ->
-      let n_faults = List.length f.minimized.Check.Scenario.faults in
+      let n_faults = Check.Fuzz.fault_events f.minimized in
       if f.failure.Check.Scenario.oracle <> "invariant" then begin
         Printf.eprintf
           "charm_fuzz: expected an invariant violation but the failing \
@@ -101,16 +90,16 @@ let smoke_arg =
 let plant_arg =
   Arg.(
     value
-    & opt (some string) None
-    & info [ "plant" ] ~docv:"KIND"
+    & opt (some Experiment.plant_conv) None
+    & info [ "plant" ] ~docv:"BUG"
         ~doc:
-          "Deliberately plant a known bug before fuzzing (sets \
-           CHARM_CHECK_PLANT). Known kinds: skip-ready-clamp (the scheduler \
-           skips the ready-at causality clamp) and vote-skip (the replica \
-           voter returns replica 0's token unchecked — needs scenarios \
-           with 3-replica tenants over >= 3 chiplets to trip, so give it \
-           plenty of seeds; CI uses a deterministic charm_serve repro \
-           instead). Used to prove the invariants catch real violations.")
+          "Plant a known bug in every drawn experiment (and so in its \
+           repro): skip-ready-clamp (the scheduler skips the ready-at \
+           causality clamp), vote-skip (the replica voter returns replica \
+           0's token unchecked — needs 3-replica tenants over >= 3 chiplets \
+           to trip, so give it plenty of seeds), drop-relocated or \
+           route-offline (fleet routing; need fleet experiments). Used to \
+           prove the invariants catch real violations.")
 
 let expect_arg =
   Arg.(
@@ -135,12 +124,10 @@ let out_arg =
     & info [ "out" ] ~docv:"FILE"
         ~doc:"Also write the outcome report (and any repro spec) to $(docv) — the CI failure artifact.")
 
-let cmd =
+let () =
   let doc = "fuzz the simulator with seeded end-to-end scenarios and shrinking repros" in
-  Cmd.v
-    (Cmd.info "charm_fuzz" ~doc)
+  Experiment.parse_argv (Cmd.info "charm_fuzz" ~doc)
     Term.(
       const main $ seeds_arg $ start_seed_arg $ smoke_arg $ plant_arg
       $ expect_arg $ max_repro_arg $ out_arg)
-
-let () = exit (Cmd.eval cmd)
+    ()

@@ -1,562 +1,17 @@
-(* charm_serve: online multi-tenant serving of a job mix on the simulated
-   chiplet machine under a runtime system — Poisson (or closed-loop)
-   arrivals, admission control, weighted fair queueing, and a JSON metrics
-   report on stdout (deterministic for a given seed: two identical
-   invocations print identical bytes).
+(* charm_serve: run one experiment — by default online multi-tenant
+   serving of a job mix on the simulated chiplet machine: Poisson (or
+   closed-loop) arrivals, admission control, weighted fair queueing, and a
+   JSON metrics report on stdout, deterministic for a given seed.  With
+   --fleet N the server is sharded across N machines behind a router.
+   Shares every flag with charm_run (see Experiment); only the defaults
+   differ.
 
    Examples:
      charm_serve -s charm -m amd -n 32 --rate 5000 --seed 42
      charm_serve -s ring -n 32 --rate 8000 --jobs 100 --queue-bound 16
-     charm_serve -s charm -n 32 --closed-loop 8 --think-us 50 *)
+     charm_serve -s charm -n 32 --closed-loop 8 --think-us 50
+     charm_serve --fleet 3 -n 8 --jobs 15 --rate 8000 --router ewma *)
 
-open Cmdliner
-module Sys_ = Harness.Systems
-module Serve = Serving
-
-let systems =
-  [
-    ("charm", Sys_.Charm);
-    ("charm-async", Sys_.Charm_os_threads);
-    ("ring", Sys_.Ring);
-    ("dw-native", Sys_.Dw_native);
-    ("shoal", Sys_.Shoal);
-    ("asymsched", Sys_.Asymsched);
-    ("sam", Sys_.Sam);
-    ("os-default", Sys_.Os_default);
-    ("local-cache", Sys_.Local_cache);
-    ("distributed-cache", Sys_.Distributed_cache);
-  ]
-
-let machines =
-  [ ("amd", Sys_.Amd_milan); ("amd1s", Sys_.Amd_milan_1s); ("intel", Sys_.Intel_spr) ]
-
-(* tenant mixes are "name:weight:kind+kind+..." triples; the default three
-   tenants mirror the paper's workload families.  Parsing lives in
-   Serving.Spec so malformed specs fail with errors naming the field. *)
-let msg_of_result = function Ok v -> Ok v | Error m -> Error (`Msg m)
-let parse_tenant spec = msg_of_result (Serve.Spec.parse_tenant spec)
-
-let default_mixes =
-  [
-    ("graph", 2.0, [ (Serve.Job.Bfs, 2); (Serve.Job.Pagerank, 1) ]);
-    ("olap", 1.0, [ (Serve.Job.Tpch 1, 1); (Serve.Job.Tpch 3, 1); (Serve.Job.Tpch 6, 1) ]);
-    ("oltp", 1.0, [ (Serve.Job.Ycsb_batch 256, 2); (Serve.Job.Gups 4096, 1) ]);
-  ]
-
-(* --faults accepts the spec inline or as a path to a spec file *)
-let load_fault_spec spec =
-  if Sys.file_exists spec && not (Sys.is_directory spec) then begin
-    let ic = open_in spec in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  end
-  else spec
-
-(* --shard-machines accepts a comma-separated list cycled over the
-   shards; each entry is a preset ("amd,intel") or a topology-file path,
-   so a fleet can mix preset and data-driven machines *)
-let parse_shard_machines spec =
-  msg_of_result
-    (Serve.Spec.parse_shard_machines ~fallback:Sys_.custom_machine_of_spec
-       ~machines spec)
-
-(* --faults-shard entries are SHARD:SPEC (spec inline or a file path) *)
-let parse_shard_fault spec = msg_of_result (Serve.Spec.parse_shard_fault spec)
-
-let run_fleet ~n_shards ~sys ~machine ~shard_machines ~workers ~cache_scale
-    ~policy ~epoch_us ~diurnal ~diurnal_period_us ~no_relocation ~plant
-    ~shard_faults ~fault_spec ~trace_file ~cfg =
-  let machines_list =
-    match shard_machines with [] -> [ machine ] | ms -> ms
-  in
-  (* --faults without a shard qualifier applies to shard 0 *)
-  let fault_specs =
-    (match fault_spec with Some s -> [ (0, s) ] | None -> [])
-    @ shard_faults
-  in
-  let faults =
-    List.map
-      (fun (shard, spec) ->
-        let kind = List.nth machines_list (shard mod List.length machines_list) in
-        let topo = Sys_.topology kind ~cache_scale in
-        match Faults.Schedule.parse ~topo (load_fault_spec spec) with
-        | Ok schedule -> (shard, schedule)
-        | Error msg ->
-            Printf.eprintf "charm_serve: bad fault spec for shard %d: %s\n"
-              shard msg;
-            exit 2)
-      fault_specs
-  in
-  let fleet_cfg =
-    {
-      Fleet.Cluster.n_shards;
-      sys;
-      machines = machines_list;
-      n_workers = workers;
-      cache_scale;
-      policy;
-      epoch_us;
-      serve = { cfg with Serve.Server.trace = None };
-      diurnal_amplitude = diurnal;
-      diurnal_period_us = diurnal_period_us;
-      faults;
-      relocation = not no_relocation;
-      degraded_capacity = 0.75;
-      degraded_sick = 0.25;
-      plant;
-      trace = trace_file <> None;
-    }
-  in
-  match Fleet.Cluster.run fleet_cfg with
-  | res ->
-      print_string (Fleet.Cluster.result_to_json res);
-      print_newline ();
-      (match trace_file with
-      | Some file when res.Fleet.Cluster.traces <> [] ->
-          Engine.Trace.save_merged res.Fleet.Cluster.traces file;
-          let events =
-            List.fold_left
-              (fun acc tr -> acc + Engine.Trace.num_events tr)
-              0 res.Fleet.Cluster.traces
-          in
-          Printf.eprintf
-            "wrote %d trace events (%d tracks) to %s (load in chrome://tracing)\n"
-            events
-            (List.length res.Fleet.Cluster.traces)
-            file
-      | _ -> ())
-  | exception Invalid_argument msg ->
-      Printf.eprintf "charm_serve: %s\n" msg;
-      exit 2
-  | exception Chipsim.Invariant.Violation msg ->
-      Printf.eprintf "charm_serve: INVARIANT VIOLATION: %s\n" msg;
-      exit 3
-
-let main sys machine topology_spec workers cache_scale rate jobs seed
-    max_inflight queue_bound slo_factor closed_loop think_us tenant_specs
-    graph_scale dag_mapper energy energy_weight power_cap replicate_specs
-    trace_file fault_spec check fleet router epoch_us
-    shard_machines shard_faults diurnal diurnal_period_us no_relocation plant =
-  (* --topology overrides -m with a data-driven machine (file or inline
-     spec); in fleet mode it becomes the default machine of every shard *)
-  let machine =
-    match topology_spec with
-    | None -> machine
-    | Some spec -> (
-        match Sys_.custom_machine_of_spec spec with
-        | Ok m -> m
-        | Error msg ->
-            Printf.eprintf "charm_serve: bad --topology spec: %s\n" msg;
-            exit 2)
-  in
-  if closed_loop = None && rate <= 0.0 then begin
-    Printf.eprintf "charm_serve: --rate must be positive\n";
-    exit 2
-  end;
-  if fleet > 0 && closed_loop <> None then begin
-    Printf.eprintf "charm_serve: --fleet drives open-loop tenants only\n";
-    exit 2
-  end;
-  let mixes = if tenant_specs = [] then default_mixes else tenant_specs in
-  let process =
-    match closed_loop with
-    | Some clients ->
-        Serve.Arrivals.Closed_loop { clients; think_ns = think_us *. 1e3 }
-    | None -> Serve.Arrivals.Open_loop { rate_per_s = rate }
-  in
-  if not (Float.is_finite energy_weight && energy_weight >= 0.0) then begin
-    Printf.eprintf "charm_serve: --energy-weight must be finite and >= 0\n";
-    exit 2
-  end;
-  if not (Float.is_finite power_cap && power_cap >= 0.0) then begin
-    Printf.eprintf "charm_serve: --power-cap must be finite and >= 0\n";
-    exit 2
-  end;
-  let tenants =
-    List.map
-      (fun (name, weight, mix) ->
-        { Serve.Server.name; weight; slo_factor; process; jobs; mix; replicas = 1 })
-      mixes
-  in
-  (* --replicate NAME:K marks configured tenants for redundant execution *)
-  let tenants =
-    List.fold_left
-      (fun tenants (rname, k) ->
-        if not (List.exists (fun t -> t.Serve.Server.name = rname) tenants)
-        then begin
-          Printf.eprintf "charm_serve: --replicate %s:%d names no tenant (have %s)\n"
-            rname k
-            (String.concat "/"
-               (List.map (fun t -> t.Serve.Server.name) tenants));
-          exit 2
-        end;
-        List.map
-          (fun t ->
-            if t.Serve.Server.name = rname then
-              { t with Serve.Server.replicas = k }
-            else t)
-          tenants)
-      tenants replicate_specs
-  in
-  let trace = Option.map (fun _ -> Engine.Trace.create ()) trace_file in
-  let cfg =
-    {
-      Serve.Server.tenants;
-      admission =
-        {
-          Serve.Admission.max_queue_per_tenant = queue_bound;
-          max_global_queue = queue_bound * max 2 (List.length tenants);
-        };
-      max_inflight;
-      seed;
-      data =
-        {
-          Serve.Job.default_data_config with
-          graph_scale;
-          dag_comm_aware = dag_mapper = Taskgraph.Mapper.Comm_aware;
-          seed = seed + 1;
-        };
-      trace;
-      on_complete = None;
-      check;
-    }
-  in
-  if fleet > 0 then begin
-    if energy || energy_weight > 0.0 || power_cap > 0.0 then begin
-      Printf.eprintf
-        "charm_serve: --energy/--energy-weight/--power-cap are \
-         single-machine knobs (shards build their own runtimes)\n";
-      exit 2
-    end;
-    run_fleet ~n_shards:fleet ~sys ~machine ~shard_machines ~workers
-      ~cache_scale ~policy:router ~epoch_us ~diurnal ~diurnal_period_us
-      ~no_relocation ~plant ~shard_faults ~fault_spec ~trace_file ~cfg
-  end
-  else
-  match
-    let charm_config =
-      if energy_weight > 0.0 || power_cap > 0.0 then
-        Some
-          {
-            Charm.Config.default with
-            Charm.Config.energy_weight;
-            power_cap_mw = power_cap;
-          }
-      else None
-    in
-    let inst =
-      Sys_.make ?charm_config ~cache_scale sys machine ~n_workers:workers ()
-    in
-    (* CHARM's runtime flips the meter on when a cap/weight is set; bare
-       --energy (or a non-CHARM system) turns accounting on directly *)
-    if energy || energy_weight > 0.0 || power_cap > 0.0 then
-      Engine.Sched.set_energy inst.Sys_.env.Workloads.Exec_env.sched true;
-    (match fault_spec with
-    | Some spec -> (
-        let topo = Chipsim.Machine.topology inst.Sys_.machine in
-        match Faults.Schedule.parse ~topo (load_fault_spec spec) with
-        | Ok schedule ->
-            ignore
-              (Faults.Injector.attach inst.Sys_.env.Workloads.Exec_env.sched
-                 schedule
-                : Faults.Injector.t)
-        | Error msg ->
-            Printf.eprintf "charm_serve: bad --faults spec: %s\n" msg;
-            exit 2)
-    | None -> ());
-    Serve.Server.run inst cfg
-  with
-  | report ->
-      print_string (Serve.Server.report_to_json report);
-      print_newline ();
-      (match (trace, trace_file) with
-      | Some tr, Some file ->
-          Engine.Trace.save tr file;
-          Printf.eprintf
-            "wrote %d trace events to %s (load in chrome://tracing)\n%s"
-            (Engine.Trace.num_events tr) file (Engine.Trace.summary tr)
-      | _ -> ())
-  | exception Invalid_argument msg ->
-      (* configuration rejected by the server or machine model: a user
-         error, not a crash *)
-      Printf.eprintf "charm_serve: %s\n" msg;
-      exit 2
-  | exception Chipsim.Invariant.Violation msg ->
-      Printf.eprintf "charm_serve: INVARIANT VIOLATION: %s\n" msg;
-      exit 3
-
-let tenant_conv = Arg.conv (parse_tenant, fun ppf (n, w, _) -> Format.fprintf ppf "%s:%g" n w)
-
-let sys_arg =
-  Arg.(value & opt (enum systems) Sys_.Charm & info [ "s"; "system" ] ~doc:"Runtime system.")
-
-let machine_arg =
-  Arg.(value & opt (enum machines) Sys_.Amd_milan & info [ "m"; "machine" ] ~doc:"Machine model.")
-
-let topology_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "topology" ] ~docv:"SPEC"
-        ~doc:
-          "Data-driven machine topology overriding $(b,-m): a path to a \
-           topology file (see examples/topologies/) or an inline \
-           ';'-separated spec. Supports heterogeneous chiplet kinds \
-           (big/little/accel) and per-chiplet link overrides.")
-
-let workers_arg =
-  Arg.(value & opt int 32 & info [ "n"; "workers" ] ~doc:"Worker threads.")
-
-let cache_scale_arg =
-  Arg.(value & opt int 16 & info [ "cache-scale" ] ~doc:"Divide cache capacities by this factor.")
-
-let rate_arg =
-  Arg.(value & opt float 5000.0 & info [ "rate" ] ~doc:"Offered load per tenant (jobs/s of virtual time).")
-
-let jobs_arg =
-  Arg.(value & opt int 40 & info [ "jobs" ] ~doc:"Jobs submitted per tenant.")
-
-let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Master RNG seed.")
-
-let inflight_arg =
-  Arg.(value & opt int 4 & info [ "max-inflight" ] ~doc:"Concurrent jobs in service.")
-
-let queue_bound_arg =
-  Arg.(value & opt int 64 & info [ "queue-bound" ] ~doc:"Per-tenant admission queue bound.")
-
-let slo_arg =
-  Arg.(value & opt float 3.0 & info [ "slo-factor" ] ~doc:"SLO as a multiple of the tenant's mean job cost.")
-
-let closed_loop_arg =
-  Arg.(value & opt (some int) None & info [ "closed-loop" ] ~doc:"Closed-loop clients per tenant (instead of Poisson arrivals).")
-
-let think_arg =
-  Arg.(value & opt float 50.0 & info [ "think-us" ] ~doc:"Closed-loop think time (us of virtual time).")
-
-let tenants_arg =
-  Arg.(value & opt_all tenant_conv [] & info [ "tenant" ] ~doc:"Tenant spec name:weight:kind+kind (e.g. gold:2:bfs+tpch:3); repeatable.")
-
-let graph_scale_arg =
-  Arg.(value & opt int 10 & info [ "graph-scale" ] ~doc:"log2 of shared graph vertices.")
-
-let dag_mapper_arg =
-  let policies =
-    List.map
-      (fun p -> (Taskgraph.Mapper.policy_name p, p))
-      Taskgraph.Mapper.all_policies
-  in
-  Arg.(
-    value
-    & opt (enum policies) Taskgraph.Mapper.Comm_aware
-    & info [ "dag-mapper" ] ~docv:"POLICY"
-        ~doc:
-          "How task-DAG tenants (kinds $(b,dag:SHAPE:LAYERS)) are mapped \
-           onto chiplets: $(b,comm-aware) (contract heavy edges, place \
-           clusters by kind-weighted load) or $(b,blind) (round-robin \
-           baseline).")
-
-let energy_arg =
-  Arg.(
-    value & flag
-    & info [ "energy" ]
-        ~doc:
-          "Turn per-quantum compute-energy accounting on (memory energy is \
-           always metered). The report gains machine and per-tenant energy \
-           totals; virtual time is unaffected, so latencies match an \
-           accounting-off run exactly.")
-
-let energy_weight_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "energy-weight" ] ~docv:"W"
-        ~doc:
-          "EDP-aware placement weight for CHARM's policy: flee-migration \
-           scoring divides each chiplet's speed by (1 + $(docv) x the \
-           kind's energy density), steering hot tenants toward efficient \
-           silicon. Implies --energy. 0 disables.")
-
-let power_cap_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "power-cap" ] ~docv:"MW"
-        ~doc:
-          "Machine power cap in simulated milliwatts (1 mW = 1 pJ/ns). \
-           CHARM's controller watches a sliding-window power estimate and \
-           sheds the hottest chiplet's frequency (DVFS actuator) when the \
-           cap is exceeded, releasing throttles once comfortably below. \
-           Implies --energy. 0 disables.")
-
-let replicate_conv =
-  Arg.conv
-    ( (fun spec -> msg_of_result (Serve.Spec.parse_replication spec)),
-      fun ppf (n, k) -> Format.fprintf ppf "%s:%d" n k )
-
-let replicate_arg =
-  Arg.(
-    value
-    & opt_all replicate_conv []
-    & info [ "replicate" ] ~docv:"NAME:K"
-        ~doc:
-          "Run the named tenant's jobs $(b,K) times each on distinct \
-           chiplets and vote on the result tokens; injected corruption \
-           faults are masked and counted as divergences in the report. \
-           Repeatable, one entry per tenant.")
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Write a Chrome trace-event JSON of the serving run (task quanta, \
-           steals, migrations, policy decisions, job admit/shed/start/finish \
-           instants, periodic fill-class counter track) to $(docv); \
-           deterministic for a fixed --seed. A text summary goes to stderr.")
-
-let faults_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "faults" ] ~docv:"SPEC"
-        ~doc:
-          "Deterministic fault schedule: either an inline spec or a path to \
-           a spec file. Entries are ';'- or newline-separated \
-           $(i,TIME_US:KIND:ARGS) — core-off/core-on:CORE, dvfs:CORE:SPEED, \
-           l3-ways:CHIPLET:WAYS, link:CHIPLET:MULT, xsocket:MULT, \
-           membw:NODE:FACTOR, corrupt:SEED (poison one replicated job's \
-           result token) — plus rand:SEED:N:HORIZON_US for seeded \
-           random events. Same seed and spec give a byte-identical report.")
-
-let check_arg =
-  Arg.(
-    value & flag
-    & info [ "check" ]
-        ~doc:
-          "Run with executable invariants on: scheduler causality and \
-           per-core quantum ordering, machine fill-class conservation, and \
-           serving-layer admission/completion conservation. A violation \
-           aborts with exit code 3.")
-
-let fleet_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "fleet" ] ~docv:"N"
-        ~doc:
-          "Shard the server across $(docv) simulated machines behind a \
-           cluster router (0 = single-machine mode). Per-tenant --rate and \
-           --jobs become cluster-wide; the report is the fleet JSON \
-           summary (merged metrics, router counters, per-shard detail).")
-
-let router_arg =
-  let policies =
-    List.map (fun p -> (Fleet.Router.policy_name p, p)) Fleet.Router.all_policies
-  in
-  Arg.(
-    value
-    & opt (enum policies) Fleet.Router.Charm_aware
-    & info [ "router" ] ~docv:"POLICY"
-        ~doc:
-          "Fleet placement policy: $(b,charm) (load over effective \
-           capacity, chiplet-health-aware, tenant affinity), \
-           $(b,least-loaded) (load only, chiplet-blind), $(b,ewma) \
-           (EWMA of observed per-shard job latencies times queue depth), \
-           or $(b,round-robin).")
-
-let epoch_us_arg =
-  Arg.(
-    value & opt float 250.0
-    & info [ "epoch-us" ] ~docv:"US"
-        ~doc:
-          "Fleet routing epoch (virtual us): shards drain with a dispatch \
-           horizon at each epoch end, and routing/relocation decisions run \
-           at epoch boundaries.")
-
-let shard_machines_conv =
-  Arg.conv
-    ( parse_shard_machines,
-      fun ppf ms ->
-        Format.fprintf ppf "%s"
-          (String.concat "," (List.map Sys_.machine_name ms)) )
-
-let shard_machines_arg =
-  Arg.(
-    value
-    & opt (some shard_machines_conv) None
-    & info [ "shard-machines" ] ~docv:"LIST"
-        ~doc:
-          "Comma-separated machine specs cycled over the shards: presets \
-           (e.g. $(b,amd,intel)) and/or topology-file paths (e.g. \
-           $(b,amd,examples/topologies/tiny-hetero.topo) for a \
-           heterogeneous fleet); defaults to the --machine preset for \
-           every shard.")
-
-let shard_fault_conv =
-  Arg.conv (parse_shard_fault, fun ppf (s, spec) -> Format.fprintf ppf "%d:%s" s spec)
-
-let shard_faults_arg =
-  Arg.(
-    value
-    & opt_all shard_fault_conv []
-    & info [ "faults-shard" ] ~docv:"SHARD:SPEC"
-        ~doc:
-          "Fault schedule for one shard in fleet mode (spec inline or a \
-           file path; same grammar as --faults, which in fleet mode \
-           applies to shard 0). Repeatable.")
-
-let diurnal_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "diurnal" ] ~docv:"A"
-        ~doc:
-          "Diurnal modulation amplitude in [0,1] for fleet arrivals: the \
-           Poisson rate swings by a factor (1 ± $(docv)) over each period.")
-
-let diurnal_period_arg =
-  Arg.(
-    value & opt float 4000.0
-    & info [ "diurnal-period-us" ] ~docv:"US" ~doc:"Diurnal period (virtual us).")
-
-let no_relocation_arg =
-  Arg.(
-    value & flag
-    & info [ "no-relocation" ]
-        ~doc:
-          "Disable cross-shard relocation of queued jobs away from \
-           degraded shards.")
-
-let plant_arg =
-  let plants =
-    [
-      ("drop-relocated", Fleet.Cluster.Drop_relocated);
-      ("route-offline", Fleet.Cluster.Route_offline);
-    ]
-  in
-  Arg.(
-    value
-    & opt (some (enum plants)) None
-    & info [ "plant" ] ~docv:"BUG"
-        ~doc:
-          "Plant a deliberate fleet routing bug ($(b,drop-relocated) or \
-           $(b,route-offline)) so --check can demonstrate the fleet \
-           invariants trip. Testing hook; do not use for measurements.")
-
-let cmd =
-  let doc = "serve a multi-tenant job mix online on the simulated chiplet machine" in
-  Cmd.v
-    (Cmd.info "charm_serve" ~doc)
-    Term.(
-      const main $ sys_arg $ machine_arg $ topology_arg $ workers_arg
-      $ cache_scale_arg
-      $ rate_arg $ jobs_arg $ seed_arg $ inflight_arg $ queue_bound_arg
-      $ slo_arg $ closed_loop_arg $ think_arg $ tenants_arg $ graph_scale_arg
-      $ dag_mapper_arg $ energy_arg $ energy_weight_arg $ power_cap_arg
-      $ replicate_arg
-      $ trace_arg $ faults_arg $ check_arg $ fleet_arg $ router_arg
-      $ epoch_us_arg
-      $ Term.(
-          const (function None -> [] | Some ms -> ms) $ shard_machines_arg)
-      $ shard_faults_arg $ diurnal_arg $ diurnal_period_arg $ no_relocation_arg
-      $ plant_arg)
-
-let () = exit (Cmd.eval cmd)
+let () =
+  Experiment.cli Experiment.charm_serve
+    ~doc:"serve a multi-tenant job mix online on the simulated chiplet machine"

@@ -2,13 +2,14 @@ type outcome =
   | Clean of { scenarios : int }
   | Failed of {
       seed : int;
-      original : Scenario.t;
+      original : Experiment.t;
       original_failure : Scenario.failure;
-      minimized : Scenario.t;
+      minimized : Experiment.t;
       failure : Scenario.failure;
       shrink_steps : int;
-      repro : string;
     }
+
+let fault_events (t : Experiment.t) = List.length (List.concat_map snd t.faults)
 
 let minimize ?(budget = 80) scenario failure =
   let current = ref scenario in
@@ -39,14 +40,13 @@ let minimize ?(budget = 80) scenario failure =
   done;
   (!current, !cur_fail, !steps)
 
-let run ?(log = fun _ -> ()) ~mode ~start_seed ~seeds () =
+let run ?(log = fun _ -> ()) ?plant ~mode ~start_seed ~seeds () =
   let rec go i =
     if i >= seeds then Clean { scenarios = seeds }
     else begin
       let seed = start_seed + i in
-      let scenario = Scenario.generate ~mode ~seed in
-      log
-        (Printf.sprintf "[%d/%d] %s" (i + 1) seeds (Scenario.describe scenario));
+      let scenario = { (Scenario.generate ~mode ~seed) with plant } in
+      log (Printf.sprintf "[%d/%d] %s" (i + 1) seeds (Experiment.to_string scenario));
       match Scenario.check scenario with
       | None -> go (i + 1)
       | Some failure ->
@@ -55,8 +55,7 @@ let run ?(log = fun _ -> ()) ~mode ~start_seed ~seeds () =
                failure.Scenario.detail);
           log "shrinking...";
           let minimized, min_fail, shrink_steps = minimize scenario failure in
-          log (Printf.sprintf "minimized in %d steps: %s" shrink_steps
-                 (Scenario.describe minimized));
+          log (Printf.sprintf "minimized in %d steps" shrink_steps);
           Failed
             {
               seed;
@@ -65,7 +64,6 @@ let run ?(log = fun _ -> ()) ~mode ~start_seed ~seeds () =
               minimized;
               failure = min_fail;
               shrink_steps;
-              repro = Scenario.to_repro minimized;
             }
     end
   in
@@ -78,14 +76,12 @@ let outcome_to_text = function
       String.concat ""
         [
           Printf.sprintf "fuzz: FAILURE at seed %d\n" f.seed;
-          Printf.sprintf "original:  %s\n" (Scenario.describe f.original);
+          Printf.sprintf "original:  %s\n" (Experiment.to_string f.original);
           Printf.sprintf "           oracle=%s: %s\n"
             f.original_failure.Scenario.oracle f.original_failure.Scenario.detail;
-          Printf.sprintf "minimized: %s (%d shrink steps, %d fault events)\n"
-            (Scenario.describe f.minimized)
-            f.shrink_steps
-            (List.length f.minimized.Scenario.faults);
+          Printf.sprintf "minimized: %d shrink steps, %d fault events\n"
+            f.shrink_steps (fault_events f.minimized);
           Printf.sprintf "           oracle=%s: %s\n" f.failure.Scenario.oracle
             f.failure.Scenario.detail;
-          Printf.sprintf "repro:     %s\n" f.repro;
+          Printf.sprintf "repro:     %s\n" (Experiment.to_string f.minimized);
         ]

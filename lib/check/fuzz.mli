@@ -1,42 +1,47 @@
 (** The fuzzing driver: seed loop, shrinking, repro reporting.
 
-    [run ~mode ~start_seed ~seeds] generates one {!Scenario.t} per seed,
-    checks it, and on the first failure greedily minimizes the scenario
-    with {!Scenario.shrink} (re-checking each candidate) until no simpler
-    scenario still fails, then reports the shrunk scenario together with
-    its ready-to-paste repro command line. *)
+    [run ~mode ~start_seed ~seeds] generates one experiment per seed,
+    checks it, and on the first failure greedily minimizes it with
+    {!Scenario.shrink} (re-checking each candidate) until no simpler
+    experiment still fails.  The repro is {!Experiment.to_string} of the
+    minimized experiment. *)
 
 type outcome =
   | Clean of { scenarios : int }
   | Failed of {
       seed : int;  (** generation seed of the original failure *)
-      original : Scenario.t;
+      original : Experiment.t;
       original_failure : Scenario.failure;
-      minimized : Scenario.t;
-      failure : Scenario.failure;  (** failure of the minimized scenario *)
+      minimized : Experiment.t;
+      failure : Scenario.failure;  (** failure of the minimized experiment *)
       shrink_steps : int;  (** accepted shrink steps *)
-      repro : string;  (** [Scenario.to_repro minimized] *)
     }
 
+val fault_events : Experiment.t -> int
+(** Fault events across every shard's schedule. *)
+
 val minimize :
-  ?budget:int -> Scenario.t -> Scenario.failure -> Scenario.t * Scenario.failure * int
+  ?budget:int -> Experiment.t -> Scenario.failure -> Experiment.t * Scenario.failure * int
 (** Greedy shrinking: repeatedly try the candidates of {!Scenario.shrink}
     in order, restart from the first one that still fails, stop when none
     fails or after [budget] candidate checks (default 80).  Returns the
-    smallest failing scenario found, its failure, and the number of
+    smallest failing experiment found, its failure, and the number of
     accepted steps. *)
 
 val run :
   ?log:(string -> unit) ->
+  ?plant:Chipsim.Invariant.plant ->
   mode:Scenario.mode ->
   start_seed:int ->
   seeds:int ->
   unit ->
   outcome
-(** Stops at the first failing seed.  [log] receives one progress line per
-    scenario and the shrinking trail (default: drop). *)
+(** Stops at the first failing seed.  [plant] is planted in every
+    generated experiment (and so in its repro).  [log] receives one
+    progress line per experiment — its command line — and the shrinking
+    trail (default: drop). *)
 
 val outcome_to_text : outcome -> string
-(** Human-readable report; for [Failed] it includes the minimized
-    scenario, the oracle, the failure detail and the repro line (also the
+(** Human-readable report; for [Failed] it includes both oracles'
+    failures and, on its last line, the repro command line (also the
     format of the CI artifact). *)

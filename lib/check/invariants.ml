@@ -1,11 +1,3 @@
-let sched inst = inst.Harness.Systems.env.Workloads.Exec_env.sched
-let enable inst = Engine.Sched.set_check (sched inst) true
-let enabled inst = Engine.Sched.check_enabled (sched inst)
-
-let verify inst =
-  Engine.Sched.check_quiescent (sched inst);
-  Chipsim.Machine.check_invariants_full inst.Harness.Systems.machine
-
 let catalog =
   [
     ( "sched.ready-at",

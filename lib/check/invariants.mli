@@ -2,24 +2,10 @@
 
     Each subsystem owns its cheap assertions ({!Engine.Sched.set_check},
     {!Chipsim.Machine.check_invariants}, {!Serving.Server.config}[.check]);
-    this module is the harness-facing façade: enable everything on an
-    instance, verify everything after a run, and catch every failure as
-    one exception type.  The {!catalog} names each invariant for docs and
-    CLI listings. *)
-
-val enable : Harness.Systems.instance -> unit
-(** Turn on the scheduler's per-quantum invariants (which include the
-    periodic machine conservation checks) for the instance. *)
-
-val enabled : Harness.Systems.instance -> bool
-
-val verify : Harness.Systems.instance -> unit
-(** Full post-run verification, independent of whether per-quantum
-    checking was on: scheduler quiescence (work conservation, drained
-    deques) and the machine's complete conservation scan including the
-    memory-channel rings.
-    @raise Chipsim.Invariant.Violation describing the first broken
-    invariant. *)
+    {!Experiment.run} turns them all on under [check] and verifies the
+    machine and scheduler after the run, and every failure surfaces as
+    {!Chipsim.Invariant.Violation}.  The {!catalog} names each invariant
+    for docs and CLI listings. *)
 
 val catalog : (string * string) list
 (** [(name, statement)] for every invariant the layer enforces. *)

@@ -2,3 +2,19 @@ exception Violation of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Violation s)) fmt
 let require cond msg = if not cond then raise (Violation msg)
+
+type plant = Skip_ready_clamp | Vote_skip | Drop_relocated | Route_offline
+
+let plants =
+  [
+    ("skip-ready-clamp", Skip_ready_clamp);
+    ("vote-skip", Vote_skip);
+    ("drop-relocated", Drop_relocated);
+    ("route-offline", Route_offline);
+  ]
+
+let plant_name p = fst (List.find (fun (_, q) -> q = p) plants)
+let current = ref None
+let set_plant p = current := p
+let plant () = !current
+let planted p = match !current with Some q -> q == p | None -> false

@@ -19,3 +19,35 @@ val fail : ('a, unit, string, 'b) format4 -> 'a
 val require : bool -> string -> unit
 (** [require cond msg] raises [Violation msg] unless [cond].  Only for
     cold paths: [msg] is built eagerly. *)
+
+(** {1 Planted bugs}
+
+    Deliberate bugs the invariant layer must catch: CI and the fuzzer
+    plant one to prove a checker detects it.  One process-wide value,
+    set from the shared [--plant] flag (or by a test); [None] runs the
+    honest code everywhere. *)
+
+type plant =
+  | Skip_ready_clamp
+      (** the scheduler skips the ready-at causality clamp
+          ([sched.ready-at] must trip) *)
+  | Vote_skip
+      (** the replica voter returns replica 0's token unchecked
+          ([serve.replica-agreement] must trip; needs K >= 3) *)
+  | Drop_relocated
+      (** the fleet drops relocated jobs instead of re-routing them
+          ([fleet.job-conservation] must trip) *)
+  | Route_offline
+      (** the fleet router prefers a fully-offline shard
+          ([fleet.no-offline-placement] must trip) *)
+
+val plants : (string * plant) list
+(** CLI names, in the order [--plant] lists them. *)
+
+val plant_name : plant -> string
+val set_plant : plant option -> unit
+val plant : unit -> plant option
+
+val planted : plant -> bool
+(** [planted p] is true iff [p] is the bug currently planted.  Cheap
+    enough for hot paths, but read it only inside the branch it guards. *)

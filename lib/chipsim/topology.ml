@@ -277,12 +277,20 @@ let parse_bytes s =
   | Some v when v >= 0 -> Some (v * mult)
   | _ -> None
 
-(* shortest float literal that parses back to the same value *)
+(* shortest float literal that parses back to the same value: [%g] when
+   its six digits suffice, else the fewest digits that do *)
 let format_float f =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else go (p + 1)
+  in
   let s = Printf.sprintf "%g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+  if float_of_string s = f then s else go 7
 
 let to_lines t =
+  (* an all-little machine must not print as an all-big one, so kinds are
+     spelled out whenever any chiplet is not big *)
+  let non_big = Array.exists (fun k -> k <> Big) t.chiplet_kinds in
   let buf = ref [] in
   let add l = buf := l :: !buf in
   add (Printf.sprintf "sockets %d" t.sockets);
@@ -297,14 +305,14 @@ let to_lines t =
   List.iter
     (fun k ->
       let s = spec_of_kind t k in
-      if s <> default_kind_specs.(kind_index k) || heterogeneous t then
+      if s <> default_kind_specs.(kind_index k) || non_big then
         add
           (Printf.sprintf "kind %s speed %s access-mult %s energy-pj %s general-tasks %d"
              (kind_name k) (format_float s.speed) (format_float s.access_mult)
              (format_float s.energy_pj)
              (if s.general_tasks then 1 else 0)))
     [ Big; Little; Accel ];
-  if heterogeneous t then
+  if non_big then
     add
       ("chiplet-kinds "
       ^ String.concat " "

@@ -157,4 +157,9 @@ val to_spec : t -> string
 (** Same directives joined with ["; "] — a single-line form suitable for
     embedding in a CLI argument. *)
 
+val format_float : float -> string
+(** The shortest float literal that parses back to the same value ([%g]
+    when six significant digits suffice) — every printer of a grammar
+    that must round-trip uses it. *)
+
 val pp : Format.formatter -> t -> unit

@@ -54,6 +54,13 @@ let collect machine ~makespan_ns =
     compute_energy_uj = Machine.total_compute_energy_pj machine /. 1e6;
   }
 
+let sim_events machine =
+  let pmu = Machine.pmu machine in
+  Machine.accesses machine
+  + Pmu.total pmu Pmu.Context_switch
+  + Pmu.total pmu Pmu.Task_stolen
+  + Pmu.total pmu Pmu.Migration
+
 let speedup ~baseline report =
   if report.makespan_ns <= 0.0 then invalid_arg "Stats.speedup: zero makespan";
   baseline.makespan_ns /. report.makespan_ns

@@ -1,0 +1,183 @@
+(** One experiment, described once.
+
+    An experiment is what one evaluation result of the paper is: a
+    runtime system on a machine with a worker count, running a batch
+    kernel, a serving mix or a fleet of serving machines — plus the
+    seed, fault schedules, energy knobs and checking that shape the run.
+    [charm_run] and [charm_serve] parse their flags into a {!t} through
+    the one flag table here ({!cli}), the scenario fuzzer generates
+    {!t}s directly, and all of them execute through {!run}.  The text
+    form ({!to_string}) is the command line that replays the experiment,
+    so a printed repro runs the very experiment that produced it. *)
+
+type kernel =
+  | Bfs
+  | Pagerank
+  | Cc
+  | Sssp
+  | Gups
+  | Graph500
+  | Streamcluster
+  | Sgd
+  | Tpch
+  | Ycsb
+  | Tpcc
+  | Dag
+      (** one inference DAG per shape, run under both mappers *)
+
+type tenant = {
+  name : string;
+  weight : float;  (** fair-queue share *)
+  mix : Serving.Job.kind list;  (** drawn uniformly; repeat a kind to weight it *)
+  replicas : int;  (** voted redundant execution degree (1 = none) *)
+}
+
+type serve = {
+  rate : float;  (** open-loop jobs/s per tenant *)
+  jobs : int;  (** jobs per tenant (cluster-wide in a fleet) *)
+  max_inflight : int;
+  queue_bound : int;  (** per-tenant admission bound *)
+  slo_factor : float;
+  closed_loop : int option;  (** clients per tenant instead of Poisson *)
+  think_us : float;
+  tenants : tenant list;
+  dag_mapper : Taskgraph.Mapper.policy;
+}
+
+type fleet = {
+  shards : int;
+  router : Fleet.Router.policy;
+  epoch_us : float;
+  shard_machines : Harness.Systems.machine_kind list;
+      (** cycled over the shards; [] = every shard is [t.machine] *)
+  diurnal : float;
+  diurnal_period_us : float;
+  relocation : bool;
+}
+
+type workload =
+  | Batch of { kernel : kernel; query : int option (** TPC-H query *) }
+  | Serve of serve
+  | Fleet of serve * fleet
+
+type t = {
+  sys : Harness.Systems.sys;
+  machine : Harness.Systems.machine_kind;
+  workers : int;  (** per machine *)
+  cache_scale : int;
+  seed : int option;
+      (** input/arrival seed; [None] (batch only) keeps every generator's
+          built-in default *)
+  graph_scale : int;
+  faults : (int * Faults.Schedule.t) list;
+      (** (shard, schedule) pairs; a single machine is shard 0 *)
+  energy : bool;  (** per-quantum compute-energy accounting *)
+  energy_weight : float;  (** CHARM's EDP-aware placement weight (0 = off) *)
+  power_cap_mw : float;  (** machine power cap in simulated mW (0 = off) *)
+  check : bool;  (** executable invariants on *)
+  plant : Chipsim.Invariant.plant option;  (** deliberate bug, for checker tests *)
+  workload : workload;
+}
+
+val default_serve : serve
+(** The flag defaults: 5000 jobs/s and 40 jobs per tenant, 4 in service,
+    queue bound 64, SLO 3x, open loop, comm-aware DAG mapping and three
+    tenants: graph (weight 2, BFS twice as often as PageRank), olap (TPC-H
+    Q1, Q3, Q6) and oltp (YCSB batches twice as often as GUPS). *)
+
+val default_fleet : fleet
+(** The flag defaults, [shards] aside: charm-aware routing, 250 us epochs,
+    every shard on the main machine, flat arrivals, relocation on. *)
+
+(** {1 Text form} *)
+
+val to_string : t -> string
+(** The command line that replays [t]: [charm_run ...] for a batch
+    kernel, [charm_serve ...] otherwise, every field that differs from
+    that binary's default spelled out, every number in its shortest exact
+    form and arguments quoted for a POSIX shell.  A custom machine is
+    inlined as a topology spec (and replays named ["custom"]). *)
+
+val of_string : string -> (t, string) result
+(** Parse a command line as {!cli}'s binaries do (the first word picks the
+    binary's defaults).  [of_string (to_string t) = Ok t] for every [t]
+    with a preset or ["custom"]-named machine.  Errors are one line. *)
+
+(** {1 Running} *)
+
+type functional =
+  | Levels of int array  (** BFS levels *)
+  | Ranks of float array  (** PageRank ranks *)
+  | Checksum of float  (** a single TPC-H query's checksum *)
+  | Placements of string  (** a fleet's placement log *)
+  | Nothing
+
+type outcome = {
+  report : string;
+      (** what the CLI prints: a batch run's text (header, kernel lines,
+          machine statistics) or a serving/fleet JSON report, newline
+          terminated *)
+  result : functional;  (** what the oracles compare across runs *)
+  traces : Engine.Trace.t list;  (** [] unless traced; a fleet's router first *)
+  sim_events : int;  (** {!Engine.Stats.sim_events}, summed over machines *)
+}
+
+val kernel_graph : Workloads.Exec_env.t -> t -> weighted:bool -> Workloads.Csr.t
+(** The Kronecker graph a graph kernel of [t] runs on, allocated in the
+    given environment's simulated memory. *)
+
+val bfs_source : Workloads.Csr.t -> int
+(** The BFS/SSSP source vertex: the first vertex with an edge. *)
+
+val run : ?trace:bool -> t -> outcome
+(** Build the instance (or cluster), arm energy accounting, checking,
+    faults, the planted bug and (with [~trace:true], default off) a
+    trace, run the workload and collect its report.  With [check], the
+    machine and scheduler are verified after the run.
+    @raise Invalid_argument on a configuration the simulator rejects.
+    @raise Chipsim.Invariant.Violation when checking finds a violation. *)
+
+(** {1 Command line} *)
+
+type defaults
+(** The per-binary defaults: the one thing [charm_run] and [charm_serve]
+    do not share. *)
+
+val charm_run : defaults
+(** [-w bfs -n 64 --graph-scale 13], no seed. *)
+
+val charm_serve : defaults
+(** [-w serve -n 32 --graph-scale 10 --seed 42]. *)
+
+val cli : defaults -> doc:string -> unit
+(** Parse [Sys.argv] with the shared flag table plus [--trace FILE], run,
+    print the report (plus, for a batch run, a wall-clock [engine:] line)
+    and save any trace; then exit.  Exit codes: 0 success, 2 a malformed
+    flag or a rejected configuration (one line on stderr), 3 an invariant
+    violation under [--check]. *)
+
+val plant_conv : Chipsim.Invariant.plant Cmdliner.Arg.conv
+(** The [--plant] converter, shared with [charm_fuzz]. *)
+
+val parse_argv : Cmdliner.Cmd.info -> 'a Cmdliner.Term.t -> 'a
+(** Evaluate a term over [Sys.argv] as {!cli} does: [--help] prints and
+    exits 0; a malformed flag value prints one line on stderr and exits
+    2. *)
+
+(** {2 Flag-value parsers}
+
+    Each returns a one-line error naming the offending field. *)
+
+val parse_tenant : string -> (tenant, string) result
+(** ["name:weight:kind+kind+..."]; kind names may contain [':'] ([tpch:3],
+    [dag:inception:3]); replicas start at 1. *)
+
+val parse_replication : string -> (string * int, string) result
+(** ["NAME:DEGREE"], split on the last [':']; degree >= 1. *)
+
+val parse_shard_machines :
+  string -> (Harness.Systems.machine_kind list, string) result
+(** Comma-separated presets and/or topology files or inline specs. *)
+
+val parse_shard_fault : string -> (int * string, string) result
+(** ["SHARD:SPEC"]; the spec is parsed later, against the shard's machine. *)

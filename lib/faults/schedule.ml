@@ -30,23 +30,54 @@ let sort t =
   (* stable, so same-instant events keep their spec order *)
   List.stable_sort (fun a b -> compare a.at_ns b.at_ns) t
 
+(* Times are written in microseconds but held in nanoseconds.  Both
+   directions shift the literal's decimal exponent instead of scaling by
+   1000, so a printed schedule parses back to the identical times.  Hex
+   literals have no decimal exponent to shift. *)
+let shift_exponent s k =
+  if String.contains s 'x' || String.contains s 'X' then None
+  else
+    match String.index_opt (String.lowercase_ascii s) 'e' with
+    | None -> Some (Printf.sprintf "%se%d" s k)
+    | Some i ->
+        Option.map
+          (fun e -> Printf.sprintf "%se%d" (String.sub s 0 i) (e + k))
+          (int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)))
+
+let ns_of_us s = Option.bind (shift_exponent s 3) float_of_string_opt
+
+(* the quotient's shortest literal when it reads back exactly, else the
+   nanosecond literal with its point (or exponent) moved three places *)
+let us_literal at_ns =
+  let us = Topology.format_float (at_ns /. 1000.0) in
+  if ns_of_us us = Some at_ns then us
+  else
+    let ns = Topology.format_float at_ns in
+    match String.index_opt ns '.' with
+    | Some i when i > 3 && not (String.contains ns 'e') ->
+        String.sub ns 0 (i - 3) ^ "." ^ String.sub ns (i - 3) 3
+        ^ String.sub ns (i + 1) (String.length ns - i - 1)
+    | _ -> Option.get (shift_exponent ns (-3))
+
 let to_spec t =
+  let f = Topology.format_float in
   String.concat ";"
     (List.map
        (fun { at_ns; kind } ->
-         let us = at_ns /. 1000.0 in
+         let us = us_literal at_ns in
          match kind with
-         | Core_off c -> Printf.sprintf "%g:core-off:%d" us c
-         | Core_on c -> Printf.sprintf "%g:core-on:%d" us c
-         | Dvfs { core; speed } -> Printf.sprintf "%g:dvfs:%d:%g" us core speed
+         | Core_off c -> Printf.sprintf "%s:core-off:%d" us c
+         | Core_on c -> Printf.sprintf "%s:core-on:%d" us c
+         | Dvfs { core; speed } ->
+             Printf.sprintf "%s:dvfs:%d:%s" us core (f speed)
          | L3_ways { chiplet; ways } ->
-             Printf.sprintf "%g:l3-ways:%d:%d" us chiplet ways
+             Printf.sprintf "%s:l3-ways:%d:%d" us chiplet ways
          | Link { chiplet; mult } ->
-             Printf.sprintf "%g:link:%d:%g" us chiplet mult
-         | Xsocket m -> Printf.sprintf "%g:xsocket:%g" us m
+             Printf.sprintf "%s:link:%d:%s" us chiplet (f mult)
+         | Xsocket m -> Printf.sprintf "%s:xsocket:%s" us (f m)
          | Membw { node; factor } ->
-             Printf.sprintf "%g:membw:%d:%g" us node factor
-         | Corruption { seed } -> Printf.sprintf "%g:corrupt:%d" us seed)
+             Printf.sprintf "%s:membw:%d:%s" us node (f factor)
+         | Corruption { seed } -> Printf.sprintf "%s:corrupt:%d" us seed)
        (sort t))
 
 (* -- spec parsing -------------------------------------------------------- *)
@@ -64,6 +95,11 @@ let float_field entry name s =
   match float_of_string_opt (String.trim s) with
   | Some v when Float.is_finite v -> v
   | _ -> fail "%s: %s must be a finite number (got %S)" entry name s
+
+let time_field entry s =
+  let us = float_field entry "time" s in
+  if us < 0.0 then fail "%s: time must be >= 0" entry;
+  Option.value (ns_of_us (String.trim s)) ~default:(us *. 1000.0)
 
 let check_range entry name v lo hi =
   if v < lo || v >= hi then
@@ -108,9 +144,7 @@ let parse_entry ~topo entry =
         ~n:(int_field entry "count" n)
         ~horizon_us:(float_field entry "horizon" horizon)
   | time :: rest -> (
-      let us = float_field entry "time" time in
-      if us < 0.0 then fail "%s: time must be >= 0" entry;
-      let at_ns = us *. 1000.0 in
+      let at_ns = time_field entry time in
       let one kind = [ { at_ns; kind } ] in
       match rest with
       | [ "core-off"; c ] ->

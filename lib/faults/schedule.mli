@@ -50,8 +50,9 @@ val sort : t -> t
 (** Stable sort by timestamp (same-instant events keep spec order). *)
 
 val to_spec : t -> string
-(** Render back to the spec grammar ([';']-separated, sorted);
-    [parse (to_spec t)] round-trips. *)
+(** Render back to the spec grammar ([';']-separated, sorted), every
+    number in its shortest exact form: [parse (to_spec t)] is [sort t]
+    event for event, times included. *)
 
 val parse : topo:Topology.t -> string -> (t, string) result
 (** Parse a spec against a topology (targets are range-checked).  Returns

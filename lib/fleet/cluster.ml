@@ -1,6 +1,5 @@
 module Systems = Harness.Systems
 module Machine = Chipsim.Machine
-module Pmu = Chipsim.Pmu
 module Modifiers = Chipsim.Modifiers
 module Server = Serving.Server
 module Session = Serving.Server.Session
@@ -10,11 +9,10 @@ module Job = Serving.Job
 module Trace = Engine.Trace
 module Rng = Engine.Rng
 
-type plant = Drop_relocated | Route_offline
-
-let plant_name = function
-  | Drop_relocated -> "drop-relocated"
-  | Route_offline -> "route-offline"
+(* a shard is degraded, and sheds its queue to healthy shards, below this
+   online capacity or at/above this sick-chiplet fraction *)
+let degraded_capacity = 0.75
+let degraded_sick = 0.25
 
 type config = {
   n_shards : int;
@@ -29,9 +27,6 @@ type config = {
   diurnal_period_us : float;
   faults : (int * Faults.Schedule.t) list;
   relocation : bool;
-  degraded_capacity : float;
-  degraded_sick : float;
-  plant : plant option;
   trace : bool;
 }
 
@@ -49,9 +44,6 @@ let default_config ~seed =
     diurnal_period_us = 4000.0;
     faults = [];
     relocation = true;
-    degraded_capacity = 0.75;
-    degraded_sick = 0.25;
-    plant = None;
     trace = false;
   }
 
@@ -354,8 +346,8 @@ let run cfg =
   in
   let degraded (v : Router.view) =
     v.Router.capacity <= 0.0
-    || v.Router.capacity < cfg.degraded_capacity
-    || v.Router.sick_fraction >= cfg.degraded_sick
+    || v.Router.capacity < degraded_capacity
+    || v.Router.sick_fraction >= degraded_sick
   in
 
   let log = Buffer.create 4096 in
@@ -375,14 +367,13 @@ let run cfg =
     let forced =
       (* planted routing bug: aim at a fully-offline shard when one
          exists, to prove the no-offline-placement invariant fires *)
-      match cfg.plant with
-      | Some Route_offline ->
-          Array.fold_left
-            (fun acc (v : Router.view) ->
-              if acc = None && v.Router.capacity <= 0.0 then Some v.Router.shard
-              else acc)
-            None views
-      | _ -> None
+      if Chipsim.Invariant.planted Chipsim.Invariant.Route_offline then
+        Array.fold_left
+          (fun acc (v : Router.view) ->
+            if acc = None && v.Router.capacity <= 0.0 then Some v.Router.shard
+            else acc)
+          None views
+      else None
     in
     let target =
       match forced with
@@ -442,19 +433,17 @@ let run cfg =
           views.(s).Router.load_ns <-
             Float.max 0.0 (Session.backlog_ns sessions.(s) -. now);
           views.(s).Router.depth <- 0;
-          match cfg.plant with
-          | Some Drop_relocated ->
-              (* planted bug: relocated jobs vanish — fleet conservation
-                 must trip *)
-              ()
-          | _ ->
-              List.iter
-                (fun (r : Session.relocatable) ->
-                  incr relocations;
-                  place ~now ~job_id:r.Session.r_id ~tenant:r.Session.r_tenant
-                    ~kind:r.Session.r_kind ~job_seed:r.Session.r_seed
-                    ~submit_ns:r.Session.r_submit_ns ~from_shard:s)
-                dropped
+          (* planted bug: relocated jobs vanish — fleet conservation
+             must trip *)
+          if not (Chipsim.Invariant.planted Chipsim.Invariant.Drop_relocated)
+          then
+            List.iter
+              (fun (r : Session.relocatable) ->
+                incr relocations;
+                place ~now ~job_id:r.Session.r_id ~tenant:r.Session.r_tenant
+                  ~kind:r.Session.r_kind ~job_seed:r.Session.r_seed
+                  ~submit_ns:r.Session.r_submit_ns ~from_shard:s)
+              dropped
         end
       done
   in
@@ -525,16 +514,11 @@ let run cfg =
   let shard_results =
     List.init n (fun s ->
         let m = (Session.instance sessions.(s)).Systems.machine in
-        let pmu = Machine.pmu m in
         {
           shard = s;
           machine = machine_name (shard_machine s);
           placed = placed.(s);
-          sim_events =
-            Machine.accesses m
-            + Pmu.total pmu Pmu.Context_switch
-            + Pmu.total pmu Pmu.Task_stolen
-            + Pmu.total pmu Pmu.Migration;
+          sim_events = Engine.Stats.sim_events m;
           report = reports.(s);
         })
   in

@@ -5,8 +5,9 @@
     runtime system and serving session); the cluster advances them in
     lockstep epochs of [epoch_us] virtual microseconds:
 
-    + {b relocate} — if a shard is degraded (capacity below the threshold
-      or too many sick chiplets) and a healthy target exists, its queued
+    + {b relocate} — if a shard is degraded (online capacity below 0.75
+      or at least a quarter of its chiplets sick) and a healthy target
+      exists, its queued
       (admitted, not yet dispatched) jobs are drained and re-routed;
     + {b route} — cluster arrivals with timestamps inside the epoch are
       placed by the {!Router} policy against a per-shard load/health
@@ -21,17 +22,9 @@
     every router policy faces the identical offered load; an entire fleet
     run is byte-deterministic, placement log and traces included.
     Per-shard fault schedules ({!Faults.Schedule}) inject machine-level
-    degradation mid-run. *)
-
-type plant =
-  | Drop_relocated
-      (** planted bug: relocated jobs vanish instead of being re-routed —
-          the fleet job-conservation invariant must trip *)
-  | Route_offline
-      (** planted bug: prefer a fully-offline shard when one exists — the
-          no-offline-placement invariant must trip *)
-
-val plant_name : plant -> string
+    degradation mid-run.  The planted fleet bugs are
+    {!Chipsim.Invariant.Drop_relocated} and
+    {!Chipsim.Invariant.Route_offline}. *)
 
 type config = {
   n_shards : int;
@@ -53,9 +46,6 @@ type config = {
   relocation : bool;
       (** drain-and-requeue queued jobs off degraded shards at epoch
           boundaries *)
-  degraded_capacity : float;  (** relocate below this online capacity *)
-  degraded_sick : float;  (** ... or at/above this sick-chiplet fraction *)
-  plant : plant option;  (** deliberate bug for invariant-gate tests *)
   trace : bool;
       (** allocate a router trace (pid 0) plus one per shard (pid s+1),
           returned in [result.traces] for {!Engine.Trace.save_merged} *)
@@ -71,9 +61,8 @@ type shard_result = {
   machine : string;
   placed : int;  (** router placements onto this shard (incl. relocations) *)
   sim_events : int;
-      (** simulated engine events this shard retired: memory accesses plus
-          task quanta, steals and migrations — the numerator of the
-          [bench core] fleet events/sec figure *)
+      (** {!Engine.Stats.sim_events} of this shard's machine — the
+          numerator of the [bench core] fleet events/sec figure *)
   report : Serving.Server.report;
 }
 

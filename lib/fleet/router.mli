@@ -27,10 +27,6 @@ type policy = Round_robin | Least_loaded | Ewma | Charm_aware
 val policy_name : policy -> string
 (** ["round-robin"], ["least-loaded"], ["ewma"], ["charm"]. *)
 
-val policy_of_string : string -> policy option
-(** Inverse of {!policy_name}; also accepts ["rr"], ["ll"],
-    ["charm-aware"]. *)
-
 val all_policies : policy list
 
 (** Per-shard routing snapshot, refreshed at each epoch boundary and

@@ -43,14 +43,10 @@ let majority tokens =
   done;
   !best
 
-(* Read per call, NOT once per process: the fuzzer's planted-bug gate and
-   the unit tests flip the variable between runs inside one binary. *)
-let plant_vote_skip () =
-  Sys.getenv_opt "CHARM_CHECK_PLANT" = Some "vote-skip"
-
 let vote tokens =
   if Array.length tokens = 0 then invalid_arg "Replica.vote: no replicas";
-  if plant_vote_skip () then tokens.(0) else majority tokens
+  if Chipsim.Invariant.planted Chipsim.Invariant.Vote_skip then tokens.(0)
+  else majority tokens
 
 let unanimous tokens =
   Array.for_all (fun t -> Int64.equal t tokens.(0)) tokens

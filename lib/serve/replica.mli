@@ -24,7 +24,7 @@ val corrupt : int64 -> seed:int -> int64
 
 val vote : int64 array -> int64
 (** Plurality winner with a deterministic tie-break (lowest replica index
-    first).  Under the planted bug [CHARM_CHECK_PLANT=vote-skip] (read
+    first).  Under the planted bug {!Chipsim.Invariant.Vote_skip} (read
     per call) it returns replica 0's token unchecked — the defect the
     replica-agreement invariant and the fuzzer gate must catch.
     @raise Invalid_argument on an empty group. *)

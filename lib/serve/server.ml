@@ -706,7 +706,7 @@ let session_instance sess = sess.inst
 
 let finish sess =
   Sched.set_hooks sess.sched sess.base_hooks;
-  (* flow end-of-run profiler / trace / machine statistics into the registry *)
+  (* flow end-of-run profiler and machine statistics into the registry *)
   (match sess.inst.Systems.charm with
   | Some rt ->
       let prof = Charm.Runtime.profiler rt in
@@ -717,11 +717,6 @@ let finish sess =
         Metrics.incr sess.registry ~by:s.Charm.Profiler.remote_numa "profiler.remote_numa";
         Metrics.incr sess.registry ~by:s.Charm.Profiler.dram "profiler.dram"
       done
-  | None -> ());
-  (match sess.cfg.trace with
-  | Some tr ->
-      Metrics.set_gauge sess.registry "trace.events"
-        (float_of_int (Engine.Trace.num_events tr))
   | None -> ());
   let stats = Systems.report sess.inst in
   let acc = stats.Engine.Stats.accesses in

@@ -14,9 +14,9 @@
     Observability: per-tenant latency/queue-wait histograms, SLO-violation
     and shed counters, and a {!Metrics} registry fed by the serving loop,
     by a scheduler-hook wrapper (quantum counts — installed around the
-    policy's own hooks via {!Engine.Sched.hooks}), by {!Core.Profiler}
-    fill counters when serving under CHARM, and by {!Engine.Trace} when a
-    trace sink is attached. *)
+    policy's own hooks via {!Engine.Sched.hooks}) and by {!Core.Profiler}
+    fill counters when serving under CHARM.  An attached {!Engine.Trace}
+    records the run but never changes the report. *)
 
 type tenant_config = {
   name : string;

@@ -258,10 +258,6 @@ let parse_bytes s =
   | Some v when v >= 0 -> Some (v * mult)
   | _ -> None
 
-let format_float f =
-  let s = Printf.sprintf "%g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
 let to_lines t =
   let buf = ref [] in
   let add l = buf := l :: !buf in
@@ -269,7 +265,8 @@ let to_lines t =
   Array.iteri
     (fun i n ->
       add
-        (Printf.sprintf "node %d %s %s" i (op_name n.op) (format_float n.cost_ns)))
+        (Printf.sprintf "node %d %s %s" i (op_name n.op)
+           (Chipsim.Topology.format_float n.cost_ns)))
     t.nodes;
   Array.iter
     (fun e ->

@@ -21,11 +21,6 @@ type policy = Blind | Comm_aware
 
 let policy_name = function Blind -> "blind" | Comm_aware -> "comm-aware"
 
-let policy_of_name = function
-  | "blind" -> Some Blind
-  | "comm-aware" -> Some Comm_aware
-  | _ -> None
-
 let all_policies = [ Blind; Comm_aware ]
 
 type t = {

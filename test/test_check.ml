@@ -4,4 +4,5 @@ let () =
       ("invariants", Test_invariants.suite);
       ("determinism", Test_determinism.suite);
       ("scenario", Test_scenario.suite);
+      ("experiment", Test_experiment.suite);
     ]

@@ -3,7 +3,6 @@ let () =
     [
       ("rng", Test_rng.suite);
       ("coroutine", Test_coroutine.suite);
-      ("wsqueue", Test_wsqueue.suite);
       ("sched-smoke", Test_sched_smoke.suite);
       ("sched", Test_sched.suite);
       ("barrier", Test_barrier.suite);

@@ -24,6 +24,30 @@ let test_parse_round_trip () =
   let reparsed = Schedule.parse_exn ~topo (Schedule.to_spec sched) in
   Alcotest.(check bool) "round-trips" true (sched = reparsed)
 
+(* random schedules carry full-precision times and factors: the printed
+   spec must parse back to the identical events, not merely as many *)
+let test_random_schedules_roundtrip () =
+  let topo = topo () in
+  for seed = 0 to 199 do
+    let sched = Schedule.random ~topo ~seed ~n:8 ~horizon_us:20_000.0 in
+    let spec = Schedule.to_spec sched in
+    if Schedule.parse_exn ~topo spec <> sched then
+      Alcotest.failf "seed %d: %s does not parse back to the same schedule" seed spec
+  done;
+  (* times print in microseconds without losing the nanosecond value *)
+  List.iter
+    (fun at_ns ->
+      let sched = [ { Schedule.at_ns; kind = Schedule.Core_off 1 } ] in
+      if Schedule.parse_exn ~topo (Schedule.to_spec sched) <> sched then
+        Alcotest.failf "%.17g ns: %s" at_ns (Schedule.to_spec sched))
+    [ 0.0; 1.0; 500.0; 3e6; 645648.123456789; 1e-9; 1e25; 0.1 +. 0.2 ];
+  Alcotest.(check string) "short times stay short" "0.5:core-on:2;3000:core-off:1"
+    (Schedule.to_spec
+       [
+         { Schedule.at_ns = 3e6; kind = Schedule.Core_off 1 };
+         { Schedule.at_ns = 500.0; kind = Schedule.Core_on 2 };
+       ])
+
 let test_parse_rand_deterministic () =
   let topo = topo () in
   let parse seed =
@@ -234,6 +258,8 @@ let test_faulted_serve_traces_identical () =
 let suite =
   [
     Alcotest.test_case "spec round-trip" `Quick test_parse_round_trip;
+    Alcotest.test_case "random schedules round-trip exactly" `Quick
+      test_random_schedules_roundtrip;
     Alcotest.test_case "rand expansion deterministic" `Quick
       test_parse_rand_deterministic;
     Alcotest.test_case "bad specs rejected" `Quick test_parse_rejects;

@@ -143,15 +143,18 @@ let test_router_skips_offline_shard () =
 
 (* -- planted bugs: the invariants must catch them ----------------------- *)
 
+let with_plant plant f =
+  Chipsim.Invariant.set_plant (Some plant);
+  Fun.protect ~finally:(fun () -> Chipsim.Invariant.set_plant None) f
+
 let test_plant_drop_relocated_trips () =
   let cfg =
     {
       (base_config ~jobs:20 ~rate:12_000.0 ~seed:11 ()) with
       Cluster.faults = [ (0, quarter_speed_everywhere ~at_us:150.0) ];
-      plant = Some Cluster.Drop_relocated;
     }
   in
-  match Cluster.run cfg with
+  match with_plant Chipsim.Invariant.Drop_relocated (fun () -> Cluster.run cfg) with
   | _ -> Alcotest.fail "planted drop-relocated bug was not caught"
   | exception Chipsim.Invariant.Violation msg ->
       Alcotest.(check bool)
@@ -164,10 +167,9 @@ let test_plant_route_offline_trips () =
     {
       (base_config ~jobs:10 ~seed:5 ()) with
       Cluster.faults = [ (1, all_cores_off) ];
-      plant = Some Cluster.Route_offline;
     }
   in
-  match Cluster.run cfg with
+  match with_plant Chipsim.Invariant.Route_offline (fun () -> Cluster.run cfg) with
   | _ -> Alcotest.fail "planted route-offline bug was not caught"
   | exception Chipsim.Invariant.Violation msg ->
       Alcotest.(check bool)

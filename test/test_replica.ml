@@ -5,7 +5,6 @@
 
 module Replica = Serving.Replica
 module Server = Serving.Server
-module Spec = Serving.Spec
 module Metrics = Serving.Metrics
 module Machine = Chipsim.Machine
 module Modifiers = Chipsim.Modifiers
@@ -70,9 +69,9 @@ let test_empty_group_invalid () =
   invalid "majority" (fun () -> Replica.majority [||]);
   invalid "vote" (fun () -> Replica.vote [||])
 
-let with_plant kind f =
-  Unix.putenv "CHARM_CHECK_PLANT" kind;
-  Fun.protect ~finally:(fun () -> Unix.putenv "CHARM_CHECK_PLANT" "") f
+let with_plant plant f =
+  Chipsim.Invariant.set_plant (Some plant);
+  Fun.protect ~finally:(fun () -> Chipsim.Invariant.set_plant None) f
 
 let test_vote_and_plant () =
   let tok = Replica.token ~job_seed:5 ~kind:"tpch" in
@@ -80,9 +79,9 @@ let test_vote_and_plant () =
   let group = [| bad; tok; tok |] in
   Alcotest.(check t64) "honest vote equals the plurality" tok
     (Replica.vote group);
-  (* the planted bug returns replica 0 unchecked; the env var is read per
+  (* the planted bug returns replica 0 unchecked; the plant is read per
      call, so the defect switches on and off with it *)
-  with_plant "vote-skip" (fun () ->
+  with_plant Chipsim.Invariant.Vote_skip (fun () ->
       Alcotest.(check t64) "planted voter returns replica 0" bad
         (Replica.vote group));
   Alcotest.(check t64) "plant off again after restore" tok
@@ -149,24 +148,24 @@ let check_err name result frag =
         true (contains msg frag)
 
 let test_replicate_spec () =
-  (match Spec.parse_replication "gold:3" with
+  (match Experiment.parse_replication "gold:3" with
   | Ok (name, k) ->
       Alcotest.(check string) "name" "gold" name;
       Alcotest.(check int) "degree" 3 k
   | Error msg -> Alcotest.failf "rejected valid spec: %s" msg);
   (* the degree is the LAST ':' field, so tenant names may carry colons *)
-  (match Spec.parse_replication "a:b:2" with
+  (match Experiment.parse_replication "a:b:2" with
   | Ok (name, k) ->
       Alcotest.(check string) "colon-bearing name" "a:b" name;
       Alcotest.(check int) "degree" 2 k
   | Error msg -> Alcotest.failf "rejected colon-bearing name: %s" msg);
-  check_err "empty" (Spec.parse_replication "") "want NAME:DEGREE";
-  check_err "no degree" (Spec.parse_replication "gold") "want NAME:DEGREE";
-  check_err "dangling colon" (Spec.parse_replication "gold:") "want NAME:DEGREE";
-  check_err "empty name" (Spec.parse_replication ":3") "want NAME:DEGREE";
-  check_err "non-integer degree" (Spec.parse_replication "gold:x")
+  check_err "empty" (Experiment.parse_replication "") "want NAME:DEGREE";
+  check_err "no degree" (Experiment.parse_replication "gold") "want NAME:DEGREE";
+  check_err "dangling colon" (Experiment.parse_replication "gold:") "want NAME:DEGREE";
+  check_err "empty name" (Experiment.parse_replication ":3") "want NAME:DEGREE";
+  check_err "non-integer degree" (Experiment.parse_replication "gold:x")
     "not an integer";
-  check_err "zero degree" (Spec.parse_replication "gold:0") ">= 1"
+  check_err "zero degree" (Experiment.parse_replication "gold:0") ">= 1"
 
 (* -- end to end through the server ------------------------------------- *)
 
@@ -226,7 +225,7 @@ let test_server_clean_replication_agrees () =
 let test_server_detects_planted_voter () =
   (* the replica-agreement invariant must catch vote-skip: the corrupted
      replica 0 wins the planted vote while the honest plurality disagrees *)
-  with_plant "vote-skip" (fun () ->
+  with_plant Chipsim.Invariant.Vote_skip (fun () ->
       let inst = replicated_inst () in
       Modifiers.arm_corruption (Machine.modifiers inst.Sys_.machine) ~seed:6;
       match Server.run inst (replicated_cfg ~check:true 17) with

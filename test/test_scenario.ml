@@ -3,6 +3,12 @@
 
 module Scenario = Check.Scenario
 module Fuzz = Check.Fuzz
+module E = Experiment
+
+let contains s frag =
+  let n = String.length s and m = String.length frag in
+  let rec go i = i + m <= n && (String.sub s i m = frag || go (i + 1)) in
+  go 0
 
 let test_generation_deterministic () =
   for seed = 0 to 20 do
@@ -14,13 +20,16 @@ let test_generation_deterministic () =
 let test_smoke_seeds_clean () =
   match Fuzz.run ~mode:Scenario.Smoke ~start_seed:0 ~seeds:4 () with
   | Fuzz.Clean { scenarios } -> Alcotest.(check int) "scenarios" 4 scenarios
-  | Fuzz.Failed { repro; _ } -> Alcotest.failf "unexpected failure:\n%s" repro
+  | Fuzz.Failed { minimized; _ } ->
+      Alcotest.failf "unexpected failure:\n%s" (E.to_string minimized)
 
 let scenario_with_faults () =
-  (* walk seeds until generation yields a faulty scenario *)
+  (* walk seeds until generation yields a faulty single-machine scenario *)
   let rec go seed =
     let t = Scenario.generate ~mode:Scenario.Smoke ~seed in
-    if t.Scenario.faults <> [] then t else go (seed + 1)
+    match t.E.workload with
+    | (E.Batch _ | E.Serve _) when t.E.faults <> [] -> t
+    | _ -> go (seed + 1)
   in
   go 0
 
@@ -34,7 +43,7 @@ let test_shrink_candidates () =
   (match cands with
   | first :: _ ->
       Alcotest.(check int) "first candidate drops the fault schedule" 0
-        (List.length first.Scenario.faults)
+        (Fuzz.fault_events first)
   | [] -> ());
   (* shrinking terminates: repeatedly taking the first candidate reaches a
      fixpoint *)
@@ -48,48 +57,48 @@ let test_repro_rendering () =
   let seen_batch = ref false and seen_serve = ref false and seen_fleet = ref false in
   for seed = 0 to 60 do
     let t = Scenario.generate ~mode:Scenario.Smoke ~seed in
-    let repro = Scenario.to_repro t in
-    let has frag =
-      let n = String.length repro and m = String.length frag in
-      let rec go i = i + m <= n && (String.sub repro i m = frag || go (i + 1)) in
-      go 0
-    in
+    let repro = E.to_string t in
+    let has = contains repro in
     Alcotest.(check bool) "repro carries --check" true (has "--check");
     Alcotest.(check bool) "repro carries the seed" true
-      (has (Printf.sprintf "--seed %d" t.Scenario.seed));
-    (if t.Scenario.faults <> [] then
-       Alcotest.(check bool) "faulty repro carries --faults" true (has "--faults"));
-    match t.Scenario.kind with
-    | Scenario.Batch _ ->
+      (has (Printf.sprintf "--seed %d" seed));
+    match t.E.workload with
+    | E.Batch _ ->
         seen_batch := true;
-        Alcotest.(check bool) "batch repro uses charm_run" true (has "charm_run")
-    | Scenario.Serve _ ->
+        Alcotest.(check bool) "batch repro uses charm_run" true (has "charm_run -w");
+        if t.E.faults <> [] then
+          Alcotest.(check bool) "faulty repro carries --faults" true (has "--faults")
+    | E.Serve _ ->
         seen_serve := true;
-        Alcotest.(check bool) "serve repro uses charm_serve" true
-          (has "charm_serve")
-    | Scenario.Fleet f ->
+        Alcotest.(check bool) "serve repro uses charm_serve" true (has "charm_serve")
+    | E.Fleet (_, f) ->
         seen_fleet := true;
         Alcotest.(check bool) "fleet repro uses --fleet" true
-          (has (Printf.sprintf "--fleet %d" f.Scenario.shards));
-        Alcotest.(check bool) "fleet repro names the router policy" true
-          (has "--router");
-        if f.Scenario.fshard_faults <> [] then
+          (has (Printf.sprintf "--fleet %d" f.E.shards));
+        Alcotest.(check bool) "fleet repro names the router policy" true (has "--router");
+        if t.E.faults <> [] then
           Alcotest.(check bool) "fleet repro carries --faults-shard" true
             (has "--faults-shard")
   done;
   Alcotest.(check bool) "all scenario kinds exercised" true
     (!seen_batch && !seen_serve && !seen_fleet)
 
+(* every drawn schedule, on any shard, prints to a spec that parses back
+   to the identical events *)
 let test_fault_spec_roundtrip () =
-  let t = scenario_with_faults () in
-  let topo =
-    Harness.Systems.topology t.Scenario.machine ~cache_scale:t.Scenario.cache_scale
-  in
-  let spec = Faults.Schedule.to_spec t.Scenario.faults in
-  let reparsed = Faults.Schedule.parse_exn ~topo spec in
-  Alcotest.(check int) "same event count"
-    (List.length t.Scenario.faults)
-    (List.length reparsed)
+  let checked = ref 0 in
+  for seed = 0 to 199 do
+    let t = Scenario.generate ~mode:Scenario.Smoke ~seed in
+    List.iter
+      (fun (_, sched) ->
+        let topo = Harness.Systems.topology t.E.machine ~cache_scale:t.E.cache_scale in
+        let spec = Faults.Schedule.to_spec sched in
+        incr checked;
+        if Faults.Schedule.parse_exn ~topo spec <> sched then
+          Alcotest.failf "seed %d: %s does not parse back to the same schedule" seed spec)
+      t.E.faults
+  done;
+  Alcotest.(check bool) "schedules checked" true (!checked > 50)
 
 let suite =
   [

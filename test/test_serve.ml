@@ -270,8 +270,6 @@ let test_server_deterministic () =
 
 (* -- CLI spec parsing -------------------------------------------------- *)
 
-module Spec = Serving.Spec
-
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -286,43 +284,42 @@ let check_err name result frag =
         true (contains msg frag)
 
 let test_tenant_spec () =
-  (match Spec.parse_tenant "gold:2:bfs+tpch:3" with
-  | Ok (name, weight, mix) ->
+  (match Experiment.parse_tenant "gold:2:bfs+tpch:3" with
+  | Ok { name; weight; mix; _ } ->
       Alcotest.(check string) "name" "gold" name;
       Alcotest.(check (float 0.0)) "weight" 2.0 weight;
       Alcotest.(check int) "mix size" 2 (List.length mix);
       Alcotest.(check bool) "tpch:3 resolved" true
-        (List.mem_assoc (Serving.Job.Tpch 3) mix)
+        (List.mem (Serving.Job.Tpch 3) mix)
   | Error msg -> Alcotest.failf "rejected valid tenant spec: %s" msg);
-  check_err "empty" (Spec.parse_tenant "") "want NAME:WEIGHT:KIND";
-  check_err "no kinds" (Spec.parse_tenant "gold") "want NAME:WEIGHT:KIND";
-  check_err "bad weight" (Spec.parse_tenant "gold:x:bfs") "weight";
-  check_err "negative weight" (Spec.parse_tenant "gold:-1:bfs") "positive";
-  check_err "nan weight" (Spec.parse_tenant "gold:nan:bfs") "positive";
-  check_err "empty kinds" (Spec.parse_tenant "gold:2:") "job-kind list";
-  check_err "dangling plus" (Spec.parse_tenant "gold:2:bfs+") "job-kind list";
-  check_err "unknown kind" (Spec.parse_tenant "gold:2:bfs+frob") "frob"
+  check_err "empty" (Experiment.parse_tenant "") "want NAME:WEIGHT:KIND";
+  check_err "no kinds" (Experiment.parse_tenant "gold") "want NAME:WEIGHT:KIND";
+  check_err "bad weight" (Experiment.parse_tenant "gold:x:bfs") "weight";
+  check_err "negative weight" (Experiment.parse_tenant "gold:-1:bfs") "positive";
+  check_err "nan weight" (Experiment.parse_tenant "gold:nan:bfs") "positive";
+  check_err "empty kinds" (Experiment.parse_tenant "gold:2:") "job-kind list";
+  check_err "dangling plus" (Experiment.parse_tenant "gold:2:bfs+") "job-kind list";
+  check_err "unknown kind" (Experiment.parse_tenant "gold:2:bfs+frob") "frob"
 
 let test_shard_machines_spec () =
-  let machines = [ ("amd", `A); ("intel", `I) ] in
-  (match Spec.parse_shard_machines ~machines "amd, intel,amd" with
+  (match Experiment.parse_shard_machines "amd, intel,amd" with
   | Ok ms -> Alcotest.(check int) "three shards" 3 (List.length ms)
   | Error msg -> Alcotest.failf "rejected valid machine list: %s" msg);
-  check_err "empty list" (Spec.parse_shard_machines ~machines "") "empty";
+  check_err "empty list" (Experiment.parse_shard_machines "") "empty";
   check_err "unknown machine"
-    (Spec.parse_shard_machines ~machines "amd,xeon")
+    (Experiment.parse_shard_machines "amd,xeon")
     "xeon"
 
 let test_shard_fault_spec () =
-  (match Spec.parse_shard_fault "2:membw@1000:0.5" with
+  (match Experiment.parse_shard_fault "2:membw@1000:0.5" with
   | Ok (shard, fault) ->
       Alcotest.(check int) "shard" 2 shard;
       Alcotest.(check string) "fault" "membw@1000:0.5" fault
   | Error msg -> Alcotest.failf "rejected valid shard fault: %s" msg);
-  check_err "no colon" (Spec.parse_shard_fault "membw") "want SHARD:SPEC";
-  check_err "empty shard" (Spec.parse_shard_fault ":membw") "want SHARD:SPEC";
-  check_err "non-integer shard" (Spec.parse_shard_fault "x:membw") "integer";
-  check_err "negative shard" (Spec.parse_shard_fault "-1:membw") ">= 0"
+  check_err "no colon" (Experiment.parse_shard_fault "membw") "want SHARD:SPEC";
+  check_err "empty shard" (Experiment.parse_shard_fault ":membw") "want SHARD:SPEC";
+  check_err "non-integer shard" (Experiment.parse_shard_fault "x:membw") "integer";
+  check_err "negative shard" (Experiment.parse_shard_fault "-1:membw") ">= 0"
 
 let suite =
   [

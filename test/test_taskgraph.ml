@@ -1,5 +1,5 @@
 (* The task-graph subsystem: generator determinism, the text format's
-   round-trip and one-line negative parses (mirroring Serving.Spec's),
+   round-trip and one-line negative parses (mirroring the CLI flag parsers'),
    mapper properties (blind vs comm-aware), DAG execution on the engine
    under invariants, and the accelerator-only placement satellite (OLAP
    work never lands on a [general_tasks = false] chiplet). *)
@@ -121,7 +121,7 @@ let test_of_file () =
   | Error _ -> ()
 
 (* every malformed spec must fail with a one-line error naming the
-   offending directive or field — same contract as Serving.Spec *)
+   offending directive or field — same contract as the CLI flag parsers *)
 let negative_specs =
   [
     ("", "at least one node");

@@ -50,6 +50,24 @@ let test_shipped_roundtrip () =
       | Error msg -> Alcotest.failf "%s: to_spec not parseable: %s" file msg)
     files
 
+(* a single-kind machine used to print as all-big: every one of the 81
+   kind assignments of a 4-chiplet machine must survive both text forms *)
+let test_every_kind_assignment_roundtrips () =
+  let kinds = [| Topology.Big; Topology.Little; Topology.Accel |] in
+  for code = 0 to 80 do
+    let chiplet_kinds = Array.init 4 (fun i -> kinds.(code / [| 1; 3; 9; 27 |].(i) mod 3)) in
+    let t =
+      Topology.v ~chiplet_kinds ~sockets:1 ~chiplets_per_socket:4 ~cores_per_chiplet:2 ()
+    in
+    List.iter
+      (fun (form, text) ->
+        match Topology.of_string text with
+        | Ok t' when Topology.equal t t' -> ()
+        | Ok _ -> Alcotest.failf "assignment %d: of_string (%s t) <> t:\n%s" code form text
+        | Error msg -> Alcotest.failf "assignment %d: %s not parseable: %s" code form msg)
+      [ ("to_spec", Topology.to_spec t); ("to_string", Topology.to_string t) ]
+  done
+
 let test_golden_presets () =
   match topo_dir with
   | None -> Alcotest.fail "examples/topologies not found from test cwd"
@@ -180,6 +198,8 @@ let test_hetero_end_to_end () =
 let suite =
   [
     Alcotest.test_case "shipped files round-trip" `Quick test_shipped_roundtrip;
+    Alcotest.test_case "every kind assignment round-trips" `Quick
+      test_every_kind_assignment_roundtrips;
     Alcotest.test_case "preset files equal code presets" `Quick
       test_golden_presets;
     Alcotest.test_case "tiny-hetero parses fully" `Quick test_hetero_file;
