@@ -84,30 +84,48 @@ let count_holders t ~line =
   let rec popcount m acc = if m = 0 then acc else popcount (m lsr 1) (acc + (m land 1)) in
   popcount m 0
 
-(* [-1] = no other holder; int-coded so the hot path allocates no option.
-   The shift-loop stops at the highest set holder bit instead of scanning
-   every chiplet.  [ranks] is a row of a precomputed chiplets x chiplets
-   distance-rank matrix ({!Machine} owns one), so picking the nearest
-   holder costs one array read per set bit instead of a classify call. *)
-let nearest_holder_ranked t ~line ~from_chiplet ~ranks ~row =
-  let m0 = holders t line land lnot (1 lsl from_chiplet) in
-  if m0 = 0 then -1
-  else begin
-    let best = ref (-1) and best_rank = ref max_int in
-    let m = ref m0 and c = ref 0 in
-    while !m <> 0 do
-      if !m land 1 <> 0 then begin
-        let r = Array.unsafe_get ranks (row + !c) in
-        if r < !best_rank then begin
-          best_rank := r;
-          best := !c
-        end
-      end;
-      m := !m lsr 1;
-      incr c
-    done;
-    !best
-  end
+(* Nearest chiplet in the holder mask [m] ([-1] if empty); int-coded so
+   the hot path allocates no option.  The shift-loop stops at the highest
+   set holder bit instead of scanning every chiplet.  [ranks] is a row of
+   a precomputed chiplets x chiplets distance-rank matrix ({!Machine} owns
+   one), so picking the nearest holder costs one array read per set bit
+   instead of a classify call. *)
+let nearest_in_mask m0 ~ranks ~row =
+  let best = ref (-1) and best_rank = ref max_int in
+  let m = ref m0 and c = ref 0 in
+  while !m <> 0 do
+    if !m land 1 <> 0 then begin
+      let r = Array.unsafe_get ranks (row + !c) in
+      if r < !best_rank then begin
+        best_rank := r;
+        best := !c
+      end
+    end;
+    m := !m lsr 1;
+    incr c
+  done;
+  !best
+
+(* The two {!Machine} per-access entry points.  Each does in one call what
+   the checked operations above would need two or three for, and skips
+   [check]: the chiplet is the accessing core's own, in range by
+   construction. *)
+let fill t ~line ~chiplet ~evicted ~ranks ~row =
+  let bit = 1 lsl chiplet in
+  if evicted >= 0 then begin
+    let m = holders t evicted in
+    if m land bit <> 0 then set_mask t evicted (m land lnot bit)
+  end;
+  let m = holders t line in
+  let holder = nearest_in_mask (m land lnot bit) ~ranks ~row in
+  if m land bit = 0 then set_mask t line (m lor bit);
+  holder
+
+let claim t ~line ~chiplet =
+  let bit = 1 lsl chiplet in
+  let m = holders t line in
+  if m <> bit then set_mask t line bit;
+  m land lnot bit
 
 let nearest_holder_id topo t ~line ~from_chiplet =
   let m0 = holders t line land lnot (1 lsl from_chiplet) in

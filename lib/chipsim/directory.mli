@@ -25,11 +25,20 @@ val nearest_holder_id :
 (** Like {!nearest_holder} but int-coded ([-1] = none) so the per-access
     hot path allocates nothing. *)
 
-val nearest_holder_ranked :
-  t -> line:int -> from_chiplet:int -> ranks:int array -> row:int -> int
-(** Like {!nearest_holder_id}, but distances come from row [row] of the
-    caller's flattened chiplets x chiplets rank matrix ([ranks.(row + c)]
-    is the rank from [from_chiplet] to [c]) instead of per-bit classify
-    calls — the form the {!Machine} fill path uses. *)
+val fill :
+  t -> line:int -> chiplet:int -> evicted:int -> ranks:int array -> row:int ->
+  int
+(** An L3 miss on [chiplet]: drop [evicted] (the line the fill displaced,
+    or negative for none) from [chiplet], then return the nearest other
+    chiplet holding [line] ([-1] = none) and add [chiplet] as a holder.
+    Distances come from row [row] of the caller's flattened chiplets x
+    chiplets rank matrix ([ranks.(row + c)] is the rank from [chiplet] to
+    [c]).  The chiplet is not range-checked: this is {!Machine}'s
+    per-access path. *)
+
+val claim : t -> line:int -> chiplet:int -> int
+(** A write by [chiplet]: make it the only holder of [line] and return the
+    bitmask of the other chiplets that held it.  Not range-checked, like
+    {!fill}. *)
 
 val clear : t -> unit

@@ -8,7 +8,9 @@ type t = {
   links : Memchan.t;  (* per-chiplet link to the I/O die (GMI) *)
   mem : Simmem.t;
   pmu : Pmu.t;
+  pmu_counts : int array;  (* [Pmu.counters pmu], bumped by direct index *)
   mods : Modifiers.t;  (* dynamic fault state, read on every access *)
+  link_mult : float array;  (* [Modifiers.link_mults mods] *)
   (* per-core / per-chiplet lookup tables: the per-access path resolves
      core -> chiplet -> socket by indexing instead of dividing *)
   core_chiplet : int array;
@@ -28,6 +30,9 @@ type t = {
   scratch_clk : float array;
       (* 1-slot clock cell backing the float-returning compat wrappers
          around the [_clk] entry points *)
+  last_cost : float array;
+      (* 1-slot cell: raw latency of the last {!access_clk}, for callers
+         that need the cost rather than the advanced clock *)
   chan_io : float array;
       (* 2-slot io cell for {!Memchan.charge}: floats cross that module
          boundary through it instead of boxed arguments/returns *)
@@ -91,6 +96,8 @@ let create ?(profile = Latency.default_profile) topo =
     let f = link_bw ch /. max_link_bw in
     if f <> 1.0 then Memchan.set_capacity_factor links_chan ~node:ch f
   done;
+  let pmu = Pmu.create ~cores in
+  let mods = Modifiers.create ~cores ~chiplets ~nodes:topo.Topology.sockets in
   {
     topo;
     profile;
@@ -110,8 +117,10 @@ let create ?(profile = Latency.default_profile) topo =
         ~line_bytes:topo.Topology.line_bytes ();
     links = links_chan;
     mem = Simmem.create topo;
-    pmu = Pmu.create ~cores;
-    mods = Modifiers.create ~cores ~chiplets ~nodes:topo.Topology.sockets;
+    pmu;
+    pmu_counts = Pmu.counters pmu;
+    mods;
+    link_mult = Modifiers.link_mults mods;
     core_chiplet = Array.init cores (fun c -> Topology.chiplet_of_core topo c);
     core_socket = Array.init cores (fun c -> Topology.socket_of_core topo c);
     chiplet_socket =
@@ -127,6 +136,7 @@ let create ?(profile = Latency.default_profile) topo =
           Latency.rank_of_distance
             (Latency.classify_chiplets topo (i / chiplets) (i mod chiplets)));
     scratch_clk = Array.make 1 0.0;
+    last_cost = Array.make 1 0.0;
     chan_io = Array.make 2 0.0;
     mem_ns = Array.make cores 0.0;
     kind_access_mult =
@@ -175,138 +185,132 @@ let mem_capacity_factor t ~node = Memchan.capacity_factor t.chan ~node
 let alloc t ?policy ~elt_bytes ~count () =
   Simmem.alloc t.mem ?policy ~elt_bytes ~count ()
 
-(* The core access routine charges the latency directly into the caller's
-   clock cell [clk.(slot)] (an unboxed float-array slot — the scheduler
-   passes each worker's virtual clock).  Nothing float-valued crosses a
-   function boundary on the L2/L3-hit paths, so they allocate nothing;
-   only the fill paths pay the boxed calls into {!Memchan}. *)
-(* Core per-access routine with io-cell calling convention: on entry
-   [clk.(slot)] holds the virtual time, on return it holds the raw access
-   cost (NOT the advanced clock).  Floats cross this boundary through the
-   caller-owned cell, so neither the arguments nor the result box. *)
-let access_line_io t ~core ~write ~line clk slot =
+(* PMU event slots, bumped by direct index on the per-access path *)
+let ev_l2_hit = Pmu.event_index Pmu.L2_hit
+let ev_l3_local = Pmu.event_index Pmu.L3_local_hit
+let ev_remote_chiplet = Pmu.event_index Pmu.Fill_remote_chiplet
+let ev_remote_numa = Pmu.event_index Pmu.Fill_remote_numa
+let ev_dram_local = Pmu.event_index Pmu.Dram_local
+let ev_dram_remote = Pmu.event_index Pmu.Dram_remote
+let ev_invalidation = Pmu.event_index Pmu.Coherence_invalidation
+
+let[@inline] count t i =
+  Array.unsafe_set t.pmu_counts i (Array.unsafe_get t.pmu_counts i + 1)
+
+(* The one per-access routine.  It charges the latency directly into the
+   caller's clock cell [clk.(slot)] (an unboxed float-array slot: the
+   scheduler passes each worker's virtual clock) and leaves the raw cost
+   in [last_cost].  Nothing float-valued crosses a function boundary on
+   the L2/L3-hit paths, so they allocate nothing; the fill paths pass
+   their floats to {!Memchan} through the [chan_io] cell. *)
+let access_clk t ~core ~write addr clk slot =
+  let line = addr lsr t.line_shift in
   t.accesses <- t.accesses + 1;
   let now_ns = clk.(slot) in
   let p = t.profile in
   let chiplet = t.core_chiplet.(core) in
   let socket = t.core_socket.(core) in
+  let pc = core * Pmu.num_events in
   (* Core-private L2 filter: reads served by the L2 cost nothing beyond the
      L2 hit latency and generate no chiplet-level traffic. *)
   let l2_res = Cache.access t.l2.(core) line in
   let cost =
     if l2_res = Cache.hit && not write then begin
-      Pmu.incr t.pmu ~core Pmu.L2_hit;
+      count t (pc + ev_l2_hit);
       p.Latency.l2_hit_ns
     end
     else begin
-      let l3 = t.l3.(chiplet) in
-      let l3_res = Cache.access l3 line in
+      let l3_res = Cache.access t.l3.(chiplet) line in
       if l3_res = Cache.hit then begin
-        Pmu.incr t.pmu ~core Pmu.L3_local_hit;
+        count t (pc + ev_l3_local);
         p.Latency.same_chiplet_ns
       end
       else begin
-        if l3_res >= 0 then Directory.remove t.dir ~line:l3_res ~chiplet;
         let holder =
-          Directory.nearest_holder_ranked t.dir ~line ~from_chiplet:chiplet
+          Directory.fill t.dir ~line ~chiplet ~evicted:l3_res
             ~ranks:t.chiplet_rank ~row:(chiplet * t.nchiplets)
         in
-        let cost =
-          if holder >= 0 then begin
-            let base0 = t.chiplet_base_ns.((chiplet * t.nchiplets) + holder) in
-            let base =
-              (* degraded cross-socket fabric inflates every hop
-                 between the sockets *)
-              if t.chiplet_socket.(holder) = socket then base0
-              else base0 *. Modifiers.xsocket_mult t.mods
-            in
-            if t.chiplet_socket.(holder) = socket then
-              Pmu.incr t.pmu ~core Pmu.Fill_remote_chiplet
-            else Pmu.incr t.pmu ~core Pmu.Fill_remote_numa;
-            (* a cache-to-cache transfer occupies both chiplets'
-               I/O-die links; inter-chiplet traffic therefore
-               saturates with core count (paper insight 3).  A
-               degraded link multiplies the latency of every
-               transfer crossing it. *)
-            let io = t.chan_io in
-            io.(0) <- now_ns;
-            io.(1) <-
-              base
-              *. Modifiers.unsafe_link_mult t.mods chiplet
-              *. Array.unsafe_get t.link_lat_mult chiplet;
-            Memchan.charge t.links ~node:chiplet io;
-            let l1 = io.(0) in
-            io.(0) <- now_ns;
-            io.(1) <-
-              base
-              *. Modifiers.unsafe_link_mult t.mods holder
-              *. Array.unsafe_get t.link_lat_mult holder;
-            Memchan.charge t.links ~node:holder io;
-            let l2c = io.(0) in
-            if l1 >= l2c then l1 else l2c
-          end
-          else begin
-            let addr = line lsl t.line_shift in
-            let home = Simmem.node_of_addr t.mem ~toucher_node:socket addr in
-            let base =
-              if home = socket then begin
-                Pmu.incr t.pmu ~core Pmu.Dram_local;
-                p.Latency.dram_local_ns
-              end
-              else begin
-                Pmu.incr t.pmu ~core Pmu.Dram_remote;
-                p.Latency.dram_remote_ns *. Modifiers.xsocket_mult t.mods
-              end
-            in
-            let io = t.chan_io in
-            io.(0) <- now_ns;
-            io.(1) <- base;
-            Memchan.charge t.chan ~node:home io;
-            let node_cost = io.(0) in
-            (* DRAM traffic also crosses this chiplet's I/O-die link;
-               the slower of the two queues dominates *)
-            io.(0) <- now_ns;
-            io.(1) <-
-              base
-              *. Modifiers.unsafe_link_mult t.mods chiplet
-              *. Array.unsafe_get t.link_lat_mult chiplet;
-            Memchan.charge t.links ~node:chiplet io;
-            let link_cost = io.(0) in
-            if node_cost >= link_cost then node_cost else link_cost
-          end
-        in
-        Directory.add t.dir ~line ~chiplet;
-        cost
+        if holder >= 0 then begin
+          let base0 = t.chiplet_base_ns.((chiplet * t.nchiplets) + holder) in
+          let same_socket = t.chiplet_socket.(holder) = socket in
+          (* degraded cross-socket fabric inflates every hop between the
+             sockets *)
+          let base =
+            if same_socket then base0 else base0 *. Modifiers.xsocket_mult t.mods
+          in
+          count t (pc + if same_socket then ev_remote_chiplet else ev_remote_numa);
+          (* a cache-to-cache transfer occupies both chiplets' I/O-die
+             links; inter-chiplet traffic therefore saturates with core
+             count (paper insight 3).  A degraded link multiplies the
+             latency of every transfer crossing it. *)
+          let io = t.chan_io in
+          io.(0) <- now_ns;
+          io.(1) <-
+            base
+            *. Array.unsafe_get t.link_mult chiplet
+            *. Array.unsafe_get t.link_lat_mult chiplet;
+          Memchan.charge t.links ~node:chiplet io;
+          let l1 = io.(0) in
+          io.(0) <- now_ns;
+          io.(1) <-
+            base
+            *. Array.unsafe_get t.link_mult holder
+            *. Array.unsafe_get t.link_lat_mult holder;
+          Memchan.charge t.links ~node:holder io;
+          let l2c = io.(0) in
+          if l1 >= l2c then l1 else l2c
+        end
+        else begin
+          let home =
+            Simmem.node_of_addr t.mem ~toucher_node:socket (line lsl t.line_shift)
+          in
+          let base =
+            if home = socket then begin
+              count t (pc + ev_dram_local);
+              p.Latency.dram_local_ns
+            end
+            else begin
+              count t (pc + ev_dram_remote);
+              p.Latency.dram_remote_ns *. Modifiers.xsocket_mult t.mods
+            end
+          in
+          let io = t.chan_io in
+          io.(0) <- now_ns;
+          io.(1) <- base;
+          Memchan.charge t.chan ~node:home io;
+          let node_cost = io.(0) in
+          (* DRAM traffic also crosses this chiplet's I/O-die link;
+             the slower of the two queues dominates *)
+          io.(0) <- now_ns;
+          io.(1) <-
+            base
+            *. Array.unsafe_get t.link_mult chiplet
+            *. Array.unsafe_get t.link_lat_mult chiplet;
+          Memchan.charge t.links ~node:chiplet io;
+          let link_cost = io.(0) in
+          if node_cost >= link_cost then node_cost else link_cost
+        end
       end
     end
   in
   let total =
     if write then begin
-      (* Invalidate copies held by other chiplets; the writer becomes the
-         exclusive holder.  The holder set is walked as a bitmask — no
-         closure, no allocation on this per-write path. *)
-      let others = Directory.holders t.dir line land lnot (1 lsl chiplet) in
-      if others = 0 then begin
-        Directory.set_exclusive t.dir ~line ~chiplet;
-        cost
-      end
-      else begin
-        (* walk only up to the highest set holder bit — typically a
-           handful of chiplets share a line, not the whole machine *)
-        let extra = ref 0.0 in
-        let m = ref others and holder = ref 0 in
-        while !m <> 0 do
-          if !m land 1 <> 0 then begin
-            ignore (Cache.invalidate t.l3.(!holder) line : bool);
-            Pmu.incr t.pmu ~core Pmu.Coherence_invalidation;
-            extra := !extra +. p.Latency.coherence_inval_ns
-          end;
-          m := !m lsr 1;
-          incr holder
-        done;
-        Directory.set_exclusive t.dir ~line ~chiplet;
-        cost +. !extra
-      end
+      (* The writer becomes the exclusive holder and the copies on other
+         chiplets are invalidated.  The holder set is walked as a bitmask
+         up to its highest set bit: no closure, no allocation. *)
+      let others = Directory.claim t.dir ~line ~chiplet in
+      let extra = ref 0.0 in
+      let m = ref others and holder = ref 0 in
+      while !m <> 0 do
+        if !m land 1 <> 0 then begin
+          ignore (Cache.invalidate t.l3.(!holder) line : bool);
+          count t (pc + ev_invalidation);
+          extra := !extra +. p.Latency.coherence_inval_ns
+        end;
+        m := !m lsr 1;
+        incr holder
+      done;
+      cost +. !extra
     end
     else cost
   in
@@ -317,22 +321,15 @@ let access_line_io t ~core ~write ~line clk slot =
   Array.unsafe_set t.energy_pj core
     (Array.unsafe_get t.energy_pj core +. Array.unsafe_get t.kind_energy_pj core);
   t.mem_ns.(core) <- t.mem_ns.(core) +. total;
-  clk.(slot) <- total
-
-let access_line_clk t ~core ~write ~line clk slot =
-  let now_ns = clk.(slot) in
-  access_line_io t ~core ~write ~line clk slot;
-  clk.(slot) <- now_ns +. clk.(slot)
-
-let access_clk t ~core ~write addr clk slot =
-  access_line_clk t ~core ~write ~line:(addr lsr t.line_shift) clk slot
+  Array.unsafe_set t.last_cost 0 total;
+  clk.(slot) <- now_ns +. total
 
 (* float-returning compat wrappers over the scratch clock cell *)
 let access_line t ~core ~now_ns ~write ~line =
   let c = t.scratch_clk in
   c.(0) <- now_ns;
-  access_line_io t ~core ~write ~line c 0;
-  c.(0)
+  access_clk t ~core ~write (line lsl t.line_shift) c 0;
+  t.last_cost.(0)
 
 let access t ~core ~now_ns ~write addr =
   access_line t ~core ~now_ns ~write ~line:(addr / t.topo.Topology.line_bytes)
@@ -359,8 +356,8 @@ let touch_range_io t ~core ~write region ~lo ~hi clk slot =
   let total = ref 0.0 in
   for line = first to last do
     clk.(slot) <- now0 +. !total;
-    access_line_io t ~core ~write ~line clk slot;
-    let cost = clk.(slot) in
+    access_clk t ~core ~write (line lsl t.line_shift) clk slot;
+    let cost = t.last_cost.(0) in
     let cost = if line = first then cost else cost *. prefetch_factor in
     total := !total +. cost
   done;
@@ -412,7 +409,7 @@ let transfer t ~src_chiplet ~dst_chiplet ~now_ns ~bytes =
       Memchan.charge_lines t.links ~node:chiplet ~now_ns
         ~base_ns:
           (base
-          *. Modifiers.unsafe_link_mult t.mods chiplet
+          *. Array.unsafe_get t.link_mult chiplet
           *. t.link_lat_mult.(chiplet))
         ~lines
     in

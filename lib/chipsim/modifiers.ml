@@ -60,9 +60,7 @@ let link_mult t chiplet =
   check "chiplet" chiplet t.chiplets;
   t.link_mult.(chiplet)
 
-(* small enough to cross-module inline, so the float comes back unboxed on
-   the per-access hot path; the caller guarantees the index *)
-let unsafe_link_mult t chiplet = Array.unsafe_get t.link_mult chiplet
+let link_mults t = t.link_mult
 
 let set_link_mult t chiplet mult =
   check "chiplet" chiplet t.chiplets;

@@ -23,10 +23,10 @@ val set_core_online : t -> int -> bool -> unit
 val link_mult : t -> int -> float
 (** Per-chiplet I/O-die link latency multiplier (>= 1.0). *)
 
-val unsafe_link_mult : t -> int -> float
-(** {!link_mult} without the range check: a single array read that inlines
-    across the module boundary, keeping the per-access hot path free of
-    boxed float returns.  The caller must guarantee the chiplet index. *)
+val link_mults : t -> float array
+(** The live per-chiplet {!link_mult} array, updated in place by
+    {!set_link_mult}.  The per-access path reads it directly: a float
+    returned across a module boundary would be boxed on every access. *)
 
 val set_link_mult : t -> int -> float -> unit
 

@@ -61,6 +61,7 @@ let create ~cores =
   { cores; counters = Array.make (cores * num_events) 0 }
 
 let cores t = t.cores
+let counters t = t.counters
 
 let slot t core ev =
   if core < 0 || core >= t.cores then invalid_arg "Pmu: core out of range";

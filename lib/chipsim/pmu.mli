@@ -27,6 +27,12 @@ type t
 
 val create : cores:int -> t
 val cores : t -> int
+
+val counters : t -> int array
+(** The live counter array, core-major: event [e] of core [c] sits at
+    [c * num_events + event_index e].  {!Machine} bumps its fill-class
+    counters through it by direct index, without a call per access. *)
+
 val incr : t -> core:int -> event -> unit
 val add : t -> core:int -> event -> int -> unit
 val read : t -> core:int -> event -> int

@@ -81,14 +81,16 @@ let addr region i =
   assert (i >= 0 && i * region.elt_bytes < region.length_bytes);
   region.base + (i * region.elt_bytes)
 
+(* binary search for the last region with base <= a: its index if it
+   holds [a], else -1 (int-coded so a page's first touch allocates no
+   option) *)
 let find_region t a =
-  (* binary search: last region with base <= a *)
-  let lo = ref 0 and hi = ref (t.nregions - 1) and found = ref None in
+  let lo = ref 0 and hi = ref (t.nregions - 1) and found = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
     let r = t.regions.(mid) in
     if r.base <= a then begin
-      if a < r.base + r.length_bytes then found := Some r;
+      if a < r.base + r.length_bytes then found := mid;
       lo := mid + 1
     end
     else hi := mid - 1
@@ -100,15 +102,15 @@ let node_of_addr t ~toucher_node a =
   let node = page_node t page in
   if node >= 0 then node
   else begin
+    let i = find_region t a in
     let node =
-      match find_region t a with
-      | None -> toucher_node  (* unmapped: behave like first touch *)
-      | Some r -> (
-          match r.region_policy with
-          | First_touch -> toucher_node
-          | Bind n -> n
-          | Interleave ->
-              (page - (r.base / page_bytes)) mod t.topo.Topology.sockets)
+      if i < 0 then toucher_node  (* unmapped: behave like first touch *)
+      else
+        let r = t.regions.(i) in
+        match r.region_policy with
+        | First_touch -> toucher_node
+        | Bind n -> n
+        | Interleave -> (page - (r.base / page_bytes)) mod t.topo.Topology.sockets
     in
     set_page_node t page node;
     t.node_pages.(node) <- t.node_pages.(node) + 1;

@@ -973,7 +973,7 @@ module Ctx = struct
   let sched c = c.csched
   let machine c = c.csched.machine
 
-  let worker c = c.csched.workers.(c.ctask.last_worker)
+  let[@inline] worker c = c.csched.workers.(c.ctask.last_worker)
   let now c = (worker c).clock.(0)
   let worker_id c = c.ctask.last_worker
   let core c = (worker c).core
@@ -985,14 +985,14 @@ module Ctx = struct
     let w = worker c in
     w.clock.(0) <- w.clock.(0) +. ns
 
-  let access_addr c ~write addr =
+  (* [read] and [write] are one call into {!Machine.access_clk} each:
+     these helpers inline into them *)
+  let[@inline] access_addr c ~write addr =
     let w = worker c in
     Machine.access_clk c.csched.machine ~core:w.core ~write addr w.clock 0;
     w.accesses <- w.accesses + 1
 
-  let read c region i =
-    access_addr c ~write:false (Simmem.addr region i)
-
+  let read c region i = access_addr c ~write:false (Simmem.addr region i)
   let write c region i = access_addr c ~write:true (Simmem.addr region i)
 
   (* Long ranges are charged in bounded chunks with a yield in between so

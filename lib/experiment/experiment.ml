@@ -368,6 +368,25 @@ let flag_conv parse print =
 
 let plant_conv = Arg.enum Invariant.plants
 
+(* Size knobs past which a run cannot work are bounded here, at parse
+   time, so an oversized value exits 2 with one line instead of running
+   the host out of memory.  Peak memory grows ~4x per two graph-scale
+   steps (450 MB at 18 with -w bfs) and by ~15 MB per default fleet shard.
+   --cache-scale has no maximum: caches stop shrinking at a floor, so any
+   value >= 1 runs. *)
+let max_graph_scale = 20
+let max_fleet = 64
+
+let int_in ~lo ?(hi = max_int) () =
+  flag_conv
+    (fun s ->
+      match int_of_string_opt s with
+      | None -> err "invalid value '%s', expected an integer" s
+      | Some n when n < lo -> err "%d is below the minimum %d" n lo
+      | Some n when n > hi -> err "%d is above the maximum %d" n hi
+      | Some n -> Ok n)
+    string_of_int
+
 let machine_term =
   let sys =
     Arg.(value & opt (enum systems) Systems.Charm & info [ "s"; "system" ] ~doc:"Runtime system.")
@@ -472,13 +491,15 @@ let fleet_term =
   let d = default_fleet in
   let shards =
     Arg.(
-      value & opt int 0
+      value & opt (int_in ~lo:0 ~hi:max_fleet ()) 0
       & info [ "fleet" ] ~docv:"N"
           ~doc:
-            "Shard the server across $(docv) simulated machines behind a \
+            (Printf.sprintf
+            "Shard the server across $(docv) (at most %d) simulated machines behind a \
              cluster router (0 = single-machine mode). Per-tenant --rate and \
              --jobs become cluster-wide; the report is the fleet JSON summary \
-             (merged metrics, router counters, per-shard detail).")
+             (merged metrics, router counters, per-shard detail)."
+            max_fleet))
   in
   let router =
     Arg.(
@@ -552,7 +573,13 @@ let fleet_term =
 let term d =
   let workers = Arg.(value & opt int d.d_workers & info [ "n"; "workers" ] ~doc:"Worker threads (per machine).") in
   let cache_scale =
-    Arg.(value & opt int 16 & info [ "cache-scale" ] ~doc:"Divide cache capacities by this factor.")
+    Arg.(
+      value
+      & opt (int_in ~lo:1 ()) 16
+      & info [ "cache-scale" ]
+          ~doc:
+            "Divide cache capacities by this factor (at least 1; caches stop \
+             shrinking at 16 L2 and 64 L3 lines).")
   in
   let workload =
     Arg.(
@@ -565,7 +592,11 @@ let term d =
   in
   let query = Arg.(value & opt (some int) None & info [ "q"; "query" ] ~doc:"TPC-H query number.") in
   let graph_scale =
-    Arg.(value & opt int d.d_graph_scale & info [ "graph-scale" ] ~doc:"log2 of graph vertices.")
+    Arg.(
+      value
+      & opt (int_in ~lo:1 ~hi:max_graph_scale ()) d.d_graph_scale
+      & info [ "graph-scale" ]
+          ~doc:(Printf.sprintf "log2 of graph vertices, in [1, %d]." max_graph_scale))
   in
   let seed =
     Arg.(

@@ -67,6 +67,148 @@ let prop_present_after_access =
       ignore (Cache.access c line);
       Cache.probe c line)
 
+(* Reference model for the differential test: the two-array, single-pass
+   LRU the cache used before its sets became one interleaved block with an
+   MRU hint.  Same victim rule — the first invalid way, else the lowest
+   stamp with ties to the lower way — and the same set hash. *)
+module Ref = struct
+  type t = {
+    sets : int;
+    ways : int;
+    tags : int array;
+    stamps : int array;
+    mutable clock : int;
+    mutable eff : int;
+  }
+
+  let of_cache c =
+    let sets = Cache.sets c and ways = Cache.ways c in
+    {
+      sets;
+      ways;
+      tags = Array.make (sets * ways) (-1);
+      stamps = Array.make (sets * ways) 0;
+      clock = 0;
+      eff = ways;
+    }
+
+  let base t line = ((line lxor (line lsr 16)) land (t.sets - 1)) * t.ways
+
+  let access t line =
+    t.clock <- t.clock + 1;
+    let base = base t line in
+    let found = ref (-1) and victim = ref 0 and best = ref max_int
+    and free = ref (-1) and i = ref 0 in
+    while !found < 0 && !i < t.eff do
+      let tag = t.tags.(base + !i) in
+      if tag = line then found := !i
+      else begin
+        if tag = -1 then (if !free = -1 then free := !i)
+        else if t.stamps.(base + !i) < !best then begin
+          best := t.stamps.(base + !i);
+          victim := !i
+        end;
+        incr i
+      end
+    done;
+    if !found >= 0 then begin
+      t.stamps.(base + !found) <- t.clock;
+      Cache.hit
+    end
+    else begin
+      let way = if !free >= 0 then !free else !victim in
+      let evicted = if !free >= 0 then Cache.miss else t.tags.(base + way) in
+      t.tags.(base + way) <- line;
+      t.stamps.(base + way) <- t.clock;
+      evicted
+    end
+
+  let find t line =
+    let base = base t line in
+    let rec go i = if i >= t.eff then -1 else if t.tags.(base + i) = line then base + i else go (i + 1) in
+    go 0
+
+  let probe t line = find t line >= 0
+
+  let invalidate t line =
+    let p = find t line in
+    if p >= 0 then t.tags.(p) <- -1;
+    p >= 0
+
+  let clear t =
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    Array.fill t.stamps 0 (Array.length t.stamps) 0;
+    t.clock <- 0
+
+  let set_effective_ways t ways =
+    let ways = max 1 (min t.ways ways) in
+    for s = 0 to t.sets - 1 do
+      for w = ways to t.eff - 1 do
+        t.tags.((s * t.ways) + w) <- -1
+      done
+    done;
+    t.eff <- ways
+
+  let occupancy t = Array.fold_left (fun n tag -> if tag <> -1 then n + 1 else n) 0 t.tags
+end
+
+type op = Access of int | Invalidate of int | Probe of int | Ways of int | Clear
+
+let pp_op = function
+  | Access l -> Printf.sprintf "access %d" l
+  | Invalidate l -> Printf.sprintf "invalidate %d" l
+  | Probe l -> Printf.sprintf "probe %d" l
+  | Ways n -> Printf.sprintf "ways %d" n
+  | Clear -> "clear"
+
+(* Lines come from a pool about three times the capacity, so sets see hits,
+   conflict evictions and refills; a few sit past 2^16 to exercise the set
+   hash.  Way changes shrink and regrow, including past [ways]. *)
+let gen_ops ~ways ~lines =
+  let open QCheck.Gen in
+  let line =
+    frequency [ (9, int_bound (3 * lines)); (1, map (fun l -> (1 lsl 16) + l) (int_bound lines)) ]
+  in
+  let op =
+    frequency
+      [
+        (80, map (fun l -> Access l) line);
+        (8, map (fun l -> Invalidate l) line);
+        (6, map (fun l -> Probe l) line);
+        (4, map (fun n -> Ways n) (int_range 0 (ways + 1)));
+        (1, return Clear);
+      ]
+  in
+  list_size (int_range 500 1000) op
+
+let prop_oracle ways =
+  let sets = 4 in
+  QCheck.Test.make ~count:20
+    ~name:(Printf.sprintf "agrees with the reference LRU, %d-way" ways)
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+       (gen_ops ~ways ~lines:(sets * ways)))
+    (fun ops ->
+      let c = Cache.create ~ways ~size_bytes:(sets * ways * 64) ~line_bytes:64 () in
+      let r = Ref.of_cache c in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Access l -> Cache.access c l = Ref.access r l
+            | Invalidate l -> Cache.invalidate c l = Ref.invalidate r l
+            | Probe l -> Cache.probe c l = Ref.probe r l
+            | Ways n ->
+                Cache.set_effective_ways c n;
+                Ref.set_effective_ways r n;
+                Cache.effective_ways c = r.Ref.eff
+            | Clear ->
+                Cache.clear c;
+                Ref.clear r;
+                true
+          in
+          same && Cache.occupancy c = Ref.occupancy r)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "geometry" `Quick test_geometry;
@@ -78,3 +220,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_occupancy_bounded;
     QCheck_alcotest.to_alcotest prop_present_after_access;
   ]
+  @ List.map (fun w -> QCheck_alcotest.to_alcotest (prop_oracle w)) [ 1; 2; 4; 8; 16 ]

@@ -94,8 +94,16 @@ let test_malformed_values_rejected () =
       "--epoch-us x"; "--shard-machines amd,xeon"; "--diurnal x";
       "--diurnal-period-us x"; "--fleet 2 --faults-shard 5:1:core-off:0";
       "--fleet 2 --energy"; "--fleet 2 --closed-loop 2"; "-w bfs --fleet 2";
-      "--bogus";
-    ]
+      "--bogus"; "--graph-scale 0"; "--graph-scale 21"; "--graph-scale 40";
+      "--fleet 65"; "--fleet=-1"; "--cache-scale 0";
+    ];
+  (* the maxima themselves are accepted *)
+  List.iter
+    (fun line ->
+      match E.of_string line with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "rejected %s: %s" line msg)
+    [ "charm_run -w gups --graph-scale 20"; "charm_serve --fleet 64 --cache-scale 4096" ]
 
 let suite =
   [

@@ -153,6 +153,43 @@ let test_homogeneous_bit_identical () =
     if ca <> cb then Alcotest.failf "access %d diverged: %f vs %f" i ca cb
   done
 
+(* Every fill class, and a write that invalidates two holders, allocates
+   nothing on the OCaml heap at the [access_clk] level: floats cross the
+   per-access path only through the caller's clock cell and the machine's
+   own cells. *)
+let test_access_allocates_nothing () =
+  let m = machine () in
+  let r = Machine.alloc m ~elt_bytes:8 ~count:4096 () in
+  let clk = [| 0.0 |] in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.0)) "empty section" 0.0 (minor_words ignore);
+  let access ~core ~write i () =
+    Machine.access_clk m ~core ~write (Simmem.addr r i) clk 0
+  in
+  let pmu = Machine.pmu m in
+  let zero name ev ~core ~write i n =
+    let before = Pmu.read pmu ~core ev in
+    Alcotest.(check (float 0.0))
+      (name ^ ": minor words") 0.0
+      (minor_words (access ~core ~write i));
+    Alcotest.(check int) (name ^ ": fill class") n (Pmu.read pmu ~core ev - before)
+  in
+  (* element 0 on a fresh page; elements 8, 16, 24 are lines of their own *)
+  zero "dram" Pmu.Dram_local ~core:0 ~write:false 0 1;
+  zero "l2 hit" Pmu.L2_hit ~core:0 ~write:false 0 1;
+  zero "local l3" Pmu.L3_local_hit ~core:1 ~write:false 0 1;
+  (* core 8 is chiplet 1, same socket; core 64 is on the other socket *)
+  zero "remote chiplet" Pmu.Fill_remote_chiplet ~core:8 ~write:false 0 1;
+  zero "remote numa" Pmu.Fill_remote_numa ~core:64 ~write:false 0 1;
+  ignore (access ~core:0 ~write:false 8 ());
+  ignore (access ~core:8 ~write:false 8 ());
+  zero "write invalidating two holders" Pmu.Coherence_invalidation ~core:16
+    ~write:true 8 2
+
 let suite =
   [
     Alcotest.test_case "dram then cache hits" `Quick test_dram_then_l3;
@@ -167,4 +204,6 @@ let suite =
     Alcotest.test_case "remote dram" `Quick test_remote_dram;
     Alcotest.test_case "touch_range per line" `Quick test_touch_range_lines;
     Alcotest.test_case "flush" `Quick test_flush;
+    Alcotest.test_case "access allocates nothing per fill class" `Quick
+      test_access_allocates_nothing;
   ]
