@@ -1,8 +1,8 @@
 (* Core engine throughput: simulated events/sec and wall-clock for three
    standard scenarios — a batch morsel scan, an online serving run and a
    small fleet.  This is the perf trajectory of the discrete-event core
-   itself (scheduler event loop + per-access memory model): every PR runs
-   [bench core --json] in CI and diffs events/sec against the committed
+   itself (scheduler event loop + per-access memory model): CI runs
+   [bench core --json] and [bench check]s it against the committed
    BENCH_core.json baseline, so "measurably faster" (or slower) is visible
    per PR.
 
@@ -120,15 +120,20 @@ let run_fleet () =
   let t0 = Unix.gettimeofday () in
   let res = Cluster.run cfg in
   let wall = Unix.gettimeofday () -. t0 in
-  let events =
-    List.fold_left
-      (fun acc (sr : Cluster.shard_result) -> acc + sr.Cluster.sim_events)
-      0 res.Cluster.shard_results
-  in
-  (events, wall, res.Cluster.makespan_ns)
+  (Cluster.sim_events res, wall, res.Cluster.makespan_ns)
 
 let scenarios =
   [ ("batch", run_batch); ("serve", run_serve); ("fleet", run_fleet) ]
+
+(* the event count is deterministic, so any drift is a semantic change;
+   events/s is wall-clock and runner-dependent, so it gates loosely *)
+let schema =
+  {
+    Row.name = "core";
+    keys = [ "scenario" ];
+    gates = [ ("events", Row.Exact); ("events_per_s", Row.Min_ratio 0.8) ];
+    columns = [];
+  }
 
 let run () =
   Util.section "Core - engine throughput (simulated events/sec per scenario)";
@@ -155,12 +160,13 @@ let run () =
       let eps = float_of_int !events0 /. Float.max 1e-9 wall in
       Util.row "  %-8s %12d %9.3f %14.0f %12.1f\n" name !events0 wall eps
         (makespan /. 1e3);
-      Util.json_row ~experiment:"core"
-        [
-          ("scenario", Util.json_str name);
-          ("events", string_of_int !events0);
-          ("wall_s", Util.json_num wall);
-          ("events_per_s", Util.json_num eps);
-          ("makespan_us", Util.json_num (makespan /. 1e3));
-        ])
+      Util.emit
+        (Row.make schema
+           [
+             ("scenario", Key (Str name));
+             ("events", Sim (Int !events0));
+             ("wall_s", Host (Num wall));
+             ("events_per_s", Host (Num eps));
+             ("makespan_us", Sim (Num (makespan /. 1e3)));
+           ]))
     scenarios

@@ -71,13 +71,16 @@ let config ~policy ~rate =
     faults = [ (0, shard0_fault) ];
   }
 
+let schema =
+  {
+    Row.name = "fleet";
+    keys = [ "policy"; "rate_per_tenant"; "shards" ];
+    gates = [ ("events", Row.Exact) ];
+    columns = [ "p99_us"; "wall_s" ];
+  }
+
 let sum_tenants f (res : Cluster.result) =
-  List.fold_left
-    (fun acc (sr : Cluster.shard_result) ->
-      List.fold_left
-        (fun acc (tr : Server.tenant_report) -> acc + f tr)
-        acc sr.Cluster.report.Server.tenant_reports)
-    0 res.Cluster.shard_results
+  List.fold_left (fun acc (sr : Cluster.shard_result) -> acc + Util.total f sr.report) 0 res.shard_results
 
 let run_one ~policy ~rate =
   let t0 = Unix.gettimeofday () in
@@ -113,21 +116,22 @@ let run () =
             name
             (Histogram.p50 h /. 1e3)
             (p99 /. 1e3) completed shed res.Cluster.relocations wall;
-          Util.json_row ~experiment:"fleet"
-            [
-              ("policy", Util.json_str name);
-              ("rate_per_tenant", Util.json_num rate);
-              ("shards", string_of_int n_shards);
-              ("p50_us", Util.json_num (Histogram.p50 h /. 1e3));
-              ("p99_us", Util.json_num (p99 /. 1e3));
-              ("completed", string_of_int completed);
-              ("shed", string_of_int shed);
-              ("relocations", string_of_int res.Cluster.relocations);
-              ("makespan_us", Util.json_num (res.Cluster.makespan_ns /. 1e3));
-              ("wall_s", Util.json_num wall);
-              ( "sim_work_items_per_s",
-                Util.json_num (float_of_int work /. Float.max 1e-9 wall) );
-            ])
+          Util.emit
+            (Row.make schema
+               [
+                 ("policy", Key (Str name));
+                 ("rate_per_tenant", Key (Num rate));
+                 ("shards", Key (Int n_shards));
+                 ("p50_us", Sim (Num (Histogram.p50 h /. 1e3)));
+                 ("p99_us", Sim (Num (p99 /. 1e3)));
+                 ("completed", Sim (Int completed));
+                 ("shed", Sim (Int shed));
+                 ("relocations", Sim (Int res.Cluster.relocations));
+                 ("makespan_us", Sim (Num (res.Cluster.makespan_ns /. 1e3)));
+                 ("events", Sim (Int (Cluster.sim_events res)));
+                 ("wall_s", Host (Num wall));
+                 ("sim_work_items_per_s", Host (Num (float_of_int work /. Float.max 1e-9 wall)));
+               ]))
         policies;
       Util.row "\n")
     rates;
@@ -144,6 +148,5 @@ let run () =
   Util.row "  VERDICT: charm-aware routing %s blind policies on p99 %s\n"
     (if verdict then "beats" else "DOES NOT beat")
     (if verdict then "at every offered load" else "(regression!)");
-  Util.json_row ~experiment:"fleet"
-    [ ("verdict_charm_beats_blind", if verdict then "true" else "false") ];
+  Util.emit (Row.verdict schema "charm_beats_blind" verdict);
   if not verdict then exit 1

@@ -2,11 +2,16 @@
    evaluation.  Run with no arguments for the full suite, or pass
    experiment names (fig1 fig3 fig4 fig5 fig7 tab1 fig8 fig9 tab2 fig10
    fig11 fig12 fig13 fig14 ablation serve fault fleet taskgraph power
-   core) to run a subset.  [--json FILE] additionally writes
-   machine-readable result rows for experiments that emit them (currently:
-   fleet, taskgraph, power and core, whose committed baselines
+   core) to run a subset.  [--json FILE] additionally writes the typed
+   rows ({!Charm_bench.Row}) of the experiments that emit them: fleet,
+   taskgraph, power and core, whose committed baselines are
    BENCH_fleet.json / BENCH_taskgraph.json / BENCH_power.json /
-   BENCH_core.json CI diffs against). *)
+   BENCH_core.json.  [check OLD.json NEW.json] compares two such files
+   under the gates those experiments declare. *)
+
+open Charm_bench
+
+let gated = [ Core_bench.schema; Fleet_bench.schema; Taskgraph_bench.schema; Power_bench.schema ]
 
 let experiments =
   [
@@ -34,33 +39,29 @@ let experiments =
   ]
 
 let () =
+  let args = List.tl (Array.to_list Sys.argv) in
+  (match args with
+  | [ "check"; old_file; new_file ] -> exit (Row.check_files gated old_file new_file)
+  | "check" :: _ ->
+      prerr_endline "usage: bench check OLD.json NEW.json";
+      exit 2
+  | _ -> ());
   (* [--trace FILE] attaches one shared trace sink to every instance the
      requested experiments build and writes the Chrome-trace JSON at the
-     end; remaining arguments select experiments *)
-  let args = List.tl (Array.to_list Sys.argv) in
-  let rec split_trace acc = function
-    | "--trace" :: file :: rest -> (Some file, List.rev_append acc rest)
-    | a :: rest -> split_trace (a :: acc) rest
+     end; [--json FILE] writes the typed rows of every experiment that
+     emits them to one file; [--topology SPEC] re-runs the requested
+     figures on a data-driven topology (file path or inline spec) instead
+     of their preset machine.  The remaining arguments select experiments. *)
+  let rec split flag acc = function
+    | f :: v :: rest when f = flag -> (Some v, List.rev_append acc rest)
+    | a :: rest -> split flag (a :: acc) rest
     | [] -> (None, List.rev acc)
   in
-  (* [--json FILE] collects machine-readable result rows from every
-     experiment that emits them and writes one JSON document at the end *)
-  let rec split_json acc = function
-    | "--json" :: file :: rest -> (Some file, List.rev_append acc rest)
-    | a :: rest -> split_json (a :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  (* [--topology SPEC] re-runs the requested figures on a data-driven
-     topology (file path or inline spec) instead of their preset machine *)
-  let rec split_topology acc = function
-    | "--topology" :: spec :: rest -> (Some spec, List.rev_append acc rest)
-    | a :: rest -> split_topology (a :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  let trace_file, args = split_trace [] args in
-  let json_file, args = split_json [] args in
-  let topology_spec, names = split_topology [] args in
+  let trace_file, args = split "--trace" [] args in
+  let json_file, args = split "--json" [] args in
+  let topology_spec, names = split "--topology" [] args in
   Util.json_sink := json_file;
+  Util.trace_sink := Option.map (fun _ -> Engine.Trace.create ()) trace_file;
   (match topology_spec with
   | None -> ()
   | Some spec -> (
@@ -69,9 +70,6 @@ let () =
       | Error msg ->
           Printf.eprintf "bench: bad --topology spec: %s\n" msg;
           exit 2));
-  (match trace_file with
-  | Some _ -> Util.trace_sink := Some (Engine.Trace.create ())
-  | None -> ());
   let requested = match names with [] -> List.map fst experiments | _ -> names in
   let t0 = Unix.gettimeofday () in
   List.iter

@@ -21,18 +21,13 @@
    oblivious draw, and CHARM-EDP must pay a smaller tail-latency premium
    for those watts than the cap-oblivious placement does.  1 pJ/ns is
    exactly 1 mW, so watts here are combined (memory + compute)
-   picojoules over the serving makespan. *)
+   picojoules over the serving makespan.  Every row is an experiment spec,
+   carried in the row, so any row replays through charm_serve. *)
 
-module Sys_ = Harness.Systems
 module Server = Serving.Server
 module Histogram = Serving.Histogram
-module Job = Serving.Job
-module Machine = Chipsim.Machine
 
-let seed = 42
 let n_workers = 5
-let cache_scale = 16
-let jobs_per_tenant = 30
 let rate = 3_000.0
 let cap_mw = 2.0
 let edp_weight = 2.0
@@ -48,75 +43,31 @@ let hetero_topology =
    4.8; chiplet-kinds big big big little little accel; link 5 lat-mult \
    1.5 bw 2"
 
-let hetero_machine =
-  match Sys_.custom_machine_of_spec hetero_topology with
-  | Ok m -> m
-  | Error msg -> failwith ("power bench: bad inline topology: " ^ msg)
-
-let configs =
+(* the same two-tenant mix under each runtime's energy flags; seed 42,
+   cache scale 16 and the admission bounds are charm_serve's defaults *)
+let runtimes =
   [
-    ("oblivious", Charm.Config.default);
-    ("capped", { Charm.Config.default with power_cap_mw = cap_mw });
-    ( "charm-edp",
-      { Charm.Config.default with energy_weight = edp_weight; power_cap_mw = cap_mw } );
+    ("oblivious", "--energy");
+    ("capped", Printf.sprintf "--energy --power-cap %g" cap_mw);
+    ("charm-edp", Printf.sprintf "--energy --energy-weight %g --power-cap %g" edp_weight cap_mw);
   ]
 
-let graph_mix = [ (Job.Bfs, 2); (Job.Pagerank, 1) ]
-let olap_mix = [ (Job.Tpch 1, 1); (Job.Tpch 6, 1) ]
+let experiment flags =
+  Util.experiment
+    (Printf.sprintf
+       "charm_serve --topology '%s' -n %d --rate %g --jobs 30 --graph-scale 8 \
+        --tenant graph:2:bfs+bfs+pagerank --tenant olap:1:tpch:1+tpch:6 %s"
+       hetero_topology n_workers rate flags)
 
-let server_config () =
-  let tenant name weight mix =
-    {
-      Server.name;
-      weight;
-      slo_factor = 3.0;
-      process = Serving.Arrivals.Open_loop { rate_per_s = rate };
-      jobs = jobs_per_tenant;
-      mix;
-      replicas = 1;
-    }
-  in
+let schema =
   {
-    Server.tenants = [ tenant "graph" 2.0 graph_mix; tenant "olap" 1.0 olap_mix ];
-    admission =
-      { Serving.Admission.max_queue_per_tenant = 64; max_global_queue = 256 };
-    max_inflight = 4;
-    seed;
-    data = { Job.default_data_config with graph_scale = 8; seed = seed + 1 };
-    trace = None;
-    on_complete = None;
-    check = false;
+    Row.name = "power";
+    keys = [ "runtime"; "rate_per_tenant"; "workers" ];
+    gates = [ ("events", Row.Exact); ("avg_power_mw", Row.Max_ratio 1.2) ];
+    columns = [ "graph_p99_us" ];
   }
 
-type row = {
-  p99_us : float;
-  avg_mw : float;
-  energy_uj : float;
-  sheds : int;
-}
-
-let run_one charm_config =
-  let inst =
-    Sys_.make ~cache_scale ~charm_config Sys_.Charm hetero_machine ~n_workers ()
-  in
-  Util.attach_trace inst;
-  Engine.Sched.set_energy inst.Sys_.env.Workloads.Exec_env.sched true;
-  let t0 = Unix.gettimeofday () in
-  let report = Server.run inst (server_config ()) in
-  let wall = Unix.gettimeofday () -. t0 in
-  let energy_pj = Machine.combined_energy_pj inst.Sys_.machine in
-  let sheds, peak_mw =
-    match Option.map Charm.Runtime.power_cap inst.Sys_.charm with
-    | Some (Some pc) ->
-        (Charm.Power_cap.sheds pc, Charm.Power_cap.max_power_mw pc)
-    | _ -> (0, 0.0)
-  in
-  (report, energy_pj, sheds, peak_mw, Engine.Stats.sim_events inst.Sys_.machine, wall)
-
-let tenant_report (report : Server.report) name =
-  List.find
-    (fun (tr : Server.tenant_report) -> tr.Server.tenant = name)
-    report.Server.tenant_reports
+type row = { p99_us : float; avg_mw : float; sheds : int }
 
 let run () =
   Util.section
@@ -127,47 +78,47 @@ let run () =
   Util.row "  %-10s %9s %9s %9s %9s %7s %9s %6s %10s %7s\n" "runtime"
     "p50(us)" "p99(us)" "avg(mW)" "peak(mW)" "sheds" "uJ" "done" "events"
     "wall(s)";
-  let rows = Hashtbl.create 8 in
-  List.iter
-    (fun (name, charm_config) ->
-      let report, energy_pj, sheds, peak_mw, events, wall =
-        run_one charm_config
-      in
-      let graph = tenant_report report "graph" in
-      let p99 = Histogram.p99 graph.Server.latency in
-      let avg_mw = energy_pj /. report.Server.makespan_ns in
-      let completed =
-        List.fold_left
-          (fun acc (tr : Server.tenant_report) -> acc + tr.Server.completed)
-          0 report.Server.tenant_reports
-      in
-      Hashtbl.replace rows name
-        { p99_us = p99 /. 1e3; avg_mw; energy_uj = energy_pj /. 1e6; sheds };
-      Util.row "  %-10s %9.1f %9.1f %9.2f %9.2f %7d %9.2f %6d %10d %7.2f\n"
-        name
-        (Histogram.p50 graph.Server.latency /. 1e3)
-        (p99 /. 1e3) avg_mw peak_mw sheds (energy_pj /. 1e6) completed events
-        wall;
-      Util.json_row ~experiment:"power"
-        [
-          ("runtime", Util.json_str name);
-          ("rate_per_tenant", Util.json_num rate);
-          ("workers", string_of_int n_workers);
-          ("graph_p50_us", Util.json_num (Histogram.p50 graph.Server.latency /. 1e3));
-          ("graph_p99_us", Util.json_num (p99 /. 1e3));
-          ("avg_power_mw", Util.json_num avg_mw);
-          ("peak_power_mw", Util.json_num peak_mw);
-          ("sheds", string_of_int sheds);
-          ("energy_uj", Util.json_num (energy_pj /. 1e6));
-          ("completed", string_of_int completed);
-          ("events", string_of_int events);
-          ("makespan_us", Util.json_num (report.Server.makespan_ns /. 1e3));
-          ("wall_s", Util.json_num wall);
-        ])
-    configs;
-  let obliv = Hashtbl.find rows "oblivious" in
-  let capped = Hashtbl.find rows "capped" in
-  let edp = Hashtbl.find rows "charm-edp" in
+  let results =
+    List.map
+      (fun (name, flags) ->
+        let t = experiment flags in
+        let inst, report, events, wall = Util.serve t in
+        let energy_pj = Chipsim.Machine.combined_energy_pj inst.Harness.Systems.machine in
+        let sheds, peak_mw =
+          match Option.map Charm.Runtime.power_cap inst.Harness.Systems.charm with
+          | Some (Some pc) -> (Charm.Power_cap.sheds pc, Charm.Power_cap.max_power_mw pc)
+          | _ -> (0, 0.0)
+        in
+        let graph = Util.latency report "graph" in
+        let p99 = Histogram.p99 graph in
+        let avg_mw = energy_pj /. report.Server.makespan_ns in
+        let completed = Util.total (fun tr -> tr.Server.completed) report in
+        Util.row "  %-10s %9.1f %9.1f %9.2f %9.2f %7d %9.2f %6d %10d %7.2f\n" name
+          (Histogram.p50 graph /. 1e3)
+          (p99 /. 1e3) avg_mw peak_mw sheds (energy_pj /. 1e6) completed events wall;
+        Util.emit
+          (Row.make schema ~spec:(Experiment.to_string t)
+             [
+               ("runtime", Key (Str name));
+               ("rate_per_tenant", Key (Num rate));
+               ("workers", Key (Int n_workers));
+               ("graph_p50_us", Sim (Num (Histogram.p50 graph /. 1e3)));
+               ("graph_p99_us", Sim (Num (p99 /. 1e3)));
+               ("avg_power_mw", Sim (Num avg_mw));
+               ("peak_power_mw", Sim (Num peak_mw));
+               ("sheds", Sim (Int sheds));
+               ("energy_uj", Sim (Num (energy_pj /. 1e6)));
+               ("completed", Sim (Int completed));
+               ("events", Sim (Int events));
+               ("makespan_us", Sim (Num (report.Server.makespan_ns /. 1e3)));
+               ("wall_s", Host (Num wall));
+             ]);
+        (name, { p99_us = p99 /. 1e3; avg_mw; sheds }))
+      runtimes
+  in
+  let obliv = List.assoc "oblivious" results in
+  let capped = List.assoc "capped" results in
+  let edp = List.assoc "charm-edp" results in
   (* the frontier claim: both capped runtimes actuate and save watts,
      and EDP-aware placement pays a smaller tail premium for the cap
      than cap-oblivious placement does *)
@@ -183,6 +134,5 @@ let run () =
     edp.avg_mw obliv.avg_mw
     ((edp.p99_us /. obliv.p99_us -. 1.0) *. 100.0)
     ((capped.p99_us /. obliv.p99_us -. 1.0) *. 100.0);
-  Util.json_row ~experiment:"power"
-    [ ("verdict_energy_aware_on_frontier", if verdict then "true" else "false") ];
+  Util.emit (Row.verdict schema "energy_aware_on_frontier" verdict);
   if not verdict then exit 1

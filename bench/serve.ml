@@ -43,11 +43,6 @@ let merged_latency r =
     r.Server.tenant_reports;
   h
 
-let sum f r =
-  List.fold_left
-    (fun acc (tr : Server.tenant_report) -> acc + f tr)
-    0 r.Server.tenant_reports
-
 let run_one sys ~rate =
   let inst = Sys_.make ~cache_scale sys (Util.machine Sys_.Amd_milan) ~n_workers () in
   (* the driver's --trace sink, if set, rides in on the server config so
@@ -69,8 +64,8 @@ let run () =
             (Histogram.p50 h /. 1e3)
             (Histogram.p95 h /. 1e3)
             (Histogram.p99 h /. 1e3)
-            (sum (fun tr -> tr.Server.slo_violations) r)
-            (sum (fun tr -> tr.Server.shed) r))
+            (Util.total (fun tr -> tr.Server.slo_violations) r)
+            (Util.total (fun tr -> tr.Server.shed) r))
         systems;
       Util.row "\n")
     rates

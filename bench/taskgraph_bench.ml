@@ -6,19 +6,14 @@
    chiplets behind a slow link.  The comm-aware mapper contracts heavy
    edges into one chiplet and steers dense clusters to the accelerator,
    so it should hold a lower inference p99 than blind mapping at every
-   offered load. *)
+   offered load.  Every row is an experiment spec, carried in the row, so
+   any row replays through charm_serve. *)
 
-module Sys_ = Harness.Systems
 module Server = Serving.Server
 module Histogram = Serving.Histogram
-module Job = Serving.Job
 module Mapper = Taskgraph.Mapper
-module Graph = Taskgraph.Graph
 
-let seed = 42
 let n_workers = 8
-let cache_scale = 16
-let jobs_per_tenant = 40
 
 (* the tiny-hetero preset as an inline spec, so the bench does not depend
    on the working directory (examples/topologies/tiny-hetero.topo is the
@@ -29,66 +24,27 @@ let hetero_topology =
    4KiB; line-bytes 64; mem-channels-per-socket 2; mem-bw-bytes-per-ns \
    4.8; chiplet-kinds big big little accel; link 3 lat-mult 1.5 bw 2"
 
-let hetero_machine =
-  match Sys_.custom_machine_of_spec hetero_topology with
-  | Ok m -> m
-  | Error msg -> failwith ("taskgraph bench: bad inline topology: " ^ msg)
-
-let mappers = [ (Mapper.Blind, "blind"); (Mapper.Comm_aware, "comm-aware") ]
-
 (* per-tenant offered load (jobs/s of virtual time) *)
 let rates = [ 1_000.0; 2_000.0; 4_000.0 ]
 
-let infer_mix =
-  [
-    (Job.Dag (Graph.Chain, 4), 2);
-    (Job.Dag (Graph.Inception, 3), 1);
-    (Job.Dag (Graph.Fanout, 4), 1);
-  ]
+(* an inference tenant drawing chain DAGs twice as often as the other
+   shapes, and an OLAP tenant; seed 42, cache scale 16 and the admission
+   bounds are charm_serve's defaults *)
+let experiment ~mapper ~rate =
+  Util.experiment
+    (Printf.sprintf
+       "charm_serve --topology '%s' -n %d --rate %g --jobs 40 --graph-scale 8 \
+        --tenant infer:2:dag:chain:4+dag:chain:4+dag:inception:3+dag:fanout:4 \
+        --tenant olap:1:tpch:1+tpch:3+tpch:6 --dag-mapper %s"
+       hetero_topology n_workers rate (Mapper.policy_name mapper))
 
-let olap_mix = [ (Job.Tpch 1, 1); (Job.Tpch 3, 1); (Job.Tpch 6, 1) ]
-
-let config ~comm_aware ~rate =
-  let tenant name weight mix =
-    {
-      Server.name;
-      weight;
-      slo_factor = 3.0;
-      process = Serving.Arrivals.Open_loop { rate_per_s = rate };
-      jobs = jobs_per_tenant;
-      mix;
-      replicas = 1;
-    }
-  in
+let schema =
   {
-    Server.tenants = [ tenant "infer" 2.0 infer_mix; tenant "olap" 1.0 olap_mix ];
-    admission =
-      { Serving.Admission.max_queue_per_tenant = 64; max_global_queue = 256 };
-    max_inflight = 4;
-    seed;
-    data =
-      {
-        Job.default_data_config with
-        graph_scale = 8;
-        dag_comm_aware = comm_aware;
-        seed = seed + 1;
-      };
-    trace = None;
-    on_complete = None;
-    check = false;
+    Row.name = "taskgraph";
+    keys = [ "mapper"; "rate_per_tenant"; "workers" ];
+    gates = [ ("events", Row.Exact) ];
+    columns = [ "infer_p99_us"; "wall_s" ];
   }
-
-let run_one ~comm_aware ~rate =
-  let inst = Sys_.make ~cache_scale Sys_.Charm hetero_machine ~n_workers () in
-  Util.attach_trace inst;
-  let t0 = Unix.gettimeofday () in
-  let report = Server.run inst (config ~comm_aware ~rate) in
-  (report, Engine.Stats.sim_events inst.Sys_.machine, Unix.gettimeofday () -. t0)
-
-let tenant_report (report : Server.report) name =
-  List.find
-    (fun (tr : Server.tenant_report) -> tr.Server.tenant = name)
-    report.Server.tenant_reports
 
 let run () =
   Util.section
@@ -102,46 +58,37 @@ let run () =
   List.iter
     (fun rate ->
       List.iter
-        (fun (policy, name) ->
-          let comm_aware = policy = Mapper.Comm_aware in
-          let report, events, wall = run_one ~comm_aware ~rate in
-          let infer = tenant_report report "infer" in
-          let olap = tenant_report report "olap" in
-          let p99 = Histogram.p99 infer.Server.latency in
+        (fun mapper ->
+          let name = Mapper.policy_name mapper in
+          let t = experiment ~mapper ~rate in
+          let _, report, events, wall = Util.serve t in
+          let infer = Util.latency report "infer" and olap = Util.latency report "olap" in
+          let completed = Util.total (fun tr -> tr.Server.completed) report in
+          let shed = Util.total (fun tr -> tr.Server.shed) report in
+          let p99 = Histogram.p99 infer in
           Hashtbl.replace p99s (rate, name) p99;
-          let completed =
-            List.fold_left
-              (fun acc (tr : Server.tenant_report) -> acc + tr.Server.completed)
-              0 report.Server.tenant_reports
-          in
-          let shed =
-            List.fold_left
-              (fun acc (tr : Server.tenant_report) -> acc + tr.Server.shed)
-              0 report.Server.tenant_reports
-          in
           Util.row "  %-10.0f | %-10s %9.1f %9.1f %9.1f %6d %6d %10d %7.2f\n"
             rate name
-            (Histogram.p50 infer.Server.latency /. 1e3)
+            (Histogram.p50 infer /. 1e3)
             (p99 /. 1e3)
-            (Histogram.p99 olap.Server.latency /. 1e3)
+            (Histogram.p99 olap /. 1e3)
             completed shed events wall;
-          Util.json_row ~experiment:"taskgraph"
-            [
-              ("mapper", Util.json_str name);
-              ("rate_per_tenant", Util.json_num rate);
-              ("workers", string_of_int n_workers);
-              ( "infer_p50_us",
-                Util.json_num (Histogram.p50 infer.Server.latency /. 1e3) );
-              ("infer_p99_us", Util.json_num (p99 /. 1e3));
-              ( "olap_p99_us",
-                Util.json_num (Histogram.p99 olap.Server.latency /. 1e3) );
-              ("completed", string_of_int completed);
-              ("shed", string_of_int shed);
-              ("events", string_of_int events);
-              ("makespan_us", Util.json_num (report.Server.makespan_ns /. 1e3));
-              ("wall_s", Util.json_num wall);
-            ])
-        mappers;
+          Util.emit
+            (Row.make schema ~spec:(Experiment.to_string t)
+               [
+                 ("mapper", Key (Str name));
+                 ("rate_per_tenant", Key (Num rate));
+                 ("workers", Key (Int n_workers));
+                 ("infer_p50_us", Sim (Num (Histogram.p50 infer /. 1e3)));
+                 ("infer_p99_us", Sim (Num (p99 /. 1e3)));
+                 ("olap_p99_us", Sim (Num (Histogram.p99 olap /. 1e3)));
+                 ("completed", Sim (Int completed));
+                 ("shed", Sim (Int shed));
+                 ("events", Sim (Int events));
+                 ("makespan_us", Sim (Num (report.Server.makespan_ns /. 1e3)));
+                 ("wall_s", Host (Num wall));
+               ]))
+        Mapper.all_policies;
       Util.row "\n")
     rates;
   (* the headline claim: on a heterogeneous machine the comm-aware mapper
@@ -155,6 +102,5 @@ let run () =
   Util.row "  VERDICT: comm-aware mapping %s blind mapping on inference p99 %s\n"
     (if verdict then "beats" else "DOES NOT beat")
     (if verdict then "at every offered load" else "(regression!)");
-  Util.json_row ~experiment:"taskgraph"
-    [ ("verdict_comm_aware_beats_blind", if verdict then "true" else "false") ];
+  Util.emit (Row.verdict schema "comm_aware_beats_blind" verdict);
   if not verdict then exit 1

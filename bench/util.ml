@@ -21,34 +21,41 @@ let attach_trace inst =
           Engine.Sched.set_trace inst.Sys_.env.Exec_env.sched (Some tr))
 
 (* Optional machine-readable sink: set by the driver's [--json FILE] flag;
-   experiments append flat rows of pre-rendered JSON values alongside their
-   human tables, and the driver writes the file once at the end.  The
-   committed BENCH_*.json baselines and the CI bench-diff step read this. *)
+   experiments emit typed rows ({!Row}) alongside their human tables, and
+   the driver writes the file once at the end.  The committed BENCH_*.json
+   baselines are such files, compared by [bench check]. *)
 let json_sink : string option ref = ref None
-let json_rows : string list ref = ref []
-let json_str s = Printf.sprintf "%S" s
-let json_num f = Printf.sprintf "%.6g" f
-
-let json_row ~experiment kvs =
-  if !json_sink <> None then
-    json_rows :=
-      Printf.sprintf "{%s}"
-        (String.concat ","
-           (List.map
-              (fun (k, v) -> Printf.sprintf "%S:%s" k v)
-              (("experiment", json_str experiment) :: kvs)))
-      :: !json_rows
+let json_rows : Row.t list ref = ref []
+let emit row = if !json_sink <> None then json_rows := row :: !json_rows
 
 let json_write () =
   match !json_sink with
   | None -> ()
   | Some file ->
-      let oc = open_out file in
-      Printf.fprintf oc "{\"rows\":[\n%s\n]}\n"
-        (String.concat ",\n" (List.rev !json_rows));
-      close_out oc;
-      Printf.printf "\nwrote %d bench rows to %s\n"
-        (List.length !json_rows) file
+      Out_channel.with_open_text file (fun oc ->
+          output_string oc (Row.to_json (List.rev !json_rows)));
+      Printf.printf "\nwrote %d bench rows to %s\n" (List.length !json_rows) file
+
+(* A bench row's experiment, written as the command line that replays it;
+   a malformed line is a bug in the bench. *)
+let experiment line =
+  match Experiment.of_string line with
+  | Ok t -> t
+  | Error m -> failwith (Printf.sprintf "bench experiment %S: %s" line m)
+
+(* Run a single-machine serving experiment through charm_serve's path,
+   traced into the shared sink: its instance, report, simulated events and
+   wall-clock seconds. *)
+let serve t =
+  let t0 = Unix.gettimeofday () in
+  let inst, report = Experiment.serve ?trace:!trace_sink t in
+  (inst, report, Engine.Stats.sim_events inst.Sys_.machine, Unix.gettimeofday () -. t0)
+
+let latency (report : Serving.Server.report) tenant =
+  (List.find (fun (tr : Serving.Server.tenant_report) -> tr.tenant = tenant) report.tenant_reports)
+    .latency
+
+let total f (report : Serving.Server.report) = List.fold_left (fun acc tr -> acc + f tr) 0 report.tenant_reports
 
 (* Optional machine override: set by the driver's [--topology SPEC] flag.
    Figures route their preset through {!machine} when building instances,
@@ -97,12 +104,6 @@ let build_graph env ~scale ~weighted =
     ~alloc:(fun ~elt_bytes ~count -> env.Exec_env.alloc_shared ~elt_bytes ~count)
     (kron ~scale)
 
-(* a BFS/SSSP source must not be isolated (vertex 0 can be, after the
-   Graph500 label permutation) *)
-let pick_source g =
-  let rec go v = if v >= g.Csr.n || Csr.degree g v > 0 then min v (g.Csr.n - 1) else go (v + 1) in
-  go 0
-
 (* Throughput of one graph-suite workload in work-items per second of
    virtual time (edges/s for the graph algorithms, updates/s for GUPS). *)
 let run_graph_bench ?(cache_scale = default_cache_scale)
@@ -114,7 +115,7 @@ let run_graph_bench ?(cache_scale = default_cache_scale)
     match bench with
     | Bfs ->
         let g = build_graph env ~scale:graph_scale ~weighted:false in
-        snd (Bfs.run env g ~source:(pick_source g))
+        snd (Bfs.run env g ~source:(Experiment.bfs_source g))
     | Pr ->
         let g = build_graph env ~scale:graph_scale ~weighted:false in
         snd (Pagerank.run env g ())
@@ -123,7 +124,7 @@ let run_graph_bench ?(cache_scale = default_cache_scale)
         snd (Concomp.run env g)
     | Sssp ->
         let g = build_graph env ~scale:graph_scale ~weighted:true in
-        snd (Sssp.run env g ~source:(pick_source g))
+        snd (Sssp.run env g ~source:(Experiment.bfs_source g))
     | Gups_w ->
         (* table size tracks the graph scale, as the paper's Fig. 10 sweep
            controls the number of vertices *)

@@ -16,10 +16,6 @@ val fail : ('a, unit, string, 'b) format4 -> 'a
     sites guard with [if] so the message is only built on failure — checks
     on hot paths must not allocate when the invariant holds. *)
 
-val require : bool -> string -> unit
-(** [require cond msg] raises [Violation msg] unless [cond].  Only for
-    cold paths: [msg] is built eagerly. *)
-
 (** {1 Planted bugs}
 
     Deliberate bugs the invariant layer must catch: CI and the fuzzer

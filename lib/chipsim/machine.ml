@@ -180,8 +180,6 @@ let l3_ways t ~chiplet =
 let set_mem_capacity_factor t ~node factor =
   Memchan.set_capacity_factor t.chan ~node factor
 
-let mem_capacity_factor t ~node = Memchan.capacity_factor t.chan ~node
-
 let alloc t ?policy ~elt_bytes ~count () =
   Simmem.alloc t.mem ?policy ~elt_bytes ~count ()
 

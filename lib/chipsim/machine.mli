@@ -31,8 +31,6 @@ val set_mem_capacity_factor : t -> node:int -> float -> unit
 (** Throttle a NUMA node's deliverable memory bandwidth (see
     {!Memchan.set_capacity_factor}). *)
 
-val mem_capacity_factor : t -> node:int -> float
-
 val alloc :
   t -> ?policy:Simmem.policy -> elt_bytes:int -> count:int -> unit ->
   Simmem.region

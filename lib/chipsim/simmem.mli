@@ -43,5 +43,4 @@ val rebind : t -> region -> policy -> unit
 val placed_pages : t -> node:int -> int
 (** Number of pages currently resident on [node]. *)
 
-val line_of_addr : t -> int -> int
 val reset : t -> unit

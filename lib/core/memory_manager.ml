@@ -28,8 +28,6 @@ let bind_worker t ~worker ~node =
     invalid_arg "Memory_manager.bind_worker: node out of range";
   t.bindings.(worker) <- Some node
 
-let worker_node t ~worker = t.bindings.(worker)
-
 let alloc t ~worker ~elt_bytes ~count () =
   let policy =
     match t.bindings.(worker) with

@@ -15,9 +15,6 @@ val create : Config.t -> Machine.t -> n_workers:int -> t
 val bind_worker : t -> worker:int -> node:int -> unit
 (** Set the worker's memory policy to bind to [node]. *)
 
-val worker_node : t -> worker:int -> int option
-(** Current binding, if any. *)
-
 val alloc :
   t -> worker:int -> elt_bytes:int -> count:int -> unit -> Simmem.region
 (** Allocate following the worker's current policy (bound node, or

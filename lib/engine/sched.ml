@@ -397,7 +397,6 @@ let trace t = t.trace
 let set_check t on = t.check <- on
 let check_enabled t = t.check
 let set_energy t on = t.energy <- on
-let energy_enabled t = t.energy
 let set_on_advance t f = t.on_advance <- f
 let worker_core t w = t.workers.(w).core
 let worker_clock t w = t.workers.(w).clock.(0)
@@ -413,15 +412,6 @@ let worker_of_core t core =
 
 let queue_length t w = run_queue_len t.workers.(w)
 
-let pending_length t w =
-  let w = t.workers.(w) in
-  let q = w.ready and clock = w.clock.(0) in
-  let n = ref 0 in
-  for i = 0 to dq_length q - 1 do
-    if (dq_get q i).ready_at > clock then incr n
-  done;
-  !n
-
 let ready_queue_ids t w =
   let q = t.workers.(w).ready in
   List.init (dq_length q) (fun i -> (dq_get q i).tid)
@@ -429,7 +419,6 @@ let ready_queue_ids t w =
 let heap_snapshot t =
   Array.init t.heap.size (fun i -> (t.heap.keys.(i), t.heap.vals.(i)))
 
-let live_tasks t = t.live
 let total_spawned t = t.spawned
 
 let sample t now =
@@ -476,8 +465,6 @@ let migrate t ~worker ~core =
   end
 
 let task_id task = task.tid
-let task_is_done task = task.finished
-
 let make_task t body ~worker ~at =
   t.next_tid <- t.next_tid + 1;
   let task =

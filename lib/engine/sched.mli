@@ -116,8 +116,6 @@ val set_energy : t -> bool -> unit
     untouched keeps energy-off runs bit-identical to pre-energy
     baselines. *)
 
-val energy_enabled : t -> bool
-
 val check_quiescent : t -> unit
 (** The end-of-run verification {!run} performs when checking is on: work
     conservation, empty deques once no task is live, and the machine's
@@ -138,10 +136,6 @@ val worker_of_core : t -> int -> int option
 
 val queue_length : t -> int -> int
 (** Total tasks queued on the worker. *)
-
-val pending_length : t -> int -> int
-(** Queued tasks whose ready time is still beyond the worker's clock
-    (timers, pending arrivals). *)
 
 val ready_queue_ids : t -> int -> int list
 (** Task ids in the worker's run queue, oldest first.  Exposed so tests
@@ -196,13 +190,11 @@ val run : t -> float
 (** Run until no live task remains; returns the makespan in virtual ns
     (max over workers that executed work of their final clock). *)
 
-val live_tasks : t -> int
 val total_spawned : t -> int
 val concurrency_samples : t -> (float * int) array
 (** [(virtual time, live task count)] recorded at every spawn/finish. *)
 
 val task_id : task -> int
-val task_is_done : task -> bool
 
 module Ctx : sig
   val sched : ctx -> t

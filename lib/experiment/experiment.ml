@@ -229,7 +229,7 @@ let tenant_spec te =
     (String.concat "+" (List.map Job.kind_name te.mix))
 
 let machine_spec = function
-  | Systems.Custom { topo; _ } -> Topology.to_spec topo
+  | Systems.Custom { name; topo } -> Systems.custom_machine_to_spec ~name topo
   | m -> name_in machines m
 
 let quote s =
@@ -1001,6 +1001,21 @@ let server_config t s ~trace =
     check = t.check;
   }
 
+let with_plant t f =
+  let outer = Invariant.plant () in
+  Invariant.set_plant t.plant;
+  Fun.protect ~finally:(fun () -> Invariant.set_plant outer) f
+
+let serve ?trace t =
+  match t.workload with
+  | Serve s ->
+      with_plant t (fun () ->
+          let inst = instance t in
+          let report = Server.run inst (server_config t s ~trace) in
+          if t.check then verify inst;
+          (inst, report))
+  | Batch _ | Fleet _ -> invalid_arg "Experiment.serve: not a single-machine serving experiment"
+
 let run_workload ~trace t =
   let new_trace () = if trace then Some (Engine.Trace.create ()) else None in
   match t.workload with
@@ -1029,11 +1044,9 @@ let run_workload ~trace t =
         traces = Option.to_list tr;
         sim_events = Engine.Stats.sim_events inst.Systems.machine;
       }
-  | Serve s ->
-      let inst = instance t in
+  | Serve _ ->
       let tr = new_trace () in
-      let report = Server.run inst (server_config t s ~trace:tr) in
-      if t.check then verify inst;
+      let inst, report = serve ?trace:tr t in
       {
         report = Server.report_to_json report ^ "\n";
         result = Nothing;
@@ -1063,16 +1076,10 @@ let run_workload ~trace t =
         report = Fleet.Cluster.result_to_json res ^ "\n";
         result = Placements res.Fleet.Cluster.placement_log;
         traces = res.Fleet.Cluster.traces;
-        sim_events =
-          List.fold_left
-            (fun acc (sr : Fleet.Cluster.shard_result) -> acc + sr.Fleet.Cluster.sim_events)
-            0 res.Fleet.Cluster.shard_results;
+        sim_events = Fleet.Cluster.sim_events res;
       }
 
-let run ?(trace = false) t =
-  let outer = Invariant.plant () in
-  Invariant.set_plant t.plant;
-  Fun.protect ~finally:(fun () -> Invariant.set_plant outer) (fun () -> run_workload ~trace t)
+let run ?(trace = false) t = with_plant t (fun () -> run_workload ~trace t)
 
 (* -- the command line ------------------------------------------------------ *)
 

@@ -96,12 +96,12 @@ val to_string : t -> string
     kernel, [charm_serve ...] otherwise, every field that differs from
     that binary's default spelled out, every number in its shortest exact
     form and arguments quoted for a POSIX shell.  A custom machine is
-    inlined as a topology spec (and replays named ["custom"]). *)
+    inlined as a topology spec that carries its name. *)
 
 val of_string : string -> (t, string) result
 (** Parse a command line as {!cli}'s binaries do (the first word picks the
     binary's defaults).  [of_string (to_string t) = Ok t] for every [t]
-    with a preset or ["custom"]-named machine.  Errors are one line. *)
+    whose custom machines have names without [';'].  Errors are one line. *)
 
 (** {1 Running} *)
 
@@ -136,6 +136,12 @@ val run : ?trace:bool -> t -> outcome
     machine and scheduler are verified after the run.
     @raise Invalid_argument on a configuration the simulator rejects.
     @raise Chipsim.Invariant.Violation when checking finds a violation. *)
+
+val serve : ?trace:Engine.Trace.t -> t -> Harness.Systems.instance * Serving.Server.report
+(** {!run}'s single-machine serving path, stopped before rendering: the
+    instance it ran on (machine counters, energy meters, CHARM runtime)
+    and the typed report.  [trace] receives the server's events.
+    @raise Invalid_argument unless [t.workload] is [Serve _]. *)
 
 (** {1 Command line} *)
 

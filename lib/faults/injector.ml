@@ -47,7 +47,6 @@ let attach sched schedule =
   Sched.set_on_advance sched (Some (pump t));
   t
 
-let detach t = Sched.set_on_advance t.sched None
 let applied t = t.next
 let pending t = Array.length t.events - t.next
 

@@ -15,9 +15,6 @@ val attach : Engine.Sched.t -> Schedule.t -> t
 (** Sort the schedule and install the fault pump.  Replaces any previously
     installed [on_advance] hook. *)
 
-val detach : t -> unit
-(** Remove the pump (pending events stop firing). *)
-
 val applied : t -> int
 (** Events applied so far. *)
 

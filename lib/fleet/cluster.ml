@@ -188,6 +188,9 @@ let generate_arrivals cfg =
 let sum_tenants (r : Server.report) f =
   List.fold_left (fun acc tr -> acc + f tr) 0 r.Server.tenant_reports
 
+let sim_events res =
+  List.fold_left (fun acc (sr : shard_result) -> acc + sr.sim_events) 0 res.shard_results
+
 let check_result res =
   let fail = Chipsim.Invariant.fail in
   let completed =

@@ -96,6 +96,9 @@ val run : config -> result
     tenants, out-of-range fault shard, bad diurnal parameters).
     @raise Chipsim.Invariant.Violation when checking finds a violation. *)
 
+val sim_events : result -> int
+(** {!Engine.Stats.sim_events} summed over the shards. *)
+
 val check_result : result -> unit
 (** Fleet conservation: router arrivals = shard completions + shard sheds
     + router sheds, and per shard [submitted = admitted + shed],

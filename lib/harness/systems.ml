@@ -18,8 +18,6 @@ type sys =
   | Local_cache
   | Distributed_cache
 
-let all_baseline_systems = [ Ring; Shoal; Asymsched; Sam; Os_default ]
-
 let sys_name = function
   | Charm -> "charm"
   | Charm_os_threads -> "charm+std::async"
@@ -67,9 +65,20 @@ let custom_machine_of_spec spec =
         Ok (Custom { name; topo })
     | Error m -> Error (Printf.sprintf "%s: %s" spec m)
   else
+    (* an inline spec may lead with a [name NAME] directive, so a machine
+       loaded from a file keeps its name when printed and parsed back *)
+    let name, spec =
+      match String.index_opt spec ';' with
+      | Some i when String.starts_with ~prefix:"name " spec ->
+          (String.trim (String.sub spec 5 (i - 5)), String.sub spec (i + 1) (String.length spec - i - 1))
+      | _ -> ("custom", spec)
+    in
     match Topology.of_string spec with
-    | Ok topo -> Ok (Custom { name = "custom"; topo })
+    | Ok topo -> Ok (Custom { name; topo })
     | Error m -> Error m
+
+let custom_machine_to_spec ~name topo =
+  (if name = "custom" then "" else "name " ^ name ^ "; ") ^ Topology.to_spec topo
 
 type instance = {
   env : Workloads.Exec_env.t;

@@ -29,9 +29,6 @@ type sys =
   | Local_cache
   | Distributed_cache
 
-val all_baseline_systems : sys list
-(** The four comparison systems of §5.1 (plus OS default). *)
-
 val sys_name : sys -> string
 
 val machine_name : machine_kind -> string
@@ -45,7 +42,13 @@ val topology : machine_kind -> cache_scale:int -> Topology.t
 val custom_machine_of_spec : string -> (machine_kind, string) result
 (** Build a [Custom] machine from a [--topology] argument: a path to a
     topology file (named after the file), or an inline [';']-separated
-    spec (named "custom").  Errors are one line naming what failed. *)
+    spec (named by a leading [name NAME] directive, else "custom").
+    Errors are one line naming what failed. *)
+
+val custom_machine_to_spec : name:string -> Topology.t -> string
+(** The inline spec {!custom_machine_of_spec} reads back as the same
+    machine and name: {!Topology.to_spec}, led by [name NAME; ] unless the
+    name is "custom". *)
 
 type instance = {
   env : Workloads.Exec_env.t;

@@ -18,8 +18,6 @@ type process =
       (** [clients] sequential issuers, each submitting its next job
           [think_ns] after its previous one completed. *)
 
-val pp_process : Format.formatter -> process -> unit
-
 val poisson_times : rng:Engine.Rng.t -> rate_per_s:float -> jobs:int -> float array
 (** [jobs] arrival timestamps in virtual ns, strictly increasing from the
     first exponential gap onward.  Consumes [jobs] draws from [rng].

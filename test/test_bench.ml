@@ -1,0 +1,131 @@
+(* The bench row format: [bench check]'s gates on fixture baseline/run
+   pairs, and every committed taskgraph and power row replaying from its
+   own spec. *)
+
+open Charm_bench
+
+let schemas = [ Core_bench.schema; Fleet_bench.schema; Taskgraph_bench.schema; Power_bench.schema ]
+
+let old_rows =
+  [
+    {|{"experiment":"core","scenario":"batch","events":924374,"wall_s":0.0924499,"events_per_s":9.99865e+06,"makespan_us":2556.81}|};
+    {|{"experiment":"fleet","policy":"charm","rate_per_tenant":4000,"shards":4,"p99_us":573.467,"events":4578457,"wall_s":0.942771}|};
+    {|{"experiment":"fleet","verdict_charm_beats_blind":true}|};
+    {|{"experiment":"taskgraph","mapper":"blind","rate_per_tenant":1000,"workers":8,"infer_p99_us":103419,"events":713680,"wall_s":0.09,"spec":"charm_serve -n 8"}|};
+    {|{"experiment":"power","runtime":"capped","rate_per_tenant":3000,"workers":5,"graph_p99_us":1418.85,"avg_power_mw":1.2046,"events":757382,"wall_s":0.0987608}|};
+  ]
+
+let file rows = "{\"rows\":[\n" ^ String.concat ",\n" rows ^ "\n]}\n"
+
+let replace ~sub ~by s =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then Alcotest.failf "fixture has no %S" sub
+    else if String.sub s i n = sub then String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+    else go (i + 1)
+  in
+  go 0
+
+(* the exit code of [bench check OLD NEW] on two fixture files *)
+let check_exit old new_ =
+  let write s =
+    let f = Filename.temp_file "bench" ".json" in
+    Out_channel.with_open_bin f (fun oc -> output_string oc s);
+    f
+  in
+  let o = write old and n = write new_ in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ o; n ])
+    (fun () -> Row.check_files schemas o n)
+
+let edited ~sub ~by = file (List.map (fun r -> if r = sub then by else r) old_rows)
+let base = file old_rows
+
+let test_passes () =
+  Alcotest.(check int) "identical files" 0 (check_exit base base);
+  Alcotest.(check int) "a row only in the new run" 0
+    (check_exit base
+       (file
+          (old_rows
+          @ [ {|{"experiment":"core","scenario":"extra","events":1,"wall_s":1,"events_per_s":1,"makespan_us":1}|} ])));
+  Alcotest.(check int) "events/s 15% slower, power 15% higher, wall-clock doubled" 0
+    (check_exit base
+       (base
+       |> replace ~sub:{|"events_per_s":9.99865e+06|} ~by:{|"events_per_s":8.5e+06|}
+       |> replace ~sub:{|"avg_power_mw":1.2046|} ~by:{|"avg_power_mw":1.38|}
+       |> replace ~sub:{|"wall_s":0.942771|} ~by:{|"wall_s":1.9|}))
+
+let test_fails () =
+  let fails what new_ = Alcotest.(check int) what 1 (check_exit base new_) in
+  List.iter
+    (fun (what, sub, by) -> fails what (replace ~sub ~by base))
+    [
+      ("core events off by one", {|"events":924374|}, {|"events":924375|});
+      ("fleet events off by one", {|"events":4578457|}, {|"events":4578456|});
+      ("taskgraph events off by one", {|"events":713680|}, {|"events":713681|});
+      ("power events off by one", {|"events":757382|}, {|"events":757383|});
+      ("core events/s -25%", {|"events_per_s":9.99865e+06|}, {|"events_per_s":7.4990e+06|});
+      ("power avg_power_mw +25%", {|"avg_power_mw":1.2046|}, {|"avg_power_mw":1.50575|});
+      ("verdict flipped to false", {|"verdict_charm_beats_blind":true|}, {|"verdict_charm_beats_blind":false|});
+    ];
+  List.iter
+    (fun row -> fails "a row deleted" (file (List.filter (( <> ) row) old_rows)))
+    old_rows;
+  fails "a row whose key changed"
+    (edited ~sub:(List.nth old_rows 0) ~by:(replace ~sub:"batch" ~by:"bulk" (List.nth old_rows 0)))
+
+let test_unreadable () =
+  Alcotest.(check int) "malformed file" 2 (check_exit base "{\"rows\":[{\"experiment\":}]}");
+  Alcotest.(check int) "row of an experiment with no gates" 1
+    (check_exit (file [ {|{"experiment":"fig7","x":1}|} ]) base)
+
+(* the rows a bench run renders parse back to the same flat fields *)
+let test_render_parses_back () =
+  let r =
+    Row.make Core_bench.schema ~spec:"charm_run -w 'a \"b\"'"
+      [ ("scenario", Key (Str "batch")); ("events", Sim (Int 3)); ("wall_s", Host (Num 0.5)) ]
+  in
+  let v = Row.verdict Core_bench.schema "holds" false in
+  Alcotest.(check bool) "flat fields" true
+    (Row.parse_file (Row.to_json [ r; v ]) = [ Row.flat r; Row.flat v ]);
+  Alcotest.check_raises "a row keyed unlike its schema"
+    (Invalid_argument "Row.make: core row keyed by ") (fun () ->
+      ignore (Row.make Core_bench.schema [ ("scenario", Sim (Str "batch")) ] : Row.t))
+
+(* each committed taskgraph and power row's spec replays, through the
+   path charm_serve runs, to the row's events, makespan and tenant p99 *)
+let test_specs_replay () =
+  List.iter
+    (fun (file, tenant, p99) ->
+      let rows = Row.parse_file (In_channel.with_open_bin file In_channel.input_all) in
+      let specs = List.filter_map (fun r -> Option.map (fun s -> (r, s)) (List.assoc_opt "spec" r)) rows in
+      Alcotest.(check bool) (file ^ " rows carry specs") true (List.length specs >= 3);
+      List.iter
+        (fun (r, spec) ->
+          let spec = match spec with Row.Str s -> s | _ -> Alcotest.fail "spec is not a string" in
+          let t = match Experiment.of_string spec with Ok t -> t | Error m -> Alcotest.fail m in
+          let inst, report = Experiment.serve t in
+          let tr =
+            List.find (fun (tr : Serving.Server.tenant_report) -> tr.tenant = tenant) report.tenant_reports
+          in
+          let field k = Row.value_json (List.assoc k r) in
+          let num f = Row.value_json (Num f) in
+          Alcotest.(check string) (spec ^ ": events") (field "events")
+            (string_of_int (Engine.Stats.sim_events inst.Harness.Systems.machine));
+          Alcotest.(check string) (spec ^ ": makespan") (field "makespan_us") (num (report.makespan_ns /. 1e3));
+          Alcotest.(check string) (spec ^ ": p99") (field p99) (num (Serving.Histogram.p99 tr.latency /. 1e3)))
+        specs)
+    [ ("../BENCH_taskgraph.json", "infer", "infer_p99_us"); ("../BENCH_power.json", "graph", "graph_p99_us") ]
+
+let () =
+  Alcotest.run "bench"
+    [
+      ( "check",
+        [
+          Alcotest.test_case "passing pairs exit 0" `Quick test_passes;
+          Alcotest.test_case "each gate failure exits 1" `Quick test_fails;
+          Alcotest.test_case "unreadable input" `Quick test_unreadable;
+          Alcotest.test_case "rows render and parse back" `Quick test_render_parses_back;
+        ] );
+      ("rows", [ Alcotest.test_case "committed specs replay" `Quick test_specs_replay ]);
+    ]

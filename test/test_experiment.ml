@@ -105,6 +105,26 @@ let test_malformed_values_rejected () =
       | Error msg -> Alcotest.failf "rejected %s: %s" line msg)
     [ "charm_run -w gups --graph-scale 20"; "charm_serve --fleet 64 --cache-scale 4096" ]
 
+(* a machine loaded from a topology file keeps its name through the text
+   form, so a fleet report (which names each shard's machine) replays
+   byte for byte *)
+let test_topo_file_name_replays () =
+  let t =
+    of_string_exn
+      "charm_serve --fleet 2 -n 4 --jobs 4 --graph-scale 6 --shard-machines \
+       ../examples/topologies/tiny-hetero.topo"
+  in
+  let replay = of_string_exn (E.to_string t) in
+  Alcotest.(check bool) "the spec round-trips" true (replay = t);
+  let report = (E.run t).E.report in
+  let contains sub =
+    let n = String.length report and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub report i m = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "shards named after the file" true (contains {|"tiny-hetero"|});
+  Alcotest.(check string) "the replay's report" report (E.run replay).E.report
+
 let suite =
   [
     Alcotest.test_case "text form round-trips" `Quick test_text_roundtrip;
@@ -114,4 +134,5 @@ let suite =
     Alcotest.test_case "plant is part of the spec" `Quick test_plant_is_part_of_the_spec;
     Alcotest.test_case "malformed values rejected in one line" `Quick
       test_malformed_values_rejected;
+    Alcotest.test_case "a topology file's name replays" `Quick test_topo_file_name_replays;
   ]

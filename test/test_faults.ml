@@ -253,7 +253,9 @@ let test_faulted_serve_traces_identical () =
     !found
   in
   Alcotest.(check bool) "fault events present" true
-    (contains trace1 {|"cat":"fault"|})
+    (contains trace1 {|"cat":"fault"|});
+  Alcotest.(check bool) "report carries admission and p999" true
+    (contains json1 {|"admission":|} && contains json1 {|"p999":|})
 
 let suite =
   [

@@ -265,6 +265,17 @@ let test_merged_registry_counters () =
     (Serving.Metrics.counter_value reg "serve.completed")
     (Serving.Histogram.count res.Cluster.fleet_latency)
 
+(* a traced three-shard run merges into one file with the router's
+   routing events and a track per machine: pid 0 plus one per shard *)
+let test_merged_trace_tracks () =
+  let res = Cluster.run { (base_config ~jobs:5 ~seed:7 ()) with Cluster.n_shards = 3; trace = true } in
+  let json = Engine.Trace.to_chrome_json_merged res.Cluster.traces in
+  Alcotest.(check bool) "fleet routing events" true (contains json {|"cat":"fleet"|});
+  let pids =
+    List.filter (fun pid -> contains json (Printf.sprintf {|"pid":%d,|} pid)) (List.init 8 Fun.id)
+  in
+  Alcotest.(check (list int)) "router and shard tracks" [ 0; 1; 2; 3 ] pids
+
 let () =
   Alcotest.run "fleet"
     [
@@ -288,5 +299,6 @@ let () =
             test_ewma_avoids_slow_shard;
           Alcotest.test_case "merged registry counters" `Quick
             test_merged_registry_counters;
+          Alcotest.test_case "merged trace tracks" `Quick test_merged_trace_tracks;
         ] );
     ]

@@ -300,6 +300,19 @@ let test_serve_trace_deterministic () =
   Alcotest.(check bool) "fill-class counter track recorded" true
     (contains a {|"name":"fills"|} && contains a {|"ph":"C"|})
 
+(* a batch GUPS run under CHARM, traced through every runtime layer as
+   charm_run --trace does, serializes to valid JSON *)
+let test_charm_batch_trace_valid () =
+  let inst = Harness.Systems.make ~cache_scale:32 Harness.Systems.Charm Harness.Systems.Amd_milan ~n_workers:16 () in
+  let tr = Trace.create () in
+  Charm.Runtime.attach_trace (Option.get inst.Harness.Systems.charm) tr;
+  ignore
+    (Workloads.Gups.run inst.Harness.Systems.env
+       { Workloads.Gups.default_params with Workloads.Gups.updates = 1 lsl 12 }
+      : Workloads.Workload_result.t);
+  Alcotest.(check bool) "quanta recorded" true (Trace.num_events tr > 0);
+  Alcotest.(check bool) "valid chrome json" true (json_valid (Trace.to_chrome_json tr))
+
 let suite =
   [
     Alcotest.test_case "records and serializes" `Quick test_records_and_serializes;
@@ -311,4 +324,5 @@ let suite =
     Alcotest.test_case "quanta never overlap per worker" `Quick
       test_quanta_never_overlap_per_worker;
     Alcotest.test_case "serve trace deterministic" `Quick test_serve_trace_deterministic;
+    Alcotest.test_case "charm batch trace is valid json" `Quick test_charm_batch_trace_valid;
   ]
