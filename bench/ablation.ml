@@ -5,22 +5,18 @@
 
 module Sys_ = Harness.Systems
 
-(* like Util.run_graph_bench, but with a custom CHARM config *)
-let run_with_config config bench ~workers =
-  let inst =
-    Sys_.make ~cache_scale:Util.default_cache_scale ~charm_config:config
-      Sys_.Charm Sys_.Amd_milan ~n_workers:workers ()
-  in
+(* a figure-scale BFS or GUPS run under a custom CHARM config, which no
+   spec describes *)
+let run_with_config config kernel ~workers =
+  let t = Util.batch kernel Sys_.Charm ~workers in
+  let inst = Sys_.make ~cache_scale:t.cache_scale ~charm_config:config Sys_.Charm Sys_.Amd_milan ~n_workers:workers () in
   Util.attach_trace inst;
   let env = inst.Sys_.env in
   let open Workloads in
   let result =
-    match bench with
-    | Util.Bfs ->
-        let g = Util.build_graph env ~scale:Util.default_graph_scale ~weighted:false in
-        snd (Bfs.run env g ~source:0)
-    | Util.Gups_w ->
-        Gups.run env { Gups.table_words = 1 lsl 20; updates = 1 lsl 16; seed = 17 }
+    match kernel with
+    | Experiment.Bfs -> snd (Bfs.run env (Experiment.kernel_graph env t ~weighted:false) ~source:0)
+    | Experiment.Gups -> Gups.run env { Gups.table_words = 1 lsl 20; updates = 1 lsl 16; seed = 17 }
     | _ -> invalid_arg "ablation: only BFS and GUPS are swept"
   in
   Workload_result.throughput_per_s result
@@ -34,8 +30,8 @@ let threshold_sweep () =
         { Charm.Config.default with Charm.Config.rmt_chip_access_rate = threshold }
       in
       Util.row "  %-10.0f %12s %12s\n" threshold
-        (Util.pp_throughput (run_with_config config Util.Bfs ~workers:32))
-        (Util.pp_throughput (run_with_config config Util.Gups_w ~workers:32)))
+        (Util.pp_throughput (run_with_config config Experiment.Bfs ~workers:32))
+        (Util.pp_throughput (run_with_config config Experiment.Gups ~workers:32)))
     [ 75.0; 150.0; 300.0; 600.0; 1200.0 ]
 
 let timer_sweep () =
@@ -50,8 +46,8 @@ let timer_sweep () =
         }
       in
       Util.row "  %-10.1f %12s %12s\n" timer_us
-        (Util.pp_throughput (run_with_config config Util.Bfs ~workers:32))
-        (Util.pp_throughput (run_with_config config Util.Gups_w ~workers:32)))
+        (Util.pp_throughput (run_with_config config Experiment.Bfs ~workers:32))
+        (Util.pp_throughput (run_with_config config Experiment.Gups ~workers:32)))
     [ 12.5; 25.0; 50.0; 100.0; 200.0 ]
 
 let approach_compare () =
@@ -62,8 +58,8 @@ let approach_compare () =
       let config = { Charm.Config.default with Charm.Config.approach } in
       Util.row "  %-18s %12s %12s\n"
         (Charm.Config.approach_to_string approach)
-        (Util.pp_throughput (run_with_config config Util.Bfs ~workers:32))
-        (Util.pp_throughput (run_with_config config Util.Gups_w ~workers:32)))
+        (Util.pp_throughput (run_with_config config Experiment.Bfs ~workers:32))
+        (Util.pp_throughput (run_with_config config Experiment.Gups ~workers:32)))
     [ Charm.Config.Location_centric; Charm.Config.Cache_centric; Charm.Config.Adaptive ]
 
 (* A workload whose demands shift mid-run (paper 3, challenge 3): each of
@@ -73,7 +69,7 @@ let approach_compare () =
    its own slice. *)
 let phased_scan config =
   let inst =
-    Harness.Systems.make ~cache_scale:Util.default_cache_scale
+    Harness.Systems.make ~cache_scale:Util.base.cache_scale
       ~charm_config:config Harness.Systems.Charm Harness.Systems.Amd_milan
       ~n_workers:8 ()
   in
@@ -107,7 +103,7 @@ let toggles () =
   Util.subsection "design toggles (BFS @32 cores; phase-shift scan @8 cores)";
   let show label config =
     Util.row "  %-34s %12s %12s\n" label
-      (Util.pp_throughput (run_with_config config Util.Bfs ~workers:32))
+      (Util.pp_throughput (run_with_config config Experiment.Bfs ~workers:32))
       (Util.pp_throughput (phased_scan config))
   in
   Util.row "  %-34s %12s %12s\n" "" "BFS" "phased-scan";

@@ -2,67 +2,32 @@
    system per domain.  Paper: up to 3.9x in statistical computation, 2.3x
    in graph processing, consistent gains on memory-intensive workloads. *)
 
-open Workloads
 module Sys_ = Harness.Systems
 
-let graph_speedup bench =
-  let tp sys = fst (Util.run_graph_bench ~sys ~kind:Sys_.Amd_milan ~workers:64 bench) in
+let value = Util.value "fig1"
+
+let graph_speedup kernel =
+  let tp sys = value (Util.batch kernel sys ~workers:64) in
   let charm = tp Sys_.Charm in
-  let best =
-    List.fold_left
-      (fun acc sys -> Float.max acc (tp sys))
-      0.0
-      [ Sys_.Ring; Sys_.Asymsched; Sys_.Sam ]
-  in
-  charm /. best
+  charm /. List.fold_left (fun acc sys -> Float.max acc (tp sys)) 0.0 [ Sys_.Ring; Sys_.Asymsched; Sys_.Sam ]
 
+(* the paper's Fig. 11 comparison: DW+CHARM vs DimmWitted's own engine
+   (kernel threads, coarse per-core tasks, NUMA-node replicas) *)
 let sgd_speedup () =
-  (* the paper's Fig. 11 comparison: DW+CHARM vs DimmWitted's own engine
-     (kernel threads, coarse per-core tasks, NUMA-node replicas) *)
-  let run sys ~grain =
-    let inst = Sys_.make ~cache_scale:16 sys Sys_.Amd_milan ~n_workers:64 () in
-    Util.attach_trace inst;
-    let env = inst.Sys_.env in
-    let data =
-      Dataset.generate
-        ~alloc:(fun ~elt_bytes ~count -> env.Exec_env.alloc_shared ~elt_bytes ~count)
-        ~samples:1024 ~features:1024 ()
-    in
-    let o = Dimmwitted.run env ~replica:Sgd.Per_node ~epochs:2 ?grain data in
-    o.Dimmwitted.gradient_gbps
-  in
-  run Sys_.Charm ~grain:None /. run Sys_.Dw_native ~grain:(Some (1024 / 64))
+  let gbps sys = value (Util.batch Experiment.Sgd sys ~workers:64) in
+  gbps Sys_.Charm /. gbps Sys_.Dw_native
 
+(* Fig. 9's configuration at 16 cores, where the paper reports the widest
+   CHARM-vs-SHOAL gap *)
 let streamcluster_speedup () =
-  (* Fig. 9's configuration at 16 cores, where the paper reports the
-     widest CHARM-vs-SHOAL gap *)
-  let params =
-    {
-      Streamcluster.points = 16384;
-      dims = 128;
-      batch = 16384;
-      k_max = 12;
-      search_rounds = 4;
-      seed = 5;
-    }
-  in
-  let time sys =
-    let inst = Sys_.make ~cache_scale:128 sys Sys_.Amd_milan ~n_workers:16 () in
-    Util.attach_trace inst;
-    (Streamcluster.run inst.Sys_.env params).Streamcluster.result
-      .Workload_result.makespan_ns
-  in
+  let time sys = value (Util.batch ~cache_scale:Fig9.cache_scale Experiment.Streamcluster sys ~workers:16) in
   time Sys_.Shoal /. time Sys_.Charm
 
 let run () =
   Util.section "Fig. 1 - CHARM speedups vs NUMA-aware systems (summary)";
   Util.row "  %-34s %10s\n" "workload (vs best NUMA baseline)" "speedup";
   List.iter
-    (fun bench ->
-      Util.row "  %-34s %9.2fx\n"
-        (Util.graph_bench_name bench ^ " @64 cores")
-        (graph_speedup bench))
-    [ Util.Bfs; Util.Cc; Util.Sssp; Util.Gups_w ];
+    (fun (name, kernel) -> Util.row "  %-34s %9.2fx\n" (name ^ " @64 cores") (graph_speedup kernel))
+    Experiment.[ ("BFS", Bfs); ("CC", Cc); ("SSSP", Sssp); ("GUPS", Gups) ];
   Util.row "  %-34s %9.2fx\n" "SGD gradient @64 cores (vs DW engine)" (sgd_speedup ());
-  Util.row "  %-34s %9.2fx\n" "Streamcluster @24 cores (vs SHOAL)"
-    (streamcluster_speedup ())
+  Util.row "  %-34s %9.2fx\n" "Streamcluster @16 cores (vs SHOAL)" (streamcluster_speedup ())

@@ -19,22 +19,16 @@ let run () =
     (fun workers ->
       Util.subsection (Printf.sprintf "%d cores" workers);
       Util.row "  %-10s" "size";
-      List.iter
-        (fun b -> Util.row " %9s" (Util.graph_bench_name b))
-        Util.all_graph_benches;
+      List.iter (fun (name, _) -> Util.row " %9s" name) Util.graph_kernels;
       Util.row "\n";
       List.iter
-        (fun scale ->
-          Util.row "  %7.1fMiB" (graph_mib scale);
+        (fun graph_scale ->
+          Util.row "  %7.1fMiB" (graph_mib graph_scale);
           List.iter
-            (fun bench ->
-              let tp sys =
-                fst
-                  (Util.run_graph_bench ~graph_scale:scale ~sys
-                     ~kind:Sys_.Amd_milan ~workers bench)
-              in
+            (fun (_, kernel) ->
+              let tp sys = Util.value "fig10" { (Util.batch kernel sys ~workers) with graph_scale } in
               Util.row " %8.2fx" (tp Sys_.Charm /. tp Sys_.Ring))
-            Util.all_graph_benches;
+            Util.graph_kernels;
           Util.row "\n")
         scales)
     [ 32; 64 ]

@@ -5,39 +5,24 @@
 
 module Sys_ = Harness.Systems
 
-let cache_scale = 32
 let core_counts = [ 8; 16; 32; 64 ]
-
-let env sys ~workers =
-  let inst = Sys_.make ~cache_scale sys Sys_.Amd_milan ~n_workers:workers () in
-  Util.attach_trace inst;
-  inst.Sys_.env
 
 let run () =
   Util.section "Fig. 14 - OLTP commits/s: LocalCache vs DistributedCache";
-  Util.subsection "(a) YCSB (45% read / 55% RMW)";
-  Util.row "  %-6s %14s %14s %8s\n" "cores" "local" "distributed" "gap";
   List.iter
-    (fun workers ->
-      let run sys =
-        (Oltp.Ycsb.run (env sys ~workers) Oltp.Ycsb.default_params)
-          .Oltp.Ycsb.commits_per_second
-      in
-      let l = run Sys_.Local_cache and d = run Sys_.Distributed_cache in
-      Util.row "  %-6d %13sc/s %13sc/s %7.1f%%\n" workers (Util.pp_throughput l)
-        (Util.pp_throughput d)
-        (100.0 *. abs_float (l -. d) /. Float.max l d))
-    core_counts;
-  Util.subsection "(b) TPC-C (45% NewOrder / 43% Payment / rest mixed)";
-  Util.row "  %-6s %14s %14s %8s\n" "cores" "local" "distributed" "gap";
-  List.iter
-    (fun workers ->
-      let run sys =
-        (Oltp.Tpcc.run (env sys ~workers) Oltp.Tpcc.default_params)
-          .Oltp.Tpcc.commits_per_second
-      in
-      let l = run Sys_.Local_cache and d = run Sys_.Distributed_cache in
-      Util.row "  %-6d %13sc/s %13sc/s %7.1f%%\n" workers (Util.pp_throughput l)
-        (Util.pp_throughput d)
-        (100.0 *. abs_float (l -. d) /. Float.max l d))
-    core_counts
+    (fun (title, kernel) ->
+      Util.subsection title;
+      Util.row "  %-6s %14s %14s %8s\n" "cores" "local" "distributed" "gap";
+      List.iter
+        (fun workers ->
+          let run sys = Util.value "fig14" (Util.batch ~cache_scale:32 kernel sys ~workers) in
+          let l = run Sys_.Local_cache and d = run Sys_.Distributed_cache in
+          Util.row "  %-6d %13sc/s %13sc/s %7.1f%%\n" workers (Util.pp_throughput l)
+            (Util.pp_throughput d)
+            (100.0 *. abs_float (l -. d) /. Float.max l d))
+        core_counts)
+    Experiment.
+      [
+        ("(a) YCSB (45% read / 55% RMW)", Ycsb);
+        ("(b) TPC-C (45% NewOrder / 43% Payment / rest mixed)", Tpcc);
+      ]

@@ -8,29 +8,20 @@ module Sys_ = Harness.Systems
 let systems = [ Sys_.Charm; Sys_.Ring; Sys_.Asymsched; Sys_.Sam ]
 let core_counts = [ 8; 16; 32; 48; 64; 96; 128 ]
 
-let run_one bench =
-  Util.subsection (Util.graph_bench_name bench);
-  Util.row "  %-6s" "cores";
-  List.iter (fun sys -> Util.row " %12s" (Util.sys_label sys)) systems;
-  Util.row " %10s\n" "charm/best";
-  List.iter
-    (fun workers ->
-      let tps =
-        List.map
-          (fun sys ->
-            fst (Util.run_graph_bench ~sys ~kind:Sys_.Amd_milan ~workers bench))
-          systems
-      in
-      Util.row "  %-6d" workers;
-      List.iter (fun t -> Util.row " %12s" (Util.pp_throughput t)) tps;
-      (match tps with
-      | charm :: rest ->
-          let best = List.fold_left Float.max 0.0 rest in
-          Util.row " %9.2fx\n" (charm /. best)
-      | [] -> Util.row "\n"))
-    core_counts
-
 let run () =
   Util.section "Fig. 7 - graph + random-access scalability (AMD model)";
   Util.row "  (throughput: edges/s for graphs, updates/s for GUPS)\n";
-  List.iter run_one Util.all_graph_benches
+  List.iter
+    (fun (name, kernel) ->
+      Util.subsection name;
+      Util.row "  %-6s" "cores";
+      List.iter (fun sys -> Util.row " %12s" (Sys_.sys_name sys)) systems;
+      Util.row " %10s\n" "charm/best";
+      List.iter
+        (fun workers ->
+          let tps = List.map (fun sys -> Util.value "fig7" (Util.batch kernel sys ~workers)) systems in
+          Util.row "  %-6d" workers;
+          List.iter (fun t -> Util.row " %12s" (Util.pp_throughput t)) tps;
+          Util.row " %9.2fx\n" (List.hd tps /. List.fold_left Float.max 0.0 (List.tl tps)))
+        core_counts)
+    Util.graph_kernels

@@ -5,25 +5,24 @@
 
 module Sys_ = Harness.Systems
 
-let systems = [ Sys_.Charm; Sys_.Ring; Sys_.Asymsched; Sys_.Sam ]
 let core_counts = [ 6; 12; 24; 48; 72; 96 ]
-
-let run_one bench =
-  Util.subsection (Util.graph_bench_name bench);
-  Util.row "  %-6s" "cores";
-  List.iter (fun sys -> Util.row " %12s" (Util.sys_label sys)) systems;
-  Util.row "\n";
-  List.iter
-    (fun workers ->
-      Util.row "  %-6d" workers;
-      List.iter
-        (fun sys ->
-          let tp, _ = Util.run_graph_bench ~sys ~kind:Sys_.Intel_spr ~workers bench in
-          Util.row " %12s" (Util.pp_throughput tp))
-        systems;
-      Util.row "\n")
-    core_counts
 
 let run () =
   Util.section "Fig. 8 - graph + random-access scalability (Intel model)";
-  List.iter run_one Util.all_graph_benches
+  List.iter
+    (fun (name, kernel) ->
+      Util.subsection name;
+      Util.row "  %-6s" "cores";
+      List.iter (fun sys -> Util.row " %12s" (Sys_.sys_name sys)) Fig7.systems;
+      Util.row "\n";
+      List.iter
+        (fun workers ->
+          Util.row "  %-6d" workers;
+          List.iter
+            (fun sys ->
+              let tp = Util.value "fig8" (Util.batch ~machine:Sys_.Intel_spr kernel sys ~workers) in
+              Util.row " %12s" (Util.pp_throughput tp))
+            Fig7.systems;
+          Util.row "\n")
+        core_counts)
+    Util.graph_kernels

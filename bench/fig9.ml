@@ -6,27 +6,12 @@
 module Sys_ = Harness.Systems
 
 let cache_scale = 128  (* 256 KiB slices: the 8 MiB stream exceeds all caches *)
-
-let params =
-  {
-    Workloads.Streamcluster.points = 16384;
-    dims = 128;
-    batch = 16384;
-    k_max = 12;
-    search_rounds = 4;
-    seed = 5;
-  }
-
-let time sys ~workers =
-  let inst = Sys_.make ~cache_scale sys Sys_.Amd_milan ~n_workers:workers () in
-  Util.attach_trace inst;
-  let o = Workloads.Streamcluster.run inst.Sys_.env params in
-  o.Workloads.Streamcluster.result.Workloads.Workload_result.makespan_ns
-
+let spec = Util.batch ~cache_scale Experiment.Streamcluster
 let core_counts = [ 1; 4; 8; 16; 24; 32; 48; 64; 128 ]
 
 let run () =
   Util.section "Fig. 9 - Streamcluster speedup: CHARM vs SHOAL";
+  let time sys ~workers = Util.value "fig9" (spec sys ~workers) in
   let base = time Sys_.Os_default ~workers:1 in
   Util.row "  (speedup over 1-core run without architecture-aware support)\n";
   Util.row "  %-6s %10s %10s\n" "cores" "charm" "shoal";
@@ -45,13 +30,8 @@ let run_tab2 () =
   List.iter
     (fun workers ->
       let counts sys =
-        let inst = Sys_.make ~cache_scale sys Sys_.Amd_milan ~n_workers:workers () in
-        Util.attach_trace inst;
-        ignore (Workloads.Streamcluster.run inst.Sys_.env params);
-        let r = Harness.Systems.report inst in
-        ( r.Engine.Stats.accesses.Engine.Stats.local_chiplet,
-          r.Engine.Stats.accesses.Engine.Stats.remote_chiplet,
-          r.Engine.Stats.accesses.Engine.Stats.dram )
+        let a = (Util.stats "tab2" (spec sys ~workers)).Engine.Stats.accesses in
+        Engine.Stats.(a.local_chiplet, a.remote_chiplet, a.dram)
       in
       let cl, cr, cd = counts Sys_.Charm in
       let sl, sr, sd = counts Sys_.Shoal in

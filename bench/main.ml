@@ -3,15 +3,19 @@
    experiment names (fig1 fig3 fig4 fig5 fig7 tab1 fig8 fig9 tab2 fig10
    fig11 fig12 fig13 fig14 ablation serve fault fleet taskgraph power
    core) to run a subset.  [--json FILE] additionally writes the typed
-   rows ({!Charm_bench.Row}) of the experiments that emit them: fleet,
-   taskgraph, power and core, whose committed baselines are
-   BENCH_fleet.json / BENCH_taskgraph.json / BENCH_power.json /
-   BENCH_core.json.  [check OLD.json NEW.json] compares two such files
-   under the gates those experiments declare. *)
+   rows ({!Charm_bench.Row}) of the experiments that emit them: every
+   run of fig1, fig7, fig8, fig9, tab2, fig10, tab1 and fig14 (each with
+   the spec that replays it), and fleet, taskgraph, power and core, whose
+   committed baselines are BENCH_fleet.json / BENCH_taskgraph.json /
+   BENCH_power.json / BENCH_core.json.  [check OLD.json NEW.json]
+   compares two such files under the gates those experiments declare.
+   An unknown experiment or a flag without its value exits 2. *)
 
 open Charm_bench
 
-let gated = [ Core_bench.schema; Fleet_bench.schema; Taskgraph_bench.schema; Power_bench.schema ]
+let gated =
+  [ Core_bench.schema; Fleet_bench.schema; Taskgraph_bench.schema; Power_bench.schema ]
+  @ List.map Util.figure_schema [ "fig1"; "fig7"; "fig8"; "fig9"; "tab2"; "fig10"; "tab1"; "fig14" ]
 
 let experiments =
   [
@@ -52,14 +56,22 @@ let () =
      emits them to one file; [--topology SPEC] re-runs the requested
      figures on a data-driven topology (file path or inline spec) instead
      of their preset machine.  The remaining arguments select experiments. *)
-  let rec split flag acc = function
-    | f :: v :: rest when f = flag -> (Some v, List.rev_append acc rest)
-    | a :: rest -> split flag (a :: acc) rest
-    | [] -> (None, List.rev acc)
+  let usage fmt = Printf.ksprintf (fun m -> prerr_endline ("bench: " ^ m); exit 2) fmt in
+  let rec parse flags names = function
+    | f :: rest when List.mem f [ "--trace"; "--json"; "--topology" ] -> (
+        match rest with
+        | v :: rest when not (String.starts_with ~prefix:"--" v) -> parse ((f, v) :: flags) names rest
+        | _ -> usage "%s needs a value" f)
+    | name :: rest -> parse flags (name :: names) rest
+    | [] -> (flags, List.rev names)
   in
-  let trace_file, args = split "--trace" [] args in
-  let json_file, args = split "--json" [] args in
-  let topology_spec, names = split "--topology" [] args in
+  let flags, names = parse [] [] args in
+  let trace_file = List.assoc_opt "--trace" flags in
+  let json_file = List.assoc_opt "--json" flags in
+  let topology_spec = List.assoc_opt "--topology" flags in
+  (match List.find_opt (fun n -> not (List.mem_assoc n experiments)) names with
+  | Some n -> usage "unknown experiment %S; known: %s" n (String.concat " " (List.map fst experiments))
+  | None -> ());
   Util.json_sink := json_file;
   Util.trace_sink := Option.map (fun _ -> Engine.Trace.create ()) trace_file;
   (match topology_spec with
@@ -67,22 +79,15 @@ let () =
   | Some spec -> (
       match Harness.Systems.custom_machine_of_spec spec with
       | Ok m -> Util.machine_override := Some m
-      | Error msg ->
-          Printf.eprintf "bench: bad --topology spec: %s\n" msg;
-          exit 2));
+      | Error msg -> usage "bad --topology spec: %s" msg));
   let requested = match names with [] -> List.map fst experiments | _ -> names in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some run ->
-          let start = Unix.gettimeofday () in
-          run ();
-          Printf.printf "  [%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. start)
-      | None ->
-          Printf.eprintf "unknown experiment %S; known: %s\n" name
-            (String.concat " " (List.map fst experiments));
-          exit 1)
+      let start = Unix.gettimeofday () in
+      (* a machine the experiment's runs do not fit, e.g. a small --topology *)
+      (try (List.assoc name experiments) () with Invalid_argument m -> usage "%s: %s" name m);
+      Printf.printf "  [%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. start))
     requested;
   (match (trace_file, !Util.trace_sink) with
   | Some file, Some tr ->

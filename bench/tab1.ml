@@ -9,18 +9,12 @@ let run () =
   Util.row "  %-10s %15s %15s %15s %15s\n" "workload" "rmtNUMA(charm)"
     "rmtNUMA(ring)" "local(charm)" "local(ring)";
   List.iter
-    (fun bench ->
+    (fun (name, kernel) ->
       let counts sys =
-        let _tp, inst =
-          Util.run_graph_bench ~sys ~kind:Sys_.Amd_milan ~workers:64 bench
-        in
-        let r = Harness.Systems.report inst in
-        ( r.Engine.Stats.accesses.Engine.Stats.remote_numa,
-          r.Engine.Stats.accesses.Engine.Stats.local_chiplet )
+        let a = (Util.stats "tab1" (Util.batch kernel sys ~workers:64)).Engine.Stats.accesses in
+        Engine.Stats.(a.remote_numa, a.local_chiplet)
       in
       let charm_numa, charm_local = counts Sys_.Charm in
       let ring_numa, ring_local = counts Sys_.Ring in
-      Util.row "  %-10s %15d %15d %15d %15d\n"
-        (Util.graph_bench_name bench)
-        charm_numa ring_numa charm_local ring_local)
-    Util.all_graph_benches
+      Util.row "  %-10s %15d %15d %15d %15d\n" name charm_numa ring_numa charm_local ring_local)
+    Util.graph_kernels

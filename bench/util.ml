@@ -1,11 +1,10 @@
-(* Shared bench machinery: build environments, run the six graph-suite
-   workloads, format paper-style tables. *)
+(* Shared bench machinery: run experiments and record their rows, format
+   paper-style tables. *)
 
-open Workloads
 module Sys_ = Harness.Systems
 
-(* Optional trace sink shared by every instance a figure builds: set by the
-   driver's [--trace FILE] flag, attached by {!run_graph_bench} (and any
+(* Optional trace sink shared by every instance a figure builds: set by
+   bench's [--trace FILE] flag, passed to every {!run} (and attached by any
    figure that calls {!attach_trace} on its own instances), written once at
    the end of the run.  All experiments append to one ring, so the file
    holds the newest window across the whole bench invocation. *)
@@ -18,7 +17,7 @@ let attach_trace inst =
       match inst.Sys_.charm with
       | Some rt -> Charm.Runtime.attach_trace rt tr
       | None ->
-          Engine.Sched.set_trace inst.Sys_.env.Exec_env.sched (Some tr))
+          Engine.Sched.set_trace inst.Sys_.env.Workloads.Exec_env.sched (Some tr))
 
 (* Optional machine-readable sink: set by the driver's [--json FILE] flag;
    experiments emit typed rows ({!Row}) alongside their human tables, and
@@ -70,74 +69,57 @@ let subsection title = Printf.printf "\n-- %s --\n" title
 
 let row fmt = Printf.printf fmt
 
-(* Default evaluation scale: graphs at 2^13 vertices with caches scaled
-   1:16 keep the paper's working-set : L3 ratio at tractable runtime. *)
-let default_cache_scale = 16
-let default_graph_scale = 14
+(* The figures' rows: one run of an experiment each, keyed by what varies
+   within a figure.  The spec replays the row through charm_run. *)
+let figure_schema name =
+  {
+    Row.name;
+    keys = [ "kernel"; "system"; "workers"; "graph_scale" ];
+    gates = [ ("events", Row.Exact) ];
+    columns = [ "value" ];
+  }
 
-type graph_bench = Bfs | Pr | Cc | Sssp | Gups_w | G500
+(* How {!run} executes an experiment; a test swaps in a stub to list a
+   figure's experiments without running them. *)
+let runner = ref (fun t -> Experiment.run ?trace:!trace_sink t)
 
-let graph_bench_name = function
-  | Bfs -> "BFS"
-  | Pr -> "PR"
-  | Cc -> "CC"
-  | Sssp -> "SSSP"
-  | Gups_w -> "GUPS"
-  | G500 -> "Graph500"
+(* Run a batch experiment of [figure], traced into the shared sink, and
+   record its row. *)
+let run figure (t : Experiment.t) =
+  let t0 = Unix.gettimeofday () in
+  let o = !runner t in
+  let wall = Unix.gettimeofday () -. t0 in
+  (match t.workload with
+  | Batch { kernel; _ } when !json_sink <> None ->
+      emit
+        (Row.make (figure_schema figure) ~spec:(Experiment.to_string t)
+           [
+             ("kernel", Key (Str (Experiment.kernel_name kernel)));
+             ("system", Key (Str (Sys_.sys_name t.sys)));
+             ("workers", Key (Int t.workers));
+             ("graph_scale", Key (Int t.graph_scale));
+             ("events", Sim (Int o.sim_events));
+             ("value", Sim (Num o.value));
+             ("wall_s", Host (Num wall));
+           ])
+  | _ -> ());
+  o
 
-let all_graph_benches = [ Bfs; Pr; Cc; Sssp; Gups_w; G500 ]
+let value figure t = (run figure t).value
+let stats figure t = Option.get (run figure t).stats
 
-(* Edge lists are deterministic per scale; cache them across systems so
-   every system sees the same graph. *)
-let kron_cache : (int, Kronecker.t) Hashtbl.t = Hashtbl.create 8
+(* The figures' base experiment: a batch kernel at the evaluation scale,
+   where graphs of 2^14 vertices with caches scaled 1:16 keep the paper's
+   working-set : L3 ratio at tractable runtime, on [machine] (or the
+   --topology machine). *)
+let base = experiment "charm_run --graph-scale 14"
 
-let kron ~scale =
-  match Hashtbl.find_opt kron_cache scale with
-  | Some k -> k
-  | None ->
-      let k = Kronecker.generate ~scale ~edge_factor:16 () in
-      Hashtbl.add kron_cache scale k;
-      k
+let batch ?machine:(kind = Sys_.Amd_milan) ?(cache_scale = base.cache_scale) kernel sys ~workers =
+  { base with sys; machine = machine kind; workers; cache_scale; workload = Batch { kernel; query = None } }
 
-let build_graph env ~scale ~weighted =
-  Csr.of_kronecker ~weighted
-    ~alloc:(fun ~elt_bytes ~count -> env.Exec_env.alloc_shared ~elt_bytes ~count)
-    (kron ~scale)
-
-(* Throughput of one graph-suite workload in work-items per second of
-   virtual time (edges/s for the graph algorithms, updates/s for GUPS). *)
-let run_graph_bench ?(cache_scale = default_cache_scale)
-    ?(graph_scale = default_graph_scale) ~sys ~kind ~workers bench =
-  let inst = Sys_.make ~cache_scale sys (machine kind) ~n_workers:workers () in
-  attach_trace inst;
-  let env = inst.Sys_.env in
-  let result =
-    match bench with
-    | Bfs ->
-        let g = build_graph env ~scale:graph_scale ~weighted:false in
-        snd (Bfs.run env g ~source:(Experiment.bfs_source g))
-    | Pr ->
-        let g = build_graph env ~scale:graph_scale ~weighted:false in
-        snd (Pagerank.run env g ())
-    | Cc ->
-        let g = build_graph env ~scale:graph_scale ~weighted:false in
-        snd (Concomp.run env g)
-    | Sssp ->
-        let g = build_graph env ~scale:graph_scale ~weighted:true in
-        snd (Sssp.run env g ~source:(Experiment.bfs_source g))
-    | Gups_w ->
-        (* table size tracks the graph scale, as the paper's Fig. 10 sweep
-           controls the number of vertices *)
-        Gups.run env
-          { Gups.table_words = 1 lsl (graph_scale + 6); updates = 1 lsl 16; seed = 17 }
-    | G500 ->
-        let g = build_graph env ~scale:graph_scale ~weighted:false in
-        Graph500.run env g
-          { Graph500.scale = graph_scale; edge_factor = 16; roots = 2; seed = 99 }
-  in
-  (Workload_result.throughput_per_s result, inst)
-
-let sys_label sys = Sys_.sys_name sys
+(* The graph suite of Figs. 7, 8 and 10 and Tab. 1, by table label *)
+let graph_kernels =
+  Experiment.[ ("BFS", Bfs); ("PR", Pagerank); ("CC", Cc); ("SSSP", Sssp); ("GUPS", Gups); ("Graph500", Graph500) ]
 
 let pp_throughput t =
   if t >= 1e9 then Printf.sprintf "%.2fG" (t /. 1e9)

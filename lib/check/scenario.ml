@@ -231,7 +231,7 @@ let generate ~mode ~seed =
 (* -- oracles ------------------------------------------------------------- *)
 
 (* every fuzzed run is traced, so the trace joins the determinism oracle *)
-let run t = E.run ~trace:true t
+let run t = E.run ~trace:(Engine.Trace.create ()) t
 
 type failure = { oracle : string; detail : string }
 

@@ -94,6 +94,7 @@ let machines =
   Systems.[ ("amd", Amd_milan); ("amd1s", Amd_milan_1s); ("intel", Intel_spr) ]
 
 let name_in table v = fst (List.find (fun (_, x) -> x = v) table)
+let kernel_name k = name_in kernels k
 
 let default_tenants =
   let tenant name weight mix = { name; weight; mix; replicas = 1 } in
@@ -258,7 +259,7 @@ let to_string t =
   (match t.workload with
   | Batch { kernel; query } ->
       flag charm_run.prog;
-      add "-w" (name_in kernels kernel);
+      add "-w" (kernel_name kernel);
       Option.iter (fun q -> add "-q" (int q)) query
   | Serve _ -> flag charm_serve.prog
   | Fleet (_, f) ->
@@ -810,6 +811,8 @@ type functional =
 type outcome = {
   report : string;
   result : functional;
+  value : float;
+  stats : Engine.Stats.report option;
   traces : Engine.Trace.t list;
   sim_events : int;
 }
@@ -838,15 +841,35 @@ let verify inst =
   Engine.Sched.check_quiescent (sched inst);
   Chipsim.Machine.check_invariants_full inst.Systems.machine
 
+(* The last Kronecker edge list, by seed and scale: a figure runs dozens
+   of kernels on one graph, and generating it takes ~0.1 s at scale 14.
+   The CSR built from it is allocated afresh in each run's memory. *)
+let kronecker_memo = ref None
+
 let kernel_graph env t ~weighted =
+  let key = (t.seed, t.graph_scale) in
+  let kron =
+    match !kronecker_memo with
+    | Some (k, kron) when k = key -> kron
+    | _ ->
+        let kron = Workloads.Kronecker.generate ?seed:t.seed ~scale:t.graph_scale ~edge_factor:16 () in
+        kronecker_memo := Some (key, kron);
+        kron
+  in
   let alloc ~elt_bytes ~count = env.Workloads.Exec_env.alloc_shared ~elt_bytes ~count in
-  Workloads.Csr.of_kronecker ~weighted ~alloc
-    (Workloads.Kronecker.generate ?seed:t.seed ~scale:t.graph_scale ~edge_factor:16 ())
+  Workloads.Csr.of_kronecker ~weighted ~alloc kron
 
 let bfs_source g =
   let rec go v = if v >= g.Workloads.Csr.n - 1 || Workloads.Csr.degree g v > 0 then v else go (v + 1) in
   go 0
 
+(* Fig. 9's streamcluster input: one batch of 16384 points in 128
+   dimensions, 8 MiB of points *)
+let streamcluster_params =
+  { Workloads.Streamcluster.points = 16384; dims = 128; batch = 16384; k_max = 12; search_rounds = 4; seed = 5 }
+
+(* Run a batch kernel, print its lines to [out] and return its functional
+   result and its {!outcome} value. *)
 let run_kernel out env t ~kernel ~query =
   let open Workloads in
   let line fmt = Printf.bprintf out fmt in
@@ -862,44 +885,47 @@ let run_kernel out env t ~kernel ~query =
       let g = graph ~weighted:false in
       let levels, r = Bfs.run env g ~source:(bfs_source g) in
       line "BFS: %.3e edges/s\n" (rate r);
-      Levels levels
+      (Levels levels, rate r)
   | Pagerank ->
       let ranks, r = Pagerank.run env (graph ~weighted:false) () in
       line "PageRank: %.3e edge-updates/s\n" (rate r);
-      Ranks ranks
+      (Ranks ranks, rate r)
   | Cc ->
       let _, r = Concomp.run env (graph ~weighted:false) in
       line "CC: %.3e edges/s\n" (rate r);
-      Nothing
+      (Nothing, rate r)
   | Sssp ->
       let g = graph ~weighted:true in
       let _, r = Sssp.run env g ~source:(bfs_source g) in
       line "SSSP: %.3e relaxations/s\n" (rate r);
-      Nothing
+      (Nothing, rate r)
   | Gups ->
-      let p = seeded Gups.default_params (fun s -> { Gups.default_params with Gups.seed = s }) in
-      line "GUPS: %.4f giga-updates/s\n" (Gups.gups (Gups.run env p));
-      Nothing
+      (* the table grows with the graph scale, as Fig. 10's sweep grows
+         the graphs *)
+      let p = { Gups.default_params with Gups.table_words = 1 lsl (t.graph_scale + 6) } in
+      let r = Gups.run env (seeded p (fun s -> { p with Gups.seed = s })) in
+      line "GUPS: %.4f giga-updates/s\n" (Gups.gups r);
+      (Nothing, rate r)
   | Graph500 ->
       let g = graph ~weighted:false in
-      let p = { Graph500.default_params with Graph500.scale = t.graph_scale } in
-      let p = seeded p (fun s -> { p with Graph500.seed = s }) in
-      line "Graph500: %.3e TEPS\n" (Graph500.teps (Graph500.run env g p));
-      Nothing
+      let p = { Graph500.default_params with Graph500.scale = t.graph_scale; roots = 2 } in
+      let r = Graph500.run env g (seeded p (fun s -> { p with Graph500.seed = s })) in
+      line "Graph500: %.3e TEPS\n" (Graph500.teps r);
+      (Nothing, rate r)
   | Streamcluster ->
-      let p =
-        seeded Streamcluster.default_params (fun s ->
-            { Streamcluster.default_params with Streamcluster.seed = s })
-      in
+      let p = seeded streamcluster_params (fun s -> { streamcluster_params with Streamcluster.seed = s }) in
       let o = Streamcluster.run env p in
       line "Streamcluster: %.3e point-center evals/s (cost %.1f, %d centers)\n"
         (rate o.Streamcluster.result) o.Streamcluster.total_cost o.Streamcluster.centers_opened;
-      Nothing
+      (Nothing, o.Streamcluster.result.Workload_result.makespan_ns)
   | Sgd ->
-      let data = Dataset.generate ~alloc ?seed ~samples:1024 ~features:1024 () in
-      let o = Dimmwitted.run env ~replica:Sgd.Per_node data in
+      let samples = 1024 in
+      let data = Dataset.generate ~alloc ?seed ~samples ~features:1024 () in
+      (* DimmWitted's own engine hands each core one coarse chunk *)
+      let grain = if t.sys = Systems.Dw_native then Some (max 1 (samples / t.workers)) else None in
+      let o = Dimmwitted.run env ~replica:Sgd.Per_node ?grain data in
       Buffer.add_string out (Format.asprintf "%a@." Dimmwitted.pp o);
-      Nothing
+      (Nothing, o.Dimmwitted.gradient_gbps)
   | Tpch ->
       let data = Olap.Tpch_data.generate ~alloc ?seed ~sf:0.01 () in
       let qs = match query with Some q -> [ q ] | None -> Olap.Tpch_queries.query_numbers in
@@ -912,17 +938,17 @@ let run_kernel out env t ~kernel ~query =
             r.Olap.Tpch_queries.checksum)
           qs
       in
-      (match checksums with [ c ] -> Checksum c | _ -> Nothing)
+      ((match checksums with [ c ] -> Checksum c | _ -> Nothing), 0.0)
   | Ycsb ->
       let p = seeded Oltp.Ycsb.default_params (fun s -> { Oltp.Ycsb.default_params with Oltp.Ycsb.seed = s }) in
       let o = Oltp.Ycsb.run env p in
       line "YCSB: %.3e commits/s (%d commits)\n" o.Oltp.Ycsb.commits_per_second o.Oltp.Ycsb.commits;
-      Nothing
+      (Nothing, o.Oltp.Ycsb.commits_per_second)
   | Tpcc ->
       let p = seeded Oltp.Tpcc.default_params (fun s -> { Oltp.Tpcc.default_params with Oltp.Tpcc.seed = s }) in
       let o = Oltp.Tpcc.run env p in
       line "TPC-C: %.3e commits/s (%d new orders)\n" o.Oltp.Tpcc.commits_per_second o.Oltp.Tpcc.new_orders;
-      Nothing
+      (Nothing, o.Oltp.Tpcc.commits_per_second)
   | Dag ->
       (* one inference DAG per shape under both mappers, so the comm-aware
          advantage is visible from the CLI *)
@@ -957,7 +983,7 @@ let run_kernel out env t ~kernel ~query =
             Mapper.all_policies;
           line "\n")
         Taskgraph.Graph.all_shapes;
-      Nothing
+      (Nothing, 0.0)
 
 let server_config t s ~trace =
   let seed = Option.value t.seed ~default:42 in
@@ -1016,12 +1042,10 @@ let serve ?trace t =
           (inst, report))
   | Batch _ | Fleet _ -> invalid_arg "Experiment.serve: not a single-machine serving experiment"
 
-let run_workload ~trace t =
-  let new_trace () = if trace then Some (Engine.Trace.create ()) else None in
+let run_workload ?trace t =
   match t.workload with
   | Batch { kernel; query } ->
       let inst = instance t in
-      let tr = new_trace () in
       (* CHARM wires every layer; baselines still get the scheduler's
          quantum / steal / park / migration timeline *)
       Option.iter
@@ -1029,28 +1053,32 @@ let run_workload ~trace t =
           match inst.Systems.charm with
           | Some rt -> Charm.Runtime.attach_trace rt tr
           | None -> Engine.Sched.set_trace (sched inst) (Some tr))
-        tr;
+        trace;
       let out = Buffer.create 1024 in
       Printf.bprintf out "system=%s machine=[%s] workers=%d cache-scale=%d\n"
         (Systems.sys_name t.sys)
         (Format.asprintf "%a" Topology.pp (Chipsim.Machine.topology inst.Systems.machine))
         t.workers t.cache_scale;
-      let result = run_kernel out inst.Systems.env t ~kernel ~query in
+      let result, value = run_kernel out inst.Systems.env t ~kernel ~query in
       if t.check then verify inst;
-      Buffer.add_string out (Format.asprintf "---@.%a@." Engine.Stats.pp (Systems.report inst));
+      let stats = Systems.report inst in
+      Buffer.add_string out (Format.asprintf "---@.%a@." Engine.Stats.pp stats);
       {
         report = Buffer.contents out;
         result;
-        traces = Option.to_list tr;
+        value;
+        stats = Some stats;
+        traces = Option.to_list trace;
         sim_events = Engine.Stats.sim_events inst.Systems.machine;
       }
   | Serve _ ->
-      let tr = new_trace () in
-      let inst, report = serve ?trace:tr t in
+      let inst, report = serve ?trace t in
       {
         report = Server.report_to_json report ^ "\n";
         result = Nothing;
-        traces = Option.to_list tr;
+        value = 0.0;
+        stats = Some (Systems.report inst);
+        traces = Option.to_list trace;
         sim_events = Engine.Stats.sim_events inst.Systems.machine;
       }
   | Fleet (s, f) ->
@@ -1069,17 +1097,19 @@ let run_workload ~trace t =
             diurnal_period_us = f.diurnal_period_us;
             faults = t.faults;
             relocation = f.relocation;
-            trace;
+            trace = Option.is_some trace;
           }
       in
       {
         report = Fleet.Cluster.result_to_json res ^ "\n";
         result = Placements res.Fleet.Cluster.placement_log;
+        value = 0.0;
+        stats = None;
         traces = res.Fleet.Cluster.traces;
         sim_events = Fleet.Cluster.sim_events res;
       }
 
-let run ?(trace = false) t = with_plant t (fun () -> run_workload ~trace t)
+let run ?trace t = with_plant t (fun () -> run_workload ?trace t)
 
 (* -- the command line ------------------------------------------------------ *)
 
@@ -1099,7 +1129,7 @@ let cli d ~doc =
     parse_argv (Cmd.info d.prog ~doc ~exits) Term.(const (fun t f -> (t, f)) $ term d $ trace_file)
   in
   let t0 = Unix.gettimeofday () in
-  match run ~trace:(trace_file <> None) t with
+  match run ?trace:(Option.map (fun _ -> Engine.Trace.create ()) trace_file) t with
   | exception Invalid_argument msg ->
       (* a configuration the simulator rejects: a user error, not a crash *)
       Printf.eprintf "%s: %s\n" d.prog msg;

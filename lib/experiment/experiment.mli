@@ -25,6 +25,9 @@ type kernel =
   | Dag
       (** one inference DAG per shape, run under both mappers *)
 
+val kernel_name : kernel -> string
+(** Its [-w] name: ["bfs"], ["pr"], ["graph500"], ... *)
+
 type tenant = {
   name : string;
   weight : float;  (** fair-queue share *)
@@ -118,22 +121,39 @@ type outcome = {
           machine statistics) or a serving/fleet JSON report, newline
           terminated *)
   result : functional;  (** what the oracles compare across runs *)
+  value : float;
+      (** a batch kernel's headline number, unrounded: work items per
+          virtual second for the graph kernels, GUPS and Graph500,
+          gradient GB/s for SGD, commits/s for YCSB and TPC-C, and for
+          streamcluster its simulated makespan in ns; 0 for TPC-H, DAG,
+          serving and fleet runs *)
+  stats : Engine.Stats.report option;
+      (** the machine's statistics after the run; [None] for a fleet *)
   traces : Engine.Trace.t list;  (** [] unless traced; a fleet's router first *)
   sim_events : int;  (** {!Engine.Stats.sim_events}, summed over machines *)
 }
 
 val kernel_graph : Workloads.Exec_env.t -> t -> weighted:bool -> Workloads.Csr.t
 (** The Kronecker graph a graph kernel of [t] runs on, allocated in the
-    given environment's simulated memory. *)
+    given environment's simulated memory.  The last edge list generated
+    is kept, keyed by [t]'s seed and graph scale, so runs on one graph
+    generate it once. *)
 
 val bfs_source : Workloads.Csr.t -> int
 (** The BFS/SSSP source vertex: the first vertex with an edge. *)
 
-val run : ?trace:bool -> t -> outcome
+val run : ?trace:Engine.Trace.t -> t -> outcome
 (** Build the instance (or cluster), arm energy accounting, checking,
-    faults, the planted bug and (with [~trace:true], default off) a
-    trace, run the workload and collect its report.  With [check], the
-    machine and scheduler are verified after the run.
+    faults and the planted bug, run the workload and collect its report.
+    A single machine records its events into [trace]; a fleet given a
+    [trace] records into a fresh router trace and one per shard instead.  With [check],
+    the machine and scheduler are verified after the run.
+
+    A batch kernel's inputs are fixed by [t]: graphs of
+    [2^graph_scale] vertices, a GUPS table of [2^(graph_scale+6)] words,
+    Graph500 from 2 roots, streamcluster on 16384 points of 128
+    dimensions, and SGD on 1024 samples, which [Dw_native] splits into
+    one chunk per worker.
     @raise Invalid_argument on a configuration the simulator rejects.
     @raise Chipsim.Invariant.Violation when checking finds a violation. *)
 

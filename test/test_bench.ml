@@ -1,6 +1,6 @@
 (* The bench row format: [bench check]'s gates on fixture baseline/run
-   pairs, and every committed taskgraph and power row replaying from its
-   own spec. *)
+   pairs, every committed taskgraph and power row replaying from its own
+   spec, and the paper figures' rows as replayable experiments. *)
 
 open Charm_bench
 
@@ -117,6 +117,82 @@ let test_specs_replay () =
         specs)
     [ ("../BENCH_taskgraph.json", "infer", "infer_p99_us"); ("../BENCH_power.json", "graph", "graph_p99_us") ]
 
+(* -- figure rows -------------------------------------------------------- *)
+
+let spec_figures = [ Fig1.run; Fig7.run; Fig8.run; Fig9.run; Fig9.run_tab2; Fig10.run; Tab1.run; Fig14.run ]
+
+(* every experiment the spec-built figures run, listed by a stub runner
+   that answers each with one small run's outcome *)
+let figure_experiments () =
+  let canned = Experiment.run (Util.experiment "charm_run -w gups -n 2 --graph-scale 4") in
+  let seen = ref [] in
+  let real = !Util.runner in
+  (Util.runner :=
+     fun t ->
+       seen := t :: !seen;
+       { canned with value = 1.0 });
+  Fun.protect ~finally:(fun () -> Util.runner := real) (fun () -> List.iter (fun run -> run ()) spec_figures);
+  List.rev !seen
+
+let test_figure_specs_roundtrip () =
+  let ts = figure_experiments () in
+  Alcotest.(check int) "runs in the eight figures" 483 (List.length ts);
+  List.iter
+    (fun t ->
+      let line = Experiment.to_string t in
+      Alcotest.(check bool) line true (Experiment.of_string line = Ok t))
+    ts
+
+(* one small row per kernel kind, run by the bench runner, replays from
+   its spec string to the row's value and event count *)
+let test_rows_replay () =
+  let module S = Harness.Systems in
+  let rows =
+    Experiment.
+      [
+        { (Util.batch Bfs S.Charm ~workers:16) with graph_scale = 10 };
+        { (Util.batch Gups S.Ring ~workers:16) with graph_scale = 10 };
+        Util.batch ~cache_scale:Fig9.cache_scale Streamcluster S.Shoal ~workers:16;
+        Util.batch Sgd S.Dw_native ~workers:16;
+        Util.batch ~cache_scale:32 Ycsb S.Local_cache ~workers:8;
+      ]
+  in
+  Util.json_sink := Some "rows.json";
+  Fun.protect
+    ~finally:(fun () ->
+      Util.json_sink := None;
+      Util.json_rows := [])
+    (fun () ->
+      List.iter
+        (fun t ->
+          Util.json_rows := [];
+          ignore (Util.run "replay" t : Experiment.outcome);
+          match !Util.json_rows with
+          | [ { Row.spec = Some spec; fields; _ } ] ->
+              let replay =
+                match Experiment.of_string spec with Ok t -> Experiment.run t | Error m -> Alcotest.fail m
+              in
+              let sim k = match List.assoc_opt k fields with Some (Row.Sim v) -> v | _ -> Alcotest.failf "%s: no %s" spec k in
+              Alcotest.(check bool) (spec ^ ": events") true (sim "events" = Int replay.sim_events);
+              Alcotest.(check bool) (spec ^ ": value") true (sim "value" = Num replay.value)
+          | _ -> Alcotest.fail "want one row with a spec")
+        rows)
+
+(* the Kronecker edge list a graph kernel reuses gives the run a freshly
+   generated one gives *)
+let test_graph_memo () =
+  let run line =
+    let o = Experiment.run (Util.experiment line) in
+    (o.report, o.result, o.sim_events)
+  in
+  List.iter
+    (fun k ->
+      let line = Printf.sprintf "charm_run -w %s -n 8 --graph-scale 8" k in
+      ignore (run "charm_run -w bfs -n 8 --graph-scale 7");
+      let cold = run line in
+      Alcotest.(check bool) (line ^ ": warm = cold") true (run line = cold))
+    [ "bfs"; "sssp"; "pr" ]
+
 let () =
   Alcotest.run "bench"
     [
@@ -128,4 +204,10 @@ let () =
           Alcotest.test_case "rows render and parse back" `Quick test_render_parses_back;
         ] );
       ("rows", [ Alcotest.test_case "committed specs replay" `Quick test_specs_replay ]);
+      ( "figures",
+        [
+          Alcotest.test_case "every row's spec round-trips" `Quick test_figure_specs_roundtrip;
+          Alcotest.test_case "rows replay from their specs" `Quick test_rows_replay;
+          Alcotest.test_case "a reused graph runs as a fresh one" `Quick test_graph_memo;
+        ] );
     ]
