@@ -23,6 +23,10 @@ let catalog =
     ( "machine.l3-ways",
       "every chiplet's effective L3 ways stay within [1, configured ways] \
        under way-masking faults" );
+    ( "machine.directory-agreement",
+      "every line in a chiplet's L3 has that chiplet's directory holder \
+       bit, and every set holder bit is backed by a line in that chiplet's \
+       L3 (way-loss faults and evictions leave no stale holders)" );
     ( "memchan.ring-conservation",
       "per memory node, live time-bin bytes never exceed the node's total \
        accounted bytes, bins are line-aligned and slot ids map back to \

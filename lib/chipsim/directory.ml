@@ -155,6 +155,13 @@ let nearest_holder topo t ~line ~from_chiplet =
   | -1 -> None
   | c -> Some c
 
+let iter t f =
+  for line = 0 to Array.length t.dense - 1 do
+    let m = Array.unsafe_get t.dense line in
+    if m <> 0 then f line m
+  done;
+  Intmap.iter t.sparse f
+
 let clear t =
   Array.fill t.dense 0 (Array.length t.dense) 0;
   Intmap.clear t.sparse

@@ -41,4 +41,8 @@ val claim : t -> line:int -> chiplet:int -> int
     bitmask of the other chiplets that held it.  Not range-checked, like
     {!fill}. *)
 
+val iter : t -> (int -> int -> unit) -> unit
+(** [iter t f] calls [f line mask] for every line with a non-empty holder
+    mask (O(tracked lines); for invariant checks). *)
+
 val clear : t -> unit

@@ -170,7 +170,11 @@ let modifiers t = t.mods
 let set_l3_ways t ~chiplet ~ways =
   if chiplet < 0 || chiplet >= Array.length t.l3 then
     invalid_arg "Machine.set_l3_ways: chiplet out of range";
-  Cache.set_effective_ways t.l3.(chiplet) ways
+  (* a dropped line leaves the chiplet, so the directory must forget it
+     there: a later miss elsewhere would otherwise be charged a remote
+     fill from a chiplet that no longer holds the line *)
+  Cache.set_effective_ways t.l3.(chiplet) ways ~on_drop:(fun line ->
+      Directory.remove t.dir ~line ~chiplet)
 
 let l3_ways t ~chiplet =
   if chiplet < 0 || chiplet >= Array.length t.l3 then
@@ -538,7 +542,27 @@ let check_invariants_full t =
   if Float.abs (!per_chiplet -. total) > 1e-6 *. Float.max 1.0 total then
     Invariant.fail
       "machine: per-chiplet energy sums to %g pJ but the machine total is %g pJ"
-      !per_chiplet total
+      !per_chiplet total;
+  (* directory agreement: a chiplet's holder bit is set exactly for the
+     lines its L3 holds *)
+  Array.iteri
+    (fun chiplet l3 ->
+      Cache.iter l3 (fun line ->
+          if not (Directory.holds t.dir ~line ~chiplet) then
+            Invariant.fail
+              "machine: line %d is in chiplet %d's L3 but the directory has \
+               no holder bit for it"
+              line chiplet))
+    t.l3;
+  Directory.iter t.dir (fun line mask ->
+      for chiplet = 0 to t.nchiplets - 1 do
+        if mask land (1 lsl chiplet) <> 0 && not (Cache.probe t.l3.(chiplet) line)
+        then
+          Invariant.fail
+            "machine: the directory lists chiplet %d as a holder of line %d \
+             but its L3 does not hold it"
+            chiplet line
+      done)
 
 let reset t =
   flush_caches t;

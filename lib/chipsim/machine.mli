@@ -151,8 +151,9 @@ val check_invariants : t -> unit
 
 val check_invariants_full : t -> unit
 (** {!check_invariants} plus the O(nodes x slots) {!Memchan} ring scans of
-    the DRAM channels and the chiplet I/O-die links — end-of-run and
-    fuzzer verification.
+    the DRAM channels and the chiplet I/O-die links, and the O(L3 lines)
+    check that the {!Directory} holder bits name exactly the lines each
+    chiplet's L3 holds — end-of-run and fuzzer verification.
     @raise Invariant.Violation describing the first broken invariant. *)
 
 val flush_caches : t -> unit

@@ -190,6 +190,30 @@ let test_access_allocates_nothing () =
   zero "write invalidating two holders" Pmu.Coherence_invalidation ~core:16
     ~write:true 8 2
 
+(* Chiplet 0 fills its whole L3 (8,192 lines at scale 64), loses all but
+   one way, and chiplet 1 then reads the same lines: only the 512 lines
+   chiplet 0 still holds may come from it, the rest from DRAM.  Stale
+   directory bits for the dropped lines would make all 8,192 remote
+   fills. *)
+let test_l3_way_loss_clears_directory () =
+  let m = Machine.create (Presets.amd_milan ~scale:64 ()) in
+  let lines = 8192 in
+  let r = Machine.alloc m ~elt_bytes:64 ~count:lines () in
+  for i = 0 to lines - 1 do
+    ignore (Machine.touch m ~core:0 ~now_ns:0.0 ~write:false r i)
+  done;
+  Machine.set_l3_ways m ~chiplet:0 ~ways:1;
+  Machine.check_invariants_full m;
+  for i = 0 to lines - 1 do
+    ignore (Machine.touch m ~core:8 ~now_ns:0.0 ~write:false r i)
+  done;
+  let pmu = Machine.pmu m in
+  Alcotest.(check int) "remote-chiplet fills" 512
+    (Pmu.read pmu ~core:8 Pmu.Fill_remote_chiplet);
+  Alcotest.(check int) "dram fills" (lines - 512)
+    (Pmu.read pmu ~core:8 Pmu.Dram_local + Pmu.read pmu ~core:8 Pmu.Dram_remote);
+  Machine.check_invariants_full m
+
 let suite =
   [
     Alcotest.test_case "dram then cache hits" `Quick test_dram_then_l3;
@@ -204,6 +228,8 @@ let suite =
     Alcotest.test_case "remote dram" `Quick test_remote_dram;
     Alcotest.test_case "touch_range per line" `Quick test_touch_range_lines;
     Alcotest.test_case "flush" `Quick test_flush;
+    Alcotest.test_case "L3 way loss clears directory" `Quick
+      test_l3_way_loss_clears_directory;
     Alcotest.test_case "access allocates nothing per fill class" `Quick
       test_access_allocates_nothing;
   ]
