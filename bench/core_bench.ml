@@ -17,9 +17,6 @@
 open Chipsim
 module Sched = Engine.Sched
 module Par = Engine.Par
-module Sys_ = Harness.Systems
-module Server = Serving.Server
-module Cluster = Fleet.Cluster
 
 let reps = 3
 let cache_scale = 16
@@ -69,61 +66,29 @@ let run_batch () =
   let wall = Unix.gettimeofday () -. t0 in
   (Engine.Stats.sim_events machine, wall, makespan)
 
-(* -- serve: the charm_serve configuration at a fixed load on one machine *)
+(* -- serve and fleet: charm_serve lines, carried in their rows -- one
+   machine at a fixed load, and a small cluster (events summed over shards) *)
 
-let run_serve () =
-  let inst = Sys_.make ~cache_scale Sys_.Charm (Util.machine Sys_.Amd_milan) ~n_workers:16 () in
-  let base = Server.default_config ~seed:42 in
-  let cfg =
-    {
-      base with
-      Server.tenants =
-        List.map
-          (fun t ->
-            {
-              t with
-              Server.process = Serving.Arrivals.Open_loop { rate_per_s = 10_000.0 };
-            })
-          base.Server.tenants;
-    }
-  in
+let run_serve t =
+  let _, r, events, wall = Util.serve t in
+  (events, wall, r.Serving.Server.makespan_ns)
+
+let run_fleet t =
   let t0 = Unix.gettimeofday () in
-  let r = Server.run inst cfg in
+  let res = Experiment.fleet t in
   let wall = Unix.gettimeofday () -. t0 in
-  (Engine.Stats.sim_events inst.Sys_.machine, wall, r.Server.makespan_ns)
+  (Fleet.Cluster.sim_events res, wall, res.Fleet.Cluster.makespan_ns)
 
-(* -- fleet: a small cluster (event counts multiplied by N shards) *)
-
-let run_fleet () =
-  let base = Cluster.default_config ~seed:42 in
-  let serve = base.Cluster.serve in
-  let tenants =
-    List.map
-      (fun t ->
-        {
-          t with
-          Server.process = Serving.Arrivals.Open_loop { rate_per_s = 8_000.0 };
-          jobs = 30;
-        })
-      serve.Server.tenants
+let scenarios () =
+  let serving name line run =
+    let t = Util.serving line in
+    (name, Some (Experiment.to_string t), fun () -> run t)
   in
-  let cfg =
-    {
-      base with
-      Cluster.n_shards = 2;
-      machines = [ Util.machine Sys_.Amd_milan ];
-      n_workers = 8;
-      cache_scale;
-      serve = { serve with Server.tenants; check = false };
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let res = Cluster.run cfg in
-  let wall = Unix.gettimeofday () -. t0 in
-  (Cluster.sim_events res, wall, res.Cluster.makespan_ns)
-
-let scenarios =
-  [ ("batch", run_batch); ("serve", run_serve); ("fleet", run_fleet) ]
+  [
+    ("batch", None, run_batch);
+    serving "serve" "charm_serve -n 16 --rate 10000" run_serve;
+    serving "fleet" "charm_serve --fleet 2 -n 8 --rate 8000 --jobs 30" run_fleet;
+  ]
 
 (* the event count is deterministic, so any drift is a semantic change;
    events/s is wall-clock and runner-dependent, so it gates loosely *)
@@ -140,7 +105,7 @@ let run () =
   Util.row "  %-8s %12s %9s %14s %12s\n" "scenario" "events" "wall(s)"
     "events/sec" "makespan(us)";
   List.iter
-    (fun (name, f) ->
+    (fun (name, spec, f) ->
       let best = ref None in
       let events0 = ref 0 in
       for _ = 1 to reps do
@@ -161,7 +126,7 @@ let run () =
       Util.row "  %-8s %12d %9.3f %14.0f %12.1f\n" name !events0 wall eps
         (makespan /. 1e3);
       Util.emit
-        (Row.make schema
+        (Row.make schema ?spec
            [
              ("scenario", Key (Str name));
              ("events", Sim (Int !events0));
@@ -169,4 +134,4 @@ let run () =
              ("events_per_s", Host (Num eps));
              ("makespan_us", Sim (Num (makespan /. 1e3)));
            ]))
-    scenarios
+    (scenarios ())

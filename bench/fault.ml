@@ -7,42 +7,31 @@
    CHARM's health monitor flags the chiplet and the policy flees it, so
    its p99 re-converges to within 2x of the pre-fault tail once the gang
    has resettled — while fault-blind placements keep scheduling work onto
-   the degraded silicon and never recover. *)
+   the degraded silicon and never recover.  Every row is the charm_serve
+   line [experiment] builds, printed under it. *)
 
 module Sys_ = Harness.Systems
-module Server = Serving.Server
 module Histogram = Serving.Histogram
 
-let seed = 42
-let n_workers = 32
-let cache_scale = 16
-let rate = 5_000.0  (* per tenant; aggregate 3x *)
-let jobs = 60  (* per tenant: ~12 ms of arrivals *)
 let fault_us = 3_000.0
 let settle_us = 4_000.0
+let systems = [ Sys_.Charm; Sys_.Ring; Sys_.Os_default ]
 
-let systems =
-  [ (Sys_.Charm, "charm"); (Sys_.Ring, "ring"); (Sys_.Os_default, "os-default") ]
+(* 5000 jobs/s and 60 jobs per tenant (~12 ms of arrivals) of charm_serve's
+   three default tenants, with the meltdown built for the machine it hits *)
+let experiment sys =
+  let t =
+    Util.serving
+      (Printf.sprintf "charm_serve -s %s -n 32 --rate 5000 --jobs 60" (Sys_.sys_name sys))
+  in
+  let topo = Sys_.topology t.machine ~cache_scale:t.cache_scale in
+  { t with faults = [ (0, Faults.Schedule.chiplet_meltdown ~topo ~chiplet:0 ~at_us:fault_us ()) ] }
 
 (* latency histograms windowed by job arrival time *)
 type windows = { pre : Histogram.t; during : Histogram.t; post : Histogram.t }
 
 let run_one sys =
-  let inst = Sys_.make ~cache_scale sys (Util.machine Sys_.Amd_milan) ~n_workers () in
-  let topo = Chipsim.Machine.topology inst.Sys_.machine in
-  let schedule =
-    Faults.Schedule.chiplet_meltdown ~topo ~chiplet:0 ~at_us:fault_us ()
-  in
-  ignore
-    (Faults.Injector.attach inst.Sys_.env.Workloads.Exec_env.sched schedule
-      : Faults.Injector.t);
-  let w =
-    {
-      pre = Histogram.create ();
-      during = Histogram.create ();
-      post = Histogram.create ();
-    }
-  in
+  let w = { pre = Histogram.create (); during = Histogram.create (); post = Histogram.create () } in
   let on_complete ~tenant:_ ~kind:_ ~submit_ns ~finish_ns =
     let h =
       if submit_ns < fault_us *. 1e3 then w.pre
@@ -51,25 +40,9 @@ let run_one sys =
     in
     Histogram.observe h (finish_ns -. submit_ns)
   in
-  let base = Server.default_config ~seed in
-  let cfg =
-    {
-      base with
-      Server.tenants =
-        List.map
-          (fun t ->
-            {
-              t with
-              Server.process = Serving.Arrivals.Open_loop { rate_per_s = rate };
-              jobs;
-            })
-          base.Server.tenants;
-      on_complete = Some on_complete;
-      trace = !Util.trace_sink;
-    }
-  in
-  ignore (Server.run inst cfg : Server.report);
-  (w, inst)
+  let t = experiment sys in
+  let inst, _, _, _ = Util.serve ~on_complete t in
+  (t, w, inst)
 
 let run () =
   Util.section
@@ -78,15 +51,15 @@ let run () =
   Util.row "  %-10s %12s %12s %12s %9s %s\n" "system" "pre(us)" "during(us)"
     "post(us)" "post/pre" "verdict";
   List.iter
-    (fun (sys, name) ->
-      let w, inst = run_one sys in
+    (fun sys ->
+      let t, w, inst = run_one sys in
       let pre = Histogram.p99 w.pre and post = Histogram.p99 w.post in
       let ratio = if pre > 0.0 then post /. pre else 0.0 in
       let verdict = if ratio <= 2.0 then "recovered" else "degraded" in
-      Util.row "  %-10s %12.1f %12.1f %12.1f %9.2f %s\n" name (pre /. 1e3)
+      Util.row "  %-10s %12.1f %12.1f %12.1f %9.2f %s\n" (Sys_.sys_name sys) (pre /. 1e3)
         (Histogram.p99 w.during /. 1e3)
         (post /. 1e3) ratio verdict;
-      match inst.Sys_.charm with
+      (match inst.Sys_.charm with
       | Some rt ->
           let st = Charm.Policy.stats (Charm.Runtime.policy rt) in
           (* detection latency = first sick flag for the melted chiplet at
@@ -112,5 +85,6 @@ let run () =
           | None ->
               Util.row "  %-10s no sick flag raised (%d health migrations)\n"
                 "" st.Charm.Policy.health_migrations)
-      | None -> ())
+      | None -> ());
+      Util.row "  %-10s %s\n" "" (Experiment.to_string t))
     systems

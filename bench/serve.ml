@@ -3,35 +3,22 @@
    heterogeneity-aware mapping does not just raise batch throughput, it
    moves the latency knee: at equal offered load the CHARM-placed server
    holds lower p95/p99 and fewer SLO violations because job working sets
-   stay on local chiplets while baselines spill to remote caches. *)
+   stay on local chiplets while baselines spill to remote caches.  Every
+   row is the charm_serve line [experiment] builds. *)
 
 module Sys_ = Harness.Systems
 module Server = Serving.Server
 module Histogram = Serving.Histogram
 
-let seed = 42
-let n_workers = 32
-let cache_scale = 16
-
-let systems =
-  [ (Sys_.Charm, "charm"); (Sys_.Ring, "ring"); (Sys_.Os_default, "os-default") ]
+let systems = [ Sys_.Charm; Sys_.Ring; Sys_.Os_default ]
 
 (* per-tenant offered load; aggregate is 3x this *)
 let rates = [ 2_000.0; 5_000.0; 10_000.0; 20_000.0 ]
 
-let config ~rate =
-  let base = Server.default_config ~seed in
-  {
-    base with
-    Server.tenants =
-      List.map
-        (fun t ->
-          {
-            t with
-            Server.process = Serving.Arrivals.Open_loop { rate_per_s = rate };
-          })
-        base.Server.tenants;
-  }
+(* charm_serve's three default tenants; seed 42 and cache scale 16 are
+   its defaults *)
+let experiment sys ~rate =
+  Util.serving (Printf.sprintf "charm_serve -s %s -n 32 --rate %g" (Sys_.sys_name sys) rate)
 
 (* aggregate per-tenant latency distributions into one server-wide
    histogram instead of eyeballing the worst tenant: merged percentiles
@@ -43,12 +30,6 @@ let merged_latency r =
     r.Server.tenant_reports;
   h
 
-let run_one sys ~rate =
-  let inst = Sys_.make ~cache_scale sys (Util.machine Sys_.Amd_milan) ~n_workers () in
-  (* the driver's --trace sink, if set, rides in on the server config so
-     job lifecycle and counter events are captured too *)
-  Server.run inst { (config ~rate) with Server.trace = !Util.trace_sink }
-
 let run () =
   Util.section
     "Serve - tail latency vs offered load (3 tenants, merged distribution)";
@@ -57,10 +38,10 @@ let run () =
   List.iter
     (fun rate ->
       List.iter
-        (fun (sys, name) ->
-          let r = run_one sys ~rate in
+        (fun sys ->
+          let _, r, _, _ = Util.serve (experiment sys ~rate) in
           let h = merged_latency r in
-          Util.row "  %-10.0f | %-10s %9.1f %9.1f %9.1f %6d %6d\n" rate name
+          Util.row "  %-10.0f | %-10s %9.1f %9.1f %9.1f %6d %6d\n" rate (Sys_.sys_name sys)
             (Histogram.p50 h /. 1e3)
             (Histogram.p95 h /. 1e3)
             (Histogram.p99 h /. 1e3)

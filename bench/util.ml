@@ -42,12 +42,24 @@ let experiment line =
   | Ok t -> t
   | Error m -> failwith (Printf.sprintf "bench experiment %S: %s" line m)
 
+(* Optional machine override: set by the driver's [--topology SPEC] flag.
+   Figures route their preset through {!machine} when building instances,
+   so one flag re-runs any figure on a data-driven topology. *)
+let machine_override : Sys_.machine_kind option ref = ref None
+let machine kind = match !machine_override with Some m -> m | None -> kind
+
+(* A serving row's experiment: a charm_serve line, run on the --topology
+   machine when one is set. *)
+let serving line =
+  let t = experiment line in
+  { t with machine = machine t.machine }
+
 (* Run a single-machine serving experiment through charm_serve's path,
-   traced into the shared sink: its instance, report, simulated events and
-   wall-clock seconds. *)
-let serve t =
+   traced into the shared sink and observed by [on_complete]: its
+   instance, report, simulated events and wall-clock seconds. *)
+let serve ?on_complete t =
   let t0 = Unix.gettimeofday () in
-  let inst, report = Experiment.serve ?trace:!trace_sink t in
+  let inst, report = Experiment.serve ?trace:!trace_sink ?on_complete t in
   (inst, report, Engine.Stats.sim_events inst.Sys_.machine, Unix.gettimeofday () -. t0)
 
 let latency (report : Serving.Server.report) tenant =
@@ -55,12 +67,6 @@ let latency (report : Serving.Server.report) tenant =
     .latency
 
 let total f (report : Serving.Server.report) = List.fold_left (fun acc tr -> acc + f tr) 0 report.tenant_reports
-
-(* Optional machine override: set by the driver's [--topology SPEC] flag.
-   Figures route their preset through {!machine} when building instances,
-   so one flag re-runs any figure on a data-driven topology. *)
-let machine_override : Sys_.machine_kind option ref = ref None
-let machine kind = match !machine_override with Some m -> m | None -> kind
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')

@@ -7,10 +7,8 @@ type t = {
   initial_spread : int;
   rebind_memory_on_migrate : bool;
   profile_while_running : bool;
-  profiler_overhead_ns : float;
   chiplet_first_steal : bool;
   decentralized : bool;
-  prefer_big_cores : bool;
   energy_weight : float;
   power_cap_mw : float;
 }
@@ -23,10 +21,8 @@ let default =
     initial_spread = 1;
     rebind_memory_on_migrate = true;
     profile_while_running = true;
-    profiler_overhead_ns = 40.0;
     chiplet_first_steal = true;
     decentralized = true;
-    prefer_big_cores = true;
     energy_weight = 0.0;
     power_cap_mw = 0.0;
   }
@@ -39,8 +35,6 @@ let validate t topo =
   let chiplets = Chipsim.Topology.num_chiplets topo in
   if t.initial_spread < 1 || t.initial_spread > chiplets then
     invalid_arg "Config: initial_spread out of [1, chiplets]";
-  if t.profiler_overhead_ns < 0.0 then
-    invalid_arg "Config: profiler_overhead_ns must be non-negative";
   if t.energy_weight < 0.0 || not (Float.is_finite t.energy_weight) then
     invalid_arg "Config: energy_weight must be finite and non-negative";
   if t.power_cap_mw < 0.0 || not (Float.is_finite t.power_cap_mw) then

@@ -84,7 +84,7 @@ let chiplet_speed_order topo ~socket =
     order;
   order
 
-let core_of_worker ?(prefer_fast = true) topo ~spread_rate ~n_workers ~worker =
+let core_of_worker topo ~spread_rate ~n_workers ~worker =
   if worker < 0 || worker >= n_workers then
     invalid_arg "Placement.core_of_worker: worker out of range";
   if not (valid_spread topo ~spread_rate ~n_workers) then None
@@ -102,7 +102,7 @@ let core_of_worker ?(prefer_fast = true) topo ~spread_rate ~n_workers ~worker =
     if slot >= cpc || chiplet >= topo.Topology.chiplets_per_socket then None
     else begin
       let chiplet =
-        if prefer_fast && Topology.heterogeneous topo then
+        if Topology.heterogeneous topo then
           (chiplet_speed_order topo ~socket).(chiplet)
         else chiplet
       in
@@ -110,14 +110,14 @@ let core_of_worker ?(prefer_fast = true) topo ~spread_rate ~n_workers ~worker =
     end
   end
 
-let gang ?(prefer_fast = true) topo ~spread_rate ~n_workers =
+let gang topo ~spread_rate ~n_workers =
   if not (valid_spread topo ~spread_rate ~n_workers) then None
   else begin
     let cores = Array.make n_workers (-1) in
     let seen = Array.make (Topology.num_cores topo) false in
     let ok = ref true in
     for w = 0 to n_workers - 1 do
-      match core_of_worker ~prefer_fast topo ~spread_rate ~n_workers ~worker:w with
+      match core_of_worker topo ~spread_rate ~n_workers ~worker:w with
       | None -> ok := false
       | Some core ->
           if seen.(core) then ok := false

@@ -12,19 +12,18 @@
 open Chipsim
 
 val core_of_worker :
-  ?prefer_fast:bool ->
   Topology.t -> spread_rate:int -> n_workers:int -> worker:int -> int option
 (** The Alg. 2 core for [worker], or [None] when the bounds check fails
     (spread out of range, or too few dedicated cores for the gang at this
     spread).  Guaranteed injective over [worker] for a fixed valid
     configuration.
 
-    On a heterogeneous topology with [prefer_fast] (the default), the
-    socket's chiplets are visited general-task chiplets first, each band
-    in descending kind-speed order, so a gang fills big-core chiplets
-    before little ones and only reaches accelerator-only chiplets
-    ([general_tasks = false]) when it cannot fit elsewhere; the order is
-    stable, so homogeneous topologies are unaffected. *)
+    On a heterogeneous topology the socket's chiplets are visited
+    general-task chiplets first, each band in descending kind-speed
+    order, so a gang fills big-core chiplets before little ones and only
+    reaches accelerator-only chiplets ([general_tasks = false]) when it
+    cannot fit elsewhere; the order is stable, so homogeneous topologies
+    are unaffected. *)
 
 val valid_spread : Topology.t -> spread_rate:int -> n_workers:int -> bool
 (** The Alg. 2 line-2 sanity check. *)
@@ -48,6 +47,5 @@ val chiplet_speed_order : Topology.t -> socket:int -> int array
     other mappers (the task-graph mapper) fall back to. *)
 
 val gang :
-  ?prefer_fast:bool ->
   Topology.t -> spread_rate:int -> n_workers:int -> int array option
 (** All workers' cores at once ([gang.(w)] = core of worker [w]). *)

@@ -104,8 +104,7 @@ let update_location t sched ~worker ~core =
   let topo = Machine.topology t.machine in
   let st = t.states.(worker) in
   match
-    Placement.core_of_worker ~prefer_fast:t.config.Config.prefer_big_cores topo
-      ~spread_rate:st.spread ~n_workers:t.n_workers ~worker
+    Placement.core_of_worker topo ~spread_rate:st.spread ~n_workers:t.n_workers ~worker
   with
   | None -> t.s_skipped <- t.s_skipped + 1
   | Some target when target = core -> ()
@@ -133,7 +132,6 @@ let flee_sick_chiplet t sched ~worker ~core =
   let topo = Machine.topology t.machine in
   if chiplet_avoid t (Topology.chiplet_of_core topo core) then begin
     let cores = Topology.num_cores topo in
-    let prefer_fast = t.config.Config.prefer_big_cores in
     let best = ref (-1) and best_rank = ref max_int and best_speed = ref 0.0 in
     for c = 0 to cores - 1 do
       if
@@ -152,13 +150,8 @@ let flee_sick_chiplet t sched ~worker ~core =
         (* accelerator-only chiplets are a last resort for fleeing
            general work, ranked past any general-task core *)
         let r =
-          if
-            prefer_fast
-            && not
-                 (Topology.chiplet_accepts_general topo
-                    (Topology.chiplet_of_core topo c))
-          then r + 8
-          else r
+          if Topology.chiplet_accepts_general topo (Topology.chiplet_of_core topo c) then r
+          else r + 8
         in
         let s =
           let speed = Topology.core_speed topo c in
@@ -179,7 +172,7 @@ let flee_sick_chiplet t sched ~worker ~core =
         in
         (* equal-distance candidates: prefer the faster kind (strict >, so
            homogeneous machines still pick the lowest-numbered core) *)
-        if r < !best_rank || (r = !best_rank && prefer_fast && s > !best_speed)
+        if r < !best_rank || (r = !best_rank && s > !best_speed)
         then begin
           best_rank := r;
           best_speed := s;
@@ -208,15 +201,10 @@ let evaluate t sched ~worker ~now ~elapsed =
   in
   let decision = Controller.decide t.controller ~degraded sample in
   let topo = Machine.topology t.machine in
-  let chiplets = topo.Topology.chiplets_per_socket in
   let min_spread = Placement.min_valid_spread topo ~n_workers:t.n_workers in
   (* general work never spreads onto accelerator-only chiplets while the
      gang fits on the general ones *)
-  let max_spread =
-    if t.config.Config.prefer_big_cores then
-      Placement.max_general_spread topo ~n_workers:t.n_workers
-    else chiplets
-  in
+  let max_spread = Placement.max_general_spread topo ~n_workers:t.n_workers in
   if rate >= decision.Controller.threshold then begin
     if st.spread < max_spread then begin
       st.spread <- st.spread + 1;
@@ -272,13 +260,8 @@ let centralized_evaluate t sched ~now ~elapsed =
   in
   let decision = Controller.decide t.controller !agg in
   let topo = Machine.topology machine in
-  let chiplets = topo.Topology.chiplets_per_socket in
   let min_spread = Placement.min_valid_spread topo ~n_workers:t.n_workers in
-  let max_spread =
-    if t.config.Config.prefer_big_cores then
-      Placement.max_general_spread topo ~n_workers:t.n_workers
-    else chiplets
-  in
+  let max_spread = Placement.max_general_spread topo ~n_workers:t.n_workers in
   let old_global = t.states.(0).spread in
   let global =
     if rate >= decision.Controller.threshold then begin

@@ -15,6 +15,9 @@ type t = {
   mutable makespan : float;
 }
 
+(* simulated cost of one profiling check, charged to the checking worker *)
+let profiler_overhead_ns = 40.0
+
 let init ?(config = Config.default) ?(sched_config = Sched.default_config)
     machine ~n_workers =
   let topo = Machine.topology machine in
@@ -28,8 +31,7 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
   in
   let placement w =
     match
-      Placement.core_of_worker ~prefer_fast:config.Config.prefer_big_cores topo
-        ~spread_rate:spread0 ~n_workers ~worker:w
+      Placement.core_of_worker topo ~spread_rate:spread0 ~n_workers ~worker:w
     with
     | Some core -> core
     | None -> invalid_arg "Runtime.init: no valid placement for the gang"
@@ -104,7 +106,7 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
               | _ -> ())
           | None -> ());
           if config.Config.profile_while_running then begin
-            Sched.charge sched ~worker config.Config.profiler_overhead_ns;
+            Sched.charge sched ~worker profiler_overhead_ns;
             (* health first: the policy tick right after should already
                see a freshly flagged chiplet *)
             Health_monitor.observe health ~worker

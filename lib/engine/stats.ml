@@ -73,7 +73,7 @@ let pp ppf r =
   Format.fprintf ppf
     "@[<v>makespan: %.0f ns@ l2=%d local=%d remote-chiplet=%d remote-numa=%d \
      dram=%d inval=%d@ tasks=%d stolen=%d migrations=%d switches=%d@ \
-     bandwidth=%.2f GB/s energy=%.1f uJ (mem) + %.1f uJ (compute) = %.1f uJ@]"
+     bandwidth=%.2f GB/s energy=%.4g uJ (mem) + %.4g uJ (compute) = %.4g uJ@]"
     r.makespan_ns r.accesses.l2_hits r.accesses.local_chiplet
     r.accesses.remote_chiplet r.accesses.remote_numa r.accesses.dram
     r.accesses.invalidations r.tasks_executed r.tasks_stolen r.migrations

@@ -985,7 +985,7 @@ let run_kernel out env t ~kernel ~query =
         Taskgraph.Graph.all_shapes;
       (Nothing, 0.0)
 
-let server_config t s ~trace =
+let server_config ?on_complete t s ~trace =
   let seed = Option.value t.seed ~default:42 in
   let process =
     match s.closed_loop with
@@ -1023,7 +1023,7 @@ let server_config t s ~trace =
         seed = seed + 1;
       };
     trace;
-    on_complete = None;
+    on_complete;
     check = t.check;
   }
 
@@ -1032,15 +1032,37 @@ let with_plant t f =
   Invariant.set_plant t.plant;
   Fun.protect ~finally:(fun () -> Invariant.set_plant outer) f
 
-let serve ?trace t =
+let serve ?trace ?on_complete t =
   match t.workload with
   | Serve s ->
       with_plant t (fun () ->
           let inst = instance t in
-          let report = Server.run inst (server_config t s ~trace) in
+          let report = Server.run inst (server_config ?on_complete t s ~trace) in
           if t.check then verify inst;
           (inst, report))
   | Batch _ | Fleet _ -> invalid_arg "Experiment.serve: not a single-machine serving experiment"
+
+let fleet ?trace t =
+  match t.workload with
+  | Fleet (s, f) ->
+      with_plant t (fun () ->
+          Fleet.Cluster.run
+            {
+              Fleet.Cluster.n_shards = f.shards;
+              sys = t.sys;
+              machines = (if f.shard_machines = [] then [ t.machine ] else f.shard_machines);
+              n_workers = t.workers;
+              cache_scale = t.cache_scale;
+              policy = f.router;
+              epoch_us = f.epoch_us;
+              serve = server_config t s ~trace:None;
+              diurnal_amplitude = f.diurnal;
+              diurnal_period_us = f.diurnal_period_us;
+              faults = t.faults;
+              relocation = f.relocation;
+              trace = Option.is_some trace;
+            })
+  | Batch _ | Serve _ -> invalid_arg "Experiment.fleet: not a fleet experiment"
 
 let run_workload ?trace t =
   match t.workload with
@@ -1081,25 +1103,8 @@ let run_workload ?trace t =
         traces = Option.to_list trace;
         sim_events = Engine.Stats.sim_events inst.Systems.machine;
       }
-  | Fleet (s, f) ->
-      let res =
-        Fleet.Cluster.run
-          {
-            Fleet.Cluster.n_shards = f.shards;
-            sys = t.sys;
-            machines = (if f.shard_machines = [] then [ t.machine ] else f.shard_machines);
-            n_workers = t.workers;
-            cache_scale = t.cache_scale;
-            policy = f.router;
-            epoch_us = f.epoch_us;
-            serve = server_config t s ~trace:None;
-            diurnal_amplitude = f.diurnal;
-            diurnal_period_us = f.diurnal_period_us;
-            faults = t.faults;
-            relocation = f.relocation;
-            trace = Option.is_some trace;
-          }
-      in
+  | Fleet _ ->
+      let res = fleet ?trace t in
       {
         report = Fleet.Cluster.result_to_json res ^ "\n";
         result = Placements res.Fleet.Cluster.placement_log;

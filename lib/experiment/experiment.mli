@@ -157,11 +157,23 @@ val run : ?trace:Engine.Trace.t -> t -> outcome
     @raise Invalid_argument on a configuration the simulator rejects.
     @raise Chipsim.Invariant.Violation when checking finds a violation. *)
 
-val serve : ?trace:Engine.Trace.t -> t -> Harness.Systems.instance * Serving.Server.report
+val serve :
+  ?trace:Engine.Trace.t ->
+  ?on_complete:(tenant:string -> kind:Serving.Job.kind -> submit_ns:float -> finish_ns:float -> unit) ->
+  t ->
+  Harness.Systems.instance * Serving.Server.report
 (** {!run}'s single-machine serving path, stopped before rendering: the
     instance it ran on (machine counters, energy meters, CHARM runtime)
-    and the typed report.  [trace] receives the server's events.
+    and the typed report.  [trace] receives the server's events;
+    [on_complete] observes every completed job
+    ({!Serving.Server.config}'s [on_complete]).
     @raise Invalid_argument unless [t.workload] is [Serve _]. *)
+
+val fleet : ?trace:Engine.Trace.t -> t -> Fleet.Cluster.result
+(** {!run}'s fleet path, stopped before rendering.  Given a [trace], the
+    cluster records into a fresh router trace and one per shard
+    ([result.traces]); the argument itself receives nothing.
+    @raise Invalid_argument unless [t.workload] is [Fleet _]. *)
 
 (** {1 Command line} *)
 

@@ -1,6 +1,7 @@
 (* The bench row format: [bench check]'s gates on fixture baseline/run
-   pairs, every committed taskgraph and power row replaying from its own
-   spec, and the paper figures' rows as replayable experiments. *)
+   pairs, every committed core, taskgraph and power row with a spec
+   replaying from it, the fault bench's spec, and the paper figures' rows
+   as replayable experiments. *)
 
 open Charm_bench
 
@@ -117,6 +118,35 @@ let test_specs_replay () =
         specs)
     [ ("../BENCH_taskgraph.json", "infer", "infer_p99_us"); ("../BENCH_power.json", "graph", "graph_p99_us") ]
 
+(* the core bench's serve and fleet rows replay, through the path
+   charm_serve runs, to the row's exact event count *)
+let test_core_specs_replay () =
+  let rows = Row.parse_file (In_channel.with_open_bin "../BENCH_core.json" In_channel.input_all) in
+  let replayed =
+    List.filter_map
+      (fun r ->
+        match List.assoc_opt "spec" r with
+        | Some (Row.Str spec) ->
+            let t = match Experiment.of_string spec with Ok t -> t | Error m -> Alcotest.fail m in
+            Alcotest.(check string) (spec ^ ": events")
+              (Row.value_json (List.assoc "events" r))
+              (string_of_int (Experiment.run t).sim_events);
+            Some (List.assoc "scenario" r)
+        | _ -> None)
+      rows
+  in
+  Alcotest.(check bool) "serve and fleet rows carry specs" true (replayed = [ Row.Str "serve"; Row.Str "fleet" ])
+
+(* the fault bench's line carries the chiplet-0 meltdown at 3 ms, exactly *)
+let test_fault_spec () =
+  let module S = Harness.Systems in
+  let line = Experiment.to_string (Fault.experiment S.Charm) in
+  let t = match Experiment.of_string line with Ok t -> t | Error m -> Alcotest.fail m in
+  let topo = S.topology S.Amd_milan ~cache_scale:16 in
+  Alcotest.(check bool) (line ^ ": Milan at cache scale 16") true (t.machine = S.Amd_milan && t.cache_scale = 16);
+  Alcotest.(check bool) (line ^ ": meltdown") true
+    (t.faults = [ (0, Faults.Schedule.chiplet_meltdown ~topo ~chiplet:0 ~at_us:3000.0 ()) ])
+
 (* -- figure rows -------------------------------------------------------- *)
 
 let spec_figures = [ Fig1.run; Fig7.run; Fig8.run; Fig9.run; Fig9.run_tab2; Fig10.run; Tab1.run; Fig14.run ]
@@ -203,7 +233,12 @@ let () =
           Alcotest.test_case "unreadable input" `Quick test_unreadable;
           Alcotest.test_case "rows render and parse back" `Quick test_render_parses_back;
         ] );
-      ("rows", [ Alcotest.test_case "committed specs replay" `Quick test_specs_replay ]);
+      ( "rows",
+        [
+          Alcotest.test_case "committed specs replay" `Quick test_specs_replay;
+          Alcotest.test_case "core serve and fleet rows replay" `Quick test_core_specs_replay;
+          Alcotest.test_case "fault bench spec" `Quick test_fault_spec;
+        ] );
       ( "figures",
         [
           Alcotest.test_case "every row's spec round-trips" `Quick test_figure_specs_roundtrip;

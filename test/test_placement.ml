@@ -83,8 +83,7 @@ let prop_intel_collision_free =
       else Option.is_some (Placement.gang topo ~spread_rate ~n_workers))
 
 (* heterogeneity: a gang on a big/little machine fills big chiplets
-   first, and ~prefer_fast:false (or a homogeneous machine) restores the
-   historical identity order *)
+   first, and a homogeneous machine keeps the identity order *)
 let hetero () =
   Topology.v ~sockets:1 ~chiplets_per_socket:4 ~cores_per_chiplet:2
     ~chiplet_group_size:2 ~l3_bytes_per_chiplet:(16 * 1024)
@@ -102,11 +101,6 @@ let test_prefer_big_cores () =
          general chiplets *)
       Alcotest.(check (array int)) "fast general chiplets first"
         [| 4; 0; 5; 1 |] cores);
-  (match Placement.gang ~prefer_fast:false topo ~spread_rate:2 ~n_workers:4 with
-  | None -> Alcotest.fail "valid gang expected"
-  | Some cores ->
-      Alcotest.(check (array int)) "identity order when disabled"
-        [| 0; 2; 1; 3 |] cores);
   match Placement.gang (amd ()) ~spread_rate:1 ~n_workers:8 with
   | None -> Alcotest.fail "valid gang expected"
   | Some cores ->
