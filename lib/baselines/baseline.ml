@@ -39,13 +39,6 @@ module Layouts = struct
     let slot = i / chiplets in
     (socket * cps) + (chiplet * cpc) + slot
 
-  let socket_round_robin_fill topo ~n_workers:_ w =
-    let sockets = topo.Topology.sockets in
-    let cps = Topology.cores_per_socket topo in
-    let socket = w mod sockets in
-    let i = w / sockets in
-    (socket * cps) + i
-
   let one_per_chiplet topo ~n_workers:_ w =
     let chiplets = Topology.num_chiplets topo in
     let cpc = topo.Topology.cores_per_chiplet in
@@ -96,11 +89,7 @@ let random_order t ~thief =
 let init spec machine ~n_workers =
   let topo = Machine.topology machine in
   let sched_config =
-    {
-      Engine.Sched.default_config with
-      Engine.Sched.task_model = spec.task_model;
-      steal_enabled = spec.steal <> No_steal;
-    }
+    { Engine.Sched.task_model = spec.task_model; steal_enabled = spec.steal <> No_steal }
   in
   let sched =
     Sched.create ~config:sched_config machine ~n_workers
@@ -143,7 +132,6 @@ let name t = t.spec.name
 let spec t = t.spec
 let sched t = t.sched
 let machine t = t.machine
-let n_workers t = t.n_workers
 let rng t = t.trng
 
 let alloc_shared t ~elt_bytes ~count () =
@@ -165,4 +153,3 @@ let all_do t f =
   makespan
 
 let finalize t = Engine.Stats.collect t.machine ~makespan_ns:t.makespan
-let last_makespan t = t.makespan

@@ -41,14 +41,12 @@ val name : t -> string
 val spec : t -> spec
 val sched : t -> Engine.Sched.t
 val machine : t -> Machine.t
-val n_workers : t -> int
 val rng : t -> Engine.Rng.t
 
 val alloc_shared : t -> elt_bytes:int -> count:int -> unit -> Simmem.region
 val run : t -> (Engine.Sched.ctx -> unit) -> float
 val all_do : t -> (Engine.Sched.ctx -> int -> unit) -> float
 val finalize : t -> Engine.Stats.report
-val last_makespan : t -> float
 
 (** Placement building blocks shared by the concrete baselines. *)
 module Layouts : sig
@@ -58,9 +56,6 @@ module Layouts : sig
   val socket_round_robin_scatter : Topology.t -> n_workers:int -> int -> int
   (** Alternate sockets; within a socket, scatter across chiplets
       round-robin (Linux-CFS-like spreading). *)
-
-  val socket_round_robin_fill : Topology.t -> n_workers:int -> int -> int
-  (** Alternate sockets; within a socket, fill cores sequentially. *)
 
   val one_per_chiplet : Topology.t -> n_workers:int -> int -> int
   (** Round-robin across all chiplets (maximal spread). *)

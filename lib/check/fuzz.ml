@@ -11,7 +11,13 @@ type outcome =
 
 let fault_events (t : Experiment.t) = List.length (List.concat_map snd t.faults)
 
-let minimize ?(budget = 80) scenario failure =
+(* Greedy shrinking: repeatedly try the candidates of {!Scenario.shrink}
+   in order, restart from the first one that still fails, and stop when
+   none fails or after [budget] candidate checks.  Returns the smallest
+   failing experiment found, its failure and the number of accepted
+   steps. *)
+let minimize scenario failure =
+  let budget = 80 in
   let current = ref scenario in
   let cur_fail = ref failure in
   let tried = ref 0 in

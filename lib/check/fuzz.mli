@@ -20,14 +20,6 @@ type outcome =
 val fault_events : Experiment.t -> int
 (** Fault events across every shard's schedule. *)
 
-val minimize :
-  ?budget:int -> Experiment.t -> Scenario.failure -> Experiment.t * Scenario.failure * int
-(** Greedy shrinking: repeatedly try the candidates of {!Scenario.shrink}
-    in order, restart from the first one that still fails, stop when none
-    fails or after [budget] candidate checks (default 80).  Returns the
-    smallest failing experiment found, its failure, and the number of
-    accepted steps. *)
-
 val run :
   ?log:(string -> unit) ->
   ?plant:Chipsim.Invariant.plant ->

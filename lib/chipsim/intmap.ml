@@ -21,8 +21,6 @@ let create ?(capacity = 16) () =
   let cap = pow2 (max capacity 8) 8 in
   { data = Array.make (2 * cap) empty_slot; mask = cap - 1; size = 0; used = 0 }
 
-let size t = t.size
-
 (* Multiplicative hashing (SplitMix finalizer constant, truncated to
    OCaml's 63-bit int range): one multiply, one shift-xor, then mask.
    Keys are non-negative, but the product may wrap negative — the mask

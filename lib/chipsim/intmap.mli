@@ -21,9 +21,6 @@ val set : t -> int -> int -> unit
 val remove : t -> int -> unit
 (** Unbind [k] (no-op if unbound). *)
 
-val size : t -> int
-(** Number of live bindings. *)
-
 val iter : t -> (int -> int -> unit) -> unit
 (** Apply to every binding, in unspecified order. *)
 

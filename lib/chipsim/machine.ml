@@ -176,11 +176,6 @@ let set_l3_ways t ~chiplet ~ways =
   Cache.set_effective_ways t.l3.(chiplet) ways ~on_drop:(fun line ->
       Directory.remove t.dir ~line ~chiplet)
 
-let l3_ways t ~chiplet =
-  if chiplet < 0 || chiplet >= Array.length t.l3 then
-    invalid_arg "Machine.l3_ways: chiplet out of range";
-  Cache.effective_ways t.l3.(chiplet)
-
 let set_mem_capacity_factor t ~node factor =
   Memchan.set_capacity_factor t.chan ~node factor
 

@@ -25,8 +25,6 @@ val set_l3_ways : t -> chiplet:int -> ways:int -> unit
 (** Degrade (or restore) a chiplet's L3 to [ways] enabled ways (see
     {!Cache.set_effective_ways}). *)
 
-val l3_ways : t -> chiplet:int -> int
-
 val set_mem_capacity_factor : t -> node:int -> float -> unit
 (** Throttle a NUMA node's deliverable memory bandwidth (see
     {!Memchan.set_capacity_factor}). *)
@@ -36,13 +34,10 @@ val alloc :
   Simmem.region
 (** Allocate simulated memory (see {!Simmem.alloc}). *)
 
-val access : t -> core:int -> now_ns:float -> write:bool -> int -> float
-(** [access t ~core ~now_ns ~write addr] simulates one memory access and
-    returns its latency in virtual nanoseconds. *)
-
 val access_line :
   t -> core:int -> now_ns:float -> write:bool -> line:int -> float
-(** Same, when the caller already knows the line id. *)
+(** [access_line t ~core ~now_ns ~write ~line] simulates one memory access
+    to cache line [line] and returns its latency in virtual nanoseconds. *)
 
 val touch :
   t -> core:int -> now_ns:float -> write:bool -> Simmem.region -> int -> float

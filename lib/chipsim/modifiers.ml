@@ -56,10 +56,6 @@ let set_core_online t core on =
     touch t
   end
 
-let link_mult t chiplet =
-  check "chiplet" chiplet t.chiplets;
-  t.link_mult.(chiplet)
-
 let link_mults t = t.link_mult
 
 let set_link_mult t chiplet mult =
@@ -89,8 +85,6 @@ let take_corruption t =
       touch t;
       Some seed
 
-let corruptions_armed t = List.length t.corruptions
-
 let online_capacity t =
   let acc = ref 0.0 in
   for c = 0 to t.cores - 1 do
@@ -112,18 +106,3 @@ let chiplet_os_impaired t ~chiplet ~cores_per_chiplet =
 let chiplet_impaired t ~chiplet ~cores_per_chiplet =
   chiplet_os_impaired t ~chiplet ~cores_per_chiplet
   || t.link_mult.(chiplet) > 1.0
-
-let pristine t =
-  t.xsocket_mult = 1.0
-  && t.corruptions = []
-  && Array.for_all (fun s -> s = 1.0) t.core_speed
-  && Array.for_all Fun.id t.core_online
-  && Array.for_all (fun m -> m = 1.0) t.link_mult
-
-let reset t =
-  Array.fill t.core_speed 0 t.cores 1.0;
-  Array.fill t.core_online 0 t.cores true;
-  Array.fill t.link_mult 0 t.chiplets 1.0;
-  t.xsocket_mult <- 1.0;
-  t.corruptions <- [];
-  touch t

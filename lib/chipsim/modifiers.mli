@@ -20,13 +20,11 @@ val set_core_speed : t -> int -> float -> unit
 val core_online : t -> int -> bool
 val set_core_online : t -> int -> bool -> unit
 
-val link_mult : t -> int -> float
-(** Per-chiplet I/O-die link latency multiplier (>= 1.0). *)
-
 val link_mults : t -> float array
-(** The live per-chiplet {!link_mult} array, updated in place by
-    {!set_link_mult}.  The per-access path reads it directly: a float
-    returned across a module boundary would be boxed on every access. *)
+(** The live per-chiplet I/O-die link latency multipliers (>= 1.0),
+    updated in place by {!set_link_mult}.  The per-access path reads the
+    array directly: a float returned across a module boundary would be
+    boxed on every access. *)
 
 val set_link_mult : t -> int -> float -> unit
 
@@ -46,9 +44,6 @@ val take_corruption : t -> int option
     replica layer when it derives a result token; a run without
     replication simply never consumes armed seeds. *)
 
-val corruptions_armed : t -> int
-(** Number of armed, not-yet-consumed corruption seeds. *)
-
 val online_capacity : t -> float
 (** Machine-wide effective compute capacity in [0, 1]: mean over cores of
     [speed] for online cores (offline cores contribute 0).  The serving
@@ -64,10 +59,5 @@ val chiplet_impaired : t -> chiplet:int -> cores_per_chiplet:int -> bool
 (** Any impairment on the chiplet, OS-visible or silent: offline or
     throttled cores, or a raised link multiplier. *)
 
-val pristine : t -> bool
-(** True iff no modifier deviates from its healthy default. *)
-
 val generation : t -> int
 (** Bumped on every mutation (cheap change detection for observers). *)
-
-val reset : t -> unit

@@ -26,7 +26,6 @@ val all_events : event list
 type t
 
 val create : cores:int -> t
-val cores : t -> int
 
 val counters : t -> int array
 (** The live counter array, core-major: event [e] of core [c] sits at
@@ -63,5 +62,3 @@ val remote_fill_events : t -> core:int -> int
 (** Sum of the events Alg. 1 treats as "remote chiplet access": fills served
     by another chiplet (either socket) plus DRAM accesses.  This is the
     cache-fill-event counter of paper Alg. 1 line 5. *)
-
-val pp_core : Format.formatter -> t * int -> unit

@@ -53,7 +53,7 @@ type t = {
           keep saturation points realistic *)
   chiplet_kinds : core_kind array;  (** one entry per (global) chiplet *)
   kind_specs : kind_spec array;
-      (** cost table indexed by {!kind_index}; always length 3 *)
+      (** cost table indexed [Big] = 0, [Little] = 1, [Accel] = 2 *)
   links : link array;  (** one entry per (global) chiplet *)
 }
 
@@ -109,11 +109,6 @@ val validate_core : t -> int -> unit
 
 (** {1 Heterogeneity} *)
 
-val kind_index : core_kind -> int
-(** [Big] = 0, [Little] = 1, [Accel] = 2; indexes [kind_specs]. *)
-
-val kind_name : core_kind -> string
-val kind_of_name : string -> core_kind option
 val kind_of_chiplet : t -> int -> core_kind
 val kind_of_core : t -> int -> core_kind
 val spec_of_kind : t -> core_kind -> kind_spec

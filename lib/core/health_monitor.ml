@@ -91,7 +91,6 @@ let sick_chiplets t =
 let any_sick t = Array.exists (fun c -> c.sick) t.chiplets
 let first_flag_ns t = t.first_flag_ns
 let events t = List.rev t.events
-let ewma t ~chiplet = t.chiplets.(chiplet).ewma
 
 let flag t ~chiplet ~sick ~at_ns =
   let st = t.chiplets.(chiplet) in

@@ -45,10 +45,6 @@ val first_flag_ns : t -> float option
 val events : t -> event list
 (** All flag transitions, oldest first. *)
 
-val ewma : t -> chiplet:int -> float
-(** Current memory-latency-per-access estimate in ns (0 until the chiplet
-    has samples). *)
-
 val counter_series : t -> (string * float) list
 (** Per-chiplet [ns/access] EWMA and sick flags, for a trace counter
     track.  Only chiplets with data appear. *)

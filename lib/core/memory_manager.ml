@@ -5,7 +5,6 @@ type t = {
   machine : Machine.t;
   bindings : int option array;  (* per worker *)
   owned : Simmem.region list array;  (* per worker *)
-  mutable rebinds : int;
   mutable on_rebind : worker:int -> node:int -> regions:int -> unit;
 }
 
@@ -16,7 +15,6 @@ let create config machine ~n_workers =
     machine;
     bindings = Array.make n_workers None;
     owned = Array.make n_workers [];
-    rebinds = 0;
     on_rebind = (fun ~worker:_ ~node:_ ~regions:_ -> ());
   }
 
@@ -27,16 +25,6 @@ let bind_worker t ~worker ~node =
   if node < 0 || node >= topo.Topology.sockets then
     invalid_arg "Memory_manager.bind_worker: node out of range";
   t.bindings.(worker) <- Some node
-
-let alloc t ~worker ~elt_bytes ~count () =
-  let policy =
-    match t.bindings.(worker) with
-    | Some node -> Simmem.Bind node
-    | None -> Simmem.First_touch
-  in
-  let region = Machine.alloc t.machine ~policy ~elt_bytes ~count () in
-  t.owned.(worker) <- region :: t.owned.(worker);
-  region
 
 let alloc_shared t ?policy ~elt_bytes ~count () =
   Machine.alloc t.machine ?policy ~elt_bytes ~count ()
@@ -55,11 +43,7 @@ let on_migrate t ~worker ~old_core ~new_core =
       t.bindings.(worker) <- Some new_node;
       if old_node <> new_node then begin
         List.iter
-          (fun region ->
-            Simmem.rebind (Machine.mem t.machine) region (Simmem.Bind new_node);
-            t.rebinds <- t.rebinds + 1)
+          (fun region -> Simmem.rebind (Machine.mem t.machine) region (Simmem.Bind new_node))
           t.owned.(worker);
         t.on_rebind ~worker ~node:new_node ~regions:(List.length t.owned.(worker))
       end
-
-let rebinds t = t.rebinds

@@ -15,11 +15,6 @@ val create : Config.t -> Machine.t -> n_workers:int -> t
 val bind_worker : t -> worker:int -> node:int -> unit
 (** Set the worker's memory policy to bind to [node]. *)
 
-val alloc :
-  t -> worker:int -> elt_bytes:int -> count:int -> unit -> Simmem.region
-(** Allocate following the worker's current policy (bound node, or
-    first-touch when unbound); the region is remembered as worker-owned. *)
-
 val alloc_shared :
   t -> ?policy:Simmem.policy -> elt_bytes:int -> count:int -> unit ->
   Simmem.region
@@ -30,9 +25,6 @@ val on_migrate : t -> worker:int -> old_core:int -> new_core:int -> unit
     the new core's NUMA node and, on a socket change, re-home its owned
     regions.  Never-bound (first-touch) workers are left untouched, and
     the whole step is gated on [Config.rebind_memory_on_migrate]. *)
-
-val rebinds : t -> int
-(** Number of region re-homings performed (data-movement stat). *)
 
 val set_on_rebind : t -> (worker:int -> node:int -> regions:int -> unit) -> unit
 (** Callback invoked after a cross-socket re-home of a worker's regions

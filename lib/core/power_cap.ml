@@ -64,7 +64,6 @@ let create ?(window_ns = 500_000.0) ?(sample_ns = 50_000.0) machine ~cap_mw =
   }
 
 let cap_mw t = t.cap_mw
-let window_ns t = t.window_ns
 
 let chiplet_power_mw t ~chiplet =
   if chiplet < 0 || chiplet >= t.chiplets then

@@ -51,7 +51,6 @@ val max_power_mw : t -> float
 (** Highest machine-wide windowed estimate ever observed. *)
 
 val cap_mw : t -> float
-val window_ns : t -> float
 
 val level : t -> chiplet:int -> float
 (** The DVFS level the controller currently holds the chiplet at

@@ -130,7 +130,6 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
   t
 
 let sched t = t.sched
-let machine t = t.machine
 
 (* the clocks are virtual and deterministic, so the frontier is a stable
    timestamp for events with no single owning worker (mode switches) *)
@@ -162,11 +161,9 @@ let attach_trace t tr =
         ~at_ns;
       Engine.Trace.counter tr ~name:"health" ~at_ns
         ~series:(Health_monitor.counter_series t.health))
-let config t = t.config
 let n_workers t = t.n_workers
 let policy t = t.policy
 let power_cap t = t.power_cap
-let memory t = t.memory
 let profiler t = t.profiler
 let health t = t.health
 
@@ -202,7 +199,6 @@ module Api = struct
     let node = Topology.socket_of_core topo (Sched.Ctx.core ctx) in
     Machine.alloc machine ~policy:(Simmem.Bind node) ~elt_bytes ~count ()
 
-  let call = Engine.Par.call
   let call_sync = Engine.Par.call_sync
   let all_do = Engine.Par.all_do
   let parallel_for = Engine.Par.parallel_for

@@ -24,11 +24,8 @@ val init :
     @raise Invalid_argument if the machine cannot host the gang. *)
 
 val sched : t -> Engine.Sched.t
-val machine : t -> Machine.t
-val config : t -> Config.t
 val n_workers : t -> int
 val policy : t -> Policy.t
-val memory : t -> Memory_manager.t
 val profiler : t -> Profiler.t
 
 val power_cap : t -> Power_cap.t option
@@ -77,14 +74,10 @@ module Api : sig
     Engine.Sched.ctx -> elt_bytes:int -> count:int -> unit -> Simmem.region
   (** Allocate bound to the calling worker's NUMA node (Alg. 2 line 14). *)
 
-  val call :
-    Engine.Sched.ctx -> worker:int -> (Engine.Sched.ctx -> unit) ->
-    Engine.Sched.task
-  (** Paper [call()] (async): dispatch a closure to another worker; the
-      message pays the core-to-core latency before it becomes runnable. *)
-
   val call_sync : Engine.Sched.ctx -> worker:int -> (Engine.Sched.ctx -> unit) -> unit
-  (** Paper [call()] (sync): dispatch and await completion. *)
+  (** Paper [call()]: dispatch a closure to another worker and await its
+      completion; the message pays the core-to-core latency before it
+      becomes runnable. *)
 
   val all_do : Engine.Sched.ctx -> (Engine.Sched.ctx -> int -> unit) -> unit
   (** Run [f ctx worker_id] on every worker and await all of them. *)

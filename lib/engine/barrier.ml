@@ -10,7 +10,6 @@ let create n =
   if n <= 0 then invalid_arg "Barrier.create: parties must be positive";
   { parties = n; arrived = []; generation = 0 }
 
-let parties t = t.parties
 let waiting t = List.length t.arrived
 
 let log2_ceil n =

@@ -12,7 +12,6 @@ type t
 val create : int -> t
 (** Barrier for [n] participants.  @raise Invalid_argument if [n <= 0]. *)
 
-val parties : t -> int
 val waiting : t -> int
 
 val wait : Sched.ctx -> t -> unit

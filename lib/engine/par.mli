@@ -5,12 +5,9 @@
     policy differences live entirely in scheduler hooks, so the same
     workload code runs under every system. *)
 
-val call :
-  Sched.ctx -> worker:int -> (Sched.ctx -> unit) -> Sched.task
-(** Dispatch a closure to another worker; the message pays the
-    core-to-core latency before the task becomes runnable. *)
-
 val call_sync : Sched.ctx -> worker:int -> (Sched.ctx -> unit) -> unit
+(** Dispatch a closure to another worker and await it; the message pays
+    the core-to-core latency before the task becomes runnable. *)
 
 val all_do : Sched.ctx -> (Sched.ctx -> int -> unit) -> unit
 (** Run [f ctx worker_id] on every worker; await all. *)

@@ -6,26 +6,22 @@ type task_model =
   | Coroutines of { switch_ns : float }
   | Os_threads of { spawn_ns : float; switch_ns : float }
 
-type config = {
-  task_model : task_model;
-  steal_enabled : bool;
-  max_accesses_per_quantum : int;
-  idle_quantum_ns : float;
-  migration_cost_ns : float;
-  steal_horizon_ns : float;
-  check : bool;
-}
+type config = { task_model : task_model; steal_enabled : bool }
 
-let default_config =
-  {
-    task_model = Coroutines { switch_ns = 30.0 };
-    steal_enabled = true;
-    max_accesses_per_quantum = 2048;
-    idle_quantum_ns = 400.0;
-    migration_cost_ns = 1500.0;
-    steal_horizon_ns = 1_000.0;
-    check = false;
-  }
+let default_config = { task_model = Coroutines { switch_ns = 30.0 }; steal_enabled = true }
+
+(* [Ctx.maybe_yield] yields after this many charged accesses *)
+let max_accesses_per_quantum = 2048
+
+(* clock advance for a worker that finds no work *)
+let idle_quantum_ns = 400.0
+
+(* charged to a worker when it changes core *)
+let migration_cost_ns = 1500.0
+
+(* thieves only steal tasks ready within this window past their own
+   clock, so steals cannot drag a worker's clock into the far future *)
+let steal_horizon_ns = 1_000.0
 
 type t = {
   machine : Machine.t;
@@ -360,7 +356,7 @@ let create ?(config = default_config) ?(hooks = no_hooks) machine ~n_workers ~pl
   {
     machine;
     config;
-    check = config.check;
+    check = false;
     check_tick = 0;
     energy = false;
     core_last_end = Array.make cores neg_infinity;
@@ -389,7 +385,6 @@ let create ?(config = default_config) ?(hooks = no_hooks) machine ~n_workers ~pl
 
 let machine t = t.machine
 let n_workers t = Array.length t.workers
-let config t = t.config
 let set_hooks t hooks = t.hooks <- hooks
 let hooks t = t.hooks
 let set_trace t trace = t.trace <- trace
@@ -409,8 +404,6 @@ let worker_of_core t core =
   if core < 0 || core >= Array.length t.core_owner then None
   else if t.core_owner.(core) = -1 then None
   else Some t.core_owner.(core)
-
-let queue_length t w = run_queue_len t.workers.(w)
 
 let ready_queue_ids t w =
   let q = t.workers.(w).ready in
@@ -456,7 +449,7 @@ let migrate t ~worker ~core =
     t.core_owner.(core) <- worker;
     w.core <- core;
     t.placement_epoch <- t.placement_epoch + 1;
-    w.clock.(0) <- w.clock.(0) +. t.config.migration_cost_ns;
+    w.clock.(0) <- w.clock.(0) +. migration_cost_ns;
     Pmu.incr (Machine.pmu t.machine) ~core Pmu.Migration;
     match t.trace with
     | Some tr when Trace.enabled tr ->
@@ -629,8 +622,8 @@ let pop_own w =
    leave the owner's run order untouched (re-pushing refused tasks to the
    back would rotate it).  A stolen future task leaves its advisory heap
    key behind; the owner's next run-dry sweep drops it as stale. *)
-let steal_ready t w victim =
-  let horizon = w.clock.(0) +. t.config.steal_horizon_ns in
+let steal_ready w victim =
+  let horizon = w.clock.(0) +. steal_horizon_ns in
   let n = dq_length victim.ready in
   let rec scan i =
     if i >= n then dummy_task
@@ -654,7 +647,7 @@ let try_steal t w =
       if i >= Array.length order then dummy_task
       else begin
         let victim = t.workers.(order.(i)) in
-        let task = steal_ready t w victim in
+        let task = steal_ready w victim in
         if task != dummy_task then begin
           let cost =
             2.0 *. Latency.core_to_core_ns ~profile:(Machine.profile t.machine) topo w.core victim.core
@@ -680,7 +673,7 @@ let try_steal t w =
    stolen task id, or -1 when every queued task was refused.  A stolen
    task leaves the scheduler's accounting (the caller owns it). *)
 let steal_once t ~thief ~victim =
-  let task = steal_ready t t.workers.(thief) t.workers.(victim) in
+  let task = steal_ready t.workers.(thief) t.workers.(victim) in
   if task == dummy_task then -1
   else begin
     t.runnable <- t.runnable - 1;
@@ -943,7 +936,7 @@ let run t =
                 (match t.trace with
                 | Some tr when Trace.enabled tr -> Trace.park tr ~worker:wid ~at_ns:w.clock.(0)
                 | _ -> ());
-                w.clock.(0) <- w.clock.(0) +. t.config.idle_quantum_ns;
+                w.clock.(0) <- w.clock.(0) +. idle_quantum_ns;
                 w.parked <- true;
                 t.parked_count <- t.parked_count + 1
               end;
@@ -964,8 +957,6 @@ module Ctx = struct
   let now c = (worker c).clock.(0)
   let worker_id c = c.ctask.last_worker
   let core c = (worker c).core
-  let rng c = (worker c).wrng
-  let current_task c = c.ctask
   let quantum_accesses c = (worker c).accesses
 
   let charge c ns =
@@ -989,7 +980,7 @@ module Ctx = struct
   let range c ~write region ~lo ~hi =
     let line_bytes = (Machine.topology c.csched.machine).Topology.line_bytes in
     let elems_per_chunk =
-      max 1 (c.csched.config.max_accesses_per_quantum * line_bytes / (2 * region.Simmem.elt_bytes))
+      max 1 (max_accesses_per_quantum * line_bytes / (2 * region.Simmem.elt_bytes))
     in
     let pos = ref lo in
     while !pos < hi do
@@ -1017,7 +1008,7 @@ module Ctx = struct
 
   let maybe_yield c =
     let w = worker c in
-    if w.accesses >= c.csched.config.max_accesses_per_quantum then Coroutine.yield ()
+    if w.accesses >= max_accesses_per_quantum then Coroutine.yield ()
 
   (* [Coroutine.suspend] hands over the coroutine; the registrar wants the
      scheduler-level task, which owns requeue metadata. *)

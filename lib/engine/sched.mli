@@ -27,23 +27,7 @@ type task_model =
       (** one kernel thread per task, as with [std::async]: expensive
           creation, kernel context switches, oversubscription penalties *)
 
-type config = {
-  task_model : task_model;
-  steal_enabled : bool;
-  max_accesses_per_quantum : int;
-      (** {!Ctx.maybe_yield} yields after this many charged accesses *)
-  idle_quantum_ns : float;  (** clock advance for a worker that finds no work *)
-  migration_cost_ns : float;  (** charged to a worker when it changes core *)
-  steal_horizon_ns : float;
-      (** thieves only steal tasks ready within this window past their own
-          clock; tasks scheduled further out (timers, pending arrivals)
-          stay with their owner so steals cannot drag a worker's clock
-          into the far future *)
-  check : bool;
-      (** run the executable invariants on every quantum (see
-          {!set_check}); off by default — the hot loop then pays only one
-          predictable branch per quantum *)
-}
+type config = { task_model : task_model; steal_enabled : bool }
 
 val default_config : config
 
@@ -70,7 +54,6 @@ val create :
 
 val machine : t -> Machine.t
 val n_workers : t -> int
-val config : t -> config
 val set_hooks : t -> hooks -> unit
 
 val hooks : t -> hooks
@@ -90,9 +73,10 @@ val trace : t -> Trace.t option
 
 
 val set_check : t -> bool -> unit
-(** Enable (or disable) the executable invariant layer at runtime.  While
-    on, every quantum asserts: the task does not start before its
-    [ready_at] (causality), the executing worker is not dormant and its
+(** Enable (or disable) the executable invariant layer at runtime; it is
+    off after {!create}, and the hot loop then pays one predictable branch
+    per quantum.  While on, every quantum asserts: the task does not start
+    before its [ready_at] (causality), the executing worker is not dormant and its
     core is online, the worker clock never runs backwards across a
     quantum, and consecutive quanta on a core do not overlap in virtual
     time while the core keeps the same occupant.  Every 64 quanta the
@@ -133,9 +117,6 @@ val set_on_advance : t -> (float -> unit) option -> unit
 val worker_core : t -> int -> int
 val worker_clock : t -> int -> float
 val worker_of_core : t -> int -> int option
-
-val queue_length : t -> int -> int
-(** Total tasks queued on the worker. *)
 
 val ready_queue_ids : t -> int -> int list
 (** Task ids in the worker's run queue, oldest first.  Exposed so tests
@@ -202,7 +183,6 @@ module Ctx : sig
   val now : ctx -> float
   val worker_id : ctx -> int
   val core : ctx -> int
-  val rng : ctx -> Rng.t
 
   val read : ctx -> Simmem.region -> int -> unit
   (** Simulate a load of element [i]; charges the executing worker. *)
@@ -210,7 +190,6 @@ module Ctx : sig
   val write : ctx -> Simmem.region -> int -> unit
   val read_range : ctx -> Simmem.region -> lo:int -> hi:int -> unit
   val write_range : ctx -> Simmem.region -> lo:int -> hi:int -> unit
-  val access_addr : ctx -> write:bool -> int -> unit
 
   val work : ctx -> float -> unit
   (** Charge pure compute time (ns). *)
@@ -231,8 +210,6 @@ module Ctx : sig
 
   val await : ctx -> task -> unit
   (** Suspend until [task] finishes (no-op if it already did). *)
-
-  val current_task : ctx -> task
 end
 
 val charge : t -> worker:int -> float -> unit

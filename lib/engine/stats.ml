@@ -22,16 +22,6 @@ type report = {
   compute_energy_uj : float;
 }
 
-let breakdown_of_pmu pmu =
-  {
-    l2_hits = Pmu.total pmu Pmu.L2_hit;
-    local_chiplet = Pmu.total pmu Pmu.L3_local_hit;
-    remote_chiplet = Pmu.total pmu Pmu.Fill_remote_chiplet;
-    remote_numa = Pmu.total pmu Pmu.Fill_remote_numa;
-    dram = Pmu.total pmu Pmu.Dram_local + Pmu.total pmu Pmu.Dram_remote;
-    invalidations = Pmu.total pmu Pmu.Coherence_invalidation;
-  }
-
 let collect machine ~makespan_ns =
   let pmu = Machine.pmu machine in
   let topo = Machine.topology machine in
@@ -42,7 +32,15 @@ let collect machine ~makespan_ns =
   let total_bytes = Array.fold_left ( + ) 0 dram_bytes in
   {
     makespan_ns;
-    accesses = breakdown_of_pmu pmu;
+    accesses =
+      {
+        l2_hits = Pmu.total pmu Pmu.L2_hit;
+        local_chiplet = Pmu.total pmu Pmu.L3_local_hit;
+        remote_chiplet = Pmu.total pmu Pmu.Fill_remote_chiplet;
+        remote_numa = Pmu.total pmu Pmu.Fill_remote_numa;
+        dram = Pmu.total pmu Pmu.Dram_local + Pmu.total pmu Pmu.Dram_remote;
+        invalidations = Pmu.total pmu Pmu.Coherence_invalidation;
+      };
     tasks_executed = Pmu.total pmu Pmu.Task_executed;
     tasks_stolen = Pmu.total pmu Pmu.Task_stolen;
     migrations = Pmu.total pmu Pmu.Migration;
@@ -60,14 +58,6 @@ let sim_events machine =
   + Pmu.total pmu Pmu.Context_switch
   + Pmu.total pmu Pmu.Task_stolen
   + Pmu.total pmu Pmu.Migration
-
-let speedup ~baseline report =
-  if report.makespan_ns <= 0.0 then invalid_arg "Stats.speedup: zero makespan";
-  baseline.makespan_ns /. report.makespan_ns
-
-let throughput ~work_items report =
-  if report.makespan_ns <= 0.0 then 0.0
-  else float_of_int work_items /. (report.makespan_ns /. 1e9)
 
 let pp ppf r =
   Format.fprintf ppf

@@ -36,18 +36,10 @@ type report = {
 
 val collect : Machine.t -> makespan_ns:float -> report
 
-val breakdown_of_pmu : Pmu.t -> access_breakdown
-
 val sim_events : Machine.t -> int
 (** Simulated events the machine has retired: memory accesses charged
     through the model plus task quanta (context switches), steals and
     migrations.  Deterministic for a given run; the numerator of every
     events/sec figure. *)
-
-val speedup : baseline:report -> report -> float
-(** [makespan baseline / makespan subject]. *)
-
-val throughput : work_items:int -> report -> float
-(** Items per virtual second. *)
 
 val pp : Format.formatter -> report -> unit

@@ -18,7 +18,6 @@ type event =
   | Steal of { thief : int; victim : int; task_id : int; at_ns : float }
   | Park of { worker : int; at_ns : float }
   | Migration of { worker : int; from_core : int; to_core : int; at_ns : float }
-  | Policy of { worker : int; spread : int; at_ns : float }
   | Spread_change of { worker : int; old_spread : int; new_spread : int; at_ns : float }
   | Mode_switch of { from_mode : string; to_mode : string; at_ns : float }
   | Rebind of { worker : int; node : int; regions : int; at_ns : float }
@@ -78,7 +77,6 @@ let pid t = t.pid
 
 let enabled t = t.on
 let set_enabled t on = t.on <- on
-let capacity t = t.capacity
 let num_events t = t.len
 let dropped t = t.dropped
 
@@ -114,9 +112,6 @@ let park t ~worker ~at_ns = push t (Park { worker; at_ns })
 
 let migration t ~worker ~from_core ~to_core ~at_ns =
   push t (Migration { worker; from_core; to_core; at_ns })
-
-let policy_decision t ~worker ~spread ~at_ns =
-  push t (Policy { worker; spread; at_ns })
 
 let spread_change t ~worker ~old_spread ~new_spread ~at_ns =
   push t (Spread_change { worker; old_spread; new_spread; at_ns })
@@ -188,10 +183,6 @@ let event_json pid = function
       Printf.sprintf
         {|{"name":"migrate %d->%d","cat":"migration","ph":"i","ts":%.3f,"pid":%d,"tid":%d,"s":"t"}|}
         from_core to_core (us at_ns) pid worker
-  | Policy { worker; spread; at_ns } ->
-      Printf.sprintf
-        {|{"name":"spread=%d","cat":"policy","ph":"i","ts":%.3f,"pid":%d,"tid":%d,"s":"t"}|}
-        spread (us at_ns) pid worker
   | Spread_change { worker; old_spread; new_spread; at_ns } ->
       Printf.sprintf
         {|{"name":"spread %d->%d","cat":"policy","ph":"i","ts":%.3f,"pid":%d,"tid":%d,"s":"t","args":{"old":%d,"new":%d}}|}
@@ -308,7 +299,7 @@ let category = function
   | Steal _ -> "steal"
   | Park _ -> "park"
   | Migration _ -> "migration"
-  | Policy _ | Spread_change _ | Mode_switch _ -> "policy"
+  | Spread_change _ | Mode_switch _ -> "policy"
   | Rebind _ -> "rebind"
   | Job _ -> "job"
   | Counter _ -> "counter"

@@ -19,19 +19,13 @@ type t
 
 type job_phase = Admit | Shed | Start | Finish
 
-val job_phase_name : job_phase -> string
-
 type fleet_phase = Route | Relocate | Router_shed
-
-val fleet_phase_name : fleet_phase -> string
-(** ["route"], ["relocate"], ["router-shed"]. *)
 
 type event =
   | Quantum of { worker : int; core : int; task_id : int; start_ns : float; end_ns : float }
   | Steal of { thief : int; victim : int; task_id : int; at_ns : float }
   | Park of { worker : int; at_ns : float }
   | Migration of { worker : int; from_core : int; to_core : int; at_ns : float }
-  | Policy of { worker : int; spread : int; at_ns : float }
   | Spread_change of { worker : int; old_spread : int; new_spread : int; at_ns : float }
   | Mode_switch of { from_mode : string; to_mode : string; at_ns : float }
   | Rebind of { worker : int; node : int; regions : int; at_ns : float }
@@ -77,7 +71,6 @@ val task_quantum :
 val steal : t -> thief:int -> victim:int -> task_id:int -> at_ns:float -> unit
 val park : t -> worker:int -> at_ns:float -> unit
 val migration : t -> worker:int -> from_core:int -> to_core:int -> at_ns:float -> unit
-val policy_decision : t -> worker:int -> spread:int -> at_ns:float -> unit
 
 val spread_change :
   t -> worker:int -> old_spread:int -> new_spread:int -> at_ns:float -> unit
@@ -119,7 +112,6 @@ val num_events : t -> int
 val dropped : t -> int
 (** Events overwritten because the ring was full. *)
 
-val capacity : t -> int
 val clear : t -> unit
 
 val events : t -> event list

@@ -1017,8 +1017,7 @@ let server_config ?on_complete t s ~trace =
     seed;
     data =
       {
-        Job.default_data_config with
-        graph_scale = t.graph_scale;
+        Job.graph_scale = t.graph_scale;
         dag_comm_aware = s.dag_mapper = Mapper.Comm_aware;
         seed = seed + 1;
       };

@@ -47,9 +47,6 @@ let attach sched schedule =
   Sched.set_on_advance sched (Some (pump t));
   t
 
-let applied t = t.next
-let pending t = Array.length t.events - t.next
-
 let drain t ~now =
   (* force-apply everything due by [now] (e.g. before a final report when
      the run ended between quantum boundaries) *)

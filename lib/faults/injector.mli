@@ -15,11 +15,6 @@ val attach : Engine.Sched.t -> Schedule.t -> t
 (** Sort the schedule and install the fault pump.  Replaces any previously
     installed [on_advance] hook. *)
 
-val applied : t -> int
-(** Events applied so far. *)
-
-val pending : t -> int
-
 val drain : t -> now:float -> unit
 (** Force-apply every event due at or before [now] (for end-of-run
     reporting outside the scheduler loop). *)

@@ -116,6 +116,9 @@ let expand_rand ~topo entry ~seed ~n ~horizon_us =
   let nodes = topo.Topology.sockets in
   let rng = Engine.Rng.create seed in
   let module Rng = Engine.Rng in
+  (* Each two-draw record draws its second field first: the order every
+     recorded [rand:] schedule was expanded with (OCaml leaves record
+     field evaluation order unspecified, so it is spelled out). *)
   List.init n (fun _ ->
       let at_ns = Rng.float rng (horizon_us *. 1000.0) in
       let kind =
@@ -123,14 +126,17 @@ let expand_rand ~topo entry ~seed ~n ~horizon_us =
         | 0 -> Core_off (Rng.int rng cores)
         | 1 -> Core_on (Rng.int rng cores)
         | 2 ->
-            Dvfs { core = Rng.int rng cores; speed = 0.2 +. Rng.float rng 0.7 }
+            let speed = 0.2 +. Rng.float rng 0.7 in
+            Dvfs { core = Rng.int rng cores; speed }
         | 3 ->
-            L3_ways
-              { chiplet = Rng.int rng chiplets; ways = 1 + Rng.int rng 16 }
+            let ways = 1 + Rng.int rng 16 in
+            L3_ways { chiplet = Rng.int rng chiplets; ways }
         | 4 ->
-            Link { chiplet = Rng.int rng chiplets; mult = 1.5 +. Rng.float rng 6.0 }
+            let mult = 1.5 +. Rng.float rng 6.0 in
+            Link { chiplet = Rng.int rng chiplets; mult }
         | _ ->
-            Membw { node = Rng.int rng nodes; factor = 0.1 +. Rng.float rng 0.9 }
+            let factor = 0.1 +. Rng.float rng 0.9 in
+            Membw { node = Rng.int rng nodes; factor }
       in
       { at_ns; kind })
 

@@ -108,15 +108,6 @@ type arrival = {
   job_seed : int;
 }
 
-let pick_kind rng mix =
-  let total = List.fold_left (fun a (_, w) -> a + w) 0 mix in
-  let r = Rng.int rng total in
-  let rec go acc = function
-    | [] -> assert false
-    | (k, w) :: rest -> if r < acc + w then k else go (acc + w) rest
-  in
-  go 0 mix
-
 let diurnal_times rng ~rate_per_s ~jobs ~amplitude ~period_ns =
   if amplitude <= 0.0 then
     Serving.Arrivals.poisson_times ~rng ~rate_per_s ~jobs
@@ -164,12 +155,11 @@ let generate_arrivals cfg =
            Array.to_list
              (Array.map
                 (fun at_ns ->
-                  {
-                    at_ns;
-                    tenant = ti;
-                    kind = pick_kind mix_rng t.Server.mix;
-                    job_seed = Rng.int mix_rng 0x3FFFFFFF;
-                  })
+                  (* seed before kind: the order every committed fleet
+                     baseline was recorded with *)
+                  let job_seed = Rng.int mix_rng 0x3FFFFFFF in
+                  let kind = Server.pick_kind mix_rng t.Server.mix in
+                  { at_ns; tenant = ti; kind; job_seed })
                 times))
          cfg.serve.Server.tenants)
   in
@@ -552,14 +542,7 @@ let run cfg =
 (* -- JSON report --------------------------------------------------------- *)
 
 let result_to_json res =
-  let obj fields =
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) -> "\"" ^ Metrics.json_escape k ^ "\":" ^ v)
-           fields)
-    ^ "}"
-  in
+  let obj = Metrics.json_obj in
   let shard sr =
     let r = sr.report in
     obj

@@ -54,10 +54,6 @@ val observe : t -> shard:int -> service_ns:float -> unit
 val observed_latency : t -> shard:int -> float
 (** The shard's current EWMA (0 until first observation). *)
 
-val effective_capacity : view -> float
-(** [max 0.05 (capacity * (1 - 0.75 * sick_fraction))] — the denominator
-    of the CHARM-aware score. *)
-
 val choose :
   t -> ?exclude:int -> tenant:string -> cost:float -> view array -> int option
 (** Pick a shard for one job of estimated service demand [cost] (ns).

@@ -11,8 +11,6 @@ open Chipsim
 
 type alloc = elt_bytes:int -> count:int -> Simmem.region
 
-val default_morsel : int
-
 val parallel_scan :
   Engine.Sched.ctx ->
   Table.t ->

@@ -10,7 +10,6 @@ let v ~name ~rows cols =
     cols;
   { name; rows; cols }
 
-let name t = t.name
 let rows t = t.rows
 
 let col t cname =
@@ -29,5 +28,3 @@ let floats t cname =
   | Column.Floats { data; _ } -> data
   | Column.Ints _ ->
       invalid_arg (Printf.sprintf "Table %s: column %s is not floats" t.name cname)
-
-let columns t = t.cols

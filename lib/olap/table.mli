@@ -5,7 +5,6 @@ type t
 val v : name:string -> rows:int -> (string * Column.t) list -> t
 (** @raise Invalid_argument if any column's length differs from [rows]. *)
 
-val name : t -> string
 val rows : t -> int
 val col : t -> string -> Column.t
 (** @raise Not_found for unknown column names. *)
@@ -14,4 +13,3 @@ val ints : t -> string -> int array
 (** Raw data of an int column (for tight query loops). *)
 
 val floats : t -> string -> float array
-val columns : t -> (string * Column.t) list

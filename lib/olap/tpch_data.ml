@@ -34,80 +34,98 @@ let generate ~alloc ?(seed = 1234) ~sf () =
   let n_orders = scale 1_500_000 in
   let ri n = Engine.Rng.int rng n in
   let rf bound = Engine.Rng.float rng bound in
+  (* A table's columns are built last first, the order every recorded
+     dataset was generated with: both the draws and the simulated
+     addresses follow it (a list literal's evaluation order is
+     unspecified, so it is spelled out). *)
+  let columns specs =
+    List.fold_right
+      (fun (name, make) acc ->
+        let col = make () in
+        (name, col) :: acc)
+      specs []
+  in
 
   (* region / nation: fixed tiny dimension tables *)
   let region =
     Table.v ~name:"region" ~rows:5
-      [
-        ("r_regionkey", Column.ints ~alloc (Array.init 5 Fun.id));
-        ("r_name", Column.ints ~alloc (Array.init 5 Fun.id));
-      ]
+      (columns
+         [
+           ("r_regionkey", fun () -> Column.ints ~alloc (Array.init 5 Fun.id));
+           ("r_name", fun () -> Column.ints ~alloc (Array.init 5 Fun.id));
+         ])
   in
   let nation_region = Array.init 25 (fun i -> i mod 5) in
   let nation =
     Table.v ~name:"nation" ~rows:25
-      [
-        ("n_nationkey", Column.ints ~alloc (Array.init 25 Fun.id));
-        ("n_regionkey", Column.ints ~alloc nation_region);
-        ("n_name", Column.ints ~alloc (Array.init 25 Fun.id));
-      ]
+      (columns
+         [
+           ("n_nationkey", fun () -> Column.ints ~alloc (Array.init 25 Fun.id));
+           ("n_regionkey", fun () -> Column.ints ~alloc nation_region);
+           ("n_name", fun () -> Column.ints ~alloc (Array.init 25 Fun.id));
+         ])
   in
 
   let supplier =
     Table.v ~name:"supplier" ~rows:n_supplier
-      [
-        ("s_suppkey", Column.ints ~alloc (Array.init n_supplier Fun.id));
-        ("s_nationkey", Column.ints ~alloc (Array.init n_supplier (fun _ -> ri 25)));
-        ("s_acctbal", Column.floats ~alloc (Array.init n_supplier (fun _ -> rf 11_000.0 -. 1_000.0)));
-      ]
+      (columns
+         [
+           ("s_suppkey", fun () -> Column.ints ~alloc (Array.init n_supplier Fun.id));
+           ("s_nationkey", fun () -> Column.ints ~alloc (Array.init n_supplier (fun _ -> ri 25)));
+           ("s_acctbal", fun () -> Column.floats ~alloc (Array.init n_supplier (fun _ -> rf 11_000.0 -. 1_000.0)));
+         ])
   in
 
   let customer =
     Table.v ~name:"customer" ~rows:n_customer
-      [
-        ("c_custkey", Column.ints ~alloc (Array.init n_customer Fun.id));
-        ("c_nationkey", Column.ints ~alloc (Array.init n_customer (fun _ -> ri 25)));
-        ("c_mktsegment", Column.ints ~alloc (Array.init n_customer (fun _ -> ri num_segments)));
-        ("c_acctbal", Column.floats ~alloc (Array.init n_customer (fun _ -> rf 11_000.0 -. 1_000.0)));
-      ]
+      (columns
+         [
+           ("c_custkey", fun () -> Column.ints ~alloc (Array.init n_customer Fun.id));
+           ("c_nationkey", fun () -> Column.ints ~alloc (Array.init n_customer (fun _ -> ri 25)));
+           ("c_mktsegment", fun () -> Column.ints ~alloc (Array.init n_customer (fun _ -> ri num_segments)));
+           ("c_acctbal", fun () -> Column.floats ~alloc (Array.init n_customer (fun _ -> rf 11_000.0 -. 1_000.0)));
+         ])
   in
 
   let part =
     Table.v ~name:"part" ~rows:n_part
-      [
-        ("p_partkey", Column.ints ~alloc (Array.init n_part Fun.id));
-        ("p_type", Column.ints ~alloc (Array.init n_part (fun _ -> ri num_types)));
-        ("p_size", Column.ints ~alloc (Array.init n_part (fun _ -> 1 + ri 50)));
-        ("p_brand", Column.ints ~alloc (Array.init n_part (fun _ -> ri num_brands)));
-        ("p_container", Column.ints ~alloc (Array.init n_part (fun _ -> ri num_containers)));
-        ("p_retailprice", Column.floats ~alloc (Array.init n_part (fun _ -> 900.0 +. rf 1_200.0)));
-      ]
+      (columns
+         [
+           ("p_partkey", fun () -> Column.ints ~alloc (Array.init n_part Fun.id));
+           ("p_type", fun () -> Column.ints ~alloc (Array.init n_part (fun _ -> ri num_types)));
+           ("p_size", fun () -> Column.ints ~alloc (Array.init n_part (fun _ -> 1 + ri 50)));
+           ("p_brand", fun () -> Column.ints ~alloc (Array.init n_part (fun _ -> ri num_brands)));
+           ("p_container", fun () -> Column.ints ~alloc (Array.init n_part (fun _ -> ri num_containers)));
+           ("p_retailprice", fun () -> Column.floats ~alloc (Array.init n_part (fun _ -> 900.0 +. rf 1_200.0)));
+         ])
   in
 
   let ps_part = Array.init n_partsupp (fun i -> i / 4) in
   let partsupp =
     Table.v ~name:"partsupp" ~rows:n_partsupp
-      [
-        ("ps_partkey", Column.ints ~alloc ps_part);
-        ("ps_suppkey", Column.ints ~alloc (Array.init n_partsupp (fun _ -> ri n_supplier)));
-        ("ps_supplycost", Column.floats ~alloc (Array.init n_partsupp (fun _ -> 1.0 +. rf 1_000.0)));
-        ("ps_availqty", Column.ints ~alloc (Array.init n_partsupp (fun _ -> 1 + ri 9_999)));
-      ]
+      (columns
+         [
+           ("ps_partkey", fun () -> Column.ints ~alloc ps_part);
+           ("ps_suppkey", fun () -> Column.ints ~alloc (Array.init n_partsupp (fun _ -> ri n_supplier)));
+           ("ps_supplycost", fun () -> Column.floats ~alloc (Array.init n_partsupp (fun _ -> 1.0 +. rf 1_000.0)));
+           ("ps_availqty", fun () -> Column.ints ~alloc (Array.init n_partsupp (fun _ -> 1 + ri 9_999)));
+         ])
   in
 
   let o_custkey = Array.init n_orders (fun _ -> ri n_customer) in
   let o_orderdate = Array.init n_orders (fun _ -> ri days_total) in
   let orders =
     Table.v ~name:"orders" ~rows:n_orders
-      [
-        ("o_orderkey", Column.ints ~alloc (Array.init n_orders Fun.id));
-        ("o_custkey", Column.ints ~alloc o_custkey);
-        ("o_orderdate", Column.ints ~alloc o_orderdate);
-        ("o_orderpriority", Column.ints ~alloc (Array.init n_orders (fun _ -> ri num_priorities)));
-        ("o_shippriority", Column.ints ~alloc (Array.make n_orders 0));
-        ("o_totalprice", Column.floats ~alloc (Array.init n_orders (fun _ -> 1_000.0 +. rf 400_000.0)));
-        ("o_orderstatus", Column.ints ~alloc (Array.init n_orders (fun _ -> ri 3)));
-      ]
+      (columns
+         [
+           ("o_orderkey", fun () -> Column.ints ~alloc (Array.init n_orders Fun.id));
+           ("o_custkey", fun () -> Column.ints ~alloc o_custkey);
+           ("o_orderdate", fun () -> Column.ints ~alloc o_orderdate);
+           ("o_orderpriority", fun () -> Column.ints ~alloc (Array.init n_orders (fun _ -> ri num_priorities)));
+           ("o_shippriority", fun () -> Column.ints ~alloc (Array.make n_orders 0));
+           ("o_totalprice", fun () -> Column.floats ~alloc (Array.init n_orders (fun _ -> 1_000.0 +. rf 400_000.0)));
+           ("o_orderstatus", fun () -> Column.ints ~alloc (Array.init n_orders (fun _ -> ri 3)));
+         ])
   in
 
   (* lineitem: 1..7 lines per order (avg ~4) *)
@@ -136,23 +154,24 @@ let generate ~alloc ?(seed = 1234) ~sf () =
   let l_receiptdate = Array.init n_li (fun i -> min (days_total - 1) (l_shipdate.(i) + 1 + ri 30)) in
   let lineitem =
     Table.v ~name:"lineitem" ~rows:n_li
-      [
-        ("l_orderkey", Column.ints ~alloc order_of);
-        ("l_linenumber", Column.ints ~alloc line_no);
-        ("l_partkey", Column.ints ~alloc (Array.init n_li (fun _ -> ri n_part)));
-        ("l_suppkey", Column.ints ~alloc (Array.init n_li (fun _ -> ri n_supplier)));
-        ("l_quantity", Column.floats ~alloc l_quantity);
-        ("l_extendedprice", Column.floats ~alloc l_extendedprice);
-        ("l_discount", Column.floats ~alloc l_discount);
-        ("l_tax", Column.floats ~alloc l_tax);
-        ("l_returnflag", Column.ints ~alloc (Array.init n_li (fun _ -> ri num_return_flags)));
-        ("l_linestatus", Column.ints ~alloc (Array.init n_li (fun _ -> ri 2)));
-        ("l_shipdate", Column.ints ~alloc l_shipdate);
-        ("l_commitdate", Column.ints ~alloc l_commitdate);
-        ("l_receiptdate", Column.ints ~alloc l_receiptdate);
-        ("l_shipmode", Column.ints ~alloc (Array.init n_li (fun _ -> ri num_shipmodes)));
-        ("l_shipinstruct", Column.ints ~alloc (Array.init n_li (fun _ -> ri 4)));
-      ]
+      (columns
+         [
+           ("l_orderkey", fun () -> Column.ints ~alloc order_of);
+           ("l_linenumber", fun () -> Column.ints ~alloc line_no);
+           ("l_partkey", fun () -> Column.ints ~alloc (Array.init n_li (fun _ -> ri n_part)));
+           ("l_suppkey", fun () -> Column.ints ~alloc (Array.init n_li (fun _ -> ri n_supplier)));
+           ("l_quantity", fun () -> Column.floats ~alloc l_quantity);
+           ("l_extendedprice", fun () -> Column.floats ~alloc l_extendedprice);
+           ("l_discount", fun () -> Column.floats ~alloc l_discount);
+           ("l_tax", fun () -> Column.floats ~alloc l_tax);
+           ("l_returnflag", fun () -> Column.ints ~alloc (Array.init n_li (fun _ -> ri num_return_flags)));
+           ("l_linestatus", fun () -> Column.ints ~alloc (Array.init n_li (fun _ -> ri 2)));
+           ("l_shipdate", fun () -> Column.ints ~alloc l_shipdate);
+           ("l_commitdate", fun () -> Column.ints ~alloc l_commitdate);
+           ("l_receiptdate", fun () -> Column.ints ~alloc l_receiptdate);
+           ("l_shipmode", fun () -> Column.ints ~alloc (Array.init n_li (fun _ -> ri num_shipmodes)));
+           ("l_shipinstruct", fun () -> Column.ints ~alloc (Array.init n_li (fun _ -> ri 4)));
+         ])
   in
   { sf; region; nation; supplier; customer; part; partsupp; orders; lineitem }
 

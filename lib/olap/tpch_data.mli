@@ -36,11 +36,7 @@ val num_segments : int
 val num_priorities : int
 (** dictionary size of [o_orderpriority] *)
 
-val num_shipmodes : int
 val num_types : int
-val num_brands : int
-val num_containers : int
-val num_return_flags : int
 val days_total : int
 val day_of : year:int -> int
 (** First day number of a year in [1992, 1999]. *)

@@ -21,9 +21,6 @@ let create_table ~alloc ~name ~rows ~payload_words =
     values = Array.make (rows * payload_words) 0;
   }
 
-let name t = t.name
-let rows t = t.rows
-
 let check t row word =
   if row < 0 || row >= t.rows then
     invalid_arg (Printf.sprintf "Storage %s: row %d out of range" t.name row);

@@ -13,9 +13,6 @@ val create_table :
   alloc:(elt_bytes:int -> count:int -> Simmem.region) ->
   name:string -> rows:int -> payload_words:int -> table
 
-val name : table -> string
-val rows : table -> int
-
 val read_record : Engine.Sched.ctx -> table -> int -> int
 (** Charged read (lock word + payload); returns the record's first word. *)
 

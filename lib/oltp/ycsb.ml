@@ -13,11 +13,8 @@ type mix = {
 }
 
 let workload_a = { read_pct = 50; update_pct = 50; rmw_pct = 0; scan_pct = 0; insert_pct = 0 }
-let workload_b = { read_pct = 95; update_pct = 5; rmw_pct = 0; scan_pct = 0; insert_pct = 0 }
 let workload_c = { read_pct = 100; update_pct = 0; rmw_pct = 0; scan_pct = 0; insert_pct = 0 }
-let workload_d = { read_pct = 95; update_pct = 0; rmw_pct = 0; scan_pct = 0; insert_pct = 5 }
 let workload_e = { read_pct = 0; update_pct = 0; rmw_pct = 5; scan_pct = 95; insert_pct = 0 }
-let workload_f = { read_pct = 50; update_pct = 0; rmw_pct = 50; scan_pct = 0; insert_pct = 0 }
 let paper_mix = { read_pct = 45; update_pct = 0; rmw_pct = 55; scan_pct = 0; insert_pct = 0 }
 
 type params = {

@@ -1,8 +1,8 @@
 (** YCSB over the OLTP engine.
 
     The paper's §5.7 configuration (single table, uniform keys, 45%% reads
-    / 55%% read-modify-writes) is [default_params]; the six standard YCSB
-    core workloads A–F are also provided, with uniform or Zipfian request
+    / 55%% read-modify-writes) is [default_params]; YCSB core workloads A,
+    C and E are also provided, with uniform or Zipfian request
     distributions. *)
 
 type distribution = Uniform | Zipfian of float  (** skew theta, e.g. 0.99 *)
@@ -19,23 +19,11 @@ type mix = {
 val workload_a : mix
 (** 50 read / 50 update *)
 
-val workload_b : mix
-(** 95 read / 5 update *)
-
 val workload_c : mix
 (** 100 read *)
 
-val workload_d : mix
-(** 95 read / 5 insert *)
-
 val workload_e : mix
 (** 95 scan / 5 insert *)
-
-val workload_f : mix
-(** 50 read / 50 read-modify-write *)
-
-val paper_mix : mix
-(** 45 read / 55 read-modify-write (paper §5.1) *)
 
 type params = {
   records : int;
@@ -48,7 +36,8 @@ type params = {
 }
 
 val default_params : params
-(** The paper's configuration: [paper_mix], uniform keys. *)
+(** The paper's configuration (§5.1): 45 read / 55 read-modify-write,
+    uniform keys. *)
 
 type outcome = {
   result : Workloads.Workload_result.t;

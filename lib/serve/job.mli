@@ -29,11 +29,6 @@ val kind_of_string : string -> kind option
 
 type data_config = {
   graph_scale : int;  (** log2 vertices of the shared Kronecker graph *)
-  edge_factor : int;
-  tpch_sf : float;
-  ycsb_records : int;
-  gups_table_words : int;
-  pagerank_iterations : int;
   dag_comm_aware : bool;
       (** map task-DAG jobs with the communication-aware mapper (default)
           instead of the blind round-robin baseline *)
@@ -41,16 +36,15 @@ type data_config = {
 }
 
 val default_data_config : data_config
-(** Small datasets sized for serving experiments (scale-10 graph,
-    SF 0.002 TPC-H, 4 Ki-record YCSB table). *)
+(** Small datasets sized for serving experiments: a scale-10 graph.  The
+    other sizes are fixed: edge factor 8, SF 0.002 TPC-H, a 4 Ki-record
+    YCSB table, a 16 Ki-word GUPS table and 2-iteration PageRank. *)
 
 type data
 
 val prepare : Workloads.Exec_env.t -> data_config -> data
 (** Allocate and populate every shared dataset through the environment's
     shared allocator (so placement policy applies to serving data too). *)
-
-val graph : data -> Workloads.Csr.t
 
 val cost_estimate : data -> kind -> float
 (** Rough service demand (arbitrary units, consistent across kinds) used

@@ -93,6 +93,7 @@ let hist_json h =
 
 let json_of_float = json_float
 let json_escape = escape
+let json_obj = obj
 let json_of_histogram = hist_json
 
 let to_json t =

@@ -52,4 +52,9 @@ val to_json : t -> string
 
 val json_of_float : float -> string
 val json_escape : string -> string
+
+val json_obj : (string * string) list -> string
+(** [{"k1":v1,...}] in the given order; keys are escaped, values are
+    already-rendered JSON. *)
+
 val json_of_histogram : Histogram.t -> string

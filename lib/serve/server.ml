@@ -101,6 +101,7 @@ type tenant_state = {
   idx : int;
   mix_rng : Engine.Rng.t;  (** kind choice + per-job seeds *)
   arrival_rng : Engine.Rng.t;
+  mean_cost : float;  (** mix-weighted mean {!Job.cost_estimate} *)
   slo : float;
   mutable submitted : int;
   mutable admitted : int;
@@ -134,14 +135,14 @@ type relocatable = {
   r_submit_ns : float;
 }
 
-let pick_kind st =
-  let total = List.fold_left (fun a (_, w) -> a + w) 0 st.cfg_t.mix in
-  let r = Engine.Rng.int st.mix_rng total in
+let pick_kind rng mix =
+  let total = List.fold_left (fun a (_, w) -> a + w) 0 mix in
+  let r = Engine.Rng.int rng total in
   let rec go acc = function
     | [] -> assert false
     | (k, w) :: rest -> if r < acc + w then k else go (acc + w) rest
   in
-  go 0 st.cfg_t.mix
+  go 0 mix
 
 let validate cfg =
   if cfg.tenants = [] then invalid_arg "Server.run: no tenants";
@@ -292,6 +293,7 @@ let create inst cfg =
           idx;
           mix_rng = Engine.Rng.create ((cfg.seed * 31) + (2 * idx));
           arrival_rng = Engine.Rng.create ((cfg.seed * 31) + (2 * idx) + 1);
+          mean_cost;
           slo = t.slo_factor *. mean_cost;
           submitted = 0;
           admitted = 0;
@@ -495,10 +497,10 @@ and finish_group sess ctx st p ~tokens ~corrupted ~items =
     | _ -> ()
   end;
   if sess.cfg.check then begin
-    (* replica-agreement invariants (Check.Invariants): the voted result
-       must match the honest plurality — the vote-skip plant trips this
-       whenever replica 0 holds the poisoned minority token — and
-       divergence is impossible without an injected corruption *)
+    (* replica-agreement invariants: the voted result must match the
+       honest plurality — the vote-skip plant trips this whenever replica
+       0 holds the poisoned minority token — and divergence is impossible
+       without an injected corruption *)
     if not (Int64.equal voted (Replica.majority tokens)) then
       Chipsim.Invariant.fail
         "serve: tenant %s job %d voted token %Lx but the plurality is %Lx"
@@ -666,7 +668,6 @@ let note_relocated_in sess ~tenant =
   end
 
 let queue_length sess = Fair_queue.length sess.fq
-let tenant_queue_depth sess ~tenant = Fair_queue.tenant_depth sess.fq ~tenant
 
 let queued_cost sess =
   (* Fair_queue does not expose iteration, so approximate the queued
@@ -675,20 +676,11 @@ let queued_cost sess =
   let total = ref 0.0 in
   Array.iter
     (fun st ->
-      let mean_cost =
-        let num, den =
-          List.fold_left
-            (fun (num, den) (k, w) ->
-              (num +. (float_of_int w *. Job.cost_estimate sess.data k), den + w))
-            (0.0, 0) st.cfg_t.mix
-        in
-        num /. float_of_int den
-      in
       (* a replicated tenant's queued job will run [replicas] times *)
       total :=
         !total
         +. (float_of_int (Fair_queue.tenant_depth sess.fq ~tenant:st.idx)
-           *. mean_cost
+           *. st.mean_cost
            *. float_of_int st.cfg_t.replicas))
     sess.tenants;
   !total
@@ -789,7 +781,6 @@ module Session = struct
   let drop_queued = drop_queued
   let note_relocated_in = note_relocated_in
   let queue_length = queue_length
-  let tenant_queue_depth = tenant_queue_depth
   let queued_cost = queued_cost
   let backlog_ns = backlog_ns
   let cost_estimate = cost_estimate
@@ -823,7 +814,7 @@ let run inst cfg =
                     ignore
                       (Sched.Ctx.spawn ctx' ~at:times.(k + 1) (arrive (k + 1))
                         : Sched.task);
-                  let kind = pick_kind st in
+                  let kind = pick_kind st.mix_rng st.cfg_t.mix in
                   ignore
                     (submit_in_sim sess ctx' st ~arrival:times.(k) kind
                       : float Future.t)
@@ -841,7 +832,7 @@ let run inst cfg =
                     ignore
                       (Sched.Ctx.spawn ctx (fun ctx' ->
                            for _ = 1 to quota do
-                             let kind = pick_kind st in
+                             let kind = pick_kind st.mix_rng st.cfg_t.mix in
                              let f =
                                submit_in_sim sess ctx' st
                                  ~arrival:(Sched.Ctx.now ctx') kind
@@ -857,12 +848,7 @@ let run inst cfg =
   finish sess
 
 let report_to_json r =
-  let obj fields =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> "\"" ^ Metrics.json_escape k ^ "\":" ^ v) fields)
-    ^ "}"
-  in
+  let obj = Metrics.json_obj in
   let f = Metrics.json_of_float in
   let acc = r.stats.Engine.Stats.accesses in
   let fills =

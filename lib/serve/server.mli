@@ -72,6 +72,9 @@ val default_config : seed:int -> config
 (** Three open-loop tenants (graph / OLAP / OLTP+GUPS mixes) with weights
     2:1:1 at 5000 jobs/s each, 40 jobs per tenant. *)
 
+val pick_kind : Engine.Rng.t -> (Job.kind * int) list -> Job.kind
+(** One weighted draw from a tenant's mix (one {!Engine.Rng.int}). *)
+
 type tenant_report = {
   tenant : string;
   submitted : int;
@@ -166,7 +169,6 @@ module Session : sig
       (ledger only; out-of-range indices are ignored). *)
 
   val queue_length : t -> int
-  val tenant_queue_depth : t -> tenant:int -> int
 
   val queued_cost : t -> float
   (** Estimated service demand queued on the shard (tenant depth x mean

@@ -72,6 +72,10 @@ let scaled_cost_ns topo kind n =
 
 let equal a b = a.name = b.name && a.nodes = b.nodes && a.edges = b.edges
 
+(* Validate and build: positive finite costs, in-range edge endpoints, no
+   self or duplicate edges, and no cycles (Kahn's algorithm, smallest
+   ready id first, so [order] is deterministic).  Raises Invalid_argument
+   with a one-line description otherwise. *)
 let v ~name ~nodes ~edges =
   let n = Array.length nodes in
   if n = 0 then invalid_arg "Graph.v: a graph needs at least one node";
@@ -276,12 +280,6 @@ let to_lines t =
 
 let to_string t = String.concat "\n" (to_lines t) ^ "\n"
 let to_spec t = String.concat "; " (to_lines t)
-
-let pp ppf t =
-  Format.fprintf ppf "%s: %d node(s), %d edge(s), %.1fus compute, %s comm"
-    t.name (num_nodes t) (num_edges t)
-    (total_cost_ns t /. 1e3)
-    (format_bytes (total_edge_bytes t))
 
 let of_string spec =
   let strip_comment line =

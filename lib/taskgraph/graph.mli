@@ -18,19 +18,13 @@ open Chipsim
 type op = Conv | Matmul | Elementwise | Reduce | Embed
 
 val op_name : op -> string
-val op_of_name : string -> op option
-val all_ops : op list
-
-val accel_friendly : op -> bool
-(** [Conv] and [Matmul] — the dense kernels accelerator tiles are for. *)
 
 val op_mult : Topology.core_kind -> op -> float
 (** Compute-cost multiplier of running an op class on a core kind: 1.0
-    everywhere except off-profile ops on [Accel] chiplets, which pay
-    {!off_profile_penalty} — more than the accel kind's default speed
-    advantage, so glue nodes are net slower there than on a big core. *)
-
-val off_profile_penalty : float
+    everywhere except ops other than [Conv] and [Matmul] on [Accel]
+    chiplets, which pay a 3x off-profile penalty — more than the accel
+    kind's default speed advantage, so glue nodes are net slower there
+    than on a big core. *)
 
 type node = { op : op; cost_ns : float }
 type edge = { src : int; dst : int; bytes : int }
@@ -43,12 +37,6 @@ type t = private {
   succs : int array array;  (** outgoing edge indices, per node *)
   order : int array;  (** a deterministic topological order of node ids *)
 }
-
-val v : name:string -> nodes:node array -> edges:edge array -> t
-(** Validate and build: positive finite costs, in-range edge endpoints, no
-    self or duplicate edges, and no cycles (Kahn's algorithm, smallest
-    ready id first, so [order] is deterministic).
-    @raise Invalid_argument with a one-line description otherwise. *)
 
 val name : t -> string
 val num_nodes : t -> int
@@ -89,5 +77,3 @@ val to_string : t -> string
 
 val to_spec : t -> string
 (** Same directives joined with ["; "] — a single-line embeddable form. *)
-
-val pp : Format.formatter -> t -> unit

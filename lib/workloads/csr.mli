@@ -2,7 +2,7 @@
 
     The adjacency structure lives in ordinary OCaml arrays (for the actual
     algorithm) and in simulated regions (for charging cache/DRAM costs):
-    touching vertex/edge data through {!read_adj} etc. advances the
+    touching edge data through {!read_adj} advances the
     executing worker's clock through the machine model. *)
 
 open Chipsim
@@ -18,17 +18,6 @@ type t = {
   sim_weight : Simmem.region;
 }
 
-val of_edges :
-  alloc:(elt_bytes:int -> count:int -> Simmem.region) ->
-  n:int ->
-  src:int array ->
-  dst:int array ->
-  ?weights:int array ->
-  unit ->
-  t
-(** Build a CSR (out-edges) from an edge list.  [weights] defaults to
-    random-free all-ones. *)
-
 val of_kronecker :
   alloc:(elt_bytes:int -> count:int -> Simmem.region) ->
   ?weighted:bool -> ?seed:int -> Kronecker.t -> t
@@ -39,14 +28,6 @@ val degree : t -> int -> int
 val out_neighbors : t -> int -> (int -> int -> unit) -> unit
 (** [out_neighbors t u f] calls [f v w] for every out-edge (u,v,w). *)
 
-(** Charged accessors: each also performs the simulated memory access. *)
-
 val read_adj : Engine.Sched.ctx -> t -> int -> unit
 (** Touch the row pointer and the whole adjacency range of a vertex
-    (sequential edge scan). *)
-
-val read_vertex : Engine.Sched.ctx -> Simmem.region -> int -> unit
-val write_vertex : Engine.Sched.ctx -> Simmem.region -> int -> unit
-
-val approx_bytes : t -> int
-(** Total simulated footprint (row + col + weight). *)
+    (sequential edge scan), charging the executing worker. *)

@@ -5,7 +5,3 @@ let v ~label ~makespan_ns ~work_items = { label; makespan_ns; work_items }
 let throughput_per_s t =
   if t.makespan_ns <= 0.0 then 0.0
   else float_of_int t.work_items /. (t.makespan_ns /. 1e9)
-
-let pp ppf t =
-  Format.fprintf ppf "%s: %.3f ms, %d items, %.3e items/s" t.label
-    (t.makespan_ns /. 1e6) t.work_items (throughput_per_s t)

@@ -10,5 +10,3 @@ val v : label:string -> makespan_ns:float -> work_items:int -> t
 
 val throughput_per_s : t -> float
 (** work items per virtual second. *)
-
-val pp : Format.formatter -> t -> unit

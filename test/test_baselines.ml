@@ -17,7 +17,6 @@ let test_layouts_injective () =
   in
   check "sequential" B.Layouts.sequential;
   check "socket-rr-scatter" B.Layouts.socket_round_robin_scatter;
-  check "socket-rr-fill" B.Layouts.socket_round_robin_fill;
   check "one-per-chiplet" B.Layouts.one_per_chiplet
 
 let test_shoal_sequential () =

@@ -46,7 +46,16 @@ let test_random_schedules_roundtrip () =
        [
          { Schedule.at_ns = 3e6; kind = Schedule.Core_off 1 };
          { Schedule.at_ns = 500.0; kind = Schedule.Core_on 2 };
-       ])
+       ]);
+  (* the draw order is part of every recorded [rand:] schedule: pin one
+     that covers all six event kinds *)
+  Alcotest.(check string) "seed 7 draws pinned"
+    "56.858828668929214:core-off:110;850.9048911008598:membw:0:0.615711163702351;\
+     1917.8040099427318:l3-ways:11:9;2417.8950214490853:core-on:103;\
+     2621.7297083896565:l3-ways:6:5;3023.4871916821744:l3-ways:9:1;\
+     3318.4376353350794:core-off:89;4007.2978436300677:link:3:7.423892542258358;\
+     4639.139488358511:core-on:0;4865.3171985070085:dvfs:39:0.7582834735850588"
+    (Schedule.to_spec (Schedule.random ~topo ~seed:7 ~n:10 ~horizon_us:5000.0))
 
 let test_parse_rand_deterministic () =
   let topo = topo () in

@@ -133,9 +133,8 @@ let test_records_and_serializes () =
   let t = Trace.create () in
   Trace.task_quantum t ~worker:0 ~core:3 ~task_id:7 ~start_ns:100.0 ~end_ns:400.0;
   Trace.migration t ~worker:1 ~from_core:3 ~to_core:9 ~at_ns:500.0;
-  Trace.policy_decision t ~worker:1 ~spread:4 ~at_ns:600.0;
   Trace.instant t ~name:"phase" ~at_ns:700.0;
-  Alcotest.(check int) "four events" 4 (Trace.num_events t);
+  Alcotest.(check int) "three events" 3 (Trace.num_events t);
   let json = Trace.to_chrome_json t in
   Alcotest.(check bool) "array" true
     (String.length json > 2 && json.[0] = '[' && json.[String.length json - 1] = ']');
@@ -186,7 +185,6 @@ let test_json_escaping_all_kinds () =
   Trace.steal t ~thief:1 ~victim:0 ~task_id:42 ~at_ns:5.0;
   Trace.park t ~worker:1 ~at_ns:6.0;
   Trace.migration t ~worker:0 ~from_core:1 ~to_core:2 ~at_ns:7.0;
-  Trace.policy_decision t ~worker:0 ~spread:2 ~at_ns:8.0;
   Trace.spread_change t ~worker:0 ~old_spread:1 ~new_spread:2 ~at_ns:8.0;
   Trace.mode_switch t ~from_mode:"cache\"centric" ~to_mode:"location\\centric"
     ~at_ns:9.0;
