@@ -12,7 +12,13 @@
    deterministic per scenario (equal seeds), so only wall-clock varies
    across runs and machines; each scenario runs [reps] times on a fresh
    machine (cold caches, per the paper's methodology) and reports the best
-   rep to damp scheduler noise. *)
+   rep to damp scheduler noise.
+
+   [words_per_event] is what the scenario allocates on the OCaml minor
+   heap per simulated event, set-up included, read with the exact
+   [Gc.minor_words] ([Gc.quick_stat] only advances at minor collections
+   on OCaml 5.1).  It is shown but not gated: the compilers CI builds
+   with allocate differently. *)
 
 open Chipsim
 module Sched = Engine.Sched
@@ -97,19 +103,21 @@ let schema =
     Row.name = "core";
     keys = [ "scenario" ];
     gates = [ ("events", Row.Exact); ("events_per_s", Row.Min_ratio 0.8) ];
-    columns = [];
+    columns = [ "words_per_event" ];
   }
 
 let run () =
   Util.section "Core - engine throughput (simulated events/sec per scenario)";
-  Util.row "  %-8s %12s %9s %14s %12s\n" "scenario" "events" "wall(s)"
-    "events/sec" "makespan(us)";
+  Util.row "  %-8s %12s %9s %14s %12s %11s\n" "scenario" "events" "wall(s)"
+    "events/sec" "makespan(us)" "words/event";
   List.iter
     (fun (name, spec, f) ->
       let best = ref None in
       let events0 = ref 0 in
       for _ = 1 to reps do
+        let w0 = Gc.minor_words () in
         let events, wall, makespan = f () in
+        let words = Gc.minor_words () -. w0 in
         if !events0 = 0 then events0 := events
         else if !events0 <> events then begin
           Printf.eprintf
@@ -118,13 +126,14 @@ let run () =
           exit 1
         end;
         match !best with
-        | Some (w, _) when w <= wall -> ()
-        | _ -> best := Some (wall, makespan)
+        | Some (w, _, _) when w <= wall -> ()
+        | _ -> best := Some (wall, makespan, words)
       done;
-      let wall, makespan = Option.get !best in
+      let wall, makespan, words = Option.get !best in
       let eps = float_of_int !events0 /. Float.max 1e-9 wall in
-      Util.row "  %-8s %12d %9.3f %14.0f %12.1f\n" name !events0 wall eps
-        (makespan /. 1e3);
+      let wpe = words /. float_of_int (max 1 !events0) in
+      Util.row "  %-8s %12d %9.3f %14.0f %12.1f %11.3f\n" name !events0 wall eps
+        (makespan /. 1e3) wpe;
       Util.emit
         (Row.make schema ?spec
            [
@@ -132,6 +141,7 @@ let run () =
              ("events", Sim (Int !events0));
              ("wall_s", Host (Num wall));
              ("events_per_s", Host (Num eps));
+             ("words_per_event", Host (Num wpe));
              ("makespan_us", Sim (Num (makespan /. 1e3)));
            ]))
     (scenarios ())

@@ -32,9 +32,7 @@ let check name i n = if i < 0 || i >= n then invalid_arg ("Modifiers: " ^ name ^
 let touch t = t.generation <- t.generation + 1
 let generation t = t.generation
 
-let core_speed t core =
-  check "core" core t.cores;
-  t.core_speed.(core)
+let core_speeds t = t.core_speed
 
 (* The floor keeps a throttled core from stalling virtual time: even a
    thermally wedged core retires instructions eventually. *)

@@ -2,7 +2,7 @@
     fault injector writes and the simulated machine reads on every access.
 
     All values start pristine (speed 1.0, everything online, all
-    multipliers 1.0).  The scheduler reads {!core_speed} to scale quantum
+    multipliers 1.0).  The scheduler reads {!core_speeds} to scale quantum
     progress and {!core_online} to park workers; {!Machine.access_line}
     reads the link and cross-socket multipliers on every remote fill.
     DVFS state and core hotplug are OS-visible on real machines, so
@@ -13,8 +13,11 @@ type t
 
 val create : cores:int -> chiplets:int -> nodes:int -> t
 
-val core_speed : t -> int -> float
-(** DVFS factor: 1.0 nominal, 0.5 half speed.  Clamped to >= 0.05. *)
+val core_speeds : t -> float array
+(** The live per-core DVFS factors (1.0 nominal, 0.5 half speed, clamped
+    to >= 0.05), updated in place by {!set_core_speed}.  The scheduler
+    reads the array at every quantum end, where a float returned across a
+    module boundary would be boxed. *)
 
 val set_core_speed : t -> int -> float -> unit
 val core_online : t -> int -> bool

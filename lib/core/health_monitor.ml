@@ -51,6 +51,7 @@ type t = {
   mutable first_flag_ns : float option;
   mutable events : event list;  (* newest first *)
   mutable on_event : chiplet:int -> sick:bool -> at_ns:float -> unit;
+  sorted : float array;  (* {!median_ewma}'s sort buffer, one slot per chiplet *)
 }
 
 let create machine ~n_workers =
@@ -76,6 +77,7 @@ let create machine ~n_workers =
     first_flag_ns = None;
     events = [];
     on_event = (fun ~chiplet:_ ~sick:_ ~at_ns:_ -> ());
+    sorted = Array.make (Topology.num_chiplets topo) 0.0;
   }
 
 let set_on_event t f = t.on_event <- f
@@ -133,18 +135,26 @@ let sync_os_visible t ~now =
       t.chiplets
   end
 
-let median_ewma t =
-  let vals =
-    Array.of_seq
-      (Seq.filter_map
-         (fun c -> if c.samples >= min_samples then Some c.ewma else None)
-         (Array.to_seq t.chiplets))
-  in
-  if Array.length vals < 2 then None
-  else begin
-    Array.sort compare vals;
-    Some vals.(Array.length vals / 2)
-  end
+(* Median of the fast EWMAs of chiplets with enough samples, [nan] with
+   fewer than two.  An insertion sort into the monitor's own buffer: the
+   judge runs on every sample, and this allocates nothing. *)
+let[@inline] median_ewma t =
+  let buf = t.sorted in
+  let n = ref 0 in
+  for c = 0 to Array.length t.chiplets - 1 do
+    let st = t.chiplets.(c) in
+    if st.samples >= min_samples then begin
+      let v = st.ewma in
+      let j = ref !n in
+      while !j > 0 && buf.(!j - 1) > v do
+        buf.(!j) <- buf.(!j - 1);
+        decr j
+      done;
+      buf.(!j) <- v;
+      incr n
+    end
+  done;
+  if !n < 2 then nan else buf.(!n / 2)
 
 let judge t ~chiplet ~now =
   let st = t.chiplets.(chiplet) in
@@ -170,9 +180,9 @@ let judge t ~chiplet ~now =
     else begin
       let jumped = st.ewma > jump_ratio *. st.baseline in
       let outlier =
-        match median_ewma t with
-        | Some med when med > 0.0 -> st.ewma > sick_ratio *. med
-        | _ -> true  (* too few peers to compare: trust the jump test *)
+        let med = median_ewma t in
+        (* nan (too few peers to compare): trust the jump test *)
+        if med > 0.0 then st.ewma > sick_ratio *. med else true
       in
       if jumped && outlier then begin
         st.strikes <- st.strikes + 1;

@@ -27,46 +27,72 @@ let is_parked t =
 let yield () = Effect.perform Yield
 let suspend register = Effect.perform (Suspend register)
 
-(* The deep handler is installed once, at the first resume; it must write
-   through the coroutine record (not a per-resume cell) because it stays in
-   scope for every later [continue]. *)
-let handler t : (unit, unit) Effect.Deep.handler =
+(* One deep handler serves every coroutine, built once at start-up: a
+   handler built per coroutine costs a record and five closures per task,
+   and one whose [effc] builds [Some (fun k -> ...)] costs a closure per
+   [perform].  The handler finds the coroutine it acts for in [current],
+   which {!resume} sets around every run and restores afterwards, so a
+   coroutine may resume another.  A suspend's registrar waits in
+   [registrar] between [effc] and the continuation's handling. *)
+let current = ref { cid = 0; state = Finished_; last = Finished }
+let registrar = ref (fun (_ : t) -> ())
+
+let on_yield =
+  Some
+    (fun (k : (unit, unit) Effect.Deep.continuation) ->
+      let t = !current in
+      t.state <- Parked k;
+      t.last <- Yielded)
+
+let on_suspend =
+  Some
+    (fun (k : (unit, unit) Effect.Deep.continuation) ->
+      let t = !current in
+      t.state <- Parked k;
+      t.last <- Suspended;
+      !registrar t)
+
+let handler : (unit, unit) Effect.Deep.handler =
   {
     retc =
       (fun () ->
+        let t = !current in
         t.state <- Finished_;
         t.last <- Finished);
     exnc =
       (fun e ->
+        let t = !current in
         t.state <- Finished_;
         t.last <- Finished;
         raise e);
     effc =
       (fun (type c) (eff : c Effect.t) ->
         match eff with
-        | Yield ->
-            Some
-              (fun (k : (c, unit) Effect.Deep.continuation) ->
-                t.state <- Parked k;
-                t.last <- Yielded)
+        | Yield -> (on_yield : ((c, unit) Effect.Deep.continuation -> unit) option)
         | Suspend register ->
-            Some
-              (fun (k : (c, unit) Effect.Deep.continuation) ->
-                t.state <- Parked k;
-                t.last <- Suspended;
-                register t)
+            registrar := register;
+            on_suspend
         | _ -> None);
   }
 
 let resume t =
-  match t.state with
-  | Created f ->
+  let prev = !current in
+  (match t.state with
+  | Created f -> (
       t.state <- Running;
-      Effect.Deep.match_with f () (handler t);
-      t.last
-  | Parked k ->
+      current := t;
+      try Effect.Deep.match_with f () handler
+      with e ->
+        current := prev;
+        raise e)
+  | Parked k -> (
       t.state <- Running;
-      Effect.Deep.continue k ();
-      t.last
+      current := t;
+      try Effect.Deep.continue k ()
+      with e ->
+        current := prev;
+        raise e)
   | Running -> invalid_arg "Coroutine.resume: already running"
-  | Finished_ -> invalid_arg "Coroutine.resume: already finished"
+  | Finished_ -> invalid_arg "Coroutine.resume: already finished");
+  current := prev;
+  t.last

@@ -30,22 +30,17 @@ let parallel_for ctx ~lo ~hi ?grain f =
           g
       | None -> max 1 (span / (4 * n))
     in
-    let rec chunks acc i =
-      if i >= hi then List.rev acc
-      else chunks ((i, min hi (i + grain)) :: acc) (i + grain)
-    in
-    let pieces = chunks [] lo in
-    let npieces = List.length pieces in
+    let npieces = (span + grain - 1) / grain in
     (* block distribution: adjacent chunks land on the same worker, so a
        worker's L3 keeps seeing the same data range across phases *)
     let tasks =
-      List.mapi
-        (fun k (clo, chi) ->
+      Array.init npieces (fun k ->
+          let clo = lo + (k * grain) in
+          let chi = min hi (clo + grain) in
           let worker = min (n - 1) (k * n / npieces) in
           Sched.Ctx.spawn ctx ~worker (fun ctx' -> f ctx' clo chi))
-        pieces
     in
-    List.iter (fun task -> Sched.Ctx.await ctx task) tasks
+    Array.iter (fun task -> Sched.Ctx.await ctx task) tasks
   end
 
 let spawn_all sched ~n f =

@@ -1,30 +1,41 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer rather than a mutable int64
+   field: a record field holds a boxed int64, so every draw would allocate
+   a fresh box.  Reading and writing the bytes keeps the arithmetic
+   unboxed: [int], [bool] and [shuffle] allocate nothing, and [float]
+   only the box its result needs when the caller is in another module. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int seed))
 
-let split t = { state = mix (next t) }
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden in
+  Bytes.set_int64_le t 0 s;
+  mix s
 
-let int t bound =
+let split t = of_state (mix (next t))
+
+let[@inline] int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let float t bound =
+let[@inline] float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. v /. 9007199254740992.0 (* 2^53 *)
 
-let bool t = Int64.logand (next t) 1L = 1L
+let[@inline] bool t = Int64.logand (next t) 1L = 1L
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

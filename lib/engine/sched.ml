@@ -43,6 +43,9 @@ type t = {
       (* fault pump: called with the event-loop frontier before each pick *)
   workers : worker array;
   core_owner : int array;  (* core -> worker id, -1 if free *)
+  core_speed : float array;
+      (* the live per-core DVFS factors ({!Modifiers.core_speeds}), read
+         directly: a float returned across a module boundary is boxed *)
   kind_speed : float array;
       (* per-core static throughput multiplier from the topology's core
          kind (big=1.0); composes with the dynamic DVFS factor at quantum
@@ -75,7 +78,9 @@ and worker = {
   clock : float array;
       (* 1-element clock cell: {!Machine.access_clk} charges latency into
          it in place, so no boxed float crosses the per-access boundary *)
-  mutable busy_clock : float;  (* clock at the end of the last real quantum *)
+  busy_clock : float array;
+      (* 1-element cell: the clock at the end of the last real quantum,
+         written every quantum without boxing *)
   mutable did_work : bool;
   mutable parked : bool;  (* out of the heap, waiting for an enqueue *)
   mutable offlined : bool;  (* core lost with nowhere to migrate: dormant *)
@@ -104,7 +109,9 @@ and worker = {
 and task = {
   tid : int;
   mutable coro : Coroutine.t option;
-  mutable ready_at : float;
+  ready_at : float array;
+      (* 1-element cell: a mutable float field of this mixed record would
+         hold a box, and every requeue would allocate a new one *)
   mutable last_worker : int;
   mutable finished : bool;
   mutable waiters : task list;
@@ -134,7 +141,10 @@ and heap = {
 
 let heap_create n = { keys = Array.make (max n 4) 0.0; vals = Array.make (max n 4) 0; size = 0 }
 
-let heap_push h key v =
+(* push worker [w] keyed by its clock; reading the clock here rather than
+   taking it as an argument keeps the key unboxed *)
+let heap_push h w =
+  let key = w.clock.(0) and v = w.wid in
   if h.size = Array.length h.keys then begin
     let keys = Array.make (2 * h.size) 0.0 and vals = Array.make (2 * h.size) 0 in
     Array.blit h.keys 0 keys 0 h.size;
@@ -160,10 +170,13 @@ let heap_push h key v =
     else continue_ := false
   done
 
+(* pop the root and return its worker id, or -1 when the heap is empty;
+   the caller reads the root's key from [h.keys.(0)] first, so no
+   (key, id) pair is built *)
 let heap_pop h =
-  if h.size = 0 then None
+  if h.size = 0 then -1
   else begin
-    let key = h.keys.(0) and v = h.vals.(0) in
+    let v = h.vals.(0) in
     h.size <- h.size - 1;
     if h.size > 0 then begin
       h.keys.(0) <- h.keys.(h.size);
@@ -185,14 +198,14 @@ let heap_pop h =
         else continue_ := false
       done
     end;
-    Some (key, v)
+    v
   end
 
 (* -- task deque and pending heap ----------------------------------------- *)
 
 (* the sentinel filling empty queue slots; compared with == only *)
 let dummy_task =
-  { tid = -1; coro = None; ready_at = 0.0; last_worker = -1; finished = true; waiters = [] }
+  { tid = -1; coro = None; ready_at = [| 0.0 |]; last_worker = -1; finished = true; waiters = [] }
 
 let dq_create () = { dbuf = Array.make 16 dummy_task; dtop = 0; dbot = 0 }
 let dq_length q = q.dbot - q.dtop
@@ -238,8 +251,10 @@ let dq_remove q i =
 
 (* the pending heap holds bare ready_at keys, nothing else: values are
    never needed (the deque owns the tasks) and bare floats keep the heap
-   unboxed end to end *)
-let pend_push w key =
+   unboxed end to end; the key is read from [task] here, not passed in,
+   so it never crosses a call boxed *)
+let pend_push w task =
+  let key = task.ready_at.(0) in
   let n = w.pend_size in
   if n = Array.length w.pend_keys then begin
     let keys = Array.make (max 8 (2 * n)) 0.0 in
@@ -337,7 +352,7 @@ let create ?(config = default_config) ?(hooks = no_hooks) machine ~n_workers ~pl
           wid;
           core;
           clock = Array.make 1 0.0;
-          busy_clock = 0.0;
+          busy_clock = Array.make 1 0.0;
           did_work = false;
           parked = false;
           offlined = false;
@@ -352,7 +367,7 @@ let create ?(config = default_config) ?(hooks = no_hooks) machine ~n_workers ~pl
         })
   in
   let heap = heap_create n_workers in
-  Array.iter (fun w -> heap_push heap w.clock.(0) w.wid) workers;
+  Array.iter (fun w -> heap_push heap w) workers;
   {
     machine;
     config;
@@ -366,6 +381,7 @@ let create ?(config = default_config) ?(hooks = no_hooks) machine ~n_workers ~pl
     on_advance = None;
     workers;
     core_owner;
+    core_speed = Modifiers.core_speeds (Machine.modifiers machine);
     kind_speed = Array.init cores (fun c -> Topology.core_speed topo c);
     rank = Latency.rank_matrix topo;
     ncores = cores;
@@ -414,7 +430,7 @@ let heap_snapshot t =
 
 let total_spawned t = t.spawned
 
-let sample t now =
+let[@inline] sample t now =
   let n = t.nsamples in
   if n = Array.length t.sample_ts then begin
     let ts = Array.make (2 * n) 0.0 and live = Array.make (2 * n) 0 in
@@ -458,21 +474,23 @@ let migrate t ~worker ~core =
   end
 
 let task_id task = task.tid
-let make_task t body ~worker ~at =
-  t.next_tid <- t.next_tid + 1;
-  let task =
-    { tid = t.next_tid; coro = None; ready_at = at; last_worker = worker; finished = false; waiters = [] }
-  in
-  let ctx = { csched = t; ctask = task } in
-  task.coro <- Some (Coroutine.create (fun () -> body ctx));
-  task
 
-let unpark t w ~at =
+(* [Float.max], same nan and signed-zero rules, inlined here so neither
+   argument nor result is boxed *)
+let[@inline] fmax (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if Float.is_nan x then x else y
+  else if Float.is_nan y then y
+  else x
+
+(* The float-taking helpers below are [@inline]: a float passed to a call
+   that is not inlined is boxed, and these run per quantum or per task. *)
+let[@inline] unpark t w ~at =
   if w.parked && not w.offlined then begin
     w.parked <- false;
     t.parked_count <- t.parked_count - 1;
     if at > w.clock.(0) then w.clock.(0) <- at;
-    heap_push t.heap w.clock.(0) w.wid
+    heap_push t.heap w
   end
 
 (* Wake the parked worker closest to [near] so it can steal.  [near]'s
@@ -480,40 +498,58 @@ let unpark t w ~at =
    first within a class), so the first parked entry is the old
    full-scan minimum — without classifying every worker pair, and with a
    counter fast-path when nobody is parked at all. *)
-let wake_one_thief t ~near ~at =
+let[@inline] wake_one_thief t ~near ~at =
   if t.parked_count > 0 then begin
     let order = default_steal_order t ~thief:near.wid in
     let n = Array.length order in
-    let rec go i =
-      if i < n then begin
-        let w = t.workers.(order.(i)) in
-        if w.parked && not w.offlined then unpark t w ~at else go (i + 1)
+    let i = ref 0 in
+    while !i < n do
+      let w = t.workers.(order.(!i)) in
+      if w.parked && not w.offlined then begin
+        unpark t w ~at;
+        i := n
       end
-    in
-    go 0
+      else incr i
+    done
   end
 
 (* Resolve an offlined worker to the live worker its queue was drained
    into; the chain is bounded by the worker count (redirects only ever
    point at workers that were live at drain time). *)
 let live_target t wid =
-  let rec go wid guard =
-    let w = t.workers.(wid) in
-    if (not w.offlined) || w.redirect < 0 || guard = 0 then wid
-    else go w.redirect (guard - 1)
-  in
-  go wid (Array.length t.workers)
+  let wid = ref wid and guard = ref (Array.length t.workers) in
+  while
+    let w = t.workers.(!wid) in
+    w.offlined && w.redirect >= 0 && !guard > 0
+  do
+    wid := t.workers.(!wid).redirect;
+    decr guard
+  done;
+  !wid
 
 let enqueue t task =
   let target = live_target t task.last_worker in
   task.last_worker <- target;
   let w = t.workers.(target) in
   dq_push w.ready task;
-  if task.ready_at > w.clock.(0) then pend_push w task.ready_at;
+  if task.ready_at.(0) > w.clock.(0) then pend_push w task;
   t.runnable <- t.runnable + 1;
-  unpark t w ~at:task.ready_at;
+  unpark t w ~at:task.ready_at.(0);
   if t.config.steal_enabled && run_queue_len w >= 2 then
-    wake_one_thief t ~near:w ~at:(Float.max w.clock.(0) task.ready_at)
+    wake_one_thief t ~near:w ~at:(fmax w.clock.(0) task.ready_at.(0))
+
+let[@inline] spawn_on t ~worker ~at body =
+  t.next_tid <- t.next_tid + 1;
+  let task =
+    { tid = t.next_tid; coro = None; ready_at = [| at |]; last_worker = worker;
+      finished = false; waiters = [] }
+  in
+  let ctx = { csched = t; ctask = task } in
+  task.coro <- Some (Coroutine.create (fun () -> body ctx));
+  t.live <- t.live + 1;
+  t.spawned <- t.spawned + 1;
+  enqueue t task;
+  task
 
 let spawn t ?worker ?(at = 0.0) body =
   let worker =
@@ -534,16 +570,15 @@ let spawn t ?worker ?(at = 0.0) body =
         in
         pick 0
   in
-  let task = make_task t body ~worker ~at in
-  t.live <- t.live + 1;
-  t.spawned <- t.spawned + 1;
-  enqueue t task;
-  task
+  spawn_on t ~worker ~at body
+
+let[@inline] ready_at t task at =
+  task.ready_at.(0) <- fmax task.ready_at.(0) at;
+  enqueue t task
 
 let ready t ?at task =
   if task.finished then invalid_arg "Sched.ready: task already finished";
-  (match at with Some at -> task.ready_at <- Float.max task.ready_at at | None -> ());
-  enqueue t task
+  match at with Some at -> ready_at t task at | None -> enqueue t task
 
 (* Pop the next runnable task: the first task in queue order whose
    ready_at is within the worker's clock, rotating the not-yet-due prefix
@@ -558,18 +593,19 @@ let rec pop_own_slow w =
   if len = 0 then dummy_task
   else begin
     let clock = w.clock.(0) in
-    let rec go i =
-      if i >= len then dummy_task
-      else begin
-        let task = dq_pop_front w.ready in
-        if task.ready_at <= clock then task
-        else begin
-          dq_push w.ready task;
-          go (i + 1)
-        end
+    let found = ref dummy_task and i = ref 0 in
+    while !i < len do
+      let task = dq_pop_front w.ready in
+      if task.ready_at.(0) <= clock then begin
+        found := task;
+        i := len
       end
-    in
-    let found = go 0 in
+      else begin
+        dq_push w.ready task;
+        incr i
+      end
+    done;
+    let found = !found in
     if found != dummy_task then found
     else begin
       (* Nothing due: every queued task mirrors a live heap key above the
@@ -591,7 +627,7 @@ let rec pop_own_slow w =
         let m = ref infinity in
         for i = 0 to len - 1 do
           let task = dq_get w.ready i in
-          if task.ready_at < !m then m := task.ready_at
+          if task.ready_at.(0) < !m then m := task.ready_at.(0)
         done;
         w.clock.(0) <- !m
       end;
@@ -606,7 +642,7 @@ let pop_own w =
   if dq_is_empty q then dummy_task
   else begin
     let front = dq_get q 0 in
-    if front.ready_at <= w.clock.(0) then begin
+    if front.ready_at.(0) <= w.clock.(0) then begin
       q.dbuf.(dq_slot q q.dtop) <- dummy_task;
       q.dtop <- q.dtop + 1;
       front
@@ -625,48 +661,46 @@ let pop_own w =
 let steal_ready w victim =
   let horizon = w.clock.(0) +. steal_horizon_ns in
   let n = dq_length victim.ready in
-  let rec scan i =
-    if i >= n then dummy_task
-    else begin
-      let task = dq_get victim.ready i in
-      if task.ready_at <= horizon then begin
-        dq_remove victim.ready i;
-        task
-      end
-      else scan (i + 1)
+  let found = ref dummy_task and i = ref 0 in
+  while !i < n do
+    let task = dq_get victim.ready !i in
+    if task.ready_at.(0) <= horizon then begin
+      dq_remove victim.ready !i;
+      found := task;
+      i := n
     end
-  in
-  scan 0
+    else incr i
+  done;
+  !found
 
 let try_steal t w =
   if not t.config.steal_enabled then dummy_task
   else begin
     let order = t.hooks.steal_order t ~thief:w.wid in
     let topo = Machine.topology t.machine in
-    let rec go i =
-      if i >= Array.length order then dummy_task
-      else begin
-        let victim = t.workers.(order.(i)) in
-        let task = steal_ready w victim in
-        if task != dummy_task then begin
-          let cost =
-            2.0 *. Latency.core_to_core_ns ~profile:(Machine.profile t.machine) topo w.core victim.core
-          in
-          w.clock.(0) <- w.clock.(0) +. cost;
-          Pmu.incr (Machine.pmu t.machine) ~core:w.core Pmu.Task_stolen;
-          (match t.trace with
-          | Some tr when Trace.enabled tr ->
-              Trace.steal tr ~thief:w.wid ~victim:victim.wid ~task_id:task.tid
-                ~at_ns:w.clock.(0)
-          | _ -> ());
-          if run_queue_len victim > 0 then
-            wake_one_thief t ~near:victim ~at:w.clock.(0);
-          task
-        end
-        else go (i + 1)
+    let found = ref dummy_task and i = ref 0 in
+    while !i < Array.length order do
+      let victim = t.workers.(order.(!i)) in
+      let task = steal_ready w victim in
+      if task != dummy_task then begin
+        let cost =
+          2.0 *. Latency.core_to_core_ns ~profile:(Machine.profile t.machine) topo w.core victim.core
+        in
+        w.clock.(0) <- w.clock.(0) +. cost;
+        Pmu.incr (Machine.pmu t.machine) ~core:w.core Pmu.Task_stolen;
+        (match t.trace with
+        | Some tr when Trace.enabled tr ->
+            Trace.steal tr ~thief:w.wid ~victim:victim.wid ~task_id:task.tid
+              ~at_ns:w.clock.(0)
+        | _ -> ());
+        if run_queue_len victim > 0 then
+          wake_one_thief t ~near:victim ~at:w.clock.(0);
+        found := task;
+        i := Array.length order
       end
-    in
-    go 0
+      else incr i
+    done;
+    !found
   end
 
 (* Single horizon-filtered steal attempt, exposed for tests: returns the
@@ -720,10 +754,10 @@ let check_quantum_start t w task =
   if not (Modifiers.core_online (Machine.modifiers t.machine) w.core) then
     Invariant.fail "sched: worker %d executing task %d on offline core %d"
       w.wid task.tid w.core;
-  if w.clock.(0) < task.ready_at then
+  if w.clock.(0) < task.ready_at.(0) then
     Invariant.fail
       "sched: task %d starts at %.3f ns, before its ready time %.3f ns (worker %d)"
-      task.tid w.clock.(0) task.ready_at w.wid
+      task.tid w.clock.(0) task.ready_at.(0) w.wid
 
 let check_quantum_end t w task ~quantum_start =
   if not (Float.is_finite w.clock.(0)) || w.clock.(0) < quantum_start then
@@ -761,12 +795,19 @@ let check_quiescent t =
     t.workers;
   Machine.check_invariants_full t.machine
 
+(* make [waiters] ready at [w]'s clock, in list order *)
+let rec wake_waiters t w = function
+  | [] -> ()
+  | waiter :: rest ->
+      ready_at t waiter w.clock.(0);
+      wake_waiters t w rest
+
 let execute t w task =
   if
-    task.ready_at > w.clock.(0)
+    task.ready_at.(0) > w.clock.(0)
     && not (Invariant.planted Invariant.Skip_ready_clamp)
   then
-    w.clock.(0) <- task.ready_at;
+    w.clock.(0) <- task.ready_at.(0);
   if t.check then check_quantum_start t w task;
   (* the quantum starts here, after the ready-time clamp: idle waiting and
      steal latency before this point belong to no task *)
@@ -790,7 +831,7 @@ let execute t w task =
      the task's forward progress per nanosecond drops with core speed. *)
   (* compose dynamic DVFS with the static kind speed: a little core's
      quantum runs proportionally longer, an accelerator tile's shorter *)
-  let dvfs = Modifiers.core_speed (Machine.modifiers t.machine) w.core in
+  let dvfs = Array.unsafe_get t.core_speed w.core in
   let speed = dvfs *. Array.unsafe_get t.kind_speed w.core in
   if speed <> 1.0 then
     w.clock.(0) <- quantum_start +. ((w.clock.(0) -. quantum_start) /. speed);
@@ -804,9 +845,9 @@ let execute t w task =
       (* remember the progress point: if a lagging thief later steals this
          task it must resume at or after where it left off, or task-local
          time would run backward *)
-      task.ready_at <- w.clock.(0);
+      task.ready_at.(0) <- w.clock.(0);
       enqueue t task
-  | Coroutine.Suspended -> task.ready_at <- w.clock.(0)
+  | Coroutine.Suspended -> task.ready_at.(0) <- w.clock.(0)
   | Coroutine.Finished ->
       task.finished <- true;
       t.live <- t.live - 1;
@@ -814,9 +855,9 @@ let execute t w task =
       sample t w.clock.(0);
       let waiters = task.waiters in
       task.waiters <- [];
-      List.iter (fun waiter -> ready t ~at:w.clock.(0) waiter) waiters);
+      wake_waiters t w waiters);
   w.did_work <- true;
-  w.busy_clock <- w.clock.(0);
+  w.busy_clock.(0) <- w.clock.(0);
   (* emit before the policy hook runs: a migration decided at quantum end
      must not retroactively relabel the core this quantum ran on *)
   (match t.trace with
@@ -875,7 +916,7 @@ let handle_core_offline t ~core =
             let task = dq_pop_front w.ready in
             task.last_worker <- d.wid;
             dq_push d.ready task;
-            if task.ready_at > d.clock.(0) then pend_push d task.ready_at
+            if task.ready_at.(0) > d.clock.(0) then pend_push d task
           done;
           w.pend_size <- 0;
           unpark t d ~at:w.clock.(0)
@@ -902,52 +943,52 @@ let handle_core_online t ~core ~at =
 let run t =
   let rec loop () =
     if t.live = 0 then ()
+    else if t.heap.size = 0 then
+      (* every worker parked while tasks remain: they are all suspended
+         with nobody left to wake them *)
+      raise Deadlock
     else begin
-      match heap_pop t.heap with
-      | None ->
-          (* every worker parked while tasks remain: they are all suspended
-             with nobody left to wake them *)
-          raise Deadlock
-      | Some (key, wid) ->
-          let w = t.workers.(wid) in
-          if w.offlined then
-            (* dormant worker's stale heap entry: drop it *)
-            loop ()
-          else begin
-            (* fault pump: [key] is the event-loop frontier — no worker can
-               run earlier than it, so faults due at or before it apply
-               deterministically here, at a quantum boundary *)
-            (match t.on_advance with Some f -> f key | None -> ());
-            if w.offlined then loop ()
-            else if key < w.clock.(0) then begin
-              (* stale heap entry; reinsert with the fresh clock *)
-              heap_push t.heap w.clock.(0) wid;
-              loop ()
-            end
-            else begin
-              let task = next_task t w in
-              if task != dummy_task then begin
-                execute t w task;
-                heap_push t.heap w.clock.(0) wid
-              end
-              else begin
-                (* Nothing to run or steal: park until an enqueue wakes us.
-                   A short idle advance models the real polling interval. *)
-                (match t.trace with
-                | Some tr when Trace.enabled tr -> Trace.park tr ~worker:wid ~at_ns:w.clock.(0)
-                | _ -> ());
-                w.clock.(0) <- w.clock.(0) +. idle_quantum_ns;
-                w.parked <- true;
-                t.parked_count <- t.parked_count + 1
-              end;
-              loop ()
-            end
+      let key = t.heap.keys.(0) in
+      let wid = heap_pop t.heap in
+      let w = t.workers.(wid) in
+      if w.offlined then
+        (* dormant worker's stale heap entry: drop it *)
+        loop ()
+      else begin
+        (* fault pump: [key] is the event-loop frontier — no worker can
+           run earlier than it, so faults due at or before it apply
+           deterministically here, at a quantum boundary *)
+        (match t.on_advance with Some f -> f key | None -> ());
+        if w.offlined then loop ()
+        else if key < w.clock.(0) then begin
+          (* stale heap entry; reinsert with the fresh clock *)
+          heap_push t.heap w;
+          loop ()
+        end
+        else begin
+          let task = next_task t w in
+          if task != dummy_task then begin
+            execute t w task;
+            heap_push t.heap w
           end
+          else begin
+            (* Nothing to run or steal: park until an enqueue wakes us.
+               A short idle advance models the real polling interval. *)
+            (match t.trace with
+            | Some tr when Trace.enabled tr -> Trace.park tr ~worker:wid ~at_ns:w.clock.(0)
+            | _ -> ());
+            w.clock.(0) <- w.clock.(0) +. idle_quantum_ns;
+            w.parked <- true;
+            t.parked_count <- t.parked_count + 1
+          end;
+          loop ()
+        end
+      end
     end
   in
   loop ();
   if t.check then check_quiescent t;
-  Array.fold_left (fun acc w -> if w.did_work then Float.max acc w.busy_clock else acc) 0.0 t.workers
+  Array.fold_left (fun acc w -> if w.did_work then Float.max acc w.busy_clock.(0) else acc) 0.0 t.workers
 
 module Ctx = struct
   let sched c = c.csched
@@ -1017,6 +1058,8 @@ module Ctx = struct
   let spawn c ?worker ?at body =
     let t = c.csched in
     let worker = match worker with Some w -> w | None -> c.ctask.last_worker in
+    if worker < 0 || worker >= Array.length t.workers then
+      invalid_arg "Sched.spawn: worker out of range";
     (match t.config.task_model with
     | Coroutines _ -> ()
     | Os_threads { spawn_ns; _ } -> charge c spawn_ns);
@@ -1024,12 +1067,15 @@ module Ctx = struct
        thief whose clock lags the spawner would run the child "in the
        past", which breaks per-job latency accounting in serving mode *)
     let at = match at with Some at -> at | None -> now c in
-    spawn t ~worker ~at body
+    spawn_on t ~worker ~at body
 
+  (* the waiter is listed before it parks — nothing can finish [task]
+     while this coroutine runs — so the suspend needs no registrar
+     closure *)
   let await c task =
     if not task.finished then begin
-      suspend c (fun waiter -> task.waiters <- waiter :: task.waiters);
-      ()
+      task.waiters <- c.ctask :: task.waiters;
+      Coroutine.suspend ignore
     end
 end
 
@@ -1043,5 +1089,5 @@ let sync_clocks t =
      pump a frontier from before the sync) *)
   t.heap.size <- 0;
   Array.iter
-    (fun w -> if (not w.parked) && not w.offlined then heap_push t.heap w.clock.(0) w.wid)
+    (fun w -> if (not w.parked) && not w.offlined then heap_push t.heap w)
     t.workers

@@ -388,6 +388,18 @@ let int_in ~lo ?(hi = max_int) () =
       | Some n -> Ok n)
     string_of_int
 
+(* every float flag: cmdliner's own [float] reads "nan" and "inf", and a
+   non-finite rate, SLO factor or epoch either never terminates or
+   reports nonsense *)
+let finite_float =
+  flag_conv
+    (fun s ->
+      match float_of_string_opt s with
+      | Some f when Float.is_finite f -> Ok f
+      | Some _ -> err "'%s' is not a finite number" s
+      | None -> err "invalid value '%s', expected a floating point number" s)
+    fmt_float
+
 let machine_term =
   let sys =
     Arg.(value & opt (enum systems) Systems.Charm & info [ "s"; "system" ] ~doc:"Runtime system.")
@@ -416,7 +428,7 @@ let machine_term =
   Term.(const (fun sys preset topo -> (sys, Option.value topo ~default:preset)) $ sys $ preset $ topology)
 
 let serve_term =
-  let float_opt names ~default ~docv doc = Arg.(value & opt float default & info names ~docv ~doc) in
+  let float_opt names ~default ~docv doc = Arg.(value & opt finite_float default & info names ~docv ~doc) in
   let int_opt names ~default doc = Arg.(value & opt int default & info names ~doc) in
   let d = default_serve in
   let rate = float_opt [ "rate" ] ~default:d.rate ~docv:"JOBS/S" "Offered load per tenant (jobs/s of virtual time)." in
@@ -516,7 +528,7 @@ let fleet_term =
   in
   let epoch_us =
     Arg.(
-      value & opt float d.epoch_us
+      value & opt finite_float d.epoch_us
       & info [ "epoch-us" ] ~docv:"US"
           ~doc:
             "Fleet routing epoch (virtual us): shards drain with a dispatch \
@@ -538,7 +550,7 @@ let fleet_term =
   in
   let diurnal =
     Arg.(
-      value & opt float d.diurnal
+      value & opt finite_float d.diurnal
       & info [ "diurnal" ] ~docv:"A"
           ~doc:
             "Diurnal modulation amplitude in [0,1] for fleet arrivals: the \
@@ -546,7 +558,7 @@ let fleet_term =
   in
   let period =
     Arg.(
-      value & opt float d.diurnal_period_us
+      value & opt finite_float d.diurnal_period_us
       & info [ "diurnal-period-us" ] ~docv:"US" ~doc:"Diurnal period (virtual us).")
   in
   let no_relocation =
@@ -619,7 +631,7 @@ let term d =
   in
   let energy_weight =
     Arg.(
-      value & opt float 0.0
+      value & opt finite_float 0.0
       & info [ "energy-weight" ] ~docv:"W"
           ~doc:
             "EDP-aware placement weight for CHARM's policy: flee-migration \
@@ -628,7 +640,7 @@ let term d =
   in
   let power_cap =
     Arg.(
-      value & opt float 0.0
+      value & opt finite_float 0.0
       & info [ "power-cap" ] ~docv:"MW"
           ~doc:
             "Machine power cap in simulated milliwatts (1 mW = 1 pJ/ns), \
@@ -684,14 +696,8 @@ let term d =
   let build (sys, machine) workers cache_scale workload query graph_scale seed energy
       energy_weight power_cap_mw faults faults_shard check plant serve fleet =
     let ( let* ) = Result.bind in
-    let* () =
-      if Float.is_finite energy_weight && energy_weight >= 0.0 then Ok ()
-      else err "--energy-weight must be finite and >= 0"
-    in
-    let* () =
-      if Float.is_finite power_cap_mw && power_cap_mw >= 0.0 then Ok ()
-      else err "--power-cap must be finite and >= 0"
-    in
+    let* () = if energy_weight >= 0.0 then Ok () else err "--energy-weight must be >= 0" in
+    let* () = if power_cap_mw >= 0.0 then Ok () else err "--power-cap must be >= 0" in
     let* workload, seed =
       match (workload, fleet) with
       | Some kernel, None -> Ok (Batch { kernel; query }, seed)

@@ -44,10 +44,14 @@ module Hash_join = struct
       entries = 0;
     }
 
+  (* [Hashtbl.find] with a handler rather than [find_opt]: no option is
+     built per call *)
+  let payloads t key = match Hashtbl.find t.table key with l -> l | exception Not_found -> []
+
   let insert ctx t ~key ~payload =
     let b = bucket_of ~capacity:t.capacity key in
     Sched.Ctx.write ctx t.slab b;
-    let prev = Option.value ~default:[] (Hashtbl.find_opt t.table key) in
+    let prev = payloads t key in
     (* chained entries touch an extra line *)
     if prev <> [] then Sched.Ctx.write ctx t.slab ((b + 1) mod t.capacity);
     Hashtbl.replace t.table key (payload :: prev);
@@ -56,9 +60,9 @@ module Hash_join = struct
   let probe ctx t ~key =
     let b = bucket_of ~capacity:t.capacity key in
     Sched.Ctx.read ctx t.slab b;
-    match Hashtbl.find_opt t.table key with
-    | None -> []
-    | Some payloads ->
+    match payloads t key with
+    | [] -> []
+    | payloads ->
         if List.length payloads > 1 then
           Sched.Ctx.read ctx t.slab ((b + 1) mod t.capacity);
         payloads
@@ -91,24 +95,16 @@ module Hash_agg = struct
       width;
     }
 
-  let update ctx t ~key deltas =
+  let row ctx t ~key =
     let b = bucket_of ~capacity:t.capacity key in
     Sched.Ctx.read ctx t.slab b;
     Sched.Ctx.write ctx t.slab b;
-    let acc =
-      match Hashtbl.find_opt t.table key with
-      | Some acc -> acc
-      | None ->
-          let acc = Array.make t.width 0.0 in
-          Hashtbl.add t.table key acc;
-          acc
-    in
-    List.iter
-      (fun (slot, v) ->
-        if slot < 0 || slot >= t.width then
-          invalid_arg "Hash_agg.update: slot out of range";
-        acc.(slot) <- acc.(slot) +. v)
-      deltas
+    match Hashtbl.find t.table key with
+    | acc -> acc
+    | exception Not_found ->
+        let acc = Array.make t.width 0.0 in
+        Hashtbl.add t.table key acc;
+        acc
 
   let get t ~key = Hashtbl.find_opt t.table key
   let fold t f init = Hashtbl.fold f t.table init

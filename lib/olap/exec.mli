@@ -41,10 +41,10 @@ module Hash_agg : sig
   val create : alloc:alloc -> expected:int -> width:int -> t
   (** [width] accumulators per group. *)
 
-  val update :
-    Engine.Sched.ctx -> t -> key:int -> (int * float) list -> unit
-  (** Add deltas to accumulator slots of the key's group, creating it on
-      first touch (count-style slots pass [(slot, 1.0)]). *)
+  val row : Engine.Sched.ctx -> t -> key:int -> float array
+  (** Charge the key's bucket (a read, then a write) and return its
+      group's [width] accumulators, created as zeros on first touch.  The
+      caller adds into the slots in place. *)
 
   val get : t -> key:int -> float array option
   val fold : t -> (int -> float array -> 'a -> 'a) -> 'a -> 'a

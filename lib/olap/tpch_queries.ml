@@ -28,14 +28,12 @@ let q1 ctx ~alloc data =
       if shipdate.(row) <= cutoff then begin
         let key = (rf.(row) * 2) + ls.(row) in
         let dp = price.(row) *. (1.0 -. disc.(row)) in
-        Exec.Hash_agg.update ctx' agg ~key
-          [
-            (0, qty.(row));
-            (1, price.(row));
-            (2, dp);
-            (3, dp *. (1.0 +. tax.(row)));
-            (4, 1.0);
-          ]
+        let a = Exec.Hash_agg.row ctx' agg ~key in
+        a.(0) <- a.(0) +. qty.(row);
+        a.(1) <- a.(1) +. price.(row);
+        a.(2) <- a.(2) +. dp;
+        a.(3) <- a.(3) +. (dp *. (1.0 +. tax.(row)));
+        a.(4) <- a.(4) +. 1.0
       end);
   let sum = Exec.Hash_agg.fold agg (fun _k acc s -> s +. acc.(2)) 0.0 in
   { query = 1; checksum = sum; rows_out = Exec.Hash_agg.groups agg }
@@ -73,10 +71,12 @@ let q2 ctx ~alloc data =
            0 by keeping the running minimum manually *)
         match Exec.Hash_agg.get min_cost ~key:ps_part.(r) with
         | None ->
-            Exec.Hash_agg.update ctx' min_cost ~key:ps_part.(r)
-              [ (0, ps_cost.(r)); (1, 1.0) ]
+            let a = Exec.Hash_agg.row ctx' min_cost ~key:ps_part.(r) in
+            a.(0) <- a.(0) +. ps_cost.(r);
+            a.(1) <- a.(1) +. 1.0
         | Some acc ->
-            Exec.Hash_agg.update ctx' min_cost ~key:ps_part.(r) [ (1, 1.0) ];
+            let a = Exec.Hash_agg.row ctx' min_cost ~key:ps_part.(r) in
+            a.(1) <- a.(1) +. 1.0;
             if ps_cost.(r) < acc.(0) then acc.(0) <- ps_cost.(r)
       end);
   Exec.charge_sort ctx ~rows:(Exec.Hash_agg.groups min_cost);
@@ -110,9 +110,10 @@ let q3 ctx ~alloc data =
   Exec.parallel_scan ctx li
     ~columns:[ "l_orderkey"; "l_shipdate"; "l_extendedprice"; "l_discount" ]
     (fun ctx' r ->
-      if l_ship.(r) > cutoff && Exec.Hash_join.mem ctx' ord ~key:l_order.(r) then
-        Exec.Hash_agg.update ctx' revenue ~key:l_order.(r)
-          [ (0, price.(r) *. (1.0 -. disc.(r))) ]);
+      if l_ship.(r) > cutoff && Exec.Hash_join.mem ctx' ord ~key:l_order.(r) then begin
+        let a = Exec.Hash_agg.row ctx' revenue ~key:l_order.(r) in
+        a.(0) <- a.(0) +. (price.(r) *. (1.0 -. disc.(r)))
+      end);
   Exec.charge_sort ctx ~rows:(Exec.Hash_agg.groups revenue);
   let sum = Exec.Hash_agg.fold revenue (fun _ acc s -> s +. acc.(0)) 0.0 in
   { query = 3; checksum = sum; rows_out = Exec.Hash_agg.groups revenue }
@@ -136,7 +137,10 @@ let q4 ctx ~alloc data =
   Exec.parallel_scan ctx orders ~columns:[ "o_orderkey"; "o_orderdate"; "o_orderpriority" ]
     (fun ctx' o ->
       if o_date.(o) >= lo && o_date.(o) < hi && Exec.Hash_join.mem ctx' late ~key:o
-      then Exec.Hash_agg.update ctx' counts ~key:o_prio.(o) [ (0, 1.0) ]);
+      then begin
+        let a = Exec.Hash_agg.row ctx' counts ~key:o_prio.(o) in
+        a.(0) <- a.(0) +. 1.0
+      end);
   let sum = Exec.Hash_agg.fold counts (fun k acc s -> s +. (float_of_int (k + 1) *. acc.(0))) 0.0 in
   { query = 4; checksum = sum; rows_out = Exec.Hash_agg.groups counts }
 
@@ -180,9 +184,10 @@ let q5 ctx ~alloc data =
     (fun ctx' r ->
       Exec.Hash_join.probe_iter ctx' ord_nation ~key:l_order.(r) (fun c_nat ->
           Exec.Hash_join.probe_iter ctx' supp_nation ~key:l_supp.(r) (fun s_nat ->
-              if c_nat = s_nat then
-                Exec.Hash_agg.update ctx' revenue ~key:s_nat
-                  [ (0, price.(r) *. (1.0 -. disc.(r))) ])));
+              if c_nat = s_nat then begin
+                let a = Exec.Hash_agg.row ctx' revenue ~key:s_nat in
+                a.(0) <- a.(0) +. (price.(r) *. (1.0 -. disc.(r)))
+              end)));
   let sum = Exec.Hash_agg.fold revenue (fun _ acc s -> s +. acc.(0)) 0.0 in
   { query = 5; checksum = sum; rows_out = Exec.Hash_agg.groups revenue }
 
@@ -194,7 +199,9 @@ let q6 ctx ~alloc:_ data =
   let price = Table.floats li "l_extendedprice" in
   let disc = Table.floats li "l_discount" in
   let lo = D.day_of ~year:1994 and hi = D.day_of ~year:1995 in
-  let revenue = ref 0.0 in
+  (* a one-slot float array, not a [float ref]: the closure writes it
+     unboxed *)
+  let revenue = [| 0.0 |] in
   Exec.parallel_scan ctx li
     ~columns:[ "l_shipdate"; "l_quantity"; "l_extendedprice"; "l_discount" ]
     (fun _ctx' r ->
@@ -202,8 +209,8 @@ let q6 ctx ~alloc:_ data =
         ship.(r) >= lo && ship.(r) < hi
         && disc.(r) >= 0.05 && disc.(r) <= 0.07
         && qty.(r) < 24.0
-      then revenue := !revenue +. (price.(r) *. disc.(r)));
-  { query = 6; checksum = !revenue; rows_out = 1 }
+      then revenue.(0) <- revenue.(0) +. (price.(r) *. disc.(r)));
+  { query = 6; checksum = revenue.(0); rows_out = 1 }
 
 (* Q7: volume shipping between two nations, by year. *)
 let q7 ctx ~alloc data =
@@ -246,9 +253,8 @@ let q7 ctx ~alloc data =
                 if (c_nat = nat_a && s_nat = nat_b) || (c_nat = nat_b && s_nat = nat_a)
                 then begin
                   let year = l_ship.(r) / 365 in
-                  Exec.Hash_agg.update ctx' volume
-                    ~key:((s_nat * 100) + year)
-                    [ (0, price.(r) *. (1.0 -. disc.(r))) ]
+                  let a = Exec.Hash_agg.row ctx' volume ~key:((s_nat * 100) + year) in
+                  a.(0) <- a.(0) +. (price.(r) *. (1.0 -. disc.(r)))
                 end)));
   let sum = Exec.Hash_agg.fold volume (fun _ acc s -> s +. acc.(0)) 0.0 in
   { query = 7; checksum = sum; rows_out = Exec.Hash_agg.groups volume }
@@ -298,7 +304,9 @@ let q8 ctx ~alloc data =
         Exec.Hash_join.probe_iter ctx' ord ~key:l_order.(r) (fun year ->
             let v = price.(r) *. (1.0 -. disc.(r)) in
             let from_nation = if s_nation.(l_supp.(r)) = target_nation then v else 0.0 in
-            Exec.Hash_agg.update ctx' share ~key:year [ (0, from_nation); (1, v) ]));
+            let a = Exec.Hash_agg.row ctx' share ~key:year in
+            a.(0) <- a.(0) +. from_nation;
+            a.(1) <- a.(1) +. v));
   let sum =
     Exec.Hash_agg.fold share
       (fun _ acc s -> if acc.(1) > 0.0 then s +. (acc.(0) /. acc.(1)) else s)
@@ -351,7 +359,8 @@ let q9 ctx ~alloc data =
             (price.(r) *. (1.0 -. disc.(r)))
             -. (float_of_int cost_cents /. 100.0 *. l_qty.(r))
           in
-          Exec.Hash_agg.update ctx' profit ~key:((nat * 100) + year) [ (0, amount) ]));
+          let a = Exec.Hash_agg.row ctx' profit ~key:((nat * 100) + year) in
+          a.(0) <- a.(0) +. amount));
   Exec.charge_sort ctx ~rows:(Exec.Hash_agg.groups profit);
   let sum = Exec.Hash_agg.fold profit (fun _ acc s -> s +. acc.(0)) 0.0 in
   { query = 9; checksum = sum; rows_out = Exec.Hash_agg.groups profit }
@@ -378,8 +387,8 @@ let q10 ctx ~alloc data =
     (fun ctx' r ->
       if l_rf.(r) = 0 (* 'R' *) then
         Exec.Hash_join.probe_iter ctx' ord ~key:l_order.(r) (fun cust ->
-            Exec.Hash_agg.update ctx' lost ~key:cust
-              [ (0, price.(r) *. (1.0 -. disc.(r))) ]));
+            let a = Exec.Hash_agg.row ctx' lost ~key:cust in
+            a.(0) <- a.(0) +. (price.(r) *. (1.0 -. disc.(r)))));
   Exec.charge_sort ctx ~rows:(Exec.Hash_agg.groups lost);
   let sum = Exec.Hash_agg.fold lost (fun _ acc s -> s +. acc.(0)) 0.0 in
   { query = 10; checksum = sum; rows_out = Exec.Hash_agg.groups lost }
@@ -400,16 +409,17 @@ let q11 ctx ~alloc data =
   let ps_cost = Table.floats ps "ps_supplycost" in
   let ps_qty = Table.ints ps "ps_availqty" in
   let value = Exec.Hash_agg.create ~alloc ~expected:1024 ~width:1 in
-  let total = ref 0.0 in
+  let total = [| 0.0 |] in
   Exec.parallel_scan ctx ps
     ~columns:[ "ps_partkey"; "ps_suppkey"; "ps_supplycost"; "ps_availqty" ]
     (fun ctx' r ->
       if Exec.Hash_join.mem ctx' supp ~key:ps_supp.(r) then begin
         let v = ps_cost.(r) *. float_of_int ps_qty.(r) in
-        total := !total +. v;
-        Exec.Hash_agg.update ctx' value ~key:ps_part.(r) [ (0, v) ]
+        total.(0) <- total.(0) +. v;
+        let a = Exec.Hash_agg.row ctx' value ~key:ps_part.(r) in
+        a.(0) <- a.(0) +. v
       end);
-  let threshold = !total *. 0.001 in
+  let threshold = total.(0) *. 0.001 in
   let rows = ref 0 and sum = ref 0.0 in
   Exec.Hash_agg.fold value
     (fun _ acc () ->
@@ -445,8 +455,9 @@ let q12 ctx ~alloc data =
         (* charge the orders-side point lookup (index join) *)
         Column.touch ctx' (Table.col orders "o_orderpriority") l_order.(r);
         let high = if o_prio.(l_order.(r)) <= 1 then 1.0 else 0.0 in
-        Exec.Hash_agg.update ctx' counts ~key:l_mode.(r)
-          [ (0, high); (1, 1.0 -. high) ]
+        let a = Exec.Hash_agg.row ctx' counts ~key:l_mode.(r) in
+        a.(0) <- a.(0) +. high;
+        a.(1) <- a.(1) +. (1.0 -. high)
       end);
   let sum = Exec.Hash_agg.fold counts (fun _ acc s -> s +. acc.(0) +. (2.0 *. acc.(1))) 0.0 in
   { query = 12; checksum = sum; rows_out = Exec.Hash_agg.groups counts }
@@ -460,8 +471,10 @@ let q13 ctx ~alloc data =
   Exec.parallel_scan ctx orders ~columns:[ "o_custkey"; "o_orderpriority" ]
     (fun ctx' o ->
       (* the NOT LIKE 'special requests' filter drops one priority class *)
-      if o_prio.(o) <> 4 then
-        Exec.Hash_agg.update ctx' per_cust ~key:o_cust.(o) [ (0, 1.0) ]);
+      if o_prio.(o) <> 4 then begin
+        let a = Exec.Hash_agg.row ctx' per_cust ~key:o_cust.(o) in
+        a.(0) <- a.(0) +. 1.0
+      end);
   let histogram = Hashtbl.create 64 in
   Exec.Hash_agg.fold per_cust
     (fun _ acc () ->
@@ -482,17 +495,17 @@ let q14 ctx ~alloc:_ data =
   let l_ship = Table.ints li "l_shipdate" in
   let price = Table.floats li "l_extendedprice" in
   let disc = Table.floats li "l_discount" in
-  let promo = ref 0.0 and total = ref 0.0 in
+  let promo = [| 0.0 |] and total = [| 0.0 |] in
   Exec.parallel_scan ctx li
     ~columns:[ "l_partkey"; "l_shipdate"; "l_extendedprice"; "l_discount" ]
     (fun ctx' r ->
       if l_ship.(r) >= lo && l_ship.(r) < hi then begin
         Column.touch ctx' (Table.col part "p_type") l_part.(r);
         let v = price.(r) *. (1.0 -. disc.(r)) in
-        total := !total +. v;
-        if p_type.(l_part.(r)) < 30 (* PROMO%% *) then promo := !promo +. v
+        total.(0) <- total.(0) +. v;
+        if p_type.(l_part.(r)) < 30 (* PROMO%% *) then promo.(0) <- promo.(0) +. v
       end);
-  let share = if !total > 0.0 then 100.0 *. !promo /. !total else 0.0 in
+  let share = if total.(0) > 0.0 then 100.0 *. promo.(0) /. total.(0) else 0.0 in
   { query = 14; checksum = share; rows_out = 1 }
 
 (* Q15: top supplier by quarterly revenue. *)
@@ -508,9 +521,10 @@ let q15 ctx ~alloc data =
   Exec.parallel_scan ctx li
     ~columns:[ "l_suppkey"; "l_shipdate"; "l_extendedprice"; "l_discount" ]
     (fun ctx' r ->
-      if l_ship.(r) >= lo && l_ship.(r) < hi then
-        Exec.Hash_agg.update ctx' revenue ~key:l_supp.(r)
-          [ (0, price.(r) *. (1.0 -. disc.(r))) ]);
+      if l_ship.(r) >= lo && l_ship.(r) < hi then begin
+        let a = Exec.Hash_agg.row ctx' revenue ~key:l_supp.(r) in
+        a.(0) <- a.(0) +. (price.(r) *. (1.0 -. disc.(r)))
+      end);
   let best = Exec.Hash_agg.fold revenue (fun _ acc m -> Float.max m acc.(0)) 0.0 in
   { query = 15; checksum = best; rows_out = Exec.Hash_agg.groups revenue }
 
@@ -561,19 +575,21 @@ let q17 ctx ~alloc data =
   let qty_stats = Exec.Hash_agg.create ~alloc ~expected:256 ~width:2 in
   Exec.parallel_scan ctx li ~columns:[ "l_partkey"; "l_quantity" ]
     (fun ctx' r ->
-      if Exec.Hash_join.mem ctx' wanted ~key:l_part.(r) then
-        Exec.Hash_agg.update ctx' qty_stats ~key:l_part.(r)
-          [ (0, l_qty.(r)); (1, 1.0) ]);
-  let total = ref 0.0 in
+      if Exec.Hash_join.mem ctx' wanted ~key:l_part.(r) then begin
+        let a = Exec.Hash_agg.row ctx' qty_stats ~key:l_part.(r) in
+        a.(0) <- a.(0) +. l_qty.(r);
+        a.(1) <- a.(1) +. 1.0
+      end);
+  let total = [| 0.0 |] in
   Exec.parallel_scan ctx li ~columns:[ "l_partkey"; "l_quantity"; "l_extendedprice" ]
     (fun ctx' r ->
       if Exec.Hash_join.mem ctx' wanted ~key:l_part.(r) then
         match Exec.Hash_agg.get qty_stats ~key:l_part.(r) with
         | Some acc when acc.(1) > 0.0 ->
             if l_qty.(r) < 0.2 *. (acc.(0) /. acc.(1)) then
-              total := !total +. price.(r)
+              total.(0) <- total.(0) +. price.(r)
         | _ -> ());
-  { query = 17; checksum = !total /. 7.0; rows_out = 1 }
+  { query = 17; checksum = total.(0) /. 7.0; rows_out = 1 }
 
 (* Q18: large-volume customers (group-by on orderkey, the paper's noted
    outlier: uneven distribution limits chiplet gains). *)
@@ -584,20 +600,21 @@ let q18 ctx ~alloc data =
   let per_order = Exec.Hash_agg.create ~alloc ~expected:(Table.rows data.D.orders) ~width:1 in
   Exec.parallel_scan ctx li ~columns:[ "l_orderkey"; "l_quantity" ]
     (fun ctx' r ->
-      Exec.Hash_agg.update ctx' per_order ~key:l_order.(r) [ (0, l_qty.(r)) ]);
+      let a = Exec.Hash_agg.row ctx' per_order ~key:l_order.(r) in
+      a.(0) <- a.(0) +. l_qty.(r));
   let orders = data.D.orders in
   let o_total = Table.floats orders "o_totalprice" in
   let threshold = 180.0 in
-  let sum = ref 0.0 and rows = ref 0 in
+  let sum = [| 0.0 |] and rows = ref 0 in
   Exec.parallel_scan ctx orders ~columns:[ "o_orderkey"; "o_totalprice" ]
     (fun _ctx' o ->
       match Exec.Hash_agg.get per_order ~key:o with
       | Some acc when acc.(0) > threshold ->
           incr rows;
-          sum := !sum +. o_total.(o)
+          sum.(0) <- sum.(0) +. o_total.(o)
       | _ -> ());
   Exec.charge_sort ctx ~rows:!rows;
-  { query = 18; checksum = !sum; rows_out = !rows }
+  { query = 18; checksum = sum.(0); rows_out = !rows }
 
 (* Q19: discounted revenue with disjunctive brand/container predicates. *)
 let q19 ctx ~alloc:_ data =
@@ -610,7 +627,7 @@ let q19 ctx ~alloc:_ data =
   let l_mode = Table.ints li "l_shipmode" in
   let price = Table.floats li "l_extendedprice" in
   let disc = Table.floats li "l_discount" in
-  let revenue = ref 0.0 in
+  let revenue = [| 0.0 |] in
   Exec.parallel_scan ctx li
     ~columns:[ "l_partkey"; "l_quantity"; "l_shipmode"; "l_extendedprice"; "l_discount" ]
     (fun ctx' r ->
@@ -623,9 +640,9 @@ let q19 ctx ~alloc:_ data =
           (b = 12 && c < 10 && q >= 1.0 && q <= 11.0)
           || (b = 23 && c >= 10 && c < 20 && q >= 10.0 && q <= 20.0)
           || (b = 33 && c >= 20 && c < 30 && q >= 20.0 && q <= 30.0)
-        then revenue := !revenue +. (price.(r) *. (1.0 -. disc.(r)))
+        then revenue.(0) <- revenue.(0) +. (price.(r) *. (1.0 -. disc.(r)))
       end);
-  { query = 19; checksum = !revenue; rows_out = 1 }
+  { query = 19; checksum = revenue.(0); rows_out = 1 }
 
 (* Q20: potential part promotion (nested semi-joins). *)
 let q20 ctx ~alloc data =
@@ -649,10 +666,10 @@ let q20 ctx ~alloc data =
       if
         l_ship.(r) >= lo && l_ship.(r) < hi
         && Exec.Hash_join.mem ctx' wanted_parts ~key:l_part.(r)
-      then
-        Exec.Hash_agg.update ctx' shipped
-          ~key:((l_part.(r) * 65536) + l_supp.(r))
-          [ (0, l_qty.(r)) ]);
+      then begin
+        let a = Exec.Hash_agg.row ctx' shipped ~key:((l_part.(r) * 65536) + l_supp.(r)) in
+        a.(0) <- a.(0) +. l_qty.(r)
+      end);
   let ps = data.D.partsupp in
   let ps_part = Table.ints ps "ps_partkey" in
   let ps_supp = Table.ints ps "ps_suppkey" in
@@ -685,7 +702,9 @@ let q21 ctx ~alloc data =
     ~columns:[ "l_orderkey"; "l_suppkey"; "l_commitdate"; "l_receiptdate" ]
     (fun ctx' r ->
       let late = if l_receipt.(r) > l_commit.(r) then 1.0 else 0.0 in
-      Exec.Hash_agg.update ctx' supps ~key:l_order.(r) [ (0, 1.0); (1, late) ];
+      let a = Exec.Hash_agg.row ctx' supps ~key:l_order.(r) in
+      a.(0) <- a.(0) +. 1.0;
+      a.(1) <- a.(1) +. late;
       if late = 1.0 && not (Hashtbl.mem late_supp l_order.(r)) then
         Hashtbl.replace late_supp l_order.(r) l_supp.(r));
   (* pass 2: orders where exactly one supplier was late, and it is ours *)
@@ -699,7 +718,8 @@ let q21 ctx ~alloc data =
         | Some acc, Some s
           when acc.(1) >= 1.0 && acc.(1) < 2.0 && s_nation.(s) = target_nation ->
             Column.touch ctx' (Table.col supplier "s_nationkey") s;
-            Exec.Hash_agg.update ctx' counts ~key:s [ (0, 1.0) ]
+            let a = Exec.Hash_agg.row ctx' counts ~key:s in
+            a.(0) <- a.(0) +. 1.0
         | _ -> ());
   Exec.charge_sort ctx ~rows:(Exec.Hash_agg.groups counts);
   let sum = Exec.Hash_agg.fold counts (fun _ acc s -> s +. acc.(0)) 0.0 in
@@ -711,14 +731,14 @@ let q22 ctx ~alloc data =
   let c_acct = Table.floats customer "c_acctbal" in
   let c_nation = Table.ints customer "c_nationkey" in
   (* average positive balance *)
-  let sum = ref 0.0 and cnt = ref 0 in
+  let sum = [| 0.0 |] and cnt = ref 0 in
   Exec.parallel_scan ctx customer ~columns:[ "c_acctbal" ]
     (fun _ctx' c ->
       if c_acct.(c) > 0.0 then begin
-        sum := !sum +. c_acct.(c);
+        sum.(0) <- sum.(0) +. c_acct.(c);
         incr cnt
       end);
-  let avg = if !cnt > 0 then !sum /. float_of_int !cnt else 0.0 in
+  let avg = if !cnt > 0 then sum.(0) /. float_of_int !cnt else 0.0 in
   let orders = data.D.orders in
   let o_cust = Table.ints orders "o_custkey" in
   let has_orders = Exec.Hash_join.create ~alloc ~expected:(Table.rows customer) in
@@ -732,7 +752,11 @@ let q22 ctx ~alloc data =
       let code = c_nation.(c) mod 7 in
       if code < 5 (* IN ('13','31',...) *) && c_acct.(c) > avg
          && not (Exec.Hash_join.mem ctx' has_orders ~key:c)
-      then Exec.Hash_agg.update ctx' per_code ~key:code [ (0, 1.0); (1, c_acct.(c)) ]);
+      then begin
+        let a = Exec.Hash_agg.row ctx' per_code ~key:code in
+        a.(0) <- a.(0) +. 1.0;
+        a.(1) <- a.(1) +. c_acct.(c)
+      end);
   let total = Exec.Hash_agg.fold per_code (fun _ acc s -> s +. acc.(1)) 0.0 in
   { query = 22; checksum = total; rows_out = Exec.Hash_agg.groups per_code }
 

@@ -6,7 +6,7 @@ type t = {
   sim_log_tail : Chipsim.Simmem.region;
   mutable log_busy_until : float;
   mutable n_commits : int;
-  pending : (int, int) Hashtbl.t;  (* worker -> commits since last flush *)
+  mutable pending : int array;  (* worker -> commits since last flush *)
 }
 
 let create ~alloc ?(commit_service_ns = 350.0) ?(group_size = 8) () =
@@ -17,7 +17,7 @@ let create ~alloc ?(commit_service_ns = 350.0) ?(group_size = 8) () =
     sim_log_tail = alloc ~elt_bytes:8 ~count:8;
     log_busy_until = 0.0;
     n_commits = 0;
-    pending = Hashtbl.create 64;
+    pending = Array.make 64 0;
   }
 
 (* ERMIA-style pipelined group commit: each worker batches [group_size]
@@ -35,13 +35,18 @@ let flush t ctx ~batch =
 let commit t ctx =
   t.n_commits <- t.n_commits + 1;
   let worker = Sched.Ctx.worker_id ctx in
-  let pending = 1 + Option.value ~default:0 (Hashtbl.find_opt t.pending worker) in
+  if worker >= Array.length t.pending then begin
+    let grown = Array.make (2 * (worker + 1)) 0 in
+    Array.blit t.pending 0 grown 0 (Array.length t.pending);
+    t.pending <- grown
+  end;
+  let pending = 1 + t.pending.(worker) in
   if pending >= t.group_size then begin
-    Hashtbl.replace t.pending worker 0;
+    t.pending.(worker) <- 0;
     flush t ctx ~batch:pending
   end
   else begin
-    Hashtbl.replace t.pending worker pending;
+    t.pending.(worker) <- pending;
     (* commit record written to the worker-local buffer *)
     Sched.Ctx.work ctx (t.commit_service_ns *. 0.1)
   end

@@ -23,6 +23,7 @@ let reference g ~source =
    while [run] below wraps it as a whole-machine main task. *)
 let run_in ctx g ~levels ~source =
   let n = g.Csr.n in
+  let row_ptr = g.Csr.row_ptr and col = g.Csr.col in
   let level = Array.make n (-1) in
   let edges = ref 0 in
   level.(source) <- 0;
@@ -43,14 +44,18 @@ let run_in ctx g ~levels ~source =
         for i = lo to hi - 1 do
           let u = fr.(i) in
           Csr.read_adj ctx' g u;
-          Csr.out_neighbors g u (fun v _w ->
-              incr local_edges;
-              Sched.Ctx.read ctx' levels v;
-              if level.(v) = -1 then begin
-                level.(v) <- next_level;
-                Sched.Ctx.write ctx' levels v;
-                local := v :: !local
-              end);
+          (* the edge loop is written out, not passed to
+             [Csr.out_neighbors]: no closure per vertex *)
+          for e = row_ptr.(u) to row_ptr.(u + 1) - 1 do
+            let v = col.(e) in
+            incr local_edges;
+            Sched.Ctx.read ctx' levels v;
+            if level.(v) = -1 then begin
+              level.(v) <- next_level;
+              Sched.Ctx.write ctx' levels v;
+              local := v :: !local
+            end
+          done;
           Sched.Ctx.maybe_yield ctx'
         done;
         Sched.Ctx.work ctx' (compute_ns_per_edge *. float_of_int !local_edges);

@@ -18,6 +18,7 @@ let reference g =
 
 let run env g =
   let n = g.Csr.n in
+  let row_ptr = g.Csr.row_ptr and col = g.Csr.col in
   let sim_label = env.Exec_env.alloc_shared ~elt_bytes:8 ~count:n in
   let label = Array.init n (fun i -> i) in
   let work = ref 0 in
@@ -36,19 +37,21 @@ let run env g =
                   Csr.read_adj ctx' g u;
                   Sched.Ctx.read ctx' sim_label u;
                   let lu = label.(u) in
-                  Csr.out_neighbors g u (fun v _w ->
-                      incr local_edges;
-                      Sched.Ctx.read ctx' sim_label v;
-                      if label.(v) > lu then begin
-                        label.(v) <- lu;
-                        Sched.Ctx.write ctx' sim_label v;
-                        local_changed := true
-                      end
-                      else if label.(v) < lu && label.(v) < label.(u) then begin
-                        label.(u) <- label.(v);
-                        Sched.Ctx.write ctx' sim_label u;
-                        local_changed := true
-                      end)
+                  for e = row_ptr.(u) to row_ptr.(u + 1) - 1 do
+                    let v = col.(e) in
+                    incr local_edges;
+                    Sched.Ctx.read ctx' sim_label v;
+                    if label.(v) > lu then begin
+                      label.(v) <- lu;
+                      Sched.Ctx.write ctx' sim_label v;
+                      local_changed := true
+                    end
+                    else if label.(v) < lu && label.(v) < label.(u) then begin
+                      label.(u) <- label.(v);
+                      Sched.Ctx.write ctx' sim_label u;
+                      local_changed := true
+                    end
+                  done
                 end;
                 Sched.Ctx.maybe_yield ctx'
               done;

@@ -26,7 +26,9 @@ val of_kronecker :
 
 val degree : t -> int -> int
 val out_neighbors : t -> int -> (int -> int -> unit) -> unit
-(** [out_neighbors t u f] calls [f v w] for every out-edge (u,v,w). *)
+(** [out_neighbors t u f] calls [f v w] for every out-edge (u,v,w).  The
+    untimed reference kernels use it; the simulated kernels loop over
+    [row_ptr]/[col] themselves, so no closure is built per vertex. *)
 
 val read_adj : Engine.Sched.ctx -> t -> int -> unit
 (** Touch the row pointer and the whole adjacency range of a vertex

@@ -26,6 +26,7 @@ let reference g ?(iterations = 3) ?(damping = 0.85) () =
    dispatches it as one concurrent job; [run] wraps it as a main task. *)
 let run_in ctx g ~ranks ~next:sim_next ?(iterations = 3) ?(damping = 0.85) () =
   let n = g.Csr.n in
+  let row_ptr = g.Csr.row_ptr and col = g.Csr.col in
   let rank = Array.make n (1.0 /. float_of_int n) in
   let next = Array.make n 0.0 in
   let work = ref 0 in
@@ -38,10 +39,12 @@ let run_in ctx g ~ranks ~next:sim_next ?(iterations = 3) ?(damping = 0.85) () =
             Csr.read_adj ctx' g u;
             Sched.Ctx.read ctx' ranks u;
             let share = rank.(u) /. float_of_int d in
-            Csr.out_neighbors g u (fun v _w ->
-                incr local_edges;
-                next.(v) <- next.(v) +. share;
-                Sched.Ctx.write ctx' sim_next v)
+            for e = row_ptr.(u) to row_ptr.(u + 1) - 1 do
+              let v = col.(e) in
+              incr local_edges;
+              next.(v) <- next.(v) +. share;
+              Sched.Ctx.write ctx' sim_next v
+            done
           end;
           Sched.Ctx.maybe_yield ctx'
         done;

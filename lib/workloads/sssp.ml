@@ -26,6 +26,7 @@ let reference g ~source =
 
 let run env g ~source =
   let n = g.Csr.n in
+  let row_ptr = g.Csr.row_ptr and col = g.Csr.col and weight = g.Csr.weight in
   let sim_dist = env.Exec_env.alloc_shared ~elt_bytes:8 ~count:n in
   let dist = Array.make n max_int in
   let work = ref 0 in
@@ -48,14 +49,16 @@ let run env g ~source =
                 Csr.read_adj ctx' g u;
                 Sched.Ctx.read ctx' sim_dist u;
                 let du = dist.(u) in
-                Csr.out_neighbors g u (fun v w ->
-                    incr local_edges;
-                    Sched.Ctx.read ctx' sim_dist v;
-                    if du <> max_int && du + w < dist.(v) then begin
-                      dist.(v) <- du + w;
-                      Sched.Ctx.write ctx' sim_dist v;
-                      local := v :: !local
-                    end);
+                for e = row_ptr.(u) to row_ptr.(u + 1) - 1 do
+                  let v = col.(e) and w = weight.(e) in
+                  incr local_edges;
+                  Sched.Ctx.read ctx' sim_dist v;
+                  if du <> max_int && du + w < dist.(v) then begin
+                    dist.(v) <- du + w;
+                    Sched.Ctx.write ctx' sim_dist v;
+                    local := v :: !local
+                  end
+                done;
                 Sched.Ctx.maybe_yield ctx'
               done;
               Sched.Ctx.work ctx' (compute_ns_per_edge *. float_of_int !local_edges);

@@ -221,11 +221,11 @@ let test_cap_sheds_hottest () =
      the shed chiplet slow down, neighbours keep nominal speed *)
   let mods = Machine.modifiers m in
   Alcotest.(check (float 1e-9)) "core 0 throttled" 0.75
-    (Modifiers.core_speed mods 0);
+    (Modifiers.core_speeds mods).(0);
   Alcotest.(check (float 1e-9)) "core 1 throttled" 0.75
-    (Modifiers.core_speed mods 1);
+    (Modifiers.core_speeds mods).(1);
   Alcotest.(check (float 1e-9)) "core 2 untouched" 1.0
-    (Modifiers.core_speed mods 2);
+    (Modifiers.core_speeds mods).(2);
   Power_cap.verify pc
 
 let test_cap_hysteresis_no_flapping () =
@@ -278,7 +278,7 @@ let test_cap_hysteresis_no_flapping () =
   Alcotest.(check (float 1e-9)) "level restored to nominal" 1.0
     (Power_cap.level pc ~chiplet:0);
   Alcotest.(check (float 1e-9)) "cores back to full speed" 1.0
-    (Modifiers.core_speed (Machine.modifiers m) 0);
+    (Modifiers.core_speeds (Machine.modifiers m)).(0);
   Power_cap.verify pc
 
 let test_cap_floor () =

@@ -9,4 +9,5 @@ let () =
       ("future", Test_future.suite);
       ("trace", Test_trace.suite);
       ("par", Test_par.suite);
+      ("alloc", Test_alloc.suite);
     ]

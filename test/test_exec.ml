@@ -38,9 +38,15 @@ let test_hash_agg_accumulates () =
   let acc =
     in_task e (fun ctx ->
         let agg = Olap.Exec.Hash_agg.create ~alloc ~expected:8 ~width:2 in
-        Olap.Exec.Hash_agg.update ctx agg ~key:1 [ (0, 2.0); (1, 1.0) ];
-        Olap.Exec.Hash_agg.update ctx agg ~key:1 [ (0, 3.0); (1, 1.0) ];
-        Olap.Exec.Hash_agg.update ctx agg ~key:2 [ (0, 10.0) ];
+        let add key slot v =
+          let a = Olap.Exec.Hash_agg.row ctx agg ~key in
+          a.(slot) <- a.(slot) +. v
+        in
+        add 1 0 2.0;
+        add 1 1 1.0;
+        add 1 0 3.0;
+        add 1 1 1.0;
+        add 2 0 10.0;
         ( Olap.Exec.Hash_agg.get agg ~key:1,
           Olap.Exec.Hash_agg.groups agg,
           Olap.Exec.Hash_agg.fold agg (fun _ a s -> s +. a.(0)) 0.0 ))
@@ -60,8 +66,10 @@ let test_hash_agg_bad_slot () =
   let raised =
     in_task e (fun ctx ->
         let agg = Olap.Exec.Hash_agg.create ~alloc ~expected:8 ~width:1 in
+        (* a group has exactly [width] slots *)
+        let a = Olap.Exec.Hash_agg.row ctx agg ~key:1 in
         try
-          Olap.Exec.Hash_agg.update ctx agg ~key:1 [ (1, 1.0) ];
+          a.(1) <- a.(1) +. 1.0;
           false
         with Invalid_argument _ -> true)
   in

@@ -96,6 +96,10 @@ let test_malformed_values_rejected () =
       "--fleet 2 --energy"; "--fleet 2 --closed-loop 2"; "-w bfs --fleet 2";
       "--bogus"; "--graph-scale 0"; "--graph-scale 21"; "--graph-scale 40";
       "--fleet 65"; "--fleet=-1"; "--cache-scale 0";
+      (* every float flag is finite *)
+      "--rate nan"; "--rate inf"; "--rate 1e400"; "--slo-factor nan";
+      "--think-us inf"; "--epoch-us inf"; "--diurnal nan";
+      "--diurnal-period-us=-inf"; "--energy-weight=-inf"; "--power-cap inf";
     ];
   (* the maxima themselves are accepted *)
   List.iter
