@@ -1,6 +1,6 @@
 (* §4.6 sensitivity analysis + the DESIGN.md ablations: threshold sweep,
-   timer sweep, approach comparison, chiplet-first stealing, memory
-   rebinding, and profiling on/off.  The paper picks
+   timer sweep, approach comparison, chiplet-first stealing, the
+   centralized arbiter, and profiling on/off.  The paper picks
    RMT_CHIP_ACCESS_RATE = 300 per timer interval as the best balance. *)
 
 module Sys_ = Harness.Systems
@@ -110,8 +110,6 @@ let toggles () =
   show "full CHARM" Charm.Config.default;
   show "random-victim stealing"
     { Charm.Config.default with Charm.Config.chiplet_first_steal = false };
-  show "no memory rebinding on migrate"
-    { Charm.Config.default with Charm.Config.rebind_memory_on_migrate = false };
   show "centralized arbiter (not decentr.)"
     { Charm.Config.default with Charm.Config.decentralized = false };
   show "profiling/adaptation off"

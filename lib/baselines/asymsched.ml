@@ -48,9 +48,7 @@ let tick t ~worker =
 
 let spec () =
   {
-    (Baseline.default_spec ~name:"asymsched"
-       ~description:"bandwidth-centric NUMA scheduler with node rebalancing")
-    with
+    Baseline.default_spec with
     Baseline.placement = Baseline.Layouts.socket_round_robin_scatter;
     steal = Baseline.Numa_first;
     tick_interval_ns = 1_000_000.0;

@@ -7,15 +7,12 @@ type t = {
   spec : spec;
   machine : Machine.t;
   sched : Sched.t;
-  n_workers : int;
   last_tick : float array;
   trng : Engine.Rng.t;
   mutable makespan : float;
 }
 
 and spec = {
-  name : string;
-  description : string;
   placement : Topology.t -> n_workers:int -> int -> int;
   shared_policy : Topology.t -> Simmem.policy;
   steal : steal_discipline;
@@ -47,10 +44,8 @@ module Layouts = struct
     (chiplet * cpc) + slot
 end
 
-let default_spec ~name ~description =
+let default_spec =
   {
-    name;
-    description;
     placement = Layouts.sequential;
     shared_policy = (fun _ -> Simmem.First_touch);
     steal = Chiplet_first;
@@ -76,16 +71,6 @@ let numa_first_order t ~thief =
   Array.sort (fun a b -> compare (rank a, a) (rank b, b)) arr;
   arr
 
-let random_order t ~thief =
-  let sched = t.sched in
-  let others = ref [] in
-  for w = Sched.n_workers sched - 1 downto 0 do
-    if w <> thief then others := w :: !others
-  done;
-  let arr = Array.of_list !others in
-  Engine.Rng.shuffle t.trng arr;
-  arr
-
 let init spec machine ~n_workers =
   let topo = Machine.topology machine in
   let sched_config =
@@ -100,7 +85,6 @@ let init spec machine ~n_workers =
       spec;
       machine;
       sched;
-      n_workers;
       last_tick = Array.make n_workers 0.0;
       trng = Engine.Rng.create 0xba5e;
       makespan = 0.0;
@@ -111,7 +95,7 @@ let init spec machine ~n_workers =
     | Chiplet_first | No_steal ->
         Engine.Sched.no_hooks.Engine.Sched.steal_order sched_ ~thief
     | Numa_first -> numa_first_order t ~thief
-    | Random_victim -> random_order t ~thief
+    | Random_victim -> Sched.random_steal_order t.trng sched_ ~thief
   in
   let on_quantum_end _sched worker =
     match spec.on_tick with
@@ -128,8 +112,6 @@ let init spec machine ~n_workers =
   Sched.set_hooks sched { Engine.Sched.on_quantum_end; steal_order };
   t
 
-let name t = t.spec.name
-let spec t = t.spec
 let sched t = t.sched
 let machine t = t.machine
 let rng t = t.trng
@@ -140,14 +122,6 @@ let alloc_shared t ~elt_bytes ~count () =
 
 let run t main =
   ignore (Sched.spawn t.sched ~worker:0 main : Sched.task);
-  let makespan = Sched.run t.sched in
-  t.makespan <- Float.max t.makespan makespan;
-  makespan
-
-let all_do t f =
-  for w = 0 to t.n_workers - 1 do
-    ignore (Sched.spawn t.sched ~worker:w (fun ctx -> f ctx w) : Sched.task)
-  done;
   let makespan = Sched.run t.sched in
   t.makespan <- Float.max t.makespan makespan;
   makespan

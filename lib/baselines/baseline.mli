@@ -18,8 +18,6 @@ type steal_discipline =
 type t
 
 type spec = {
-  name : string;
-  description : string;
   placement : Topology.t -> n_workers:int -> int -> int;
       (** initial core of each worker; must be injective *)
   shared_policy : Topology.t -> Simmem.policy;
@@ -32,20 +30,17 @@ type spec = {
   task_model : Engine.Sched.task_model;
 }
 
-val default_spec : name:string -> description:string -> spec
+val default_spec : spec
 (** Sequential placement, first-touch memory, chiplet-first stealing, no
     rebalancing, coroutine tasks. *)
 
 val init : spec -> Machine.t -> n_workers:int -> t
-val name : t -> string
-val spec : t -> spec
 val sched : t -> Engine.Sched.t
 val machine : t -> Machine.t
 val rng : t -> Engine.Rng.t
 
 val alloc_shared : t -> elt_bytes:int -> count:int -> unit -> Simmem.region
 val run : t -> (Engine.Sched.ctx -> unit) -> float
-val all_do : t -> (Engine.Sched.ctx -> int -> unit) -> float
 val finalize : t -> Engine.Stats.report
 
 (** Placement building blocks shared by the concrete baselines. *)

@@ -23,10 +23,7 @@ let wander t ~worker =
 
 let spec () =
   {
-    (Baseline.default_spec ~name:"os-default"
-       ~description:
-         "CFS-like: socket round-robin, chiplet-blind scatter, random stealing, periodic rebalancing")
-    with
+    Baseline.default_spec with
     Baseline.placement = Baseline.Layouts.socket_round_robin_scatter;
     steal = Baseline.Random_victim;
     tick_interval_ns = 400_000.0;

@@ -1,8 +1,6 @@
 let spec () =
   {
-    (Baseline.default_spec ~name:"ring"
-       ~description:"NUMA-aware message-batching runtime (chiplet-blind)")
-    with
+    Baseline.default_spec with
     Baseline.placement = Baseline.Layouts.socket_round_robin_scatter;
     steal = Baseline.Numa_first;
   }

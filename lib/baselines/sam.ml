@@ -62,9 +62,7 @@ let spec ?(confused = false) () =
   (* per-instance PMU baselines: fresh for every spec instantiation *)
   let baselines : (int, int) Hashtbl.t = Hashtbl.create 64 in
   {
-    (Baseline.default_spec ~name:(if confused then "sam(confused)" else "sam")
-       ~description:"sharing-aware socket co-location, chiplet-blind cores")
-    with
+    Baseline.default_spec with
     Baseline.placement = Baseline.Layouts.socket_round_robin_scatter;
     steal = Baseline.Numa_first;
     tick_interval_ns = 800_000.0;

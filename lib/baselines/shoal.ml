@@ -4,9 +4,7 @@ let dram_discount = 0.92  (* huge pages / DMA copy engines *)
 
 let spec () =
   {
-    (Baseline.default_spec ~name:"shoal"
-       ~description:"NUMA array allocation with sequential core fill")
-    with
+    Baseline.default_spec with
     Baseline.placement = Baseline.Layouts.sequential;
     shared_policy = (fun _ -> Simmem.Interleave);
     steal = Baseline.Numa_first;

@@ -3,18 +3,14 @@
    nodes, as database engines allocate them. *)
 let local_cache () =
   {
-    (Baseline.default_spec ~name:"local-cache"
-       ~description:"pack workers onto the fewest chiplets")
-    with
+    Baseline.default_spec with
     Baseline.placement = Baseline.Layouts.sequential;
     shared_policy = (fun _ -> Chipsim.Simmem.Interleave);
   }
 
 let distributed_cache () =
   {
-    (Baseline.default_spec ~name:"distributed-cache"
-       ~description:"spread workers one per chiplet")
-    with
+    Baseline.default_spec with
     Baseline.placement = Baseline.Layouts.one_per_chiplet;
     shared_policy = (fun _ -> Chipsim.Simmem.Interleave);
   }

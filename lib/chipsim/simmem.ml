@@ -4,7 +4,7 @@ type region = {
   base : int;
   length_bytes : int;
   elt_bytes : int;
-  mutable region_policy : policy;
+  region_policy : policy;
 }
 
 type t = {
@@ -18,7 +18,6 @@ type t = {
      [dense_pages] (sparse gigantic address spaces) spill into an Intmap. *)
   mutable pagemap_dense : int array;
   pagemap_sparse : Intmap.t;
-  node_pages : int array;
 }
 
 let page_bytes = 4096
@@ -34,7 +33,6 @@ let create topo =
     nregions = 0;
     pagemap_dense = Array.make 4096 0;
     pagemap_sparse = Intmap.create ~capacity:16 ();
-    node_pages = Array.make topo.Topology.sockets 0;
   }
 
 (* page -> node, -1 if unmapped *)
@@ -55,7 +53,6 @@ let set_page_node t page node =
     t.pagemap_dense <- bigger;
     t.pagemap_dense.(page) <- node + 1
   end
-  else if node < 0 then Intmap.remove t.pagemap_sparse page
   else Intmap.set t.pagemap_sparse page node
 
 let alloc t ?(policy = First_touch) ~elt_bytes ~count () =
@@ -113,34 +110,11 @@ let node_of_addr t ~toucher_node a =
         | Interleave -> (page - (r.base / page_bytes)) mod t.topo.Topology.sockets
     in
     set_page_node t page node;
-    t.node_pages.(node) <- t.node_pages.(node) + 1;
     node
   end
-
-let rebind t region policy =
-  (match policy with
-  | Bind n when n < 0 || n >= t.topo.Topology.sockets ->
-      invalid_arg "Simmem.rebind: bind node out of range"
-  | _ -> ());
-  region.region_policy <- policy;
-  let first = region.base / page_bytes in
-  let last = (region.base + region.length_bytes - 1) / page_bytes in
-  for page = first to last do
-    let node = page_node t page in
-    if node >= 0 then begin
-      t.node_pages.(node) <- t.node_pages.(node) - 1;
-      set_page_node t page (-1)
-    end
-  done
-
-let placed_pages t ~node =
-  if node < 0 || node >= Array.length t.node_pages then
-    invalid_arg "Simmem.placed_pages: node out of range";
-  t.node_pages.(node)
 
 let reset t =
   t.next_base <- page_bytes;
   t.nregions <- 0;
   Array.fill t.pagemap_dense 0 (Array.length t.pagemap_dense) 0;
-  Intmap.clear t.pagemap_sparse;
-  Array.fill t.node_pages 0 (Array.length t.node_pages) 0
+  Intmap.clear t.pagemap_sparse

@@ -5,7 +5,8 @@
     NUMA node each simulated page resides on.  Placement follows the policy
     attached to the region, mirroring Linux [set_mempolicy]:
     first-touch binds a page to the node of the first core touching it,
-    [Bind] forces a node, [Interleave] round-robins pages across nodes. *)
+    [Bind] forces a node, [Interleave] round-robins pages across nodes.
+    A page never moves once placed. *)
 
 type policy =
   | First_touch
@@ -18,7 +19,7 @@ type region = {
   base : int;  (** simulated byte address of the first element *)
   length_bytes : int;
   elt_bytes : int;
-  mutable region_policy : policy;
+  region_policy : policy;
 }
 
 val create : Topology.t -> t
@@ -35,12 +36,5 @@ val addr : region -> int -> int
 val node_of_addr : t -> toucher_node:int -> int -> int
 (** NUMA node holding the page of a simulated address, placing the page
     per the owning region's policy if this is the first touch. *)
-
-val rebind : t -> region -> policy -> unit
-(** Change the region's policy and drop existing page placements so pages
-    migrate on next touch (models [mbind(MPOL_MF_MOVE)] cheaply). *)
-
-val placed_pages : t -> node:int -> int
-(** Number of pages currently resident on [node]. *)
 
 val reset : t -> unit

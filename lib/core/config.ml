@@ -5,7 +5,6 @@ type t = {
   rmt_chip_access_rate : float;
   approach : approach;
   initial_spread : int;
-  rebind_memory_on_migrate : bool;
   profile_while_running : bool;
   chiplet_first_steal : bool;
   decentralized : bool;
@@ -19,7 +18,6 @@ let default =
     rmt_chip_access_rate = 300.0;
     approach = Adaptive;
     initial_spread = 1;
-    rebind_memory_on_migrate = true;
     profile_while_running = true;
     chiplet_first_steal = true;
     decentralized = true;

@@ -21,8 +21,6 @@ type t = {
           interval that trigger spreading *)
   approach : approach;
   initial_spread : int;  (** initial [spread_rate]; paper initialises to 1 *)
-  rebind_memory_on_migrate : bool;
-      (** re-home a worker's bound regions when it crosses sockets *)
   profile_while_running : bool;
       (** profiler active (5–10%% overhead): each profiling check charges
           the checking worker 40 ns *)

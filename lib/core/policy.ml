@@ -32,7 +32,6 @@ type t = {
       (* chiplet -> throttled by the power-cap controller?  Only
          consulted when energy_weight > 0, so capped-but-unweighted runs
          place identically to pre-energy CHARM *)
-  mutable on_migrate : worker:int -> old_core:int -> new_core:int -> unit;
   mutable on_spread_change :
     worker:int -> old_spread:int -> new_spread:int -> at_ns:float -> unit;
 }
@@ -57,7 +56,6 @@ let create config machine controller profiler ~n_workers =
     s_health_migrations = 0;
     health = None;
     power_hot = None;
-    on_migrate = (fun ~worker:_ ~old_core:_ ~new_core:_ -> ());
     on_spread_change =
       (fun ~worker:_ ~old_spread:_ ~new_spread:_ ~at_ns:_ -> ());
   }
@@ -84,7 +82,6 @@ let chiplet_hot t chiplet =
    when occupied — being throttled for power is operationally the same
    signal as being throttled by a fault *)
 let chiplet_avoid t chiplet = chiplet_sick t chiplet || chiplet_hot t chiplet
-let set_on_migrate t f = t.on_migrate <- f
 let set_on_spread_change t f = t.on_spread_change <- f
 
 let stats t =
@@ -121,8 +118,7 @@ let update_location t sched ~worker ~core =
       | None ->
           Engine.Sched.migrate sched ~worker ~core:target;
           t.s_migrations <- t.s_migrations + 1;
-          Profiler.rebase t.profiler ~worker ~core:target;
-          t.on_migrate ~worker ~old_core:core ~new_core:target)
+          Profiler.rebase t.profiler ~worker ~core:target)
 
 (* A worker stuck on a sick chiplet ignores Alg. 2 and flees to the
    nearest free core on a healthy chiplet.  Alg. 2 keeps nominating cores
@@ -184,8 +180,7 @@ let flee_sick_chiplet t sched ~worker ~core =
       Engine.Sched.migrate sched ~worker ~core:!best;
       t.s_migrations <- t.s_migrations + 1;
       t.s_health_migrations <- t.s_health_migrations + 1;
-      Profiler.rebase t.profiler ~worker ~core:!best;
-      t.on_migrate ~worker ~old_core:core ~new_core:!best
+      Profiler.rebase t.profiler ~worker ~core:!best
     end
   end
 

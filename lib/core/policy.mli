@@ -46,15 +46,12 @@ val set_power_oracle : t -> (int -> bool) option -> unit
 val tick : t -> Engine.Sched.t -> worker:int -> unit
 (** Run one Alg. 1 evaluation for [worker] if its timer elapsed.  Intended
     as the scheduler's [on_quantum_end] hook.  Applies the migration via
-    {!Engine.Sched.migrate} and rebinds the worker's memory policy. *)
+    {!Engine.Sched.migrate} and rebases the worker's profiler sample. *)
 
 val force_tick : t -> Engine.Sched.t -> worker:int -> unit
 (** Evaluate immediately, ignoring the timer (used by tests/benches). *)
 
 val stats : t -> stats
-
-val set_on_migrate : t -> (worker:int -> old_core:int -> new_core:int -> unit) -> unit
-(** Callback invoked after every applied migration (memory manager hook). *)
 
 val set_on_spread_change :
   t ->

@@ -2,13 +2,11 @@ open Chipsim
 module Sched = Engine.Sched
 
 type t = {
-  config : Config.t;
   machine : Machine.t;
   sched : Sched.t;
   profiler : Profiler.t;
   controller : Controller.t;
   policy : Policy.t;
-  memory : Memory_manager.t;
   health : Health_monitor.t;
   power_cap : Power_cap.t option;
   n_workers : int;
@@ -41,7 +39,6 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
   let controller = Controller.create config in
   let config = { config with Config.initial_spread = spread0 } in
   let policy = Policy.create config machine controller profiler ~n_workers in
-  let memory = Memory_manager.create config machine ~n_workers in
   let health = Health_monitor.create machine ~n_workers in
   (* any energy feature — a cap or EDP-weighted placement — needs the
      per-quantum compute meters running; plain runs leave them off so the
@@ -62,18 +59,10 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
       Policy.set_power_oracle policy
         (Some (fun chiplet -> Power_cap.throttled pc ~chiplet))
   | None -> ());
-  Policy.set_on_migrate policy (fun ~worker ~old_core ~new_core ->
-      Memory_manager.on_migrate memory ~worker ~old_core ~new_core);
-  (* initial memory bindings follow the initial placement *)
-  for w = 0 to n_workers - 1 do
-    Memory_manager.bind_worker memory ~worker:w
-      ~node:(Placement.numa_node_of_core topo (Sched.worker_core sched w))
-  done;
   let t =
-    { config; machine; sched; profiler; controller; policy; memory; health;
+    { machine; sched; profiler; controller; policy; health;
       power_cap; n_workers; makespan = 0.0 }
   in
-  let steal_rng = Engine.Rng.create 0x51ea1 in
   let hooks =
     {
       Sched.on_quantum_end =
@@ -115,15 +104,8 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
             Policy.tick policy sched ~worker
           end);
       steal_order =
-        (fun sched ~thief ->
-          if config.Config.chiplet_first_steal then
-            (Sched.no_hooks).Sched.steal_order sched ~thief
-          else begin
-            let n = Sched.n_workers sched in
-            let others = Array.of_list (List.filter (fun w -> w <> thief) (List.init n Fun.id)) in
-            Engine.Rng.shuffle steal_rng others;
-            others
-          end);
+        (if config.Config.chiplet_first_steal then Sched.no_hooks.Sched.steal_order
+         else Sched.random_steal_order (Engine.Rng.create 0x51ea1));
     }
   in
   Sched.set_hooks sched hooks;
@@ -150,9 +132,6 @@ let attach_trace t tr =
         ~from_mode:(Config.approach_to_string from_mode)
         ~to_mode:(Config.approach_to_string to_mode)
         ~at_ns:(max_clock t));
-  Memory_manager.set_on_rebind t.memory (fun ~worker ~node ~regions ->
-      Engine.Trace.rebind tr ~worker ~node ~regions
-        ~at_ns:(Sched.worker_clock t.sched worker));
   Health_monitor.set_on_event t.health (fun ~chiplet ~sick ~at_ns ->
       Engine.Trace.instant tr
         ~name:
@@ -168,7 +147,7 @@ let profiler t = t.profiler
 let health t = t.health
 
 let alloc_shared t ?policy ~elt_bytes ~count () =
-  Memory_manager.alloc_shared t.memory ?policy ~elt_bytes ~count ()
+  Machine.alloc t.machine ?policy ~elt_bytes ~count ()
 
 let run t main =
   ignore (Sched.spawn t.sched ~worker:0 main : Sched.task);
@@ -184,21 +163,10 @@ let all_do t f =
   t.makespan <- Float.max t.makespan makespan;
   makespan
 
-let finalize t =
-  if Sched.check_enabled t.sched then Option.iter Power_cap.verify t.power_cap;
-  Engine.Stats.collect t.machine ~makespan_ns:t.makespan
-let last_makespan t = t.makespan
+let finalize t = Engine.Stats.collect t.machine ~makespan_ns:t.makespan
 let barrier t = Engine.Barrier.create t.n_workers
 
 module Api = struct
-  let alloc ctx ~elt_bytes ~count () =
-    (* Alg. 2 binds a worker's memory policy to its current core's node;
-       task-side allocations therefore bind to the caller's socket. *)
-    let machine = Sched.Ctx.machine ctx in
-    let topo = Machine.topology machine in
-    let node = Topology.socket_of_core topo (Sched.Ctx.core ctx) in
-    Machine.alloc machine ~policy:(Simmem.Bind node) ~elt_bytes ~count ()
-
   let call_sync = Engine.Par.call_sync
   let all_do = Engine.Par.all_do
   let parallel_for = Engine.Par.parallel_for

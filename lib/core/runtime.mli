@@ -1,13 +1,15 @@
 (** The CHARM runtime: public API (paper §4.6).
 
     Mirrors the paper's programming interface: initialise with {!init}
-    (CHARM_Init), submit work with {!run} / {!all_do}, use {!Api.call} for
-    remote procedure calls, {!Api.barrier_wait} for synchronisation, and
-    collect statistics with {!finalize} (CHARM_Finalize).
+    (CHARM_Init), submit work with {!run} / {!all_do}, use
+    {!Api.call_sync} for remote procedure calls, {!Api.barrier_wait} for
+    synchronisation, and collect statistics with {!finalize}
+    (CHARM_Finalize).
 
     Under the hood every worker runs the decentralized Alg. 1 policy at
-    each quantum end, migrating itself with Alg. 2 and rebinding its
-    memory through the memory manager. *)
+    each quantum end and migrates itself with Alg. 2.  The paper's NUMA
+    memory policy ([set_mempolicy] on migration) is outside the model:
+    datasets keep the placement they were allocated with. *)
 
 open Chipsim
 
@@ -33,8 +35,7 @@ val power_cap : t -> Power_cap.t option
     ticks at every quantum end (before the profiler/policy hooks), sheds
     DVFS on the hottest chiplet while the windowed power estimate exceeds
     the cap, and — when [Config.energy_weight > 0] — serves as the
-    policy's hot-chiplet oracle.  {!finalize} runs {!Power_cap.verify}
-    on it when invariant checking is enabled. *)
+    policy's hot-chiplet oracle. *)
 
 val health : t -> Health_monitor.t
 (** The degradation detector.  It is fed automatically at every quantum
@@ -50,10 +51,9 @@ val alloc_shared :
 val attach_trace : t -> Engine.Trace.t -> unit
 (** Wire a trace sink through every layer: the scheduler (quantum, steal,
     park, migration events), the policy (spread changes), the controller
-    (adaptive mode switches), the memory manager (cross-socket region
-    re-homes) and the health monitor (sick/recovered instants plus a
-    per-chiplet ns/access counter track).  Call once, before running
-    work. *)
+    (adaptive mode switches) and the health monitor (sick/recovered
+    instants plus a per-chiplet ns/access counter track).  Call once,
+    before running work. *)
 
 val run : t -> (Engine.Sched.ctx -> unit) -> float
 (** Execute a main task to completion; returns the virtual makespan (ns).
@@ -66,14 +66,8 @@ val all_do : t -> (Engine.Sched.ctx -> int -> unit) -> float
 val finalize : t -> Engine.Stats.report
 (** Collect the end-of-run report (safe to call once, after the last run). *)
 
-val last_makespan : t -> float
-
 (** Operations available inside tasks. *)
 module Api : sig
-  val alloc :
-    Engine.Sched.ctx -> elt_bytes:int -> count:int -> unit -> Simmem.region
-  (** Allocate bound to the calling worker's NUMA node (Alg. 2 line 14). *)
-
   val call_sync : Engine.Sched.ctx -> worker:int -> (Engine.Sched.ctx -> unit) -> unit
   (** Paper [call()]: dispatch a closure to another worker and await its
       completion; the message pays the core-to-core latency before it

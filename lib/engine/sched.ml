@@ -333,6 +333,15 @@ let default_steal_order t ~thief =
 let no_hooks =
   { on_quantum_end = (fun _ _ -> ()); steal_order = (fun t ~thief -> default_steal_order t ~thief) }
 
+let random_steal_order rng t ~thief =
+  let n = Array.length t.workers in
+  let victims = Array.make (n - 1) 0 in
+  for v = 0 to n - 2 do
+    victims.(v) <- (if v < thief then v else v + 1)
+  done;
+  Rng.shuffle rng victims;
+  victims
+
 let create ?(config = default_config) ?(hooks = no_hooks) machine ~n_workers ~placement =
   if n_workers <= 0 then invalid_arg "Sched.create: n_workers must be positive";
   let topo = Machine.topology machine in

@@ -41,6 +41,10 @@ type hooks = {
 val no_hooks : hooks
 (** No migrations; steal order by ascending core distance (chiplet-first). *)
 
+val random_steal_order : Rng.t -> t -> thief:int -> int array
+(** Every worker but [thief] in a fresh order shuffled with the caller's
+    [Rng.t]: the random-victim discipline. *)
+
 val create :
   ?config:config ->
   ?hooks:hooks ->

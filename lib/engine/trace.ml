@@ -20,7 +20,6 @@ type event =
   | Migration of { worker : int; from_core : int; to_core : int; at_ns : float }
   | Spread_change of { worker : int; old_spread : int; new_spread : int; at_ns : float }
   | Mode_switch of { from_mode : string; to_mode : string; at_ns : float }
-  | Rebind of { worker : int; node : int; regions : int; at_ns : float }
   | Job of { phase : job_phase; tenant : string; kind : string; job_id : int; at_ns : float }
   | Counter of { name : string; at_ns : float; series : (string * float) list }
   | Instant of { name : string; at_ns : float }
@@ -119,9 +118,6 @@ let spread_change t ~worker ~old_spread ~new_spread ~at_ns =
 let mode_switch t ~from_mode ~to_mode ~at_ns =
   push t (Mode_switch { from_mode; to_mode; at_ns })
 
-let rebind t ~worker ~node ~regions ~at_ns =
-  push t (Rebind { worker; node; regions; at_ns })
-
 let job t ~phase ~tenant ~kind ~job_id ~at_ns =
   push t (Job { phase; tenant; kind; job_id; at_ns })
 
@@ -191,10 +187,6 @@ let event_json pid = function
       Printf.sprintf
         {|{"name":"mode %s->%s","cat":"policy","ph":"i","ts":%.3f,"pid":%d,"tid":0,"s":"g"}|}
         (escape from_mode) (escape to_mode) (us at_ns) pid
-  | Rebind { worker; node; regions; at_ns } ->
-      Printf.sprintf
-        {|{"name":"rebind node %d","cat":"rebind","ph":"i","ts":%.3f,"pid":%d,"tid":%d,"s":"t","args":{"node":%d,"regions":%d}}|}
-        node (us at_ns) pid worker node regions
   | Job { phase; tenant; kind; job_id; at_ns } ->
       Printf.sprintf
         {|{"name":"%s %s/%s#%d","cat":"job","ph":"i","ts":%.3f,"pid":%d,"tid":0,"s":"g","args":{"phase":"%s","tenant":"%s","kind":"%s","id":%d}}|}
@@ -300,7 +292,6 @@ let category = function
   | Park _ -> "park"
   | Migration _ -> "migration"
   | Spread_change _ | Mode_switch _ -> "policy"
-  | Rebind _ -> "rebind"
   | Job _ -> "job"
   | Counter _ -> "counter"
   | Instant _ -> "marker"

@@ -1,13 +1,13 @@
-(** Execution tracing: a bounded ring buffer of scheduler, policy, memory
-    and serving events, serialized as Chrome trace-event JSON (load in
+(** Execution tracing: a bounded ring buffer of scheduler, policy and
+    serving events, serialized as Chrome trace-event JSON (load in
     [chrome://tracing] / Perfetto).
 
     This is the observability side of the paper's profiler: where the PMU
     counters say {e what} was served from where, the trace shows {e when}
     each worker ran which task on which core, when the policy spread or
-    contracted the gang, when memory was re-homed, and (in serving mode)
-    the admit/shed/start/finish lifecycle of every job plus a periodic
-    fill-class counter track — the Fig. 3 time series the policy consumes.
+    contracted the gang, and (in serving mode) the admit/shed/start/finish
+    lifecycle of every job plus a periodic fill-class counter track — the
+    Fig. 3 time series the policy consumes.
 
     Producers guard every emission behind {!enabled}, so an attached but
     disabled trace costs one branch and no allocation on the hot paths.
@@ -28,7 +28,6 @@ type event =
   | Migration of { worker : int; from_core : int; to_core : int; at_ns : float }
   | Spread_change of { worker : int; old_spread : int; new_spread : int; at_ns : float }
   | Mode_switch of { from_mode : string; to_mode : string; at_ns : float }
-  | Rebind of { worker : int; node : int; regions : int; at_ns : float }
   | Job of { phase : job_phase; tenant : string; kind : string; job_id : int; at_ns : float }
   | Counter of { name : string; at_ns : float; series : (string * float) list }
   | Instant of { name : string; at_ns : float }
@@ -76,7 +75,6 @@ val spread_change :
   t -> worker:int -> old_spread:int -> new_spread:int -> at_ns:float -> unit
 
 val mode_switch : t -> from_mode:string -> to_mode:string -> at_ns:float -> unit
-val rebind : t -> worker:int -> node:int -> regions:int -> at_ns:float -> unit
 
 val job :
   t -> phase:job_phase -> tenant:string -> kind:string -> job_id:int ->

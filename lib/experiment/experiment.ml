@@ -843,9 +843,12 @@ let instance t =
   | schedule -> ignore (Faults.Injector.attach (sched inst) schedule : Faults.Injector.t));
   inst
 
+(* [check_quiescent] ends with the machine's full invariant scan *)
 let verify inst =
   Engine.Sched.check_quiescent (sched inst);
-  Chipsim.Machine.check_invariants_full inst.Systems.machine
+  Option.iter
+    (fun rt -> Option.iter Charm.Power_cap.verify (Charm.Runtime.power_cap rt))
+    inst.Systems.charm
 
 (* The last Kronecker edge list, by seed and scale: a figure runs dozens
    of kernels on one graph, and generating it takes ~0.1 s at scale 14.

@@ -147,7 +147,8 @@ val run : ?trace:Engine.Trace.t -> t -> outcome
     faults and the planted bug, run the workload and collect its report.
     A single machine records its events into [trace]; a fleet given a
     [trace] records into a fresh router trace and one per shard instead.  With [check],
-    the machine and scheduler are verified after the run.
+    the machine, the scheduler and CHARM's power-cap controller are
+    verified after the run.
 
     A batch kernel's inputs are fixed by [t]: graphs of
     [2^graph_scale] vertices, a GUPS table of [2^(graph_scale+6)] words,

@@ -91,8 +91,7 @@ let baseline_spec ~kind = function
   | Dw_native ->
       {
         (Baselines.Ring.spec ()) with
-        Baselines.Baseline.name = "dw-native";
-        task_model =
+        Baselines.Baseline.task_model =
           Engine.Sched.Os_threads { spawn_ns = 20_000.0; switch_ns = 2_000.0 };
       }
   | Shoal -> Baselines.Shoal.spec ()
@@ -121,8 +120,7 @@ let make ?(cache_scale = 1) ?charm_config sys kind ~n_workers () =
       let rt = Charm.Runtime.init ?config:charm_config ~sched_config machine ~n_workers in
       let env =
         {
-          Workloads.Exec_env.name = sys_name sys;
-          sched = Charm.Runtime.sched rt;
+          Workloads.Exec_env.sched = Charm.Runtime.sched rt;
           alloc_shared =
             (fun ~elt_bytes ~count ->
               Charm.Runtime.alloc_shared rt ~elt_bytes ~count ());
@@ -137,8 +135,7 @@ let make ?(cache_scale = 1) ?charm_config sys kind ~n_workers () =
       let driver = Baselines.Baseline.init spec machine ~n_workers in
       let env =
         {
-          Workloads.Exec_env.name = sys_name sys;
-          sched = Baselines.Baseline.sched driver;
+          Workloads.Exec_env.sched = Baselines.Baseline.sched driver;
           alloc_shared =
             (fun ~elt_bytes ~count ->
               Baselines.Baseline.alloc_shared driver ~elt_bytes ~count ());

@@ -1,7 +1,6 @@
 open Chipsim
 
 type t = {
-  name : string;
   sched : Engine.Sched.t;
   alloc_shared : elt_bytes:int -> count:int -> Simmem.region;
   run : (Engine.Sched.ctx -> unit) -> float;

@@ -8,7 +8,6 @@
 open Chipsim
 
 type t = {
-  name : string;  (** system name, for reports *)
   sched : Engine.Sched.t;
   alloc_shared : elt_bytes:int -> count:int -> Simmem.region;
   run : (Engine.Sched.ctx -> unit) -> float;

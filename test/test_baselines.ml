@@ -51,7 +51,9 @@ let test_driver_runs_workload () =
   let machine = Machine.create (amd ()) in
   let driver = B.init (Baselines.Os_default.spec ()) machine ~n_workers:4 in
   let count = ref 0 in
-  let makespan = B.all_do driver (fun _ctx _w -> incr count) in
+  let makespan =
+    B.run driver (fun ctx -> Engine.Par.all_do ctx (fun _ctx _w -> incr count))
+  in
   Alcotest.(check int) "all ran" 4 !count;
   Alcotest.(check bool) "time advanced" true (makespan > 0.0);
   let report = B.finalize driver in
@@ -59,7 +61,8 @@ let test_driver_runs_workload () =
 
 let test_sam_migrates_to_majority () =
   let machine = Machine.create (amd ()) in
-  let driver = B.init (Baselines.Sam.spec ()) machine ~n_workers:8 in
+  let spec = Baselines.Sam.spec () in
+  let driver = B.init spec machine ~n_workers:8 in
   let sched = B.sched driver in
   let topo = Machine.topology machine in
   (* build a decisive 7-vs-1 majority on socket 0: SAM only consolidates
@@ -72,7 +75,7 @@ let test_sam_migrates_to_majority () =
   Pmu.add (Machine.pmu machine)
     ~core:(Engine.Sched.worker_core sched 7)
     Pmu.Fill_remote_numa 100_000;
-  (match (B.spec driver).B.on_tick with
+  (match spec.B.on_tick with
   | Some tick ->
       (* first tick baselines the counter, second sees the delta *)
       tick driver ~worker:7;
@@ -86,7 +89,8 @@ let test_sam_migrates_to_majority () =
 
 let test_asymsched_rebalances () =
   let machine = Machine.create (amd ()) in
-  let driver = B.init (Baselines.Asymsched.spec ()) machine ~n_workers:4 in
+  let spec = Baselines.Asymsched.spec () in
+  let driver = B.init spec machine ~n_workers:4 in
   let sched = B.sched driver in
   (* saturate node 0's channels in the current bin *)
   let now = Engine.Sched.worker_clock sched 0 in
@@ -95,7 +99,7 @@ let test_asymsched_rebalances () =
     ignore (Machine.touch machine ~core:0 ~now_ns:now ~write:false region (i * 8))
   done;
   let before = Topology.socket_of_core (Machine.topology machine) (Engine.Sched.worker_core sched 0) in
-  (match (B.spec driver).B.on_tick with
+  (match spec.B.on_tick with
   | Some tick -> tick driver ~worker:0
   | None -> Alcotest.fail "asymsched has no tick");
   let after = Topology.socket_of_core (Machine.topology machine) (Engine.Sched.worker_core sched 0) in

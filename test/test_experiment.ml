@@ -129,6 +129,21 @@ let test_topo_file_name_replays () =
   Alcotest.(check bool) "shards named after the file" true (contains {|"tiny-hetero"|});
   Alcotest.(check string) "the replay's report" report (E.run replay).E.report
 
+(* --check audits the power cap at the end of a run: a capped, checked
+   batch run and serve run both finish clean *)
+let test_checked_capped_runs () =
+  List.iter
+    (fun line ->
+      let t = of_string_exn line in
+      Alcotest.(check bool) "checked and capped" true (t.E.check && t.E.power_cap_mw > 0.0);
+      match E.run t with
+      | _ -> ()
+      | exception Chipsim.Invariant.Violation msg -> Alcotest.failf "%s\n%s" line msg)
+    [
+      "charm_run -n 8 --graph-scale 8 --power-cap 2 --check";
+      "charm_serve -n 8 --jobs 6 --power-cap 2 --check";
+    ]
+
 let suite =
   [
     Alcotest.test_case "text form round-trips" `Quick test_text_roundtrip;
@@ -139,4 +154,5 @@ let suite =
     Alcotest.test_case "malformed values rejected in one line" `Quick
       test_malformed_values_rejected;
     Alcotest.test_case "a topology file's name replays" `Quick test_topo_file_name_replays;
+    Alcotest.test_case "checked capped runs pass" `Quick test_checked_capped_runs;
   ]

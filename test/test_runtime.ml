@@ -22,8 +22,7 @@ let test_init_clamps_spread () =
 let test_run_and_makespan () =
   let _m, rt = make ~n_workers:4 () in
   let makespan = Runtime.run rt (fun ctx -> Sched.Ctx.work ctx 1234.0) in
-  Alcotest.(check bool) "makespan covers work" true (makespan >= 1234.0);
-  Alcotest.(check (float 1.0)) "last_makespan" makespan (Runtime.last_makespan rt)
+  Alcotest.(check bool) "makespan covers work" true (makespan >= 1234.0)
 
 let test_all_do_runs_every_worker () =
   let _m, rt = make ~n_workers:6 () in
@@ -67,18 +66,6 @@ let test_call_pays_message_latency () =
              start_time := Sched.Ctx.now ctx'))
       : float);
   Alcotest.(check bool) "message delayed" true (!start_time > 0.0)
-
-let test_alloc_binds_to_caller_socket () =
-  let m, rt = make ~n_workers:64 () in
-  ignore
-    (Runtime.run rt (fun ctx ->
-         let r = Runtime.Api.alloc ctx ~elt_bytes:8 ~count:16 () in
-         (* first touch from anywhere must land on the caller's socket *)
-         let node =
-           Simmem.node_of_addr (Machine.mem m) ~toucher_node:1 (Simmem.addr r 0)
-         in
-         Alcotest.(check int) "bound to socket 0" 0 node)
-      : float)
 
 let test_barrier_api () =
   let _m, rt = make ~n_workers:4 () in
@@ -137,7 +124,6 @@ let suite =
     Alcotest.test_case "parallel_for covers range" `Quick test_parallel_for_covers_range;
     Alcotest.test_case "call_sync on target worker" `Quick test_call_sync_runs_on_target;
     Alcotest.test_case "call pays message latency" `Quick test_call_pays_message_latency;
-    Alcotest.test_case "alloc binds to caller socket" `Quick test_alloc_binds_to_caller_socket;
     Alcotest.test_case "barrier API" `Quick test_barrier_api;
     Alcotest.test_case "finalize reports" `Quick test_finalize_reports;
     Alcotest.test_case "adapts under cache pressure" `Quick test_adaptation_under_pressure;

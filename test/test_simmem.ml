@@ -37,16 +37,6 @@ let test_interleave () =
   in
   Alcotest.(check (list int)) "alternating" [ 0; 1; 0; 1; 0; 1; 0; 1 ] nodes
 
-let test_rebind () =
-  let m = mem () in
-  let r = Simmem.alloc m ~policy:(Simmem.Bind 0) ~elt_bytes:8 ~count:1024 () in
-  ignore (Simmem.node_of_addr m ~toucher_node:0 (Simmem.addr r 0));
-  Alcotest.(check int) "placed on 0" 1 (Simmem.placed_pages m ~node:0);
-  Simmem.rebind m r (Simmem.Bind 1);
-  Alcotest.(check int) "pages dropped" 0 (Simmem.placed_pages m ~node:0);
-  Alcotest.(check int) "re-placed on 1" 1
-    (Simmem.node_of_addr m ~toucher_node:0 (Simmem.addr r 0))
-
 let test_validation () =
   let m = mem () in
   (try
@@ -73,7 +63,6 @@ let suite =
     Alcotest.test_case "first touch" `Quick test_first_touch;
     Alcotest.test_case "bind" `Quick test_bind;
     Alcotest.test_case "interleave" `Quick test_interleave;
-    Alcotest.test_case "rebind" `Quick test_rebind;
     Alcotest.test_case "validation" `Quick test_validation;
     QCheck_alcotest.to_alcotest prop_addr_within_region;
   ]

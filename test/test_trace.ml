@@ -188,7 +188,6 @@ let test_json_escaping_all_kinds () =
   Trace.spread_change t ~worker:0 ~old_spread:1 ~new_spread:2 ~at_ns:8.0;
   Trace.mode_switch t ~from_mode:"cache\"centric" ~to_mode:"location\\centric"
     ~at_ns:9.0;
-  Trace.rebind t ~worker:0 ~node:1 ~regions:3 ~at_ns:10.0;
   Trace.job t ~phase:Trace.Admit ~tenant:{|te"nant|} ~kind:"bfs\nnested"
     ~job_id:0 ~at_ns:11.0;
   Trace.counter t ~name:{|fi"lls|} ~at_ns:12.0
