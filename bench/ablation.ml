@@ -84,7 +84,7 @@ let phased_scan config =
   in
   let passes = 6 in
   let makespan =
-    env.Workloads.Exec_env.run (fun ctx ->
+    Workloads.Exec_env.run env (fun ctx ->
         Engine.Par.all_do ctx (fun ctx' w ->
             let small, big = regions.(w) in
             for _ = 1 to passes do

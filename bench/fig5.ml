@@ -21,7 +21,7 @@ let time_one sys ~words =
   let iters = max 2 (min 16 (3_000_000 / lines)) in
   let barrier = Engine.Barrier.create threads in
   let makespan =
-    env.Exec_env.run (fun ctx ->
+    Exec_env.run env (fun ctx ->
         Engine.Par.all_do ctx (fun ctx' w ->
             let lo = w * seg and hi = (w + 1) * seg in
             (* warm-up pass (the paper sets all elements to 1 first) *)

@@ -10,14 +10,7 @@ module Sys_ = Harness.Systems
    holds the newest window across the whole bench invocation. *)
 let trace_sink : Engine.Trace.t option ref = ref None
 
-let attach_trace inst =
-  match !trace_sink with
-  | None -> ()
-  | Some tr -> (
-      match inst.Sys_.charm with
-      | Some rt -> Charm.Runtime.attach_trace rt tr
-      | None ->
-          Engine.Sched.set_trace inst.Sys_.env.Workloads.Exec_env.sched (Some tr))
+let attach_trace inst = Option.iter (Sys_.attach_trace inst) !trace_sink
 
 (* Optional machine-readable sink: set by the driver's [--json FILE] flag;
    experiments emit typed rows ({!Row}) alongside their human tables, and

@@ -1,28 +1,30 @@
 (* Quickstart: bring up CHARM on a simulated dual-socket AMD Milan, run a
-   parallel computation through the paper's API (init / parallel_for /
-   all_do / barrier / finalize), and read the chiplet-level statistics.
+   parallel computation through the paper's API (CHARM_Init =
+   Systems.make, parallel_for / all_do = Engine.Par, barrier =
+   Engine.Barrier, CHARM_Finalize = Systems.report), and read the
+   chiplet-level statistics.
 
    Run with: dune exec examples/quickstart.exe *)
 
 open Chipsim
-module Runtime = Charm.Runtime
+module Systems = Harness.Systems
+module Exec_env = Workloads.Exec_env
 module Sched = Engine.Sched
 
 let () =
-  (* 1. a machine: 2 sockets x 8 chiplets x 8 cores, 32 MB L3 per chiplet *)
-  let machine = Machine.create (Presets.amd_milan ()) in
-  Format.printf "machine: %a@." Topology.pp (Machine.topology machine);
+  (* 1. CHARM_Init: a 2 socket x 8 chiplet x 8 core machine (32 MB L3 per
+     chiplet) with 16 worker threads, placed compactly by Alg. 2 *)
+  let inst = Systems.make Systems.Charm Systems.Amd_milan ~n_workers:16 () in
+  let env = inst.Systems.env in
+  Format.printf "machine: %a@." Topology.pp (Machine.topology inst.Systems.machine);
 
-  (* 2. CHARM_Init with 16 worker threads (Alg. 2 places them compactly) *)
-  let rt = Runtime.init machine ~n_workers:16 in
-
-  (* 3. allocate a shared dataset and fill it in parallel *)
+  (* 2. allocate a shared dataset and fill it in parallel *)
   let n = 1 lsl 18 in
-  let data = Runtime.alloc_shared rt ~elt_bytes:8 ~count:n () in
+  let data = env.Exec_env.alloc_shared ~elt_bytes:8 ~count:n in
   let values = Array.make n 0 in
   let makespan =
-    Runtime.run rt (fun ctx ->
-        Runtime.Api.parallel_for ctx ~lo:0 ~hi:n (fun ctx' lo hi ->
+    Exec_env.run env (fun ctx ->
+        Engine.Par.parallel_for ctx ~lo:0 ~hi:n (fun ctx' lo hi ->
             Sched.Ctx.write_range ctx' data ~lo ~hi;
             for i = lo to hi - 1 do
               values.(i) <- i * i
@@ -31,19 +33,19 @@ let () =
   Printf.printf "parallel fill of %d elements: %.3f ms virtual time\n" n
     (makespan /. 1e6);
 
-  (* 4. every worker reports in via all_do + barrier *)
-  let b = Runtime.barrier rt in
+  (* 3. every worker reports in via all_do + barrier *)
+  let b = Engine.Barrier.create 16 in
   let sum = ref 0 in
   ignore
-    (Runtime.all_do rt (fun ctx w ->
-         Runtime.Api.barrier_wait ctx b;
-         sum := !sum + w)
+    (Exec_env.run env (fun ctx ->
+         Engine.Par.all_do ctx (fun ctx' w ->
+             Engine.Barrier.wait ctx' b;
+             sum := !sum + w))
       : float);
   Printf.printf "all %d workers synchronized (sum of ids = %d)\n" 16 !sum;
 
-  (* 5. CHARM_Finalize: chiplet-aware statistics *)
-  let report = Runtime.finalize rt in
-  Format.printf "%a@." Engine.Stats.pp report;
-  let policy = Runtime.policy rt in
+  (* 4. CHARM_Finalize: chiplet-aware statistics *)
+  Format.printf "%a@." Engine.Stats.pp (Systems.report inst);
+  let policy = Charm.Runtime.policy (Option.get inst.Systems.charm) in
   Printf.printf "worker 0 spread_rate: %d\n"
     (Charm.Policy.spread_rate policy ~worker:0)

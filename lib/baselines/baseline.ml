@@ -1,7 +1,7 @@
 open Chipsim
 module Sched = Engine.Sched
 
-type steal_discipline = Chiplet_first | Numa_first | Random_victim | No_steal
+type steal_discipline = Chiplet_first | Numa_first | Random_victim
 
 type t = {
   spec : spec;
@@ -9,7 +9,6 @@ type t = {
   sched : Sched.t;
   last_tick : float array;
   trng : Engine.Rng.t;
-  mutable makespan : float;
 }
 
 and spec = {
@@ -73,11 +72,8 @@ let numa_first_order t ~thief =
 
 let init spec machine ~n_workers =
   let topo = Machine.topology machine in
-  let sched_config =
-    { Engine.Sched.task_model = spec.task_model; steal_enabled = spec.steal <> No_steal }
-  in
   let sched =
-    Sched.create ~config:sched_config machine ~n_workers
+    Sched.create ~task_model:spec.task_model machine ~n_workers
       ~placement:(fun w -> spec.placement topo ~n_workers w)
   in
   let t =
@@ -87,12 +83,11 @@ let init spec machine ~n_workers =
       sched;
       last_tick = Array.make n_workers 0.0;
       trng = Engine.Rng.create 0xba5e;
-      makespan = 0.0;
     }
   in
   let steal_order sched_ ~thief =
     match spec.steal with
-    | Chiplet_first | No_steal ->
+    | Chiplet_first ->
         Engine.Sched.no_hooks.Engine.Sched.steal_order sched_ ~thief
     | Numa_first -> numa_first_order t ~thief
     | Random_victim -> Sched.random_steal_order t.trng sched_ ~thief
@@ -115,15 +110,3 @@ let init spec machine ~n_workers =
 let sched t = t.sched
 let machine t = t.machine
 let rng t = t.trng
-
-let alloc_shared t ~elt_bytes ~count () =
-  let topo = Machine.topology t.machine in
-  Machine.alloc t.machine ~policy:(t.spec.shared_policy topo) ~elt_bytes ~count ()
-
-let run t main =
-  ignore (Sched.spawn t.sched ~worker:0 main : Sched.task);
-  let makespan = Sched.run t.sched in
-  t.makespan <- Float.max t.makespan makespan;
-  makespan
-
-let finalize t = Engine.Stats.collect t.machine ~makespan_ns:t.makespan

@@ -1,10 +1,11 @@
-(** Generic driver for the comparison systems of paper §5.1.
+(** The comparison systems of paper §5.1 as scheduler hooks.
 
     Every baseline is expressed as a {!spec}: an initial thread-placement
     function, a shared-memory allocation policy, a steal-victim discipline,
-    an optional periodic rebalancing action, and a task model.  The driver
-    runs the spec over the same simulated machine and scheduler as CHARM,
-    so differences in results come only from policy — exactly how the
+    an optional periodic rebalancing action, and a task model.  {!init}
+    installs the spec's hooks on a scheduler over the same simulated
+    machine as CHARM, and [Harness.Systems] drives it exactly as it drives
+    CHARM, so differences in results come only from policy — how the
     paper's comparisons are constructed. *)
 
 open Chipsim
@@ -13,7 +14,6 @@ type steal_discipline =
   | Chiplet_first  (** victims ordered by core distance (CHARM's order) *)
   | Numa_first  (** same socket first, chiplet-blind within it *)
   | Random_victim
-  | No_steal
 
 type t
 
@@ -38,10 +38,6 @@ val init : spec -> Machine.t -> n_workers:int -> t
 val sched : t -> Engine.Sched.t
 val machine : t -> Machine.t
 val rng : t -> Engine.Rng.t
-
-val alloc_shared : t -> elt_bytes:int -> count:int -> unit -> Simmem.region
-val run : t -> (Engine.Sched.ctx -> unit) -> float
-val finalize : t -> Engine.Stats.report
 
 (** Placement building blocks shared by the concrete baselines. *)
 module Layouts : sig

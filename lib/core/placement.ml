@@ -36,8 +36,6 @@ let min_valid_spread topo ~n_workers =
   in
   go 1
 
-let numa_node_of_core topo core = core / Topology.cores_per_socket topo
-
 (* Largest spread_rate a gang may take without general work spilling onto
    accelerator-only chiplets.  [chiplet_speed_order] sorts general-task
    chiplets first, so at spread k <= #general every Alg. 2 chiplet index

@@ -2,22 +2,18 @@ open Chipsim
 module Sched = Engine.Sched
 
 type t = {
-  machine : Machine.t;
   sched : Sched.t;
   profiler : Profiler.t;
   controller : Controller.t;
   policy : Policy.t;
   health : Health_monitor.t;
   power_cap : Power_cap.t option;
-  n_workers : int;
-  mutable makespan : float;
 }
 
 (* simulated cost of one profiling check, charged to the checking worker *)
 let profiler_overhead_ns = 40.0
 
-let init ?(config = Config.default) ?(sched_config = Sched.default_config)
-    machine ~n_workers =
+let init ?(config = Config.default) ?task_model machine ~n_workers =
   let topo = Machine.topology machine in
   Config.validate config topo;
   if n_workers > Topology.num_cores topo then
@@ -34,7 +30,7 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
     | Some core -> core
     | None -> invalid_arg "Runtime.init: no valid placement for the gang"
   in
-  let sched = Sched.create ~config:sched_config machine ~n_workers ~placement in
+  let sched = Sched.create ?task_model machine ~n_workers ~placement in
   let profiler = Profiler.create machine ~n_workers in
   let controller = Controller.create config in
   let config = { config with Config.initial_spread = spread0 } in
@@ -60,8 +56,7 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
         (Some (fun chiplet -> Power_cap.throttled pc ~chiplet))
   | None -> ());
   let t =
-    { machine; sched; profiler; controller; policy; health;
-      power_cap; n_workers; makespan = 0.0 }
+    { sched; profiler; controller; policy; health; power_cap }
   in
   let hooks =
     {
@@ -77,7 +72,7 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
               in
               (match (action, Sched.trace sched) with
               | Power_cap.Idle, _ | _, None -> ()
-              | action, Some tr when Engine.Trace.enabled tr ->
+              | action, Some tr ->
                   let desc =
                     match action with
                     | Power_cap.Shed ch ->
@@ -91,8 +86,7 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
                     | Power_cap.Idle -> assert false
                   in
                   Engine.Trace.instant tr ~name:desc
-                    ~at_ns:(Sched.worker_clock sched worker)
-              | _ -> ())
+                    ~at_ns:(Sched.worker_clock sched worker))
           | None -> ());
           if config.Config.profile_while_running then begin
             Sched.charge sched ~worker profiler_overhead_ns;
@@ -117,7 +111,7 @@ let sched t = t.sched
    timestamp for events with no single owning worker (mode switches) *)
 let max_clock t =
   let m = ref 0.0 in
-  for w = 0 to t.n_workers - 1 do
+  for w = 0 to Sched.n_workers t.sched - 1 do
     m := Float.max !m (Sched.worker_clock t.sched w)
   done;
   !m
@@ -140,35 +134,8 @@ let attach_trace t tr =
         ~at_ns;
       Engine.Trace.counter tr ~name:"health" ~at_ns
         ~series:(Health_monitor.counter_series t.health))
-let n_workers t = t.n_workers
+
 let policy t = t.policy
 let power_cap t = t.power_cap
 let profiler t = t.profiler
 let health t = t.health
-
-let alloc_shared t ?policy ~elt_bytes ~count () =
-  Machine.alloc t.machine ?policy ~elt_bytes ~count ()
-
-let run t main =
-  ignore (Sched.spawn t.sched ~worker:0 main : Sched.task);
-  let makespan = Sched.run t.sched in
-  t.makespan <- Float.max t.makespan makespan;
-  makespan
-
-let all_do t f =
-  for w = 0 to t.n_workers - 1 do
-    ignore (Sched.spawn t.sched ~worker:w (fun ctx -> f ctx w) : Sched.task)
-  done;
-  let makespan = Sched.run t.sched in
-  t.makespan <- Float.max t.makespan makespan;
-  makespan
-
-let finalize t = Engine.Stats.collect t.machine ~makespan_ns:t.makespan
-let barrier t = Engine.Barrier.create t.n_workers
-
-module Api = struct
-  let call_sync = Engine.Par.call_sync
-  let all_do = Engine.Par.all_do
-  let parallel_for = Engine.Par.parallel_for
-  let barrier_wait ctx b = Engine.Barrier.wait ctx b
-end

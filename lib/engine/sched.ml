@@ -6,10 +6,6 @@ type task_model =
   | Coroutines of { switch_ns : float }
   | Os_threads of { spawn_ns : float; switch_ns : float }
 
-type config = { task_model : task_model; steal_enabled : bool }
-
-let default_config = { task_model = Coroutines { switch_ns = 30.0 }; steal_enabled = true }
-
 (* [Ctx.maybe_yield] yields after this many charged accesses *)
 let max_accesses_per_quantum = 2048
 
@@ -25,7 +21,7 @@ let steal_horizon_ns = 1_000.0
 
 type t = {
   machine : Machine.t;
-  config : config;
+  task_model : task_model;
   mutable check : bool;  (* executable invariants on every quantum *)
   mutable check_tick : int;  (* quanta since the last periodic machine check *)
   mutable energy : bool;
@@ -342,7 +338,7 @@ let random_steal_order rng t ~thief =
   Rng.shuffle rng victims;
   victims
 
-let create ?(config = default_config) ?(hooks = no_hooks) machine ~n_workers ~placement =
+let create ?(task_model = Coroutines { switch_ns = 30.0 }) ?(hooks = no_hooks) machine ~n_workers ~placement =
   if n_workers <= 0 then invalid_arg "Sched.create: n_workers must be positive";
   let topo = Machine.topology machine in
   let cores = Topology.num_cores topo in
@@ -379,7 +375,7 @@ let create ?(config = default_config) ?(hooks = no_hooks) machine ~n_workers ~pl
   Array.iter (fun w -> heap_push heap w) workers;
   {
     machine;
-    config;
+    task_model;
     check = false;
     check_tick = 0;
     energy = false;
@@ -477,9 +473,9 @@ let migrate t ~worker ~core =
     w.clock.(0) <- w.clock.(0) +. migration_cost_ns;
     Pmu.incr (Machine.pmu t.machine) ~core Pmu.Migration;
     match t.trace with
-    | Some tr when Trace.enabled tr ->
+    | Some tr ->
         Trace.migration tr ~worker ~from_core ~to_core:core ~at_ns:w.clock.(0)
-    | _ -> ()
+    | None -> ()
   end
 
 let task_id task = task.tid
@@ -544,7 +540,7 @@ let enqueue t task =
   if task.ready_at.(0) > w.clock.(0) then pend_push w task;
   t.runnable <- t.runnable + 1;
   unpark t w ~at:task.ready_at.(0);
-  if t.config.steal_enabled && run_queue_len w >= 2 then
+  if run_queue_len w >= 2 then
     wake_one_thief t ~near:w ~at:(fmax w.clock.(0) task.ready_at.(0))
 
 let[@inline] spawn_on t ~worker ~at body =
@@ -683,34 +679,31 @@ let steal_ready w victim =
   !found
 
 let try_steal t w =
-  if not t.config.steal_enabled then dummy_task
-  else begin
-    let order = t.hooks.steal_order t ~thief:w.wid in
-    let topo = Machine.topology t.machine in
-    let found = ref dummy_task and i = ref 0 in
-    while !i < Array.length order do
-      let victim = t.workers.(order.(!i)) in
-      let task = steal_ready w victim in
-      if task != dummy_task then begin
-        let cost =
-          2.0 *. Latency.core_to_core_ns ~profile:(Machine.profile t.machine) topo w.core victim.core
-        in
-        w.clock.(0) <- w.clock.(0) +. cost;
-        Pmu.incr (Machine.pmu t.machine) ~core:w.core Pmu.Task_stolen;
-        (match t.trace with
-        | Some tr when Trace.enabled tr ->
-            Trace.steal tr ~thief:w.wid ~victim:victim.wid ~task_id:task.tid
-              ~at_ns:w.clock.(0)
-        | _ -> ());
-        if run_queue_len victim > 0 then
-          wake_one_thief t ~near:victim ~at:w.clock.(0);
-        found := task;
-        i := Array.length order
-      end
-      else incr i
-    done;
-    !found
-  end
+  let order = t.hooks.steal_order t ~thief:w.wid in
+  let topo = Machine.topology t.machine in
+  let found = ref dummy_task and i = ref 0 in
+  while !i < Array.length order do
+    let victim = t.workers.(order.(!i)) in
+    let task = steal_ready w victim in
+    if task != dummy_task then begin
+      let cost =
+        2.0 *. Latency.core_to_core_ns ~profile:(Machine.profile t.machine) topo w.core victim.core
+      in
+      w.clock.(0) <- w.clock.(0) +. cost;
+      Pmu.incr (Machine.pmu t.machine) ~core:w.core Pmu.Task_stolen;
+      (match t.trace with
+      | Some tr ->
+          Trace.steal tr ~thief:w.wid ~victim:victim.wid ~task_id:task.tid
+            ~at_ns:w.clock.(0)
+      | None -> ());
+      if run_queue_len victim > 0 then
+        wake_one_thief t ~near:victim ~at:w.clock.(0);
+      found := task;
+      i := Array.length order
+    end
+    else incr i
+  done;
+  !found
 
 (* Single horizon-filtered steal attempt, exposed for tests: returns the
    stolen task id, or -1 when every queued task was refused.  A stolen
@@ -823,7 +816,7 @@ let execute t w task =
   let quantum_start = w.clock.(0) in
   w.accesses <- 0;
   let pmu = Machine.pmu t.machine in
-  (match t.config.task_model with
+  (match t.task_model with
   | Coroutines { switch_ns } -> w.clock.(0) <- w.clock.(0) +. switch_ns
   | Os_threads { switch_ns; _ } ->
       (* oversubscription: kernel switching degrades with the ratio of
@@ -870,10 +863,10 @@ let execute t w task =
   (* emit before the policy hook runs: a migration decided at quantum end
      must not retroactively relabel the core this quantum ran on *)
   (match t.trace with
-  | Some tr when Trace.enabled tr ->
+  | Some tr ->
       Trace.task_quantum tr ~worker:w.wid ~core:w.core ~task_id:task.tid
         ~start_ns:quantum_start ~end_ns:w.clock.(0)
-  | _ -> ());
+  | None -> ());
   if t.check then check_quantum_end t w task ~quantum_start;
   t.hooks.on_quantum_end t w.wid
 
@@ -984,8 +977,8 @@ let run t =
             (* Nothing to run or steal: park until an enqueue wakes us.
                A short idle advance models the real polling interval. *)
             (match t.trace with
-            | Some tr when Trace.enabled tr -> Trace.park tr ~worker:wid ~at_ns:w.clock.(0)
-            | _ -> ());
+            | Some tr -> Trace.park tr ~worker:wid ~at_ns:w.clock.(0)
+            | None -> ());
             w.clock.(0) <- w.clock.(0) +. idle_quantum_ns;
             w.parked <- true;
             t.parked_count <- t.parked_count + 1
@@ -1069,7 +1062,7 @@ module Ctx = struct
     let worker = match worker with Some w -> w | None -> c.ctask.last_worker in
     if worker < 0 || worker >= Array.length t.workers then
       invalid_arg "Sched.spawn: worker out of range";
-    (match t.config.task_model with
+    (match t.task_model with
     | Coroutines _ -> ()
     | Os_threads { spawn_ns; _ } -> charge c spawn_ns);
     (* causality: a child cannot start before its spawn — without this a

@@ -27,15 +27,12 @@ type task_model =
       (** one kernel thread per task, as with [std::async]: expensive
           creation, kernel context switches, oversubscription penalties *)
 
-type config = { task_model : task_model; steal_enabled : bool }
-
-val default_config : config
-
 type hooks = {
   on_quantum_end : t -> int -> unit;
       (** called with the worker id after every task quantum *)
   steal_order : t -> thief:int -> int array;
-      (** worker ids to steal from, best victim first *)
+      (** worker ids to steal from, best victim first; an empty array
+          means the thief steals nothing *)
 }
 
 val no_hooks : hooks
@@ -46,7 +43,7 @@ val random_steal_order : Rng.t -> t -> thief:int -> int array
     [Rng.t]: the random-victim discipline. *)
 
 val create :
-  ?config:config ->
+  ?task_model:task_model ->
   ?hooks:hooks ->
   Machine.t ->
   n_workers:int ->
@@ -54,6 +51,7 @@ val create :
   t
 (** [create machine ~n_workers ~placement] binds worker [w] to core
     [placement w].  Distinct workers must get distinct cores.
+    [task_model] defaults to coroutines with a 30 ns switch.
     @raise Invalid_argument on core clashes or out-of-range cores. *)
 
 val machine : t -> Machine.t
@@ -65,7 +63,7 @@ val hooks : t -> hooks
     wrap the active policy hooks instead of replacing them. *)
 
 val set_trace : t -> Trace.t option -> unit
-(** Attach (or detach) a trace sink.  While attached and enabled the
+(** Attach (or detach) a trace sink.  While attached the
     scheduler emits a [Quantum] event per executed task quantum (real task
     id, start stamped when the task actually begins — idle and steal time
     are excluded), a [Steal] event per successful steal, a [Park] event

@@ -54,7 +54,6 @@ type t = {
   mutable head : int;
   mutable len : int;
   mutable dropped : int;
-  mutable on : bool;
 }
 
 let default_capacity = 1 lsl 18
@@ -69,13 +68,10 @@ let create ?(capacity = default_capacity) ?(pid = 0) ?name () =
     head = 0;
     len = 0;
     dropped = 0;
-    on = true;
   }
 
 let pid t = t.pid
 
-let enabled t = t.on
-let set_enabled t on = t.on <- on
 let num_events t = t.len
 let dropped t = t.dropped
 
@@ -85,11 +81,9 @@ let clear t =
   t.dropped <- 0
 
 let push t e =
-  if t.on then begin
-    t.buf.(t.head) <- e;
-    t.head <- (t.head + 1) mod t.capacity;
-    if t.len < t.capacity then t.len <- t.len + 1 else t.dropped <- t.dropped + 1
-  end
+  t.buf.(t.head) <- e;
+  t.head <- (t.head + 1) mod t.capacity;
+  if t.len < t.capacity then t.len <- t.len + 1 else t.dropped <- t.dropped + 1
 
 (* oldest-first iteration over the retained window *)
 let iter t f =

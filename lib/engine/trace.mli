@@ -9,11 +9,11 @@
     lifecycle of every job plus a periodic fill-class counter track — the
     Fig. 3 time series the policy consumes.
 
-    Producers guard every emission behind {!enabled}, so an attached but
-    disabled trace costs one branch and no allocation on the hot paths.
-    The store is a fixed-capacity ring: when full, the {e oldest} events
-    are overwritten ({!dropped} counts the overwritten ones), bounding
-    memory for long serving runs. *)
+    Producers emit only while a trace is attached, so a run without one
+    pays a [None] branch and no allocation on the hot paths.  The store
+    is a fixed-capacity ring: when full, the {e oldest} events are
+    overwritten ({!dropped} counts the overwritten ones), bounding memory
+    for long serving runs. *)
 
 type t
 
@@ -59,10 +59,7 @@ val create : ?capacity:int -> ?pid:int -> ?name:string -> unit -> t
 
 val pid : t -> int
 
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
-
-(** Event recording (no-ops when disabled). *)
+(** Event recording. *)
 
 val task_quantum :
   t -> worker:int -> core:int -> task_id:int -> start_ns:float -> end_ns:float -> unit

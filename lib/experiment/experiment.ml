@@ -442,7 +442,7 @@ let serve_term =
   let closed_loop =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_in ~lo:1 ())) None
       & info [ "closed-loop" ] ~doc:"Closed-loop clients per tenant (instead of Poisson arrivals).")
   in
   let think = float_opt [ "think-us" ] ~default:d.think_us ~docv:"US" "Closed-loop think time (us of virtual time)." in
@@ -483,6 +483,12 @@ let serve_term =
   let make rate jobs max_inflight queue_bound slo_factor closed_loop think_us tenants
       replicate dag_mapper =
     let tenants = if tenants = [] then default_tenants else tenants in
+    let rec distinct = function
+      | [] -> Ok tenants
+      | te :: rest when List.exists (fun u -> u.name = te.name) rest ->
+          err "--tenant %s is given twice; tenant names must be distinct" te.name
+      | _ :: rest -> distinct rest
+    in
     let apply tenants (rname, k) =
       Result.bind tenants (fun tenants ->
           if List.exists (fun te -> te.name = rname) tenants then
@@ -494,7 +500,7 @@ let serve_term =
     Result.map
       (fun tenants ->
         { rate; jobs; max_inflight; queue_bound; slo_factor; closed_loop; think_us; tenants; dag_mapper })
-      (List.fold_left apply (Ok tenants) replicate)
+      (List.fold_left apply (distinct tenants) replicate)
   in
   Term.(
     const make $ rate $ jobs $ inflight $ queue_bound $ slo $ closed_loop $ think $ tenants
@@ -985,7 +991,7 @@ let run_kernel out env t ~kernel ~query =
               let m = Mapper.map ?usable topo ~policy g in
               let span = ref 0.0 in
               ignore
-                (env.Exec_env.run (fun ctx -> span := (Taskgraph.Exec.run ctx m g).Taskgraph.Exec.span_ns)
+                (Exec_env.run env (fun ctx -> span := (Taskgraph.Exec.run ctx m g).Taskgraph.Exec.span_ns)
                   : float);
               line "  %s %.1f us (cut %d KiB)" (Mapper.policy_name policy) (!span /. 1e3)
                 (m.Mapper.cross_bytes / 1024))
@@ -1076,14 +1082,7 @@ let run_workload ?trace t =
   match t.workload with
   | Batch { kernel; query } ->
       let inst = instance t in
-      (* CHARM wires every layer; baselines still get the scheduler's
-         quantum / steal / park / migration timeline *)
-      Option.iter
-        (fun tr ->
-          match inst.Systems.charm with
-          | Some rt -> Charm.Runtime.attach_trace rt tr
-          | None -> Engine.Sched.set_trace (sched inst) (Some tr))
-        trace;
+      Option.iter (Systems.attach_trace inst) trace;
       let out = Buffer.create 1024 in
       Printf.bprintf out "system=%s machine=[%s] workers=%d cache-scale=%d\n"
         (Systems.sys_name t.sys)

@@ -25,9 +25,9 @@ let apply_kind t ~at kind =
       Machine.set_mem_capacity_factor machine ~node factor
   | Schedule.Corruption { seed } -> Modifiers.arm_corruption mods ~seed);
   match Sched.trace t.sched with
-  | Some tr when Trace.enabled tr ->
+  | Some tr ->
       Trace.fault tr ~desc:(Schedule.describe kind) ~at_ns:at
-  | _ -> ()
+  | None -> ()
 
 let pump t frontier =
   while

@@ -86,14 +86,13 @@ type instance = {
   charm : Charm.Runtime.t option;
 }
 
+(* DimmWitted's engine and std::async both create one kernel thread per
+   task *)
+let os_threads = Engine.Sched.Os_threads { spawn_ns = 20_000.0; switch_ns = 2_000.0 }
+
 let baseline_spec ~kind = function
   | Ring -> Baselines.Ring.spec ()
-  | Dw_native ->
-      {
-        (Baselines.Ring.spec ()) with
-        Baselines.Baseline.task_model =
-          Engine.Sched.Os_threads { spawn_ns = 20_000.0; switch_ns = 2_000.0 };
-      }
+  | Dw_native -> { (Baselines.Ring.spec ()) with Baselines.Baseline.task_model = os_threads }
   | Shoal -> Baselines.Shoal.spec ()
   | Asymsched -> Baselines.Asymsched.spec ()
   | Sam -> Baselines.Sam.spec ~confused:(kind = Intel_spr) ()
@@ -104,45 +103,29 @@ let baseline_spec ~kind = function
 
 let make ?(cache_scale = 1) ?charm_config sys kind ~n_workers () =
   let topo = topology kind ~cache_scale in
-  match sys with
-  | Charm | Charm_os_threads ->
-      let machine = Machine.create ~profile:(base_profile kind) topo in
-      let sched_config =
-        match sys with
-        | Charm_os_threads ->
-            {
-              Engine.Sched.default_config with
-              Engine.Sched.task_model =
-                Engine.Sched.Os_threads { spawn_ns = 20_000.0; switch_ns = 2_000.0 };
-            }
-        | _ -> Engine.Sched.default_config
-      in
-      let rt = Charm.Runtime.init ?config:charm_config ~sched_config machine ~n_workers in
-      let env =
-        {
-          Workloads.Exec_env.sched = Charm.Runtime.sched rt;
-          alloc_shared =
-            (fun ~elt_bytes ~count ->
-              Charm.Runtime.alloc_shared rt ~elt_bytes ~count ());
-          run = (fun main -> Charm.Runtime.run rt main);
-        }
-      in
-      { env; machine; charm = Some rt }
-  | _ ->
-      let spec = baseline_spec ~kind sys in
-      let profile = spec.Baselines.Baseline.profile_adjust (base_profile kind) in
-      let machine = Machine.create ~profile topo in
-      let driver = Baselines.Baseline.init spec machine ~n_workers in
-      let env =
-        {
-          Workloads.Exec_env.sched = Baselines.Baseline.sched driver;
-          alloc_shared =
-            (fun ~elt_bytes ~count ->
-              Baselines.Baseline.alloc_shared driver ~elt_bytes ~count ());
-          run = (fun main -> Baselines.Baseline.run driver main);
-        }
-      in
-      { env; machine; charm = None }
+  let machine, sched, charm, shared_policy =
+    match sys with
+    | Charm | Charm_os_threads ->
+        let machine = Machine.create ~profile:(base_profile kind) topo in
+        let task_model = if sys = Charm_os_threads then Some os_threads else None in
+        let rt = Charm.Runtime.init ?config:charm_config ?task_model machine ~n_workers in
+        (machine, Charm.Runtime.sched rt, Some rt, Simmem.First_touch)
+    | _ ->
+        let spec = baseline_spec ~kind sys in
+        let profile = spec.Baselines.Baseline.profile_adjust (base_profile kind) in
+        let machine = Machine.create ~profile topo in
+        let driver = Baselines.Baseline.init spec machine ~n_workers in
+        (machine, Baselines.Baseline.sched driver, None, spec.Baselines.Baseline.shared_policy topo)
+  in
+  let alloc_shared ~elt_bytes ~count =
+    Machine.alloc machine ~policy:shared_policy ~elt_bytes ~count ()
+  in
+  { env = { Workloads.Exec_env.sched; alloc_shared }; machine; charm }
+
+let attach_trace instance tr =
+  match instance.charm with
+  | Some rt -> Charm.Runtime.attach_trace rt tr
+  | None -> Engine.Sched.set_trace instance.env.Workloads.Exec_env.sched (Some tr)
 
 let report instance =
   let sched = instance.env.Workloads.Exec_env.sched in

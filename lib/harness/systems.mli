@@ -64,7 +64,16 @@ val make :
   n_workers:int ->
   unit ->
   instance
-(** @raise Invalid_argument if the machine cannot host [n_workers]. *)
+(** Build a fresh machine and install [sys]'s placement hooks on its
+    scheduler.  [env.alloc_shared] places datasets first-touch under
+    CHARM and by the spec's [shared_policy] under a baseline.
+    @raise Invalid_argument if the machine cannot host [n_workers]. *)
+
+val attach_trace : instance -> Engine.Trace.t -> unit
+(** Wire a trace sink: through every CHARM layer
+    ({!Charm.Runtime.attach_trace}) when present, else into the scheduler
+    (quantum, steal, park and migration events).  Call once, before
+    running work. *)
 
 val report : instance -> Engine.Stats.report
-(** End-of-run statistics (makespan = last run on the instance). *)
+(** End-of-run statistics; the makespan is the largest worker clock. *)

@@ -794,5 +794,5 @@ let execute env data n =
   let sched = env.Workloads.Exec_env.sched in
   Engine.Sched.sync_clocks sched;
   let before = Engine.Sched.worker_clock sched 0 in
-  let makespan = env.Workloads.Exec_env.run (fun ctx -> result := run ctx ~alloc data n) in
+  let makespan = Workloads.Exec_env.run env (fun ctx -> result := run ctx ~alloc data n) in
   (!result, Float.max 0.0 (makespan -. before))

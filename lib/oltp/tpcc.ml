@@ -145,7 +145,7 @@ let run env p =
   let per_worker = (p.txns + workers - 1) / workers in
   let new_orders = ref 0 in
   let makespan =
-    env.Exec_env.run (fun ctx ->
+    Exec_env.run env (fun ctx ->
         Engine.Par.all_do ctx (fun ctx' wkr ->
             let rng = Engine.Rng.create (p.seed + wkr) in
             (* each worker terminal owns a home warehouse (paper: "always

@@ -70,7 +70,7 @@ let run env params =
      tail, bounded so the table stays fixed-size) *)
   let insert_cursor = ref 0 in
   let makespan =
-    env.Exec_env.run (fun ctx ->
+    Exec_env.run env (fun ctx ->
         Engine.Par.all_do ctx (fun ctx' w ->
             let rng = Engine.Rng.create (params.seed + w) in
             let pick () =

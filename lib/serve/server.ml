@@ -147,14 +147,20 @@ let pick_kind rng mix =
 let validate cfg =
   if cfg.tenants = [] then invalid_arg "Server.run: no tenants";
   if cfg.max_inflight < 1 then invalid_arg "Server.run: max_inflight < 1";
-  List.iter
-    (fun t ->
+  List.iteri
+    (fun i t ->
+      if List.exists (fun u -> u.name = t.name) (List.filteri (fun j _ -> j < i) cfg.tenants)
+      then invalid_arg ("Server.run: duplicate tenant name " ^ t.name);
       if t.weight <= 0.0 then invalid_arg "Server.run: tenant weight <= 0";
       if t.jobs <= 0 then invalid_arg "Server.run: tenant jobs <= 0";
       if t.mix = [] then invalid_arg "Server.run: empty job mix";
       if List.exists (fun (_, w) -> w <= 0) t.mix then
         invalid_arg "Server.run: non-positive mix weight";
-      if t.replicas < 1 then invalid_arg "Server.run: tenant replicas < 1")
+      if t.replicas < 1 then invalid_arg "Server.run: tenant replicas < 1";
+      match t.process with
+      | Arrivals.Closed_loop { clients; _ } when clients < 1 ->
+          invalid_arg "Server.run: closed-loop clients < 1"
+      | Arrivals.Closed_loop _ | Arrivals.Open_loop _ -> ())
     cfg.tenants
 
 (* End-of-run conservation: arrivals all accounted, every admitted job
@@ -314,13 +320,8 @@ let create inst cfg =
   Array.iter (fun st -> Fair_queue.add_tenant fq ~tenant:st.idx ~weight:st.cfg_t.weight) tenants;
 
   (* trace sink: under CHARM wire every layer (scheduler, policy,
-     controller, memory manager); baselines get the scheduler events *)
-  (match cfg.trace with
-  | Some tr -> (
-      match inst.Systems.charm with
-      | Some rt -> Charm.Runtime.attach_trace rt tr
-      | None -> Sched.set_trace sched (Some tr))
-  | None -> ());
+     controller, health monitor); baselines get the scheduler events *)
+  Option.iter (Systems.attach_trace inst) cfg.trace;
 
   (* observability hooks: count scheduler quanta and, when tracing, sample
      the machine-wide fill-class counters once per interval of virtual
@@ -337,7 +338,7 @@ let create inst cfg =
         (fun s w ->
           Metrics.incr registry "sched.quanta";
           (match cfg.trace with
-          | Some tr when Engine.Trace.enabled tr ->
+          | Some tr ->
               let now = Sched.worker_clock s w in
               if now -. !last_fills_ns >= counter_interval_ns then begin
                 let fills = Pmu.fill_classes (Machine.pmu inst.Systems.machine) in
@@ -353,7 +354,7 @@ let create inst cfg =
                 last_fills := fills;
                 last_fills_ns := now
               end
-          | _ -> ());
+          | None -> ());
           base_hooks.Sched.on_quantum_end s w);
     };
   {
@@ -377,9 +378,9 @@ let create inst cfg =
 
 let trace_job sess ~phase ~tenant ~kind ~job_id ~at_ns =
   match sess.cfg.trace with
-  | Some tr when Engine.Trace.enabled tr ->
+  | Some tr ->
       Engine.Trace.job tr ~phase ~tenant ~kind:(Job.kind_name kind) ~job_id ~at_ns
-  | _ -> ()
+  | None -> ()
 
 (* dispatcher: drain the fair queue into at most [max_inflight]
    concurrently running jobs, each a future-dispatched scheduler task.
@@ -487,14 +488,14 @@ and finish_group sess ctx st p ~tokens ~corrupted ~items =
     if Int64.equal voted (Replica.majority tokens) then
       Metrics.incr sess.registry "serve.replica.masked";
     match sess.cfg.trace with
-    | Some tr when Engine.Trace.enabled tr ->
+    | Some tr ->
         Engine.Trace.instant tr
           ~name:
             (Printf.sprintf
                "replica divergence: tenant %s job %d (%d of %d corrupted)"
                st.cfg_t.name p.id corrupted (Array.length tokens))
           ~at_ns:(Sched.Ctx.now ctx)
-    | _ -> ()
+    | None -> ()
   end;
   if sess.cfg.check then begin
     (* replica-agreement invariants: the voted result must match the
@@ -702,7 +703,7 @@ let finish sess =
   (match sess.inst.Systems.charm with
   | Some rt ->
       let prof = Charm.Runtime.profiler rt in
-      for w = 0 to Charm.Runtime.n_workers rt - 1 do
+      for w = 0 to Sched.n_workers sess.sched - 1 do
         let s = Charm.Profiler.cumulative prof ~worker:w in
         Metrics.incr sess.registry ~by:s.Charm.Profiler.local_hits "profiler.local_hits";
         Metrics.incr sess.registry ~by:s.Charm.Profiler.remote_chiplet "profiler.remote_chiplet";
@@ -793,7 +794,7 @@ let run inst cfg =
   let sess = create inst cfg in
   (* drive: one source per tenant, spawned from the main task *)
   let makespan =
-    sess.env.Workloads.Exec_env.run (fun ctx ->
+    Workloads.Exec_env.run sess.env (fun ctx ->
         Array.iter
           (fun st ->
             match st.cfg_t.process with
@@ -822,7 +823,6 @@ let run inst cfg =
                 if n > 0 then
                   ignore (Sched.Ctx.spawn ctx ~at:times.(0) (arrive 0) : Sched.task)
             | Arrivals.Closed_loop { clients; think_ns } ->
-                let clients = max 1 clients in
                 for c = 0 to clients - 1 do
                   let quota =
                     (st.cfg_t.jobs / clients)

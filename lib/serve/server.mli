@@ -49,7 +49,7 @@ type config = {
   trace : Engine.Trace.t option;
       (** when present, wired through every layer for the run: scheduler
           quantum/steal/park/migration events (plus policy, controller and
-          memory-manager events under CHARM), job lifecycle instants
+          health-monitor events under CHARM), job lifecycle instants
           (admit/shed/start/finish) and a periodic machine-wide fill-class
           counter track sampled every 50 us of virtual time *)
   on_complete :
@@ -112,8 +112,9 @@ type report = {
 
 val run : Harness.Systems.instance -> config -> report
 (** Run the full serving experiment on a fresh instance.
-    @raise Invalid_argument on an empty tenant list, an empty mix,
-    [max_inflight < 1], or non-positive weights/jobs. *)
+    @raise Invalid_argument on an empty tenant list, a repeated tenant
+    name, an empty mix, [max_inflight < 1], fewer than one closed-loop
+    client, or non-positive weights/jobs. *)
 
 (** An externally-driven serving session — the fleet tier's view of one
     machine.

@@ -1,9 +1,7 @@
 (* A job as a static task DAG: per-node compute cost (weighted per chiplet
    kind, so accelerator tiles are genuinely faster on the dense
    conv/matmul-class nodes and slower on everything else) and per-edge
-   communication volumes.  Like [Chipsim.Topology], a graph is a *value*
-   with a small config-file form ([of_string]/[to_string] round-trip), so
-   model zoos are data, not code. *)
+   communication volumes. *)
 
 open Chipsim
 
@@ -15,16 +13,6 @@ let op_name = function
   | Elementwise -> "elementwise"
   | Reduce -> "reduce"
   | Embed -> "embed"
-
-let op_of_name = function
-  | "conv" -> Some Conv
-  | "matmul" -> Some Matmul
-  | "elementwise" -> Some Elementwise
-  | "reduce" -> Some Reduce
-  | "embed" -> Some Embed
-  | _ -> None
-
-let all_ops = [ Conv; Matmul; Elementwise; Reduce; Embed ]
 
 let accel_friendly = function
   | Conv | Matmul -> true
@@ -61,9 +49,6 @@ let num_edges t = Array.length t.edges
 
 let total_cost_ns t =
   Array.fold_left (fun acc n -> acc +. n.cost_ns) 0.0 t.nodes
-
-let total_edge_bytes t =
-  Array.fold_left (fun acc e -> acc + e.bytes) 0 t.edges
 
 (* effective compute cost of a node on a chiplet of [kind], in ns of a
    big core's time: op-class weighting over the kind's raw speed *)
@@ -224,174 +209,3 @@ let generate ~shape ~layers ~seed () =
   v ~name
     ~nodes:(Array.of_list (List.rev !nodes))
     ~edges:(Array.of_list (List.rev !edges))
-
-(* -- config-file format ---------------------------------------------------
-
-   One directive per line (or ';'-separated); '#' starts a comment.  Byte
-   sizes accept KiB/MiB/GiB suffixes.
-
-     name tiny-resnet
-     node 0 embed 1500
-     node 1 conv 9000
-     edge 0 1 64KiB                                                       *)
-
-let format_bytes b =
-  let mib = 1024 * 1024 in
-  if b >= mib && b mod mib = 0 then Printf.sprintf "%dMiB" (b / mib)
-  else if b >= 1024 && b mod 1024 = 0 then Printf.sprintf "%dKiB" (b / 1024)
-  else string_of_int b
-
-let parse_bytes s =
-  let num, mult =
-    let n = String.length s in
-    let suffix k m =
-      if
-        n > String.length k
-        && String.sub s (n - String.length k) (String.length k) = k
-      then Some (String.sub s 0 (n - String.length k), m)
-      else None
-    in
-    match suffix "GiB" (1024 * 1024 * 1024) with
-    | Some r -> r
-    | None -> (
-        match suffix "MiB" (1024 * 1024) with
-        | Some r -> r
-        | None -> ( match suffix "KiB" 1024 with Some r -> r | None -> (s, 1)))
-  in
-  match int_of_string_opt num with
-  | Some v when v >= 0 -> Some (v * mult)
-  | _ -> None
-
-let to_lines t =
-  let buf = ref [] in
-  let add l = buf := l :: !buf in
-  add (Printf.sprintf "name %s" t.name);
-  Array.iteri
-    (fun i n ->
-      add
-        (Printf.sprintf "node %d %s %s" i (op_name n.op)
-           (Chipsim.Topology.format_float n.cost_ns)))
-    t.nodes;
-  Array.iter
-    (fun e ->
-      add (Printf.sprintf "edge %d %d %s" e.src e.dst (format_bytes e.bytes)))
-    t.edges;
-  List.rev !buf
-
-let to_string t = String.concat "\n" (to_lines t) ^ "\n"
-let to_spec t = String.concat "; " (to_lines t)
-
-let of_string spec =
-  let strip_comment line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  let directives =
-    String.split_on_char '\n' spec
-    |> List.map strip_comment
-    |> List.concat_map (String.split_on_char ';')
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
-  in
-  let tokens_of line =
-    String.split_on_char ' ' line
-    |> List.concat_map (String.split_on_char '\t')
-    |> List.filter (fun tok -> tok <> "")
-  in
-  let name = ref "dag" and nodes = ref [] and edges = ref [] in
-  let err = ref None in
-  let fail msg = if !err = None then err := Some msg in
-  List.iter
-    (fun line ->
-      if !err = None then
-        match tokens_of line with
-        | [ "name"; n ] -> name := n
-        | "name" :: _ -> fail "bad name directive: expected a single token"
-        | [ "node"; id; op; cost ] -> (
-            match int_of_string_opt id with
-            | None ->
-                fail (Printf.sprintf "bad node directive: id %S is not an integer" id)
-            | Some id -> (
-                match op_of_name op with
-                | None ->
-                    fail
-                      (Printf.sprintf
-                         "unknown op %S (want %s)" op
-                         (String.concat "/" (List.map op_name all_ops)))
-                | Some op -> (
-                    match float_of_string_opt cost with
-                    | Some c when Float.is_finite c ->
-                        nodes := (id, { op; cost_ns = c }) :: !nodes
-                    | _ ->
-                        fail
-                          (Printf.sprintf
-                             "bad node directive: cost %S is not a number" cost))))
-        | "node" :: _ -> fail "bad node directive: want node ID OP COST_NS"
-        | [ "edge"; src; dst; bytes ] -> (
-            match (int_of_string_opt src, int_of_string_opt dst) with
-            | None, _ ->
-                fail
-                  (Printf.sprintf "bad edge directive: src %S is not an integer" src)
-            | _, None ->
-                fail
-                  (Printf.sprintf "bad edge directive: dst %S is not an integer" dst)
-            | Some src, Some dst -> (
-                match parse_bytes bytes with
-                | Some b -> edges := { src; dst; bytes = b } :: !edges
-                | None ->
-                    fail
-                      (Printf.sprintf
-                         "bad edge directive: bytes %S is not a size (int with \
-                          optional KiB/MiB/GiB)"
-                         bytes)))
-        | "edge" :: _ -> fail "bad edge directive: want edge SRC DST BYTES"
-        | key :: _ -> fail (Printf.sprintf "unknown task-graph field %S in %S" key line)
-        | [] -> ())
-    directives;
-  match !err with
-  | Some m -> Error m
-  | None -> (
-      let nodes = List.rev !nodes in
-      let n = List.length nodes in
-      if n = 0 then Error "a task graph needs at least one node directive"
-      else begin
-        let arr = Array.make n None in
-        let dup = ref None in
-        List.iter
-          (fun (id, nd) ->
-            match !dup with
-            | Some _ -> ()
-            | None ->
-                if id < 0 || id >= n then
-                  dup :=
-                    Some
-                      (Printf.sprintf
-                         "node ids must be dense 0..%d but found node %d" (n - 1)
-                         id)
-                else if arr.(id) <> None then
-                  dup := Some (Printf.sprintf "duplicate node id %d" id)
-                else arr.(id) <- Some nd)
-          nodes;
-        match !dup with
-        | Some m -> Error m
-        | None -> (
-            let nodes =
-              Array.map (function Some nd -> nd | None -> assert false) arr
-            in
-            let edges = Array.of_list (List.rev !edges) in
-            match v ~name:!name ~nodes ~edges with
-            | t -> Ok t
-            | exception Invalid_argument m -> Error m)
-      end)
-
-let of_file path =
-  match open_in path with
-  | exception Sys_error m -> Error m
-  | ic ->
-      let spec =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      of_string spec

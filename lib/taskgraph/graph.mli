@@ -8,10 +8,9 @@
     chiplet-link channels when its endpoints are mapped to different
     chiplets.
 
-    Like {!Chipsim.Topology}, a graph is a value with a tiny config-file
-    format: [of_string (to_string g)] round-trips, [#] starts a comment,
-    directives are one per line or [';']-separated, and parse errors are
-    one line naming the offending directive or field. *)
+    Graphs come from the seeded {!generate}; construction rejects empty
+    graphs, non-positive costs, out-of-range, self or duplicate edges and
+    cycles. *)
 
 open Chipsim
 
@@ -42,7 +41,6 @@ val name : t -> string
 val num_nodes : t -> int
 val num_edges : t -> int
 val total_cost_ns : t -> float
-val total_edge_bytes : t -> int
 
 val scaled_cost_ns : Topology.t -> Topology.core_kind -> node -> float
 (** Effective cost of a node on a chiplet of this kind, in big-core ns:
@@ -65,15 +63,3 @@ val generate : shape:shape -> layers:int -> seed:int -> unit -> t
     (front-end, [layers] parallel services, aggregator).  Equal
     arguments give equal graphs.
     @raise Invalid_argument if [layers < 1]. *)
-
-(** {1 Config files} *)
-
-val of_string : string -> (t, string) result
-val of_file : string -> (t, string) result
-
-val to_string : t -> string
-(** Canonical multi-line rendering; [of_string (to_string t)] yields a
-    graph [equal] to [t]. *)
-
-val to_spec : t -> string
-(** Same directives joined with ["; "] — a single-line embeddable form. *)

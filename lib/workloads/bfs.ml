@@ -70,7 +70,7 @@ let run env g ~source =
   let sim_level = env.Exec_env.alloc_shared ~elt_bytes:8 ~count:g.Csr.n in
   let out = ref ([||], 0) in
   let makespan =
-    env.Exec_env.run (fun ctx -> out := run_in ctx g ~levels:sim_level ~source)
+    Exec_env.run env (fun ctx -> out := run_in ctx g ~levels:sim_level ~source)
   in
   let level, edges = !out in
   (level, Workload_result.v ~label:"bfs" ~makespan_ns:makespan ~work_items:edges)

@@ -23,7 +23,7 @@ let run env g =
   let label = Array.init n (fun i -> i) in
   let work = ref 0 in
   let makespan =
-    env.Exec_env.run (fun ctx ->
+    Exec_env.run env (fun ctx ->
         let changed = ref true in
         let iter = ref 0 in
         while !changed && !iter < max_iterations do

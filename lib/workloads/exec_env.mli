@@ -10,9 +10,13 @@ open Chipsim
 type t = {
   sched : Engine.Sched.t;
   alloc_shared : elt_bytes:int -> count:int -> Simmem.region;
-  run : (Engine.Sched.ctx -> unit) -> float;
-      (** run a main task to completion; returns the makespan (virtual ns) *)
+      (** a dataset shared by all tasks, placed by the system's policy *)
 }
 
 val machine : t -> Machine.t
 val n_workers : t -> int
+
+val run : t -> (Engine.Sched.ctx -> unit) -> float
+(** Spawn a main task on worker 0 and run the scheduler until every task
+    finishes; returns the makespan (virtual ns).  Can be called
+    repeatedly; clocks continue monotonically. *)

@@ -11,7 +11,7 @@ let run env params =
   let workers = Exec_env.n_workers env in
   let per_worker = (params.updates + workers - 1) / workers in
   let makespan =
-    env.Exec_env.run (fun ctx ->
+    Exec_env.run env (fun ctx ->
         Engine.Par.all_do ctx (fun ctx' w ->
             let rng = Engine.Rng.create (params.seed + w) in
             for i = 0 to per_worker - 1 do

@@ -68,7 +68,7 @@ let run env g ?(iterations = 3) ?(damping = 0.85) () =
   let sim_next = env.Exec_env.alloc_shared ~elt_bytes:8 ~count:n in
   let out = ref ([||], 0) in
   let makespan =
-    env.Exec_env.run (fun ctx ->
+    Exec_env.run env (fun ctx ->
         out := run_in ctx g ~ranks:sim_rank ~next:sim_next ~iterations ~damping ())
   in
   let rank, work = !out in

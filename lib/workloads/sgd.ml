@@ -66,7 +66,7 @@ let loss_epoch env ?grain model data =
   let features = data.Dataset.features in
   let total_loss = ref 0.0 in
   let makespan =
-    env.Exec_env.run (fun ctx ->
+    Exec_env.run env (fun ctx ->
         Engine.Par.parallel_for ctx ~lo:0 ~hi:data.Dataset.samples ?grain
           (fun ctx' lo hi ->
             let worker = Sched.Ctx.worker_id ctx' in
@@ -91,7 +91,7 @@ let loss_epoch env ?grain model data =
 let gradient_epoch env ?(learning_rate = 0.05) ?grain model data =
   let features = data.Dataset.features in
   let makespan =
-    env.Exec_env.run (fun ctx ->
+    Exec_env.run env (fun ctx ->
         Engine.Par.parallel_for ctx ~lo:0 ~hi:data.Dataset.samples ?grain
           (fun ctx' lo hi ->
             let worker = Sched.Ctx.worker_id ctx' in

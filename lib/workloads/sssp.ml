@@ -31,7 +31,7 @@ let run env g ~source =
   let dist = Array.make n max_int in
   let work = ref 0 in
   let makespan =
-    env.Exec_env.run (fun ctx ->
+    Exec_env.run env (fun ctx ->
         dist.(source) <- 0;
         Sched.Ctx.write ctx sim_dist source;
         let frontier = ref [| source |] in

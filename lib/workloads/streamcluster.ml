@@ -47,7 +47,7 @@ let run env params =
   let total_cost = ref 0.0 in
   let rng = Engine.Rng.create (params.seed + 1) in
   let makespan =
-    env.Exec_env.run (fun ctx ->
+    Exec_env.run env (fun ctx ->
         let batches = params.points / params.batch in
         for b = 0 to batches - 1 do
           let base = b * params.batch in

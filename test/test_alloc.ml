@@ -48,7 +48,7 @@ let test_hash_agg_row () =
   let alloc ~elt_bytes ~count = e.Workloads.Exec_env.alloc_shared ~elt_bytes ~count in
   let w = ref nan in
   ignore
-    (e.Workloads.Exec_env.run (fun ctx ->
+    (Workloads.Exec_env.run e (fun ctx ->
          let agg = Olap.Exec.Hash_agg.create ~alloc ~expected:8 ~width:2 in
          (* the first row builds the group *)
          ignore (Olap.Exec.Hash_agg.row ctx agg ~key:3 : float array);
@@ -69,7 +69,7 @@ let test_hash_join () =
   let alloc ~elt_bytes ~count = e.Workloads.Exec_env.alloc_shared ~elt_bytes ~count in
   let probe = ref nan and insert = ref nan in
   ignore
-    (e.Workloads.Exec_env.run (fun ctx ->
+    (Workloads.Exec_env.run e (fun ctx ->
          let hj = Olap.Exec.Hash_join.create ~alloc ~expected:8 in
          Olap.Exec.Hash_join.insert ctx hj ~key:3 ~payload:0;
          let n = ref 0 in
@@ -125,7 +125,7 @@ let test_parallel_for_words () =
   let e = env () in
   let w = ref nan in
   ignore
-    (e.Workloads.Exec_env.run (fun ctx ->
+    (Workloads.Exec_env.run e (fun ctx ->
          w :=
            words (fun () ->
                Par.parallel_for ctx ~lo:0 ~hi:chunks ~grain:1 (fun ctx' _ _ ->

@@ -50,13 +50,16 @@ let test_local_cache_packs () =
 let test_driver_runs_workload () =
   let machine = Machine.create (amd ()) in
   let driver = B.init (Baselines.Os_default.spec ()) machine ~n_workers:4 in
+  let sched = B.sched driver in
   let count = ref 0 in
-  let makespan =
-    B.run driver (fun ctx -> Engine.Par.all_do ctx (fun _ctx _w -> incr count))
-  in
+  ignore
+    (Engine.Sched.spawn sched ~worker:0 (fun ctx ->
+         Engine.Par.all_do ctx (fun _ctx _w -> incr count))
+      : Engine.Sched.task);
+  let makespan = Engine.Sched.run sched in
   Alcotest.(check int) "all ran" 4 !count;
   Alcotest.(check bool) "time advanced" true (makespan > 0.0);
-  let report = B.finalize driver in
+  let report = Engine.Stats.collect machine ~makespan_ns:makespan in
   Alcotest.(check bool) "stats collected" true (report.Engine.Stats.tasks_executed >= 4)
 
 let test_sam_migrates_to_majority () =
@@ -106,8 +109,41 @@ let test_asymsched_rebalances () =
   Alcotest.(check int) "was on socket 0" 0 before;
   Alcotest.(check int) "moved to socket 1" 1 after
 
-let suite =
+(* Systems.make builds one alloc closure for every system: CHARM places
+   shared datasets first-touch, a baseline by its spec's policy *)
+let alloc_policy_case (sys, want) =
+  let module S = Harness.Systems in
+  let policy_name = function
+    | Simmem.First_touch -> "first-touch"
+    | Simmem.Interleave -> "interleave"
+    | Simmem.Bind n -> Printf.sprintf "bind %d" n
+  in
+  Alcotest.test_case
+    (Printf.sprintf "%s allocates %s" (S.sys_name sys) (policy_name want))
+    `Quick (fun () ->
+      let inst = S.make ~cache_scale:16 sys S.Amd_milan ~n_workers:4 () in
+      let region = inst.S.env.Workloads.Exec_env.alloc_shared ~elt_bytes:8 ~count:1024 in
+      Alcotest.(check string) "region policy" (policy_name want)
+        (policy_name region.Simmem.region_policy))
+
+let alloc_policies =
+  let module S = Harness.Systems in
   [
+    (S.Charm, Simmem.First_touch);
+    (S.Charm_os_threads, Simmem.First_touch);
+    (S.Ring, Simmem.First_touch);
+    (S.Dw_native, Simmem.First_touch);
+    (S.Shoal, Simmem.Interleave);
+    (S.Asymsched, Simmem.First_touch);
+    (S.Sam, Simmem.First_touch);
+    (S.Os_default, Simmem.First_touch);
+    (S.Local_cache, Simmem.Interleave);
+    (S.Distributed_cache, Simmem.Interleave);
+  ]
+
+let suite =
+  List.map alloc_policy_case alloc_policies
+  @ [
     Alcotest.test_case "layouts injective" `Quick test_layouts_injective;
     Alcotest.test_case "shoal sequential fill" `Quick test_shoal_sequential;
     Alcotest.test_case "ring scatters across sockets" `Quick test_ring_scatters_across_sockets;

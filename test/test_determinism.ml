@@ -11,9 +11,7 @@ let batch_digest ~faults () =
   in
   let sched = inst.Systems.env.Workloads.Exec_env.sched in
   let tr = Engine.Trace.create () in
-  (match inst.Systems.charm with
-  | Some rt -> Charm.Runtime.attach_trace rt tr
-  | None -> Engine.Sched.set_trace sched (Some tr));
+  Systems.attach_trace inst tr;
   if faults then begin
     let topo = Chipsim.Machine.topology inst.Systems.machine in
     ignore

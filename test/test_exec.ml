@@ -9,7 +9,7 @@ let env () =
 
 let in_task env_ f =
   let out = ref None in
-  ignore (env_.Workloads.Exec_env.run (fun ctx -> out := Some (f ctx)) : float);
+  ignore (Workloads.Exec_env.run env_ (fun ctx -> out := Some (f ctx)) : float);
   Option.get !out
 
 let test_hash_join_multimap () =
@@ -82,7 +82,7 @@ let test_parallel_scan_covers_all_rows () =
   let table = Olap.Table.v ~name:"t" ~rows:1000 [ ("x", col) ] in
   let hits = Array.make 1000 0 in
   ignore
-    (e.Workloads.Exec_env.run (fun ctx ->
+    (Workloads.Exec_env.run e (fun ctx ->
          Olap.Exec.parallel_scan ctx table ~columns:[ "x" ] ~morsel:64
            (fun _ctx' row -> hits.(row) <- hits.(row) + 1))
       : float);

@@ -89,7 +89,7 @@ let test_malformed_values_rejected () =
       "--energy-weight nan"; "--power-cap -1"; "--faults 1:frob:2";
       "--faults-shard x:1:core-off:0"; "--plant frob"; "--rate x"; "--rate 0";
       "--jobs x"; "--max-inflight x"; "--queue-bound x"; "--slo-factor x";
-      "--closed-loop x"; "--think-us x"; "--tenant bad"; "--replicate graph";
+      "--closed-loop x"; "--closed-loop 0"; "--think-us x"; "--tenant bad"; "--replicate graph";
       "--replicate nobody:2"; "--dag-mapper frob"; "--fleet x"; "--router frob";
       "--epoch-us x"; "--shard-machines amd,xeon"; "--diurnal x";
       "--diurnal-period-us x"; "--fleet 2 --faults-shard 5:1:core-off:0";
@@ -108,6 +108,16 @@ let test_malformed_values_rejected () =
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "rejected %s: %s" line msg)
     [ "charm_run -w gups --graph-scale 20"; "charm_serve --fleet 64 --cache-scale 4096" ]
+
+(* two tenants under one name would share one set of metrics; the
+   parser refuses the spec, in one line naming the tenant *)
+let test_repeated_tenant_rejected () =
+  (match E.of_string "charm_serve --tenant a:1:bfs --tenant b:1:gups:64 --tenant a:2:bfs" with
+  | Ok _ -> Alcotest.fail "a repeated tenant name was accepted"
+  | Error msg ->
+      Alcotest.(check string) "the error"
+        "charm_serve: --tenant a is given twice; tenant names must be distinct" msg);
+  ignore (of_string_exn "charm_serve --tenant a:1:bfs --tenant b:1:bfs" : E.t)
 
 (* a machine loaded from a topology file keeps its name through the text
    form, so a fleet report (which names each shard's machine) replays
@@ -153,6 +163,7 @@ let suite =
     Alcotest.test_case "plant is part of the spec" `Quick test_plant_is_part_of_the_spec;
     Alcotest.test_case "malformed values rejected in one line" `Quick
       test_malformed_values_rejected;
+    Alcotest.test_case "a repeated tenant name is rejected" `Quick test_repeated_tenant_rejected;
     Alcotest.test_case "a topology file's name replays" `Quick test_topo_file_name_replays;
     Alcotest.test_case "checked capped runs pass" `Quick test_checked_capped_runs;
   ]

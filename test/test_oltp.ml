@@ -10,7 +10,7 @@ let test_storage_semantics () =
   let alloc = e.Workloads.Exec_env.alloc_shared in
   let t = Oltp.Storage.create_table ~alloc ~name:"t" ~rows:4 ~payload_words:2 in
   ignore
-    (e.Workloads.Exec_env.run (fun ctx ->
+    (Workloads.Exec_env.run e (fun ctx ->
          Oltp.Storage.write_field ctx t ~row:2 ~word:1 99;
          Alcotest.(check int) "read back" 99
            (Oltp.Storage.read_field ctx t ~row:2 ~word:1))
@@ -26,7 +26,7 @@ let test_commit_serializes () =
   let alloc = e.Workloads.Exec_env.alloc_shared in
   let engine = Oltp.Txn.create ~alloc ~commit_service_ns:500.0 ~group_size:4 () in
   let makespan =
-    e.Workloads.Exec_env.run (fun ctx ->
+    Workloads.Exec_env.run e (fun ctx ->
         Engine.Par.all_do ctx (fun ctx' _w ->
             for _ = 1 to 25 do
               Oltp.Txn.commit engine ctx'

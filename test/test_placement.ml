@@ -54,11 +54,6 @@ let test_second_socket_spills () =
       Alcotest.(check int) "worker 0 on socket 0" 0 sockets.(0);
       Alcotest.(check int) "worker 64 on socket 1" 1 sockets.(64)
 
-let test_numa_node_of_core () =
-  let topo = amd () in
-  Alcotest.(check int) "core 10" 0 (Placement.numa_node_of_core topo 10);
-  Alcotest.(check int) "core 100" 1 (Placement.numa_node_of_core topo 100)
-
 (* Alg. 2's key guarantee: for every valid configuration, the mapping is
    injective and in range (paper: "a deterministic and collision-free core
    assignment"). *)
@@ -139,7 +134,6 @@ let suite =
     Alcotest.test_case "spread uses more chiplets" `Quick test_spread_uses_more_chiplets;
     Alcotest.test_case "socket fill" `Quick test_socket_fill;
     Alcotest.test_case "second socket spills" `Quick test_second_socket_spills;
-    Alcotest.test_case "numa node of core" `Quick test_numa_node_of_core;
     Alcotest.test_case "out-of-range worker" `Quick test_out_of_range_worker;
     Alcotest.test_case "big cores preferred on hetero machines" `Quick
       test_prefer_big_cores;

@@ -1,13 +1,21 @@
-open Chipsim
+(* CHARM's runtime through the one driver every run uses: Systems.make
+   builds the instance (CHARM_Init), Exec_env.run submits a main task,
+   Engine.Par / Engine.Barrier are the in-task API and Systems.report is
+   CHARM_Finalize. *)
+
 module Sched = Engine.Sched
 module Runtime = Charm.Runtime
+module Systems = Harness.Systems
+module Exec_env = Workloads.Exec_env
 
-let make ?config ~n_workers () =
-  let machine = Machine.create (Presets.amd_milan ()) in
-  (machine, Runtime.init ?config machine ~n_workers)
+let make ?(cache_scale = 1) ~n_workers () =
+  let inst = Systems.make ~cache_scale Systems.Charm Systems.Amd_milan ~n_workers () in
+  (inst, Option.get inst.Systems.charm)
+
+let run inst main = Exec_env.run inst.Systems.env main
 
 let test_init_places_compactly () =
-  let _m, rt = make ~n_workers:8 () in
+  let _inst, rt = make ~n_workers:8 () in
   let sched = Runtime.sched rt in
   for w = 0 to 7 do
     Alcotest.(check int) "compact core" w (Sched.worker_core sched w)
@@ -15,30 +23,30 @@ let test_init_places_compactly () =
 
 let test_init_clamps_spread () =
   (* 64 workers cannot start at spread 1; init must clamp to 8 *)
-  let _m, rt = make ~n_workers:64 () in
+  let _inst, rt = make ~n_workers:64 () in
   Alcotest.(check int) "clamped initial spread" 8
     (Charm.Policy.spread_rate (Runtime.policy rt) ~worker:0)
 
 let test_run_and_makespan () =
-  let _m, rt = make ~n_workers:4 () in
-  let makespan = Runtime.run rt (fun ctx -> Sched.Ctx.work ctx 1234.0) in
+  let inst, _rt = make ~n_workers:4 () in
+  let makespan = run inst (fun ctx -> Sched.Ctx.work ctx 1234.0) in
   Alcotest.(check bool) "makespan covers work" true (makespan >= 1234.0)
 
 let test_all_do_runs_every_worker () =
-  let _m, rt = make ~n_workers:6 () in
+  let inst, _rt = make ~n_workers:6 () in
   let seen = Array.make 6 false in
   ignore
-    (Runtime.all_do rt (fun _ctx w -> seen.(w) <- true)
+    (run inst (fun ctx -> Engine.Par.all_do ctx (fun _ctx w -> seen.(w) <- true))
       : float);
   Alcotest.(check bool) "all workers ran" true (Array.for_all Fun.id seen)
 
 let test_parallel_for_covers_range () =
-  let _m, rt = make ~n_workers:4 () in
+  let inst, _rt = make ~n_workers:4 () in
   let n = 1000 in
   let hits = Array.make n 0 in
   ignore
-    (Runtime.run rt (fun ctx ->
-         Runtime.Api.parallel_for ctx ~lo:0 ~hi:n (fun _ctx' lo hi ->
+    (run inst (fun ctx ->
+         Engine.Par.parallel_for ctx ~lo:0 ~hi:n (fun _ctx' lo hi ->
              for i = lo to hi - 1 do
                hits.(i) <- hits.(i) + 1
              done))
@@ -47,63 +55,66 @@ let test_parallel_for_covers_range () =
     (Array.for_all (fun h -> h = 1) hits)
 
 let test_call_sync_runs_on_target () =
-  let _m, rt = make ~n_workers:4 () in
+  let inst, _rt = make ~n_workers:4 () in
   let ran_on = ref (-1) in
   ignore
-    (Runtime.run rt (fun ctx ->
-         Runtime.Api.call_sync ctx ~worker:3 (fun ctx' ->
+    (run inst (fun ctx ->
+         Engine.Par.call_sync ctx ~worker:3 (fun ctx' ->
              ran_on := Sched.Ctx.worker_id ctx'))
       : float);
   Alcotest.(check int) "on worker 3" 3 !ran_on
 
 let test_call_pays_message_latency () =
-  let _m, rt = make ~n_workers:64 () in
+  let inst, _rt = make ~n_workers:64 () in
   let start_time = ref 0.0 in
   ignore
-    (Runtime.run rt (fun ctx ->
+    (run inst (fun ctx ->
          (* worker 63 is on another chiplet; message latency > 0 *)
-         Runtime.Api.call_sync ctx ~worker:63 (fun ctx' ->
+         Engine.Par.call_sync ctx ~worker:63 (fun ctx' ->
              start_time := Sched.Ctx.now ctx'))
       : float);
   Alcotest.(check bool) "message delayed" true (!start_time > 0.0)
 
 let test_barrier_api () =
-  let _m, rt = make ~n_workers:4 () in
-  let b = Runtime.barrier rt in
+  let inst, _rt = make ~n_workers:4 () in
+  let b = Engine.Barrier.create 4 in
   let after = ref 0 in
   ignore
-    (Runtime.all_do rt (fun ctx _w ->
-         Runtime.Api.barrier_wait ctx b;
-         incr after)
+    (run inst (fun ctx ->
+         Engine.Par.all_do ctx (fun ctx' _w ->
+             Engine.Barrier.wait ctx' b;
+             incr after))
       : float);
   Alcotest.(check int) "all through" 4 !after
 
 let test_finalize_reports () =
-  let _m, rt = make ~n_workers:2 () in
-  ignore (Runtime.run rt (fun ctx -> Sched.Ctx.work ctx 10.0) : float);
-  let report = Runtime.finalize rt in
+  let inst, _rt = make ~n_workers:2 () in
+  let makespan = run inst (fun ctx -> Sched.Ctx.work ctx 10.0) in
+  let report = Systems.report inst in
   Alcotest.(check bool) "tasks executed" true (report.Engine.Stats.tasks_executed >= 1);
-  Alcotest.(check bool) "switches counted" true (report.Engine.Stats.context_switches >= 1)
+  Alcotest.(check bool) "switches counted" true (report.Engine.Stats.context_switches >= 1);
+  Alcotest.(check bool) "makespan covers the run" true
+    (report.Engine.Stats.makespan_ns >= makespan)
 
 let test_adaptation_under_pressure () =
   (* a working set that exceeds per-chiplet L3 even at full spread keeps
      the remote-fill rate high, so the policy must spread and stay spread
      (at the capacity boundary Alg. 1 oscillates by design — it has no
      hysteresis — so the probe uses unambiguous pressure) *)
-  let topo = Presets.amd_milan ~scale:16 () in
-  (* 2 MB L3 per chiplet *)
-  let machine = Machine.create topo in
-  let rt = Runtime.init machine ~n_workers:8 in
-  let region = Runtime.alloc_shared rt ~elt_bytes:8 ~count:(1 lsl 22) () in
+  (* cache scale 16: 2 MB L3 per chiplet *)
+  let inst, rt = make ~cache_scale:16 ~n_workers:8 () in
+  let region =
+    inst.Systems.env.Exec_env.alloc_shared ~elt_bytes:8 ~count:(1 lsl 22)
+  in
   (* 32 MB across 8 workers: 4 MB per worker > any slice *)
   ignore
-    (Runtime.all_do rt (fun ctx w ->
-         let chunk = (1 lsl 22) / 8 in
-         for pass = 1 to 3 do
-           ignore pass;
-           Sched.Ctx.read_range ctx region ~lo:(w * chunk) ~hi:((w + 1) * chunk);
-           Sched.Ctx.yield ctx
-         done)
+    (run inst (fun ctx ->
+         Engine.Par.all_do ctx (fun ctx' w ->
+             let chunk = (1 lsl 22) / 8 in
+             for _pass = 1 to 3 do
+               Sched.Ctx.read_range ctx' region ~lo:(w * chunk) ~hi:((w + 1) * chunk);
+               Sched.Ctx.yield ctx'
+             done))
       : float);
   let policy = Runtime.policy rt in
   let max_spread = ref 0 in

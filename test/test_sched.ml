@@ -43,21 +43,17 @@ let test_ready_at_delays () =
   Alcotest.(check bool) "not before ready time" true (!seen >= 5_000.0)
 
 let test_os_threads_cost_more () =
-  let run_with config =
+  let run_with task_model =
     let m = machine () in
-    let sched = Sched.create ~config m ~n_workers:4 ~placement:(fun w -> w) in
+    let sched = Sched.create ?task_model m ~n_workers:4 ~placement:(fun w -> w) in
     for _ = 1 to 64 do
       ignore (Sched.spawn sched (fun ctx -> Sched.Ctx.work ctx 100.0))
     done;
     Sched.run sched
   in
-  let coroutines = run_with Sched.default_config in
+  let coroutines = run_with None in
   let os_threads =
-    run_with
-      {
-        Sched.default_config with
-        Sched.task_model = Sched.Os_threads { spawn_ns = 20_000.0; switch_ns = 2_000.0 };
-      }
+    run_with (Some (Sched.Os_threads { spawn_ns = 20_000.0; switch_ns = 2_000.0 }))
   in
   Alcotest.(check bool) "kernel threads slower" true (os_threads > 3.0 *. coroutines)
 
@@ -75,8 +71,9 @@ let test_concurrency_samples () =
 
 let test_worker_local_spawn () =
   let m = machine () in
-  let sched = Sched.create ~config:{ Sched.default_config with Sched.steal_enabled = false }
-      m ~n_workers:2 ~placement:(fun w -> w) in
+  (* no victims: nothing can move the child off its spawner's worker *)
+  let hooks = { Sched.no_hooks with Sched.steal_order = (fun _ ~thief:_ -> [||]) } in
+  let sched = Sched.create ~hooks m ~n_workers:2 ~placement:(fun w -> w) in
   let child_worker = ref (-1) in
   ignore
     (Sched.spawn sched ~worker:1 (fun ctx ->

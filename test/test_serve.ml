@@ -162,6 +162,20 @@ let test_server_sheds_at_bound () =
   Alcotest.(check int) "shed counter in registry" tr.Server.shed
     (Metrics.counter_value r.Server.registry "serve.shed")
 
+(* configurations the CLI can no longer build still fail loudly when a
+   caller assembles them by hand *)
+let test_server_rejects_bad_tenants () =
+  let inst = Sys_.make ~cache_scale:16 Sys_.Charm Sys_.Amd_milan ~n_workers:4 () in
+  let base = Server.default_config ~seed:5 in
+  let t = List.hd base.Server.tenants in
+  Alcotest.check_raises "repeated name"
+    (Invalid_argument ("Server.run: duplicate tenant name " ^ t.Server.name))
+    (fun () -> ignore (Server.run inst { base with Server.tenants = [ t; t ] } : Server.report));
+  let idle = { t with Server.process = Arrivals.Closed_loop { clients = 0; think_ns = 0.0 } } in
+  Alcotest.check_raises "no closed-loop client"
+    (Invalid_argument "Server.run: closed-loop clients < 1")
+    (fun () -> ignore (Server.run inst { base with Server.tenants = [ idle ] } : Server.report))
+
 (* -- fair queue -------------------------------------------------------- *)
 
 let test_fair_queue_weights () =
@@ -333,6 +347,7 @@ let suite =
     Alcotest.test_case "admission scaling" `Quick test_admission_scaling;
     Alcotest.test_case "admission bounds" `Quick test_admission_bounds;
     Alcotest.test_case "server sheds at bound" `Quick test_server_sheds_at_bound;
+    Alcotest.test_case "server rejects bad tenants" `Quick test_server_rejects_bad_tenants;
     Alcotest.test_case "fair queue weights" `Quick test_fair_queue_weights;
     Alcotest.test_case "fair queue fifo" `Quick test_fair_queue_fifo_within_tenant;
     Alcotest.test_case "metrics registry" `Quick test_metrics_registry;

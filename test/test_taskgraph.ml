@@ -1,8 +1,7 @@
-(* The task-graph subsystem: generator determinism, the text format's
-   round-trip and one-line negative parses (mirroring the CLI flag parsers'),
-   mapper properties (blind vs comm-aware), DAG execution on the engine
-   under invariants, and the accelerator-only placement satellite (OLAP
-   work never lands on a [general_tasks = false] chiplet). *)
+(* The task-graph subsystem: generator determinism, mapper properties
+   (blind vs comm-aware), DAG execution on the engine under invariants,
+   and the accelerator-only placement satellite (OLAP work never lands on
+   a [general_tasks = false] chiplet). *)
 
 module Sys_ = Harness.Systems
 module Graph = Taskgraph.Graph
@@ -70,95 +69,6 @@ let test_generator_shapes () =
     (Invalid_argument "Graph.generate: layers must be >= 1") (fun () ->
       ignore (Graph.generate ~shape:Graph.Chain ~layers:0 ~seed:0 ()))
 
-(* -- text format --------------------------------------------------------- *)
-
-let test_round_trip () =
-  List.iter
-    (fun (shape, layers, seed) ->
-      let g = Graph.generate ~shape ~layers ~seed () in
-      match Graph.of_string (Graph.to_string g) with
-      | Ok g' ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s round-trips" (Graph.name g))
-            true (Graph.equal g g')
-      | Error m -> Alcotest.failf "%s failed to re-parse: %s" (Graph.name g) m)
-    all_cases
-
-let test_spec_round_trip () =
-  let g = Graph.generate ~shape:Graph.Inception ~layers:3 ~seed:2 () in
-  match Graph.of_string (Graph.to_spec g) with
-  | Ok g' -> Alcotest.(check bool) "to_spec round-trips" true (Graph.equal g g')
-  | Error m -> Alcotest.failf "to_spec failed to re-parse: %s" m
-
-let test_comments_and_separators () =
-  let spec =
-    "# a tiny two-node pipeline\n\
-     name tiny # trailing comment\n\
-     node 0 embed 1500; node 1 conv 9000   # two directives, one line\n\
-     \tedge 0 1 64KiB\n\n"
-  in
-  match Graph.of_string spec with
-  | Ok g ->
-      Alcotest.(check string) "name" "tiny" (Graph.name g);
-      Alcotest.(check int) "nodes" 2 (Graph.num_nodes g);
-      Alcotest.(check int) "edge bytes" (64 * 1024) (Graph.total_edge_bytes g)
-  | Error m -> Alcotest.failf "comment spec rejected: %s" m
-
-let test_of_file () =
-  let g = Graph.generate ~shape:Graph.Chain ~layers:4 ~seed:1 () in
-  let path = Filename.temp_file "taskgraph" ".dag" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc (Graph.to_string g);
-      close_out oc;
-      match Graph.of_file path with
-      | Ok g' -> Alcotest.(check bool) "of_file round-trips" true (Graph.equal g g')
-      | Error m -> Alcotest.failf "of_file: %s" m);
-  match Graph.of_file "/nonexistent/graph.dag" with
-  | Ok _ -> Alcotest.fail "missing file parsed"
-  | Error _ -> ()
-
-(* every malformed spec must fail with a one-line error naming the
-   offending directive or field — same contract as the CLI flag parsers *)
-let negative_specs =
-  [
-    ("", "at least one node");
-    ("nope 1 2", "unknown task-graph field \"nope\"");
-    ("name a b", "bad name directive");
-    ("node 0 swish 100", "unknown op \"swish\"");
-    ("node x conv 100", "id \"x\" is not an integer");
-    ("node 0 conv abc", "cost \"abc\" is not a number");
-    ("node 0 conv 100 extra", "want node ID OP COST_NS");
-    ("node 0 conv -5", "cost -5 must be positive");
-    ("node 0 conv 100\nnode 2 conv 50", "node ids must be dense");
-    ("node 0 conv 100\nnode 0 conv 50", "duplicate node id 0");
-    ("node 0 conv 100\nedge 0 1 64KiB", "outside [0,1)");
-    ("node 0 conv 100\nedge 0 0 64KiB", "self-edge on node 0");
-    ( "node 0 conv 100\nnode 1 conv 50\nedge 0 1 1KiX",
-      "bytes \"1KiX\" is not a size" );
-    ("node 0 conv 100\nnode 1 conv 50\nedge 0 q 1KiB", "dst \"q\" is not an integer");
-    ( "node 0 conv 100\nnode 1 conv 50\nedge 0 1 1KiB\nedge 0 1 2KiB",
-      "duplicate edge 0 -> 1" );
-    ( "node 0 conv 100\nnode 1 conv 50\nedge 0 1 1KiB\nedge 1 0 1KiB",
-      "cycle through node" );
-  ]
-
-let test_negative_parses () =
-  List.iter
-    (fun (spec, want) ->
-      match Graph.of_string spec with
-      | Ok _ -> Alcotest.failf "spec %S parsed but should fail with %S" spec want
-      | Error m ->
-          if not (contains m want) then
-            Alcotest.failf "spec %S: error %S does not mention %S" spec m want;
-          Alcotest.(check bool)
-            (Printf.sprintf "%S error is one line" spec)
-            false
-            (String.contains m '\n'))
-    negative_specs
-
 (* -- mapper -------------------------------------------------------------- *)
 
 let test_blind_round_robin () =
@@ -216,7 +126,7 @@ let run_dag_once ~policy ~check g =
   let m = Mapper.map hetero_topo ~policy g in
   let result = ref None in
   ignore
-    (inst.Sys_.env.Workloads.Exec_env.run (fun ctx ->
+    (Workloads.Exec_env.run inst.Sys_.env (fun ctx ->
          result := Some (Exec.run ctx m g))
       : float);
   if check then Engine.Sched.check_quiescent sched;
@@ -253,7 +163,7 @@ let test_exec_rejects_short_mapping () =
   let short = { m with Mapper.assign = Array.sub m.Mapper.assign 0 1 } in
   let inst = Sys_.make ~cache_scale:16 Sys_.Charm hetero_machine ~n_workers:8 () in
   match
-    inst.Sys_.env.Workloads.Exec_env.run (fun ctx -> ignore (Exec.run ctx short g))
+    Workloads.Exec_env.run inst.Sys_.env (fun ctx -> ignore (Exec.run ctx short g))
   with
   | _ -> Alcotest.fail "short mapping accepted"
   | exception Invalid_argument m ->
@@ -357,12 +267,6 @@ let () =
           Alcotest.test_case "generator deterministic" `Quick
             test_generator_deterministic;
           Alcotest.test_case "generator shapes" `Quick test_generator_shapes;
-          Alcotest.test_case "round-trip" `Quick test_round_trip;
-          Alcotest.test_case "spec round-trip" `Quick test_spec_round_trip;
-          Alcotest.test_case "comments and separators" `Quick
-            test_comments_and_separators;
-          Alcotest.test_case "of_file" `Quick test_of_file;
-          Alcotest.test_case "negative parses" `Quick test_negative_parses;
         ] );
       ( "mapper",
         [

@@ -144,15 +144,6 @@ let test_records_and_serializes () =
   Alcotest.(check bool) "migration event present" true
     (contains json {|"migrate 3->9"|})
 
-let test_disable () =
-  let t = Trace.create () in
-  Trace.set_enabled t false;
-  Trace.instant t ~name:"x" ~at_ns:0.0;
-  Alcotest.(check int) "nothing recorded" 0 (Trace.num_events t);
-  Trace.set_enabled t true;
-  Trace.instant t ~name:"y" ~at_ns:0.0;
-  Alcotest.(check int) "recording again" 1 (Trace.num_events t)
-
 let test_clear () =
   let t = Trace.create () in
   Trace.instant t ~name:"a" ~at_ns:1.0;
@@ -313,7 +304,6 @@ let test_charm_batch_trace_valid () =
 let suite =
   [
     Alcotest.test_case "records and serializes" `Quick test_records_and_serializes;
-    Alcotest.test_case "disable" `Quick test_disable;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "ring wraparound keeps newest" `Quick test_ring_wraparound;
     Alcotest.test_case "escaping: every kind parses" `Quick test_json_escaping_all_kinds;
