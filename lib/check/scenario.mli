@@ -24,15 +24,16 @@ val run : Experiment.t -> Experiment.outcome
 type failure = {
   oracle : string;
       (** ["invariant"], ["determinism/report"], ["determinism/trace"],
-          ["determinism/result"], ["reference/..."] or ["crash"] *)
+          ["determinism/result"], ["reference/tpch"] or ["crash"]; a
+          graph kernel's result that differs from its sequential
+          reference is an ["invariant"] failure *)
   detail : string;
 }
 
 val check : Experiment.t -> failure option
 (** Run the experiment twice and apply the oracles: the runs must agree
     byte for byte on report, trace and functional result (a fleet's
-    placement log), and batch functional results must match a sequential
-    / single-worker reference.  [None] means every oracle passed. *)
+    placement log), and a TPC-H checksum must match a single-worker run.  [None] means every oracle passed. *)
 
 val shrink : Experiment.t -> Experiment.t list
 (** Strictly simpler candidates, most aggressive first (drop the fault

@@ -31,9 +31,9 @@ let[@inline] int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let[@inline] float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
-  bound *. v /. 9007199254740992.0 (* 2^53 *)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
+
+let[@inline] float t bound = bound *. float_of_int (bits53 t) /. 9007199254740992.0 (* 2^53 *)
 
 let[@inline] bool t = Int64.logand (next t) 1L = 1L
 
@@ -45,42 +45,38 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-(* Zipfian generator (Gray et al., SIGMOD'94), as used by YCSB: constants
-   depend only on (n, theta), memoised per generator call site. *)
-let zipf_cache : (int * int, float * float * float) Hashtbl.t = Hashtbl.create 8
+(* Zipfian generator (Gray et al., SIGMOD'94), as used by YCSB: the
+   constants depend only on (n, theta) and are computed once per value. *)
+module Zipf = struct
+  type t = { n : int; theta : float; zetan : float; alpha : float; eta : float; rank1_below : float }
 
-let zipf t ~n ~theta =
-  if n <= 0 then invalid_arg "Rng.zipf: n must be positive";
-  if theta < 0.0 || theta >= 1.0 then
-    invalid_arg "Rng.zipf: theta must be in [0, 1)";
-  if theta = 0.0 then int t n
-  else begin
-    let key = (n, int_of_float (theta *. 1_000_000.0)) in
-    let zetan, alpha, eta =
-      match Hashtbl.find_opt zipf_cache key with
-      | Some c -> c
-      | None ->
-          let zetan = ref 0.0 in
-          for i = 1 to n do
-            zetan := !zetan +. (1.0 /. Float.pow (float_of_int i) theta)
-          done;
-          let zeta2 = 1.0 +. (1.0 /. Float.pow 2.0 theta) in
-          let alpha = 1.0 /. (1.0 -. theta) in
-          let eta =
-            (1.0 -. Float.pow (2.0 /. float_of_int n) (1.0 -. theta))
-            /. (1.0 -. (zeta2 /. !zetan))
-          in
-          let c = (!zetan, alpha, eta) in
-          Hashtbl.replace zipf_cache key c;
-          c
-    in
-    let u = float t 1.0 in
-    let uz = u *. zetan in
-    if uz < 1.0 then 0
-    else if uz < 1.0 +. Float.pow 0.5 theta then 1
-    else
-      let v =
-        float_of_int n *. Float.pow ((eta *. u) -. eta +. 1.0) alpha
-      in
-      min (n - 1) (int_of_float v)
-  end
+  let create ~n ~theta =
+    if n <= 0 then invalid_arg "Rng.Zipf.create: n must be positive";
+    if theta < 0.0 || theta >= 1.0 then
+      invalid_arg "Rng.Zipf.create: theta must be in [0, 1)";
+    let zetan = ref 0.0 in
+    for i = 1 to n do
+      zetan := !zetan +. (1.0 /. Float.pow (float_of_int i) theta)
+    done;
+    let zeta2 = 1.0 +. (1.0 /. Float.pow 2.0 theta) in
+    {
+      n;
+      theta;
+      zetan = !zetan;
+      alpha = 1.0 /. (1.0 -. theta);
+      eta = (1.0 -. Float.pow (2.0 /. float_of_int n) (1.0 -. theta)) /. (1.0 -. (zeta2 /. !zetan));
+      rank1_below = 1.0 +. Float.pow 0.5 theta;
+    }
+
+  let draw z t =
+    if z.theta = 0.0 then int t z.n
+    else begin
+      let u = float t 1.0 in
+      let uz = u *. z.zetan in
+      if uz < 1.0 then 0
+      else if uz < z.rank1_below then 1
+      else
+        let v = float_of_int z.n *. Float.pow ((z.eta *. u) -. z.eta +. 1.0) z.alpha in
+        min (z.n - 1) (int_of_float v)
+    end
+end

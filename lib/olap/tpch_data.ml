@@ -128,23 +128,19 @@ let generate ~alloc ?(seed = 1234) ~sf () =
          ])
   in
 
-  (* lineitem: 1..7 lines per order (avg ~4) *)
-  let lines = ref [] in
-  let n_lineitem = ref 0 in
-  for o = 0 to n_orders - 1 do
-    let k = 1 + ri 7 in
-    for l = 0 to k - 1 do
-      lines := (o, l) :: !lines;
-      incr n_lineitem
-    done
-  done;
-  let n_li = !n_lineitem in
+  (* lineitem: 1..7 lines per order (avg ~4), drawn order by order *)
+  let lines_of = Array.init n_orders (fun _ -> 1 + ri 7) in
+  let n_li = Array.fold_left ( + ) 0 lines_of in
   let order_of = Array.make n_li 0 and line_no = Array.make n_li 0 in
-  List.iteri
-    (fun i (o, l) ->
-      order_of.(i) <- o;
-      line_no.(i) <- l)
-    (List.rev !lines);
+  let i = ref 0 in
+  Array.iteri
+    (fun o k ->
+      for l = 0 to k - 1 do
+        order_of.(!i) <- o;
+        line_no.(!i) <- l;
+        incr i
+      done)
+    lines_of;
   let l_quantity = Array.init n_li (fun _ -> 1.0 +. float_of_int (ri 50)) in
   let l_extendedprice = Array.init n_li (fun _ -> 900.0 +. rf 100_000.0) in
   let l_discount = Array.init n_li (fun _ -> float_of_int (ri 11) /. 100.0) in

@@ -69,14 +69,21 @@ let run env params =
   (* inserts append circularly into the key space (YCSB D/E's growing
      tail, bounded so the table stays fixed-size) *)
   let insert_cursor = ref 0 in
+  (* the Zipf constants are an O(records) sum: computed once, shared by
+     every worker's stream *)
+  let zipf =
+    match params.distribution with
+    | Uniform -> None
+    | Zipfian theta -> Some (Engine.Rng.Zipf.create ~n:params.records ~theta)
+  in
   let makespan =
     Exec_env.run env (fun ctx ->
         Engine.Par.all_do ctx (fun ctx' w ->
             let rng = Engine.Rng.create (params.seed + w) in
             let pick () =
-              match params.distribution with
-              | Uniform -> Engine.Rng.int rng params.records
-              | Zipfian theta -> Engine.Rng.zipf rng ~n:params.records ~theta
+              match zipf with
+              | None -> Engine.Rng.int rng params.records
+              | Some z -> Engine.Rng.Zipf.draw z rng
             in
             let m = params.mix in
             for i = 0 to per_worker - 1 do

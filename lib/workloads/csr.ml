@@ -11,64 +11,48 @@ type t = {
   sim_weight : Simmem.region;
 }
 
-let of_edges ~alloc ~n ~src ~dst ?weights () =
-  let m = Array.length src in
-  if Array.length dst <> m then invalid_arg "Csr.of_edges: src/dst length mismatch";
-  Array.iter
-    (fun v -> if v < 0 || v >= n then invalid_arg "Csr.of_edges: vertex out of range")
-    src;
-  Array.iter
-    (fun v -> if v < 0 || v >= n then invalid_arg "Csr.of_edges: vertex out of range")
-    dst;
-  let weight =
-    match weights with
-    | Some w ->
-        if Array.length w <> m then invalid_arg "Csr.of_edges: weights length mismatch";
-        w
-    | None -> Array.make m 1
-  in
-  (* counting sort by source *)
+let of_kronecker ~alloc ?(weighted = false) ?(seed = 7) kron =
+  let src = kron.Kronecker.src and dst = kron.Kronecker.dst in
+  let half = Array.length src in
+  if Array.length dst <> half then invalid_arg "Csr.of_kronecker: src/dst length mismatch";
+  let n = Kronecker.num_vertices kron and m = 2 * half in
+  (* symmetrised degrees: edge (u, v) leaves u, and v in reverse *)
   let row_ptr = Array.make (n + 1) 0 in
-  Array.iter (fun u -> row_ptr.(u + 1) <- row_ptr.(u + 1) + 1) src;
+  for e = 0 to half - 1 do
+    let u = src.(e) and v = dst.(e) in
+    if u < 0 || u >= n || v < 0 || v >= n then invalid_arg "Csr.of_kronecker: vertex out of range";
+    row_ptr.(u + 1) <- row_ptr.(u + 1) + 1;
+    row_ptr.(v + 1) <- row_ptr.(v + 1) + 1
+  done;
   for i = 1 to n do
     row_ptr.(i) <- row_ptr.(i) + row_ptr.(i - 1)
   done;
-  let col = Array.make m 0 and wout = Array.make m 0 in
-  let cursor = Array.copy row_ptr in
-  for e = 0 to m - 1 do
-    let u = src.(e) in
-    col.(cursor.(u)) <- dst.(e);
-    wout.(cursor.(u)) <- weight.(e);
-    cursor.(u) <- cursor.(u) + 1
-  done;
+  (* a stable scatter over every forward edge, then every reverse one;
+     weights are drawn in that order too *)
+  let col = Array.make m 0 and weight = Array.make m 1 in
+  let cursor = Array.sub row_ptr 0 n in
+  let rng = Engine.Rng.create seed in
+  let scatter from_ to_ =
+    for e = 0 to half - 1 do
+      let u = from_.(e) in
+      let c = cursor.(u) in
+      col.(c) <- to_.(e);
+      if weighted then weight.(c) <- 1 + Engine.Rng.int rng 255;
+      cursor.(u) <- c + 1
+    done
+  in
+  scatter src dst;
+  scatter dst src;
   {
     n;
     m;
     row_ptr;
     col;
-    weight = wout;
+    weight;
     sim_row = alloc ~elt_bytes:8 ~count:(n + 1);
     sim_col = alloc ~elt_bytes:8 ~count:(max m 1);
     sim_weight = alloc ~elt_bytes:8 ~count:(max m 1);
   }
-
-let of_kronecker ~alloc ?(weighted = false) ?(seed = 7) kron =
-  let m = Kronecker.num_edges kron in
-  let n = Kronecker.num_vertices kron in
-  (* symmetrise: each generated edge appears in both directions *)
-  let src = Array.make (2 * m) 0 and dst = Array.make (2 * m) 0 in
-  Array.blit kron.Kronecker.src 0 src 0 m;
-  Array.blit kron.Kronecker.dst 0 dst 0 m;
-  Array.blit kron.Kronecker.dst 0 src m m;
-  Array.blit kron.Kronecker.src 0 dst m m;
-  let weights =
-    if weighted then begin
-      let rng = Engine.Rng.create seed in
-      Some (Array.init (2 * m) (fun _ -> 1 + Engine.Rng.int rng 255))
-    end
-    else None
-  in
-  of_edges ~alloc ~n ~src ~dst ?weights ()
 
 let degree t u = t.row_ptr.(u + 1) - t.row_ptr.(u)
 

@@ -22,7 +22,9 @@ val of_kronecker :
   alloc:(elt_bytes:int -> count:int -> Simmem.region) ->
   ?weighted:bool -> ?seed:int -> Kronecker.t -> t
 (** Symmetrise (both directions) and build; weights uniform in [1,255]
-    when [weighted]. *)
+    when [weighted].  Each vertex lists its forward edges in generation
+    order, then its reverse ones.
+    @raise Invalid_argument if an edge names a vertex outside the graph. *)
 
 val degree : t -> int -> int
 val out_neighbors : t -> int -> (int -> int -> unit) -> unit

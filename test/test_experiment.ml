@@ -154,6 +154,60 @@ let test_checked_capped_runs () =
       "charm_serve -n 8 --jobs 6 --power-cap 2 --check";
     ]
 
+(* --check audits each graph kernel against its sequential reference:
+   the true results pass and a result with one entry corrupted fails *)
+let test_kernel_audit () =
+  let t = of_string_exn "charm_run -n 4 --graph-scale 7 --check" in
+  let env () =
+    (Harness.Systems.make Harness.Systems.Charm Harness.Systems.Amd_milan ~n_workers:4 ())
+      .Harness.Systems.env
+  in
+  let graph ~weighted =
+    let e = env () in
+    (e, E.kernel_graph e t ~weighted)
+  in
+  let cases =
+    let e, g = graph ~weighted:false in
+    let source = E.bfs_source g in
+    let levels = fst (Workloads.Bfs.run e g ~source) in
+    let ranks = fst (Workloads.Pagerank.run (env ()) g ()) in
+    let labels = fst (Workloads.Concomp.run (env ()) g) in
+    let ew, gw = graph ~weighted:true in
+    let dist = fst (Workloads.Sssp.run ew gw ~source:(E.bfs_source gw)) in
+    (* one entry changed: the source's *)
+    let corrupt f a =
+      let a = Array.copy a in
+      a.(source) <- f a.(source);
+      a
+    in
+    [
+      ("bfs", g, E.Levels levels, E.Levels (corrupt succ levels));
+      ("pagerank", g, E.Ranks ranks, E.Ranks (corrupt (( *. ) 1.001) ranks));
+      (* the source moved into a component of its own *)
+      ("cc", g, E.Labels labels, E.Labels (corrupt (fun _ -> -1) labels));
+      ("sssp", gw, E.Distances dist, E.Distances (corrupt succ dist));
+    ]
+  in
+  List.iter
+    (fun (name, g, good, bad) ->
+      (match E.audit g good with
+      | () -> ()
+      | exception Chipsim.Invariant.Violation msg -> Alcotest.failf "%s: true result rejected: %s" name msg);
+      match E.audit g bad with
+      | () -> Alcotest.failf "%s: a corrupted result passed the audit" name
+      | exception Chipsim.Invariant.Violation msg ->
+          if not (String.starts_with ~prefix:("kernel." ^ name ^ ":") msg) then
+            Alcotest.failf "%s: the violation names another check: %s" name msg)
+    cases;
+  (* and a checked run of each kernel passes *)
+  List.iter
+    (fun w ->
+      let line = "charm_run -n 4 --graph-scale 7 --check -w " ^ w in
+      match E.run (of_string_exn line) with
+      | _ -> ()
+      | exception Chipsim.Invariant.Violation msg -> Alcotest.failf "%s\n%s" line msg)
+    [ "bfs"; "pr"; "cc"; "sssp" ]
+
 let suite =
   [
     Alcotest.test_case "text form round-trips" `Quick test_text_roundtrip;
@@ -166,4 +220,5 @@ let suite =
     Alcotest.test_case "a repeated tenant name is rejected" `Quick test_repeated_tenant_rejected;
     Alcotest.test_case "a topology file's name replays" `Quick test_topo_file_name_replays;
     Alcotest.test_case "checked capped runs pass" `Quick test_checked_capped_runs;
+    Alcotest.test_case "a corrupted kernel result fails --check" `Quick test_kernel_audit;
   ]

@@ -29,6 +29,49 @@ let test_kronecker_deterministic () =
   let b = Kronecker.generate ~seed:5 ~scale:8 () in
   Alcotest.(check (array int)) "same src" a.Kronecker.src b.Kronecker.src
 
+(* A bump allocator: each region's base pins the allocation order and size. *)
+let bump () =
+  let next = ref 0 in
+  fun ~elt_bytes ~count ->
+    let base = !next in
+    next := base + (elt_bytes * count);
+    { Chipsim.Simmem.base; length_bytes = elt_bytes * count; elt_bytes; region_policy = First_touch }
+
+let md5 v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+
+(* (seed, scale, edge factor): the Kronecker edge lists, then the
+   unweighted and the weighted CSR's (row_ptr, col, weight).  Recorded
+   from the branchy per-edge generator and the copy-then-sort CSR build
+   the current builders replaced; every array must stay byte-identical. *)
+let golden_graphs =
+  [
+    ((1, 1, 1), "38ae083575c29eb6d7ee29635a0fccb4", "aecabd5de4bb1b5561c3b9afaa1e1211", "3d4d15c27bd4d203d5b36510b7aaa2fb");
+    ((16, 12, 16), "8c84b9aa6be125023f7dcb03820cd7f4", "314cb354ee7aee525544a20399db23b5", "3ad0ed08151cb1c51eceae44fa1fd0fd");
+    ((42, 8, 8), "9c8ea3a2c1a2b04286bd3726bc9c53e8", "55ff731313e1fd54e218d5f2739696c6", "f7f763098891920256bcfcc0e52d7690");
+    ((5, 10, 4), "ee70d6c35d3eac49aab4f13cd3015c1c", "92fd1a7a4007d9ba1c1a32c0854fc3db", "ffaa083c08226571f1c3c1829669435a");
+    ((7, 6, 16), "358fddd8bbadcd329127830fb5e1e35c", "c5571ca2958c00b8b4f0cc7f92dd154b", "c967d9bf3dd700a445f202844690e3a5");
+    ((3, 13, 2), "35132fc220ab3b4f7121aed80c179683", "8161e15ddf44aa5289bd689255dd4f47", "ca634be50105a7303ba55a49316b5292");
+    ((99, 3, 1), "3d5d26ff392563e69bccddf378a410bd", "c0cdb27812698eddd154264dcaa5c10b", "c2c4d9cf8a4daeae15cfeaff6737e961");
+  ]
+
+let test_golden_graphs () =
+  List.iter
+    (fun ((seed, scale, edge_factor), kron, csr, weighted) ->
+      let name what = Printf.sprintf "seed %d scale %d ef %d: %s" seed scale edge_factor what in
+      let k = Kronecker.generate ~seed ~scale ~edge_factor () in
+      let digest g = md5 (g.Csr.row_ptr, g.Csr.col, g.Csr.weight) in
+      Alcotest.(check string) (name "kronecker") kron (md5 (k.Kronecker.src, k.Kronecker.dst));
+      Alcotest.(check string) (name "csr") csr (digest (Csr.of_kronecker ~alloc:(bump ()) k));
+      Alcotest.(check string) (name "weighted csr") weighted
+        (digest (Csr.of_kronecker ~weighted:true ~alloc:(bump ()) k)))
+    golden_graphs
+
+let test_csr_rejects_bad_vertex () =
+  let k = Kronecker.generate ~scale:4 ~edge_factor:2 () in
+  k.Kronecker.dst.(3) <- 16;
+  Alcotest.check_raises "vertex 16 of 16" (Invalid_argument "Csr.of_kronecker: vertex out of range")
+    (fun () -> ignore (Csr.of_kronecker ~alloc:(bump ()) k : Csr.t))
+
 let test_csr_well_formed () =
   let e = env () in
   let g = small_graph e in
@@ -141,4 +184,6 @@ let suite =
     Alcotest.test_case "graph500 teps" `Quick test_graph500_teps;
     Alcotest.test_case "deterministic across systems" `Quick test_deterministic_across_systems;
     QCheck_alcotest.to_alcotest prop_bfs_random_graphs;
+    Alcotest.test_case "golden graphs" `Quick test_golden_graphs;
+    Alcotest.test_case "csr rejects a bad vertex" `Quick test_csr_rejects_bad_vertex;
   ]

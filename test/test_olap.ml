@@ -23,6 +23,65 @@ let test_cardinalities () =
   Alcotest.(check int) "partsupp" (4 * Olap.Table.rows d.Olap.Tpch_data.part)
     (Olap.Table.rows d.Olap.Tpch_data.partsupp)
 
+(* Every column of [Tpch_data.generate ~sf:0.002] for two seeds: its
+   data and its simulated base address under a bump allocator, which pins
+   the draw order and the allocation order.  One digest per table. *)
+let tpch_columns =
+  [
+    ("region", [ "r_regionkey"; "r_name" ]);
+    ("nation", [ "n_nationkey"; "n_regionkey"; "n_name" ]);
+    ("supplier", [ "s_suppkey"; "s_nationkey"; "s_acctbal" ]);
+    ("customer", [ "c_custkey"; "c_nationkey"; "c_mktsegment"; "c_acctbal" ]);
+    ("part", [ "p_partkey"; "p_type"; "p_size"; "p_brand"; "p_container"; "p_retailprice" ]);
+    ("partsupp", [ "ps_partkey"; "ps_suppkey"; "ps_supplycost"; "ps_availqty" ]);
+    ( "orders",
+      [ "o_orderkey"; "o_custkey"; "o_orderdate"; "o_orderpriority"; "o_shippriority";
+        "o_totalprice"; "o_orderstatus" ] );
+    ( "lineitem",
+      [ "l_orderkey"; "l_linenumber"; "l_partkey"; "l_suppkey"; "l_quantity"; "l_extendedprice";
+        "l_discount"; "l_tax"; "l_returnflag"; "l_linestatus"; "l_shipdate"; "l_commitdate";
+        "l_receiptdate"; "l_shipmode"; "l_shipinstruct" ] );
+  ]
+
+let golden_tpch =
+  [
+    ( 1234,
+      [ "3dd9cbd53156aca67758f467adc19920"; "232fed42f05a93f39e657646d34e5039";
+        "a0e505b19242cf04c731d6451308524f"; "0c39128b83f2d0ee541c4a0c44ca5beb";
+        "e7748b27c765c6c524a0e3791a81fa2f"; "521f6bb6723eca67fae8c898606df6e8";
+        "7478425c2564e11a774333a815b4a236"; "adbc18ac8f2d8c791a0299e0d8b0371a" ] );
+    ( 7,
+      [ "3dd9cbd53156aca67758f467adc19920"; "232fed42f05a93f39e657646d34e5039";
+        "bbbc51bf14495d15c5715405f15dd5cd"; "a06540281bdc44da2c7d63bf0ee842b7";
+        "de3feaf041817952771aba237d21a374"; "078b67103d58ef4ea832d8cad460e331";
+        "bb24cec1a1c03b34a7ff01e3a6154d00"; "641064d46a51fc9ce75a0617ae7b0d98" ] );
+  ]
+
+let test_golden_tpch () =
+  let md5 v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
+  List.iter
+    (fun (seed, digests) ->
+      let next = ref 0 in
+      let alloc ~elt_bytes ~count =
+        let base = !next in
+        next := base + (elt_bytes * count);
+        { Chipsim.Simmem.base; length_bytes = elt_bytes * count; elt_bytes; region_policy = First_touch }
+      in
+      let d = Olap.Tpch_data.generate ~alloc ~seed ~sf:0.002 () in
+      let tables =
+        Olap.Tpch_data.[ d.region; d.nation; d.supplier; d.customer; d.part; d.partsupp; d.orders; d.lineitem ]
+      in
+      List.iter2
+        (fun ((name, cols), table) want ->
+          let col c =
+            match Olap.Table.col table c with
+            | Olap.Column.Ints { data; sim } -> md5 (data, sim.Chipsim.Simmem.base)
+            | Olap.Column.Floats { data; sim } -> md5 (data, sim.Chipsim.Simmem.base)
+          in
+          Alcotest.(check string) (Printf.sprintf "seed %d: %s" seed name) want (md5 (List.map col cols)))
+        (List.combine tpch_columns tables) digests)
+    golden_tpch
+
 let test_date_encoding () =
   Alcotest.(check int) "1992 epoch" 0 (Olap.Tpch_data.day_of ~year:1992);
   Alcotest.(check int) "1995" (3 * 365) (Olap.Tpch_data.day_of ~year:1995);
@@ -109,4 +168,5 @@ let suite =
     Alcotest.test_case "checksums system-independent" `Slow test_checksums_system_independent;
     Alcotest.test_case "bad query number" `Quick test_bad_query_number;
     Alcotest.test_case "table validation" `Quick test_table_validation;
+    Alcotest.test_case "golden columns" `Quick test_golden_tpch;
   ]

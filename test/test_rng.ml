@@ -49,8 +49,9 @@ let test_zipf_skew () =
   let rng = Rng.create 11 in
   let n = 1000 in
   let hits = Array.make n 0 in
+  let z = Rng.Zipf.create ~n ~theta:0.99 in
   for _ = 1 to 20_000 do
-    let k = Rng.zipf rng ~n ~theta:0.99 in
+    let k = Rng.Zipf.draw z rng in
     hits.(k) <- hits.(k) + 1
   done;
   (* hot head: the most popular key draws far more than uniform share *)
@@ -63,19 +64,27 @@ let prop_zipf_in_bounds =
     QCheck.(pair (int_range 1 10_000) small_int)
     (fun (n, seed) ->
       let rng = Rng.create seed in
-      let v = Rng.zipf rng ~n ~theta:0.99 in
+      let v = Rng.Zipf.draw (Rng.Zipf.create ~n ~theta:0.99) rng in
       v >= 0 && v < n)
 
 let test_zipf_validation () =
-  let rng = Rng.create 1 in
   (try
-     ignore (Rng.zipf rng ~n:0 ~theta:0.5);
+     ignore (Rng.Zipf.create ~n:0 ~theta:0.5 : Rng.Zipf.t);
      Alcotest.fail "accepted n=0"
    with Invalid_argument _ -> ());
   try
-    ignore (Rng.zipf rng ~n:10 ~theta:1.0);
+    ignore (Rng.Zipf.create ~n:10 ~theta:1.0 : Rng.Zipf.t);
     Alcotest.fail "accepted theta=1"
   with Invalid_argument _ -> ()
+
+(* [bits53] is the draw [float] scales, bit for bit *)
+let test_bits53_is_float () =
+  let a = Rng.create 3 and b = Rng.create 3 in
+  for i = 1 to 10_000 do
+    let f = Rng.float a 1.0 and x = Rng.bits53 b in
+    if Int64.bits_of_float f <> Int64.bits_of_float (float_of_int x /. 0x1p53) then
+      Alcotest.failf "draw %d: float %h, bits53 %d" i f x
+  done
 
 
 (* The first draws of every entry point for a spread of seeds (max_int
@@ -174,8 +183,8 @@ let test_golden_streams () =
       Rng.shuffle r a;
       Alcotest.(check (array int)) (name "shuffle") g.shuffle a;
       let r = Rng.create g.seed in
-      Alcotest.(check (list int)) (name "zipf") g.zipf
-        (draws 3 (fun () -> Rng.zipf r ~n:1000 ~theta:0.99)))
+      let z = Rng.Zipf.create ~n:1000 ~theta:0.99 in
+      Alcotest.(check (list int)) (name "zipf") g.zipf (draws 3 (fun () -> Rng.Zipf.draw z r)))
     goldens
 
 let suite =
@@ -191,4 +200,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_float_in_bounds;
     QCheck_alcotest.to_alcotest prop_zipf_in_bounds;
+    Alcotest.test_case "bits53 is float's draw" `Quick test_bits53_is_float;
   ]
