@@ -134,9 +134,3 @@ let fill_classes_delta ~before ~after =
     fc_remote_numa = after.fc_remote_numa - before.fc_remote_numa;
     fc_dram = after.fc_dram - before.fc_dram;
   }
-
-let remote_fill_events t ~core =
-  read t ~core Fill_remote_chiplet
-  + read t ~core Fill_remote_numa
-  + read t ~core Dram_local
-  + read t ~core Dram_remote

@@ -57,8 +57,3 @@ type fill_classes = {
 val zero_fill_classes : fill_classes
 val fill_classes : t -> fill_classes
 val fill_classes_delta : before:fill_classes -> after:fill_classes -> fill_classes
-
-val remote_fill_events : t -> core:int -> int
-(** Sum of the events Alg. 1 treats as "remote chiplet access": fills served
-    by another chiplet (either socket) plus DRAM accesses.  This is the
-    cache-fill-event counter of paper Alg. 1 line 5. *)

@@ -184,6 +184,33 @@ let flee_sick_chiplet t sched ~worker ~core =
     end
   end
 
+(* Alg. 1's spread step, the one rule both the per-worker policy and the
+   centralized arbiter apply: widen at or above the threshold, narrow
+   below the hysteresis band, within the spreads Alg. 2 can apply.  It
+   returns the new spread and counts the change; inlined, so the float
+   arguments stay unboxed. *)
+let[@inline] step t ~rate ~threshold spread =
+  let topo = Machine.topology t.machine in
+  if rate >= threshold then
+    (* general work never spreads onto accelerator-only chiplets while
+       the gang fits on the general ones *)
+    if spread < Placement.max_general_spread topo ~n_workers:t.n_workers then begin
+      t.s_spreads <- t.s_spreads + 1;
+      spread + 1
+    end
+    else spread
+  else if
+    rate < hysteresis *. threshold
+    && spread > Placement.min_valid_spread topo ~n_workers:t.n_workers
+  then begin
+    (* Alg. 1 decrements to 1, but values below the Alg. 2 bounds check
+       can never be applied; clamping at the smallest valid spread avoids
+       a long invalid-retry climb when the rate rises again. *)
+    t.s_contracts <- t.s_contracts + 1;
+    spread - 1
+  end
+  else spread
+
 let evaluate t sched ~worker ~now ~elapsed =
   let core = Engine.Sched.worker_core sched worker in
   let st = t.states.(worker) in
@@ -195,28 +222,11 @@ let evaluate t sched ~worker ~now ~elapsed =
     chiplet_sick t (Topology.chiplet_of_core (Machine.topology t.machine) core)
   in
   let decision = Controller.decide t.controller ~degraded sample in
-  let topo = Machine.topology t.machine in
-  let min_spread = Placement.min_valid_spread topo ~n_workers:t.n_workers in
-  (* general work never spreads onto accelerator-only chiplets while the
-     gang fits on the general ones *)
-  let max_spread = Placement.max_general_spread topo ~n_workers:t.n_workers in
-  if rate >= decision.Controller.threshold then begin
-    if st.spread < max_spread then begin
-      st.spread <- st.spread + 1;
-      t.s_spreads <- t.s_spreads + 1;
-      t.on_spread_change ~worker ~old_spread:(st.spread - 1)
-        ~new_spread:st.spread ~at_ns:now
-    end
-  end
-  else if rate < hysteresis *. decision.Controller.threshold
-          && st.spread > min_spread then begin
-    (* Alg. 1 decrements to 1, but values below the Alg. 2 bounds check can
-       never be applied; clamping at the smallest valid spread avoids a
-       long invalid-retry climb when the rate rises again. *)
-    st.spread <- st.spread - 1;
-    t.s_contracts <- t.s_contracts + 1;
-    t.on_spread_change ~worker ~old_spread:(st.spread + 1)
-      ~new_spread:st.spread ~at_ns:now
+  let old_spread = st.spread in
+  let spread = step t ~rate ~threshold:decision.Controller.threshold old_spread in
+  if spread <> old_spread then begin
+    st.spread <- spread;
+    t.on_spread_change ~worker ~old_spread ~new_spread:spread ~at_ns:now
   end;
   update_location t sched ~worker ~core:(Engine.Sched.worker_core sched worker);
   flee_sick_chiplet t sched ~worker
@@ -254,26 +264,8 @@ let centralized_evaluate t sched ~now ~elapsed =
     *. t.config.Config.scheduler_timer_ns /. elapsed
   in
   let decision = Controller.decide t.controller !agg in
-  let topo = Machine.topology machine in
-  let min_spread = Placement.min_valid_spread topo ~n_workers:t.n_workers in
-  let max_spread = Placement.max_general_spread topo ~n_workers:t.n_workers in
   let old_global = t.states.(0).spread in
-  let global =
-    if rate >= decision.Controller.threshold then begin
-      if old_global < max_spread then begin
-        t.s_spreads <- t.s_spreads + 1;
-        old_global + 1
-      end
-      else old_global
-    end
-    else if rate < hysteresis *. decision.Controller.threshold
-            && old_global > min_spread
-    then begin
-      t.s_contracts <- t.s_contracts + 1;
-      old_global - 1
-    end
-    else old_global
-  in
+  let global = step t ~rate ~threshold:decision.Controller.threshold old_global in
   if global <> old_global then
     (* one event for the gang: the arbiter decides, everyone follows *)
     t.on_spread_change ~worker:0 ~old_spread:old_global ~new_spread:global

@@ -44,39 +44,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-(* Zipfian generator (Gray et al., SIGMOD'94), as used by YCSB: the
-   constants depend only on (n, theta) and are computed once per value. *)
-module Zipf = struct
-  type t = { n : int; theta : float; zetan : float; alpha : float; eta : float; rank1_below : float }
-
-  let create ~n ~theta =
-    if n <= 0 then invalid_arg "Rng.Zipf.create: n must be positive";
-    if theta < 0.0 || theta >= 1.0 then
-      invalid_arg "Rng.Zipf.create: theta must be in [0, 1)";
-    let zetan = ref 0.0 in
-    for i = 1 to n do
-      zetan := !zetan +. (1.0 /. Float.pow (float_of_int i) theta)
-    done;
-    let zeta2 = 1.0 +. (1.0 /. Float.pow 2.0 theta) in
-    {
-      n;
-      theta;
-      zetan = !zetan;
-      alpha = 1.0 /. (1.0 -. theta);
-      eta = (1.0 -. Float.pow (2.0 /. float_of_int n) (1.0 -. theta)) /. (1.0 -. (zeta2 /. !zetan));
-      rank1_below = 1.0 +. Float.pow 0.5 theta;
-    }
-
-  let draw z t =
-    if z.theta = 0.0 then int t z.n
-    else begin
-      let u = float t 1.0 in
-      let uz = u *. z.zetan in
-      if uz < 1.0 then 0
-      else if uz < z.rank1_below then 1
-      else
-        let v = float_of_int z.n *. Float.pow ((z.eta *. u) -. z.eta +. 1.0) z.alpha in
-        min (z.n - 1) (int_of_float v)
-    end
-end

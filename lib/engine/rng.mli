@@ -27,17 +27,3 @@ val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-(** Zipfian draws in [\[0, n)] with skew [theta] (0 = uniform; YCSB's
-    default is 0.99), via the Gray et al. rejection-free approximation. *)
-module Zipf : sig
-  type rng := t
-  type t
-
-  val create : n:int -> theta:float -> t
-  (** The distribution's constants, an O(n) sum computed once here.
-      @raise Invalid_argument if [n <= 0] or [theta < 0.0 || theta >= 1.0]. *)
-
-  val draw : t -> rng -> int
-  (** One draw; allocates nothing. *)
-end

@@ -81,20 +81,7 @@ let kernels =
     ("tpch", Tpch); ("ycsb", Ycsb); ("tpcc", Tpcc); ("dag", Dag);
   ]
 
-let systems =
-  Systems.
-    [
-      ("charm", Charm); ("charm-async", Charm_os_threads); ("ring", Ring);
-      ("dw-native", Dw_native); ("shoal", Shoal); ("asymsched", Asymsched);
-      ("sam", Sam); ("os-default", Os_default); ("local-cache", Local_cache);
-      ("distributed-cache", Distributed_cache);
-    ]
-
-let machines =
-  Systems.[ ("amd", Amd_milan); ("amd1s", Amd_milan_1s); ("intel", Intel_spr) ]
-
-let name_in table v = fst (List.find (fun (_, x) -> x = v) table)
-let kernel_name k = name_in kernels k
+let kernel_name k = fst (List.find (fun (_, x) -> x = k) kernels)
 
 let default_tenants =
   let tenant name weight mix = { name; weight; mix; replicas = 1 } in
@@ -186,7 +173,7 @@ let parse_shard_machines spec =
     | [] -> Ok (List.rev acc)
     | n :: rest -> (
         let n = String.trim n in
-        match List.assoc_opt n machines with
+        match List.assoc_opt n Systems.machines with
         | Some m -> resolve (m :: acc) rest
         | None -> (
             (* not a preset: a topology file or an inline spec, so one
@@ -198,7 +185,7 @@ let parse_shard_machines spec =
                   "bad --shard-machines list %S: %S is neither a machine preset \
                    (want %s) nor a topology (%s)"
                   spec n
-                  (String.concat "/" (List.map fst machines))
+                  (String.concat "/" (List.map fst Systems.machines))
                   fe))
   in
   if spec = "" then err "bad --shard-machines list: empty"
@@ -231,7 +218,7 @@ let tenant_spec te =
 
 let machine_spec = function
   | Systems.Custom { name; topo } -> Systems.custom_machine_to_spec ~name topo
-  | m -> name_in machines m
+  | m -> Systems.machine_name m
 
 let quote s =
   let safe = function
@@ -267,7 +254,7 @@ let to_string t =
       add "--fleet" (int f.shards);
       add "--router" (Router.policy_name f.router);
       add "--epoch-us" (fmt_float f.epoch_us));
-  add "-s" (name_in systems t.sys);
+  add "-s" (Systems.sys_name t.sys);
   (match t.machine with
   | Systems.Custom _ -> add "--topology" (machine_spec t.machine)
   | m -> add "-m" (machine_spec m));
@@ -390,24 +377,27 @@ let int_in ~lo ?(hi = max_int) () =
 
 (* every float flag: cmdliner's own [float] reads "nan" and "inf", and a
    non-finite rate, SLO factor or epoch either never terminates or
-   reports nonsense *)
-let finite_float =
+   reports nonsense; [ok] bounds the value, [want] says how *)
+let finite_float_in ~ok ~want =
   flag_conv
     (fun s ->
       match float_of_string_opt s with
-      | Some f when Float.is_finite f -> Ok f
+      | Some f when Float.is_finite f && ok f -> Ok f
+      | Some f when Float.is_finite f -> err "%s is not %s" s want
       | Some _ -> err "'%s' is not a finite number" s
       | None -> err "invalid value '%s', expected a floating point number" s)
     fmt_float
 
+let finite_float = finite_float_in ~ok:(fun _ -> true) ~want:""
+
 let machine_term =
   let sys =
-    Arg.(value & opt (enum systems) Systems.Charm & info [ "s"; "system" ] ~doc:"Runtime system.")
+    Arg.(value & opt (enum Systems.systems) Systems.Charm & info [ "s"; "system" ] ~doc:"Runtime system.")
   in
   let preset =
     Arg.(
       value
-      & opt (enum machines) Systems.Amd_milan
+      & opt (enum Systems.machines) Systems.Amd_milan
       & info [ "m"; "machine" ] ~doc:"Machine model.")
   in
   let topology =
@@ -428,16 +418,25 @@ let machine_term =
   Term.(const (fun sys preset topo -> (sys, Option.value topo ~default:preset)) $ sys $ preset $ topology)
 
 let serve_term =
-  let float_opt names ~default ~docv doc = Arg.(value & opt finite_float default & info names ~docv ~doc) in
+  let float_opt ?(conv = finite_float) names ~default ~docv doc =
+    Arg.value (Arg.opt conv default (Arg.info names ~docv ~doc))
+  in
   let int_opt names ~default doc = Arg.(value & opt int default & info names ~doc) in
   let d = default_serve in
   let rate = float_opt [ "rate" ] ~default:d.rate ~docv:"JOBS/S" "Offered load per tenant (jobs/s of virtual time)." in
   let jobs = int_opt [ "jobs" ] ~default:d.jobs "Jobs submitted per tenant (cluster-wide in fleet mode)." in
   let inflight = int_opt [ "max-inflight" ] ~default:d.max_inflight "Concurrent jobs in service." in
-  let queue_bound = int_opt [ "queue-bound" ] ~default:d.queue_bound "Per-tenant admission queue bound." in
+  let queue_bound =
+    Arg.(
+      value
+      & opt (int_in ~lo:1 ()) d.queue_bound
+      & info [ "queue-bound" ] ~doc:"Per-tenant admission queue bound (at least 1).")
+  in
   let slo =
-    float_opt [ "slo-factor" ] ~default:d.slo_factor ~docv:"X"
-      "SLO as a multiple of the tenant's mean job cost."
+    float_opt
+      ~conv:(finite_float_in ~ok:(fun f -> f > 0.0) ~want:"positive")
+      [ "slo-factor" ] ~default:d.slo_factor ~docv:"X"
+      "SLO as a positive multiple of the tenant's mean job cost."
   in
   let closed_loop =
     Arg.(
@@ -445,7 +444,11 @@ let serve_term =
       & opt (some (int_in ~lo:1 ())) None
       & info [ "closed-loop" ] ~doc:"Closed-loop clients per tenant (instead of Poisson arrivals).")
   in
-  let think = float_opt [ "think-us" ] ~default:d.think_us ~docv:"US" "Closed-loop think time (us of virtual time)." in
+  let think =
+    float_opt
+      ~conv:(finite_float_in ~ok:(fun f -> f >= 0.0) ~want:"non-negative")
+      [ "think-us" ] ~default:d.think_us ~docv:"US" "Closed-loop think time (us of virtual time, >= 0)."
+  in
   let tenants =
     Arg.(
       value
@@ -1004,17 +1007,7 @@ let run_kernel out env t ~kernel ~query =
       (* one inference DAG per shape under both mappers, so the comm-aware
          advantage is visible from the CLI *)
       let topo = Chipsim.Machine.topology (Exec_env.machine env) in
-      let usable =
-        let hosted =
-          List.filter
-            (fun ch ->
-              List.exists
-                (fun core -> Engine.Sched.worker_of_core env.Exec_env.sched core <> None)
-                (Topology.cores_of_chiplet topo ch))
-            (List.init (Topology.num_chiplets topo) Fun.id)
-        in
-        match hosted with [] -> None | l -> Some (Array.of_list l)
-      in
+      let usable = Job.worker_chiplets env.Exec_env.sched in
       List.iter
         (fun shape ->
           let g =

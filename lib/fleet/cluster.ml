@@ -408,37 +408,38 @@ let run cfg =
              (Serving.Admission.decision_name decision))
   in
 
+  (* shard [s] hands its queue to the router: it is degraded, has queued
+     jobs, and some other shard is online and healthy *)
+  let should_relocate s =
+    cfg.relocation
+    && degraded views.(s)
+    && Session.queue_length sessions.(s) > 0
+    && Array.exists
+         (fun (v : Router.view) ->
+           v.Router.shard <> s && v.Router.capacity > 0.0 && not (degraded v))
+         views
+  in
+
   let relocate_pass ~now =
-    if cfg.relocation then
-      for s = 0 to n - 1 do
-        let healthy_target_exists =
-          Array.exists
-            (fun (v : Router.view) ->
-              v.Router.shard <> s && v.Router.capacity > 0.0 && not (degraded v))
-            views
-        in
-        if
-          degraded views.(s)
-          && Session.queue_length sessions.(s) > 0
-          && healthy_target_exists
-        then begin
-          let dropped = Session.drop_queued sessions.(s) in
-          views.(s).Router.load_ns <-
-            Float.max 0.0 (Session.backlog_ns sessions.(s) -. now);
-          views.(s).Router.depth <- 0;
-          (* planted bug: relocated jobs vanish — fleet conservation
-             must trip *)
-          if not (Chipsim.Invariant.planted Chipsim.Invariant.Drop_relocated)
-          then
-            List.iter
-              (fun (r : Session.relocatable) ->
-                incr relocations;
-                place ~now ~job_id:r.Session.r_id ~tenant:r.Session.r_tenant
-                  ~kind:r.Session.r_kind ~job_seed:r.Session.r_seed
-                  ~submit_ns:r.Session.r_submit_ns ~from_shard:s)
-              dropped
-        end
-      done
+    for s = 0 to n - 1 do
+      if should_relocate s then begin
+        let dropped = Session.drop_queued sessions.(s) in
+        views.(s).Router.load_ns <-
+          Float.max 0.0 (Session.backlog_ns sessions.(s) -. now);
+        views.(s).Router.depth <- 0;
+        (* planted bug: relocated jobs vanish — fleet conservation
+           must trip *)
+        if not (Chipsim.Invariant.planted Chipsim.Invariant.Drop_relocated)
+        then
+          List.iter
+            (fun (r : Session.relocatable) ->
+              incr relocations;
+              place ~now ~job_id:r.Session.r_id ~tenant:r.Session.r_tenant
+                ~kind:r.Session.r_kind ~job_seed:r.Session.r_seed
+                ~submit_ns:r.Session.r_submit_ns ~from_shard:s)
+            dropped
+      end
+    done
   in
 
   let arrivals = generate_arrivals cfg in
@@ -469,20 +470,7 @@ let run cfg =
       incr cursor
     done;
     let all_routed = !cursor >= n_arr in
-    let more_reloc =
-      cfg.relocation
-      && Array.exists
-           (fun (v : Router.view) ->
-             degraded v
-             && Session.queue_length sessions.(v.Router.shard) > 0
-             && Array.exists
-                  (fun (w : Router.view) ->
-                    w.Router.shard <> v.Router.shard
-                    && w.Router.capacity > 0.0
-                    && not (degraded w))
-                  views)
-           views
-    in
+    let more_reloc = Array.exists (fun (v : Router.view) -> should_relocate v.Router.shard) views in
     let final = all_routed && not more_reloc in
     let horizon = if final then infinity else t1 in
     Array.iter (fun sess -> Session.drain sess ~horizon ~kick_ns:!t0) sessions;

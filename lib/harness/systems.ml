@@ -18,23 +18,23 @@ type sys =
   | Local_cache
   | Distributed_cache
 
-let sys_name = function
-  | Charm -> "charm"
-  | Charm_os_threads -> "charm+std::async"
-  | Ring -> "ring"
-  | Dw_native -> "dw-native"
-  | Shoal -> "shoal"
-  | Asymsched -> "asymsched"
-  | Sam -> "sam"
-  | Os_default -> "os-default"
-  | Local_cache -> "local-cache"
-  | Distributed_cache -> "distributed-cache"
+(* the CLI names: [-s] and [-m] parse them, and every report prints them *)
+let systems =
+  [
+    ("charm", Charm); ("charm-async", Charm_os_threads); ("ring", Ring);
+    ("dw-native", Dw_native); ("shoal", Shoal); ("asymsched", Asymsched);
+    ("sam", Sam); ("os-default", Os_default); ("local-cache", Local_cache);
+    ("distributed-cache", Distributed_cache);
+  ]
+
+let machines = [ ("amd", Amd_milan); ("amd1s", Amd_milan_1s); ("intel", Intel_spr) ]
+
+let name_in table v = fst (List.find (fun (_, x) -> x = v) table)
+let sys_name = name_in systems
 
 let machine_name = function
-  | Amd_milan -> "amd"
-  | Amd_milan_1s -> "amd1s"
-  | Intel_spr -> "intel"
   | Custom { name; _ } -> name
+  | m -> name_in machines m
 
 let topology kind ~cache_scale =
   match kind with

@@ -29,10 +29,18 @@ type sys =
   | Local_cache
   | Distributed_cache
 
+val systems : (string * sys) list
+(** Every system by its CLI name, the one [-s] parses. *)
+
+val machines : (string * machine_kind) list
+(** The preset machines by their CLI names ("amd", "amd1s", "intel"), the
+    ones [-m] parses. *)
+
 val sys_name : sys -> string
+(** The system's name in {!systems}. *)
 
 val machine_name : machine_kind -> string
-(** Short CLI name ("amd", "amd1s", "intel"; a [Custom]'s own name). *)
+(** A preset's name in {!machines}; a [Custom]'s own name. *)
 
 val topology : machine_kind -> cache_scale:int -> Topology.t
 (** [cache_scale] is applied with {!Chipsim.Presets.scale_topology} for

@@ -172,14 +172,14 @@ let run_gups ctx d rng updates =
   done;
   updates
 
-(* the paper-mix transaction stream (45 read / 55 rmw) from Ycsb.run,
-   reduced to a batch that runs inside one serving task *)
+(* Ycsb.run's paper mix reduced to a batch that runs inside one serving
+   task; it draws the key before the dice, so its streams are its own *)
 let run_ycsb ctx d rng ops =
   if ops <= 0 then invalid_arg "Job.run: ycsb batch <= 0";
   for i = 0 to ops - 1 do
     let key = Engine.Rng.int rng ycsb_records in
     let dice = Engine.Rng.int rng 100 in
-    if dice < 45 then ignore (Oltp.Storage.read_record ctx d.ycsb_table key : int)
+    if dice < Oltp.Ycsb.read_pct then ignore (Oltp.Storage.read_record ctx d.ycsb_table key : int)
     else begin
       let v = Oltp.Storage.read_record ctx d.ycsb_table key in
       Oltp.Storage.write_record ctx d.ycsb_table key (v + 1)
@@ -191,9 +191,8 @@ let run_ycsb ctx d rng ops =
 
 (* chiplets that actually host a scheduler worker — DAG nodes pinned
    anywhere else would silently fall back to the spawner's queue *)
-let worker_chiplets ctx =
-  let sched = Sched.Ctx.sched ctx in
-  let topo = Machine.topology (Sched.Ctx.machine ctx) in
+let worker_chiplets sched =
+  let topo = Machine.topology (Sched.machine sched) in
   let hosted =
     List.filter
       (fun ch ->
@@ -212,7 +211,7 @@ let run_dag ctx d ~seed ?(rotate = 0) shape layers =
     else Taskgraph.Mapper.Blind
   in
   let usable =
-    match worker_chiplets ctx with
+    match worker_chiplets (Sched.Ctx.sched ctx) with
     | Some a when rotate > 0 && Array.length a > 1 ->
         (* replica ordinal: rotate the usable-chiplet preference so
            redundant DAG executions map onto different silicon instead of

@@ -65,7 +65,7 @@ val run_replica : Engine.Sched.ctx -> data -> seed:int -> replica:int -> kind ->
     ordinal rotates the usable-chiplet preference so redundant DAG
     executions map their nodes onto different silicon. *)
 
-val worker_chiplets : Engine.Sched.ctx -> int array option
+val worker_chiplets : Engine.Sched.t -> int array option
 (** Chiplets that currently host a scheduler worker ([None] if none was
-    found, leaving the caller its default).  DAG mapping and replica
-    placement restrict themselves to these. *)
+    found, leaving the caller its default).  DAG mapping, batch and
+    served, and replica placement restrict themselves to these. *)

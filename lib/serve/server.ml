@@ -147,6 +147,9 @@ let pick_kind rng mix =
 let validate cfg =
   if cfg.tenants = [] then invalid_arg "Server.run: no tenants";
   if cfg.max_inflight < 1 then invalid_arg "Server.run: max_inflight < 1";
+  let { Admission.max_queue_per_tenant; max_global_queue } = cfg.admission in
+  if max_queue_per_tenant < 1 || max_global_queue < 1 then
+    invalid_arg "Server.run: admission queue bound < 1";
   List.iteri
     (fun i t ->
       if List.exists (fun u -> u.name = t.name) (List.filteri (fun j _ -> j < i) cfg.tenants)
@@ -157,9 +160,12 @@ let validate cfg =
       if List.exists (fun (_, w) -> w <= 0) t.mix then
         invalid_arg "Server.run: non-positive mix weight";
       if t.replicas < 1 then invalid_arg "Server.run: tenant replicas < 1";
+      if not (t.slo_factor > 0.0) then invalid_arg "Server.run: tenant slo_factor <= 0";
       match t.process with
       | Arrivals.Closed_loop { clients; _ } when clients < 1 ->
           invalid_arg "Server.run: closed-loop clients < 1"
+      | Arrivals.Closed_loop { think_ns; _ } when not (think_ns >= 0.0) ->
+          invalid_arg "Server.run: closed-loop think time < 0"
       | Arrivals.Closed_loop _ | Arrivals.Open_loop _ -> ())
     cfg.tenants
 
@@ -426,7 +432,7 @@ and dispatch_replicated sess ctx st p ~start_at =
   let sched = Sched.Ctx.sched ctx in
   let topo = Machine.topology sess.inst.Systems.machine in
   let group =
-    match Job.worker_chiplets ctx with
+    match Job.worker_chiplets sched with
     | Some chiplets ->
         Replica.placement ~chiplets ~job_id:p.id ~replicas:st.cfg_t.replicas
     | None -> [| 0 |]

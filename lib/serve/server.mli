@@ -113,8 +113,9 @@ type report = {
 val run : Harness.Systems.instance -> config -> report
 (** Run the full serving experiment on a fresh instance.
     @raise Invalid_argument on an empty tenant list, a repeated tenant
-    name, an empty mix, [max_inflight < 1], fewer than one closed-loop
-    client, or non-positive weights/jobs. *)
+    name, an empty mix, [max_inflight < 1], an admission bound below 1,
+    fewer than one closed-loop client, a negative think time, or
+    non-positive weights/jobs/SLO factors. *)
 
 (** An externally-driven serving session — the fleet tier's view of one
     machine.

@@ -223,6 +223,54 @@ let test_graph_memo () =
       Alcotest.(check bool) (line ^ ": warm = cold") true (run line = cold))
     [ "bfs"; "sssp"; "pr" ]
 
+(* every system and preset machine is printed under the name the CLI
+   parses: in charm_run's [system=] header and in a figure row's
+   "system" key *)
+let test_printed_names_parse_back () =
+  let module S = Harness.Systems in
+  let parsed line = match Experiment.of_string line with Ok t -> t | Error m -> Alcotest.failf "%s: %s" line m in
+  (* one tiny run's report and its row's "system" key *)
+  let run_row t =
+    Util.json_sink := Some "rows.json";
+    Util.json_rows := [];
+    Fun.protect
+      ~finally:(fun () ->
+        Util.json_sink := None;
+        Util.json_rows := [])
+      (fun () ->
+        let o = Util.run "names" t in
+        match !Util.json_rows with
+        | [ { Row.fields; _ } ] -> (o.Experiment.report, List.assoc "system" fields)
+        | _ -> Alcotest.fail "want one row")
+  in
+  List.iter
+    (fun sys ->
+      let report, row_name = run_row { (parsed "charm_run -w gups -m amd1s -n 2 --graph-scale 1") with sys } in
+      let name =
+        match String.split_on_char ' ' report with
+        | w :: _ when String.starts_with ~prefix:"system=" w -> String.sub w 7 (String.length w - 7)
+        | _ -> Alcotest.failf "no system= header: %s" report
+      in
+      Alcotest.(check bool) (name ^ ": the row's name") true (row_name = Row.Key (Str name));
+      Alcotest.(check bool) (name ^ " parses back") true ((parsed ("charm_run -s " ^ name)).sys = sys))
+    S.[ Charm; Charm_os_threads; Ring; Dw_native; Shoal; Asymsched; Sam; Os_default; Local_cache; Distributed_cache ];
+  List.iter
+    (fun machine ->
+      let name = S.machine_name machine in
+      Alcotest.(check bool) (name ^ " parses back") true ((parsed ("charm_run -m " ^ name)).machine = machine))
+    S.[ Amd_milan; Amd_milan_1s; Intel_spr ]
+
+(* the taskgraph bench keeps tiny-hetero.topo inline so it runs from any
+   directory; the two copies must describe one machine *)
+let test_hetero_copy_matches_file () =
+  match
+    ( Chipsim.Topology.of_string Taskgraph_bench.hetero_topology,
+      Chipsim.Topology.of_file "../examples/topologies/tiny-hetero.topo" )
+  with
+  | Ok inline, Ok file ->
+      Alcotest.(check bool) "inline spec = tiny-hetero.topo" true (Chipsim.Topology.equal inline file)
+  | Error m, _ | _, Error m -> Alcotest.fail m
+
 let () =
   Alcotest.run "bench"
     [
@@ -244,5 +292,7 @@ let () =
           Alcotest.test_case "every row's spec round-trips" `Quick test_figure_specs_roundtrip;
           Alcotest.test_case "rows replay from their specs" `Quick test_rows_replay;
           Alcotest.test_case "a reused graph runs as a fresh one" `Quick test_graph_memo;
+          Alcotest.test_case "printed names parse back" `Quick test_printed_names_parse_back;
+          Alcotest.test_case "inline hetero machine is the file's" `Quick test_hetero_copy_matches_file;
         ] );
     ]

@@ -96,18 +96,24 @@ let test_malformed_values_rejected () =
       "--fleet 2 --energy"; "--fleet 2 --closed-loop 2"; "-w bfs --fleet 2";
       "--bogus"; "--graph-scale 0"; "--graph-scale 21"; "--graph-scale 40";
       "--fleet 65"; "--fleet=-1"; "--cache-scale 0";
+      (* admission bounds, SLO factors and think times that no run honours *)
+      "--queue-bound 0"; "--queue-bound -1"; "--queue-bound=-1"; "--slo-factor 0";
+      "--slo-factor -1"; "--slo-factor=-1"; "--think-us -1"; "--think-us=-1";
       (* every float flag is finite *)
       "--rate nan"; "--rate inf"; "--rate 1e400"; "--slo-factor nan";
       "--think-us inf"; "--epoch-us inf"; "--diurnal nan";
       "--diurnal-period-us=-inf"; "--energy-weight=-inf"; "--power-cap inf";
     ];
-  (* the maxima themselves are accepted *)
+  (* the bounds themselves are accepted *)
   List.iter
     (fun line ->
       match E.of_string line with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "rejected %s: %s" line msg)
-    [ "charm_run -w gups --graph-scale 20"; "charm_serve --fleet 64 --cache-scale 4096" ]
+    [
+      "charm_run -w gups --graph-scale 20"; "charm_serve --fleet 64 --cache-scale 4096";
+      "charm_serve --queue-bound 1 --slo-factor 0.001 --closed-loop 1 --think-us 0";
+    ]
 
 (* two tenants under one name would share one set of metrics; the
    parser refuses the spec, in one line naming the tenant *)

@@ -18,14 +18,20 @@ let test_snapshot_delta () =
   Alcotest.(check int) "delta core 0" 7 (Pmu.delta ~before ~after ~core:0 Pmu.Dram_local);
   Alcotest.(check int) "delta total remote" 1 (Pmu.delta_total ~before ~after Pmu.Dram_remote)
 
+(* Alg. 1's counter is the profiler's reading of these per-core events:
+   fills from another chiplet (either socket) plus DRAM accesses *)
 let test_remote_fill_events () =
-  let pmu = Pmu.create ~cores:1 in
+  let machine = Machine.create (Presets.amd_milan_1s ()) in
+  let pmu = Machine.pmu machine in
+  let profiler = Charm.Profiler.create machine ~n_workers:1 in
   Pmu.incr pmu ~core:0 Pmu.Fill_remote_chiplet;
   Pmu.incr pmu ~core:0 Pmu.Fill_remote_numa;
   Pmu.incr pmu ~core:0 Pmu.Dram_local;
   Pmu.incr pmu ~core:0 Pmu.Dram_remote;
   Pmu.incr pmu ~core:0 Pmu.L3_local_hit;  (* not remote *)
-  Alcotest.(check int) "alg1 counter" 4 (Pmu.remote_fill_events pmu ~core:0)
+  Pmu.incr pmu ~core:1 Pmu.Dram_local;  (* another core's *)
+  Alcotest.(check int) "alg1 counter" 4
+    (Charm.Profiler.remote_events (Charm.Profiler.read profiler ~worker:0 ~core:0))
 
 let test_reset () =
   let pmu = Pmu.create ~cores:2 in

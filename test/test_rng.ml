@@ -45,38 +45,6 @@ let test_int_bad_bound () =
   Alcotest.check_raises "zero bound" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Rng.int rng 0))
 
-let test_zipf_skew () =
-  let rng = Rng.create 11 in
-  let n = 1000 in
-  let hits = Array.make n 0 in
-  let z = Rng.Zipf.create ~n ~theta:0.99 in
-  for _ = 1 to 20_000 do
-    let k = Rng.Zipf.draw z rng in
-    hits.(k) <- hits.(k) + 1
-  done;
-  (* hot head: the most popular key draws far more than uniform share *)
-  Alcotest.(check bool) "head is hot" true (hits.(0) > 20 * (20_000 / n));
-  let total = Array.fold_left ( + ) 0 hits in
-  Alcotest.(check int) "all draws in range" 20_000 total
-
-let prop_zipf_in_bounds =
-  QCheck.Test.make ~name:"zipf stays in [0, n)" ~count:300
-    QCheck.(pair (int_range 1 10_000) small_int)
-    (fun (n, seed) ->
-      let rng = Rng.create seed in
-      let v = Rng.Zipf.draw (Rng.Zipf.create ~n ~theta:0.99) rng in
-      v >= 0 && v < n)
-
-let test_zipf_validation () =
-  (try
-     ignore (Rng.Zipf.create ~n:0 ~theta:0.5 : Rng.Zipf.t);
-     Alcotest.fail "accepted n=0"
-   with Invalid_argument _ -> ());
-  try
-    ignore (Rng.Zipf.create ~n:10 ~theta:1.0 : Rng.Zipf.t);
-    Alcotest.fail "accepted theta=1"
-  with Invalid_argument _ -> ()
-
 (* [bits53] is the draw [float] scales, bit for bit *)
 let test_bits53_is_float () =
   let a = Rng.create 3 and b = Rng.create 3 in
@@ -99,7 +67,6 @@ type golden = {
   bools : bool list;
   split : int64 * int64;  (* the child's first draw, then the parent's *)
   shuffle : int array;  (* [0 .. 9] shuffled *)
-  zipf : int list;  (* n = 1000, theta = 0.99 *)
 }
 
 let goldens =
@@ -112,7 +79,6 @@ let goldens =
       bools = [ true; false; true; false; true; false; true; false ];
       split = (6235967106033911276L, 7960286522194355700L);
       shuffle = [| 6; 7; 5; 8; 2; 4; 1; 9; 0; 3 |];
-      zipf = [ 416; 12; 0 ];
     };
     {
       seed = 1;
@@ -122,7 +88,6 @@ let goldens =
       bools = [ false; true; true; false; true; false; false; false ];
       split = (-1089616305791727635L, 6869446166584666695L);
       shuffle = [| 8; 6; 7; 4; 5; 9; 3; 1; 0; 2 |];
-      zipf = [ 151; 8; 13 ];
     };
     {
       seed = 42;
@@ -132,7 +97,6 @@ let goldens =
       bools = [ true; true; true; false; true; true; true; false ];
       split = (3734525477312840781L, 2958219263312191191L);
       shuffle = [| 4; 1; 8; 6; 7; 3; 2; 5; 9; 0 |];
-      zipf = [ 46; 1; 1 ];
     };
     {
       seed = (-7);
@@ -142,7 +106,6 @@ let goldens =
       bools = [ false; true; true; false; false; true; true; false ];
       split = (5429898930646714277L, 2521065584565188649L);
       shuffle = [| 6; 0; 3; 9; 4; 5; 7; 1; 2; 8 |];
-      zipf = [ 64; 1; 334 ];
     };
     {
       seed = max_int;
@@ -152,7 +115,6 @@ let goldens =
       bools = [ true; false; true; true; false; true; true; true ];
       split = (731272001813053759L, -5806950763503052372L);
       shuffle = [| 4; 9; 0; 6; 5; 2; 7; 8; 3; 1 |];
-      zipf = [ 1; 92; 161 ];
     };
   ]
 
@@ -181,24 +143,18 @@ let test_golden_streams () =
       let r = Rng.create g.seed in
       let a = Array.init 10 Fun.id in
       Rng.shuffle r a;
-      Alcotest.(check (array int)) (name "shuffle") g.shuffle a;
-      let r = Rng.create g.seed in
-      let z = Rng.Zipf.create ~n:1000 ~theta:0.99 in
-      Alcotest.(check (list int)) (name "zipf") g.zipf (draws 3 (fun () -> Rng.Zipf.draw z r)))
+      Alcotest.(check (array int)) (name "shuffle") g.shuffle a)
     goldens
 
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "golden streams" `Quick test_golden_streams;
-    Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
-    Alcotest.test_case "zipf validation" `Quick test_zipf_validation;
     Alcotest.test_case "seeds differ" `Quick test_seeds_differ;
     Alcotest.test_case "split independent" `Quick test_split_independent;
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
     Alcotest.test_case "bad bound" `Quick test_int_bad_bound;
     QCheck_alcotest.to_alcotest prop_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_float_in_bounds;
-    QCheck_alcotest.to_alcotest prop_zipf_in_bounds;
     Alcotest.test_case "bits53 is float's draw" `Quick test_bits53_is_float;
   ]

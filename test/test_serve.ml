@@ -174,7 +174,26 @@ let test_server_rejects_bad_tenants () =
   let idle = { t with Server.process = Arrivals.Closed_loop { clients = 0; think_ns = 0.0 } } in
   Alcotest.check_raises "no closed-loop client"
     (Invalid_argument "Server.run: closed-loop clients < 1")
-    (fun () -> ignore (Server.run inst { base with Server.tenants = [ idle ] } : Server.report))
+    (fun () -> ignore (Server.run inst { base with Server.tenants = [ idle ] } : Server.report));
+  let rejects what msg cfg =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+        ignore (Server.run inst cfg : Server.report))
+  in
+  List.iter
+    (fun slo_factor ->
+      rejects "non-positive SLO factor" "Server.run: tenant slo_factor <= 0"
+        { base with Server.tenants = [ { t with Server.slo_factor } ] })
+    [ 0.0; -1.0; nan ];
+  let thinker = Arrivals.Closed_loop { clients = 1; think_ns = -1.0 } in
+  rejects "negative think time" "Server.run: closed-loop think time < 0"
+    { base with Server.tenants = [ { t with Server.process = thinker } ] };
+  List.iter
+    (fun admission ->
+      rejects "admission bound below 1" "Server.run: admission queue bound < 1" { base with admission })
+    [
+      { Admission.max_queue_per_tenant = 0; max_global_queue = 8 };
+      { Admission.max_queue_per_tenant = 4; max_global_queue = -1 };
+    ]
 
 (* -- fair queue -------------------------------------------------------- *)
 
