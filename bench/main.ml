@@ -91,7 +91,7 @@ let () =
     requested;
   (match (trace_file, !Util.trace_sink) with
   | Some file, Some tr ->
-      Engine.Trace.save tr file;
+      Engine.Trace.save [ tr ] file;
       Printf.printf "\nwrote %d trace events to %s\n%s"
         (Engine.Trace.num_events tr) file (Engine.Trace.summary tr)
   | _ -> ());

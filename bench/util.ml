@@ -89,7 +89,7 @@ let run figure (t : Experiment.t) =
   let o = !runner t in
   let wall = Unix.gettimeofday () -. t0 in
   (match t.workload with
-  | Batch { kernel; _ } when !json_sink <> None ->
+  | Batch kernel when !json_sink <> None ->
       emit
         (Row.make (figure_schema figure) ~spec:(Experiment.to_string t)
            [
@@ -114,7 +114,7 @@ let stats figure t = Option.get (run figure t).stats
 let base = experiment "charm_run --graph-scale 14"
 
 let batch ?machine:(kind = Sys_.Amd_milan) ?(cache_scale = base.cache_scale) kernel sys ~workers =
-  { base with sys; machine = machine kind; workers; cache_scale; workload = Batch { kernel; query = None } }
+  { base with sys; machine = machine kind; workers; cache_scale; workload = Batch kernel }
 
 (* The graph suite of Figs. 7, 8 and 10 and Tab. 1, by table label *)
 let graph_kernels =

@@ -9,7 +9,7 @@ type mode = Smoke | Deep
 (* -- generation ---------------------------------------------------------- *)
 
 let batch_workloads =
-  E.[ (Bfs, None); (Pagerank, None); (Tpch, Some 1); (Tpch, Some 3); (Tpch, Some 6); (Gups, None) ]
+  E.[ Bfs; Pagerank; Tpch (Some 1); Tpch (Some 3); Tpch (Some 6); Gups ]
 
 let serve_kind_pool =
   Serving.Job.
@@ -47,7 +47,7 @@ let gen_serve mode =
   let serve =
     {
       E.default_serve with
-      rate = float_of_int (rate_k * 1000);
+      arrival = Open_loop (float_of_int (rate_k * 1000));
       jobs;
       max_inflight;
       queue_bound;
@@ -63,9 +63,9 @@ let gen_workload mode ~machine ~cache_scale =
   let max_gs = match mode with Smoke -> 7 | Deep -> 9 in
   frequencyl [ (4, `Batch); (2, `Serve); (1, `Fleet) ] >>= function
   | `Batch ->
-      let* kernel, query = oneofl batch_workloads in
+      let* kernel = oneofl batch_workloads in
       let* graph_scale = int_range 5 max_gs in
-      return (E.Batch { kernel; query }, graph_scale, 0.0, 0.0, [])
+      return (E.Batch kernel, graph_scale, 0.0, 0.0, [])
   | `Serve ->
       let* serve, graph_scale, energy_weight, power_cap = gen_serve mode in
       return (E.Serve serve, graph_scale, energy_weight, power_cap, [])
@@ -243,10 +243,7 @@ let fn_digest = function
   | E.Placements log -> log
   | E.Nothing -> ""
 
-let trace_digest (o : E.outcome) =
-  match o.traces with
-  | [ tr ] -> Engine.Trace.to_chrome_json tr
-  | trs -> Engine.Trace.to_chrome_json_merged trs
+let trace_digest (o : E.outcome) = Engine.Trace.to_chrome_json o.traces
 
 let first_difference a b =
   let n = min (String.length a) (String.length b) in
@@ -266,7 +263,7 @@ let first_difference a b =
    only (admission outcomes legitimately depend on timing). *)
 let reference_failure (t : E.t) fn =
   match (t.workload, fn) with
-  | E.Batch { kernel = E.Tpch; query = Some q }, E.Checksum c ->
+  | E.Batch (E.Tpch (Some q)), E.Checksum c ->
       let expected =
         match (E.run { t with workers = 1; faults = []; check = false }).result with
         | E.Checksum e -> e

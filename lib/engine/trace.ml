@@ -225,21 +225,11 @@ let event_json pid = function
         (us (Float.max 0.0 (end_ns -. start_ns)))
         pid (1000 + chiplet) (escape tenant) job_id node (escape op) chiplet
 
-let to_chrome_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[";
-  let first = ref true in
-  iter t (fun e ->
-      if not !first then Buffer.add_string buf ",\n";
-      first := false;
-      Buffer.add_string buf (event_json t.pid e));
-  Buffer.add_string buf "]";
-  Buffer.contents buf
-
-(* Merged serialization for multi-machine (fleet) runs: each trace keeps
-   its own pid so every shard renders as a separate process row, with
-   process_name metadata rows for the labelled ones. *)
-let to_chrome_json_merged ts =
+(* One Chrome JSON array for one or several traces (a fleet's router and
+   shards): each trace keeps its own pid so every shard renders as a
+   separate process row, with process_name metadata rows for the
+   labelled ones. *)
+let to_chrome_json ts =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[";
   let first = ref true in
@@ -262,20 +252,12 @@ let to_chrome_json_merged ts =
   Buffer.add_string buf "]";
   Buffer.contents buf
 
-let save t file =
+let save ts file =
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (to_chrome_json t);
-      output_char oc '\n')
-
-let save_merged ts file =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_chrome_json_merged ts);
+      output_string oc (to_chrome_json ts);
       output_char oc '\n')
 
 (* -- text summary ------------------------------------------------------- *)

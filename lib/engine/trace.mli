@@ -112,23 +112,16 @@ val clear : t -> unit
 val events : t -> event list
 (** Retained events, oldest first (for tests and offline analysis). *)
 
-val to_chrome_json : t -> string
-(** The retained window as a Chrome trace-event JSON array.  Timestamps
-    and durations are microseconds of virtual time, one row
-    ("pid 0, tid = worker") per worker; all interpolated names are
-    JSON-escaped. *)
-
-val save : t -> string -> unit
-(** Write {!to_chrome_json} to a file. *)
-
-val to_chrome_json_merged : t list -> string
-(** Merge several traces (one per shard plus the router) into one Chrome
-    JSON array.  Each trace renders under its own {!pid}; traces created
+val to_chrome_json : t list -> string
+(** The traces' retained windows as one Chrome trace-event JSON array.
+    Timestamps and durations are microseconds of virtual time, one row
+    per worker ("tid = worker") under each trace's {!pid}; traces created
     with [~name] get a ["process_name"] metadata row so Perfetto labels
-    the process. *)
+    the process (a fleet's router and shards).  All interpolated names
+    are JSON-escaped. *)
 
-val save_merged : t list -> string -> unit
-(** Write {!to_chrome_json_merged} to a file. *)
+val save : t list -> string -> unit
+(** Write {!to_chrome_json} to a file. *)
 
 val summary : t -> string
 (** Human-readable digest: event counts by category, migration churn,

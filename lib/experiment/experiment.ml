@@ -17,7 +17,7 @@ type kernel =
   | Graph500
   | Streamcluster
   | Sgd
-  | Tpch
+  | Tpch of int option
   | Ycsb
   | Tpcc
   | Dag
@@ -29,14 +29,14 @@ type tenant = {
   replicas : int;
 }
 
+type arrival = Open_loop of float | Closed_loop of { clients : int; think_us : float }
+
 type serve = {
-  rate : float;
+  arrival : arrival;
   jobs : int;
   max_inflight : int;
   queue_bound : int;
   slo_factor : float;
-  closed_loop : int option;
-  think_us : float;
   tenants : tenant list;
   dag_mapper : Mapper.policy;
 }
@@ -51,10 +51,7 @@ type fleet = {
   relocation : bool;
 }
 
-type workload =
-  | Batch of { kernel : kernel; query : int option }
-  | Serve of serve
-  | Fleet of serve * fleet
+type workload = Batch of kernel | Serve of serve | Fleet of serve * fleet
 
 type t = {
   sys : Systems.sys;
@@ -78,10 +75,12 @@ let kernels =
   [
     ("bfs", Bfs); ("pr", Pagerank); ("cc", Cc); ("sssp", Sssp); ("gups", Gups);
     ("graph500", Graph500); ("streamcluster", Streamcluster); ("sgd", Sgd);
-    ("tpch", Tpch); ("ycsb", Ycsb); ("tpcc", Tpcc); ("dag", Dag);
+    ("tpch", Tpch None); ("ycsb", Ycsb); ("tpcc", Tpcc); ("dag", Dag);
   ]
 
-let kernel_name k = fst (List.find (fun (_, x) -> x = k) kernels)
+let kernel_name = function
+  | Tpch _ -> "tpch"
+  | k -> fst (List.find (fun (_, x) -> x = k) kernels)
 
 let default_tenants =
   let tenant name weight mix = { name; weight; mix; replicas = 1 } in
@@ -91,15 +90,16 @@ let default_tenants =
     tenant "oltp" 1.0 [ Job.Ycsb_batch 256; Job.Ycsb_batch 256; Job.Gups 4096 ];
   ]
 
+let default_rate = 5000.0
+let default_think_us = 50.0
+
 let default_serve =
   {
-    rate = 5000.0;
+    arrival = Open_loop default_rate;
     jobs = 40;
     max_inflight = 4;
     queue_bound = 64;
     slo_factor = 3.0;
-    closed_loop = None;
-    think_us = 50.0;
     tenants = default_tenants;
     dag_mapper = Mapper.Comm_aware;
   }
@@ -231,84 +231,79 @@ let quote s =
   else "'" ^ String.concat "'\\''" (String.split_on_char '\'' s) ^ "'"
 
 let to_string t =
-  let words = ref [] in
-  let add flag v = words := quote v :: flag :: !words in
-  let flag f = words := f :: !words in
+  let arg flag v = [ flag; quote v ] in
   let int = string_of_int in
-  let shard_faults l =
-    List.iter
-      (fun (s, sch) -> add "--faults-shard" (Printf.sprintf "%d:%s" s (Schedule.to_spec sch)))
-      l
+  let only c words = if c then words else [] in
+  let seed = Option.fold ~none:[] ~some:(fun s -> arg "--seed" (int s)) t.seed in
+  let scale = arg "--graph-scale" (int t.graph_scale) in
+  let shard_faults =
+    List.concat_map (fun (s, sch) ->
+        arg "--faults-shard" (Printf.sprintf "%d:%s" s (Schedule.to_spec sch)))
   in
-  let serve =
-    match t.workload with Serve s | Fleet (s, _) -> Some s | Batch _ -> None
+  let machine_faults =
+    match t.faults with
+    | (0, sch) :: rest -> arg "--faults" (Schedule.to_spec sch) @ shard_faults rest
+    | l -> shard_faults l
   in
-  (match t.workload with
-  | Batch { kernel; query } ->
-      flag charm_run.prog;
-      add "-w" (kernel_name kernel);
-      Option.iter (fun q -> add "-q" (int q)) query
-  | Serve _ -> flag charm_serve.prog
-  | Fleet (_, f) ->
-      flag charm_serve.prog;
-      add "--fleet" (int f.shards);
-      add "--router" (Router.policy_name f.router);
-      add "--epoch-us" (fmt_float f.epoch_us));
-  add "-s" (Systems.sys_name t.sys);
-  (match t.machine with
-  | Systems.Custom _ -> add "--topology" (machine_spec t.machine)
-  | m -> add "-m" (machine_spec m));
-  add "-n" (int t.workers);
-  add "--cache-scale" (int t.cache_scale);
-  Option.iter
-    (fun s ->
-      add "--rate" (fmt_float s.rate);
-      add "--jobs" (int s.jobs))
-    serve;
-  Option.iter (fun s -> add "--seed" (int s)) t.seed;
-  Option.iter
-    (fun s ->
-      add "--max-inflight" (int s.max_inflight);
-      add "--queue-bound" (int s.queue_bound))
-    serve;
-  add "--graph-scale" (int t.graph_scale);
-  Option.iter
-    (fun s ->
-      if List.map (fun te -> { te with replicas = 1 }) s.tenants <> default_tenants
-      then List.iter (fun te -> add "--tenant" (tenant_spec te)) s.tenants;
-      List.iter
-        (fun te ->
-          if te.replicas <> 1 then
-            add "--replicate" (Printf.sprintf "%s:%d" te.name te.replicas))
-        s.tenants;
-      if s.slo_factor <> default_serve.slo_factor then
-        add "--slo-factor" (fmt_float s.slo_factor);
-      Option.iter (fun c -> add "--closed-loop" (int c)) s.closed_loop;
-      if s.think_us <> default_serve.think_us then add "--think-us" (fmt_float s.think_us);
-      if s.dag_mapper <> default_serve.dag_mapper then
-        add "--dag-mapper" (Mapper.policy_name s.dag_mapper))
-    serve;
-  (match t.workload with
-  | Fleet (_, f) ->
-      if f.shard_machines <> [] then
-        add "--shard-machines" (String.concat "," (List.map machine_spec f.shard_machines));
-      if f.diurnal <> 0.0 then add "--diurnal" (fmt_float f.diurnal);
-      if f.diurnal_period_us <> default_fleet.diurnal_period_us then
-        add "--diurnal-period-us" (fmt_float f.diurnal_period_us);
-      if not f.relocation then flag "--no-relocation";
-      shard_faults t.faults
-  | Batch _ | Serve _ -> (
-      match t.faults with
-      | (0, sch) :: rest ->
-          add "--faults" (Schedule.to_spec sch);
-          shard_faults rest
-      | l -> shard_faults l));
-  if t.energy then flag "--energy";
-  if t.energy_weight <> 0.0 then add "--energy-weight" (fmt_float t.energy_weight);
-  if t.power_cap_mw <> 0.0 then add "--power-cap" (fmt_float t.power_cap_mw);
-  if t.check then flag "--check";
-  Option.iter (fun p -> add "--plant" (Invariant.plant_name p)) t.plant;
-  String.concat " " (List.rev !words)
+  let machine =
+    arg "-s" (Systems.sys_name t.sys)
+    @ (match t.machine with
+      | Systems.Custom _ -> arg "--topology" (machine_spec t.machine)
+      | m -> arg "-m" (machine_spec m))
+    @ arg "-n" (int t.workers)
+    @ arg "--cache-scale" (int t.cache_scale)
+  in
+  let serve s =
+    let rate, loop =
+      match s.arrival with
+      | Open_loop r -> (arg "--rate" (fmt_float r), [])
+      | Closed_loop { clients; think_us } ->
+          ( [],
+            arg "--closed-loop" (int clients)
+            @ only (think_us <> default_think_us) (arg "--think-us" (fmt_float think_us)) )
+    in
+    rate @ arg "--jobs" (int s.jobs) @ seed
+    @ arg "--max-inflight" (int s.max_inflight)
+    @ arg "--queue-bound" (int s.queue_bound)
+    @ scale
+    @ only
+        (List.map (fun te -> { te with replicas = 1 }) s.tenants <> default_tenants)
+        (List.concat_map (fun te -> arg "--tenant" (tenant_spec te)) s.tenants)
+    @ List.concat_map
+        (fun te -> only (te.replicas <> 1) (arg "--replicate" (Printf.sprintf "%s:%d" te.name te.replicas)))
+        s.tenants
+    @ only (s.slo_factor <> default_serve.slo_factor) (arg "--slo-factor" (fmt_float s.slo_factor))
+    @ loop
+    @ only (s.dag_mapper <> default_serve.dag_mapper)
+        (arg "--dag-mapper" (Mapper.policy_name s.dag_mapper))
+  in
+  let run =
+    match t.workload with
+    | Batch kernel ->
+        (charm_run.prog :: arg "-w" (kernel_name kernel))
+        @ (match kernel with Tpch (Some q) -> arg "-q" (int q) | _ -> [])
+        @ machine @ seed @ scale @ machine_faults
+    | Serve s -> (charm_serve.prog :: machine) @ serve s @ machine_faults
+    | Fleet (s, f) ->
+        (charm_serve.prog :: arg "--fleet" (int f.shards))
+        @ arg "--router" (Router.policy_name f.router)
+        @ arg "--epoch-us" (fmt_float f.epoch_us)
+        @ machine @ serve s
+        @ only (f.shard_machines <> [])
+            (arg "--shard-machines" (String.concat "," (List.map machine_spec f.shard_machines)))
+        @ only (f.diurnal <> 0.0) (arg "--diurnal" (fmt_float f.diurnal))
+        @ only (f.diurnal_period_us <> default_fleet.diurnal_period_us)
+            (arg "--diurnal-period-us" (fmt_float f.diurnal_period_us))
+        @ only (not f.relocation) [ "--no-relocation" ]
+        @ shard_faults t.faults
+  in
+  String.concat " "
+    (run
+    @ only t.energy [ "--energy" ]
+    @ only (t.energy_weight <> 0.0) (arg "--energy-weight" (fmt_float t.energy_weight))
+    @ only (t.power_cap_mw <> 0.0) (arg "--power-cap" (fmt_float t.power_cap_mw))
+    @ only t.check [ "--check" ]
+    @ Option.fold ~none:[] ~some:(fun p -> arg "--plant" (Invariant.plant_name p)) t.plant)
 
 (* POSIX-shell word splitting: blanks separate words, single quotes are
    literal, double quotes group, a backslash escapes the next character *)
@@ -388,103 +383,89 @@ let finite_float_in ~ok ~want =
       | None -> err "invalid value '%s', expected a floating point number" s)
     fmt_float
 
-let finite_float = finite_float_in ~ok:(fun _ -> true) ~want:""
+let positive = finite_float_in ~ok:(fun f -> f > 0.0) ~want:"positive"
+let non_negative = finite_float_in ~ok:(fun f -> f >= 0.0) ~want:"non-negative"
+
+(* a flag with a value, a repeatable one, a bare switch, and the
+   converter for an enumerated type *)
+let opt_flag c default ?docv names doc = Arg.(value & opt c default & info names ?docv ~doc)
+let all_flag c ~docv names doc = Arg.(value & opt_all c [] & info names ~docv ~doc)
+let switch names doc = Arg.(value & flag & info names ~doc)
+let enum_of name all = Arg.enum (List.map (fun p -> (name p, p)) all)
+let count = int_in ~lo:1 ()
 
 let machine_term =
-  let sys =
-    Arg.(value & opt (enum Systems.systems) Systems.Charm & info [ "s"; "system" ] ~doc:"Runtime system.")
-  in
-  let preset =
-    Arg.(
-      value
-      & opt (enum Systems.machines) Systems.Amd_milan
-      & info [ "m"; "machine" ] ~doc:"Machine model.")
-  in
+  let sys = opt_flag (Arg.enum Systems.systems) Systems.Charm [ "s"; "system" ] "Runtime system." in
+  let preset = opt_flag (Arg.enum Systems.machines) Systems.Amd_milan [ "m"; "machine" ] "Machine model." in
   let topology =
-    let topology_conv =
-      flag_conv Systems.custom_machine_of_spec machine_spec
-    in
-    Arg.(
-      value
-      & opt (some topology_conv) None
-      & info [ "topology" ] ~docv:"SPEC"
-          ~doc:
-            "Data-driven machine topology overriding $(b,-m): a path to a \
-             topology file (see examples/topologies/) or an inline \
-             ';'-separated spec. Supports heterogeneous chiplet kinds \
-             (big/little/accel) and per-chiplet link overrides; in fleet mode \
-             it is every shard's default machine.")
+    opt_flag
+      (Arg.some (flag_conv Systems.custom_machine_of_spec machine_spec))
+      None [ "topology" ] ~docv:"SPEC"
+      "Data-driven machine topology overriding $(b,-m): a path to a \
+       topology file (see examples/topologies/) or an inline \
+       ';'-separated spec. Supports heterogeneous chiplet kinds \
+       (big/little/accel) and per-chiplet link overrides; in fleet mode \
+       it is every shard's default machine."
   in
   Term.(const (fun sys preset topo -> (sys, Option.value topo ~default:preset)) $ sys $ preset $ topology)
 
+(* The serving flags, which a fleet shares.  The arrival process is one
+   of two: [--rate] belongs to an open loop, [--think-us] to a closed one. *)
 let serve_term =
-  let float_opt ?(conv = finite_float) names ~default ~docv doc =
-    Arg.value (Arg.opt conv default (Arg.info names ~docv ~doc))
-  in
-  let int_opt names ~default doc = Arg.(value & opt int default & info names ~doc) in
   let d = default_serve in
-  let rate = float_opt [ "rate" ] ~default:d.rate ~docv:"JOBS/S" "Offered load per tenant (jobs/s of virtual time)." in
-  let jobs = int_opt [ "jobs" ] ~default:d.jobs "Jobs submitted per tenant (cluster-wide in fleet mode)." in
-  let inflight = int_opt [ "max-inflight" ] ~default:d.max_inflight "Concurrent jobs in service." in
+  let rate =
+    opt_flag positive default_rate [ "rate" ] ~docv:"JOBS/S"
+      "Open-loop offered load per tenant (jobs/s of virtual time)."
+  in
+  let jobs = opt_flag count d.jobs [ "jobs" ] "Jobs submitted per tenant (cluster-wide in fleet mode)." in
+  let inflight = opt_flag count d.max_inflight [ "max-inflight" ] "Concurrent jobs in service." in
   let queue_bound =
-    Arg.(
-      value
-      & opt (int_in ~lo:1 ()) d.queue_bound
-      & info [ "queue-bound" ] ~doc:"Per-tenant admission queue bound (at least 1).")
+    opt_flag count d.queue_bound [ "queue-bound" ] "Per-tenant admission queue bound (at least 1)."
   in
   let slo =
-    float_opt
-      ~conv:(finite_float_in ~ok:(fun f -> f > 0.0) ~want:"positive")
-      [ "slo-factor" ] ~default:d.slo_factor ~docv:"X"
+    opt_flag positive d.slo_factor [ "slo-factor" ] ~docv:"X"
       "SLO as a positive multiple of the tenant's mean job cost."
   in
   let closed_loop =
-    Arg.(
-      value
-      & opt (some (int_in ~lo:1 ())) None
-      & info [ "closed-loop" ] ~doc:"Closed-loop clients per tenant (instead of Poisson arrivals).")
+    opt_flag (Arg.some count) None [ "closed-loop" ]
+      "Closed-loop clients per tenant (instead of Poisson arrivals)."
   in
   let think =
-    float_opt
-      ~conv:(finite_float_in ~ok:(fun f -> f >= 0.0) ~want:"non-negative")
-      [ "think-us" ] ~default:d.think_us ~docv:"US" "Closed-loop think time (us of virtual time, >= 0)."
+    opt_flag non_negative default_think_us [ "think-us" ] ~docv:"US"
+      "Closed-loop think time (us of virtual time, >= 0)."
+  in
+  let arrival (rate, rate_used) clients (think_us, think_used) =
+    match (clients, rate_used, think_used) with
+    | None, _, flag :: _ -> err "%s applies only to a closed loop (--closed-loop N)" flag
+    | None, _, [] -> Ok (Open_loop rate)
+    | Some _, flag :: _, _ -> err "%s applies only to an open loop (no --closed-loop)" flag
+    | Some clients, [], _ -> Ok (Closed_loop { clients; think_us })
   in
   let tenants =
-    Arg.(
-      value
-      & opt_all (flag_conv parse_tenant tenant_spec) []
-      & info [ "tenant" ] ~docv:"NAME:WEIGHT:KIND+KIND"
-          ~doc:
-            "Tenant spec (e.g. gold:2:bfs+tpch:3; kinds bfs, pagerank, gups:N, \
-             tpch:Q, ycsb:N, dag:SHAPE:LAYERS); repeatable. Replaces the \
-             default graph/olap/oltp tenants.")
+    all_flag (flag_conv parse_tenant tenant_spec) [ "tenant" ] ~docv:"NAME:WEIGHT:KIND+KIND"
+      "Tenant spec (e.g. gold:2:bfs+tpch:3; kinds bfs, pagerank, gups:N, \
+       tpch:Q, ycsb:N, dag:SHAPE:LAYERS); repeatable. Replaces the \
+       default graph/olap/oltp tenants."
   in
   let replicate =
-    Arg.(
-      value
-      & opt_all
-          (flag_conv parse_replication (fun (n, k) -> Printf.sprintf "%s:%d" n k))
-          []
-      & info [ "replicate" ] ~docv:"NAME:K"
-          ~doc:
-            "Run the named tenant's jobs $(b,K) times each on distinct \
-             chiplets and vote on the result tokens; injected corruption \
-             faults are masked and counted as divergences in the report. \
-             Repeatable, one entry per tenant.")
+    all_flag
+      (flag_conv parse_replication (fun (n, k) -> Printf.sprintf "%s:%d" n k))
+      [ "replicate" ] ~docv:"NAME:K"
+      "Run the named tenant's jobs $(b,K) times each on distinct \
+       chiplets and vote on the result tokens; injected corruption \
+       faults are masked and counted as divergences in the report. \
+       Repeatable, one entry per tenant."
   in
   let dag_mapper =
-    Arg.(
-      value
-      & opt (enum (List.map (fun p -> (Mapper.policy_name p, p)) Mapper.all_policies)) d.dag_mapper
-      & info [ "dag-mapper" ] ~docv:"POLICY"
-          ~doc:
-            "How task-DAG tenants (kinds $(b,dag:SHAPE:LAYERS)) are mapped \
-             onto chiplets: $(b,comm-aware) (contract heavy edges, place \
-             clusters by kind-weighted load) or $(b,blind) (round-robin \
-             baseline).")
+    opt_flag (enum_of Mapper.policy_name Mapper.all_policies) d.dag_mapper [ "dag-mapper" ] ~docv:"POLICY"
+      "How task-DAG tenants (kinds $(b,dag:SHAPE:LAYERS)) are mapped \
+       onto chiplets: $(b,comm-aware) (contract heavy edges, place \
+       clusters by kind-weighted load) or $(b,blind) (round-robin \
+       baseline)."
   in
-  let make rate jobs max_inflight queue_bound slo_factor closed_loop think_us tenants
-      replicate dag_mapper =
+  let make arrival jobs max_inflight queue_bound slo_factor tenants replicate dag_mapper =
+    let ( let* ) = Result.bind in
+    let* arrival = arrival in
     let tenants = if tenants = [] then default_tenants else tenants in
     let rec distinct = function
       | [] -> Ok tenants
@@ -500,229 +481,187 @@ let serve_term =
             err "--replicate %s:%d names no tenant (have %s)" rname k
               (String.concat "/" (List.map (fun te -> te.name) tenants)))
     in
-    Result.map
-      (fun tenants ->
-        { rate; jobs; max_inflight; queue_bound; slo_factor; closed_loop; think_us; tenants; dag_mapper })
-      (List.fold_left apply (distinct tenants) replicate)
+    let* tenants = List.fold_left apply (distinct tenants) replicate in
+    Ok { arrival; jobs; max_inflight; queue_bound; slo_factor; tenants; dag_mapper }
   in
   Term.(
-    const make $ rate $ jobs $ inflight $ queue_bound $ slo $ closed_loop $ think $ tenants
-    $ replicate $ dag_mapper)
+    const make
+    $ (const arrival $ with_used_args rate $ closed_loop $ with_used_args think)
+    $ jobs $ inflight $ queue_bound $ slo $ tenants $ replicate $ dag_mapper)
 
+(* The fleet flags but the [--fleet] selector: a function of the shard
+   count. *)
 let fleet_term =
   let d = default_fleet in
-  let shards =
-    Arg.(
-      value & opt (int_in ~lo:0 ~hi:max_fleet ()) 0
-      & info [ "fleet" ] ~docv:"N"
-          ~doc:
-            (Printf.sprintf
-            "Shard the server across $(docv) (at most %d) simulated machines behind a \
-             cluster router (0 = single-machine mode). Per-tenant --rate and \
-             --jobs become cluster-wide; the report is the fleet JSON summary \
-             (merged metrics, router counters, per-shard detail)."
-            max_fleet))
-  in
   let router =
-    Arg.(
-      value
-      & opt (enum (List.map (fun p -> (Router.policy_name p, p)) Router.all_policies)) d.router
-      & info [ "router" ] ~docv:"POLICY"
-          ~doc:
-            "Fleet placement policy: $(b,charm) (load over effective \
-             capacity, chiplet-health-aware, tenant affinity), \
-             $(b,least-loaded) (load only, chiplet-blind), $(b,ewma) (EWMA of \
-             observed per-shard job latencies times queue depth), or \
-             $(b,round-robin).")
+    opt_flag (enum_of Router.policy_name Router.all_policies) d.router [ "router" ] ~docv:"POLICY"
+      "Fleet placement policy: $(b,charm) (load over effective \
+       capacity, chiplet-health-aware, tenant affinity), \
+       $(b,least-loaded) (load only, chiplet-blind), $(b,ewma) (EWMA of \
+       observed per-shard job latencies times queue depth), or \
+       $(b,round-robin)."
   in
   let epoch_us =
-    Arg.(
-      value & opt finite_float d.epoch_us
-      & info [ "epoch-us" ] ~docv:"US"
-          ~doc:
-            "Fleet routing epoch (virtual us): shards drain with a dispatch \
-             horizon at each epoch end, and routing/relocation decisions run \
-             at epoch boundaries.")
+    opt_flag positive d.epoch_us [ "epoch-us" ] ~docv:"US"
+      "Fleet routing epoch (virtual us, positive): shards drain with a \
+       dispatch horizon at each epoch end, and routing/relocation \
+       decisions run at epoch boundaries."
   in
   let shard_machines =
-    Arg.(
-      value
-      & opt
-          (flag_conv parse_shard_machines (fun ms -> String.concat "," (List.map machine_spec ms)))
-          []
-      & info [ "shard-machines" ] ~docv:"LIST"
-          ~doc:
-            "Comma-separated machine specs cycled over the shards: presets \
-             (e.g. $(b,amd,intel)) and/or topology files (e.g. \
-             $(b,amd,examples/topologies/tiny-hetero.topo) for a \
-             heterogeneous fleet); defaults to the --machine for every shard.")
+    opt_flag
+      (flag_conv parse_shard_machines (fun ms -> String.concat "," (List.map machine_spec ms)))
+      [] [ "shard-machines" ] ~docv:"LIST"
+      "Comma-separated machine specs cycled over the shards: presets \
+       (e.g. $(b,amd,intel)) and/or topology files (e.g. \
+       $(b,amd,examples/topologies/tiny-hetero.topo) for a \
+       heterogeneous fleet); defaults to the --machine for every shard."
   in
   let diurnal =
-    Arg.(
-      value & opt finite_float d.diurnal
-      & info [ "diurnal" ] ~docv:"A"
-          ~doc:
-            "Diurnal modulation amplitude in [0,1] for fleet arrivals: the \
-             Poisson rate swings by a factor (1 ± $(docv)) over each period.")
+    opt_flag
+      (finite_float_in ~ok:(fun f -> f >= 0.0 && f <= 1.0) ~want:"in [0, 1]")
+      d.diurnal [ "diurnal" ] ~docv:"A"
+      "Diurnal modulation amplitude in [0,1] for fleet arrivals: the \
+       Poisson rate swings by a factor (1 ± $(docv)) over each period."
   in
   let period =
-    Arg.(
-      value & opt finite_float d.diurnal_period_us
-      & info [ "diurnal-period-us" ] ~docv:"US" ~doc:"Diurnal period (virtual us).")
+    opt_flag positive d.diurnal_period_us [ "diurnal-period-us" ] ~docv:"US"
+      "Diurnal period (virtual us, positive)."
   in
   let no_relocation =
-    Arg.(
-      value & flag
-      & info [ "no-relocation" ]
-          ~doc:"Disable cross-shard relocation of queued jobs away from degraded shards.")
+    switch [ "no-relocation" ] "Disable cross-shard relocation of queued jobs away from degraded shards."
   in
-  let make shards router epoch_us shard_machines diurnal diurnal_period_us no_relocation =
-    if shards <= 0 then None
-    else
-      Some
-        {
-          shards;
-          router;
-          epoch_us;
-          shard_machines;
-          diurnal;
-          diurnal_period_us;
-          relocation = not no_relocation;
-        }
+  let make router epoch_us shard_machines diurnal diurnal_period_us no_relocation shards =
+    { shards; router; epoch_us; shard_machines; diurnal; diurnal_period_us; relocation = not no_relocation }
   in
-  Term.(const make $ shards $ router $ epoch_us $ shard_machines $ diurnal $ period $ no_relocation)
+  Term.(const make $ router $ epoch_us $ shard_machines $ diurnal $ period $ no_relocation)
 
 let term d =
-  let workers = Arg.(value & opt int d.d_workers & info [ "n"; "workers" ] ~doc:"Worker threads (per machine).") in
+  let workers = opt_flag count d.d_workers [ "n"; "workers" ] "Worker threads (per machine, at least 1)." in
   let cache_scale =
-    Arg.(
-      value
-      & opt (int_in ~lo:1 ()) 16
-      & info [ "cache-scale" ]
-          ~doc:
-            "Divide cache capacities by this factor (at least 1; caches stop \
-             shrinking at 16 L2 and 64 L3 lines).")
+    opt_flag count 16 [ "cache-scale" ]
+      "Divide cache capacities by this factor (at least 1; caches stop \
+       shrinking at 16 L2 and 64 L3 lines)."
   in
   let workload =
-    Arg.(
-      value
-      & opt (enum (("serve", None) :: List.map (fun (n, k) -> (n, Some k)) kernels)) d.kernel
-      & info [ "w"; "workload" ]
-          ~doc:
-            "Workload: a batch kernel, or $(b,serve) for the online \
-             multi-tenant server (a fleet of them with $(b,--fleet)).")
+    opt_flag
+      (Arg.enum (("serve", None) :: List.map (fun (n, k) -> (n, Some k)) kernels))
+      d.kernel [ "w"; "workload" ]
+      "Workload: a batch kernel, or $(b,serve) for the online \
+       multi-tenant server (a fleet of them with $(b,--fleet))."
   in
-  let query = Arg.(value & opt (some int) None & info [ "q"; "query" ] ~doc:"TPC-H query number.") in
+  let query =
+    let n = List.length Olap.Tpch_queries.query_numbers in
+    opt_flag (Arg.some (int_in ~lo:1 ~hi:n ())) None [ "q"; "query" ]
+      (Printf.sprintf "TPC-H query number in [1, %d], with $(b,-w tpch)." n)
+  in
   let graph_scale =
-    Arg.(
-      value
-      & opt (int_in ~lo:1 ~hi:max_graph_scale ()) d.d_graph_scale
-      & info [ "graph-scale" ]
-          ~doc:(Printf.sprintf "log2 of graph vertices, in [1, %d]." max_graph_scale))
+    opt_flag (int_in ~lo:1 ~hi:max_graph_scale ()) d.d_graph_scale [ "graph-scale" ]
+      (Printf.sprintf "log2 of graph vertices, in [1, %d]." max_graph_scale)
   in
   let seed =
-    Arg.(
-      value
-      & opt (some int) d.d_seed
-      & info [ "seed" ]
-          ~doc:
-            "Seed for every input generator (graph, tables, access streams) \
-             and, when serving, the arrival and job streams (default 42).")
+    opt_flag Arg.(some int) d.d_seed [ "seed" ]
+      "Seed for every input generator (graph, tables, access streams) \
+       and, when serving, the arrival and job streams (default 42)."
   in
   let energy =
-    Arg.(
-      value & flag
-      & info [ "energy" ]
-          ~doc:
-            "Turn per-quantum compute-energy accounting on (memory energy is \
-             always metered). Reports gain the compute term and, when \
-             serving, per-tenant energy totals; virtual time is unaffected.")
+    switch [ "energy" ]
+      "Turn per-quantum compute-energy accounting on (memory energy is \
+       always metered). Reports gain the compute term and, when \
+       serving, per-tenant energy totals; virtual time is unaffected."
   in
   let energy_weight =
-    Arg.(
-      value & opt finite_float 0.0
-      & info [ "energy-weight" ] ~docv:"W"
-          ~doc:
-            "EDP-aware placement weight for CHARM's policy: flee-migration \
-             scoring divides each chiplet's speed by (1 + $(docv) x the kind's \
-             energy density). Implies --energy. 0 disables.")
+    opt_flag non_negative 0.0 [ "energy-weight" ] ~docv:"W"
+      "EDP-aware placement weight for CHARM's policy: flee-migration \
+       scoring divides each chiplet's speed by (1 + $(docv) x the kind's \
+       energy density). Implies --energy. 0 disables."
   in
   let power_cap =
-    Arg.(
-      value & opt finite_float 0.0
-      & info [ "power-cap" ] ~docv:"MW"
-          ~doc:
-            "Machine power cap in simulated milliwatts (1 mW = 1 pJ/ns), \
-             enforced by CHARM's controller via DVFS shedding of the hottest \
-             chiplet. Implies --energy. 0 disables.")
+    opt_flag non_negative 0.0 [ "power-cap" ] ~docv:"MW"
+      "Machine power cap in simulated milliwatts (1 mW = 1 pJ/ns), \
+       enforced by CHARM's controller via DVFS shedding of the hottest \
+       chiplet. Implies --energy. 0 disables."
   in
   let faults =
-    Arg.(
-      value
-      & opt (some (flag_conv (fun s -> Ok (load_fault_spec s)) Fun.id)) None
-      & info [ "faults" ] ~docv:"SPEC"
-          ~doc:
-            "Deterministic fault schedule (inline or a spec-file path) for \
-             the machine, or shard 0 of a fleet. Entries are ';'- or \
-             newline-separated $(i,TIME_US:KIND:ARGS) — core-off/core-on:CORE, \
-             dvfs:CORE:SPEED, l3-ways:CHIPLET:WAYS, link:CHIPLET:MULT, \
-             xsocket:MULT, membw:NODE:FACTOR, corrupt:SEED (poison one \
-             replicated job's result token) — plus rand:SEED:N:HORIZON_US for \
-             seeded random events.")
+    opt_flag
+      (Arg.some (flag_conv (fun s -> Ok (load_fault_spec s)) Fun.id))
+      None [ "faults" ] ~docv:"SPEC"
+      "Deterministic fault schedule (inline or a spec-file path) for \
+       the machine, or shard 0 of a fleet. Entries are ';'- or \
+       newline-separated $(i,TIME_US:KIND:ARGS) — core-off/core-on:CORE, \
+       dvfs:CORE:SPEED, l3-ways:CHIPLET:WAYS, link:CHIPLET:MULT, \
+       xsocket:MULT, membw:NODE:FACTOR, corrupt:SEED (poison one \
+       replicated job's result token) — plus rand:SEED:N:HORIZON_US for \
+       seeded random events."
   in
   let faults_shard =
-    Arg.(
-      value
-      & opt_all
-          (flag_conv
-             (fun s -> Result.map (fun (i, spec) -> (i, load_fault_spec spec)) (parse_shard_fault s))
-             (fun (i, s) -> Printf.sprintf "%d:%s" i s))
-          []
-      & info [ "faults-shard" ] ~docv:"SHARD:SPEC"
-          ~doc:"Fault schedule for one shard (same grammar as --faults). Repeatable.")
+    all_flag
+      (flag_conv
+         (fun s -> Result.map (fun (i, spec) -> (i, load_fault_spec spec)) (parse_shard_fault s))
+         (fun (i, s) -> Printf.sprintf "%d:%s" i s))
+      [ "faults-shard" ] ~docv:"SHARD:SPEC"
+      "Fault schedule for one shard (same grammar as --faults). Repeatable."
   in
   let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Run with executable invariants on: scheduler causality and \
-             per-core quantum ordering, machine fill-class conservation, and \
-             the serving and fleet layers' admission, completion and job \
-             conservation. A violation aborts with exit code 3.")
+    switch [ "check" ]
+      "Run with executable invariants on: scheduler causality and \
+       per-core quantum ordering, machine fill-class conservation, and \
+       the serving and fleet layers' admission, completion and job \
+       conservation. A violation aborts with exit code 3."
   in
   let plant =
-    Arg.(
-      value
-      & opt (some plant_conv) None
-      & info [ "plant" ] ~docv:"BUG"
-          ~doc:
-            "Plant a deliberate bug so --check can show its invariant trips: \
-             $(b,skip-ready-clamp) (scheduler causality), $(b,vote-skip) \
-             (replica voter), $(b,drop-relocated) or $(b,route-offline) \
-             (fleet router). Testing hook; do not use for measurements.")
+    opt_flag (Arg.some plant_conv) None [ "plant" ] ~docv:"BUG"
+      "Plant a deliberate bug so --check can show its invariant trips: \
+       $(b,skip-ready-clamp) (scheduler causality), $(b,vote-skip) \
+       (replica voter), $(b,drop-relocated) or $(b,route-offline) \
+       (fleet router). Testing hook; do not use for measurements."
   in
-  let build (sys, machine) workers cache_scale workload query graph_scale seed energy
-      energy_weight power_cap_mw faults faults_shard check plant serve fleet =
+  let shards =
+    opt_flag (int_in ~lo:0 ~hi:max_fleet ()) 0 [ "fleet" ] ~docv:"N"
+      (Printf.sprintf
+         "Shard the server across $(docv) (at most %d) simulated machines behind a \
+          cluster router (0 = single-machine mode). Per-tenant --rate and \
+          --jobs become cluster-wide; the report is the fleet JSON summary \
+          (merged metrics, router counters, per-shard detail)."
+         max_fleet)
+  in
+  (* [query_used], [serve_used] and [fleet_used] are the flags given to
+     each branch's term; a flag given to a branch the run does not take
+     is rejected *)
+  let build (sys, machine) workers cache_scale workload (query, query_used) graph_scale seed energy
+      energy_weight power_cap_mw faults faults_shard check plant shards (serve, serve_used)
+      (fleet, fleet_used) =
     let ( let* ) = Result.bind in
-    let* () = if energy_weight >= 0.0 then Ok () else err "--energy-weight must be >= 0" in
-    let* () = if power_cap_mw >= 0.0 then Ok () else err "--power-cap must be >= 0" in
-    let* workload, seed =
-      match (workload, fleet) with
-      | Some kernel, None -> Ok (Batch { kernel; query }, seed)
-      | Some _, Some _ -> err "--fleet runs the serving workload (-w serve)"
-      | None, fleet -> (
+    let outside what = function
+      | flag :: _ -> err "%s applies only to %s" flag what
+      | [] -> Ok ()
+    in
+    let* workload =
+      match (workload, shards) with
+      | Some _, n when n > 0 -> err "--fleet runs the serving workload (-w serve)"
+      | Some kernel, _ -> (
+          let* () = outside "serving (-w serve)" serve_used in
+          let* () = outside "a fleet (--fleet N)" fleet_used in
+          match kernel with
+          | Tpch _ -> Ok (Batch (Tpch query))
+          | k ->
+              let* () = outside "-w tpch" query_used in
+              Ok (Batch k))
+      | None, shards -> (
+          let* () = outside "-w tpch" query_used in
           let* s = serve in
-          let seed = Some (Option.value seed ~default:42) in
-          match fleet with
-          | _ when s.closed_loop = None && s.rate <= 0.0 -> err "--rate must be positive"
-          | None -> Ok (Serve s, seed)
-          | Some _ when s.closed_loop <> None -> err "--fleet drives open-loop tenants only"
-          | Some _ when energy || energy_weight > 0.0 || power_cap_mw > 0.0 ->
+          match s.arrival with
+          | _ when shards = 0 ->
+              let* () = outside "a fleet (--fleet N)" fleet_used in
+              Ok (Serve s)
+          | Closed_loop _ -> err "--fleet drives open-loop tenants only"
+          | Open_loop _ when energy || energy_weight > 0.0 || power_cap_mw > 0.0 ->
               err
                 "--energy/--energy-weight/--power-cap are single-machine knobs \
                  (shards build their own runtimes)"
-          | Some f -> Ok (Fleet (s, f), seed))
+          | Open_loop _ -> Ok (Fleet (s, fleet shards)))
+    in
+    let seed =
+      match workload with Batch _ -> seed | Serve _ | Fleet _ -> Some (Option.value seed ~default:42)
     in
     (* each fault spec parses against the machine of the shard it targets *)
     let shards, shard_machine =
@@ -749,29 +688,17 @@ let term d =
         ((match faults with Some spec -> [ ("--faults", 0, spec) ] | None -> [])
         @ List.map (fun (s, spec) -> ("--faults-shard", s, spec)) faults_shard)
     in
+    let faults = List.rev faults in
     Ok
-      {
-        sys;
-        machine;
-        workers;
-        cache_scale;
-        seed;
-        graph_scale;
-        faults = List.rev faults;
-        energy;
-        energy_weight;
-        power_cap_mw;
-        check;
-        plant;
-        workload;
-      }
+      { sys; machine; workers; cache_scale; seed; graph_scale; faults; energy; energy_weight;
+        power_cap_mw; check; plant; workload }
   in
   Term.(
     ret
       (const (fun r -> match r with Ok t -> `Ok t | Error m -> `Error (false, m))
-      $ (const build $ machine_term $ workers $ cache_scale $ workload $ query $ graph_scale
-       $ seed $ energy $ energy_weight $ power_cap $ faults $ faults_shard $ check $ plant
-       $ serve_term $ fleet_term)))
+      $ (const build $ machine_term $ workers $ cache_scale $ workload $ with_used_args query
+       $ graph_scale $ seed $ energy $ energy_weight $ power_cap $ faults $ faults_shard $ check
+       $ plant $ shards $ with_used_args serve_term $ with_used_args fleet_term)))
 
 let exits =
   Cmd.Exit.info 2 ~doc:"on a malformed flag value or a rejected configuration."
@@ -916,7 +843,7 @@ let streamcluster_params =
 
 (* Run a batch kernel, print its lines to [out] and return its functional
    result and its {!outcome} value. *)
-let run_kernel out env t ~kernel ~query =
+let run_kernel out env t kernel =
   let open Workloads in
   let line fmt = Printf.bprintf out fmt in
   let alloc ~elt_bytes ~count = env.Exec_env.alloc_shared ~elt_bytes ~count in
@@ -980,7 +907,7 @@ let run_kernel out env t ~kernel ~query =
       let o = Dimmwitted.run env ~replica:Sgd.Per_node ?grain data in
       Buffer.add_string out (Format.asprintf "%a@." Dimmwitted.pp o);
       (Nothing, o.Dimmwitted.gradient_gbps)
-  | Tpch ->
+  | Tpch query ->
       let data = Olap.Tpch_data.generate ~alloc ?seed ~sf:0.01 () in
       let qs = match query with Some q -> [ q ] | None -> Olap.Tpch_queries.query_numbers in
       let checksums =
@@ -1032,9 +959,9 @@ let run_kernel out env t ~kernel ~query =
 let server_config ?on_complete t s ~trace =
   let seed = Option.value t.seed ~default:42 in
   let process =
-    match s.closed_loop with
-    | Some clients -> Serving.Arrivals.Closed_loop { clients; think_ns = s.think_us *. 1e3 }
-    | None -> Serving.Arrivals.Open_loop { rate_per_s = s.rate }
+    match s.arrival with
+    | Open_loop rate_per_s -> Serving.Arrivals.Open_loop { rate_per_s }
+    | Closed_loop { clients; think_us } -> Serving.Arrivals.Closed_loop { clients; think_ns = think_us *. 1e3 }
   in
   let tenants =
     List.map
@@ -1107,28 +1034,29 @@ let fleet ?trace t =
             })
   | Batch _ | Serve _ -> invalid_arg "Experiment.fleet: not a fleet experiment"
 
-let run_workload ?trace t =
+let run ?trace t =
   match t.workload with
-  | Batch { kernel; query } ->
-      let inst = instance t in
-      Option.iter (Systems.attach_trace inst) trace;
-      let out = Buffer.create 1024 in
-      Printf.bprintf out "system=%s machine=[%s] workers=%d cache-scale=%d\n"
-        (Systems.sys_name t.sys)
-        (Format.asprintf "%a" Topology.pp (Chipsim.Machine.topology inst.Systems.machine))
-        t.workers t.cache_scale;
-      let result, value = run_kernel out inst.Systems.env t ~kernel ~query in
-      if t.check then verify inst;
-      let stats = Systems.report inst in
-      Buffer.add_string out (Format.asprintf "---@.%a@." Engine.Stats.pp stats);
-      {
-        report = Buffer.contents out;
-        result;
-        value;
-        stats = Some stats;
-        traces = Option.to_list trace;
-        sim_events = Engine.Stats.sim_events inst.Systems.machine;
-      }
+  | Batch kernel ->
+      with_plant t (fun () ->
+          let inst = instance t in
+          Option.iter (Systems.attach_trace inst) trace;
+          let out = Buffer.create 1024 in
+          Printf.bprintf out "system=%s machine=[%s] workers=%d cache-scale=%d\n"
+            (Systems.sys_name t.sys)
+            (Format.asprintf "%a" Topology.pp (Chipsim.Machine.topology inst.Systems.machine))
+            t.workers t.cache_scale;
+          let result, value = run_kernel out inst.Systems.env t kernel in
+          if t.check then verify inst;
+          let stats = Systems.report inst in
+          Buffer.add_string out (Format.asprintf "---@.%a@." Engine.Stats.pp stats);
+          {
+            report = Buffer.contents out;
+            result;
+            value;
+            stats = Some stats;
+            traces = Option.to_list trace;
+            sim_events = Engine.Stats.sim_events inst.Systems.machine;
+          })
   | Serve _ ->
       let inst, report = serve ?trace t in
       {
@@ -1149,8 +1077,6 @@ let run_workload ?trace t =
         traces = res.Fleet.Cluster.traces;
         sim_events = Fleet.Cluster.sim_events res;
       }
-
-let run ?trace t = with_plant t (fun () -> run_workload ?trace t)
 
 (* -- the command line ------------------------------------------------------ *)
 
@@ -1187,15 +1113,16 @@ let cli d ~doc =
             o.sim_events wall
             (float_of_int o.sim_events /. Float.max 1e-9 wall)
       | Serve _ | Fleet _ -> ());
-      (match (trace_file, o.traces) with
-      | Some file, [ tr ] ->
-          Engine.Trace.save tr file;
-          Printf.eprintf "wrote %d trace events to %s (load in chrome://tracing)\n%s"
-            (Engine.Trace.num_events tr) file (Engine.Trace.summary tr)
-      | Some file, (_ :: _ as trs) ->
-          Engine.Trace.save_merged trs file;
-          Printf.eprintf "wrote %d trace events (%d tracks) to %s (load in chrome://tracing)\n"
-            (List.fold_left (fun acc tr -> acc + Engine.Trace.num_events tr) 0 trs)
-            (List.length trs) file
-      | _ -> ());
+      Option.iter
+        (fun file ->
+          Engine.Trace.save o.traces file;
+          match o.traces with
+          | [ tr ] ->
+              Printf.eprintf "wrote %d trace events to %s (load in chrome://tracing)\n%s"
+                (Engine.Trace.num_events tr) file (Engine.Trace.summary tr)
+          | trs ->
+              Printf.eprintf "wrote %d trace events (%d tracks) to %s (load in chrome://tracing)\n"
+                (List.fold_left (fun acc tr -> acc + Engine.Trace.num_events tr) 0 trs)
+                (List.length trs) file)
+        trace_file;
       exit 0

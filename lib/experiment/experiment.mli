@@ -8,7 +8,14 @@
     the one flag table here ({!cli}), the scenario fuzzer generates
     {!t}s directly, and all of them execute through {!run}.  The text
     form ({!to_string}) is the command line that replays the experiment,
-    so a printed repro runs the very experiment that produced it. *)
+    so a printed repro runs the very experiment that produced it.
+
+    Every flag has one home, and the spec holds only what its branch
+    reads.  [-w] and [--fleet] pick the branch; the machine, seed, graph
+    scale, fault, check and plant flags (and the energy flags, on one
+    machine) are common; [-q] belongs to [-w tpch]; the serving flags to
+    [-w serve], which a fleet shares; the fleet flags to [--fleet N],
+    N > 0.  A flag given outside its home is rejected in one line. *)
 
 type kernel =
   | Bfs
@@ -19,7 +26,7 @@ type kernel =
   | Graph500
   | Streamcluster
   | Sgd
-  | Tpch
+  | Tpch of int option  (** one query ([-q]), or all of them *)
   | Ycsb
   | Tpcc
   | Dag
@@ -35,14 +42,17 @@ type tenant = {
   replicas : int;  (** voted redundant execution degree (1 = none) *)
 }
 
+(** Each tenant's arrival process: Poisson at a rate in jobs/s
+    ([--rate]), or [clients] closed-loop clients that each think
+    [think_us] between jobs ([--closed-loop], [--think-us]). *)
+type arrival = Open_loop of float | Closed_loop of { clients : int; think_us : float }
+
 type serve = {
-  rate : float;  (** open-loop jobs/s per tenant *)
+  arrival : arrival;  (** per tenant; a fleet's is open *)
   jobs : int;  (** jobs per tenant (cluster-wide in a fleet) *)
   max_inflight : int;
   queue_bound : int;  (** per-tenant admission bound *)
   slo_factor : float;
-  closed_loop : int option;  (** clients per tenant instead of Poisson *)
-  think_us : float;
   tenants : tenant list;
   dag_mapper : Taskgraph.Mapper.policy;
 }
@@ -58,10 +68,7 @@ type fleet = {
   relocation : bool;
 }
 
-type workload =
-  | Batch of { kernel : kernel; query : int option (** TPC-H query *) }
-  | Serve of serve
-  | Fleet of serve * fleet
+type workload = Batch of kernel | Serve of serve | Fleet of serve * fleet
 
 type t = {
   sys : Harness.Systems.sys;
@@ -96,15 +103,18 @@ val default_fleet : fleet
 
 val to_string : t -> string
 (** The command line that replays [t]: [charm_run ...] for a batch
-    kernel, [charm_serve ...] otherwise, every field that differs from
-    that binary's default spelled out, every number in its shortest exact
-    form and arguments quoted for a POSIX shell.  A custom machine is
-    inlined as a topology spec that carries its name. *)
+    kernel, [charm_serve ...] otherwise.  It spells out the fields of
+    [t]'s branch and no other: every one that differs from that binary's
+    default, every number in its shortest exact form and arguments
+    quoted for a POSIX shell.  A custom machine is inlined as a topology
+    spec that carries its name. *)
 
 val of_string : string -> (t, string) result
 (** Parse a command line as {!cli}'s binaries do (the first word picks the
     binary's defaults).  [of_string (to_string t) = Ok t] for every [t]
-    whose custom machines have names without [';'].  Errors are one line. *)
+    the flags can express (a fleet's tenants arrive open-loop, on no
+    energy knob) whose custom machines have names without [';'].  Errors
+    are one line. *)
 
 (** {1 Running} *)
 
@@ -176,13 +186,15 @@ val serve :
   Harness.Systems.instance * Serving.Server.report
 (** {!run}'s single-machine serving path, stopped before rendering: the
     instance it ran on (machine counters, energy meters, CHARM runtime)
-    and the typed report.  [trace] receives the server's events;
+    and the typed report, under [t]'s planted bug.  [trace] receives the
+    server's events;
     [on_complete] observes every completed job
     ({!Serving.Server.config}'s [on_complete]).
     @raise Invalid_argument unless [t.workload] is [Serve _]. *)
 
 val fleet : ?trace:Engine.Trace.t -> t -> Fleet.Cluster.result
-(** {!run}'s fleet path, stopped before rendering.  Given a [trace], the
+(** {!run}'s fleet path, stopped before rendering, under [t]'s planted
+    bug.  Given a [trace], the
     cluster records into a fresh router trace and one per shard
     ([result.traces]); the argument itself receives nothing.
     @raise Invalid_argument unless [t.workload] is [Fleet _]. *)
@@ -204,7 +216,9 @@ val cli : defaults -> doc:string -> unit
     print the report (plus, for a batch run, a wall-clock [engine:] line)
     and save any trace; then exit.  Exit codes: 0 success, 2 a malformed
     flag or a rejected configuration (one line on stderr), 3 an invariant
-    violation under [--check]. *)
+    violation under [--check].  A flag given outside its branch's home
+    (a serving flag on a batch kernel, [--router] without [--fleet N],
+    [--rate] on a closed loop, ...) exits 2. *)
 
 val plant_conv : Chipsim.Invariant.plant Cmdliner.Arg.conv
 (** The [--plant] converter, shared with [charm_fuzz]. *)

@@ -48,7 +48,7 @@ type config = {
           boundaries *)
   trace : bool;
       (** allocate a router trace (pid 0) plus one per shard (pid s+1),
-          returned in [result.traces] for {!Engine.Trace.save_merged} *)
+          returned in [result.traces] for {!Engine.Trace.save} *)
 }
 
 val default_config : seed:int -> config

@@ -24,7 +24,7 @@ let batch_digest ~faults () =
   in
   ignore (Workloads.Gups.run inst.Systems.env params : Workloads.Workload_result.t);
   ( Format.asprintf "%a" Engine.Stats.pp (Systems.report inst),
-    Engine.Trace.to_chrome_json tr )
+    Engine.Trace.to_chrome_json [ tr ] )
 
 let serve_digest ~faults () =
   let inst =
@@ -52,7 +52,7 @@ let serve_digest ~faults () =
     }
   in
   let report = Serving.Server.run inst cfg in
-  (Serving.Server.report_to_json report, Engine.Trace.to_chrome_json tr)
+  (Serving.Server.report_to_json report, Engine.Trace.to_chrome_json [ tr ])
 
 let check_twice name digest =
   let r1, t1 = digest () in

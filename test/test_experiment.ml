@@ -1,9 +1,15 @@
 (* The experiment spec: its text form round-trips, a printed repro runs
    the very experiment the fuzzer ran, both binaries' defaults, and
-   one-line rejection of every malformed flag value. *)
+   one-line rejection of every malformed flag value and of every flag
+   given outside its branch. *)
 
 module Scenario = Check.Scenario
 module E = Experiment
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
 let of_string_exn line =
   match E.of_string line with
@@ -24,6 +30,65 @@ let test_text_roundtrip () =
 (* the repro path is what a user pastes: the report must match the
    fuzzer's own byte for byte (seed 21 is an all-little custom machine
    with random faults and a power cap) *)
+(* one flag of each home but the common one, with a value its own
+   branch accepts *)
+let batch_flags = [ "-q 3" ]
+
+let serve_flags =
+  [
+    "--rate 100"; "--jobs 3"; "--max-inflight 2"; "--queue-bound 3"; "--slo-factor 2";
+    "--closed-loop 2"; "--think-us 9"; "--tenant a:1:bfs"; "--replicate graph:2";
+    "--dag-mapper blind";
+  ]
+
+let fleet_flags =
+  [
+    "--router ewma"; "--epoch-us 100"; "--shard-machines intel"; "--diurnal 0.5";
+    "--diurnal-period-us 100"; "--no-relocation";
+  ]
+
+(* the flags of the homes [t]'s branch is not: appended to its line, each
+   must fail in one line that names it *)
+let outside_flags (t : E.t) =
+  match t.workload with
+  | E.Batch (E.Tpch _) -> serve_flags @ fleet_flags
+  | E.Batch _ -> batch_flags @ serve_flags @ fleet_flags
+  | E.Serve _ -> batch_flags @ ("--think-us 9" :: fleet_flags)
+  | E.Fleet _ -> batch_flags @ [ "--think-us 9" ]
+
+let check_rejected line flag =
+  let name = List.hd (String.split_on_char ' ' flag) in
+  match E.of_string (line ^ " " ^ flag) with
+  | Ok _ -> Alcotest.failf "%s\naccepted %s, which its run does not read" line flag
+  | Error msg ->
+      if String.contains msg '\n' || not (contains msg (name ^ " applies only to")) then
+        Alcotest.failf "%s %s: the error does not name %s in one line: %S" line flag name msg
+
+let test_outside_flags_rejected () =
+  List.iter
+    (fun (mode, seeds) ->
+      for seed = 0 to seeds - 1 do
+        let t = Scenario.generate ~mode ~seed in
+        let line = E.to_string t in
+        if E.of_string line <> Ok t then
+          Alcotest.failf "seed %d: %s parses back to a different experiment" seed line;
+        List.iter (check_rejected line) (outside_flags t)
+      done)
+    [ (Scenario.Smoke, 200); (Scenario.Deep, 50) ];
+  (* the generator draws no closed loop: one by hand, whose spec prints
+     its think time and no rate *)
+  let line = "charm_serve --closed-loop 2 --think-us 7" in
+  let t = of_string_exn line in
+  Alcotest.(check bool) "a closed loop" true
+    (match t.E.workload with
+    | E.Serve { arrival = E.Closed_loop { clients = 2; think_us = 7.0 }; _ } -> true
+    | _ -> false);
+  let printed = E.to_string t in
+  Alcotest.(check bool) "round-trips" true (E.of_string printed = Ok t);
+  Alcotest.(check bool) ("no --rate in " ^ printed) false
+    (List.mem "--rate" (String.split_on_char ' ' printed));
+  check_rejected printed "--rate 100"
+
 let test_repro_replays_fuzzer_report () =
   let replayed = ref 0 in
   for seed = 0 to 40 do
@@ -46,7 +111,7 @@ let test_defaults () =
     [ run.E.workers; run.E.graph_scale ];
   Alcotest.(check (option int)) "charm_run has no seed" None run.E.seed;
   Alcotest.(check bool) "charm_run runs bfs" true
-    (run.E.workload = E.Batch { kernel = E.Bfs; query = None });
+    (run.E.workload = E.Batch E.Bfs);
   Alcotest.(check (list int)) "charm_serve workers, graph scale" [ 32; 10 ]
     [ serve.E.workers; serve.E.graph_scale ];
   Alcotest.(check (option int)) "charm_serve seed" (Some 42) serve.E.seed;
@@ -103,6 +168,13 @@ let test_malformed_values_rejected () =
       "--rate nan"; "--rate inf"; "--rate 1e400"; "--slo-factor nan";
       "--think-us inf"; "--epoch-us inf"; "--diurnal nan";
       "--diurnal-period-us=-inf"; "--energy-weight=-inf"; "--power-cap inf";
+      (* counts, queries and fleet knobs outside what the run can honour *)
+      "-n 0"; "--jobs 0"; "--max-inflight 0"; "-w tpch -q 0"; "-w tpch -q 23"; "--rate=-5";
+      "--energy-weight=-1"; "--fleet 2 --epoch-us 0"; "--fleet 2 --diurnal 2";
+      "--fleet 2 --diurnal=-0.5"; "--fleet 2 --diurnal-period-us 0";
+      (* a flag outside its branch *)
+      "-q 3"; "-w bfs -q 3"; "-w gups --rate 100"; "--router ewma"; "--fleet 0 --router ewma";
+      "--no-relocation"; "--think-us 9"; "--closed-loop 2 --rate 100";
     ];
   (* the bounds themselves are accepted *)
   List.iter
@@ -113,6 +185,9 @@ let test_malformed_values_rejected () =
     [
       "charm_run -w gups --graph-scale 20"; "charm_serve --fleet 64 --cache-scale 4096";
       "charm_serve --queue-bound 1 --slo-factor 0.001 --closed-loop 1 --think-us 0";
+      "charm_run -w tpch -q 1 -n 1"; "charm_run -w tpch -q 22";
+      "charm_serve --fleet 2 --epoch-us 0.5 --diurnal 1 --diurnal-period-us 1";
+      "charm_serve --fleet 2 --diurnal 0 --jobs 1 --max-inflight 1";
     ]
 
 (* two tenants under one name would share one set of metrics; the
@@ -137,12 +212,7 @@ let test_topo_file_name_replays () =
   let replay = of_string_exn (E.to_string t) in
   Alcotest.(check bool) "the spec round-trips" true (replay = t);
   let report = (E.run t).E.report in
-  let contains sub =
-    let n = String.length report and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub report i m = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "shards named after the file" true (contains {|"tiny-hetero"|});
+  Alcotest.(check bool) "shards named after the file" true (contains report {|"tiny-hetero"|});
   Alcotest.(check string) "the replay's report" report (E.run replay).E.report
 
 (* --check audits the power cap at the end of a run: a capped, checked
@@ -220,6 +290,7 @@ let suite =
     Alcotest.test_case "repro replays the fuzzer's report" `Slow
       test_repro_replays_fuzzer_report;
     Alcotest.test_case "per-binary defaults" `Quick test_defaults;
+    Alcotest.test_case "a flag outside its branch is rejected" `Quick test_outside_flags_rejected;
     Alcotest.test_case "plant is part of the spec" `Quick test_plant_is_part_of_the_spec;
     Alcotest.test_case "malformed values rejected in one line" `Quick
       test_malformed_values_rejected;

@@ -247,7 +247,7 @@ let test_faulted_serve_traces_identical () =
       }
     in
     let report = Serving.Server.run inst cfg in
-    (Serving.Server.report_to_json report, Engine.Trace.to_chrome_json tr)
+    (Serving.Server.report_to_json report, Engine.Trace.to_chrome_json [ tr ])
   in
   let json1, trace1 = run () in
   let json2, trace2 = run () in

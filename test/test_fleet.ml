@@ -269,7 +269,7 @@ let test_merged_registry_counters () =
    routing events and a track per machine: pid 0 plus one per shard *)
 let test_merged_trace_tracks () =
   let res = Cluster.run { (base_config ~jobs:5 ~seed:7 ()) with Cluster.n_shards = 3; trace = true } in
-  let json = Engine.Trace.to_chrome_json_merged res.Cluster.traces in
+  let json = Engine.Trace.to_chrome_json res.Cluster.traces in
   Alcotest.(check bool) "fleet routing events" true (contains json {|"cat":"fleet"|});
   let pids =
     List.filter (fun pid -> contains json (Printf.sprintf {|"pid":%d,|} pid)) (List.init 8 Fun.id)

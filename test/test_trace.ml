@@ -135,7 +135,7 @@ let test_records_and_serializes () =
   Trace.migration t ~worker:1 ~from_core:3 ~to_core:9 ~at_ns:500.0;
   Trace.instant t ~name:"phase" ~at_ns:700.0;
   Alcotest.(check int) "three events" 3 (Trace.num_events t);
-  let json = Trace.to_chrome_json t in
+  let json = Trace.to_chrome_json [ t ] in
   Alcotest.(check bool) "array" true
     (String.length json > 2 && json.[0] = '[' && json.[String.length json - 1] = ']');
   Alcotest.(check bool) "quantum event present" true
@@ -149,7 +149,7 @@ let test_clear () =
   Trace.instant t ~name:"a" ~at_ns:1.0;
   Trace.clear t;
   Alcotest.(check int) "cleared" 0 (Trace.num_events t);
-  Alcotest.(check string) "empty json" "[]" (Trace.to_chrome_json t)
+  Alcotest.(check string) "empty json" "[]" (Trace.to_chrome_json [ t ])
 
 let test_ring_wraparound () =
   let t = Trace.create ~capacity:8 () in
@@ -167,7 +167,7 @@ let test_ring_wraparound () =
     [ "12"; "13"; "14"; "15"; "16"; "17"; "18"; "19" ]
     names;
   Alcotest.(check bool) "json still valid after wrap" true
-    (json_valid (Trace.to_chrome_json t))
+    (json_valid (Trace.to_chrome_json [ t ]))
 
 let test_json_escaping_all_kinds () =
   let t = Trace.create () in
@@ -184,7 +184,7 @@ let test_json_escaping_all_kinds () =
   Trace.counter t ~name:{|fi"lls|} ~at_ns:12.0
     ~series:[ ("local", 3.0); ({|dr\am|}, 4.0) ];
   Trace.instant t ~name:"quote \" backslash \\ newline \n tab \t" ~at_ns:13.0;
-  let json = Trace.to_chrome_json t in
+  let json = Trace.to_chrome_json [ t ] in
   Alcotest.(check bool) "hostile names produce valid json" true (json_valid json);
   Alcotest.(check bool) "counter channel present" true (contains json {|"ph":"C"|});
   Alcotest.(check bool) "job category present" true (contains json {|"cat":"job"|});
@@ -218,7 +218,7 @@ let test_sched_emits_with_real_ids () =
   Alcotest.(check bool) "a quantum per task quantum" true (!quanta >= 16);
   Alcotest.(check int) "no placeholder task ids" 0 !bad_id;
   Alcotest.(check bool) "idle worker stole" true (!steals >= 1);
-  Alcotest.(check bool) "valid chrome json" true (json_valid (Trace.to_chrome_json t))
+  Alcotest.(check bool) "valid chrome json" true (json_valid (Trace.to_chrome_json [ t ]))
 
 let test_quanta_never_overlap_per_worker () =
   let m = Machine.create (Presets.amd_milan ()) in
@@ -277,7 +277,7 @@ let serve_trace seed =
     }
   in
   ignore (Serving.Server.run inst cfg : Serving.Server.report);
-  Trace.to_chrome_json tr
+  Trace.to_chrome_json [ tr ]
 
 let test_serve_trace_deterministic () =
   let a = serve_trace 42 and b = serve_trace 42 in
@@ -299,7 +299,7 @@ let test_charm_batch_trace_valid () =
        { Workloads.Gups.default_params with Workloads.Gups.updates = 1 lsl 12 }
       : Workloads.Workload_result.t);
   Alcotest.(check bool) "quanta recorded" true (Trace.num_events tr > 0);
-  Alcotest.(check bool) "valid chrome json" true (json_valid (Trace.to_chrome_json tr))
+  Alcotest.(check bool) "valid chrome json" true (json_valid (Trace.to_chrome_json [ tr ]))
 
 let suite =
   [
