@@ -3,22 +3,6 @@ module Sched = Engine.Sched
 
 let imbalance_factor = 1.4
 
-(* A chiplet-blind core pick: random free core on the target socket. *)
-let random_free_core t ~socket =
-  let sched = Baseline.sched t in
-  let topo = Machine.topology (Baseline.machine t) in
-  let cps = Topology.cores_per_socket topo in
-  let base = socket * cps in
-  let free = ref [] in
-  for c = base to base + cps - 1 do
-    if Sched.worker_of_core sched c = None then free := c :: !free
-  done;
-  match !free with
-  | [] -> None
-  | cores ->
-      let arr = Array.of_list cores in
-      Some arr.(Engine.Rng.int (Baseline.rng t) (Array.length arr))
-
 let tick t ~worker =
   let machine = Baseline.machine t in
   let sched = Baseline.sched t in
@@ -41,7 +25,7 @@ let tick t ~worker =
     done;
     if !best_node <> my_node && my_load > imbalance_factor *. Float.max !best_load 0.05
     then
-      match random_free_core t ~socket:!best_node with
+      match Baseline.random_free_core t ~socket:!best_node with
       | Some target -> Sched.migrate sched ~worker ~core:target
       | None -> ()
   end

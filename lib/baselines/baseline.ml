@@ -110,3 +110,18 @@ let init spec machine ~n_workers =
 let sched t = t.sched
 let machine t = t.machine
 let rng t = t.trng
+
+(* A chiplet-blind core pick: a random free core on the target socket. *)
+let random_free_core t ~socket =
+  let topo = Machine.topology t.machine in
+  let cps = Topology.cores_per_socket topo in
+  let base = socket * cps in
+  let free = ref [] in
+  for c = base to base + cps - 1 do
+    if Sched.worker_of_core t.sched c = None then free := c :: !free
+  done;
+  match !free with
+  | [] -> None
+  | cores ->
+      let arr = Array.of_list cores in
+      Some arr.(Engine.Rng.int t.trng (Array.length arr))

@@ -39,6 +39,11 @@ val sched : t -> Engine.Sched.t
 val machine : t -> Machine.t
 val rng : t -> Engine.Rng.t
 
+val random_free_core : t -> socket:int -> int option
+(** A chiplet-blind core pick: a core on [socket] that hosts no worker,
+    drawn uniformly with {!rng} (one draw); [None] when the socket has
+    none.  SAM and AsymSched migrate workers with it. *)
+
 (** Placement building blocks shared by the concrete baselines. *)
 module Layouts : sig
   val sequential : Topology.t -> n_workers:int -> int -> int

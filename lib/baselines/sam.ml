@@ -21,21 +21,6 @@ let majority_socket t ~current =
   Array.iteri (fun i c -> if c > counts.(!best) then best := i) counts;
   if 10 * counts.(!best) >= 6 * Sched.n_workers sched then !best else current
 
-let random_free_core t ~socket =
-  let sched = Baseline.sched t in
-  let topo = Machine.topology (Baseline.machine t) in
-  let cps = Topology.cores_per_socket topo in
-  let base = socket * cps in
-  let free = ref [] in
-  for c = base to base + cps - 1 do
-    if Sched.worker_of_core sched c = None then free := c :: !free
-  done;
-  match !free with
-  | [] -> None
-  | cores ->
-      let arr = Array.of_list cores in
-      Some arr.(Engine.Rng.int (Baseline.rng t) (Array.length arr))
-
 let tick ~confused ~baselines t ~worker =
   let machine = Baseline.machine t in
   let sched = Baseline.sched t in
@@ -54,7 +39,7 @@ let tick ~confused ~baselines t ~worker =
     else my_socket
   in
   if target_socket <> my_socket then
-    match random_free_core t ~socket:target_socket with
+    match Baseline.random_free_core t ~socket:target_socket with
     | Some target -> Sched.migrate sched ~worker ~core:target
     | None -> ()
 

@@ -705,12 +705,34 @@ let exits =
   :: Cmd.Exit.info 3 ~doc:"on an invariant violation under $(b,--check)."
   :: Cmd.Exit.defaults
 
+(* cmdliner reads every word that starts with '-' as an option, so a
+   negative value written after its flag with a space ([--seed -5],
+   [-n -1]) would fail as an unknown option that names no flag.  Glue each
+   such value to the option word before it, in the forms cmdliner reads as
+   one: [--flag=V] and [-fV]. *)
+let glue_negative_values argv =
+  let negative w =
+    String.length w > 1 && w.[0] = '-' && Option.is_some (float_of_string_opt w)
+  in
+  let long o =
+    String.length o > 2 && String.starts_with ~prefix:"--" o && not (String.contains o '=')
+  in
+  let short o = String.length o = 2 && o.[0] = '-' && o.[1] <> '-' && not (negative o) in
+  let rec go = function
+    | o :: v :: rest when negative v && long o -> (o ^ "=" ^ v) :: go rest
+    | o :: v :: rest when negative v && short o -> (o ^ v) :: go rest
+    | w :: rest -> w :: go rest
+    | [] -> []
+  in
+  Array.of_list (go (Array.to_list argv))
+
 (* evaluate [term] over [argv]; every parse or validation error comes back
    as its first line, which names the flag *)
 let eval info ~argv ~help term =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   Format.pp_set_margin ppf 1_000_000;
+  let argv = glue_negative_values argv in
   match Cmd.eval_value ~argv ~help ~err:ppf (Cmd.v info term) with
   | Ok (`Ok v) -> Ok (Some v)
   | Ok (`Help | `Version) -> Ok None

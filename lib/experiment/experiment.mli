@@ -218,7 +218,8 @@ val cli : defaults -> doc:string -> unit
     flag or a rejected configuration (one line on stderr), 3 an invariant
     violation under [--check].  A flag given outside its branch's home
     (a serving flag on a batch kernel, [--router] without [--fleet N],
-    [--rate] on a closed loop, ...) exits 2. *)
+    [--rate] on a closed loop, ...) exits 2.  A negative number after a
+    flag is that flag's value ([--seed -5] reads as [--seed=-5]). *)
 
 val plant_conv : Chipsim.Invariant.plant Cmdliner.Arg.conv
 (** The [--plant] converter, shared with [charm_fuzz]. *)

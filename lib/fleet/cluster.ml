@@ -99,14 +99,8 @@ let validate (cfg : config) =
    times (optionally diurnally modulated by thinning against the peak
    rate) and a kind + per-job seed stream from the tenant's mix RNG.  The
    identical job set therefore hits every router policy — policy
-   comparisons measure placement, not luck of the draw. *)
-
-type arrival = {
-  at_ns : float;
-  tenant : int;
-  kind : Job.kind;
-  job_seed : int;
-}
+   comparisons measure placement, not luck of the draw.  A job's id is its
+   index in arrival order. *)
 
 let diurnal_times rng ~rate_per_s ~jobs ~amplitude ~period_ns =
   if amplitude <= 0.0 then
@@ -157,20 +151,21 @@ let generate_arrivals cfg =
                 (fun at_ns ->
                   (* seed before kind: the order every committed fleet
                      baseline was recorded with *)
-                  let job_seed = Rng.int mix_rng 0x3FFFFFFF in
+                  let seed = Rng.int mix_rng 0x3FFFFFFF in
                   let kind = Server.pick_kind mix_rng t.Server.mix in
-                  { at_ns; tenant = ti; kind; job_seed })
+                  { Server.id = 0; tenant = ti; kind; seed; submit_ns = at_ns })
                 times))
          cfg.serve.Server.tenants)
   in
   (* total order: time, then tenant index (per-tenant times are strictly
      increasing, so this is a deterministic total order) *)
   List.stable_sort
-    (fun a b ->
-      match Float.compare a.at_ns b.at_ns with
+    (fun (a : Server.request) b ->
+      match Float.compare a.submit_ns b.submit_ns with
       | 0 -> compare a.tenant b.tenant
       | c -> c)
     all
+  |> List.mapi (fun id r -> { r with Server.id })
   |> Array.of_list
 
 (* -- fleet-level invariants --------------------------------------------- *)
@@ -347,15 +342,15 @@ let run cfg =
   let router_submitted = ref 0 in
   let router_shed = ref 0 in
   let relocations = ref 0 in
-  let placed = Array.make n 0 in
   let check = cfg.serve.Server.check in
 
   (* place one job (fresh arrival or relocation) through the router *)
-  let place ~now ~job_id ~tenant ~kind ~job_seed ~submit_ns ~from_shard =
-    let tname = tenant_names.(tenant) in
+  let place ~now ~from_shard (r : Server.request) =
+    let job_id = r.id in
+    let tname = tenant_names.(r.tenant) in
     let cost =
-      Session.cost_estimate sessions.(0) kind
-      *. float_of_int tenant_replicas.(tenant)
+      Session.cost_estimate sessions.(0) r.kind
+      *. float_of_int tenant_replicas.(r.tenant)
     in
     let forced =
       (* planted routing bug: aim at a fully-offline shard when one
@@ -381,7 +376,7 @@ let run cfg =
         | None -> ());
         Buffer.add_string log
           (Printf.sprintf "%.0f shed #%d %s/%s\n" now job_id tname
-             (Job.kind_name kind))
+             (Job.kind_name r.kind))
     | Some s ->
         if check && views.(s).Router.capacity <= 0.0 then
           Chipsim.Invariant.fail
@@ -392,19 +387,16 @@ let run cfg =
               Trace.fleet_relocate tr ~job_id ~from_shard ~to_shard:s ~at_ns:now
             else Trace.fleet_route tr ~job_id ~tenant:tname ~shard:s ~at_ns:now
         | None -> ());
-        if from_shard >= 0 then Session.note_relocated_in sessions.(s) ~tenant;
-        let decision =
-          Session.submit sessions.(s) ~tenant ~job_id ~arrival:submit_ns ~kind
-            ~job_seed
-        in
-        placed.(s) <- placed.(s) + 1;
+        if from_shard >= 0 then
+          Session.note_relocated_in sessions.(s) ~tenant:r.tenant;
+        let decision = Session.submit sessions.(s) r in
         let verb = if from_shard >= 0 then
             Printf.sprintf "reloc %d->%d" from_shard s
           else Printf.sprintf "route ->%d" s
         in
         Buffer.add_string log
           (Printf.sprintf "%.0f %s #%d %s/%s %s\n" now verb job_id tname
-             (Job.kind_name kind)
+             (Job.kind_name r.kind)
              (Serving.Admission.decision_name decision))
   in
 
@@ -432,11 +424,7 @@ let run cfg =
         if not (Chipsim.Invariant.planted Chipsim.Invariant.Drop_relocated)
         then
           List.iter
-            (fun (r : Session.relocatable) ->
-              incr relocations;
-              place ~now ~job_id:r.Session.r_id ~tenant:r.Session.r_tenant
-                ~kind:r.Session.r_kind ~job_seed:r.Session.r_seed
-                ~submit_ns:r.Session.r_submit_ns ~from_shard:s)
+            (fun r -> incr relocations; place ~now ~from_shard:s r)
             dropped
       end
     done
@@ -462,11 +450,10 @@ let run cfg =
     List.iter (fun inj -> Faults.Injector.drain inj ~now:!t0) injectors;
     refresh_views ~now:!t0;
     relocate_pass ~now:!t0;
-    while !cursor < n_arr && arrivals.(!cursor).at_ns < t1 do
+    while !cursor < n_arr && arrivals.(!cursor).Server.submit_ns < t1 do
       let a = arrivals.(!cursor) in
       incr router_submitted;
-      place ~now:a.at_ns ~job_id:!cursor ~tenant:a.tenant ~kind:a.kind
-        ~job_seed:a.job_seed ~submit_ns:a.at_ns ~from_shard:(-1);
+      place ~now:a.Server.submit_ns ~from_shard:(-1) a;
       incr cursor
     done;
     let all_routed = !cursor >= n_arr in
@@ -498,7 +485,7 @@ let run cfg =
         {
           shard = s;
           machine = machine_name (shard_machine s);
-          placed = placed.(s);
+          placed = sum_tenants reports.(s) (fun tr -> tr.Server.submitted);
           sim_events = Engine.Stats.sim_events m;
           report = reports.(s);
         })

@@ -59,7 +59,9 @@ val default_config : seed:int -> config
 type shard_result = {
   shard : int;
   machine : string;
-  placed : int;  (** router placements onto this shard (incl. relocations) *)
+  placed : int;
+      (** router placements onto this shard (incl. relocations): the sum
+          of its tenants' [submitted] ledgers *)
   sim_events : int;
       (** {!Engine.Stats.sim_events} of this shard's machine — the
           numerator of the [bench core] fleet events/sec figure *)

@@ -12,11 +12,27 @@
     seeded RNG streams: equal configurations give byte-identical reports.
 
     Observability: per-tenant latency/queue-wait histograms, SLO-violation
-    and shed counters, and a {!Metrics} registry fed by the serving loop,
-    by a scheduler-hook wrapper (quantum counts — installed around the
-    policy's own hooks via {!Engine.Sched.hooks}) and by {!Core.Profiler}
-    fill counters when serving under CHARM.  An attached {!Engine.Trace}
-    records the run but never changes the report. *)
+    and shed counters, and a {!Metrics} registry.  The tenant ledgers hold
+    each admission, shed, completion, SLO miss and relocation once; the
+    registry's [serve.*], [tenant.*] and [sched.quanta] counters are
+    written from them (and from the run's {!Engine.Stats.report}) when
+    the run finishes.  Only registry-only facts — per-kind job counts,
+    shed reasons, work items, replica counters and the merged
+    [serve.latency_ns] histogram — are recorded per event.  Under CHARM
+    the {!Charm.Profiler} fill counters are folded in at the end too.  An
+    attached {!Engine.Trace} records the run but never changes the
+    report. *)
+
+type request = {
+  id : int;  (** unique across the run; preserved across relocation *)
+  tenant : int;  (** tenant index (fleet shards share the tenant list) *)
+  kind : Job.kind;
+  seed : int;  (** individualises the job's data and result token *)
+  submit_ns : float;
+      (** original arrival instant — latency is measured from first
+          submission, so a relocated job pays for its detour *)
+}
+(** One job offered to a server. *)
 
 type tenant_config = {
   name : string;
@@ -63,8 +79,7 @@ type config = {
       (** run the serving layer's executable invariants (and turn on the
           scheduler's, {!Engine.Sched.set_check}): every arrival is either
           admitted or shed, every admitted job completes and is sampled in
-          exactly one latency histogram, the fair queue drains, and the
-          registry's global counters agree with the per-tenant ledgers.  A
+          exactly one latency histogram, and the fair queue drains.  A
           violation raises {!Chipsim.Invariant.Violation}.  Default off. *)
 }
 
@@ -107,6 +122,12 @@ type report = {
   makespan_ns : float;
   tenant_reports : tenant_report list;  (** in configuration order *)
   registry : Metrics.t;
+      (** per-event registry facts plus, written once at finish: the
+          [serve.{submitted,admitted,shed,completed,relocated_out,
+          relocated_in}] sums and [tenant.NAME.{shed,slo_violations}] of
+          the tenant ledgers (a zero count writes no key), [sched.quanta]
+          ([stats.context_switches]), the profiler and fill counters, and
+          the [serve.effective_capacity], makespan and energy gauges *)
   stats : Engine.Stats.report;  (** machine-level fills, migrations, ... *)
 }
 
@@ -126,32 +147,23 @@ val run : Harness.Systems.instance -> config -> report
     {!Session.drain} advances the simulation dispatching only jobs that
     can start before a horizon (so queues persist across epochs under
     overload), and {!Session.drop_queued} pulls still-queued jobs back
-    out for relocation when the shard degrades.  {!Session.finish} must
-    be called exactly once, after a final drain with an infinite
-    horizon. *)
+    out for relocation when the shard degrades.  A job crosses the
+    boundary as one {!request} both ways, so a relocated job keeps its
+    id, seed and arrival instant.  {!Session.finish} must be called
+    exactly once, after a final drain with an infinite horizon; the
+    session's registry is seen only in the report it returns, once the
+    ledgers have been written into it. *)
 module Session : sig
   type t
-
-  type relocatable = {
-    r_id : int;  (** cluster-unique job id, preserved across relocation *)
-    r_tenant : int;  (** tenant index (fleet shards share the tenant list) *)
-    r_kind : Job.kind;
-    r_seed : int;
-    r_submit_ns : float;  (** original arrival instant — latency is
-                              measured from first submission, so a
-                              relocated job pays for its detour *)
-  }
 
   val create : Harness.Systems.instance -> config -> t
   (** Prepare datasets, tenant ledgers and observability hooks; arrival
       processes in the config are ignored ([submit] drives arrivals).
       @raise Invalid_argument as {!run}. *)
 
-  val submit :
-    t -> tenant:int -> job_id:int -> arrival:float -> kind:Job.kind ->
-    job_seed:int -> Admission.decision
+  val submit : t -> request -> Admission.decision
   (** Offer one job to the shard's admission controller at virtual time
-      [arrival].  Admitted jobs queue until the next {!drain}.
+      [submit_ns].  Admitted jobs queue until the next {!drain}.
       @raise Invalid_argument on a tenant index out of range. *)
 
   val drain : t -> horizon:float -> kick_ns:float -> unit
@@ -161,7 +173,7 @@ module Session : sig
       dispatcher wakes (normally the epoch start).  No-op when nothing
       is queued. *)
 
-  val drop_queued : t -> relocatable list
+  val drop_queued : t -> request list
   (** Remove every still-queued (admitted, not dispatched) job, crediting
       each tenant's [relocated_out] ledger; in-flight and completed jobs
       are untouched.  The caller re-submits them elsewhere. *)
@@ -180,13 +192,12 @@ module Session : sig
   (** Max worker clock: how far the shard's virtual time has advanced. *)
 
   val cost_estimate : t -> Job.kind -> float
-  val registry : t -> Metrics.t
   val instance : t -> Harness.Systems.instance
 
   val finish : t -> report
-  (** Tear down hooks, fold profiler/machine statistics into the registry
-      and build the report; with [check] set, verifies the serving
-      invariants including the relocation ledger
+  (** Tear down hooks, write the ledgers, profiler and machine statistics
+      into the registry and build the report; with [check] set, verifies
+      the serving invariants including the relocation ledger
       ([completed + relocated_out = admitted]). *)
 end
 

@@ -190,6 +190,28 @@ let test_malformed_values_rejected () =
       "charm_serve --fleet 2 --diurnal 0 --jobs 1 --max-inflight 1";
     ]
 
+(* a negative number after a flag is that flag's value, never an option:
+   a negative seed's printed line replays, and a bounded flag given a
+   negative value says which flag rejected it *)
+let test_negative_values () =
+  let t = of_string_exn "charm_run -w gups -n 2 --graph-scale 4 --seed=-5" in
+  Alcotest.(check (option int)) "seed" (Some (-5)) t.E.seed;
+  let line = E.to_string t in
+  Alcotest.(check bool) (line ^ " spells --seed -5") true (contains line "--seed -5");
+  if E.of_string line <> Ok t then Alcotest.failf "%s does not parse back" line;
+  List.iter
+    (fun (args, flag) ->
+      match E.of_string ("charm_serve " ^ args) with
+      | Ok _ -> Alcotest.failf "accepted %s" args
+      | Error msg ->
+          if String.contains msg '\n' || not (contains msg ("'" ^ flag ^ "'")) then
+            Alcotest.failf "%s: the error does not name %s in one line: %S" args flag msg)
+    [
+      ("--power-cap -1", "--power-cap"); ("--think-us -1", "--think-us");
+      ("--closed-loop 2 --think-us -1", "--think-us"); ("--slo-factor -1", "--slo-factor");
+      ("--queue-bound -1", "--queue-bound"); ("-n -1", "-n"); ("-s -1", "-s");
+    ]
+
 (* two tenants under one name would share one set of metrics; the
    parser refuses the spec, in one line naming the tenant *)
 let test_repeated_tenant_rejected () =
@@ -294,6 +316,7 @@ let suite =
     Alcotest.test_case "plant is part of the spec" `Quick test_plant_is_part_of_the_spec;
     Alcotest.test_case "malformed values rejected in one line" `Quick
       test_malformed_values_rejected;
+    Alcotest.test_case "a negative value belongs to its flag" `Quick test_negative_values;
     Alcotest.test_case "a repeated tenant name is rejected" `Quick test_repeated_tenant_rejected;
     Alcotest.test_case "a topology file's name replays" `Quick test_topo_file_name_replays;
     Alcotest.test_case "checked capped runs pass" `Quick test_checked_capped_runs;

@@ -301,12 +301,55 @@ let test_server_deterministic () =
   Alcotest.(check string) "same seed, identical report" a b;
   Alcotest.(check bool) "different seed, different report" true (a <> c)
 
-(* -- CLI spec parsing -------------------------------------------------- *)
+(* -- the registry is a projection of the ledgers ----------------------- *)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
+
+let spec line =
+  match Experiment.of_string line with
+  | Ok t -> t
+  | Error m -> Alcotest.failf "%s: %s" line m
+
+(* the registry's ledger counters are written at finish from the tenant
+   rows and the machine's own statistics; the gauges that only held the
+   last event's value are gone *)
+let check_projection ~what (r : Server.report) =
+  let counter = Metrics.counter_value r.Server.registry in
+  let sum f = List.fold_left (fun acc tr -> acc + f tr) 0 r.Server.tenant_reports in
+  let check name want got = Alcotest.(check int) (what ^ ": " ^ name) want got in
+  check "sched.quanta = context switches"
+    r.Server.stats.Engine.Stats.context_switches (counter "sched.quanta");
+  check "serve.submitted" (sum (fun tr -> tr.Server.submitted)) (counter "serve.submitted");
+  check "serve.admitted" (sum (fun tr -> tr.Server.admitted)) (counter "serve.admitted");
+  check "serve.shed" (sum (fun tr -> tr.Server.shed)) (counter "serve.shed");
+  check "serve.completed" (sum (fun tr -> tr.Server.completed)) (counter "serve.completed");
+  let json = Metrics.to_json r.Server.registry in
+  List.iter
+    (fun gauge ->
+      Alcotest.(check bool) (what ^ ": no " ^ gauge) false (contains json gauge))
+    [ "serve.inflight"; "serve.queue_depth" ]
+
+let test_registry_projects_ledgers () =
+  let _, r = Experiment.serve (spec "charm_serve") in
+  Alcotest.(check bool) "jobs ran" true (List.exists (fun tr -> tr.Server.completed > 0) r.Server.tenant_reports);
+  check_projection ~what:"charm_serve" r
+
+let test_fleet_registry_projects_ledgers () =
+  let res = Experiment.fleet (spec "charm_serve --fleet 2 -n 8 --rate 8000 --jobs 30") in
+  List.iter
+    (fun (sr : Fleet.Cluster.shard_result) ->
+      let r = sr.Fleet.Cluster.report in
+      let what = Printf.sprintf "shard %d" sr.Fleet.Cluster.shard in
+      Alcotest.(check int) (what ^ ": placed = submitted")
+        (List.fold_left (fun acc tr -> acc + tr.Server.submitted) 0 r.Server.tenant_reports)
+        sr.Fleet.Cluster.placed;
+      check_projection ~what r)
+    res.Fleet.Cluster.shard_results
+
+(* -- CLI spec parsing -------------------------------------------------- *)
 
 let check_err name result frag =
   match result with
@@ -373,6 +416,10 @@ let suite =
     Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
     Alcotest.test_case "fair queue peek" `Quick test_fair_queue_peek;
     Alcotest.test_case "server deterministic" `Quick test_server_deterministic;
+    Alcotest.test_case "registry projects the ledgers" `Quick
+      test_registry_projects_ledgers;
+    Alcotest.test_case "fleet registry projects the ledgers" `Quick
+      test_fleet_registry_projects_ledgers;
     Alcotest.test_case "tenant spec parsing" `Quick test_tenant_spec;
     Alcotest.test_case "shard machine list parsing" `Quick
       test_shard_machines_spec;
