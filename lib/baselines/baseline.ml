@@ -118,7 +118,7 @@ let random_free_core t ~socket =
   let base = socket * cps in
   let free = ref [] in
   for c = base to base + cps - 1 do
-    if Sched.worker_of_core t.sched c = None then free := c :: !free
+    if Sched.worker_of_core t.sched c < 0 then free := c :: !free
   done;
   match !free with
   | [] -> None

@@ -14,7 +14,7 @@ let wander t ~worker =
     while (not !moved) && !tries > 0 do
       decr tries;
       let target = Engine.Rng.int rng cores in
-      if Engine.Sched.worker_of_core sched target = None then begin
+      if Engine.Sched.worker_of_core sched target < 0 then begin
         Engine.Sched.migrate sched ~worker ~core:target;
         moved := true
       end

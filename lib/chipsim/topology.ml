@@ -31,6 +31,8 @@ type t = {
   chiplet_kinds : core_kind array;
   kind_specs : kind_spec array;  (* indexed by [kind_index], length 3 *)
   links : link array;  (* per chiplet *)
+  general_chiplets_per_socket : int;
+  chiplet_order : int array array;  (* per socket: local chiplets in visit order *)
 }
 
 let kind_index = function Big -> 0 | Little -> 1 | Accel -> 2
@@ -124,6 +126,30 @@ let v ?(chiplet_group_size = 2) ?(l3_bytes_per_chiplet = 32 * 1024 * 1024)
           ls;
         Array.copy ls
   in
+  let spec chiplet = kind_specs.(kind_index chiplet_kinds.(chiplet)) in
+  let general_chiplets_per_socket =
+    let n = ref 0 in
+    for local = 0 to chiplets_per_socket - 1 do
+      if (spec local).general_tasks then incr n
+    done;
+    !n
+  in
+  (* general-task chiplets first, each band by descending kind speed,
+     stable by index: the identity on a homogeneous socket *)
+  let chiplet_order =
+    Array.init sockets (fun socket ->
+        let order = Array.init chiplets_per_socket Fun.id in
+        let spec local = spec ((socket * chiplets_per_socket) + local) in
+        Array.stable_sort
+          (fun a b ->
+            let sa = spec a and sb = spec b in
+            if sa.general_tasks <> sb.general_tasks then
+              compare sb.general_tasks sa.general_tasks
+            else if sa.speed = sb.speed then compare a b
+            else compare sb.speed sa.speed)
+          order;
+        order)
+  in
   {
     sockets;
     chiplets_per_socket;
@@ -137,6 +163,8 @@ let v ?(chiplet_group_size = 2) ?(l3_bytes_per_chiplet = 32 * 1024 * 1024)
     chiplet_kinds;
     kind_specs;
     links;
+    general_chiplets_per_socket;
+    chiplet_order;
   }
 
 let num_chiplets t = t.sockets * t.chiplets_per_socket
@@ -183,10 +211,6 @@ let core_speed t core = (spec_of_kind t (kind_of_core t core)).speed
 
 let chiplet_accepts_general t chiplet =
   (spec_of_kind t (kind_of_chiplet t chiplet)).general_tasks
-
-let general_chiplets_per_socket t =
-  List.length
-    (List.filter (chiplet_accepts_general t) (chiplets_of_socket t 0))
 
 let heterogeneous t =
   Array.exists (fun k -> k <> t.chiplet_kinds.(0)) t.chiplet_kinds

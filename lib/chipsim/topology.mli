@@ -36,7 +36,7 @@ type link = {
   bw_bytes_per_ns : float;  (** this chiplet's I/O-die link bandwidth *)
 }
 
-type t = {
+type t = private {
   sockets : int;  (** number of sockets = NUMA nodes *)
   chiplets_per_socket : int;
   cores_per_chiplet : int;
@@ -55,6 +55,15 @@ type t = {
   kind_specs : kind_spec array;
       (** cost table indexed [Big] = 0, [Little] = 1, [Accel] = 2 *)
   links : link array;  (** one entry per (global) chiplet *)
+  general_chiplets_per_socket : int;
+      (** count of socket 0's chiplets whose kind accepts general work;
+          derived by {!v} (sockets are uniform) *)
+  chiplet_order : int array array;
+      (** per socket, the local chiplet indices in the order Alg. 2
+          visits them: general-task chiplets first, each band by
+          descending kind speed, stable by index, so the identity on a
+          homogeneous socket.  Derived by {!v}, once per topology;
+          read-only. *)
 }
 
 val v :
@@ -118,9 +127,6 @@ val core_speed : t -> int -> float
 
 val chiplet_accepts_general : t -> int -> bool
 (** Whether a chiplet's kind accepts general (non-task-graph) work. *)
-
-val general_chiplets_per_socket : t -> int
-(** Count of general-task chiplets on a socket (sockets are uniform). *)
 
 val heterogeneous : t -> bool
 (** True iff not all chiplets share one kind. *)

@@ -9,19 +9,29 @@
     (sharing traffic — consolidate for locality). *)
 
 type decision = {
-  threshold : float;  (** effective [RMT_CHIP_ACCESS_RATE] for this tick *)
-  mode : Config.approach;  (** the concrete approach chosen this tick *)
+  mutable threshold : float;
+      (** effective [RMT_CHIP_ACCESS_RATE] for this tick *)
 }
 
 type t
 
 val create : Config.t -> t
 
-val decide : t -> ?degraded:bool -> Profiler.sample -> decision
-(** Per-worker, per-tick policy generation from the latest sample.
+val decide :
+  t -> degraded:bool -> remote_chiplet:int -> dram:int -> remote:int -> decision
+(** Per-worker, per-tick policy generation from the latest profiler
+    counts ([remote] is the Alg. 1 counter, {!Profiler.remote_events}).
     [~degraded:true] (the worker sits on a chiplet the health monitor
     flagged sick) halves the threshold so the policy spreads away from
-    known-bad silicon with half the usual evidence. *)
+    known-bad silicon with half the usual evidence.
+
+    The controller owns one [decision] and overwrites it on every call,
+    so deciding allocates nothing: read [threshold] before the next
+    [decide]. *)
+
+val mode : t -> Config.approach
+(** The concrete approach the last {!decide} chose ([Adaptive] before
+    the first). *)
 
 val mode_switches : t -> int
 (** Number of times adaptive mode changed direction (for stats).  The

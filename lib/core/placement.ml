@@ -29,21 +29,20 @@ let valid_spread topo ~spread_rate ~n_workers =
 
 let min_valid_spread topo ~n_workers =
   let chiplets = topo.Topology.chiplets_per_socket in
-  let rec go k =
-    if k > chiplets then chiplets
-    else if valid_spread topo ~spread_rate:k ~n_workers then k
-    else go (k + 1)
-  in
-  go 1
+  let k = ref 1 in
+  while !k <= chiplets && not (valid_spread topo ~spread_rate:!k ~n_workers) do
+    incr k
+  done;
+  min !k chiplets
 
 (* Largest spread_rate a gang may take without general work spilling onto
-   accelerator-only chiplets.  [chiplet_speed_order] sorts general-task
+   accelerator-only chiplets.  [Topology.chiplet_order] puts general-task
    chiplets first, so at spread k <= #general every Alg. 2 chiplet index
    maps to a general chiplet; the cap only relaxes to the full socket when
    the gang is too wide to fit on general chiplets alone. *)
 let max_general_spread topo ~n_workers =
   let chiplets = topo.Topology.chiplets_per_socket in
-  let general = Topology.general_chiplets_per_socket topo in
+  let general = topo.Topology.general_chiplets_per_socket in
   if general > 0 && general < chiplets
      && valid_spread topo ~spread_rate:general ~n_workers
   then general
@@ -59,33 +58,15 @@ let max_general_spread topo ~n_workers =
      id = pass * (k*g) + chiplet * g + (slot mod g),  slot = pass*g + ...
    which coincides with the paper's mapping whenever k | cpc. *)
 (* On a heterogeneous socket, Alg. 2's k-th chiplet is the k-th {e
-   fastest} chiplet that accepts general tasks: local chiplet indices
-   permuted by (general-tasks, descending kind speed), stable, so
-   homogeneous sockets keep the identity order and placements there are
+   fastest} chiplet that accepts general tasks ([Topology.chiplet_order]):
+   homogeneous sockets keep the identity order, so placements there are
    unchanged byte-for-byte.  Accelerator-only chiplets (general_tasks =
    false) sort last: general gangs only reach them when the gang is too
    wide to fit on the general chiplets alone. *)
-let chiplet_speed_order topo ~socket =
-  let n = topo.Topology.chiplets_per_socket in
-  let order = Array.init n (fun i -> i) in
-  let spec local =
-    Topology.spec_of_kind topo
-      (Topology.kind_of_chiplet topo ((socket * n) + local))
-  in
-  Array.stable_sort
-    (fun a b ->
-      let sa = spec a and sb = spec b in
-      if sa.Topology.general_tasks <> sb.Topology.general_tasks then
-        compare sb.Topology.general_tasks sa.Topology.general_tasks
-      else if sa.Topology.speed = sb.Topology.speed then compare a b
-      else compare sb.Topology.speed sa.Topology.speed)
-    order;
-  order
-
 let core_of_worker topo ~spread_rate ~n_workers ~worker =
   if worker < 0 || worker >= n_workers then
     invalid_arg "Placement.core_of_worker: worker out of range";
-  if not (valid_spread topo ~spread_rate ~n_workers) then None
+  if not (valid_spread topo ~spread_rate ~n_workers) then -1
   else begin
     let cpc = topo.Topology.cores_per_chiplet in
     let cps = Topology.cores_per_socket topo in
@@ -97,15 +78,8 @@ let core_of_worker topo ~spread_rate ~n_workers ~worker =
     let pos = id mod stride in
     let chiplet = pos / g in
     let slot = (pass * g) + (pos mod g) in
-    if slot >= cpc || chiplet >= topo.Topology.chiplets_per_socket then None
-    else begin
-      let chiplet =
-        if Topology.heterogeneous topo then
-          (chiplet_speed_order topo ~socket).(chiplet)
-        else chiplet
-      in
-      Some ((socket * cps) + (chiplet * cpc) + slot)
-    end
+    if slot >= cpc || chiplet >= topo.Topology.chiplets_per_socket then -1
+    else (socket * cps) + (topo.Topology.chiplet_order.(socket).(chiplet) * cpc) + slot
   end
 
 let gang topo ~spread_rate ~n_workers =
@@ -115,14 +89,12 @@ let gang topo ~spread_rate ~n_workers =
     let seen = Array.make (Topology.num_cores topo) false in
     let ok = ref true in
     for w = 0 to n_workers - 1 do
-      match core_of_worker topo ~spread_rate ~n_workers ~worker:w with
-      | None -> ok := false
-      | Some core ->
-          if seen.(core) then ok := false
-          else begin
-            seen.(core) <- true;
-            cores.(w) <- core
-          end
+      let core = core_of_worker topo ~spread_rate ~n_workers ~worker:w in
+      if core < 0 || seen.(core) then ok := false
+      else begin
+        seen.(core) <- true;
+        cores.(w) <- core
+      end
     done;
     if !ok then Some cores else None
   end

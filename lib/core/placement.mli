@@ -12,18 +12,19 @@
 open Chipsim
 
 val core_of_worker :
-  Topology.t -> spread_rate:int -> n_workers:int -> worker:int -> int option
-(** The Alg. 2 core for [worker], or [None] when the bounds check fails
+  Topology.t -> spread_rate:int -> n_workers:int -> worker:int -> int
+(** The Alg. 2 core for [worker], or [-1] when the bounds check fails
     (spread out of range, or too few dedicated cores for the gang at this
     spread).  Guaranteed injective over [worker] for a fixed valid
     configuration.
 
-    On a heterogeneous topology the socket's chiplets are visited
-    general-task chiplets first, each band in descending kind-speed
-    order, so a gang fills big-core chiplets before little ones and only
-    reaches accelerator-only chiplets ([general_tasks = false]) when it
-    cannot fit elsewhere; the order is stable, so homogeneous topologies
-    are unaffected. *)
+    On a heterogeneous topology the socket's chiplets are visited in
+    [Topology.chiplet_order]: general-task chiplets first, each band in
+    descending kind-speed order, so a gang fills big-core chiplets before
+    little ones and only reaches accelerator-only chiplets
+    ([general_tasks = false]) when it cannot fit elsewhere; the order is
+    stable, so homogeneous topologies are unaffected.  Allocates
+    nothing. *)
 
 val valid_spread : Topology.t -> spread_rate:int -> n_workers:int -> bool
 (** The Alg. 2 line-2 sanity check. *)
@@ -36,12 +37,6 @@ val max_general_spread : Topology.t -> n_workers:int -> int
     chiplets ([Topology.kind_spec.general_tasks = false]); equals
     [chiplets_per_socket] when the gang cannot fit on general chiplets
     alone (or the machine has none). *)
-
-val chiplet_speed_order : Topology.t -> socket:int -> int array
-(** The socket's local chiplet indices in visit order: general-task
-    chiplets first, each band by descending kind speed, stable by index.
-    Identity on homogeneous sockets.  Exposed as the placement hint
-    other mappers (the task-graph mapper) fall back to. *)
 
 val gang :
   Topology.t -> spread_rate:int -> n_workers:int -> int array option

@@ -9,18 +9,16 @@ type stats = {
   health_migrations : int;
 }
 
-type worker_state = {
-  mutable spread : int;
-  mutable last_check : float;
-}
-
 type t = {
   config : Config.t;
   machine : Machine.t;
   controller : Controller.t;
   profiler : Profiler.t;
   n_workers : int;
-  states : worker_state array;
+  spreads : int array;  (* per worker: its Alg. 1 spread_rate *)
+  last_check : float array;  (* per worker: clock at its last evaluation *)
+  min_spread : int;  (* [Placement.min_valid_spread] of this gang *)
+  max_spread : int;  (* [Placement.max_general_spread] of this gang *)
   mutable s_ticks : int;
   mutable s_spreads : int;
   mutable s_contracts : int;
@@ -45,9 +43,10 @@ let create config machine controller profiler ~n_workers =
     controller;
     profiler;
     n_workers;
-    states =
-      Array.init n_workers (fun _ ->
-          { spread = config.Config.initial_spread; last_check = 0.0 });
+    spreads = Array.make n_workers config.Config.initial_spread;
+    last_check = Array.make n_workers 0.0;
+    min_spread = Placement.min_valid_spread topo ~n_workers;
+    max_spread = Placement.max_general_spread topo ~n_workers;
     s_ticks = 0;
     s_spreads = 0;
     s_contracts = 0;
@@ -67,7 +66,7 @@ let create config machine controller profiler ~n_workers =
    at the capacity boundary and migration churn eats the gains. *)
 let hysteresis = 0.25
 
-let spread_rate t ~worker = t.states.(worker).spread
+let spread_rate t ~worker = t.spreads.(worker)
 let set_health t f = t.health <- f
 let chiplet_sick t chiplet =
   match t.health with None -> false | Some sick -> sick chiplet
@@ -99,26 +98,27 @@ let stats t =
    spread_rates) skips the move; the next timer cycle retries. *)
 let update_location t sched ~worker ~core =
   let topo = Machine.topology t.machine in
-  let st = t.states.(worker) in
-  match
-    Placement.core_of_worker topo ~spread_rate:st.spread ~n_workers:t.n_workers ~worker
-  with
-  | None -> t.s_skipped <- t.s_skipped + 1
-  | Some target when target = core -> ()
-  | Some target
-    when chiplet_avoid t (Topology.chiplet_of_core topo target)
-         && not (chiplet_avoid t (Topology.chiplet_of_core topo core)) ->
-      (* health/power veto: never move a clean worker onto a sick or
-         power-throttled chiplet, even when Alg. 2 nominates it —
-         retried once the flag clears *)
-      t.s_skipped <- t.s_skipped + 1
-  | Some target -> (
-      match Engine.Sched.worker_of_core sched target with
-      | Some _other -> t.s_skipped <- t.s_skipped + 1
-      | None ->
-          Engine.Sched.migrate sched ~worker ~core:target;
-          t.s_migrations <- t.s_migrations + 1;
-          Profiler.rebase t.profiler ~worker ~core:target)
+  let target =
+    Placement.core_of_worker topo ~spread_rate:t.spreads.(worker)
+      ~n_workers:t.n_workers ~worker
+  in
+  if target < 0 then t.s_skipped <- t.s_skipped + 1
+  else if target = core then ()
+  else if
+    chiplet_avoid t (Topology.chiplet_of_core topo target)
+    && not (chiplet_avoid t (Topology.chiplet_of_core topo core))
+  then
+    (* health/power veto: never move a clean worker onto a sick or
+       power-throttled chiplet, even when Alg. 2 nominates it —
+       retried once the flag clears *)
+    t.s_skipped <- t.s_skipped + 1
+  else if Engine.Sched.worker_of_core sched target >= 0 then
+    t.s_skipped <- t.s_skipped + 1
+  else begin
+    Engine.Sched.migrate sched ~worker ~core:target;
+    t.s_migrations <- t.s_migrations + 1;
+    Profiler.rebase t.profiler ~worker ~core:target
+  end
 
 (* A worker stuck on a sick chiplet ignores Alg. 2 and flees to the
    nearest free core on a healthy chiplet.  Alg. 2 keeps nominating cores
@@ -132,7 +132,7 @@ let flee_sick_chiplet t sched ~worker ~core =
     for c = 0 to cores - 1 do
       if
         (not (chiplet_avoid t (Topology.chiplet_of_core topo c)))
-        && Engine.Sched.worker_of_core sched c = None
+        && Engine.Sched.worker_of_core sched c < 0
         && Modifiers.core_online (Machine.modifiers t.machine) c
       then begin
         let r =
@@ -190,18 +190,16 @@ let flee_sick_chiplet t sched ~worker ~core =
    returns the new spread and counts the change; inlined, so the float
    arguments stay unboxed. *)
 let[@inline] step t ~rate ~threshold spread =
-  let topo = Machine.topology t.machine in
   if rate >= threshold then
     (* general work never spreads onto accelerator-only chiplets while
        the gang fits on the general ones *)
-    if spread < Placement.max_general_spread topo ~n_workers:t.n_workers then begin
+    if spread < t.max_spread then begin
       t.s_spreads <- t.s_spreads + 1;
       spread + 1
     end
     else spread
   else if
-    rate < hysteresis *. threshold
-    && spread > Placement.min_valid_spread topo ~n_workers:t.n_workers
+    rate < hysteresis *. threshold && spread > t.min_spread
   then begin
     (* Alg. 1 decrements to 1, but values below the Alg. 2 bounds check
        can never be applied; clamping at the smallest valid spread avoids
@@ -211,97 +209,97 @@ let[@inline] step t ~rate ~threshold spread =
   end
   else spread
 
-let evaluate t sched ~worker ~now ~elapsed =
+(* One Alg. 1 evaluation.  One that changes no spread and moves no worker
+   allocates nothing: the clock is read from the worker's clock cell, the
+   profiler and controller write into state they own, and Alg. 2 and the
+   core-ownership lookup are int-coded. *)
+let evaluate t sched ~worker =
+  let now = (Engine.Sched.worker_clock_cell sched worker).(0) in
   let core = Engine.Sched.worker_core sched worker in
-  let st = t.states.(worker) in
   t.s_ticks <- t.s_ticks + 1;
-  let sample = Profiler.read t.profiler ~worker ~core in
-  let counter = float_of_int (Profiler.remote_events sample) in
-  let rate = counter *. t.config.Config.scheduler_timer_ns /. elapsed in
+  let timer = t.config.Config.scheduler_timer_ns in
+  (* clamp to one full timer period, not 1 ns: a force-tick right after a
+     timer tick would otherwise scale the raw counter by ~timer_ns and
+     trigger a bogus spread.  With this floor, rate <= raw counter; a
+     timer tick has [since >= timer] already. *)
+  let since = now -. t.last_check.(worker) in
+  let elapsed = if since >= timer then since else timer in
+  let prof = t.profiler in
+  Profiler.read prof ~worker ~core;
+  let counter = Profiler.remote_events prof ~worker in
+  let rate = float_of_int counter *. timer /. elapsed in
   let degraded =
     chiplet_sick t (Topology.chiplet_of_core (Machine.topology t.machine) core)
   in
-  let decision = Controller.decide t.controller ~degraded sample in
-  let old_spread = st.spread in
+  let decision =
+    Controller.decide t.controller ~degraded
+      ~remote_chiplet:(Profiler.delta prof ~worker Profiler.Remote_chiplet)
+      ~dram:(Profiler.delta prof ~worker Profiler.Dram) ~remote:counter
+  in
+  let old_spread = t.spreads.(worker) in
   let spread = step t ~rate ~threshold:decision.Controller.threshold old_spread in
   if spread <> old_spread then begin
-    st.spread <- spread;
+    t.spreads.(worker) <- spread;
     t.on_spread_change ~worker ~old_spread ~new_spread:spread ~at_ns:now
   end;
   update_location t sched ~worker ~core:(Engine.Sched.worker_core sched worker);
   flee_sick_chiplet t sched ~worker
     ~core:(Engine.Sched.worker_core sched worker);
-  st.last_check <- now;
-  let current_core = Engine.Sched.worker_core sched worker in
-  Profiler.reset t.profiler ~worker ~core:current_core
+  t.last_check.(worker) <- now;
+  Profiler.reset prof ~worker ~core:(Engine.Sched.worker_core sched worker)
 
 (* Centralized ablation (DESIGN.md #1): worker 0 is a global arbiter that
    collects every worker's counters (paying a cross-core read per worker —
    the coordination cost the paper's decentralization avoids), averages
    the rate, and pushes one uniform spread_rate to the whole gang. *)
-let centralized_evaluate t sched ~now ~elapsed =
+let centralized_evaluate t sched =
   let machine = t.machine in
+  let now = (Engine.Sched.worker_clock_cell sched 0).(0) in
   t.s_ticks <- t.s_ticks + 1;
   let arbiter_core = Engine.Sched.worker_core sched 0 in
-  let total = ref 0 in
-  let agg = ref { Profiler.local_hits = 0; remote_chiplet = 0; remote_numa = 0; dram = 0 } in
+  let prof = t.profiler in
+  let total = ref 0 and remote_chiplet = ref 0 and dram = ref 0 in
   for w = 0 to t.n_workers - 1 do
     let core = Engine.Sched.worker_core sched w in
-    let sample = Profiler.read t.profiler ~worker:w ~core in
-    total := !total + Profiler.remote_events sample;
-    agg :=
-      {
-        Profiler.local_hits = !agg.Profiler.local_hits + sample.Profiler.local_hits;
-        remote_chiplet = !agg.Profiler.remote_chiplet + sample.Profiler.remote_chiplet;
-        remote_numa = !agg.Profiler.remote_numa + sample.Profiler.remote_numa;
-        dram = !agg.Profiler.dram + sample.Profiler.dram;
-      };
+    Profiler.read prof ~worker:w ~core;
+    total := !total + Profiler.remote_events prof ~worker:w;
+    remote_chiplet := !remote_chiplet + Profiler.delta prof ~worker:w Profiler.Remote_chiplet;
+    dram := !dram + Profiler.delta prof ~worker:w Profiler.Dram;
     (* global data collection: one cross-core transfer per worker *)
     Engine.Sched.charge sched ~worker:0 (Machine.core_to_core_ns machine arbiter_core core)
   done;
   let rate =
     float_of_int !total /. float_of_int t.n_workers
-    *. t.config.Config.scheduler_timer_ns /. elapsed
+    *. t.config.Config.scheduler_timer_ns /. (now -. t.last_check.(0))
   in
-  let decision = Controller.decide t.controller !agg in
-  let old_global = t.states.(0).spread in
+  let decision =
+    Controller.decide t.controller ~degraded:false ~remote_chiplet:!remote_chiplet
+      ~dram:!dram ~remote:!total
+  in
+  let old_global = t.spreads.(0) in
   let global = step t ~rate ~threshold:decision.Controller.threshold old_global in
   if global <> old_global then
     (* one event for the gang: the arbiter decides, everyone follows *)
     t.on_spread_change ~worker:0 ~old_spread:old_global ~new_spread:global
       ~at_ns:now;
   for w = 0 to t.n_workers - 1 do
-    let st = t.states.(w) in
-    st.spread <- global;
+    t.spreads.(w) <- global;
     update_location t sched ~worker:w ~core:(Engine.Sched.worker_core sched w);
-    st.last_check <- now;
-    Profiler.reset t.profiler ~worker:w ~core:(Engine.Sched.worker_core sched w)
+    t.last_check.(w) <- now;
+    Profiler.reset prof ~worker:w ~core:(Engine.Sched.worker_core sched w)
   done
 
 let tick t sched ~worker =
   if t.config.Config.profile_while_running then begin
+    let timer = t.config.Config.scheduler_timer_ns in
     if t.config.Config.decentralized then begin
-      let now = Engine.Sched.worker_clock sched worker in
-      let st = t.states.(worker) in
-      let elapsed = now -. st.last_check in
-      if elapsed >= t.config.Config.scheduler_timer_ns then
-        evaluate t sched ~worker ~now ~elapsed
+      let now = (Engine.Sched.worker_clock_cell sched worker).(0) in
+      if now -. t.last_check.(worker) >= timer then evaluate t sched ~worker
     end
     else if worker = 0 then begin
-      let now = Engine.Sched.worker_clock sched 0 in
-      let elapsed = now -. t.states.(0).last_check in
-      if elapsed >= t.config.Config.scheduler_timer_ns then
-        centralized_evaluate t sched ~now ~elapsed
+      let now = (Engine.Sched.worker_clock_cell sched 0).(0) in
+      if now -. t.last_check.(0) >= timer then centralized_evaluate t sched
     end
   end
 
-let force_tick t sched ~worker =
-  let now = Engine.Sched.worker_clock sched worker in
-  let st = t.states.(worker) in
-  (* clamp to one full timer period, not 1 ns: a force-tick right after a
-     timer tick would otherwise scale the raw counter by ~timer_ns and
-     trigger a bogus spread.  With this floor, rate <= raw counter. *)
-  let elapsed =
-    Float.max (now -. st.last_check) t.config.Config.scheduler_timer_ns
-  in
-  evaluate t sched ~worker ~now ~elapsed
+let force_tick t sched ~worker = evaluate t sched ~worker

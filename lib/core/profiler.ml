@@ -1,62 +1,57 @@
 open Chipsim
 
-type sample = {
-  local_hits : int;
-  remote_chiplet : int;
-  remote_numa : int;
-  dram : int;
-}
+type counter = Local_hits | Remote_chiplet | Remote_numa | Dram
 
-let remote_events s = s.remote_chiplet + s.remote_numa + s.dram
+let counters = 4
+let index = function Local_hits -> 0 | Remote_chiplet -> 1 | Remote_numa -> 2 | Dram -> 3
 
-let zero = { local_hits = 0; remote_chiplet = 0; remote_numa = 0; dram = 0 }
-
-let add a b =
-  {
-    local_hits = a.local_hits + b.local_hits;
-    remote_chiplet = a.remote_chiplet + b.remote_chiplet;
-    remote_numa = a.remote_numa + b.remote_numa;
-    dram = a.dram + b.dram;
-  }
-
+(* Each array holds [counters] slots per worker, [worker * counters +
+   index c], so a tick reads and writes ints in place and builds no
+   record. *)
 type t = {
   machine : Machine.t;
-  baselines : sample array;  (* per worker: counter values at last reset *)
-  consumed : sample array;  (* per worker: total deltas seen *)
+  baselines : int array;  (* counter values at the worker's last reset *)
+  deltas : int array;  (* the worker's last [read] *)
+  consumed : int array;  (* total deltas the worker's resets consumed *)
 }
 
 let create machine ~n_workers =
   if n_workers <= 0 then invalid_arg "Profiler.create: n_workers must be positive";
-  {
-    machine;
-    baselines = Array.make n_workers zero;
-    consumed = Array.make n_workers zero;
-  }
+  let slots () = Array.make (n_workers * counters) 0 in
+  { machine; baselines = slots (); deltas = slots (); consumed = slots () }
 
-let raw t ~core =
+(* counter [k] of [core], numbered as [index] *)
+let raw t ~core k =
   let pmu = Machine.pmu t.machine in
-  {
-    local_hits = Pmu.read pmu ~core Pmu.L3_local_hit;
-    remote_chiplet = Pmu.read pmu ~core Pmu.Fill_remote_chiplet;
-    remote_numa = Pmu.read pmu ~core Pmu.Fill_remote_numa;
-    dram = Pmu.read pmu ~core Pmu.Dram_local + Pmu.read pmu ~core Pmu.Dram_remote;
-  }
+  match k with
+  | 0 -> Pmu.read pmu ~core Pmu.L3_local_hit
+  | 1 -> Pmu.read pmu ~core Pmu.Fill_remote_chiplet
+  | 2 -> Pmu.read pmu ~core Pmu.Fill_remote_numa
+  | _ -> Pmu.read pmu ~core Pmu.Dram_local + Pmu.read pmu ~core Pmu.Dram_remote
 
 let read t ~worker ~core =
-  let now = raw t ~core in
-  let base = t.baselines.(worker) in
-  {
-    local_hits = now.local_hits - base.local_hits;
-    remote_chiplet = now.remote_chiplet - base.remote_chiplet;
-    remote_numa = now.remote_numa - base.remote_numa;
-    dram = now.dram - base.dram;
-  }
+  let base = worker * counters in
+  for k = 0 to counters - 1 do
+    t.deltas.(base + k) <- raw t ~core k - t.baselines.(base + k)
+  done
+
+let delta t ~worker c = t.deltas.((worker * counters) + index c)
+
+let remote_events t ~worker =
+  delta t ~worker Remote_chiplet + delta t ~worker Remote_numa + delta t ~worker Dram
 
 let reset t ~worker ~core =
-  let delta = read t ~worker ~core in
-  t.consumed.(worker) <- add t.consumed.(worker) delta;
-  t.baselines.(worker) <- raw t ~core
+  let base = worker * counters in
+  for k = 0 to counters - 1 do
+    let now = raw t ~core k in
+    t.consumed.(base + k) <- t.consumed.(base + k) + now - t.baselines.(base + k);
+    t.baselines.(base + k) <- now
+  done
 
-let cumulative t ~worker = t.consumed.(worker)
+let cumulative t ~worker c = t.consumed.((worker * counters) + index c)
 
-let rebase t ~worker ~core = t.baselines.(worker) <- raw t ~core
+let rebase t ~worker ~core =
+  let base = worker * counters in
+  for k = 0 to counters - 1 do
+    t.baselines.(base + k) <- raw t ~core k
+  done

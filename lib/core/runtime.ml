@@ -24,11 +24,9 @@ let init ?(config = Config.default) ?task_model machine ~n_workers =
     else Placement.min_valid_spread topo ~n_workers
   in
   let placement w =
-    match
-      Placement.core_of_worker topo ~spread_rate:spread0 ~n_workers ~worker:w
-    with
-    | Some core -> core
-    | None -> invalid_arg "Runtime.init: no valid placement for the gang"
+    let core = Placement.core_of_worker topo ~spread_rate:spread0 ~n_workers ~worker:w in
+    if core < 0 then invalid_arg "Runtime.init: no valid placement for the gang";
+    core
   in
   let sched = Sched.create ?task_model machine ~n_workers ~placement in
   let profiler = Profiler.create machine ~n_workers in

@@ -416,15 +416,14 @@ let set_energy t on = t.energy <- on
 let set_on_advance t f = t.on_advance <- f
 let worker_core t w = t.workers.(w).core
 let worker_clock t w = t.workers.(w).clock.(0)
+let worker_clock_cell t w = t.workers.(w).clock
 let worker_offlined t w = t.workers.(w).offlined
 
 let active_workers t =
   Array.fold_left (fun acc w -> if w.offlined then acc else acc + 1) 0 t.workers
 
 let worker_of_core t core =
-  if core < 0 || core >= Array.length t.core_owner then None
-  else if t.core_owner.(core) = -1 then None
-  else Some t.core_owner.(core)
+  if core < 0 || core >= Array.length t.core_owner then -1 else t.core_owner.(core)
 
 let ready_queue_ids t w =
   let q = t.workers.(w).ready in
@@ -876,8 +875,8 @@ let execute t w task =
    never offlined — the simulation must be able to drain. *)
 let handle_core_offline t ~core =
   match worker_of_core t core with
-  | None -> ()
-  | Some wid ->
+  | -1 -> ()
+  | wid ->
       let w = t.workers.(wid) in
       let mods = Machine.modifiers t.machine in
       let base = core * t.ncores in
@@ -930,8 +929,8 @@ let handle_core_offline t ~core =
    (its old core is simply available again as a migration target). *)
 let handle_core_online t ~core ~at =
   match worker_of_core t core with
-  | None -> ()
-  | Some wid ->
+  | -1 -> ()
+  | wid ->
       let w = t.workers.(wid) in
       if w.offlined then begin
         w.offlined <- false;

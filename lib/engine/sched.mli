@@ -118,7 +118,15 @@ val set_on_advance : t -> (float -> unit) option -> unit
 
 val worker_core : t -> int -> int
 val worker_clock : t -> int -> float
-val worker_of_core : t -> int -> int option
+
+val worker_clock_cell : t -> int -> float array
+(** The worker's one-element clock cell, the one {!Chipsim.Machine.access_clk}
+    charges.  Reading [.(0)] gives {!worker_clock} without the boxed float
+    a returned [float] costs; callers read it and never write it. *)
+
+val worker_of_core : t -> int -> int
+(** The worker that owns [core], or [-1] when none does (or [core] is out
+    of range). *)
 
 val ready_queue_ids : t -> int -> int list
 (** Task ids in the worker's run queue, oldest first.  Exposed so tests

@@ -386,11 +386,35 @@ let finite_float_in ~ok ~want =
 let positive = finite_float_in ~ok:(fun f -> f > 0.0) ~want:"positive"
 let non_negative = finite_float_in ~ok:(fun f -> f >= 0.0) ~want:"non-negative"
 
+(* The long names the flag helpers below declare, each once.  Cmdliner
+   accepts an unambiguous prefix of a long name ([--rou] for [--router])
+   and reports a used flag as typed, so a rejection names it through
+   [full_name]. *)
+let long_names = ref []
+
+let info names ?docv doc =
+  List.iter
+    (fun n ->
+      if String.length n > 1 && not (List.mem n !long_names) then
+        long_names := n :: !long_names)
+    names;
+  Arg.info names ?docv ~doc
+
+let full_name flag =
+  let typed =
+    if String.starts_with ~prefix:"--" flag then String.sub flag 2 (String.length flag - 2) else ""
+  in
+  if typed = "" || List.mem typed !long_names then flag
+  else
+    match List.filter (String.starts_with ~prefix:typed) !long_names with
+    | [ name ] -> "--" ^ name
+    | _ -> flag
+
 (* a flag with a value, a repeatable one, a bare switch, and the
    converter for an enumerated type *)
-let opt_flag c default ?docv names doc = Arg.(value & opt c default & info names ?docv ~doc)
-let all_flag c ~docv names doc = Arg.(value & opt_all c [] & info names ~docv ~doc)
-let switch names doc = Arg.(value & flag & info names ~doc)
+let opt_flag c default ?docv names doc = Arg.value (Arg.opt c default (info names ?docv doc))
+let all_flag c ~docv names doc = Arg.value (Arg.opt_all c [] (info names ~docv doc))
+let switch names doc = Arg.value (Arg.flag (info names doc))
 let enum_of name all = Arg.enum (List.map (fun p -> (name p, p)) all)
 let count = int_in ~lo:1 ()
 
@@ -436,9 +460,11 @@ let serve_term =
   in
   let arrival (rate, rate_used) clients (think_us, think_used) =
     match (clients, rate_used, think_used) with
-    | None, _, flag :: _ -> err "%s applies only to a closed loop (--closed-loop N)" flag
+    | None, _, flag :: _ ->
+        err "%s applies only to a closed loop (--closed-loop N)" (full_name flag)
     | None, _, [] -> Ok (Open_loop rate)
-    | Some _, flag :: _, _ -> err "%s applies only to an open loop (no --closed-loop)" flag
+    | Some _, flag :: _, _ ->
+        err "%s applies only to an open loop (no --closed-loop)" (full_name flag)
     | Some clients, [], _ -> Ok (Closed_loop { clients; think_us })
   in
   let tenants =
@@ -632,7 +658,7 @@ let term d =
       (fleet, fleet_used) =
     let ( let* ) = Result.bind in
     let outside what = function
-      | flag :: _ -> err "%s applies only to %s" flag what
+      | flag :: _ -> err "%s applies only to %s" (full_name flag) what
       | [] -> Ok ()
     in
     let* workload =

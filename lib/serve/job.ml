@@ -197,7 +197,7 @@ let worker_chiplets sched =
     List.filter
       (fun ch ->
         List.exists
-          (fun core -> Sched.worker_of_core sched core <> None)
+          (fun core -> Sched.worker_of_core sched core >= 0)
           (Topology.cores_of_chiplet topo ch))
       (List.init (Topology.num_chiplets topo) Fun.id)
   in

@@ -66,5 +66,7 @@ let placement ~chiplets ~job_id ~replicas =
 (* first worker hosted on the chiplet, the pin target for a replica *)
 let worker_on sched topo ~chiplet =
   List.find_map
-    (fun core -> Sched.worker_of_core sched core)
+    (fun core ->
+      let w = Sched.worker_of_core sched core in
+      if w >= 0 then Some w else None)
     (Topology.cores_of_chiplet topo chiplet)

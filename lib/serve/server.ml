@@ -659,10 +659,10 @@ module Session = struct
         let prof = Charm.Runtime.profiler rt in
         for w = 0 to Sched.n_workers sess.sched - 1 do
           let s = Charm.Profiler.cumulative prof ~worker:w in
-          Metrics.incr registry ~by:s.Charm.Profiler.local_hits "profiler.local_hits";
-          Metrics.incr registry ~by:s.Charm.Profiler.remote_chiplet "profiler.remote_chiplet";
-          Metrics.incr registry ~by:s.Charm.Profiler.remote_numa "profiler.remote_numa";
-          Metrics.incr registry ~by:s.Charm.Profiler.dram "profiler.dram"
+          Metrics.incr registry ~by:(s Charm.Profiler.Local_hits) "profiler.local_hits";
+          Metrics.incr registry ~by:(s Charm.Profiler.Remote_chiplet) "profiler.remote_chiplet";
+          Metrics.incr registry ~by:(s Charm.Profiler.Remote_numa) "profiler.remote_numa";
+          Metrics.incr registry ~by:(s Charm.Profiler.Dram) "profiler.dram"
         done
     | None -> ());
     let stats = Systems.report sess.inst in

@@ -44,10 +44,9 @@ let run ?(tenant = "dag") ?(job_id = 0) ctx (m : Mapper.t) (g : Graph.t) =
   let worker_for ch =
     let rec go = function
       | [] -> None
-      | core :: rest -> (
-          match Sched.worker_of_core sched core with
-          | Some w -> Some w
-          | None -> go rest)
+      | core :: rest ->
+          let w = Sched.worker_of_core sched core in
+          if w >= 0 then Some w else go rest
     in
     go (Topology.cores_of_chiplet topo ch)
   in

@@ -11,8 +11,8 @@
    assign clusters to chiplets heaviest-first, scoring each candidate by
    its current load plus the cluster's kind-weighted cost there — dense
    conv/matmul clusters gravitate to accelerator tiles, glue clusters to
-   big cores.  Ties fall back to the [Charm.Placement] visit order, so
-   the choice is deterministic and consistent with how CHARM fills
+   big cores.  Ties fall back to CHARM's Alg. 2 visit order
+   ([Topology.chiplet_order]), so the choice is deterministic and consistent with how CHARM fills
    sockets. *)
 
 open Chipsim
@@ -36,13 +36,12 @@ let cross_bytes (g : Graph.t) ~assign =
     0 g.edges
 
 (* chiplets in CHARM's placement-hint order: socket by socket, each
-   socket's chiplets as [Placement.chiplet_speed_order] visits them *)
+   socket's chiplets in [Topology.chiplet_order] *)
 let hint_order topo =
   let per_socket = topo.Topology.chiplets_per_socket in
   Array.init (Topology.num_chiplets topo) (fun i ->
       let socket = i / per_socket and k = i mod per_socket in
-      (socket * per_socket)
-      + (Charm.Placement.chiplet_speed_order topo ~socket).(k))
+      (socket * per_socket) + topo.Topology.chiplet_order.(socket).(k))
 
 let usable_chiplets topo = function
   | Some u ->

@@ -25,6 +25,7 @@ let run_in ctx g ~levels ~source =
   let n = g.Csr.n in
   let row_ptr = g.Csr.row_ptr and col = g.Csr.col in
   let level = Array.make n (-1) in
+  let found = Frontier.of_vertices n in
   let edges = ref 0 in
   level.(source) <- 0;
   Sched.Ctx.write ctx levels source;
@@ -35,11 +36,10 @@ let run_in ctx g ~levels ~source =
     let next_level = !depth + 1 in
     let workers = Sched.n_workers (Sched.Ctx.sched ctx) in
     let grain = max 16 (Array.length fr / (4 * workers)) in
-    (* per-chunk discovered vertices, merged after the barrier *)
-    let buffers = ref [] in
     Engine.Par.parallel_for ctx ~lo:0 ~hi:(Array.length fr) ~grain
       (fun ctx' lo hi ->
-        let local = ref [] in
+        (* this chunk's discoveries, merged after the barrier *)
+        let head = ref Frontier.empty in
         let local_edges = ref 0 in
         for i = lo to hi - 1 do
           let u = fr.(i) in
@@ -53,15 +53,15 @@ let run_in ctx g ~levels ~source =
             if level.(v) = -1 then begin
               level.(v) <- next_level;
               Sched.Ctx.write ctx' levels v;
-              local := v :: !local
+              head := Frontier.push found ~head:!head v
             end
           done;
           Sched.Ctx.maybe_yield ctx'
         done;
         Sched.Ctx.work ctx' (compute_ns_per_edge *. float_of_int !local_edges);
         edges := !edges + !local_edges;
-        buffers := !local :: !buffers);
-    frontier := Array.of_list (List.concat !buffers);
+        Frontier.finish found !head);
+    frontier := Frontier.next found;
     incr depth
   done;
   (level, !edges)

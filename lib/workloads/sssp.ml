@@ -29,6 +29,7 @@ let run env g ~source =
   let row_ptr = g.Csr.row_ptr and col = g.Csr.col and weight = g.Csr.weight in
   let sim_dist = env.Exec_env.alloc_shared ~elt_bytes:8 ~count:n in
   let dist = Array.make n max_int in
+  let relaxed = Frontier.of_edges ~col ~vertices:n in
   let work = ref 0 in
   let makespan =
     Exec_env.run env (fun ctx ->
@@ -39,10 +40,10 @@ let run env g ~source =
           let fr = !frontier in
           let workers = Sched.n_workers (Sched.Ctx.sched ctx) in
           let grain = max 16 (Array.length fr / (4 * workers)) in
-          let buffers = ref [] in
           Engine.Par.parallel_for ctx ~lo:0 ~hi:(Array.length fr) ~grain
             (fun ctx' lo hi ->
-              let local = ref [] in
+              (* this chunk's relaxed edges, merged after the barrier *)
+              let head = ref Frontier.empty in
               let local_edges = ref 0 in
               for i = lo to hi - 1 do
                 let u = fr.(i) in
@@ -56,26 +57,15 @@ let run env g ~source =
                   if du <> max_int && du + w < dist.(v) then begin
                     dist.(v) <- du + w;
                     Sched.Ctx.write ctx' sim_dist v;
-                    local := v :: !local
+                    head := Frontier.push relaxed ~head:!head e
                   end
                 done;
                 Sched.Ctx.maybe_yield ctx'
               done;
               Sched.Ctx.work ctx' (compute_ns_per_edge *. float_of_int !local_edges);
               work := !work + !local_edges;
-              buffers := !local :: !buffers);
-          (* dedup the next frontier *)
-          let seen = Hashtbl.create 64 in
-          let next =
-            List.concat !buffers
-            |> List.filter (fun v ->
-                   if Hashtbl.mem seen v then false
-                   else begin
-                     Hashtbl.add seen v ();
-                     true
-                   end)
-          in
-          frontier := Array.of_list next
+              Frontier.finish relaxed !head);
+          frontier := Frontier.next relaxed
         done)
   in
   (dist, Workload_result.v ~label:"sssp" ~makespan_ns:makespan ~work_items:!work)

@@ -87,7 +87,21 @@ let test_outside_flags_rejected () =
   Alcotest.(check bool) "round-trips" true (E.of_string printed = Ok t);
   Alcotest.(check bool) ("no --rate in " ^ printed) false
     (List.mem "--rate" (String.split_on_char ' ' printed));
-  check_rejected printed "--rate 100"
+  check_rejected printed "--rate 100";
+  (* a flag typed as an unambiguous prefix is named in full *)
+  List.iter
+    (fun (line, message) ->
+      match E.of_string line with
+      | Ok _ -> Alcotest.failf "accepted %s" line
+      | Error msg -> Alcotest.(check string) line message msg)
+    [
+      ("charm_serve --rou ewma", "charm_serve: --router applies only to a fleet (--fleet N)");
+      ("charm_run --ra=9", "charm_run: --rate applies only to serving (-w serve)");
+      ( "charm_serve --closed-loop 2 --ra 9",
+        "charm_serve: --rate applies only to an open loop (no --closed-loop)" );
+      ( "charm_serve --thi 9",
+        "charm_serve: --think-us applies only to a closed loop (--closed-loop N)" );
+    ]
 
 let test_repro_replays_fuzzer_report () =
   let replayed = ref 0 in

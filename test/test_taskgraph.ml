@@ -179,7 +179,7 @@ let test_accel_chiplet_flags () =
   Alcotest.(check bool) "accel refuses general" false
     (Topology.chiplet_accepts_general hetero_topo 3);
   Alcotest.(check int) "general chiplets per socket" 3
-    (Topology.general_chiplets_per_socket hetero_topo)
+    hetero_topo.Topology.general_chiplets_per_socket
 
 let accel_cores = Topology.cores_of_chiplet hetero_topo 3
 
