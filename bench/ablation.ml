@@ -15,7 +15,9 @@ let run_with_config config kernel ~workers =
   let open Workloads in
   let result =
     match kernel with
-    | Experiment.Bfs -> snd (Bfs.run env (Experiment.kernel_graph env t ~weighted:false) ~source:0)
+    | Experiment.Bfs ->
+        let g = Experiment.kernel_graph env t ~weighted:false in
+        snd (Bfs.run env g ~source:(Csr.default_source g))
     | Experiment.Gups -> Gups.run env { Gups.table_words = 1 lsl 20; updates = 1 lsl 16; seed = 17 }
     | _ -> invalid_arg "ablation: only BFS and GUPS are swept"
   in

@@ -49,7 +49,7 @@ let verdict schema name holds =
 let value_json = function
   | Int i -> string_of_int i
   | Num f -> Printf.sprintf "%.6g" f
-  | Str s -> "\"" ^ Serving.Metrics.json_escape s ^ "\""
+  | Str s -> "\"" ^ Engine.Trace.escape s ^ "\""
   | Bool b -> string_of_bool b
 
 (* the flat form a row renders to and a baseline file parses back to *)

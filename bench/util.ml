@@ -10,7 +10,7 @@ module Sys_ = Harness.Systems
    holds the newest window across the whole bench invocation. *)
 let trace_sink : Engine.Trace.t option ref = ref None
 
-let attach_trace inst = Option.iter (Sys_.attach_trace inst) !trace_sink
+let attach_trace inst = Engine.Sched.set_trace inst.Sys_.env.Workloads.Exec_env.sched !trace_sink
 
 (* Optional machine-readable sink: set by the driver's [--json FILE] flag;
    experiments emit typed rows ({!Row}) alongside their human tables, and

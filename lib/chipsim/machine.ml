@@ -429,7 +429,7 @@ let flush_caches t =
      must restart with them *)
   t.xfer_bytes <- 0
 
-let mem_ns t ~core = t.mem_ns.(core)
+let mem_ns_cells t = t.mem_ns
 let energy_pj t ~core = t.energy_pj.(core)
 
 (* memory-access energy only — the historical PR-8 meter; compute energy

@@ -86,9 +86,11 @@ val core_to_core_ns : t -> int -> int -> float
 val dram_load_ratio : t -> node:int -> now_ns:float -> float
 val dram_bytes_served : t -> node:int -> int
 
-val mem_ns : t -> core:int -> float
-(** Accumulated memory-access latency this core has been charged, in
-    virtual ns — a "latency PMU" companion to the fill-event counters.
+val mem_ns_cells : t -> float array
+(** Accumulated memory-access latency each core has been charged, in
+    virtual ns, indexed by core — a "latency PMU" companion to the
+    fill-event counters.  The machine's own array: reading [.(core)]
+    costs no boxed float; callers read it and never write it.
     Dividing its delta by the fill-count delta gives average latency per
     access, which degradation faults (link, L3 ways, bandwidth) inflate
     directly while compute time and scheduling delays leave it untouched;

@@ -7,7 +7,6 @@ type t = {
      resolution in [Adaptive] mode look like a switch *)
   mutable last_mode : Config.approach;
   mutable switches : int;
-  mutable on_switch : from_mode:Config.approach -> to_mode:Config.approach -> unit;
   decision : decision;  (* all-float, so overwriting it boxes nothing *)
 }
 
@@ -16,11 +15,8 @@ let create config =
     config;
     last_mode = Config.Adaptive;
     switches = 0;
-    on_switch = (fun ~from_mode:_ ~to_mode:_ -> ());
     decision = { threshold = 0.0 };
   }
-
-let set_on_switch t f = t.on_switch <- f
 
 (* Approach-specific threshold scaling: location-centric delays spreading
    (high threshold), cache-centric triggers it eagerly (low threshold). *)
@@ -51,10 +47,7 @@ let decide t ~degraded ~remote_chiplet ~dram ~remote =
   let prev = t.last_mode in
   (* an [Adaptive] previous mode is the unresolved placeholder, not a
      direction — resolving it for the first time is not a switch *)
-  if prev <> mode && prev <> Config.Adaptive then begin
-    t.switches <- t.switches + 1;
-    t.on_switch ~from_mode:prev ~to_mode:mode
-  end;
+  if prev <> mode && prev <> Config.Adaptive then t.switches <- t.switches + 1;
   t.last_mode <- mode;
   let base = t.config.Config.rmt_chip_access_rate in
   let threshold =

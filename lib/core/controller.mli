@@ -35,9 +35,6 @@ val mode : t -> Config.approach
 
 val mode_switches : t -> int
 (** Number of times adaptive mode changed direction (for stats).  The
-    first concrete resolution after {!create} is not a switch. *)
-
-val set_on_switch :
-  t -> (from_mode:Config.approach -> to_mode:Config.approach -> unit) -> unit
-(** Callback invoked whenever a counted mode switch happens (tracing
-    hook). *)
+    first concrete resolution after {!create} is not a switch; a
+    {!decide} that raised it switched from the previous {!mode} to the
+    current one. *)

@@ -1,4 +1,5 @@
 open Chipsim
+module Sched = Engine.Sched
 
 (* Detection parameters.  The monitor is a heuristic consumer of the same
    PMU deltas the profiler reads; the constants trade detection latency
@@ -50,7 +51,6 @@ type t = {
   mutable mods_generation : int;
   mutable first_flag_ns : float option;
   mutable events : event list;  (* newest first *)
-  mutable on_event : chiplet:int -> sick:bool -> at_ns:float -> unit;
   sorted : float array;  (* {!median_ewma}'s sort buffer, one slot per chiplet *)
 }
 
@@ -76,11 +76,9 @@ let create machine ~n_workers =
     mods_generation = -1;
     first_flag_ns = None;
     events = [];
-    on_event = (fun ~chiplet:_ ~sick:_ ~at_ns:_ -> ());
     sorted = Array.make (Topology.num_chiplets topo) 0.0;
   }
 
-let set_on_event t f = t.on_event <- f
 let sick t ~chiplet = t.chiplets.(chiplet).sick
 
 let sick_chiplets t =
@@ -94,7 +92,21 @@ let any_sick t = Array.exists (fun c -> c.sick) t.chiplets
 let first_flag_ns t = t.first_flag_ns
 let events t = List.rev t.events
 
-let flag t ~chiplet ~sick ~at_ns =
+let counter_series t =
+  let acc = ref [] in
+  for c = Array.length t.chiplets - 1 downto 0 do
+    let st = t.chiplets.(c) in
+    if st.samples > 0 || st.sick then
+      acc :=
+        (Printf.sprintf "chiplet%d_ns_per_access" c, st.ewma)
+        :: (Printf.sprintf "chiplet%d_sick" c, if st.sick then 1.0 else 0.0)
+        :: !acc
+  done;
+  !acc
+
+(* A flag transition, recorded into the scheduler's trace when one is
+   attached: the instant, then the per-chiplet counter track. *)
+let flag t sched ~chiplet ~sick ~at_ns =
   let st = t.chiplets.(chiplet) in
   if st.sick <> sick then begin
     st.sick <- sick;
@@ -102,7 +114,15 @@ let flag t ~chiplet ~sick ~at_ns =
     st.healthy_streak <- 0;
     if sick && t.first_flag_ns = None then t.first_flag_ns <- Some at_ns;
     t.events <- { chiplet; sick; at_ns } :: t.events;
-    t.on_event ~chiplet ~sick ~at_ns
+    match Sched.trace sched with
+    | Some tr ->
+        Engine.Trace.instant tr
+          ~name:
+            (Printf.sprintf "health: chiplet %d %s" chiplet
+               (if sick then "sick" else "recovered"))
+          ~at_ns;
+        Engine.Trace.counter tr ~name:"health" ~at_ns ~series:(counter_series t)
+    | None -> ()
   end
 
 (* Total data accesses a core has performed, per the PMU. *)
@@ -118,8 +138,9 @@ let accesses_of_core t ~core =
 (* DVFS and hotplug are OS-visible on real machines (sysfs); treating
    them as instantly known keeps the EWMA path for what is genuinely
    silent (latency degradation).  Re-derived only when the modifier
-   generation moved. *)
-let sync_os_visible t ~now =
+   generation moved.  The clock is passed as its cell and read only to
+   stamp a flag, so a call that flags nothing boxes no float. *)
+let sync_os_visible t sched ~clock =
   let mods = Machine.modifiers t.machine in
   let gen = Modifiers.generation mods in
   if gen <> t.mods_generation then begin
@@ -131,7 +152,8 @@ let sync_os_visible t ~now =
         let impaired =
           Modifiers.chiplet_os_impaired mods ~chiplet ~cores_per_chiplet:cpc
         in
-        if impaired && not st.sick then flag t ~chiplet ~sick:true ~at_ns:now)
+        if impaired && not st.sick then
+          flag t sched ~chiplet ~sick:true ~at_ns:clock.(0))
       t.chiplets
   end
 
@@ -156,7 +178,7 @@ let[@inline] median_ewma t =
   done;
   if !n < 2 then nan else buf.(!n / 2)
 
-let judge t ~chiplet ~now =
+let judge t sched ~chiplet ~clock =
   let st = t.chiplets.(chiplet) in
   if st.samples >= min_samples && st.baseline > 0.0 then
     if st.sick then begin
@@ -173,7 +195,7 @@ let judge t ~chiplet ~now =
                   ~chiplet
                   ~cores_per_chiplet:
                     (Machine.topology t.machine).Topology.cores_per_chiplet)
-        then flag t ~chiplet ~sick:false ~at_ns:now
+        then flag t sched ~chiplet ~sick:false ~at_ns:clock.(0)
       end
       else st.healthy_streak <- 0
     end
@@ -186,16 +208,19 @@ let judge t ~chiplet ~now =
       in
       if jumped && outlier then begin
         st.strikes <- st.strikes + 1;
-        if st.strikes >= strike_limit then flag t ~chiplet ~sick:true ~at_ns:now
+        if st.strikes >= strike_limit then
+          flag t sched ~chiplet ~sick:true ~at_ns:clock.(0)
       end
       else st.strikes <- 0
     end
 
-let observe t ~worker ~core ~now =
-  sync_os_visible t ~now;
+let observe t sched ~worker =
+  let clock = Sched.worker_clock_cell sched worker in
+  sync_os_visible t sched ~clock;
+  let core = Sched.worker_core sched worker in
   let ws = t.workers.(worker) in
   let accesses = accesses_of_core t ~core in
-  let mem_ns = Machine.mem_ns t.machine ~core in
+  let mem_ns = (Machine.mem_ns_cells t.machine).(core) in
   if ws.last_core <> core then begin
     (* migrated (or first sample): the old baseline refers to another
        core's counters — rebase without producing a sample *)
@@ -223,18 +248,6 @@ let observe t ~worker ~core ~now =
       st.samples <- st.samples + 1;
       ws.last_mem_ns <- mem_ns;
       ws.last_accesses <- accesses;
-      judge t ~chiplet ~now
+      judge t sched ~chiplet ~clock
     end
   end
-
-let counter_series t =
-  let acc = ref [] in
-  for c = Array.length t.chiplets - 1 downto 0 do
-    let st = t.chiplets.(c) in
-    if st.samples > 0 || st.sick then
-      acc :=
-        (Printf.sprintf "chiplet%d_ns_per_access" c, st.ewma)
-        :: (Printf.sprintf "chiplet%d_sick" c, if st.sick then 1.0 else 0.0)
-        :: !acc
-  done;
-  !acc

@@ -9,7 +9,7 @@
     - {b Silent} degradation (link latency, L3 way loss, memory-channel
       throttling) is inferred from memory latency per access: each worker
       quantum contributes a [ns/access] sample — the delta of the core's
-      accumulated {!Chipsim.Machine.mem_ns} latency meter over the delta
+      accumulated {!Chipsim.Machine.mem_ns_cells} latency meter over the delta
       of its fill-event count, so compute time and scheduling delays
       cancel out — to its chiplet's fast EWMA.  A chiplet is flagged when
       the fast EWMA both jumps well above the chiplet's own slow baseline
@@ -29,10 +29,15 @@ type event = { chiplet : int; sick : bool; at_ns : float }
 
 val create : Machine.t -> n_workers:int -> t
 
-val observe : t -> worker:int -> core:int -> now:float -> unit
-(** Feed one quantum-end observation for [worker] running on [core] at
-    virtual time [now].  Cheap (a few PMU reads); intended to run from the
-    scheduler's [on_quantum_end] hook before the policy tick. *)
+val observe : t -> Engine.Sched.t -> worker:int -> unit
+(** Feed one quantum-end observation for [worker], read from the
+    scheduler: its core and its clock.  Cheap (a few PMU reads), and
+    allocation-free unless it produces a sample; intended to run from
+    the scheduler's [on_quantum_end] hook before the policy tick.  Every
+    flag transition is recorded into the scheduler's trace when one is
+    attached: a [health: chiplet N sick|recovered] instant, then a
+    [health] counter track of the [ns/access] EWMA and sick flag of each
+    chiplet with data. *)
 
 val sick : t -> chiplet:int -> bool
 val sick_chiplets : t -> int list
@@ -45,9 +50,3 @@ val first_flag_ns : t -> float option
 val events : t -> event list
 (** All flag transitions, oldest first. *)
 
-val counter_series : t -> (string * float) list
-(** Per-chiplet [ns/access] EWMA and sick flags, for a trace counter
-    track.  Only chiplets with data appear. *)
-
-val set_on_event : t -> (chiplet:int -> sick:bool -> at_ns:float -> unit) -> unit
-(** Callback on every flag transition (tracing / serving-layer hook). *)

@@ -14,6 +14,10 @@ type t = {
   machine : Machine.t;
   controller : Controller.t;
   profiler : Profiler.t;
+  health : Health_monitor.t;
+  power_cap : Power_cap.t option;
+      (* only consulted when energy_weight > 0, so capped-but-unweighted
+         runs place identically to pre-energy CHARM *)
   n_workers : int;
   spreads : int array;  (* per worker: its Alg. 1 spread_rate *)
   last_check : float array;  (* per worker: clock at its last evaluation *)
@@ -25,16 +29,9 @@ type t = {
   mutable s_migrations : int;
   mutable s_skipped : int;
   mutable s_health_migrations : int;
-  mutable health : (int -> bool) option;  (* chiplet -> currently sick? *)
-  mutable power_hot : (int -> bool) option;
-      (* chiplet -> throttled by the power-cap controller?  Only
-         consulted when energy_weight > 0, so capped-but-unweighted runs
-         place identically to pre-energy CHARM *)
-  mutable on_spread_change :
-    worker:int -> old_spread:int -> new_spread:int -> at_ns:float -> unit;
 }
 
-let create config machine controller profiler ~n_workers =
+let create config machine controller profiler health power_cap ~n_workers =
   let topo = Machine.topology machine in
   Config.validate config topo;
   {
@@ -42,6 +39,8 @@ let create config machine controller profiler ~n_workers =
     machine;
     controller;
     profiler;
+    health;
+    power_cap;
     n_workers;
     spreads = Array.make n_workers config.Config.initial_spread;
     last_check = Array.make n_workers 0.0;
@@ -53,10 +52,6 @@ let create config machine controller profiler ~n_workers =
     s_migrations = 0;
     s_skipped = 0;
     s_health_migrations = 0;
-    health = None;
-    power_hot = None;
-    on_spread_change =
-      (fun ~worker:_ ~old_spread:_ ~new_spread:_ ~at_ns:_ -> ());
   }
 
 (* Contraction happens only well below the spread trigger: CHARM
@@ -67,21 +62,16 @@ let create config machine controller profiler ~n_workers =
 let hysteresis = 0.25
 
 let spread_rate t ~worker = t.spreads.(worker)
-let set_health t f = t.health <- f
-let chiplet_sick t chiplet =
-  match t.health with None -> false | Some sick -> sick chiplet
-
-let set_power_oracle t f = t.power_hot <- f
+let chiplet_sick t chiplet = Health_monitor.sick t.health ~chiplet
 
 let chiplet_hot t chiplet =
   t.config.Config.energy_weight > 0.0
-  && match t.power_hot with None -> false | Some hot -> hot chiplet
+  && match t.power_cap with None -> false | Some pc -> Power_cap.throttled pc ~chiplet
 
 (* sick and hot chiplets get the same treatment: vetoed as targets, fled
    when occupied — being throttled for power is operationally the same
    signal as being throttled by a fault *)
 let chiplet_avoid t chiplet = chiplet_sick t chiplet || chiplet_hot t chiplet
-let set_on_spread_change t f = t.on_spread_change <- f
 
 let stats t =
   {
@@ -209,6 +199,34 @@ let[@inline] step t ~rate ~threshold spread =
   end
   else spread
 
+(* Decision records, into the scheduler's trace when one is attached.
+   A spread change is stamped at the deciding worker's clock.  A mode
+   switch has no single owning worker, so it is stamped at the frontier
+   of the (virtual, deterministic) worker clocks, read from their cells. *)
+let record_spread_change sched ~worker ~old_spread ~new_spread ~at_ns =
+  match Engine.Sched.trace sched with
+  | Some tr -> Engine.Trace.spread_change tr ~worker ~old_spread ~new_spread ~at_ns
+  | None -> ()
+
+(* [Controller.decide] with its mode switch, if it made one, recorded *)
+let decide t sched ~degraded ~remote_chiplet ~dram ~remote =
+  let from_mode = Controller.mode t.controller in
+  let switches = Controller.mode_switches t.controller in
+  let decision = Controller.decide t.controller ~degraded ~remote_chiplet ~dram ~remote in
+  (if Controller.mode_switches t.controller <> switches then
+     match Engine.Sched.trace sched with
+     | Some tr ->
+         let at_ns = ref 0.0 in
+         for w = 0 to Engine.Sched.n_workers sched - 1 do
+           at_ns := Float.max !at_ns (Engine.Sched.worker_clock_cell sched w).(0)
+         done;
+         Engine.Trace.mode_switch tr
+           ~from_mode:(Config.approach_to_string from_mode)
+           ~to_mode:(Config.approach_to_string (Controller.mode t.controller))
+           ~at_ns:!at_ns
+     | None -> ());
+  decision
+
 (* One Alg. 1 evaluation.  One that changes no spread and moves no worker
    allocates nothing: the clock is read from the worker's clock cell, the
    profiler and controller write into state they own, and Alg. 2 and the
@@ -232,7 +250,7 @@ let evaluate t sched ~worker =
     chiplet_sick t (Topology.chiplet_of_core (Machine.topology t.machine) core)
   in
   let decision =
-    Controller.decide t.controller ~degraded
+    decide t sched ~degraded
       ~remote_chiplet:(Profiler.delta prof ~worker Profiler.Remote_chiplet)
       ~dram:(Profiler.delta prof ~worker Profiler.Dram) ~remote:counter
   in
@@ -240,7 +258,7 @@ let evaluate t sched ~worker =
   let spread = step t ~rate ~threshold:decision.Controller.threshold old_spread in
   if spread <> old_spread then begin
     t.spreads.(worker) <- spread;
-    t.on_spread_change ~worker ~old_spread ~new_spread:spread ~at_ns:now
+    record_spread_change sched ~worker ~old_spread ~new_spread:spread ~at_ns:now
   end;
   update_location t sched ~worker ~core:(Engine.Sched.worker_core sched worker);
   flee_sick_chiplet t sched ~worker
@@ -273,14 +291,14 @@ let centralized_evaluate t sched =
     *. t.config.Config.scheduler_timer_ns /. (now -. t.last_check.(0))
   in
   let decision =
-    Controller.decide t.controller ~degraded:false ~remote_chiplet:!remote_chiplet
-      ~dram:!dram ~remote:!total
+    decide t sched ~degraded:false ~remote_chiplet:!remote_chiplet ~dram:!dram
+      ~remote:!total
   in
   let old_global = t.spreads.(0) in
   let global = step t ~rate ~threshold:decision.Controller.threshold old_global in
   if global <> old_global then
     (* one event for the gang: the arbiter decides, everyone follows *)
-    t.on_spread_change ~worker:0 ~old_spread:old_global ~new_spread:global
+    record_spread_change sched ~worker:0 ~old_spread:old_global ~new_spread:global
       ~at_ns:now;
   for w = 0 to t.n_workers - 1 do
     t.spreads.(w) <- global;

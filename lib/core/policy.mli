@@ -23,40 +23,41 @@ type stats = {
 type t
 
 val create :
-  Config.t -> Machine.t -> Controller.t -> Profiler.t -> n_workers:int -> t
+  Config.t ->
+  Machine.t ->
+  Controller.t ->
+  Profiler.t ->
+  Health_monitor.t ->
+  Power_cap.t option ->
+  n_workers:int ->
+  t
+(** The policy steers by the health monitor's sick chiplets: Alg. 2
+    targets on them are vetoed, workers already on one flee to the
+    nearest free healthy core at their next tick, and the controller
+    threshold is halved for degraded workers.
 
-val spread_rate : t -> worker:int -> int
-
-val set_health : t -> (int -> bool) option -> unit
-(** Install a [chiplet -> currently sick] oracle (the health monitor).
-    While set, Alg. 2 targets on sick chiplets are vetoed, workers already
-    on a sick chiplet flee to the nearest free healthy core at their next
-    tick, and the controller threshold is halved for degraded workers. *)
-
-val set_power_oracle : t -> (int -> bool) option -> unit
-(** Install a [chiplet -> currently power-throttled] oracle (the
-    {!Power_cap} controller).  Only consulted when
+    The power-cap controller's throttled chiplets are consulted only when
     [Config.energy_weight > 0]: hot chiplets then get the same treatment
-    as sick ones — vetoed as Alg. 2 targets and fled when occupied — and
-    flee candidates are scored EDP-style,
+    as sick ones, and flee candidates are scored EDP-style,
     [speed / (1 + energy_weight x kind energy density)], trading peak
     speed for efficient silicon.  With [energy_weight = 0] placement is
-    identical to pre-energy CHARM regardless of the oracle. *)
+    identical to pre-energy CHARM, capped or not. *)
+
+val spread_rate : t -> worker:int -> int
 
 val tick : t -> Engine.Sched.t -> worker:int -> unit
 (** Run one Alg. 1 evaluation for [worker] if its timer elapsed.  Intended
     as the scheduler's [on_quantum_end] hook.  Applies the migration via
-    {!Engine.Sched.migrate} and rebases the worker's profiler sample. *)
+    {!Engine.Sched.migrate} and rebases the worker's profiler sample.
+
+    Each decision is recorded into the scheduler's trace when one is
+    attached: a widened or narrowed spread_rate as a spread change at the
+    deciding worker's clock (centralized mode records one gang-wide
+    change as worker 0), and an adaptive mode switch, first, at the
+    largest worker clock. *)
 
 val force_tick : t -> Engine.Sched.t -> worker:int -> unit
 (** Evaluate immediately, ignoring the timer (used by tests/benches). *)
 
 val stats : t -> stats
 
-val set_on_spread_change :
-  t ->
-  (worker:int -> old_spread:int -> new_spread:int -> at_ns:float -> unit) ->
-  unit
-(** Callback invoked whenever Alg. 1 widens or narrows a worker's
-    spread_rate (tracing hook); centralized mode reports one gang-wide
-    change as worker 0. *)

@@ -4,7 +4,6 @@ module Sched = Engine.Sched
 type t = {
   sched : Sched.t;
   profiler : Profiler.t;
-  controller : Controller.t;
   policy : Policy.t;
   health : Health_monitor.t;
   power_cap : Power_cap.t option;
@@ -32,7 +31,6 @@ let init ?(config = Config.default) ?task_model machine ~n_workers =
   let profiler = Profiler.create machine ~n_workers in
   let controller = Controller.create config in
   let config = { config with Config.initial_spread = spread0 } in
-  let policy = Policy.create config machine controller profiler ~n_workers in
   let health = Health_monitor.create machine ~n_workers in
   (* any energy feature — a cap or EDP-weighted placement — needs the
      per-quantum compute meters running; plain runs leave them off so the
@@ -47,15 +45,8 @@ let init ?(config = Config.default) ?task_model machine ~n_workers =
            ~window_ns:(10.0 *. config.Config.scheduler_timer_ns))
     else None
   in
-  Policy.set_health policy (Some (fun chiplet -> Health_monitor.sick health ~chiplet));
-  (match power_cap with
-  | Some pc ->
-      Policy.set_power_oracle policy
-        (Some (fun chiplet -> Power_cap.throttled pc ~chiplet))
-  | None -> ());
-  let t =
-    { sched; profiler; controller; policy; health; power_cap }
-  in
+  let policy = Policy.create config machine controller profiler health power_cap ~n_workers in
+  let t = { sched; profiler; policy; health; power_cap } in
   let hooks =
     {
       Sched.on_quantum_end =
@@ -90,9 +81,7 @@ let init ?(config = Config.default) ?task_model machine ~n_workers =
             Sched.charge sched ~worker profiler_overhead_ns;
             (* health first: the policy tick right after should already
                see a freshly flagged chiplet *)
-            Health_monitor.observe health ~worker
-              ~core:(Sched.worker_core sched worker)
-              ~now:(Sched.worker_clock sched worker);
+            Health_monitor.observe health sched ~worker;
             Policy.tick policy sched ~worker
           end);
       steal_order =
@@ -104,34 +93,7 @@ let init ?(config = Config.default) ?task_model machine ~n_workers =
   t
 
 let sched t = t.sched
-
-(* the clocks are virtual and deterministic, so the frontier is a stable
-   timestamp for events with no single owning worker (mode switches) *)
-let max_clock t =
-  let m = ref 0.0 in
-  for w = 0 to Sched.n_workers t.sched - 1 do
-    m := Float.max !m (Sched.worker_clock t.sched w)
-  done;
-  !m
-
-let attach_trace t tr =
-  Sched.set_trace t.sched (Some tr);
-  Policy.set_on_spread_change t.policy
-    (fun ~worker ~old_spread ~new_spread ~at_ns ->
-      Engine.Trace.spread_change tr ~worker ~old_spread ~new_spread ~at_ns);
-  Controller.set_on_switch t.controller (fun ~from_mode ~to_mode ->
-      Engine.Trace.mode_switch tr
-        ~from_mode:(Config.approach_to_string from_mode)
-        ~to_mode:(Config.approach_to_string to_mode)
-        ~at_ns:(max_clock t));
-  Health_monitor.set_on_event t.health (fun ~chiplet ~sick ~at_ns ->
-      Engine.Trace.instant tr
-        ~name:
-          (Printf.sprintf "health: chiplet %d %s" chiplet
-             (if sick then "sick" else "recovered"))
-        ~at_ns;
-      Engine.Trace.counter tr ~name:"health" ~at_ns
-        ~series:(Health_monitor.counter_series t.health))
+let attach_trace t tr = Sched.set_trace t.sched (Some tr)
 
 let policy t = t.policy
 let power_cap t = t.power_cap

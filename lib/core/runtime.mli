@@ -37,13 +37,14 @@ val power_cap : t -> Power_cap.t option
 
 val health : t -> Health_monitor.t
 (** The degradation detector.  It is fed automatically at every quantum
-    end (before the policy tick) and wired into the policy as its
-    sick-chiplet oracle; under fault injection the gang flees flagged
+    end (before the policy tick) and handed to the policy at creation as
+    its sick-chiplet oracle; under fault injection the gang flees flagged
     chiplets and admission control can shrink capacity. *)
 
 val attach_trace : t -> Engine.Trace.t -> unit
-(** Wire a trace sink through every layer: the scheduler (quantum, steal,
-    park, migration events), the policy (spread changes), the controller
-    (adaptive mode switches) and the health monitor (sick/recovered
-    instants plus a per-chiplet ns/access counter track).  Call once,
-    before running work. *)
+(** [Engine.Sched.set_trace] on the runtime's scheduler.  Every layer
+    records into that one trace: the scheduler (quantum, steal, park,
+    migration events), the policy (spread changes and adaptive mode
+    switches), the health monitor (sick/recovered instants plus a
+    per-chiplet ns/access counter track) and the power cap (shed and
+    release instants). *)

@@ -183,7 +183,8 @@ val run : t -> float
 
 val total_spawned : t -> int
 val concurrency_samples : t -> (float * int) array
-(** [(virtual time, live task count)] recorded at every spawn/finish. *)
+(** [(virtual time, live task count)] recorded each time a task
+    finishes. *)
 
 val task_id : task -> int
 

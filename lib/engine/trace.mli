@@ -123,6 +123,12 @@ val to_chrome_json : t list -> string
 val save : t list -> string -> unit
 (** Write {!to_chrome_json} to a file. *)
 
+val escape : string -> string
+(** The body of a JSON string literal holding [s]: quotes, backslashes,
+    [\n], [\r] and [\t] backslash-escaped, other control characters as
+    [\u00XX].  The one escaper behind every JSON file the repo writes
+    (traces, serving reports, bench rows). *)
+
 val summary : t -> string
 (** Human-readable digest: event counts by category, migration churn,
     job-phase counts and the spread-change timeline. *)

@@ -855,10 +855,6 @@ let kernel_graph env t ~weighted =
   let alloc ~elt_bytes ~count = env.Workloads.Exec_env.alloc_shared ~elt_bytes ~count in
   Workloads.Csr.of_kronecker ~weighted ~alloc kron
 
-let bfs_source g =
-  let rec go v = if v >= g.Workloads.Csr.n - 1 || Workloads.Csr.degree g v > 0 then v else go (v + 1) in
-  go 0
-
 let audit g result =
   let open Workloads in
   let against name pp same got want =
@@ -872,8 +868,8 @@ let audit g result =
         (pp want.(v))
   in
   match result with
-  | Levels levels -> against "bfs" string_of_int ( = ) levels (Bfs.reference g ~source:(bfs_source g))
-  | Distances dist -> against "sssp" string_of_int ( = ) dist (Sssp.reference g ~source:(bfs_source g))
+  | Levels levels -> against "bfs" string_of_int ( = ) levels (Bfs.reference g ~source:(Csr.default_source g))
+  | Distances dist -> against "sssp" string_of_int ( = ) dist (Sssp.reference g ~source:(Csr.default_source g))
   | Ranks ranks ->
       (* 1e-9 absolute, within perfbench's 1e-9 + 1e-6 relative bound *)
       let close x y = Float.abs (x -. y) <= 1e-9 in
@@ -910,7 +906,7 @@ let run_kernel out env t kernel =
   match kernel with
   | Bfs ->
       let g = graph ~weighted:false in
-      let levels, r = Bfs.run env g ~source:(bfs_source g) in
+      let levels, r = Bfs.run env g ~source:(Csr.default_source g) in
       line "BFS: %.3e edges/s\n" (rate r);
       checked g (Levels levels) r
   | Pagerank ->
@@ -925,7 +921,7 @@ let run_kernel out env t kernel =
       checked g (Labels labels) r
   | Sssp ->
       let g = graph ~weighted:true in
-      let dist, r = Sssp.run env g ~source:(bfs_source g) in
+      let dist, r = Sssp.run env g ~source:(Csr.default_source g) in
       line "SSSP: %.3e relaxations/s\n" (rate r);
       checked g (Distances dist) r
   | Gups ->
@@ -1087,7 +1083,7 @@ let run ?trace t =
   | Batch kernel ->
       with_plant t (fun () ->
           let inst = instance t in
-          Option.iter (Systems.attach_trace inst) trace;
+          Engine.Sched.set_trace inst.Systems.env.Workloads.Exec_env.sched trace;
           let out = Buffer.create 1024 in
           Printf.bprintf out "system=%s machine=[%s] workers=%d cache-scale=%d\n"
             (Systems.sys_name t.sys)

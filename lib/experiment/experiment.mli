@@ -151,13 +151,10 @@ val kernel_graph : Workloads.Exec_env.t -> t -> weighted:bool -> Workloads.Csr.t
     is kept, keyed by [t]'s seed and graph scale, so runs on one graph
     generate it once. *)
 
-val bfs_source : Workloads.Csr.t -> int
-(** The BFS/SSSP source vertex: the first vertex with an edge. *)
-
 val audit : Workloads.Csr.t -> functional -> unit
 (** [audit g result] compares a graph kernel's result on [g] with its
     sequential reference: BFS levels and SSSP distances (from
-    {!bfs_source}) and component labels (each component's smallest
+    {!Workloads.Csr.default_source}) and component labels (each component's smallest
     vertex) exactly, and PageRank ranks within 1e-9 absolute.  Other results pass.  {!run}
     calls it on every graph kernel's result under [check].
     @raise Chipsim.Invariant.Violation on the first mismatch. *)

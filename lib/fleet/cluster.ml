@@ -140,8 +140,7 @@ let generate_arrivals cfg =
              | Serving.Arrivals.Open_loop { rate_per_s } -> rate_per_s
              | Serving.Arrivals.Closed_loop _ -> assert false
            in
-           let arr_rng = Rng.create ((seed * 31) + (2 * ti) + 1) in
-           let mix_rng = Rng.create ((seed * 31) + (2 * ti)) in
+           let mix_rng, arr_rng = Server.tenant_streams ~seed ~tenant:ti in
            let times =
              diurnal_times arr_rng ~rate_per_s:rate ~jobs:t.Server.jobs
                ~amplitude:cfg.diurnal_amplitude ~period_ns
@@ -523,7 +522,7 @@ let result_to_json res =
     obj
       [
         ("shard", string_of_int sr.shard);
-        ("machine", "\"" ^ Metrics.json_escape sr.machine ^ "\"");
+        ("machine", "\"" ^ Trace.escape sr.machine ^ "\"");
         ("placed", string_of_int sr.placed);
         ( "completed",
           string_of_int (sum_tenants r (fun tr -> tr.Server.completed)) );

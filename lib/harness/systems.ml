@@ -122,11 +122,6 @@ let make ?(cache_scale = 1) ?charm_config sys kind ~n_workers () =
   in
   { env = { Workloads.Exec_env.sched; alloc_shared }; machine; charm }
 
-let attach_trace instance tr =
-  match instance.charm with
-  | Some rt -> Charm.Runtime.attach_trace rt tr
-  | None -> Engine.Sched.set_trace instance.env.Workloads.Exec_env.sched (Some tr)
-
 let report instance =
   let sched = instance.env.Workloads.Exec_env.sched in
   let makespan =

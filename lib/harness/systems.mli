@@ -77,11 +77,5 @@ val make :
     CHARM and by the spec's [shared_policy] under a baseline.
     @raise Invalid_argument if the machine cannot host [n_workers]. *)
 
-val attach_trace : instance -> Engine.Trace.t -> unit
-(** Wire a trace sink: through every CHARM layer
-    ({!Charm.Runtime.attach_trace}) when present, else into the scheduler
-    (quantum, steal, park and migration events).  Call once, before
-    running work. *)
-
 val report : instance -> Engine.Stats.report
 (** End-of-run statistics; the makespan is the largest worker clock. *)

@@ -148,29 +148,12 @@ let pick_source d rng =
   let g = d.graph in
   let n = g.Workloads.Csr.n in
   let rec try_random attempts =
-    if attempts = 0 then
-      (* fall back to the first non-isolated vertex *)
-      let rec scan v =
-        if v >= n - 1 || Workloads.Csr.degree g v > 0 then min v (n - 1)
-        else scan (v + 1)
-      in
-      scan 0
+    if attempts = 0 then Workloads.Csr.default_source g
     else
       let v = Engine.Rng.int rng n in
       if Workloads.Csr.degree g v > 0 then v else try_random (attempts - 1)
   in
   try_random 32
-
-let run_gups ctx d rng updates =
-  if updates <= 0 then invalid_arg "Job.run: gups updates <= 0";
-  for i = 0 to updates - 1 do
-    let idx = Engine.Rng.int rng gups_table_words in
-    Sched.Ctx.read ctx d.gups_table idx;
-    Sched.Ctx.write ctx d.gups_table idx;
-    Sched.Ctx.work ctx 2.0;
-    if i land 63 = 63 then Sched.Ctx.maybe_yield ctx
-  done;
-  updates
 
 (* Ycsb.run's paper mix reduced to a batch that runs inside one serving
    task; it draws the key before the dice, so its streams are its own *)
@@ -237,7 +220,10 @@ let run ctx d ~seed kind =
           ~iterations:pagerank_iterations ()
       in
       updates
-  | Gups n -> run_gups ctx d rng n
+  | Gups n ->
+      if n <= 0 then invalid_arg "Job.run: gups updates <= 0";
+      Workloads.Gups.updates ctx d.gups_table ~table_words:gups_table_words rng n;
+      n
   | Tpch q ->
       let r = Olap.Tpch_queries.run ctx ~alloc:d.alloc d.tpch q in
       max 1 r.Olap.Tpch_queries.rows_out

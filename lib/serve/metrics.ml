@@ -51,21 +51,8 @@ let merge dst src =
     (fun (name, h) -> Histogram.merge (histogram dst name) h)
     (sorted src.histograms)
 
-(* JSON rendering: plain strings in, sorted keys out, no dependencies. *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* JSON rendering: plain strings in (escaped by the engine's one escaper),
+   sorted keys out. *)
 
 let json_float v =
   if Float.is_integer v && Float.abs v < 1e15 then
@@ -77,7 +64,7 @@ let sorted_bindings tbl =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ v) fields) ^ "}"
+  "{" ^ String.concat "," (List.map (fun (k, v) -> "\"" ^ Engine.Trace.escape k ^ "\":" ^ v) fields) ^ "}"
 
 let hist_json h =
   obj
@@ -92,7 +79,6 @@ let hist_json h =
     ]
 
 let json_of_float = json_float
-let json_escape = escape
 let json_obj = obj
 let json_of_histogram = hist_json
 

@@ -51,7 +51,6 @@ val to_json : t -> string
     number in the serving layer is formatted identically. *)
 
 val json_of_float : float -> string
-val json_escape : string -> string
 
 val json_obj : (string * string) list -> string
 (** [{"k1":v1,...}] in the given order; keys are escaped, values are

@@ -131,6 +131,9 @@ type pending = {
   done_f : float Future.t;  (** fulfilled with the completion timestamp *)
 }
 
+let tenant_streams ~seed ~tenant =
+  (Engine.Rng.create ((seed * 31) + (2 * tenant)), Engine.Rng.create ((seed * 31) + (2 * tenant) + 1))
+
 let pick_kind rng mix =
   let total = List.fold_left (fun a (_, w) -> a + w) 0 mix in
   let r = Engine.Rng.int rng total in
@@ -280,11 +283,12 @@ module Session = struct
             in
             num /. float_of_int den
           in
+          let mix_rng, arrival_rng = tenant_streams ~seed:cfg.seed ~tenant:idx in
           {
             cfg_t = t;
             idx;
-            mix_rng = Engine.Rng.create ((cfg.seed * 31) + (2 * idx));
-            arrival_rng = Engine.Rng.create ((cfg.seed * 31) + (2 * idx) + 1);
+            mix_rng;
+            arrival_rng;
             mean_cost;
             slo = t.slo_factor *. mean_cost;
             submitted = 0;
@@ -305,15 +309,15 @@ module Session = struct
     let fq = Fair_queue.create () in
     Array.iter (fun st -> Fair_queue.add_tenant fq ~tenant:st.idx ~weight:st.cfg_t.weight) tenants;
 
-    (* trace sink: under CHARM wire every layer (scheduler, policy,
-       controller, health monitor); baselines get the scheduler events *)
-    Option.iter (Systems.attach_trace inst) cfg.trace;
+    (* the trace sink every layer records into: the scheduler, CHARM's
+       policy, health monitor and power cap, and the server itself *)
+    Option.iter (fun tr -> Sched.set_trace sched (Some tr)) cfg.trace;
 
     (* when tracing, sample the machine-wide fill-class counters once per
        interval of virtual time — the Fig. 3 time series the policy
        consumes — around the placement policy's own quantum hook *)
     let base_hooks = Sched.hooks sched in
-    (match cfg.trace with
+    (match Sched.trace sched with
     | Some tr ->
         let counter_interval_ns = 50_000.0 in
         let last_fills = ref Pmu.zero_fill_classes in
@@ -361,7 +365,7 @@ module Session = struct
     }
 
   let trace_job sess ~phase ~tenant ~kind ~job_id ~at_ns =
-    match sess.cfg.trace with
+    match Sched.trace sess.sched with
     | Some tr ->
         Engine.Trace.job tr ~phase ~tenant ~kind:(Job.kind_name kind) ~job_id ~at_ns
     | None -> ()
@@ -468,7 +472,7 @@ module Session = struct
       Metrics.incr sess.registry "serve.replica.divergent";
       if Int64.equal voted (Replica.majority tokens) then
         Metrics.incr sess.registry "serve.replica.masked";
-      match sess.cfg.trace with
+      match Sched.trace sess.sched with
       | Some tr ->
           Engine.Trace.instant tr
             ~name:
@@ -805,7 +809,7 @@ let report_to_json r =
   let tenant (tr : tenant_report) =
     obj
       [
-        ("name", "\"" ^ Metrics.json_escape tr.tenant ^ "\"");
+        ("name", "\"" ^ Engine.Trace.escape tr.tenant ^ "\"");
         ("submitted", string_of_int tr.submitted);
         ("admitted", string_of_int tr.admitted);
         ("shed", string_of_int tr.shed);

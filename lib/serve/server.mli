@@ -63,11 +63,13 @@ type config = {
   seed : int;
   data : Job.data_config;
   trace : Engine.Trace.t option;
-      (** when present, wired through every layer for the run: scheduler
-          quantum/steal/park/migration events (plus policy, controller and
-          health-monitor events under CHARM), job lifecycle instants
-          (admit/shed/start/finish) and a periodic machine-wide fill-class
-          counter track sampled every 50 us of virtual time *)
+      (** when present, attached to the instance's scheduler
+          ({!Engine.Sched.set_trace}) for the run; every layer records
+          into the scheduler's trace: quantum/steal/park/migration events
+          (plus policy, health-monitor and power-cap decisions under
+          CHARM), job lifecycle instants (admit/shed/start/finish) and a
+          periodic machine-wide fill-class counter track sampled every
+          50 us of virtual time *)
   on_complete :
     (tenant:string -> kind:Job.kind -> submit_ns:float -> finish_ns:float -> unit)
       option;
@@ -89,6 +91,12 @@ val default_config : seed:int -> config
 
 val pick_kind : Engine.Rng.t -> (Job.kind * int) list -> Job.kind
 (** One weighted draw from a tenant's mix (one {!Engine.Rng.int}). *)
+
+val tenant_streams : seed:int -> tenant:int -> Engine.Rng.t * Engine.Rng.t
+(** The run-[seed] streams of the [tenant]-th tenant: [(mix, arrival)],
+    the first drawing job kinds and per-job seeds, the second arrival
+    times.  A fleet's router generates its arrivals from the same
+    streams. *)
 
 type tenant_report = {
   tenant : string;

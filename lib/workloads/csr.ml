@@ -56,6 +56,10 @@ let of_kronecker ~alloc ?(weighted = false) ?(seed = 7) kron =
 
 let degree t u = t.row_ptr.(u + 1) - t.row_ptr.(u)
 
+let default_source t =
+  let rec go v = if v >= t.n - 1 || degree t v > 0 then v else go (v + 1) in
+  go 0
+
 let out_neighbors t u f =
   for e = t.row_ptr.(u) to t.row_ptr.(u + 1) - 1 do
     f t.col.(e) t.weight.(e)

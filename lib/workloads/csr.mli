@@ -27,6 +27,11 @@ val of_kronecker :
     @raise Invalid_argument if an edge names a vertex outside the graph. *)
 
 val degree : t -> int -> int
+
+val default_source : t -> int
+(** The BFS/SSSP source vertex when none is chosen: the first vertex
+    with an edge (the last vertex if none has one). *)
+
 val out_neighbors : t -> int -> (int -> int -> unit) -> unit
 (** [out_neighbors t u f] calls [f v w] for every out-edge (u,v,w).  The
     untimed reference kernels use it; the simulated kernels loop over

@@ -91,10 +91,11 @@ let test_hash_join () =
   Alcotest.(check (float 0.0)) "Hash_join.insert words" (3.0 *. float_of_int draws) !insert
 
 (* Ceilings: the value measured on OCaml 5.1.1 plus slack for the other
-   CI compiler.  Measured there: 8.3 words per quantum (10.4 while CHARM's
-   quantum-end tick boxed the worker's clock, 48.9 before the allocation
-   pass) and 49.8 words per parallel_for task (101.1). *)
-let max_words_per_quantum = 14.0
+   CI compiler.  Measured there: 4.4 words per quantum (8.3 while CHARM's
+   health monitor read a boxed clock and latency meter, 10.4 while its
+   policy tick boxed the worker's clock, 48.9 before the allocation pass)
+   and 49.8 words per parallel_for task (101.1). *)
+let max_words_per_quantum = 10.0
 let max_words_per_task = 60.0
 
 (* two tasks per worker of a CHARM instance, each yielding [yields]
@@ -167,6 +168,30 @@ let test_policy_tick_words () =
         (words (fun () -> ticks draws)))
     [ ("amd", Harness.Systems.Amd_milan, 32); ("tiny-hetero", hetero, 8) ]
 
+(* CHARM's quantum-end hook with no power cap: the profiler charge, the
+   health monitor's observation and the policy tick.  On an idle worker
+   (no health sample; its policy timer fires every 1250 calls and changes
+   nothing) it allocates nothing: the monitor reads the clock and the
+   latency meter from their cells.  Before: 4 words per call, a boxed
+   clock and a boxed latency reading. *)
+let test_quantum_end_hook_words () =
+  let n = 16 in
+  let inst = Harness.Systems.make Harness.Systems.Charm Harness.Systems.Amd_milan ~n_workers:n () in
+  let rt = Option.get inst.Harness.Systems.charm in
+  let policy = Charm.Runtime.policy rt and sched = Charm.Runtime.sched rt in
+  let hook = (Sched.hooks sched).Sched.on_quantum_end in
+  (* warm: the idle gang contracts to its smallest spread, and each
+     worker's first observation rebases the monitor *)
+  for i = 0 to (16 * n) - 1 do
+    Charm.Policy.force_tick policy sched ~worker:(i mod n)
+  done;
+  for w = 0 to n - 1 do
+    hook sched w
+  done;
+  Alcotest.(check (float 0.0))
+    "on_quantum_end words" 0.0
+    (words (fun () -> for _ = 1 to draws do hook sched 3 done))
+
 (* One level of the graph kernels' frontier merge: pushing allocates
    nothing, and the merge only the next frontier (a small array, on the
    minor heap: one header word plus one per vertex) *)
@@ -237,6 +262,7 @@ let suite =
     Alcotest.test_case "words per quantum" `Quick test_quantum_words;
     Alcotest.test_case "words per parallel_for task" `Quick test_parallel_for_words;
     Alcotest.test_case "policy tick" `Quick test_policy_tick_words;
+    Alcotest.test_case "quantum-end hook" `Quick test_quantum_end_hook_words;
     Alcotest.test_case "frontier merge" `Quick test_frontier_words;
     Alcotest.test_case "bfs and sssp words" `Quick test_graph_kernel_words;
   ]

@@ -11,7 +11,7 @@ let batch_digest ~faults () =
   in
   let sched = inst.Systems.env.Workloads.Exec_env.sched in
   let tr = Engine.Trace.create () in
-  Systems.attach_trace inst tr;
+  Engine.Sched.set_trace sched (Some tr);
   if faults then begin
     let topo = Chipsim.Machine.topology inst.Systems.machine in
     ignore

@@ -280,12 +280,12 @@ let test_kernel_audit () =
   in
   let cases =
     let e, g = graph ~weighted:false in
-    let source = E.bfs_source g in
+    let source = Workloads.Csr.default_source g in
     let levels = fst (Workloads.Bfs.run e g ~source) in
     let ranks = fst (Workloads.Pagerank.run (env ()) g ()) in
     let labels = fst (Workloads.Concomp.run (env ()) g) in
     let ew, gw = graph ~weighted:true in
-    let dist = fst (Workloads.Sssp.run ew gw ~source:(E.bfs_source gw)) in
+    let dist = fst (Workloads.Sssp.run ew gw ~source:(Workloads.Csr.default_source gw)) in
     (* one entry changed: the source's *)
     let corrupt f a =
       let a = Array.copy a in

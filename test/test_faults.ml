@@ -169,8 +169,14 @@ let test_dvfs_scales_makespan () =
    different chiplets write the same line set in turn, so every round the
    observed core pulls all the lines back through its I/O-die link (both
    sides write — a read would be served by the untouched private L2).
-   Each round feeds the monitor one observation for the observed core. *)
-let traffic_round m ~monitor ~round =
+   Each round feeds the monitor one observation for the observed core,
+   through a one-worker scheduler on that core whose clock the round
+   sets. *)
+let observe_at monitor sched ~now =
+  Sched.charge sched ~worker:0 (now -. Sched.worker_clock sched 0);
+  Charm.Health_monitor.observe monitor sched ~worker:0
+
+let traffic_round m ~monitor ~sched ~round =
   let observed = 0 and peer = 8 in
   let now = ref (float_of_int round *. 50_000.0) in
   for line = 0 to 63 do
@@ -179,13 +185,14 @@ let traffic_round m ~monitor ~round =
   for line = 0 to 63 do
     now := !now +. Machine.access_line m ~core:observed ~now_ns:!now ~write:true ~line
   done;
-  Charm.Health_monitor.observe monitor ~worker:0 ~core:observed ~now:!now
+  observe_at monitor sched ~now:!now
 
 let test_silent_fault_detected () =
   let m = machine () in
   let monitor = Charm.Health_monitor.create m ~n_workers:1 in
+  let sched = Sched.create m ~n_workers:1 ~placement:(fun _ -> 0) in
   for round = 0 to 9 do
-    traffic_round m ~monitor ~round
+    traffic_round m ~monitor ~sched ~round
   done;
   Alcotest.(check bool) "healthy under baseline traffic" false
     (Charm.Health_monitor.any_sick monitor);
@@ -194,7 +201,7 @@ let test_silent_fault_detected () =
   let detected_after = ref None in
   (try
      for round = 10 to 40 do
-       traffic_round m ~monitor ~round;
+       traffic_round m ~monitor ~sched ~round;
        if Charm.Health_monitor.sick monitor ~chiplet:0 then begin
          detected_after := Some (round - 10);
          raise Exit
@@ -213,10 +220,11 @@ let test_silent_fault_detected () =
 let test_os_visible_fault_instant () =
   let m = machine () in
   let monitor = Charm.Health_monitor.create m ~n_workers:1 in
+  let sched = Sched.create m ~n_workers:1 ~placement:(fun _ -> 0) in
   Modifiers.set_core_speed (Machine.modifiers m) 3 0.4;
   (* one observation, no EWMA history needed: DVFS is read from the
      modifier generation, i.e. sysfs on a real machine *)
-  Charm.Health_monitor.observe monitor ~worker:0 ~core:0 ~now:1_000.0;
+  observe_at monitor sched ~now:1_000.0;
   Alcotest.(check bool) "chiplet 0 flagged instantly" true
     (Charm.Health_monitor.sick monitor ~chiplet:0);
   Alcotest.(check (list int)) "only chiplet 0" [ 0 ]

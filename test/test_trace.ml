@@ -190,7 +190,27 @@ let test_json_escaping_all_kinds () =
   Alcotest.(check bool) "job category present" true (contains json {|"cat":"job"|});
   let s = Trace.summary t in
   Alcotest.(check bool) "summary covers categories" true
-    (contains s "quantum" && contains s "steal" && contains s "job")
+    (contains s "quantum" && contains s "steal" && contains s "job");
+  (* a serving report escapes a tenant name with the same escaper: tab
+     and carriage return as [\t] and [\r] *)
+  let inst =
+    Harness.Systems.make ~cache_scale:16 Harness.Systems.Charm Harness.Systems.Amd_milan
+      ~n_workers:4 ()
+  in
+  let base = Serving.Server.default_config ~seed:3 in
+  let tenant = { (List.hd base.Serving.Server.tenants) with name = "tab\tcr\r"; jobs = 2 } in
+  let cfg =
+    {
+      base with
+      Serving.Server.tenants = [ tenant ];
+      data = { Serving.Job.default_data_config with graph_scale = 6 };
+    }
+  in
+  let report = Serving.Server.report_to_json (Serving.Server.run inst cfg) in
+  Alcotest.(check bool) "tenant name with tab and cr: valid report json" true
+    (json_valid report);
+  Alcotest.(check bool) "tab and cr escaped as \\t and \\r" true
+    (contains report {|tab\tcr\r|})
 
 let test_sched_emits_with_real_ids () =
   let m = Machine.create (Presets.amd_milan ()) in
@@ -301,6 +321,54 @@ let test_charm_batch_trace_valid () =
   Alcotest.(check bool) "quanta recorded" true (Trace.num_events tr > 0);
   Alcotest.(check bool) "valid chrome json" true (json_valid (Trace.to_chrome_json [ tr ]))
 
+(* CHARM's decisions — Alg. 1 spread changes, adaptive mode switches and
+   health flags with their counter track — record into the scheduler's
+   one trace, so a trace attached with [Sched.set_trace] holds the same
+   decision events as one attached with [Runtime.attach_trace].  The run
+   is CI's faulted serving run, which makes all three kinds. *)
+let test_charm_decisions_reach_sched_trace () =
+  let decisions attach =
+    let inst = Harness.Systems.make Harness.Systems.Charm Harness.Systems.Amd_milan ~n_workers:32 () in
+    let sched = inst.Harness.Systems.env.Workloads.Exec_env.sched in
+    let topo = Machine.topology inst.Harness.Systems.machine in
+    ignore
+      (Faults.Injector.attach sched
+         (Faults.Schedule.parse_exn ~topo
+            "3000:dvfs:0:0.35;3000:l3-ways:0:2;3000:link:0:6;5000:core-off:2;6000:core-on:2")
+        : Faults.Injector.t);
+    let tr = Trace.create () in
+    attach inst tr;
+    ignore (Serving.Server.run inst (Serving.Server.default_config ~seed:42) : Serving.Server.report);
+    List.filter
+      (function
+        | Trace.Spread_change _ | Trace.Mode_switch _ -> true
+        | Trace.Instant { name; _ } -> String.starts_with ~prefix:"health:" name
+        | Trace.Counter { name; _ } -> name = "health"
+        | _ -> false)
+      (Trace.events tr)
+  in
+  let via_runtime =
+    decisions (fun inst tr -> Charm.Runtime.attach_trace (Option.get inst.Harness.Systems.charm) tr)
+  in
+  let via_sched =
+    decisions (fun inst tr ->
+        Sched.set_trace inst.Harness.Systems.env.Workloads.Exec_env.sched (Some tr))
+  in
+  let count p l = List.length (List.filter p l) in
+  let kinds =
+    [
+      ("spread changes", function Trace.Spread_change _ -> true | _ -> false);
+      ("mode switches", function Trace.Mode_switch _ -> true | _ -> false);
+      ("health flags", function Trace.Instant _ -> true | _ -> false);
+    ]
+  in
+  List.iter
+    (fun (what, p) ->
+      if count p via_runtime = 0 then Alcotest.failf "the run records no %s" what;
+      Alcotest.(check int) (what ^ " via Sched.set_trace") (count p via_runtime) (count p via_sched))
+    kinds;
+  Alcotest.(check bool) "the same decision events" true (via_sched = via_runtime)
+
 let suite =
   [
     Alcotest.test_case "records and serializes" `Quick test_records_and_serializes;
@@ -312,4 +380,6 @@ let suite =
       test_quanta_never_overlap_per_worker;
     Alcotest.test_case "serve trace deterministic" `Quick test_serve_trace_deterministic;
     Alcotest.test_case "charm batch trace is valid json" `Quick test_charm_batch_trace_valid;
+    Alcotest.test_case "charm decisions reach a scheduler trace" `Quick
+      test_charm_decisions_reach_sched_trace;
   ]
