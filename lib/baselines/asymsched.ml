@@ -3,9 +3,8 @@ module Sched = Engine.Sched
 
 let imbalance_factor = 1.4
 
-let tick t ~worker =
-  let machine = Baseline.machine t in
-  let sched = Baseline.sched t in
+let tick sched ~rng ~worker =
+  let machine = Sched.machine sched in
   let topo = Machine.topology machine in
   if topo.Topology.sockets > 1 then begin
     let core = Sched.worker_core sched worker in
@@ -25,7 +24,7 @@ let tick t ~worker =
     done;
     if !best_node <> my_node && my_load > imbalance_factor *. Float.max !best_load 0.05
     then
-      match Baseline.random_free_core t ~socket:!best_node with
+      match Baseline.random_free_core sched ~rng ~socket:!best_node with
       | Some target -> Sched.migrate sched ~worker ~core:target
       | None -> ()
   end

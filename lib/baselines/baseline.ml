@@ -3,20 +3,12 @@ module Sched = Engine.Sched
 
 type steal_discipline = Chiplet_first | Numa_first | Random_victim
 
-type t = {
-  spec : spec;
-  machine : Machine.t;
-  sched : Sched.t;
-  last_tick : float array;
-  trng : Engine.Rng.t;
-}
-
-and spec = {
+type spec = {
   placement : Topology.t -> n_workers:int -> int -> int;
   shared_policy : Topology.t -> Simmem.policy;
   steal : steal_discipline;
   tick_interval_ns : float;
-  on_tick : (t -> worker:int -> unit) option;
+  on_tick : (Sched.t -> rng:Engine.Rng.t -> worker:int -> unit) option;
   profile_adjust : Latency.profile -> Latency.profile;
   task_model : Engine.Sched.task_model;
 }
@@ -54,9 +46,8 @@ let default_spec =
     task_model = Engine.Sched.Coroutines { switch_ns = 30.0 };
   }
 
-let numa_first_order t ~thief =
-  let topo = Machine.topology t.machine in
-  let sched = t.sched in
+let numa_first_order sched ~thief =
+  let topo = Machine.topology (Sched.machine sched) in
   let my_socket = Topology.socket_of_core topo (Sched.worker_core sched thief) in
   let others = ref [] in
   for w = Sched.n_workers sched - 1 downto 0 do
@@ -70,58 +61,42 @@ let numa_first_order t ~thief =
   Array.sort (fun a b -> compare (rank a, a) (rank b, b)) arr;
   arr
 
-let init spec machine ~n_workers =
+let init ?on_advance spec machine ~n_workers =
   let topo = Machine.topology machine in
-  let sched =
-    Sched.create ~task_model:spec.task_model machine ~n_workers
-      ~placement:(fun w -> spec.placement topo ~n_workers w)
-  in
-  let t =
-    {
-      spec;
-      machine;
-      sched;
-      last_tick = Array.make n_workers 0.0;
-      trng = Engine.Rng.create 0xba5e;
-    }
-  in
-  let steal_order sched_ ~thief =
+  let last_tick = Array.make n_workers 0.0 and rng = Engine.Rng.create 0xba5e in
+  let steal_order sched ~thief =
     match spec.steal with
-    | Chiplet_first ->
-        Engine.Sched.no_hooks.Engine.Sched.steal_order sched_ ~thief
-    | Numa_first -> numa_first_order t ~thief
-    | Random_victim -> Sched.random_steal_order t.trng sched_ ~thief
+    | Chiplet_first -> Sched.no_hooks.Sched.steal_order sched ~thief
+    | Numa_first -> numa_first_order sched ~thief
+    | Random_victim -> Sched.random_steal_order rng sched ~thief
   in
-  let on_quantum_end _sched worker =
+  let on_quantum_end sched worker =
     match spec.on_tick with
     | None -> ()
     | Some tick ->
         if spec.tick_interval_ns > 0.0 then begin
-          let now = Sched.worker_clock t.sched worker in
-          if now -. t.last_tick.(worker) >= spec.tick_interval_ns then begin
-            t.last_tick.(worker) <- now;
-            tick t ~worker
+          let now = Sched.worker_clock sched worker in
+          if now -. last_tick.(worker) >= spec.tick_interval_ns then begin
+            last_tick.(worker) <- now;
+            tick sched ~rng ~worker
           end
         end
   in
-  Sched.set_hooks sched { Engine.Sched.on_quantum_end; steal_order };
-  t
-
-let sched t = t.sched
-let machine t = t.machine
-let rng t = t.trng
+  Sched.create ~task_model:spec.task_model ~hooks:{ Sched.on_quantum_end; steal_order }
+    ?on_advance machine ~n_workers
+    ~placement:(fun w -> spec.placement topo ~n_workers w)
 
 (* A chiplet-blind core pick: a random free core on the target socket. *)
-let random_free_core t ~socket =
-  let topo = Machine.topology t.machine in
+let random_free_core sched ~rng ~socket =
+  let topo = Machine.topology (Sched.machine sched) in
   let cps = Topology.cores_per_socket topo in
   let base = socket * cps in
   let free = ref [] in
   for c = base to base + cps - 1 do
-    if Sched.worker_of_core t.sched c < 0 then free := c :: !free
+    if Sched.worker_of_core sched c < 0 then free := c :: !free
   done;
   match !free with
   | [] -> None
   | cores ->
       let arr = Array.of_list cores in
-      Some arr.(Engine.Rng.int t.trng (Array.length arr))
+      Some arr.(Engine.Rng.int rng (Array.length arr))

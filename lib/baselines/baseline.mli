@@ -3,7 +3,7 @@
     Every baseline is expressed as a {!spec}: an initial thread-placement
     function, a shared-memory allocation policy, a steal-victim discipline,
     an optional periodic rebalancing action, and a task model.  {!init}
-    installs the spec's hooks on a scheduler over the same simulated
+    creates a scheduler with the spec's hooks over the same simulated
     machine as CHARM, and [Harness.Systems] drives it exactly as it drives
     CHARM, so differences in results come only from policy — how the
     paper's comparisons are constructed. *)
@@ -15,8 +15,6 @@ type steal_discipline =
   | Numa_first  (** same socket first, chiplet-blind within it *)
   | Random_victim
 
-type t
-
 type spec = {
   placement : Topology.t -> n_workers:int -> int -> int;
       (** initial core of each worker; must be injective *)
@@ -24,7 +22,10 @@ type spec = {
       (** how the system places shared datasets *)
   steal : steal_discipline;
   tick_interval_ns : float;  (** 0 disables periodic rebalancing *)
-  on_tick : (t -> worker:int -> unit) option;
+  on_tick : (Engine.Sched.t -> rng:Engine.Rng.t -> worker:int -> unit) option;
+      (** the rebalancing action, run from a worker's quantum-end hook at
+          most once per [tick_interval_ns] of its clock; [rng] is the
+          baseline's own stream *)
   profile_adjust : Latency.profile -> Latency.profile;
       (** machine-level latency adjustment (e.g., SHOAL's huge pages) *)
   task_model : Engine.Sched.task_model;
@@ -34,14 +35,18 @@ val default_spec : spec
 (** Sequential placement, first-touch memory, chiplet-first stealing, no
     rebalancing, coroutine tasks. *)
 
-val init : spec -> Machine.t -> n_workers:int -> t
-val sched : t -> Engine.Sched.t
-val machine : t -> Machine.t
-val rng : t -> Engine.Rng.t
+val init :
+  ?on_advance:(Engine.Sched.t -> float -> unit) ->
+  spec ->
+  Machine.t ->
+  n_workers:int ->
+  Engine.Sched.t
+(** A scheduler over [machine] with the spec's placement, task model and
+    hooks; [on_advance] is its fault pump ({!Engine.Sched.create}). *)
 
-val random_free_core : t -> socket:int -> int option
+val random_free_core : Engine.Sched.t -> rng:Engine.Rng.t -> socket:int -> int option
 (** A chiplet-blind core pick: a core on [socket] that hosts no worker,
-    drawn uniformly with {!rng} (one draw); [None] when the socket has
+    drawn uniformly with [rng] (one draw); [None] when the socket has
     none.  SAM and AsymSched migrate workers with it. *)
 
 (** Placement building blocks shared by the concrete baselines. *)

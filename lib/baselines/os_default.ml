@@ -2,10 +2,8 @@ open Chipsim
 
 (* CFS periodically rebalances: threads wander to random idle cores,
    destroying cache affinity (what pinning — and CHARM — prevents). *)
-let wander t ~worker =
-  let sched = Baseline.sched t in
-  let machine = Baseline.machine t in
-  let rng = Baseline.rng t in
+let wander sched ~rng ~worker =
+  let machine = Engine.Sched.machine sched in
   if Engine.Rng.int rng 4 = 0 then begin
     let topo = Machine.topology machine in
     let cores = Topology.num_cores topo in

@@ -9,9 +9,8 @@ let remote_numa_fills machine ~core =
 
 (* strict majority: SAM consolidates sharers only when one socket already
    clearly dominates; a balanced gang stays balanced *)
-let majority_socket t ~current =
-  let sched = Baseline.sched t in
-  let topo = Machine.topology (Baseline.machine t) in
+let majority_socket sched ~current =
+  let topo = Machine.topology (Sched.machine sched) in
   let counts = Array.make topo.Topology.sockets 0 in
   for w = 0 to Sched.n_workers sched - 1 do
     let s = Topology.socket_of_core topo (Sched.worker_core sched w) in
@@ -21,9 +20,8 @@ let majority_socket t ~current =
   Array.iteri (fun i c -> if c > counts.(!best) then best := i) counts;
   if 10 * counts.(!best) >= 6 * Sched.n_workers sched then !best else current
 
-let tick ~confused ~baselines t ~worker =
-  let machine = Baseline.machine t in
-  let sched = Baseline.sched t in
+let tick ~confused ~baselines sched ~rng ~worker =
+  let machine = Sched.machine sched in
   let topo = Machine.topology machine in
   let core = Sched.worker_core sched worker in
   let fills = remote_numa_fills machine ~core in
@@ -32,14 +30,14 @@ let tick ~confused ~baselines t ~worker =
   let delta = fills - base in
   let my_socket = Topology.socket_of_core topo core in
   let target_socket =
-    if confused && Engine.Rng.int (Baseline.rng t) 4 = 0 then
+    if confused && Engine.Rng.int rng 4 = 0 then
       (* misread PMU signal: migrate somewhere random *)
-      Engine.Rng.int (Baseline.rng t) topo.Topology.sockets
-    else if delta > remote_fill_threshold then majority_socket t ~current:my_socket
+      Engine.Rng.int rng topo.Topology.sockets
+    else if delta > remote_fill_threshold then majority_socket sched ~current:my_socket
     else my_socket
   in
   if target_socket <> my_socket then
-    match Baseline.random_free_core t ~socket:target_socket with
+    match Baseline.random_free_core sched ~rng ~socket:target_socket with
     | Some target -> Sched.migrate sched ~worker ~core:target
     | None -> ()
 

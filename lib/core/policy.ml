@@ -201,8 +201,8 @@ let[@inline] step t ~rate ~threshold spread =
 
 (* Decision records, into the scheduler's trace when one is attached.
    A spread change is stamped at the deciding worker's clock.  A mode
-   switch has no single owning worker, so it is stamped at the frontier
-   of the (virtual, deterministic) worker clocks, read from their cells. *)
+   switch has no single owning worker, so it is stamped at the largest
+   worker clock ({!Engine.Sched.max_clock}). *)
 let record_spread_change sched ~worker ~old_spread ~new_spread ~at_ns =
   match Engine.Sched.trace sched with
   | Some tr -> Engine.Trace.spread_change tr ~worker ~old_spread ~new_spread ~at_ns
@@ -216,14 +216,10 @@ let decide t sched ~degraded ~remote_chiplet ~dram ~remote =
   (if Controller.mode_switches t.controller <> switches then
      match Engine.Sched.trace sched with
      | Some tr ->
-         let at_ns = ref 0.0 in
-         for w = 0 to Engine.Sched.n_workers sched - 1 do
-           at_ns := Float.max !at_ns (Engine.Sched.worker_clock_cell sched w).(0)
-         done;
          Engine.Trace.mode_switch tr
            ~from_mode:(Config.approach_to_string from_mode)
            ~to_mode:(Config.approach_to_string (Controller.mode t.controller))
-           ~at_ns:!at_ns
+           ~at_ns:(Engine.Sched.max_clock sched)
      | None -> ());
   decision
 

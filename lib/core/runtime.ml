@@ -12,7 +12,7 @@ type t = {
 (* simulated cost of one profiling check, charged to the checking worker *)
 let profiler_overhead_ns = 40.0
 
-let init ?(config = Config.default) ?task_model machine ~n_workers =
+let init ?(config = Config.default) ?task_model ?on_advance machine ~n_workers =
   let topo = Machine.topology machine in
   Config.validate config topo;
   if n_workers > Topology.num_cores topo then
@@ -27,16 +27,10 @@ let init ?(config = Config.default) ?task_model machine ~n_workers =
     if core < 0 then invalid_arg "Runtime.init: no valid placement for the gang";
     core
   in
-  let sched = Sched.create ?task_model machine ~n_workers ~placement in
   let profiler = Profiler.create machine ~n_workers in
   let controller = Controller.create config in
   let config = { config with Config.initial_spread = spread0 } in
   let health = Health_monitor.create machine ~n_workers in
-  (* any energy feature — a cap or EDP-weighted placement — needs the
-     per-quantum compute meters running; plain runs leave them off so the
-     energy-free baselines stay bit-identical *)
-  if config.Config.power_cap_mw > 0.0 || config.Config.energy_weight > 0.0 then
-    Sched.set_energy sched true;
   let power_cap =
     if config.Config.power_cap_mw > 0.0 then
       Some
@@ -46,7 +40,6 @@ let init ?(config = Config.default) ?task_model machine ~n_workers =
     else None
   in
   let policy = Policy.create config machine controller profiler health power_cap ~n_workers in
-  let t = { sched; profiler; policy; health; power_cap } in
   let hooks =
     {
       Sched.on_quantum_end =
@@ -89,8 +82,13 @@ let init ?(config = Config.default) ?task_model machine ~n_workers =
          else Sched.random_steal_order (Engine.Rng.create 0x51ea1));
     }
   in
-  Sched.set_hooks sched hooks;
-  t
+  let sched = Sched.create ?task_model ~hooks ?on_advance machine ~n_workers ~placement in
+  (* any energy feature — a cap or EDP-weighted placement — needs the
+     per-quantum compute meters running; plain runs leave them off so the
+     energy-free baselines stay bit-identical *)
+  if config.Config.power_cap_mw > 0.0 || config.Config.energy_weight > 0.0 then
+    Sched.set_energy sched true;
+  { sched; profiler; policy; health; power_cap }
 
 let sched t = t.sched
 let attach_trace t tr = Sched.set_trace t.sched (Some tr)

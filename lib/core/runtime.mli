@@ -1,8 +1,8 @@
 (** The CHARM runtime: the placement hooks behind the paper's §4.6
     interface.
 
-    {!init} places the gang with Alg. 2 and installs CHARM's hooks on a
-    fresh scheduler: every worker runs the decentralized Alg. 1 policy at
+    {!init} places the gang with Alg. 2 and creates a scheduler with
+    CHARM's hooks: every worker runs the decentralized Alg. 1 policy at
     each quantum end and migrates itself with Alg. 2.  Building a machine,
     allocating shared data, running work and reporting live in
     [Harness.Systems], which drives CHARM and every baseline alike (see
@@ -17,11 +17,13 @@ type t
 val init :
   ?config:Config.t ->
   ?task_model:Engine.Sched.task_model ->
+  ?on_advance:(Engine.Sched.t -> float -> unit) ->
   Machine.t ->
   n_workers:int ->
   t
 (** Create a runtime with [n_workers] worker threads placed by Alg. 2 at
     the initial spread rate (clamped up to the smallest valid spread).
+    [on_advance] is the scheduler's fault pump ({!Engine.Sched.create}).
     @raise Invalid_argument if the machine cannot host the gang. *)
 
 val sched : t -> Engine.Sched.t

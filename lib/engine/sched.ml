@@ -33,10 +33,12 @@ type t = {
       (* per core: virtual end of the last quantum it executed, and the
          worker that ran it — the per-core non-overlap invariant *)
   core_last_worker : int array;
-  mutable hooks : hooks;
+  hooks : hooks;
   mutable trace : Trace.t option;
-  mutable on_advance : (float -> unit) option;
+  on_advance : (t -> float -> unit) option;
       (* fault pump: called with the event-loop frontier before each pick *)
+  mutable fills_last : Pmu.fill_classes;  (* at the last traced [fills] sample *)
+  mutable fills_last_ns : float;
   workers : worker array;
   core_owner : int array;  (* core -> worker id, -1 if free *)
   core_speed : float array;
@@ -338,7 +340,8 @@ let random_steal_order rng t ~thief =
   Rng.shuffle rng victims;
   victims
 
-let create ?(task_model = Coroutines { switch_ns = 30.0 }) ?(hooks = no_hooks) machine ~n_workers ~placement =
+let create ?(task_model = Coroutines { switch_ns = 30.0 }) ?(hooks = no_hooks) ?on_advance machine
+    ~n_workers ~placement =
   if n_workers <= 0 then invalid_arg "Sched.create: n_workers must be positive";
   let topo = Machine.topology machine in
   let cores = Topology.num_cores topo in
@@ -383,7 +386,9 @@ let create ?(task_model = Coroutines { switch_ns = 30.0 }) ?(hooks = no_hooks) m
     core_last_worker = Array.make cores (-1);
     hooks;
     trace = None;
-    on_advance = None;
+    on_advance;
+    fills_last = Pmu.zero_fill_classes;
+    fills_last_ns = 0.0;
     workers;
     core_owner;
     core_speed = Modifiers.core_speeds (Machine.modifiers machine);
@@ -406,14 +411,12 @@ let create ?(task_model = Coroutines { switch_ns = 30.0 }) ?(hooks = no_hooks) m
 
 let machine t = t.machine
 let n_workers t = Array.length t.workers
-let set_hooks t hooks = t.hooks <- hooks
 let hooks t = t.hooks
 let set_trace t trace = t.trace <- trace
 let trace t = t.trace
 let set_check t on = t.check <- on
 let check_enabled t = t.check
 let set_energy t on = t.energy <- on
-let set_on_advance t f = t.on_advance <- f
 let worker_core t w = t.workers.(w).core
 let worker_clock t w = t.workers.(w).clock.(0)
 let worker_clock_cell t w = t.workers.(w).clock
@@ -433,6 +436,8 @@ let heap_snapshot t =
   Array.init t.heap.size (fun i -> (t.heap.keys.(i), t.heap.vals.(i)))
 
 let total_spawned t = t.spawned
+
+let max_clock t = Array.fold_left (fun acc w -> Float.max acc w.clock.(0)) 0.0 t.workers
 
 let[@inline] sample t now =
   let n = t.nsamples in
@@ -796,6 +801,23 @@ let check_quiescent t =
     t.workers;
   Machine.check_invariants_full t.machine
 
+(* The Fig. 3 signal the policy consumes: the machine-wide fill-class
+   counts since the last sample, once per 50 us of virtual time, stamped
+   with the clock of the worker whose quantum ended *)
+let sample_fills t tr w =
+  let now = w.clock.(0) in
+  if now -. t.fills_last_ns >= 50_000.0 then begin
+    let fills = Pmu.fill_classes (Machine.pmu t.machine) in
+    let d = Pmu.fill_classes_delta ~before:t.fills_last ~after:fills in
+    let v n = float_of_int n in
+    Trace.counter tr ~name:"fills" ~at_ns:now
+      ~series:
+        [ ("local", v d.fc_local); ("remote_chiplet", v d.fc_remote_chiplet);
+          ("remote_numa", v d.fc_remote_numa); ("dram", v d.fc_dram) ];
+    t.fills_last <- fills;
+    t.fills_last_ns <- now
+  end
+
 (* make [waiters] ready at [w]'s clock, in list order *)
 let rec wake_waiters t w = function
   | [] -> ()
@@ -864,9 +886,10 @@ let execute t w task =
   (match t.trace with
   | Some tr ->
       Trace.task_quantum tr ~worker:w.wid ~core:w.core ~task_id:task.tid
-        ~start_ns:quantum_start ~end_ns:w.clock.(0)
-  | None -> ());
-  if t.check then check_quantum_end t w task ~quantum_start;
+        ~start_ns:quantum_start ~end_ns:w.clock.(0);
+      if t.check then check_quantum_end t w task ~quantum_start;
+      sample_fills t tr w
+  | None -> if t.check then check_quantum_end t w task ~quantum_start);
   t.hooks.on_quantum_end t w.wid
 
 (* A core went offline.  Preference order: migrate its worker to the
@@ -959,7 +982,7 @@ let run t =
         (* fault pump: [key] is the event-loop frontier — no worker can
            run earlier than it, so faults due at or before it apply
            deterministically here, at a quantum boundary *)
-        (match t.on_advance with Some f -> f key | None -> ());
+        (match t.on_advance with Some f -> f t key | None -> ());
         if w.offlined then loop ()
         else if key < w.clock.(0) then begin
           (* stale heap entry; reinsert with the fresh clock *)
@@ -1083,7 +1106,7 @@ end
 let charge t ~worker ns = t.workers.(worker).clock.(0) <- t.workers.(worker).clock.(0) +. ns
 
 let sync_clocks t =
-  let m = Array.fold_left (fun acc w -> Float.max acc w.clock.(0)) 0.0 t.workers in
+  let m = max_clock t in
   Array.iter (fun w -> w.clock.(0) <- m) t.workers;
   (* refresh the event heap: the old keys now all lag the clocks, so every
      next pop would take the stale-entry reinsert path (and hand the fault

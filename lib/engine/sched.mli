@@ -10,8 +10,9 @@ open Chipsim
     clock; the makespan returned by {!run} is the virtual wall-clock time
     the workload would have taken.
 
-    Placement policy is injected through {!hooks}: CHARM and each baseline
-    provide their own quantum-end migration logic and steal-victim order. *)
+    Placement policy ({!hooks}: CHARM's and each baseline's quantum-end
+    migration logic and steal-victim order) and a fault pump are given at
+    {!create} and fixed for the scheduler's life. *)
 
 type t
 type task
@@ -45,30 +46,39 @@ val random_steal_order : Rng.t -> t -> thief:int -> int array
 val create :
   ?task_model:task_model ->
   ?hooks:hooks ->
+  ?on_advance:(t -> float -> unit) ->
   Machine.t ->
   n_workers:int ->
   placement:(int -> int) ->
   t
 (** [create machine ~n_workers ~placement] binds worker [w] to core
     [placement w].  Distinct workers must get distinct cores.
-    [task_model] defaults to coroutines with a 30 ns switch.
+    [task_model] defaults to coroutines with a 30 ns switch, [hooks] to
+    {!no_hooks}.  [on_advance], the fault pump, is called with the
+    event-loop frontier (the least-advanced runnable worker's clock)
+    before every scheduling pick.  Virtual time never runs ahead of the
+    frontier, so a fault schedule applied from it is deterministic: a
+    fault due at [f] lands at the first quantum boundary whose frontier
+    reaches [f].
     @raise Invalid_argument on core clashes or out-of-range cores. *)
 
 val machine : t -> Machine.t
 val n_workers : t -> int
-val set_hooks : t -> hooks -> unit
 
 val hooks : t -> hooks
-(** The currently installed hooks — lets observers (serving-layer metrics)
-    wrap the active policy hooks instead of replacing them. *)
+(** The hooks given at {!create}, so a test can call the policy's
+    quantum-end hook directly. *)
 
 val set_trace : t -> Trace.t option -> unit
 (** Attach (or detach) a trace sink.  While attached the
     scheduler emits a [Quantum] event per executed task quantum (real task
     id, start stamped when the task actually begins — idle and steal time
     are excluded), a [Steal] event per successful steal, a [Park] event
-    when a worker runs dry, and a [Migration] event from {!migrate}.  With
-    no sink (the default) the hot loop pays one branch and allocates
+    when a worker runs dry, a [Migration] event from {!migrate}, and, at
+    a quantum end (before [hooks.on_quantum_end]) 50 µs of virtual time
+    past the last one, a ["fills"] counter: the machine's fill-class mix
+    ({!Chipsim.Pmu.fill_classes}) since that sample, Fig. 3's signal.
+    With no sink (the default) the hot loop pays one branch and allocates
     nothing. *)
 
 val trace : t -> Trace.t option
@@ -109,15 +119,12 @@ val check_quiescent : t -> unit
     Exposed so harnesses can verify externally-driven phases.
     @raise Chipsim.Invariant.Violation on the first broken invariant. *)
 
-val set_on_advance : t -> (float -> unit) option -> unit
-(** Install a fault pump: called with the event-loop frontier (the
-    least-advanced runnable worker's clock) before every scheduling pick.
-    Virtual time never runs ahead of the frontier, so applying a fault
-    schedule from this callback is deterministic — a fault due at time
-    [f] lands at the first quantum boundary whose frontier reaches [f]. *)
-
 val worker_core : t -> int -> int
 val worker_clock : t -> int -> float
+
+val max_clock : t -> float
+(** The largest worker clock (0 before any work): the run's virtual
+    wall-clock so far. *)
 
 val worker_clock_cell : t -> int -> float array
 (** The worker's one-element clock cell, the one {!Chipsim.Machine.access_clk}

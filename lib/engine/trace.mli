@@ -5,9 +5,9 @@
     This is the observability side of the paper's profiler: where the PMU
     counters say {e what} was served from where, the trace shows {e when}
     each worker ran which task on which core, when the policy spread or
-    contracted the gang, and (in serving mode) the admit/shed/start/finish
-    lifecycle of every job plus a periodic fill-class counter track — the
-    Fig. 3 time series the policy consumes.
+    contracted the gang, a periodic fill-class counter track (the Fig. 3
+    time series the policy consumes) and, in serving mode, the
+    admit/shed/start/finish lifecycle of every job.
 
     Producers emit only while a trace is attached, so a run without one
     pays a [None] branch and no allocation on the hot paths.  The store

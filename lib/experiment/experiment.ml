@@ -818,15 +818,20 @@ let instance t =
         { Charm.Config.default with energy_weight = t.energy_weight; power_cap_mw = t.power_cap_mw }
     else None
   in
-  let inst = Systems.make ?charm_config ~cache_scale:t.cache_scale t.sys t.machine ~n_workers:t.workers () in
+  let on_advance =
+    match List.concat_map snd t.faults with
+    | [] -> None
+    | schedule -> Some (Faults.Injector.pump (Faults.Injector.create schedule))
+  in
+  let inst =
+    Systems.make ?charm_config ?on_advance ~cache_scale:t.cache_scale t.sys t.machine
+      ~n_workers:t.workers ()
+  in
   (* CHARM's runtime flips the meter on for a cap or weight; bare --energy
      (or a non-CHARM system) turns accounting on here *)
   if t.energy || t.energy_weight > 0.0 || t.power_cap_mw > 0.0 then
     Engine.Sched.set_energy (sched inst) true;
   if t.check then Engine.Sched.set_check (sched inst) true;
-  (match List.concat_map snd t.faults with
-  | [] -> ()
-  | schedule -> ignore (Faults.Injector.attach (sched inst) schedule : Faults.Injector.t));
   inst
 
 (* [check_quiescent] ends with the machine's full invariant scan *)

@@ -247,10 +247,19 @@ let run cfg =
         else None)
   in
   let router = Router.create cfg.policy in
+  (* one injector per faulted shard, its pump given to the shard's
+     scheduler at creation *)
+  let injectors =
+    Array.init n (fun s ->
+        match List.concat_map (fun (s', sch) -> if s' = s then sch else []) cfg.faults with
+        | [] -> None
+        | schedule -> Some (Faults.Injector.create schedule))
+  in
   let sessions =
     Array.init n (fun s ->
+        let on_advance = Option.map Faults.Injector.pump injectors.(s) in
         let inst =
-          Systems.make ~cache_scale:cfg.cache_scale cfg.sys (shard_machine s)
+          Systems.make ~cache_scale:cfg.cache_scale ?on_advance cfg.sys (shard_machine s)
             ~n_workers:cfg.n_workers ()
         in
         let scfg =
@@ -269,15 +278,6 @@ let run cfg =
           }
         in
         Session.create inst scfg)
-  in
-  let injectors =
-    List.map
-      (fun (s, schedule) ->
-        let sched =
-          (Session.instance sessions.(s)).Systems.env.Workloads.Exec_env.sched
-        in
-        Faults.Injector.attach sched schedule)
-      cfg.faults
   in
 
   let views =
@@ -446,7 +446,11 @@ let run cfg =
        not reached on its own — between drains every sched is quiescent,
        so this is a safe hotplug point, and it keeps fault visibility
        independent of shard load *)
-    List.iter (fun inj -> Faults.Injector.drain inj ~now:!t0) injectors;
+    Array.iteri
+      (fun s inj ->
+        let sched = (Session.instance sessions.(s)).Systems.env.Workloads.Exec_env.sched in
+        Option.iter (fun inj -> Faults.Injector.drain inj sched ~now:!t0) inj)
+      injectors;
     refresh_views ~now:!t0;
     relocate_pass ~now:!t0;
     while !cursor < n_arr && arrivals.(!cursor).Server.submit_ns < t1 do

@@ -101,37 +101,29 @@ let baseline_spec ~kind = function
   | Distributed_cache -> Baselines.Static_policy.distributed_cache ()
   | Charm | Charm_os_threads -> invalid_arg "Systems.baseline_spec: not a baseline"
 
-let make ?(cache_scale = 1) ?charm_config sys kind ~n_workers () =
+let make ?(cache_scale = 1) ?charm_config ?on_advance sys kind ~n_workers () =
   let topo = topology kind ~cache_scale in
   let machine, sched, charm, shared_policy =
     match sys with
     | Charm | Charm_os_threads ->
         let machine = Machine.create ~profile:(base_profile kind) topo in
         let task_model = if sys = Charm_os_threads then Some os_threads else None in
-        let rt = Charm.Runtime.init ?config:charm_config ?task_model machine ~n_workers in
+        let rt = Charm.Runtime.init ?config:charm_config ?task_model ?on_advance machine ~n_workers in
         (machine, Charm.Runtime.sched rt, Some rt, Simmem.First_touch)
     | _ ->
         let spec = baseline_spec ~kind sys in
         let profile = spec.Baselines.Baseline.profile_adjust (base_profile kind) in
         let machine = Machine.create ~profile topo in
-        let driver = Baselines.Baseline.init spec machine ~n_workers in
-        (machine, Baselines.Baseline.sched driver, None, spec.Baselines.Baseline.shared_policy topo)
+        let sched = Baselines.Baseline.init ?on_advance spec machine ~n_workers in
+        (machine, sched, None, spec.Baselines.Baseline.shared_policy topo)
   in
   let alloc_shared ~elt_bytes ~count =
     Machine.alloc machine ~policy:shared_policy ~elt_bytes ~count ()
   in
   { env = { Workloads.Exec_env.sched; alloc_shared }; machine; charm }
 
+(* [Sched.run] returned the max over workers' last busy clocks; the
+   cheapest faithful proxy here is the max worker clock *)
 let report instance =
-  let sched = instance.env.Workloads.Exec_env.sched in
-  let makespan =
-    (* max over workers' last busy clocks is what Sched.run returned; the
-       cheapest faithful proxy here is the max worker clock *)
-    let n = Engine.Sched.n_workers sched in
-    let rec go w acc =
-      if w >= n then acc
-      else go (w + 1) (Float.max acc (Engine.Sched.worker_clock sched w))
-    in
-    go 0 0.0
-  in
-  Engine.Stats.collect instance.machine ~makespan_ns:makespan
+  Engine.Stats.collect instance.machine
+    ~makespan_ns:(Engine.Sched.max_clock instance.env.Workloads.Exec_env.sched)

@@ -241,7 +241,6 @@ module Session = struct
     fq : pending Fair_queue.t;
     inflight : int ref;
     next_job_id : int ref;
-    base_hooks : Sched.hooks;
     mutable capacity : float;
         (** the machine's online capacity at the last admission decision
             (at creation, before the first) *)
@@ -313,38 +312,6 @@ module Session = struct
        policy, health monitor and power cap, and the server itself *)
     Option.iter (fun tr -> Sched.set_trace sched (Some tr)) cfg.trace;
 
-    (* when tracing, sample the machine-wide fill-class counters once per
-       interval of virtual time — the Fig. 3 time series the policy
-       consumes — around the placement policy's own quantum hook *)
-    let base_hooks = Sched.hooks sched in
-    (match Sched.trace sched with
-    | Some tr ->
-        let counter_interval_ns = 50_000.0 in
-        let last_fills = ref Pmu.zero_fill_classes in
-        let last_fills_ns = ref 0.0 in
-        Sched.set_hooks sched
-          {
-            base_hooks with
-            Sched.on_quantum_end =
-              (fun s w ->
-                let now = Sched.worker_clock s w in
-                if now -. !last_fills_ns >= counter_interval_ns then begin
-                  let fills = Pmu.fill_classes (Machine.pmu inst.Systems.machine) in
-                  let d = Pmu.fill_classes_delta ~before:!last_fills ~after:fills in
-                  Engine.Trace.counter tr ~name:"fills" ~at_ns:now
-                    ~series:
-                      [
-                        ("local", float_of_int d.Pmu.fc_local);
-                        ("remote_chiplet", float_of_int d.Pmu.fc_remote_chiplet);
-                        ("remote_numa", float_of_int d.Pmu.fc_remote_numa);
-                        ("dram", float_of_int d.Pmu.fc_dram);
-                      ];
-                  last_fills := fills;
-                  last_fills_ns := now
-                end;
-                base_hooks.Sched.on_quantum_end s w);
-          }
-    | None -> ());
     {
       inst;
       cfg;
@@ -356,7 +323,6 @@ module Session = struct
       fq;
       inflight = ref 0;
       next_job_id = ref 0;
-      base_hooks;
       capacity;
       horizon = infinity;
       makespan = 0.0;
@@ -644,18 +610,12 @@ module Session = struct
       sess.tenants;
     !total
 
-  let backlog_ns sess =
-    let m = ref 0.0 in
-    for w = 0 to Sched.n_workers sess.sched - 1 do
-      m := Float.max !m (Sched.worker_clock sess.sched w)
-    done;
-    !m
+  let backlog_ns sess = Sched.max_clock sess.sched
 
   let cost_estimate sess kind = Job.cost_estimate sess.data kind
   let instance sess = sess.inst
 
   let finish sess =
-    Sched.set_hooks sess.sched sess.base_hooks;
     let registry = sess.registry in
     (* flow end-of-run profiler and machine statistics into the registry *)
     (match sess.inst.Systems.charm with

@@ -67,9 +67,8 @@ type config = {
           ({!Engine.Sched.set_trace}) for the run; every layer records
           into the scheduler's trace: quantum/steal/park/migration events
           (plus policy, health-monitor and power-cap decisions under
-          CHARM), job lifecycle instants (admit/shed/start/finish) and a
-          periodic machine-wide fill-class counter track sampled every
-          50 us of virtual time *)
+          CHARM, and the scheduler's own fill-class counter track) and
+          job lifecycle instants (admit/shed/start/finish) *)
   on_complete :
     (tenant:string -> kind:Job.kind -> submit_ns:float -> finish_ns:float -> unit)
       option;
@@ -197,7 +196,8 @@ module Session : sig
       mix cost) — a router load signal. *)
 
   val backlog_ns : t -> float
-  (** Max worker clock: how far the shard's virtual time has advanced. *)
+  (** {!Engine.Sched.max_clock}: how far the shard's virtual time has
+      advanced. *)
 
   val cost_estimate : t -> Job.kind -> float
   val instance : t -> Harness.Systems.instance

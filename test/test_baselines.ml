@@ -49,8 +49,7 @@ let test_local_cache_packs () =
 
 let test_driver_runs_workload () =
   let machine = Machine.create (amd ()) in
-  let driver = B.init (Baselines.Os_default.spec ()) machine ~n_workers:4 in
-  let sched = B.sched driver in
+  let sched = B.init (Baselines.Os_default.spec ()) machine ~n_workers:4 in
   let count = ref 0 in
   ignore
     (Engine.Sched.spawn sched ~worker:0 (fun ctx ->
@@ -65,8 +64,8 @@ let test_driver_runs_workload () =
 let test_sam_migrates_to_majority () =
   let machine = Machine.create (amd ()) in
   let spec = Baselines.Sam.spec () in
-  let driver = B.init spec machine ~n_workers:8 in
-  let sched = B.sched driver in
+  let sched = B.init spec machine ~n_workers:8 in
+  let rng = Engine.Rng.create 0xba5e in
   let topo = Machine.topology machine in
   (* build a decisive 7-vs-1 majority on socket 0: SAM only consolidates
      on a strict (>= 60%) majority *)
@@ -81,11 +80,11 @@ let test_sam_migrates_to_majority () =
   (match spec.B.on_tick with
   | Some tick ->
       (* first tick baselines the counter, second sees the delta *)
-      tick driver ~worker:7;
+      tick sched ~rng ~worker:7;
       Pmu.add (Machine.pmu machine)
         ~core:(Engine.Sched.worker_core sched 7)
         Pmu.Fill_remote_numa 100_000;
-      tick driver ~worker:7
+      tick sched ~rng ~worker:7
   | None -> Alcotest.fail "sam has no tick");
   Alcotest.(check int) "pulled to the majority socket" 0
     (Topology.socket_of_core topo (Engine.Sched.worker_core sched 7))
@@ -93,8 +92,8 @@ let test_sam_migrates_to_majority () =
 let test_asymsched_rebalances () =
   let machine = Machine.create (amd ()) in
   let spec = Baselines.Asymsched.spec () in
-  let driver = B.init spec machine ~n_workers:4 in
-  let sched = B.sched driver in
+  let sched = B.init spec machine ~n_workers:4 in
+  let rng = Engine.Rng.create 0xba5e in
   (* saturate node 0's channels in the current bin *)
   let now = Engine.Sched.worker_clock sched 0 in
   let region = Machine.alloc machine ~policy:(Simmem.Bind 0) ~elt_bytes:8 ~count:100_000 () in
@@ -103,7 +102,7 @@ let test_asymsched_rebalances () =
   done;
   let before = Topology.socket_of_core (Machine.topology machine) (Engine.Sched.worker_core sched 0) in
   (match spec.B.on_tick with
-  | Some tick -> tick driver ~worker:0
+  | Some tick -> tick sched ~rng ~worker:0
   | None -> Alcotest.fail "asymsched has no tick");
   let after = Topology.socket_of_core (Machine.topology machine) (Engine.Sched.worker_core sched 0) in
   Alcotest.(check int) "was on socket 0" 0 before;

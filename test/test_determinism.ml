@@ -4,21 +4,23 @@
 
 module Systems = Harness.Systems
 
-let batch_digest ~faults () =
-  let inst =
-    Systems.make ~cache_scale:16 Systems.Charm Systems.Amd_milan_1s
-      ~n_workers:4 ()
+(* a CHARM instance on the one-socket machine, with the fault pump of a
+   random schedule drawn from [faults_seed] when given *)
+let instance ?faults_seed ~horizon_us () =
+  let on_advance =
+    Option.map
+      (fun seed ->
+        let topo = Systems.topology Systems.Amd_milan_1s ~cache_scale:16 in
+        Faults.Injector.pump
+          (Faults.Injector.create (Faults.Schedule.random ~topo ~seed ~n:4 ~horizon_us)))
+      faults_seed
   in
-  let sched = inst.Systems.env.Workloads.Exec_env.sched in
+  Systems.make ~cache_scale:16 ?on_advance Systems.Charm Systems.Amd_milan_1s ~n_workers:4 ()
+
+let batch_digest ~faults () =
+  let inst = instance ?faults_seed:(if faults then Some 11 else None) ~horizon_us:500.0 () in
   let tr = Engine.Trace.create () in
-  Engine.Sched.set_trace sched (Some tr);
-  if faults then begin
-    let topo = Chipsim.Machine.topology inst.Systems.machine in
-    ignore
-      (Faults.Injector.attach sched
-         (Faults.Schedule.random ~topo ~seed:11 ~n:4 ~horizon_us:500.0)
-        : Faults.Injector.t)
-  end;
+  Engine.Sched.set_trace inst.Systems.env.Workloads.Exec_env.sched (Some tr);
   let params =
     { Workloads.Gups.default_params with Workloads.Gups.updates = 8192 }
   in
@@ -27,17 +29,7 @@ let batch_digest ~faults () =
     Engine.Trace.to_chrome_json [ tr ] )
 
 let serve_digest ~faults () =
-  let inst =
-    Systems.make ~cache_scale:16 Systems.Charm Systems.Amd_milan_1s
-      ~n_workers:4 ()
-  in
-  if faults then begin
-    let topo = Chipsim.Machine.topology inst.Systems.machine in
-    ignore
-      (Faults.Injector.attach inst.Systems.env.Workloads.Exec_env.sched
-         (Faults.Schedule.random ~topo ~seed:23 ~n:4 ~horizon_us:2000.0)
-        : Faults.Injector.t)
-  end;
+  let inst = instance ?faults_seed:(if faults then Some 23 else None) ~horizon_us:2000.0 () in
   let tr = Engine.Trace.create () in
   let cfg = Serving.Server.default_config ~seed:42 in
   let cfg =

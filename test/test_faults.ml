@@ -10,6 +10,9 @@ module Sched = Engine.Sched
 let topo () = Presets.amd_milan ()
 let machine () = Machine.create (topo ())
 
+(* the fault pump for [schedule], given to a scheduler at creation *)
+let faults schedule = Injector.pump (Injector.create schedule)
+
 (* -- spec grammar ------------------------------------------------------ *)
 
 let test_parse_round_trip () =
@@ -85,9 +88,10 @@ let test_parse_rejects () =
 let test_offline_migrates_when_cores_free () =
   (* plenty of spare cores: the evicted worker migrates instead of dying *)
   let m = machine () in
-  let sched = Sched.create m ~n_workers:4 ~placement:(fun w -> w) in
-  Injector.attach sched (Schedule.parse_exn ~topo:(topo ()) "5:core-off:1")
-  |> ignore;
+  let sched =
+    Sched.create ~on_advance:(faults (Schedule.parse_exn ~topo:(topo ()) "5:core-off:1"))
+      m ~n_workers:4 ~placement:(fun w -> w)
+  in
   let done_ = ref 0 in
   for _ = 1 to 64 do
     ignore
@@ -109,8 +113,10 @@ let test_offline_drains_and_completes () =
   let m = machine () in
   let topo = topo () in
   let n = Chipsim.Topology.num_cores topo in
-  let sched = Sched.create m ~n_workers:n ~placement:(fun w -> w) in
-  Injector.attach sched (Schedule.parse_exn ~topo "5:core-off:1") |> ignore;
+  let sched =
+    Sched.create ~on_advance:(faults (Schedule.parse_exn ~topo "5:core-off:1")) m ~n_workers:n
+      ~placement:(fun w -> w)
+  in
   let done_ = ref 0 in
   for _ = 1 to 4 * n do
     ignore
@@ -126,10 +132,11 @@ let test_offline_drains_and_completes () =
 
 let test_core_on_restores () =
   let m = machine () in
-  let sched = Sched.create m ~n_workers:2 ~placement:(fun w -> w) in
-  Injector.attach sched
-    (Schedule.parse_exn ~topo:(topo ()) "2:core-off:1; 20:core-on:1")
-  |> ignore;
+  let sched =
+    Sched.create
+      ~on_advance:(faults (Schedule.parse_exn ~topo:(topo ()) "2:core-off:1; 20:core-on:1"))
+      m ~n_workers:2 ~placement:(fun w -> w)
+  in
   let done_ = ref 0 in
   for _ = 1 to 64 do
     ignore
@@ -146,10 +153,8 @@ let test_core_on_restores () =
 let test_dvfs_scales_makespan () =
   let run spec =
     let m = machine () in
-    let sched = Sched.create m ~n_workers:1 ~placement:(fun w -> w) in
-    (match spec with
-    | Some s -> Injector.attach sched (Schedule.parse_exn ~topo:(topo ()) s) |> ignore
-    | None -> ());
+    let on_advance = Option.map (fun s -> faults (Schedule.parse_exn ~topo:(topo ()) s)) spec in
+    let sched = Sched.create ?on_advance m ~n_workers:1 ~placement:(fun w -> w) in
     for _ = 1 to 32 do
       ignore (Sched.spawn sched (fun ctx -> Sched.Ctx.work ctx 1_000.0))
     done;
@@ -230,18 +235,45 @@ let test_os_visible_fault_instant () =
   Alcotest.(check (list int)) "only chiplet 0" [ 0 ]
     (Charm.Health_monitor.sick_chiplets monitor)
 
+(* The pump is a [Systems.make] argument for every system alike: a
+   core-off given for a baseline (RING) lands where one given for CHARM
+   does, at the first event-loop frontier that reaches its time. *)
+let test_pump_lands_for_every_system () =
+  let module S = Harness.Systems in
+  let at_ns = 5_000.0 and core = 2 in
+  let landing sys =
+    let topo = S.topology S.Amd_milan ~cache_scale:16 in
+    let inj = Injector.create (Schedule.parse_exn ~topo (Printf.sprintf "5:core-off:%d" core)) in
+    let frontiers = ref [] and landed = ref nan in
+    let on_advance sched frontier =
+      frontiers := frontier :: !frontiers;
+      Injector.pump inj sched frontier;
+      let online = Modifiers.core_online (Machine.modifiers (Sched.machine sched)) core in
+      if Float.is_nan !landed && not online then landed := frontier
+    in
+    let inst = S.make ~cache_scale:16 ~on_advance sys S.Amd_milan ~n_workers:8 () in
+    let sched = inst.S.env.Workloads.Exec_env.sched in
+    for _ = 1 to 64 do
+      ignore (Sched.spawn sched (fun ctx -> Sched.Ctx.work ctx 2_000.0) : Sched.task)
+    done;
+    ignore (Sched.run sched : float);
+    let first_due = List.find (fun f -> f >= at_ns) (List.rev !frontiers) in
+    Alcotest.(check (float 0.0)) (S.sys_name sys ^ ": landed at the first due frontier") first_due !landed;
+    Alcotest.(check int) (S.sys_name sys ^ ": core vacated") (-1) (Sched.worker_of_core sched core)
+  in
+  landing S.Charm;
+  landing S.Ring
+
 (* -- end-to-end determinism ------------------------------------------- *)
 
 let test_faulted_serve_traces_identical () =
   let run () =
+    let topo = Harness.Systems.topology Harness.Systems.Amd_milan ~cache_scale:16 in
     let inst =
-      Harness.Systems.make ~cache_scale:16 Harness.Systems.Charm
-        Harness.Systems.Amd_milan ~n_workers:8 ()
+      Harness.Systems.make ~cache_scale:16
+        ~on_advance:(faults (Schedule.parse_exn ~topo "300:dvfs:0:0.5; 500:link:0:4; 900:core-off:2"))
+        Harness.Systems.Charm Harness.Systems.Amd_milan ~n_workers:8 ()
     in
-    let topo = Machine.topology inst.Harness.Systems.machine in
-    Injector.attach inst.Harness.Systems.env.Workloads.Exec_env.sched
-      (Schedule.parse_exn ~topo "300:dvfs:0:0.5; 500:link:0:4; 900:core-off:2")
-    |> ignore;
     let tr = Engine.Trace.create () in
     let base = Serving.Server.default_config ~seed:11 in
     let cfg =
@@ -291,6 +323,7 @@ let suite =
     Alcotest.test_case "silent fault detected" `Quick test_silent_fault_detected;
     Alcotest.test_case "os-visible fault instant" `Quick
       test_os_visible_fault_instant;
+    Alcotest.test_case "pump lands for every system" `Quick test_pump_lands_for_every_system;
     Alcotest.test_case "faulted serve deterministic" `Quick
       test_faulted_serve_traces_identical;
   ]

@@ -321,6 +321,63 @@ let test_charm_batch_trace_valid () =
   Alcotest.(check bool) "quanta recorded" true (Trace.num_events tr > 0);
   Alcotest.(check bool) "valid chrome json" true (json_valid (Trace.to_chrome_json [ tr ]))
 
+(* Fig. 3's fill mix, sampled by the scheduler into any attached trace:
+   a traced batch BFS gets a [fills] counter track whose samples lie at
+   least 50 us of virtual time apart, and whose deltas plus the tail
+   since the last sample add up to the machine's own fill-class totals.
+   A closing compute-only quantum 50 us past the last sample flushes that
+   tail into one more sample, so the deltas must then sum to the totals
+   exactly.  Checked for CHARM and for one baseline. *)
+let test_batch_fill_track sys () =
+  let inst = Harness.Systems.make sys Harness.Systems.Amd_milan ~n_workers:16 () in
+  let env = inst.Harness.Systems.env and machine = inst.Harness.Systems.machine in
+  let sched = env.Workloads.Exec_env.sched in
+  let tr = Trace.create () in
+  Sched.set_trace sched (Some tr);
+  let g =
+    Workloads.Csr.of_kronecker ~alloc:env.Workloads.Exec_env.alloc_shared
+      (Workloads.Kronecker.generate ~seed:3 ~scale:10 ~edge_factor:16 ())
+  in
+  ignore (Workloads.Bfs.run env g ~source:0 : int array * Workloads.Workload_result.t);
+  let samples () =
+    List.filter_map
+      (function
+        | Trace.Counter { name = "fills"; at_ns; series } ->
+            let v k = int_of_float (List.assoc k series) in
+            Some
+              ( at_ns,
+                { Pmu.fc_local = v "local"; fc_remote_chiplet = v "remote_chiplet";
+                  fc_remote_numa = v "remote_numa"; fc_dram = v "dram" } )
+        | _ -> None)
+      (Trace.events tr)
+  in
+  let sum l =
+    List.fold_left
+      (fun (a : Pmu.fill_classes) (_, (d : Pmu.fill_classes)) ->
+        { Pmu.fc_local = a.fc_local + d.fc_local;
+          fc_remote_chiplet = a.fc_remote_chiplet + d.fc_remote_chiplet;
+          fc_remote_numa = a.fc_remote_numa + d.fc_remote_numa; fc_dram = a.fc_dram + d.fc_dram })
+      Pmu.zero_fill_classes l
+  in
+  let during = samples () in
+  if List.length during < 2 then Alcotest.failf "%d fills samples" (List.length during);
+  let rec spaced = function
+    | (a, _) :: ((b, _) :: _ as rest) ->
+        if b -. a < 50_000.0 then Alcotest.failf "samples at %g and %g ns" a b;
+        spaced rest
+    | _ -> ()
+  in
+  spaced during;
+  let tail = Pmu.fill_classes_delta ~before:(sum during) ~after:(Pmu.fill_classes (Machine.pmu machine)) in
+  Sched.sync_clocks sched;
+  ignore (Sched.spawn sched ~worker:0 (fun ctx -> Sched.Ctx.work ctx 50_000.0) : Sched.task);
+  ignore (Sched.run sched : float);
+  let after = samples () in
+  Alcotest.(check int) "the closing quantum samples once" (List.length during + 1) (List.length after);
+  Alcotest.(check bool) "its delta is the tail" true (snd (List.nth after (List.length during)) = tail);
+  Alcotest.(check bool) "deltas sum to the machine's fill classes" true
+    (sum after = Pmu.fill_classes (Machine.pmu machine))
+
 (* CHARM's decisions — Alg. 1 spread changes, adaptive mode switches and
    health flags with their counter track — record into the scheduler's
    one trace, so a trace attached with [Sched.set_trace] holds the same
@@ -328,14 +385,16 @@ let test_charm_batch_trace_valid () =
    is CI's faulted serving run, which makes all three kinds. *)
 let test_charm_decisions_reach_sched_trace () =
   let decisions attach =
-    let inst = Harness.Systems.make Harness.Systems.Charm Harness.Systems.Amd_milan ~n_workers:32 () in
-    let sched = inst.Harness.Systems.env.Workloads.Exec_env.sched in
-    let topo = Machine.topology inst.Harness.Systems.machine in
-    ignore
-      (Faults.Injector.attach sched
-         (Faults.Schedule.parse_exn ~topo
-            "3000:dvfs:0:0.35;3000:l3-ways:0:2;3000:link:0:6;5000:core-off:2;6000:core-on:2")
-        : Faults.Injector.t);
+    let topo = Harness.Systems.topology Harness.Systems.Amd_milan ~cache_scale:1 in
+    let faults =
+      Faults.Injector.create
+        (Faults.Schedule.parse_exn ~topo
+           "3000:dvfs:0:0.35;3000:l3-ways:0:2;3000:link:0:6;5000:core-off:2;6000:core-on:2")
+    in
+    let inst =
+      Harness.Systems.make ~on_advance:(Faults.Injector.pump faults) Harness.Systems.Charm
+        Harness.Systems.Amd_milan ~n_workers:32 ()
+    in
     let tr = Trace.create () in
     attach inst tr;
     ignore (Serving.Server.run inst (Serving.Server.default_config ~seed:42) : Serving.Server.report);
@@ -380,6 +439,10 @@ let suite =
       test_quanta_never_overlap_per_worker;
     Alcotest.test_case "serve trace deterministic" `Quick test_serve_trace_deterministic;
     Alcotest.test_case "charm batch trace is valid json" `Quick test_charm_batch_trace_valid;
+    Alcotest.test_case "charm batch fill track sums to the pmu" `Quick
+      (test_batch_fill_track Harness.Systems.Charm);
+    Alcotest.test_case "ring batch fill track sums to the pmu" `Quick
+      (test_batch_fill_track Harness.Systems.Ring);
     Alcotest.test_case "charm decisions reach a scheduler trace" `Quick
       test_charm_decisions_reach_sched_trace;
   ]
