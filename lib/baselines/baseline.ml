@@ -5,10 +5,10 @@ type steal_discipline = Chiplet_first | Numa_first | Random_victim
 
 type spec = {
   placement : Topology.t -> n_workers:int -> int -> int;
-  shared_policy : Topology.t -> Simmem.policy;
+  shared_policy : Simmem.policy;
   steal : steal_discipline;
   tick_interval_ns : float;
-  on_tick : (Sched.t -> rng:Engine.Rng.t -> worker:int -> unit) option;
+  on_tick : (Sched.t -> rng:Rng.t -> worker:int -> unit) option;
   profile_adjust : Latency.profile -> Latency.profile;
   task_model : Engine.Sched.task_model;
 }
@@ -38,7 +38,7 @@ end
 let default_spec =
   {
     placement = Layouts.sequential;
-    shared_policy = (fun _ -> Simmem.First_touch);
+    shared_policy = Simmem.First_touch;
     steal = Chiplet_first;
     tick_interval_ns = 0.0;
     on_tick = None;
@@ -61,9 +61,9 @@ let numa_first_order sched ~thief =
   Array.sort (fun a b -> compare (rank a, a) (rank b, b)) arr;
   arr
 
-let init ?on_advance spec machine ~n_workers =
+let init ?faults spec machine ~n_workers =
   let topo = Machine.topology machine in
-  let last_tick = Array.make n_workers 0.0 and rng = Engine.Rng.create 0xba5e in
+  let last_tick = Array.make n_workers 0.0 and rng = Rng.create 0xba5e in
   let steal_order sched ~thief =
     match spec.steal with
     | Chiplet_first -> Sched.no_hooks.Sched.steal_order sched ~thief
@@ -83,7 +83,7 @@ let init ?on_advance spec machine ~n_workers =
         end
   in
   Sched.create ~task_model:spec.task_model ~hooks:{ Sched.on_quantum_end; steal_order }
-    ?on_advance machine ~n_workers
+    ?faults machine ~n_workers
     ~placement:(fun w -> spec.placement topo ~n_workers w)
 
 (* A chiplet-blind core pick: a random free core on the target socket. *)
@@ -99,4 +99,4 @@ let random_free_core sched ~rng ~socket =
   | [] -> None
   | cores ->
       let arr = Array.of_list cores in
-      Some arr.(Engine.Rng.int rng (Array.length arr))
+      Some arr.(Rng.int rng (Array.length arr))

@@ -18,11 +18,11 @@ type steal_discipline =
 type spec = {
   placement : Topology.t -> n_workers:int -> int -> int;
       (** initial core of each worker; must be injective *)
-  shared_policy : Topology.t -> Simmem.policy;
+  shared_policy : Simmem.policy;
       (** how the system places shared datasets *)
   steal : steal_discipline;
   tick_interval_ns : float;  (** 0 disables periodic rebalancing *)
-  on_tick : (Engine.Sched.t -> rng:Engine.Rng.t -> worker:int -> unit) option;
+  on_tick : (Engine.Sched.t -> rng:Rng.t -> worker:int -> unit) option;
       (** the rebalancing action, run from a worker's quantum-end hook at
           most once per [tick_interval_ns] of its clock; [rng] is the
           baseline's own stream *)
@@ -36,15 +36,15 @@ val default_spec : spec
     rebalancing, coroutine tasks. *)
 
 val init :
-  ?on_advance:(Engine.Sched.t -> float -> unit) ->
+  ?faults:Faults.Schedule.t ->
   spec ->
   Machine.t ->
   n_workers:int ->
   Engine.Sched.t
 (** A scheduler over [machine] with the spec's placement, task model and
-    hooks; [on_advance] is its fault pump ({!Engine.Sched.create}). *)
+    hooks, replaying [faults] ({!Engine.Sched.create}). *)
 
-val random_free_core : Engine.Sched.t -> rng:Engine.Rng.t -> socket:int -> int option
+val random_free_core : Engine.Sched.t -> rng:Rng.t -> socket:int -> int option
 (** A chiplet-blind core pick: a core on [socket] that hosts no worker,
     drawn uniformly with [rng] (one draw); [None] when the socket has
     none.  SAM and AsymSched migrate workers with it. *)

@@ -4,14 +4,14 @@ open Chipsim
    destroying cache affinity (what pinning — and CHARM — prevents). *)
 let wander sched ~rng ~worker =
   let machine = Engine.Sched.machine sched in
-  if Engine.Rng.int rng 4 = 0 then begin
+  if Rng.int rng 4 = 0 then begin
     let topo = Machine.topology machine in
     let cores = Topology.num_cores topo in
     let tries = ref 8 in
     let moved = ref false in
     while (not !moved) && !tries > 0 do
       decr tries;
-      let target = Engine.Rng.int rng cores in
+      let target = Rng.int rng cores in
       if Engine.Sched.worker_of_core sched target < 0 then begin
         Engine.Sched.migrate sched ~worker ~core:target;
         moved := true

@@ -30,9 +30,9 @@ let tick ~confused ~baselines sched ~rng ~worker =
   let delta = fills - base in
   let my_socket = Topology.socket_of_core topo core in
   let target_socket =
-    if confused && Engine.Rng.int rng 4 = 0 then
+    if confused && Rng.int rng 4 = 0 then
       (* misread PMU signal: migrate somewhere random *)
-      Engine.Rng.int rng topo.Topology.sockets
+      Rng.int rng topo.Topology.sockets
     else if delta > remote_fill_threshold then majority_socket sched ~current:my_socket
     else my_socket
   in

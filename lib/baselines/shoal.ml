@@ -6,7 +6,7 @@ let spec () =
   {
     Baseline.default_spec with
     Baseline.placement = Baseline.Layouts.sequential;
-    shared_policy = (fun _ -> Simmem.Interleave);
+    shared_policy = Simmem.Interleave;
     steal = Baseline.Numa_first;
     profile_adjust =
       (fun p ->

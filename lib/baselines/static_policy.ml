@@ -5,12 +5,12 @@ let local_cache () =
   {
     Baseline.default_spec with
     Baseline.placement = Baseline.Layouts.sequential;
-    shared_policy = (fun _ -> Chipsim.Simmem.Interleave);
+    shared_policy = Chipsim.Simmem.Interleave;
   }
 
 let distributed_cache () =
   {
     Baseline.default_spec with
     Baseline.placement = Baseline.Layouts.one_per_chiplet;
-    shared_policy = (fun _ -> Chipsim.Simmem.Interleave);
+    shared_policy = Chipsim.Simmem.Interleave;
   }

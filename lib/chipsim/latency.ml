@@ -28,18 +28,6 @@ let default_profile =
     coherence_inval_ns = 18.0;
   }
 
-let classify topo a b =
-  if a = b then Same_core
-  else
-    let ca = Topology.chiplet_of_core topo a
-    and cb = Topology.chiplet_of_core topo b in
-    if ca = cb then Same_chiplet
-    else if Topology.socket_of_chiplet topo ca <> Topology.socket_of_chiplet topo cb
-    then Cross_socket
-    else if Topology.group_of_chiplet topo ca = Topology.group_of_chiplet topo cb
-    then Same_group
-    else Same_socket
-
 let classify_chiplets topo ca cb =
   if ca = cb then Same_chiplet
   else if Topology.socket_of_chiplet topo ca <> Topology.socket_of_chiplet topo cb
@@ -47,6 +35,10 @@ let classify_chiplets topo ca cb =
   else if Topology.group_of_chiplet topo ca = Topology.group_of_chiplet topo cb
   then Same_group
   else Same_socket
+
+let classify topo a b =
+  if a = b then Same_core
+  else classify_chiplets topo (Topology.chiplet_of_core topo a) (Topology.chiplet_of_core topo b)
 
 let rank_of_distance = function
   | Same_core -> 0

@@ -49,7 +49,6 @@ type t = {
   chiplets : chiplet_state array;
   workers : worker_state array;
   mutable mods_generation : int;
-  mutable first_flag_ns : float option;
   mutable events : event list;  (* newest first *)
   sorted : float array;  (* {!median_ewma}'s sort buffer, one slot per chiplet *)
 }
@@ -74,7 +73,6 @@ let create machine ~n_workers =
       Array.init n_workers (fun _ ->
           { last_core = -1; last_mem_ns = 0.0; last_accesses = 0 });
     mods_generation = -1;
-    first_flag_ns = None;
     events = [];
     sorted = Array.make (Topology.num_chiplets topo) 0.0;
   }
@@ -88,8 +86,6 @@ let sick_chiplets t =
   done;
   !acc
 
-let any_sick t = Array.exists (fun c -> c.sick) t.chiplets
-let first_flag_ns t = t.first_flag_ns
 let events t = List.rev t.events
 
 let counter_series t =
@@ -112,7 +108,6 @@ let flag t sched ~chiplet ~sick ~at_ns =
     st.sick <- sick;
     st.strikes <- 0;
     st.healthy_streak <- 0;
-    if sick && t.first_flag_ns = None then t.first_flag_ns <- Some at_ns;
     t.events <- { chiplet; sick; at_ns } :: t.events;
     match Sched.trace sched with
     | Some tr ->

@@ -41,11 +41,6 @@ val observe : t -> Engine.Sched.t -> worker:int -> unit
 
 val sick : t -> chiplet:int -> bool
 val sick_chiplets : t -> int list
-val any_sick : t -> bool
-
-val first_flag_ns : t -> float option
-(** Virtual time of the first sick flag ever raised (detection latency =
-    this minus the fault's injection time). *)
 
 val events : t -> event list
 (** All flag transitions, oldest first. *)

@@ -12,7 +12,7 @@ type t = {
 (* simulated cost of one profiling check, charged to the checking worker *)
 let profiler_overhead_ns = 40.0
 
-let init ?(config = Config.default) ?task_model ?on_advance machine ~n_workers =
+let init ?(config = Config.default) ?task_model ?faults machine ~n_workers =
   let topo = Machine.topology machine in
   Config.validate config topo;
   if n_workers > Topology.num_cores topo then
@@ -79,10 +79,10 @@ let init ?(config = Config.default) ?task_model ?on_advance machine ~n_workers =
           end);
       steal_order =
         (if config.Config.chiplet_first_steal then Sched.no_hooks.Sched.steal_order
-         else Sched.random_steal_order (Engine.Rng.create 0x51ea1));
+         else Sched.random_steal_order (Rng.create 0x51ea1));
     }
   in
-  let sched = Sched.create ?task_model ~hooks ?on_advance machine ~n_workers ~placement in
+  let sched = Sched.create ?task_model ~hooks ?faults machine ~n_workers ~placement in
   (* any energy feature — a cap or EDP-weighted placement — needs the
      per-quantum compute meters running; plain runs leave them off so the
      energy-free baselines stay bit-identical *)

@@ -17,13 +17,13 @@ type t
 val init :
   ?config:Config.t ->
   ?task_model:Engine.Sched.task_model ->
-  ?on_advance:(Engine.Sched.t -> float -> unit) ->
+  ?faults:Faults.Schedule.t ->
   Machine.t ->
   n_workers:int ->
   t
 (** Create a runtime with [n_workers] worker threads placed by Alg. 2 at
     the initial spread rate (clamped up to the smallest valid spread).
-    [on_advance] is the scheduler's fault pump ({!Engine.Sched.create}).
+    The scheduler replays [faults] ({!Engine.Sched.create}).
     @raise Invalid_argument if the machine cannot host the gang. *)
 
 val sched : t -> Engine.Sched.t

@@ -1,6 +1,6 @@
 type outcome = Yielded | Suspended | Finished
 
-type t = { cid : int; mutable state : state; mutable last : outcome }
+type t = { mutable state : state; mutable last : outcome }
 
 and state =
   | Created of (unit -> unit)
@@ -10,32 +10,24 @@ and state =
 
 type _ Effect.t +=
   | Yield : unit Effect.t
-  | Suspend : (t -> unit) -> unit Effect.t
+  | Suspend : unit Effect.t
 
-let counter = ref 0
-
-let create f =
-  incr counter;
-  { cid = !counter; state = Created f; last = Finished }
-
-let id t = t.cid
+let create f = { state = Created f; last = Finished }
 let is_done t = t.state = Finished_
 
 let is_parked t =
   match t.state with Created _ | Parked _ -> true | Running | Finished_ -> false
 
 let yield () = Effect.perform Yield
-let suspend register = Effect.perform (Suspend register)
+let suspend () = Effect.perform Suspend
 
 (* One deep handler serves every coroutine, built once at start-up: a
    handler built per coroutine costs a record and five closures per task,
    and one whose [effc] builds [Some (fun k -> ...)] costs a closure per
    [perform].  The handler finds the coroutine it acts for in [current],
    which {!resume} sets around every run and restores afterwards, so a
-   coroutine may resume another.  A suspend's registrar waits in
-   [registrar] between [effc] and the continuation's handling. *)
-let current = ref { cid = 0; state = Finished_; last = Finished }
-let registrar = ref (fun (_ : t) -> ())
+   coroutine may resume another. *)
+let current = ref { state = Finished_; last = Finished }
 
 let on_yield =
   Some
@@ -49,8 +41,7 @@ let on_suspend =
     (fun (k : (unit, unit) Effect.Deep.continuation) ->
       let t = !current in
       t.state <- Parked k;
-      t.last <- Suspended;
-      !registrar t)
+      t.last <- Suspended)
 
 let handler : (unit, unit) Effect.Deep.handler =
   {
@@ -69,9 +60,7 @@ let handler : (unit, unit) Effect.Deep.handler =
       (fun (type c) (eff : c Effect.t) ->
         match eff with
         | Yield -> (on_yield : ((c, unit) Effect.Deep.continuation -> unit) option)
-        | Suspend register ->
-            registrar := register;
-            on_suspend
+        | Suspend -> on_suspend
         | _ -> None);
   }
 

@@ -16,7 +16,6 @@ type outcome =
 val create : (unit -> unit) -> t
 (** A coroutine that will run the thunk when first resumed. *)
 
-val id : t -> int
 val resume : t -> outcome
 (** Run (or continue) the coroutine until it yields, suspends or returns.
     @raise Invalid_argument if it is not in a resumable state. *)
@@ -29,7 +28,7 @@ val yield : unit -> unit
 (** Within a coroutine: suspend, asking to be rescheduled immediately.
     @raise Effect.Unhandled if called outside a coroutine. *)
 
-val suspend : (t -> unit) -> unit
-(** [suspend register] parks the running coroutine and hands it to
-    [register] (which typically stores it on a wait list).  Returns when
-    somebody resumes it. *)
+val suspend : unit -> unit
+(** Within a coroutine: park, leaving the wake-up to whoever the caller
+    registered the coroutine with beforehand.  Returns when somebody
+    resumes it. *)

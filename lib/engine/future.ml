@@ -21,13 +21,8 @@ let fulfill ctx t v =
 let await ctx t =
   match t.state with
   | Done v -> v
-  | Pending _ ->
-      Sched.Ctx.suspend ctx (fun task ->
-          match t.state with
-          | Pending waiters -> t.state <- Pending (task :: waiters)
-          | Done _ ->
-              (* fulfilled between the check and the park: wake ourselves *)
-              Sched.ready (Sched.Ctx.sched ctx) task);
+  | Pending waiters ->
+      Sched.Ctx.suspend ctx (fun task -> t.state <- Pending (task :: waiters));
       (match t.state with
       | Done v -> v
       | Pending _ -> assert false)

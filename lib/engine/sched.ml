@@ -35,8 +35,8 @@ type t = {
   core_last_worker : int array;
   hooks : hooks;
   mutable trace : Trace.t option;
-  on_advance : (t -> float -> unit) option;
-      (* fault pump: called with the event-loop frontier before each pick *)
+  faults : Faults.Schedule.event array;  (* sorted by time, spec order kept *)
+  mutable next_fault : int;  (* the first event not yet applied *)
   mutable fills_last : Pmu.fill_classes;  (* at the last traced [fills] sample *)
   mutable fills_last_ns : float;
   workers : worker array;
@@ -340,8 +340,8 @@ let random_steal_order rng t ~thief =
   Rng.shuffle rng victims;
   victims
 
-let create ?(task_model = Coroutines { switch_ns = 30.0 }) ?(hooks = no_hooks) ?on_advance machine
-    ~n_workers ~placement =
+let create ?(task_model = Coroutines { switch_ns = 30.0 }) ?(hooks = no_hooks) ?(faults = [])
+    machine ~n_workers ~placement =
   if n_workers <= 0 then invalid_arg "Sched.create: n_workers must be positive";
   let topo = Machine.topology machine in
   let cores = Topology.num_cores topo in
@@ -386,7 +386,8 @@ let create ?(task_model = Coroutines { switch_ns = 30.0 }) ?(hooks = no_hooks) ?
     core_last_worker = Array.make cores (-1);
     hooks;
     trace = None;
-    on_advance;
+    faults = Array.of_list (Faults.Schedule.sort faults);
+    next_fault = 0;
     fills_last = Pmu.zero_fill_classes;
     fills_last_ns = 0.0;
     workers;
@@ -964,6 +965,34 @@ let handle_core_online t ~core ~at =
         unpark t w ~at
       end
 
+(* Apply one fault event.  The trace stamps it at its scheduled instant,
+   not the frontier it lands at, so the trace shows the fault where the
+   schedule put it and replays do not depend on quantum granularity. *)
+let apply_fault t { Faults.Schedule.at_ns = at; kind } =
+  let mods = Machine.modifiers t.machine in
+  (match kind with
+  | Faults.Schedule.Core_off c ->
+      Modifiers.set_core_online mods c false;
+      handle_core_offline t ~core:c
+  | Core_on c ->
+      Modifiers.set_core_online mods c true;
+      handle_core_online t ~core:c ~at
+  | Dvfs { core; speed } -> Modifiers.set_core_speed mods core speed
+  | L3_ways { chiplet; ways } -> Machine.set_l3_ways t.machine ~chiplet ~ways
+  | Link { chiplet; mult } -> Modifiers.set_link_mult mods chiplet mult
+  | Xsocket m -> Modifiers.set_xsocket_mult mods m
+  | Membw { node; factor } -> Machine.set_mem_capacity_factor t.machine ~node factor
+  | Corruption { seed } -> Modifiers.arm_corruption mods ~seed);
+  match t.trace with
+  | Some tr -> Trace.fault tr ~desc:(Faults.Schedule.describe kind) ~at_ns:at
+  | None -> ()
+
+let[@inline] apply_due_faults t ~now =
+  while t.next_fault < Array.length t.faults && t.faults.(t.next_fault).at_ns <= now do
+    apply_fault t t.faults.(t.next_fault);
+    t.next_fault <- t.next_fault + 1
+  done
+
 let run t =
   let rec loop () =
     if t.live = 0 then ()
@@ -979,10 +1008,10 @@ let run t =
         (* dormant worker's stale heap entry: drop it *)
         loop ()
       else begin
-        (* fault pump: [key] is the event-loop frontier — no worker can
-           run earlier than it, so faults due at or before it apply
-           deterministically here, at a quantum boundary *)
-        (match t.on_advance with Some f -> f t key | None -> ());
+        (* [key] is the event-loop frontier — no worker can run earlier
+           than it, so faults due at or before it apply deterministically
+           here, at a quantum boundary *)
+        apply_due_faults t ~now:key;
         if w.offlined then loop ()
         else if key < w.clock.(0) then begin
           (* stale heap entry; reinsert with the fresh clock *)
@@ -1075,9 +1104,11 @@ module Ctx = struct
     let w = worker c in
     if w.accesses >= max_accesses_per_quantum then Coroutine.yield ()
 
-  (* [Coroutine.suspend] hands over the coroutine; the registrar wants the
-     scheduler-level task, which owns requeue metadata. *)
-  let suspend c register = Coroutine.suspend (fun _coro -> register c.ctask)
+  (* nothing runs between the registration and the park, so the wait
+     list cannot wake the task before it has parked *)
+  let suspend c register =
+    register c.ctask;
+    Coroutine.suspend ()
 
   let spawn c ?worker ?at body =
     let t = c.csched in
@@ -1093,13 +1124,10 @@ module Ctx = struct
     let at = match at with Some at -> at | None -> now c in
     spawn_on t ~worker ~at body
 
-  (* the waiter is listed before it parks — nothing can finish [task]
-     while this coroutine runs — so the suspend needs no registrar
-     closure *)
   let await c task =
     if not task.finished then begin
       task.waiters <- c.ctask :: task.waiters;
-      Coroutine.suspend ignore
+      Coroutine.suspend ()
     end
 end
 
@@ -1109,8 +1137,8 @@ let sync_clocks t =
   let m = max_clock t in
   Array.iter (fun w -> w.clock.(0) <- m) t.workers;
   (* refresh the event heap: the old keys now all lag the clocks, so every
-     next pop would take the stale-entry reinsert path (and hand the fault
-     pump a frontier from before the sync) *)
+     next pop would take the stale-entry reinsert path (and apply faults
+     against a frontier from before the sync) *)
   t.heap.size <- 0;
   Array.iter
     (fun w -> if (not w.parked) && not w.offlined then heap_push t.heap w)

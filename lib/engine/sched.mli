@@ -11,8 +11,8 @@ open Chipsim
     the workload would have taken.
 
     Placement policy ({!hooks}: CHARM's and each baseline's quantum-end
-    migration logic and steal-victim order) and a fault pump are given at
-    {!create} and fixed for the scheduler's life. *)
+    migration logic and steal-victim order) and a fault schedule are given
+    at {!create} and fixed for the scheduler's life. *)
 
 type t
 type task
@@ -46,7 +46,7 @@ val random_steal_order : Rng.t -> t -> thief:int -> int array
 val create :
   ?task_model:task_model ->
   ?hooks:hooks ->
-  ?on_advance:(t -> float -> unit) ->
+  ?faults:Faults.Schedule.t ->
   Machine.t ->
   n_workers:int ->
   placement:(int -> int) ->
@@ -54,12 +54,12 @@ val create :
 (** [create machine ~n_workers ~placement] binds worker [w] to core
     [placement w].  Distinct workers must get distinct cores.
     [task_model] defaults to coroutines with a 30 ns switch, [hooks] to
-    {!no_hooks}.  [on_advance], the fault pump, is called with the
-    event-loop frontier (the least-advanced runnable worker's clock)
-    before every scheduling pick.  Virtual time never runs ahead of the
-    frontier, so a fault schedule applied from it is deterministic: a
-    fault due at [f] lands at the first quantum boundary whose frontier
-    reaches [f].
+    {!no_hooks}, [faults] to none.  The scheduler replays [faults] itself:
+    before every scheduling pick it applies, with {!apply_due_faults},
+    every event due at or before the event-loop frontier (the
+    least-advanced runnable worker's clock).  Virtual time never runs
+    ahead of the frontier, so the replay is deterministic: a fault due at
+    [f] lands at the first quantum boundary whose frontier reaches [f].
     @raise Invalid_argument on core clashes or out-of-range cores. *)
 
 val machine : t -> Machine.t
@@ -164,18 +164,17 @@ val migrate : t -> worker:int -> core:int -> unit
     arbitrary cores; a real kernel silently skips offlined CPUs).
     @raise Invalid_argument if the core is bound to another worker. *)
 
-val handle_core_offline : t -> core:int -> unit
-(** React to a core-offline fault: migrate the bound worker to the nearest
-    free online core, or — with none available — park it dormant and drain
-    its queue into the nearest surviving worker.  The last active worker
-    is never made dormant.  No-op if no worker is bound to [core].  The
-    caller is expected to have already marked the core offline in
-    {!Chipsim.Modifiers}. *)
-
-val handle_core_online : t -> core:int -> at:float -> unit
-(** React to a core-online recovery at virtual time [at]: revive a worker
-    that went dormant in place on [core].  A worker that migrated away
-    stays on its new core.  No-op otherwise. *)
+val apply_due_faults : t -> now:float -> unit
+(** Apply, in schedule order, every event of the {!create} schedule not
+    yet applied that is due at or before [now]: set the machine's
+    {!Chipsim.Modifiers} (and cache or channel state for L3 and bandwidth
+    faults), and on a core-off migrate the core's worker to the nearest
+    free online core or, with none, park it dormant and drain its queue
+    into the nearest survivor (never the last active worker); on a
+    core-on revive a worker that went dormant in place.  Each event is
+    recorded as a {!Trace.fault} stamped at its own time.  The event loop
+    calls this before every pick; between runs a caller may force the
+    schedule up to a time the idle scheduler has not reached. *)
 
 val spawn : t -> ?worker:int -> ?at:float -> (ctx -> unit) -> task
 (** Enqueue a new task.  Without [?worker] tasks are distributed
@@ -221,7 +220,9 @@ module Ctx : sig
       counter {!maybe_yield} compares against the budget). *)
 
   val suspend : ctx -> (task -> unit) -> unit
-  (** Park the current task, handing it to a registrar (wait list). *)
+  (** [suspend ctx register] calls [register] with the current task
+      (typically to list it on a wait list), then parks the task until
+      someone {!ready}s it.  Nothing runs between the two steps. *)
 
   val spawn : ctx -> ?worker:int -> ?at:float -> (ctx -> unit) -> task
   (** Child tasks default to the spawner's local queue. *)

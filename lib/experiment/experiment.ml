@@ -818,14 +818,9 @@ let instance t =
         { Charm.Config.default with energy_weight = t.energy_weight; power_cap_mw = t.power_cap_mw }
     else None
   in
-  let on_advance =
-    match List.concat_map snd t.faults with
-    | [] -> None
-    | schedule -> Some (Faults.Injector.pump (Faults.Injector.create schedule))
-  in
   let inst =
-    Systems.make ?charm_config ?on_advance ~cache_scale:t.cache_scale t.sys t.machine
-      ~n_workers:t.workers ()
+    Systems.make ?charm_config ~faults:(List.concat_map snd t.faults) ~cache_scale:t.cache_scale
+      t.sys t.machine ~n_workers:t.workers ()
   in
   (* CHARM's runtime flips the meter on for a cap or weight; bare --energy
      (or a non-CHARM system) turns accounting on here *)

@@ -114,8 +114,7 @@ let expand_rand ~topo entry ~seed ~n ~horizon_us =
   let cores = Topology.num_cores topo in
   let chiplets = Topology.num_chiplets topo in
   let nodes = topo.Topology.sockets in
-  let rng = Engine.Rng.create seed in
-  let module Rng = Engine.Rng in
+  let rng = Rng.create seed in
   (* Each two-draw record draws its second field first: the order every
      recorded [rand:] schedule was expanded with (OCaml leaves record
      field evaluation order unspecified, so it is spelled out). *)

@@ -7,7 +7,7 @@ module Metrics = Serving.Metrics
 module Histogram = Serving.Histogram
 module Job = Serving.Job
 module Trace = Engine.Trace
-module Rng = Engine.Rng
+module Rng = Chipsim.Rng
 
 (* a shard is degraded, and sheds its queue to healthy shards, below this
    online capacity or at/above this sick-chiplet fraction *)
@@ -247,19 +247,12 @@ let run cfg =
         else None)
   in
   let router = Router.create cfg.policy in
-  (* one injector per faulted shard, its pump given to the shard's
-     scheduler at creation *)
-  let injectors =
-    Array.init n (fun s ->
-        match List.concat_map (fun (s', sch) -> if s' = s then sch else []) cfg.faults with
-        | [] -> None
-        | schedule -> Some (Faults.Injector.create schedule))
-  in
   let sessions =
     Array.init n (fun s ->
-        let on_advance = Option.map Faults.Injector.pump injectors.(s) in
+        (* every schedule listed for this shard, replayed by its scheduler *)
+        let faults = List.concat_map (fun (s', sch) -> if s' = s then sch else []) cfg.faults in
         let inst =
-          Systems.make ~cache_scale:cfg.cache_scale ?on_advance cfg.sys (shard_machine s)
+          Systems.make ~cache_scale:cfg.cache_scale ~faults cfg.sys (shard_machine s)
             ~n_workers:cfg.n_workers ()
         in
         let scfg =
@@ -446,11 +439,11 @@ let run cfg =
        not reached on its own — between drains every sched is quiescent,
        so this is a safe hotplug point, and it keeps fault visibility
        independent of shard load *)
-    Array.iteri
-      (fun s inj ->
-        let sched = (Session.instance sessions.(s)).Systems.env.Workloads.Exec_env.sched in
-        Option.iter (fun inj -> Faults.Injector.drain inj sched ~now:!t0) inj)
-      injectors;
+    Array.iter
+      (fun sess ->
+        Engine.Sched.apply_due_faults
+          (Session.instance sess).Systems.env.Workloads.Exec_env.sched ~now:!t0)
+      sessions;
     refresh_views ~now:!t0;
     relocate_pass ~now:!t0;
     while !cursor < n_arr && arrivals.(!cursor).Server.submit_ns < t1 do

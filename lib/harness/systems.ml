@@ -101,21 +101,21 @@ let baseline_spec ~kind = function
   | Distributed_cache -> Baselines.Static_policy.distributed_cache ()
   | Charm | Charm_os_threads -> invalid_arg "Systems.baseline_spec: not a baseline"
 
-let make ?(cache_scale = 1) ?charm_config ?on_advance sys kind ~n_workers () =
+let make ?(cache_scale = 1) ?charm_config ?faults sys kind ~n_workers () =
   let topo = topology kind ~cache_scale in
   let machine, sched, charm, shared_policy =
     match sys with
     | Charm | Charm_os_threads ->
         let machine = Machine.create ~profile:(base_profile kind) topo in
         let task_model = if sys = Charm_os_threads then Some os_threads else None in
-        let rt = Charm.Runtime.init ?config:charm_config ?task_model ?on_advance machine ~n_workers in
+        let rt = Charm.Runtime.init ?config:charm_config ?task_model ?faults machine ~n_workers in
         (machine, Charm.Runtime.sched rt, Some rt, Simmem.First_touch)
     | _ ->
         let spec = baseline_spec ~kind sys in
         let profile = spec.Baselines.Baseline.profile_adjust (base_profile kind) in
         let machine = Machine.create ~profile topo in
-        let sched = Baselines.Baseline.init ?on_advance spec machine ~n_workers in
-        (machine, sched, None, spec.Baselines.Baseline.shared_policy topo)
+        let sched = Baselines.Baseline.init ?faults spec machine ~n_workers in
+        (machine, sched, None, spec.Baselines.Baseline.shared_policy)
   in
   let alloc_shared ~elt_bytes ~count =
     Machine.alloc machine ~policy:shared_policy ~elt_bytes ~count ()

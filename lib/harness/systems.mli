@@ -67,14 +67,14 @@ type instance = {
 val make :
   ?cache_scale:int ->
   ?charm_config:Charm.Config.t ->
-  ?on_advance:(Engine.Sched.t -> float -> unit) ->
+  ?faults:Faults.Schedule.t ->
   sys ->
   machine_kind ->
   n_workers:int ->
   unit ->
   instance
 (** Build a fresh machine and a scheduler with [sys]'s placement hooks
-    and the fault pump [on_advance] ({!Engine.Sched.create}).
+    that replays [faults] ({!Engine.Sched.create}).
     [env.alloc_shared] places datasets first-touch under CHARM and by the
     spec's [shared_policy] under a baseline.
     @raise Invalid_argument if the machine cannot host [n_workers]. *)

@@ -25,15 +25,15 @@ let day_of ~year =
 
 let generate ~alloc ?(seed = 1234) ~sf () =
   if sf <= 0.0 then invalid_arg "Tpch_data.generate: sf must be positive";
-  let rng = Engine.Rng.create seed in
+  let rng = Chipsim.Rng.create seed in
   let scale base = max 1 (int_of_float (float_of_int base *. sf)) in
   let n_supplier = scale 10_000 in
   let n_customer = scale 150_000 in
   let n_part = scale 200_000 in
   let n_partsupp = 4 * n_part in
   let n_orders = scale 1_500_000 in
-  let ri n = Engine.Rng.int rng n in
-  let rf bound = Engine.Rng.float rng bound in
+  let ri n = Chipsim.Rng.int rng n in
+  let rf bound = Chipsim.Rng.float rng bound in
   (* A table's columns are built last first, the order every recorded
      dataset was generated with: both the draws and the simulated
      addresses follow it (a list literal's evaluation order is

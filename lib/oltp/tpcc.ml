@@ -68,16 +68,16 @@ let stock_row p ~w ~i = (w * p.items) + i
    inserts are per-district *)
 let new_order ctx db p rng engine ol_cursor ~home =
   let w = home in
-  let d = Engine.Rng.int rng p.districts_per_warehouse in
-  let c = Engine.Rng.int rng p.customers_per_district in
+  let d = Chipsim.Rng.int rng p.districts_per_warehouse in
+  let c = Chipsim.Rng.int rng p.customers_per_district in
   ignore (Storage.read_record ctx db.warehouse w);
   (* district next_o_id is a serialization hot spot *)
   let next = Storage.read_field ctx db.district ~row:(district_row p ~w ~d) ~word:1 in
   Storage.write_field ctx db.district ~row:(district_row p ~w ~d) ~word:1 (next + 1);
   ignore (Storage.read_record ctx db.customer (customer_row p ~w ~d ~c));
-  let ol_cnt = 5 + Engine.Rng.int rng 11 in
+  let ol_cnt = 5 + Chipsim.Rng.int rng 11 in
   for _ = 1 to ol_cnt do
-    let i = Engine.Rng.int rng p.items in
+    let i = Chipsim.Rng.int rng p.items in
     ignore (Storage.read_record ctx db.item i);
     let qty = Storage.read_field ctx db.stock ~row:(stock_row p ~w ~i) ~word:0 in
     Storage.write_field ctx db.stock ~row:(stock_row p ~w ~i) ~word:0
@@ -90,9 +90,9 @@ let new_order ctx db p rng engine ol_cursor ~home =
 
 let payment ctx db p rng engine ~home =
   let w = home in
-  let d = Engine.Rng.int rng p.districts_per_warehouse in
-  let c = Engine.Rng.int rng p.customers_per_district in
-  let amount = 1 + Engine.Rng.int rng 5000 in
+  let d = Chipsim.Rng.int rng p.districts_per_warehouse in
+  let c = Chipsim.Rng.int rng p.customers_per_district in
+  let amount = 1 + Chipsim.Rng.int rng 5000 in
   let wv = Storage.read_field ctx db.warehouse ~row:w ~word:1 in
   Storage.write_field ctx db.warehouse ~row:w ~word:1 (wv + amount);
   let drow = district_row p ~w ~d in
@@ -106,7 +106,7 @@ let payment ctx db p rng engine ~home =
 let delivery ctx db p rng engine ~home =
   let w = home in
   for d = 0 to p.districts_per_warehouse - 1 do
-    let c = Engine.Rng.int rng p.customers_per_district in
+    let c = Chipsim.Rng.int rng p.customers_per_district in
     let crow = customer_row p ~w ~d ~c in
     let bal = Storage.read_field ctx db.customer ~row:crow ~word:1 in
     Storage.write_field ctx db.customer ~row:crow ~word:1 (bal + 100)
@@ -115,8 +115,8 @@ let delivery ctx db p rng engine ~home =
 
 let order_status ctx db p rng engine ~home =
   let w = home in
-  let d = Engine.Rng.int rng p.districts_per_warehouse in
-  let c = Engine.Rng.int rng p.customers_per_district in
+  let d = Chipsim.Rng.int rng p.districts_per_warehouse in
+  let c = Chipsim.Rng.int rng p.customers_per_district in
   ignore (Storage.read_record ctx db.customer (customer_row p ~w ~d ~c));
   for k = 0 to 9 do
     ignore
@@ -127,7 +127,7 @@ let order_status ctx db p rng engine ~home =
 
 let stock_level ctx db p rng engine ~home =
   let w = home in
-  let d = Engine.Rng.int rng p.districts_per_warehouse in
+  let d = Chipsim.Rng.int rng p.districts_per_warehouse in
   ignore (Storage.read_record ctx db.district (district_row p ~w ~d));
   for k = 0 to 19 do
     let slot = (w * order_line_seg) + ((d + k) mod order_line_seg) in
@@ -147,13 +147,13 @@ let run env p =
   let makespan =
     Exec_env.run env (fun ctx ->
         Engine.Par.all_do ctx (fun ctx' wkr ->
-            let rng = Engine.Rng.create (p.seed + wkr) in
+            let rng = Chipsim.Rng.create (p.seed + wkr) in
             (* each worker terminal owns a home warehouse (paper: "always
                accesses the home warehouse") *)
             let home = wkr mod p.warehouses in
             let ol_cursor = ref 0 in
             for i = 0 to per_worker - 1 do
-              let dice = Engine.Rng.int rng 100 in
+              let dice = Chipsim.Rng.int rng 100 in
               if dice < 45 then begin
                 new_order ctx' db p rng engine ol_cursor ~home;
                 incr new_orders

@@ -36,12 +36,12 @@ let run env params =
   let makespan =
     Exec_env.run env (fun ctx ->
         Engine.Par.all_do ctx (fun ctx' w ->
-            let rng = Engine.Rng.create (params.seed + w) in
+            let rng = Chipsim.Rng.create (params.seed + w) in
             for i = 0 to per_worker - 1 do
               (* the dice, then the key: the order every YCSB stream was
                  recorded with *)
-              let dice = Engine.Rng.int rng 100 in
-              let key = Engine.Rng.int rng params.records in
+              let dice = Chipsim.Rng.int rng 100 in
+              let key = Chipsim.Rng.int rng params.records in
               if dice < read_pct then begin
                 incr reads;
                 read_sum := !read_sum + Storage.read_record ctx' table key

@@ -11,7 +11,7 @@ let poisson_times ~rng ~rate_per_s ~jobs =
   for i = 0 to jobs - 1 do
     (* inverse-CDF exponential; [Rng.float] is in [0, 1) so [1 - u] never
        hits 0 and the log stays finite *)
-    let u = Engine.Rng.float rng 1.0 in
+    let u = Chipsim.Rng.float rng 1.0 in
     t := !t +. (-.mean_gap_ns *. log (1.0 -. u));
     times.(i) <- !t
   done;

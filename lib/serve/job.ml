@@ -150,7 +150,7 @@ let pick_source d rng =
   let rec try_random attempts =
     if attempts = 0 then Workloads.Csr.default_source g
     else
-      let v = Engine.Rng.int rng n in
+      let v = Rng.int rng n in
       if Workloads.Csr.degree g v > 0 then v else try_random (attempts - 1)
   in
   try_random 32
@@ -160,8 +160,8 @@ let pick_source d rng =
 let run_ycsb ctx d rng ops =
   if ops <= 0 then invalid_arg "Job.run: ycsb batch <= 0";
   for i = 0 to ops - 1 do
-    let key = Engine.Rng.int rng ycsb_records in
-    let dice = Engine.Rng.int rng 100 in
+    let key = Rng.int rng ycsb_records in
+    let dice = Rng.int rng 100 in
     if dice < Oltp.Ycsb.read_pct then ignore (Oltp.Storage.read_record ctx d.ycsb_table key : int)
     else begin
       let v = Oltp.Storage.read_record ctx d.ycsb_table key in
@@ -208,7 +208,7 @@ let run_dag ctx d ~seed ?(rotate = 0) shape layers =
   r.Taskgraph.Exec.nodes_run
 
 let run ctx d ~seed kind =
-  let rng = Engine.Rng.create seed in
+  let rng = Rng.create seed in
   match kind with
   | Bfs ->
       let source = pick_source d rng in

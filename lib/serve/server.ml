@@ -107,8 +107,8 @@ type report = {
 type tenant_state = {
   cfg_t : tenant_config;
   idx : int;
-  mix_rng : Engine.Rng.t;  (** kind choice + per-job seeds *)
-  arrival_rng : Engine.Rng.t;
+  mix_rng : Chipsim.Rng.t;  (** kind choice + per-job seeds *)
+  arrival_rng : Chipsim.Rng.t;
   mean_cost : float;  (** mix-weighted mean {!Job.cost_estimate} *)
   slo : float;
   mutable submitted : int;
@@ -132,11 +132,11 @@ type pending = {
 }
 
 let tenant_streams ~seed ~tenant =
-  (Engine.Rng.create ((seed * 31) + (2 * tenant)), Engine.Rng.create ((seed * 31) + (2 * tenant) + 1))
+  (Chipsim.Rng.create ((seed * 31) + (2 * tenant)), Chipsim.Rng.create ((seed * 31) + (2 * tenant) + 1))
 
 let pick_kind rng mix =
   let total = List.fold_left (fun a (_, w) -> a + w) 0 mix in
-  let r = Engine.Rng.int rng total in
+  let r = Chipsim.Rng.int rng total in
   let rec go acc = function
     | [] -> assert false
     | (k, w) :: rest -> if r < acc + w then k else go (acc + w) rest
@@ -544,7 +544,7 @@ module Session = struct
     incr sess.next_job_id;
     match admit_or_shed sess st ~job_id:id ~kind ~at_ns:arrival with
     | Admission.Admit ->
-        let seed = Engine.Rng.int st.mix_rng 0x3FFFFFFF in
+        let seed = Chipsim.Rng.int st.mix_rng 0x3FFFFFFF in
         let p =
           enqueue sess { id; tenant = st.idx; kind; seed; submit_ns = arrival }
         in

@@ -88,10 +88,10 @@ val default_config : seed:int -> config
 (** Three open-loop tenants (graph / OLAP / OLTP+GUPS mixes) with weights
     2:1:1 at 5000 jobs/s each, 40 jobs per tenant. *)
 
-val pick_kind : Engine.Rng.t -> (Job.kind * int) list -> Job.kind
-(** One weighted draw from a tenant's mix (one {!Engine.Rng.int}). *)
+val pick_kind : Chipsim.Rng.t -> (Job.kind * int) list -> Job.kind
+(** One weighted draw from a tenant's mix (one {!Chipsim.Rng.int}). *)
 
-val tenant_streams : seed:int -> tenant:int -> Engine.Rng.t * Engine.Rng.t
+val tenant_streams : seed:int -> tenant:int -> Chipsim.Rng.t * Chipsim.Rng.t
 (** The run-[seed] streams of the [tenant]-th tenant: [(mix, arrival)],
     the first drawing job kinds and per-job seeds, the second arrival
     times.  A fleet's router generates its arrivals from the same

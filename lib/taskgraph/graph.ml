@@ -143,14 +143,14 @@ let kib = 1024
 (* cost and volume draws: dense nodes are an order of magnitude heavier
    than glue nodes, and inter-layer activations vary enough that edge
    weight genuinely orders the mapper's contraction choices *)
-let dense_cost rng = 8_000.0 +. Engine.Rng.float rng 8_000.0
-let glue_cost rng = 1_200.0 +. Engine.Rng.float rng 1_800.0
-let heavy_bytes rng = (32 * kib) + Engine.Rng.int rng (96 * kib)
-let light_bytes rng = (2 * kib) + Engine.Rng.int rng (6 * kib)
+let dense_cost rng = 8_000.0 +. Rng.float rng 8_000.0
+let glue_cost rng = 1_200.0 +. Rng.float rng 1_800.0
+let heavy_bytes rng = (32 * kib) + Rng.int rng (96 * kib)
+let light_bytes rng = (2 * kib) + Rng.int rng (6 * kib)
 
 let generate ~shape ~layers ~seed () =
   if layers < 1 then invalid_arg "Graph.generate: layers must be >= 1";
-  let rng = Engine.Rng.create (0x7a5c0de + (seed * 31) + layers) in
+  let rng = Rng.create (0x7a5c0de + (seed * 31) + layers) in
   let nodes = ref [] and edges = ref [] and count = ref 0 in
   let add_node op cost =
     nodes := { op; cost_ns = cost } :: !nodes;
@@ -165,7 +165,7 @@ let generate ~shape ~layers ~seed () =
       let prev = ref (add_node Embed (glue_cost rng)) in
       for l = 1 to layers do
         let op =
-          if l mod 2 = 1 then if Engine.Rng.bool rng then Conv else Matmul
+          if l mod 2 = 1 then if Rng.bool rng then Conv else Matmul
           else Elementwise
         in
         let cost = if accel_friendly op then dense_cost rng else glue_cost rng in
@@ -180,10 +180,10 @@ let generate ~shape ~layers ~seed () =
          dense branches that re-join in a reduce node *)
       let prev = ref (add_node Embed (glue_cost rng)) in
       for _l = 1 to layers do
-        let branches = 2 + Engine.Rng.int rng 3 in
+        let branches = 2 + Rng.int rng 3 in
         let join = ref [] in
         for _b = 1 to branches do
-          let op = if Engine.Rng.bool rng then Conv else Matmul in
+          let op = if Rng.bool rng then Conv else Matmul in
           let n = add_node op (dense_cost rng) in
           add_edge !prev n (heavy_bytes rng);
           join := n :: !join
@@ -198,7 +198,7 @@ let generate ~shape ~layers ~seed () =
       let root = add_node Embed (glue_cost rng) in
       let agg_deps = ref [] in
       for _s = 1 to layers do
-        let op = if Engine.Rng.int rng 3 = 0 then Matmul else Elementwise in
+        let op = if Rng.int rng 3 = 0 then Matmul else Elementwise in
         let cost = if accel_friendly op then dense_cost rng else glue_cost rng in
         let n = add_node op cost in
         add_edge root n (light_bytes rng);

@@ -31,13 +31,13 @@ let of_kronecker ~alloc ?(weighted = false) ?(seed = 7) kron =
      weights are drawn in that order too *)
   let col = Array.make m 0 and weight = Array.make m 1 in
   let cursor = Array.sub row_ptr 0 n in
-  let rng = Engine.Rng.create seed in
+  let rng = Rng.create seed in
   let scatter from_ to_ =
     for e = 0 to half - 1 do
       let u = from_.(e) in
       let c = cursor.(u) in
       col.(c) <- to_.(e);
-      if weighted then weight.(c) <- 1 + Engine.Rng.int rng 255;
+      if weighted then weight.(c) <- 1 + Rng.int rng 255;
       cursor.(u) <- c + 1
     done
   in

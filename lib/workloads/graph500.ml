@@ -4,13 +4,13 @@ let default_params = { scale = 14; edge_factor = 16; roots = 4; seed = 99 }
 
 let run env g params =
   if params.roots <= 0 then invalid_arg "Graph500.run: roots must be positive";
-  let rng = Engine.Rng.create params.seed in
+  let rng = Chipsim.Rng.create params.seed in
   let makespan = ref 0.0 in
   let edges = ref 0 in
   for _ = 1 to params.roots do
     (* pick a root with non-zero degree, as Graph500 mandates *)
     let rec pick tries =
-      let v = Engine.Rng.int rng g.Csr.n in
+      let v = Chipsim.Rng.int rng g.Csr.n in
       if Csr.degree g v > 0 || tries > 100 then v else pick (tries + 1)
     in
     let source = pick 0 in

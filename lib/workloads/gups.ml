@@ -6,7 +6,7 @@ let default_params = { table_words = 1 lsl 18; updates = 1 lsl 16; seed = 17 }
 
 let updates ctx table ~table_words rng n =
   for i = 0 to n - 1 do
-    let idx = Engine.Rng.int rng table_words in
+    let idx = Chipsim.Rng.int rng table_words in
     Sched.Ctx.read ctx table idx;
     Sched.Ctx.write ctx table idx;
     Sched.Ctx.work ctx 2.0;
@@ -23,7 +23,7 @@ let run env params =
     Exec_env.run env (fun ctx ->
         Engine.Par.all_do ctx (fun ctx' w ->
             updates ctx' table ~table_words:params.table_words
-              (Engine.Rng.create (params.seed + w))
+              (Chipsim.Rng.create (params.seed + w))
               per_worker))
   in
   Workload_result.v ~label:"gups" ~makespan_ns:makespan

@@ -15,7 +15,7 @@ val run : Exec_env.t -> params -> Workload_result.t
     share, from its own stream seeded [seed + worker]. *)
 
 val updates :
-  Engine.Sched.ctx -> Chipsim.Simmem.region -> table_words:int -> Engine.Rng.t -> int -> unit
+  Engine.Sched.ctx -> Chipsim.Simmem.region -> table_words:int -> Chipsim.Rng.t -> int -> unit
 (** [updates ctx table ~table_words rng n] is one task's body: [n]
     read-modify-writes of [table] words drawn from [rng] below
     [table_words], each with 2 ns of compute, and a

@@ -22,7 +22,7 @@ let generate ?(seed = 42) ?(edge_factor = 16) ~scale () =
   if edge_factor < 1 then invalid_arg "Kronecker.generate: edge_factor must be >= 1";
   let n = 1 lsl scale in
   let m = edge_factor * n in
-  let rng = Engine.Rng.create seed in
+  let rng = Chipsim.Rng.create seed in
   let src = Array.make m 0 and dst = Array.make m 0 in
   let i = ref 0 in
   while !i < m do
@@ -31,7 +31,7 @@ let generate ?(seed = 42) ?(edge_factor = 16) ~scale () =
       (* the quadrant without branches: each [ge_*] is 1 iff the draw is
          at or above that threshold (draws are below 2^53, so the
          difference's sign is bit 62) *)
-      let x = Engine.Rng.bits53 rng in
+      let x = Chipsim.Rng.bits53 rng in
       let ge_a = 1 + ((x - t_a) asr 62)
       and ge_ab = 1 + ((x - t_ab) asr 62)
       and ge_abc = 1 + ((x - t_abc) asr 62) in
@@ -45,7 +45,7 @@ let generate ?(seed = 42) ?(edge_factor = 16) ~scale () =
   done;
   (* Graph500 permutes vertex labels to break generator locality. *)
   let perm = Array.init n (fun j -> j) in
-  Engine.Rng.shuffle rng perm;
+  Chipsim.Rng.shuffle rng perm;
   for j = 0 to m - 1 do
     src.(j) <- perm.(src.(j));
     dst.(j) <- perm.(dst.(j))

@@ -33,8 +33,8 @@ let run env params =
     invalid_arg "Streamcluster.run: need at least one full batch";
   let dims = params.dims in
   let data =
-    let rng = Engine.Rng.create params.seed in
-    Array.init (params.points * dims) (fun _ -> Engine.Rng.float rng 100.0)
+    let rng = Chipsim.Rng.create params.seed in
+    Array.init (params.points * dims) (fun _ -> Chipsim.Rng.float rng 100.0)
   in
   let sim_points = env.Exec_env.alloc_shared ~elt_bytes:4 ~count:(params.points * dims) in
   (* center list: indices of points promoted to centers (shared, written) *)
@@ -45,7 +45,7 @@ let run env params =
   let evals = ref 0 in
   let opened_total = ref 0 in
   let total_cost = ref 0.0 in
-  let rng = Engine.Rng.create (params.seed + 1) in
+  let rng = Chipsim.Rng.create (params.seed + 1) in
   let makespan =
     Exec_env.run env (fun ctx ->
         let batches = params.points / params.batch in
@@ -85,7 +85,7 @@ let run env params =
           (* local search: try opening random candidates *)
           for _round = 1 to params.search_rounds do
             if List.length !centers < params.k_max then begin
-              let candidate = base + Engine.Rng.int rng params.batch in
+              let candidate = base + Chipsim.Rng.int rng params.batch in
               if not (List.mem candidate !centers) then begin
                 let gain = ref 0.0 in
                 Engine.Par.parallel_for ctx ~lo:base ~hi:(base + params.batch)

@@ -3,6 +3,7 @@
    point; [Gc.quick_stat]'s counters advance only at minor collections on
    OCaml 5.1 and cannot resolve a few words per operation. *)
 
+open Chipsim
 open Engine
 
 (* words [f] allocates, minus what an empty measurement costs (the boxed

@@ -65,7 +65,7 @@ let test_sam_migrates_to_majority () =
   let machine = Machine.create (amd ()) in
   let spec = Baselines.Sam.spec () in
   let sched = B.init spec machine ~n_workers:8 in
-  let rng = Engine.Rng.create 0xba5e in
+  let rng = Rng.create 0xba5e in
   let topo = Machine.topology machine in
   (* build a decisive 7-vs-1 majority on socket 0: SAM only consolidates
      on a strict (>= 60%) majority *)
@@ -93,7 +93,7 @@ let test_asymsched_rebalances () =
   let machine = Machine.create (amd ()) in
   let spec = Baselines.Asymsched.spec () in
   let sched = B.init spec machine ~n_workers:4 in
-  let rng = Engine.Rng.create 0xba5e in
+  let rng = Rng.create 0xba5e in
   (* saturate node 0's channels in the current bin *)
   let now = Engine.Sched.worker_clock sched 0 in
   let region = Machine.alloc machine ~policy:(Simmem.Bind 0) ~elt_bytes:8 ~count:100_000 () in

@@ -23,17 +23,20 @@ let test_yield_resume () =
   Alcotest.(check bool) "finish" true (Coroutine.resume c = Coroutine.Finished);
   Alcotest.(check (list int)) "all steps" [ 3; 2; 1 ] !steps
 
-let test_suspend_registrar () =
-  let parked = ref None in
+let test_suspend_park_resume () =
+  let steps = ref [] in
   let c =
-    Coroutine.create (fun () -> Coroutine.suspend (fun self -> parked := Some self))
+    Coroutine.create (fun () ->
+        steps := 1 :: !steps;
+        Coroutine.suspend ();
+        steps := 2 :: !steps)
   in
   Alcotest.(check bool) "suspended" true (Coroutine.resume c = Coroutine.Suspended);
-  (match !parked with
-  | Some self -> Alcotest.(check int) "registrar got self" (Coroutine.id c) (Coroutine.id self)
-  | None -> Alcotest.fail "registrar not called");
+  Alcotest.(check (list int)) "parked after step 1" [ 1 ] !steps;
   Alcotest.(check bool) "parked" true (Coroutine.is_parked c);
-  Alcotest.(check bool) "resumes to completion" true (Coroutine.resume c = Coroutine.Finished)
+  Alcotest.(check bool) "not done" false (Coroutine.is_done c);
+  Alcotest.(check bool) "resumes to completion" true (Coroutine.resume c = Coroutine.Finished);
+  Alcotest.(check (list int)) "continued where it parked" [ 2; 1 ] !steps
 
 let test_double_resume_rejected () =
   let c = Coroutine.create (fun () -> ()) in
@@ -76,7 +79,7 @@ let suite =
   [
     Alcotest.test_case "runs to completion" `Quick test_runs_to_completion;
     Alcotest.test_case "yield/resume" `Quick test_yield_resume;
-    Alcotest.test_case "suspend registrar" `Quick test_suspend_registrar;
+    Alcotest.test_case "suspend parks and resumes" `Quick test_suspend_park_resume;
     Alcotest.test_case "double resume rejected" `Quick test_double_resume_rejected;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "interleaving preserves state" `Quick test_many_yields;

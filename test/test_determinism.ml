@@ -4,18 +4,17 @@
 
 module Systems = Harness.Systems
 
-(* a CHARM instance on the one-socket machine, with the fault pump of a
-   random schedule drawn from [faults_seed] when given *)
+(* a CHARM instance on the one-socket machine, replaying a random
+   schedule drawn from [faults_seed] when given *)
 let instance ?faults_seed ~horizon_us () =
-  let on_advance =
+  let faults =
     Option.map
       (fun seed ->
         let topo = Systems.topology Systems.Amd_milan_1s ~cache_scale:16 in
-        Faults.Injector.pump
-          (Faults.Injector.create (Faults.Schedule.random ~topo ~seed ~n:4 ~horizon_us)))
+        Faults.Schedule.random ~topo ~seed ~n:4 ~horizon_us)
       faults_seed
   in
-  Systems.make ~cache_scale:16 ?on_advance Systems.Charm Systems.Amd_milan_1s ~n_workers:4 ()
+  Systems.make ~cache_scale:16 ?faults Systems.Charm Systems.Amd_milan_1s ~n_workers:4 ()
 
 let batch_digest ~faults () =
   let inst = instance ?faults_seed:(if faults then Some 11 else None) ~horizon_us:500.0 () in

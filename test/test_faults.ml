@@ -4,14 +4,10 @@
 
 open Chipsim
 module Schedule = Faults.Schedule
-module Injector = Faults.Injector
 module Sched = Engine.Sched
 
 let topo () = Presets.amd_milan ()
 let machine () = Machine.create (topo ())
-
-(* the fault pump for [schedule], given to a scheduler at creation *)
-let faults schedule = Injector.pump (Injector.create schedule)
 
 (* -- spec grammar ------------------------------------------------------ *)
 
@@ -89,8 +85,7 @@ let test_offline_migrates_when_cores_free () =
   (* plenty of spare cores: the evicted worker migrates instead of dying *)
   let m = machine () in
   let sched =
-    Sched.create ~on_advance:(faults (Schedule.parse_exn ~topo:(topo ()) "5:core-off:1"))
-      m ~n_workers:4 ~placement:(fun w -> w)
+    Sched.create ~faults:(Schedule.parse_exn ~topo:(topo ()) "5:core-off:1") m ~n_workers:4 ~placement:(fun w -> w)
   in
   let done_ = ref 0 in
   for _ = 1 to 64 do
@@ -114,7 +109,7 @@ let test_offline_drains_and_completes () =
   let topo = topo () in
   let n = Chipsim.Topology.num_cores topo in
   let sched =
-    Sched.create ~on_advance:(faults (Schedule.parse_exn ~topo "5:core-off:1")) m ~n_workers:n
+    Sched.create ~faults:(Schedule.parse_exn ~topo "5:core-off:1") m ~n_workers:n
       ~placement:(fun w -> w)
   in
   let done_ = ref 0 in
@@ -134,7 +129,7 @@ let test_core_on_restores () =
   let m = machine () in
   let sched =
     Sched.create
-      ~on_advance:(faults (Schedule.parse_exn ~topo:(topo ()) "2:core-off:1; 20:core-on:1"))
+      ~faults:(Schedule.parse_exn ~topo:(topo ()) "2:core-off:1; 20:core-on:1")
       m ~n_workers:2 ~placement:(fun w -> w)
   in
   let done_ = ref 0 in
@@ -153,8 +148,8 @@ let test_core_on_restores () =
 let test_dvfs_scales_makespan () =
   let run spec =
     let m = machine () in
-    let on_advance = Option.map (fun s -> faults (Schedule.parse_exn ~topo:(topo ()) s)) spec in
-    let sched = Sched.create ?on_advance m ~n_workers:1 ~placement:(fun w -> w) in
+    let faults = Option.map (Schedule.parse_exn ~topo:(topo ())) spec in
+    let sched = Sched.create ?faults m ~n_workers:1 ~placement:(fun w -> w) in
     for _ = 1 to 32 do
       ignore (Sched.spawn sched (fun ctx -> Sched.Ctx.work ctx 1_000.0))
     done;
@@ -199,8 +194,8 @@ let test_silent_fault_detected () =
   for round = 0 to 9 do
     traffic_round m ~monitor ~sched ~round
   done;
-  Alcotest.(check bool) "healthy under baseline traffic" false
-    (Charm.Health_monitor.any_sick monitor);
+  Alcotest.(check (list int)) "healthy under baseline traffic" []
+    (Charm.Health_monitor.sick_chiplets monitor);
   (* silent degradation: link multiplier is invisible to the OS path *)
   Modifiers.set_link_mult (Machine.modifiers m) 0 8.0;
   let detected_after = ref None in
@@ -219,8 +214,10 @@ let test_silent_fault_detected () =
         (Printf.sprintf "detected within 10 samples (took %d)" rounds)
         true (rounds <= 10)
   | None -> Alcotest.fail "silent link fault never detected");
-  Alcotest.(check bool) "first_flag_ns recorded" true
-    (Charm.Health_monitor.first_flag_ns monitor <> None)
+  Alcotest.(check bool) "first flag recorded" true
+    (match Charm.Health_monitor.events monitor with
+    | { Charm.Health_monitor.chiplet = 0; sick = true; _ } :: _ -> true
+    | _ -> false)
 
 let test_os_visible_fault_instant () =
   let m = machine () in
@@ -235,31 +232,59 @@ let test_os_visible_fault_instant () =
   Alcotest.(check (list int)) "only chiplet 0" [ 0 ]
     (Charm.Health_monitor.sick_chiplets monitor)
 
-(* The pump is a [Systems.make] argument for every system alike: a
-   core-off given for a baseline (RING) lands where one given for CHARM
-   does, at the first event-loop frontier that reaches its time. *)
+(* A fault schedule is a [Systems.make] argument for every system alike:
+   a core-off given for a baseline (RING) lands where one given for CHARM
+   does, at the first event-loop frontier that reaches its time.  A
+   fault-free run finds that frontier, the first pick at or after the
+   fault's time, and the core whose quantum that pick starts.  Taking
+   that core offline at that time, the same run must start no quantum
+   there from the frontier on: the fault landed before the pick, and the
+   core's worker left it.  A fault applied one pick late would let that
+   quantum run on the dead core. *)
 let test_pump_lands_for_every_system () =
   let module S = Harness.Systems in
-  let at_ns = 5_000.0 and core = 2 in
-  let landing sys =
-    let topo = S.topology S.Amd_milan ~cache_scale:16 in
-    let inj = Injector.create (Schedule.parse_exn ~topo (Printf.sprintf "5:core-off:%d" core)) in
-    let frontiers = ref [] and landed = ref nan in
-    let on_advance sched frontier =
-      frontiers := frontier :: !frontiers;
-      Injector.pump inj sched frontier;
-      let online = Modifiers.core_online (Machine.modifiers (Sched.machine sched)) core in
-      if Float.is_nan !landed && not online then landed := frontier
-    in
-    let inst = S.make ~cache_scale:16 ~on_advance sys S.Amd_milan ~n_workers:8 () in
+  let at_ns = 5_000.0 in
+  let run ?faults sys =
+    let inst = S.make ~cache_scale:16 ?faults sys S.Amd_milan ~n_workers:8 () in
     let sched = inst.S.env.Workloads.Exec_env.sched in
+    let tr = Engine.Trace.create () in
+    Sched.set_trace sched (Some tr);
     for _ = 1 to 64 do
       ignore (Sched.spawn sched (fun ctx -> Sched.Ctx.work ctx 2_000.0) : Sched.task)
     done;
     ignore (Sched.run sched : float);
-    let first_due = List.find (fun f -> f >= at_ns) (List.rev !frontiers) in
-    Alcotest.(check (float 0.0)) (S.sys_name sys ^ ": landed at the first due frontier") first_due !landed;
-    Alcotest.(check int) (S.sys_name sys ^ ": core vacated") (-1) (Sched.worker_of_core sched core)
+    (sched, Engine.Trace.events tr)
+  in
+  let landing sys =
+    let name = S.sys_name sys in
+    let frontier, core =
+      match
+        List.find_map
+          (function
+            | Engine.Trace.Quantum { start_ns; core; _ } when start_ns >= at_ns ->
+                Some (start_ns, core)
+            | _ -> None)
+          (snd (run sys))
+      with
+      | Some first -> first
+      | None -> Alcotest.failf "%s: no quantum starts after %g ns" name at_ns
+    in
+    let topo = S.topology S.Amd_milan ~cache_scale:16 in
+    let faults = Schedule.parse_exn ~topo (Printf.sprintf "%g:core-off:%d" (at_ns /. 1e3) core) in
+    let sched, events = run ~faults sys in
+    Alcotest.(check bool) (name ^ ": fault stamped at its time") true
+      (List.exists
+         (function Engine.Trace.Fault { at_ns = t; _ } -> t = at_ns | _ -> false)
+         events);
+    List.iter
+      (function
+        | Engine.Trace.Quantum { core = c; start_ns; task_id; _ }
+          when c = core && start_ns >= frontier ->
+            Alcotest.failf "%s: task %d starts on offline core %d at %g ns (frontier %g ns)"
+              name task_id core start_ns frontier
+        | _ -> ())
+      events;
+    Alcotest.(check int) (name ^ ": core vacated") (-1) (Sched.worker_of_core sched core)
   in
   landing S.Charm;
   landing S.Ring
@@ -271,7 +296,7 @@ let test_faulted_serve_traces_identical () =
     let topo = Harness.Systems.topology Harness.Systems.Amd_milan ~cache_scale:16 in
     let inst =
       Harness.Systems.make ~cache_scale:16
-        ~on_advance:(faults (Schedule.parse_exn ~topo "300:dvfs:0:0.5; 500:link:0:4; 900:core-off:2"))
+        ~faults:(Schedule.parse_exn ~topo "300:dvfs:0:0.5; 500:link:0:4; 900:core-off:2")
         Harness.Systems.Charm Harness.Systems.Amd_milan ~n_workers:8 ()
     in
     let tr = Engine.Trace.create () in

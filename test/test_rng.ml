@@ -1,4 +1,4 @@
-open Engine
+open Chipsim
 
 let test_determinism () =
   let a = Rng.create 1 and b = Rng.create 1 in

@@ -28,7 +28,7 @@ let test_deadlock_detected () =
   let sched = Sched.create m ~n_workers:1 ~placement:(fun w -> w) in
   ignore
     (Sched.spawn sched (fun ctx ->
-         (* suspend with a registrar that never wakes us *)
+         (* suspend onto a wait list that never wakes us *)
          Sched.Ctx.suspend ctx (fun _task -> ())));
   Alcotest.check_raises "deadlock" Sched.Deadlock (fun () ->
       ignore (Sched.run sched : float))

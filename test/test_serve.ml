@@ -13,7 +13,7 @@ module Sys_ = Harness.Systems
 
 let test_poisson_deterministic () =
   let times seed =
-    Arrivals.poisson_times ~rng:(Engine.Rng.create seed) ~rate_per_s:1000.0
+    Arrivals.poisson_times ~rng:(Chipsim.Rng.create seed) ~rate_per_s:1000.0
       ~jobs:50
   in
   Alcotest.(check bool) "same seed, same trace" true (times 7 = times 7);
@@ -21,7 +21,7 @@ let test_poisson_deterministic () =
 
 let test_poisson_shape () =
   let times =
-    Arrivals.poisson_times ~rng:(Engine.Rng.create 3) ~rate_per_s:1000.0
+    Arrivals.poisson_times ~rng:(Chipsim.Rng.create 3) ~rate_per_s:1000.0
       ~jobs:2000
   in
   Alcotest.(check int) "count" 2000 (Array.length times);

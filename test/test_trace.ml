@@ -387,13 +387,12 @@ let test_charm_decisions_reach_sched_trace () =
   let decisions attach =
     let topo = Harness.Systems.topology Harness.Systems.Amd_milan ~cache_scale:1 in
     let faults =
-      Faults.Injector.create
-        (Faults.Schedule.parse_exn ~topo
-           "3000:dvfs:0:0.35;3000:l3-ways:0:2;3000:link:0:6;5000:core-off:2;6000:core-on:2")
+      Faults.Schedule.parse_exn ~topo
+        "3000:dvfs:0:0.35;3000:l3-ways:0:2;3000:link:0:6;5000:core-off:2;6000:core-on:2"
     in
     let inst =
-      Harness.Systems.make ~on_advance:(Faults.Injector.pump faults) Harness.Systems.Charm
-        Harness.Systems.Amd_milan ~n_workers:32 ()
+      Harness.Systems.make ~faults Harness.Systems.Charm Harness.Systems.Amd_milan ~n_workers:32
+        ()
     in
     let tr = Trace.create () in
     attach inst tr;
