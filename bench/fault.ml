@@ -25,7 +25,7 @@ let experiment sys =
       (Printf.sprintf "charm_serve -s %s -n 32 --rate 5000 --jobs 60" (Sys_.sys_name sys))
   in
   let topo = Sys_.topology t.machine ~cache_scale:t.cache_scale in
-  { t with faults = [ (0, Faults.Schedule.chiplet_meltdown ~topo ~chiplet:0 ~at_us:fault_us ()) ] }
+  { t with faults = [ (0, Faults.Schedule.chiplet_meltdown ~topo ~at_us:fault_us) ] }
 
 (* latency histograms windowed by job arrival time *)
 type windows = { pre : Histogram.t; during : Histogram.t; post : Histogram.t }

@@ -7,6 +7,8 @@
    functional equality against sequential / single-worker references.  On
    failure the experiment is shrunk to a minimal still-failing one and
    printed as the charm_run / charm_serve command line that replays it.
+   With --plant, every machine of every drawn experiment carries the bug
+   as a 0:plant:BUG fault event, which its repro spells out too.
 
    Examples:
      charm_fuzz --seeds 200 --smoke            # the CI gate
@@ -90,11 +92,12 @@ let smoke_arg =
 let plant_arg =
   Arg.(
     value
-    & opt (some Experiment.plant_conv) None
+    & opt (some (enum Chipsim.Invariant.plants)) None
     & info [ "plant" ] ~docv:"BUG"
         ~doc:
-          "Plant a known bug in every drawn experiment (and so in its \
-           repro): skip-ready-clamp (the scheduler skips the ready-at \
+          "Arm a known bug as a 0:plant:BUG fault event on every machine \
+           of each drawn experiment, every fleet shard included (and so \
+           in its repro): skip-ready-clamp (the scheduler skips the ready-at \
            causality clamp), vote-skip (the replica voter returns replica \
            0's token unchecked — needs 3-replica tenants over >= 3 chiplets \
            to trip, so give it plenty of seeds), drop-relocated or \

@@ -9,13 +9,36 @@ type outcome =
       shrink_steps : int;
     }
 
-let fault_events (t : Experiment.t) = List.length (List.concat_map snd t.faults)
+module Schedule = Faults.Schedule
 
-(* Greedy shrinking: repeatedly try the candidates of {!Scenario.shrink}
-   in order, restart from the first one that still fails, and stop when
-   none fails or after [budget] candidate checks.  Returns the smallest
-   failing experiment found, its failure and the number of accepted
-   steps. *)
+let is_plant { Schedule.kind; _ } = match kind with Schedule.Plant _ -> true | _ -> false
+
+let fault_events (t : Experiment.t) =
+  List.length (List.filter (Fun.negate is_plant) (List.concat_map snd t.faults))
+
+(* Plants ride the fault schedules.  [arm plants t] gives every machine
+   of [t] a schedule of [plants] of its own; [plant_free] drops every
+   plant, and a schedule only plants made *)
+let arm plants (t : Experiment.t) =
+  let machines = match t.workload with Fleet (_, f) -> f.shards | Batch _ | Serve _ -> 1 in
+  if plants = [] then t else { t with faults = t.faults @ List.init machines (fun sh -> (sh, plants)) }
+
+let plant_free (t : Experiment.t) =
+  let strip (sh, sch) =
+    match List.filter (Fun.negate is_plant) sch with [] when sch <> [] -> None | sch -> Some (sh, sch)
+  in
+  { t with faults = List.filter_map strip t.faults }
+
+(* {!Scenario.shrink} works on the other events; every candidate keeps
+   every plant, on each of its machines *)
+let candidates (t : Experiment.t) =
+  let plants = List.sort_uniq compare (List.filter is_plant (List.concat_map snd t.faults)) in
+  List.map (arm plants) (Scenario.shrink (plant_free t))
+
+(* Greedy shrinking: repeatedly try the [candidates] in order, restart
+   from the first one that still fails, and stop when none fails or after
+   [budget] candidate checks.  Returns the smallest failing experiment
+   found, its failure and the number of accepted steps. *)
 let minimize scenario failure =
   let budget = 80 in
   let current = ref scenario in
@@ -41,7 +64,7 @@ let minimize scenario failure =
                  raise Exit
              | None -> ()
            end)
-         (Scenario.shrink !current)
+         (candidates !current)
      with Exit -> ())
   done;
   (!current, !cur_fail, !steps)
@@ -51,7 +74,8 @@ let run ?(log = fun _ -> ()) ?plant ~mode ~start_seed ~seeds () =
     if i >= seeds then Clean { scenarios = seeds }
     else begin
       let seed = start_seed + i in
-      let scenario = { (Scenario.generate ~mode ~seed) with plant } in
+      let plants = Option.to_list (Option.map (fun p -> { Schedule.at_ns = 0.0; kind = Plant p }) plant) in
+      let scenario = arm plants (Scenario.generate ~mode ~seed) in
       log (Printf.sprintf "[%d/%d] %s" (i + 1) seeds (Experiment.to_string scenario));
       match Scenario.check scenario with
       | None -> go (i + 1)

@@ -18,7 +18,7 @@ type outcome =
     }
 
 val fault_events : Experiment.t -> int
-(** Fault events across every shard's schedule. *)
+(** Fault events across every shard's schedule, plants not counted. *)
 
 val run :
   ?log:(string -> unit) ->
@@ -28,8 +28,9 @@ val run :
   seeds:int ->
   unit ->
   outcome
-(** Stops at the first failing seed.  [plant] is planted in every
-    generated experiment (and so in its repro).  [log] receives one
+(** Stops at the first failing seed.  [plant] is a [0:plant:BUG] event
+    on every machine of each generated experiment (and so in its repro);
+    shrinking keeps it on every machine.  [log] receives one
     progress line per experiment — its command line — and the shrinking
     trail (default: drop). *)
 

@@ -217,7 +217,6 @@ let gen ~mode ~seed =
       energy_weight;
       power_cap_mw;
       check = true;
-      plant = None;
       workload;
     }
 
@@ -328,7 +327,7 @@ let sanitize_faults ~topo faults =
       | Schedule.Dvfs { core; _ } -> core < cores
       | Schedule.L3_ways { chiplet; _ } | Schedule.Link { chiplet; _ } ->
           chiplet < chiplets
-      | Schedule.Xsocket _ | Schedule.Corruption _ -> true
+      | Schedule.Xsocket _ | Schedule.Corruption _ | Schedule.Plant _ -> true
       | Schedule.Membw { node; _ } -> node < nodes)
     faults
 

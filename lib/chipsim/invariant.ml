@@ -13,7 +13,3 @@ let plants =
   ]
 
 let plant_name p = fst (List.find (fun (_, q) -> q = p) plants)
-let current = ref None
-let set_plant p = current := p
-let plant () = !current
-let planted p = match !current with Some q -> q == p | None -> false

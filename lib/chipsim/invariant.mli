@@ -19,9 +19,9 @@ val fail : ('a, unit, string, 'b) format4 -> 'a
 (** {1 Planted bugs}
 
     Deliberate bugs the invariant layer must catch: CI and the fuzzer
-    plant one to prove a checker detects it.  One process-wide value,
-    set from the shared [--plant] flag (or by a test); [None] runs the
-    honest code everywhere. *)
+    plant one to prove a checker detects it.  A plant is a fault event
+    ([TIME_US:plant:NAME]) that arms the bug on its machine
+    ({!Modifiers.arm_plant}); a machine with none armed runs honest code. *)
 
 type plant =
   | Skip_ready_clamp
@@ -38,12 +38,6 @@ type plant =
           ([fleet.no-offline-placement] must trip) *)
 
 val plants : (string * plant) list
-(** CLI names, in the order [--plant] lists them. *)
+(** The names [plant:NAME] takes. *)
 
 val plant_name : plant -> string
-val set_plant : plant option -> unit
-val plant : unit -> plant option
-
-val planted : plant -> bool
-(** [planted p] is true iff [p] is the bug currently planted.  Cheap
-    enough for hot paths, but read it only inside the branch it guards. *)

@@ -9,6 +9,7 @@ type t = {
   mutable corruptions : int list;
       (* armed result-corruption seeds, FIFO: a corruption fault arms one,
          the next replica result computed consumes it *)
+  mutable plants : Invariant.plant list;  (* armed planted bugs *)
   mutable generation : int;
 }
 
@@ -24,6 +25,7 @@ let create ~cores ~chiplets ~nodes =
     link_mult = Array.make chiplets 1.0;
     xsocket_mult = 1.0;
     corruptions = [];
+    plants = [];
     generation = 0;
   }
 
@@ -82,6 +84,9 @@ let take_corruption t =
       t.corruptions <- rest;
       touch t;
       Some seed
+
+let arm_plant t p = t.plants <- p :: t.plants
+let planted t p = List.memq p t.plants
 
 let online_capacity t =
   let acc = ref 0.0 in

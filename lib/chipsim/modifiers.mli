@@ -47,6 +47,14 @@ val take_corruption : t -> int option
     replica layer when it derives a result token; a run without
     replication simply never consumes armed seeds. *)
 
+val arm_plant : t -> Invariant.plant -> unit
+(** Arm a planted bug on this machine for good (a [plant:BUG] fault
+    event); it leaves {!generation} alone. *)
+
+val planted : t -> Invariant.plant -> bool
+(** Whether the bug is armed here.  Read it only inside the branch it
+    guards. *)
+
 val online_capacity : t -> float
 (** Machine-wide effective compute capacity in [0, 1]: mean over cores of
     [speed] for online cores (offline cores contribute 0).  The serving

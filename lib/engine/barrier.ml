@@ -3,12 +3,11 @@ open Chipsim
 type t = {
   parties : int;
   mutable arrived : (Sched.task * int * float) list;  (* task, core, arrival *)
-  mutable generation : int;
 }
 
 let create n =
   if n <= 0 then invalid_arg "Barrier.create: parties must be positive";
-  { parties = n; arrived = []; generation = 0 }
+  { parties = n; arrived = [] }
 
 let waiting t = List.length t.arrived
 
@@ -38,7 +37,6 @@ let wait ctx t =
     (* last arrival: release everyone *)
     let waiters = t.arrived in
     t.arrived <- [];
-    t.generation <- t.generation + 1;
     let cores = my_core :: List.map (fun (_, c, _) -> c) waiters in
     let latest =
       List.fold_left (fun acc (_, _, at) -> Float.max acc at) now waiters

@@ -67,7 +67,6 @@ type t = {
   mutable sample_ts : float array;
   mutable sample_live : int array;
   mutable nsamples : int;
-  rng : Rng.t;
 }
 
 and worker = {
@@ -100,7 +99,6 @@ and worker = {
   mutable pend_size : int;
   mutable victims : int array;  (* cached default steal order *)
   mutable victims_epoch : int;  (* placement_epoch it was built under *)
-  wrng : Rng.t;
   mutable accesses : int;  (* this quantum *)
 }
 
@@ -346,7 +344,6 @@ let create ?(task_model = Coroutines { switch_ns = 30.0 }) ?(hooks = no_hooks) ?
   let topo = Machine.topology machine in
   let cores = Topology.num_cores topo in
   let core_owner = Array.make cores (-1) in
-  let rng = Rng.create 0x5eed in
   let workers =
     Array.init n_workers (fun wid ->
         let core = placement wid in
@@ -370,7 +367,6 @@ let create ?(task_model = Coroutines { switch_ns = 30.0 }) ?(hooks = no_hooks) ?
           pend_size = 0;
           victims = [||];
           victims_epoch = -1;
-          wrng = Rng.split rng;
           accesses = 0;
         })
   in
@@ -407,7 +403,6 @@ let create ?(task_model = Coroutines { switch_ns = 30.0 }) ?(hooks = no_hooks) ?
     sample_ts = Array.make 256 0.0;
     sample_live = Array.make 256 0;
     nsamples = 0;
-    rng;
   }
 
 let machine t = t.machine
@@ -439,6 +434,9 @@ let heap_snapshot t =
 let total_spawned t = t.spawned
 
 let max_clock t = Array.fold_left (fun acc w -> Float.max acc w.clock.(0)) 0.0 t.workers
+
+let makespan t =
+  Array.fold_left (fun acc w -> if w.did_work then Float.max acc w.busy_clock.(0) else acc) 0.0 t.workers
 
 let[@inline] sample t now =
   let n = t.nsamples in
@@ -829,7 +827,7 @@ let rec wake_waiters t w = function
 let execute t w task =
   if
     task.ready_at.(0) > w.clock.(0)
-    && not (Invariant.planted Invariant.Skip_ready_clamp)
+    && not (Modifiers.planted (Machine.modifiers t.machine) Invariant.Skip_ready_clamp)
   then
     w.clock.(0) <- task.ready_at.(0);
   if t.check then check_quantum_start t w task;
@@ -982,7 +980,8 @@ let apply_fault t { Faults.Schedule.at_ns = at; kind } =
   | Link { chiplet; mult } -> Modifiers.set_link_mult mods chiplet mult
   | Xsocket m -> Modifiers.set_xsocket_mult mods m
   | Membw { node; factor } -> Machine.set_mem_capacity_factor t.machine ~node factor
-  | Corruption { seed } -> Modifiers.arm_corruption mods ~seed);
+  | Corruption { seed } -> Modifiers.arm_corruption mods ~seed
+  | Plant p -> Modifiers.arm_plant mods p);
   match t.trace with
   | Some tr -> Trace.fault tr ~desc:(Faults.Schedule.describe kind) ~at_ns:at
   | None -> ()
@@ -1041,7 +1040,7 @@ let run t =
   in
   loop ();
   if t.check then check_quiescent t;
-  Array.fold_left (fun acc w -> if w.did_work then Float.max acc w.busy_clock.(0) else acc) 0.0 t.workers
+  makespan t
 
 module Ctx = struct
   let sched c = c.csched

@@ -124,7 +124,10 @@ val worker_clock : t -> int -> float
 
 val max_clock : t -> float
 (** The largest worker clock (0 before any work): the run's virtual
-    wall-clock so far. *)
+    wall-clock so far, including charges made after the last quantum. *)
+
+val makespan : t -> float
+(** The latest quantum end over all workers (0 before any): {!run}'s value. *)
 
 val worker_clock_cell : t -> int -> float array
 (** The worker's one-element clock cell, the one {!Chipsim.Machine.access_clk}
@@ -184,8 +187,7 @@ val ready : t -> ?at:float -> task -> unit
 (** Requeue a previously suspended task (on the worker that last ran it). *)
 
 val run : t -> float
-(** Run until no live task remains; returns the makespan in virtual ns
-    (max over workers that executed work of their final clock). *)
+(** Run until no live task remains; returns the {!makespan} (ns). *)
 
 val total_spawned : t -> int
 val concurrency_samples : t -> (float * int) array

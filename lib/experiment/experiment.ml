@@ -65,7 +65,6 @@ type t = {
   energy_weight : float;
   power_cap_mw : float;
   check : bool;
-  plant : Invariant.plant option;
   workload : workload;
 }
 
@@ -302,8 +301,7 @@ let to_string t =
     @ only t.energy [ "--energy" ]
     @ only (t.energy_weight <> 0.0) (arg "--energy-weight" (fmt_float t.energy_weight))
     @ only (t.power_cap_mw <> 0.0) (arg "--power-cap" (fmt_float t.power_cap_mw))
-    @ only t.check [ "--check" ]
-    @ Option.fold ~none:[] ~some:(fun p -> arg "--plant" (Invariant.plant_name p)) t.plant)
+    @ only t.check [ "--check" ])
 
 (* POSIX-shell word splitting: blanks separate words, single quotes are
    literal, double quotes group, a backslash escapes the next character *)
@@ -348,8 +346,6 @@ let flag_conv parse print =
   Arg.conv
     ( (fun s -> Result.map_error (fun m -> `Msg m) (parse s)),
       fun ppf v -> Format.pp_print_string ppf (print v) )
-
-let plant_conv = Arg.enum Invariant.plants
 
 (* Size knobs past which a run cannot work are bounded here, at parse
    time, so an oversized value exits 2 with one line instead of running
@@ -616,8 +612,10 @@ let term d =
        newline-separated $(i,TIME_US:KIND:ARGS) — core-off/core-on:CORE, \
        dvfs:CORE:SPEED, l3-ways:CHIPLET:WAYS, link:CHIPLET:MULT, \
        xsocket:MULT, membw:NODE:FACTOR, corrupt:SEED (poison one \
-       replicated job's result token) — plus rand:SEED:N:HORIZON_US for \
-       seeded random events."
+       replicated job's result token), plant:BUG (arm a deliberate bug so \
+       --check can show its invariant trip: skip-ready-clamp, vote-skip, \
+       drop-relocated or route-offline; a testing hook) — plus \
+       rand:SEED:N:HORIZON_US for seeded random events."
   in
   let faults_shard =
     all_flag
@@ -634,13 +632,6 @@ let term d =
        the serving and fleet layers' admission, completion and job \
        conservation. A violation aborts with exit code 3."
   in
-  let plant =
-    opt_flag (Arg.some plant_conv) None [ "plant" ] ~docv:"BUG"
-      "Plant a deliberate bug so --check can show its invariant trips: \
-       $(b,skip-ready-clamp) (scheduler causality), $(b,vote-skip) \
-       (replica voter), $(b,drop-relocated) or $(b,route-offline) \
-       (fleet router). Testing hook; do not use for measurements."
-  in
   let shards =
     opt_flag (int_in ~lo:0 ~hi:max_fleet ()) 0 [ "fleet" ] ~docv:"N"
       (Printf.sprintf
@@ -654,7 +645,7 @@ let term d =
      each branch's term; a flag given to a branch the run does not take
      is rejected *)
   let build (sys, machine) workers cache_scale workload (query, query_used) graph_scale seed energy
-      energy_weight power_cap_mw faults faults_shard check plant shards (serve, serve_used)
+      energy_weight power_cap_mw faults faults_shard check shards (serve, serve_used)
       (fleet, fleet_used) =
     let ( let* ) = Result.bind in
     let outside what = function
@@ -717,14 +708,14 @@ let term d =
     let faults = List.rev faults in
     Ok
       { sys; machine; workers; cache_scale; seed; graph_scale; faults; energy; energy_weight;
-        power_cap_mw; check; plant; workload }
+        power_cap_mw; check; workload }
   in
   Term.(
     ret
       (const (fun r -> match r with Ok t -> `Ok t | Error m -> `Error (false, m))
       $ (const build $ machine_term $ workers $ cache_scale $ workload $ with_used_args query
        $ graph_scale $ seed $ energy $ energy_weight $ power_cap $ faults $ faults_shard $ check
-       $ plant $ shards $ with_used_args serve_term $ with_used_args fleet_term)))
+       $ shards $ with_used_args serve_term $ with_used_args fleet_term)))
 
 let exits =
   Cmd.Exit.info 2 ~doc:"on a malformed flag value or a rejected configuration."
@@ -1041,66 +1032,58 @@ let server_config ?on_complete t s ~trace =
     check = t.check;
   }
 
-let with_plant t f =
-  let outer = Invariant.plant () in
-  Invariant.set_plant t.plant;
-  Fun.protect ~finally:(fun () -> Invariant.set_plant outer) f
-
 let serve ?trace ?on_complete t =
   match t.workload with
   | Serve s ->
-      with_plant t (fun () ->
-          let inst = instance t in
-          let report = Server.run inst (server_config ?on_complete t s ~trace) in
-          if t.check then verify inst;
-          (inst, report))
+      let inst = instance t in
+      let report = Server.run inst (server_config ?on_complete t s ~trace) in
+      if t.check then verify inst;
+      (inst, report)
   | Batch _ | Fleet _ -> invalid_arg "Experiment.serve: not a single-machine serving experiment"
 
 let fleet ?trace t =
   match t.workload with
   | Fleet (s, f) ->
-      with_plant t (fun () ->
-          Fleet.Cluster.run
-            {
-              Fleet.Cluster.n_shards = f.shards;
-              sys = t.sys;
-              machines = (if f.shard_machines = [] then [ t.machine ] else f.shard_machines);
-              n_workers = t.workers;
-              cache_scale = t.cache_scale;
-              policy = f.router;
-              epoch_us = f.epoch_us;
-              serve = server_config t s ~trace:None;
-              diurnal_amplitude = f.diurnal;
-              diurnal_period_us = f.diurnal_period_us;
-              faults = t.faults;
-              relocation = f.relocation;
-              trace = Option.is_some trace;
-            })
+      Fleet.Cluster.run
+        {
+          Fleet.Cluster.n_shards = f.shards;
+          sys = t.sys;
+          machines = (if f.shard_machines = [] then [ t.machine ] else f.shard_machines);
+          n_workers = t.workers;
+          cache_scale = t.cache_scale;
+          policy = f.router;
+          epoch_us = f.epoch_us;
+          serve = server_config t s ~trace:None;
+          diurnal_amplitude = f.diurnal;
+          diurnal_period_us = f.diurnal_period_us;
+          faults = t.faults;
+          relocation = f.relocation;
+          trace = Option.is_some trace;
+        }
   | Batch _ | Serve _ -> invalid_arg "Experiment.fleet: not a fleet experiment"
 
 let run ?trace t =
   match t.workload with
   | Batch kernel ->
-      with_plant t (fun () ->
-          let inst = instance t in
-          Engine.Sched.set_trace inst.Systems.env.Workloads.Exec_env.sched trace;
-          let out = Buffer.create 1024 in
-          Printf.bprintf out "system=%s machine=[%s] workers=%d cache-scale=%d\n"
-            (Systems.sys_name t.sys)
-            (Format.asprintf "%a" Topology.pp (Chipsim.Machine.topology inst.Systems.machine))
-            t.workers t.cache_scale;
-          let result, value = run_kernel out inst.Systems.env t kernel in
-          if t.check then verify inst;
-          let stats = Systems.report inst in
-          Buffer.add_string out (Format.asprintf "---@.%a@." Engine.Stats.pp stats);
-          {
-            report = Buffer.contents out;
-            result;
-            value;
-            stats = Some stats;
-            traces = Option.to_list trace;
-            sim_events = Engine.Stats.sim_events inst.Systems.machine;
-          })
+      let inst = instance t in
+      Engine.Sched.set_trace inst.Systems.env.Workloads.Exec_env.sched trace;
+      let out = Buffer.create 1024 in
+      Printf.bprintf out "system=%s machine=[%s] workers=%d cache-scale=%d\n"
+        (Systems.sys_name t.sys)
+        (Format.asprintf "%a" Topology.pp (Chipsim.Machine.topology inst.Systems.machine))
+        t.workers t.cache_scale;
+      let result, value = run_kernel out inst.Systems.env t kernel in
+      if t.check then verify inst;
+      let stats = Systems.report inst in
+      Buffer.add_string out (Format.asprintf "---@.%a@." Engine.Stats.pp stats);
+      {
+        report = Buffer.contents out;
+        result;
+        value;
+        stats = Some stats;
+        traces = Option.to_list trace;
+        sim_events = Engine.Stats.sim_events inst.Systems.machine;
+      }
   | Serve _ ->
       let inst, report = serve ?trace t in
       {

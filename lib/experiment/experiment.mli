@@ -8,11 +8,13 @@
     the one flag table here ({!cli}), the scenario fuzzer generates
     {!t}s directly, and all of them execute through {!run}.  The text
     form ({!to_string}) is the command line that replays the experiment,
-    so a printed repro runs the very experiment that produced it.
+    so a printed repro runs the very experiment that produced it.  A
+    planted bug is one more fault event ([TIME_US:plant:BUG]), so a
+    planted repro carries it inside [--faults] or [--faults-shard].
 
     Every flag has one home, and the spec holds only what its branch
     reads.  [-w] and [--fleet] pick the branch; the machine, seed, graph
-    scale, fault, check and plant flags (and the energy flags, on one
+    scale, fault and check flags (and the energy flags, on one
     machine) are common; [-q] belongs to [-w tpch]; the serving flags to
     [-w serve], which a fleet shares; the fleet flags to [--fleet N],
     N > 0.  A flag given outside its home is rejected in one line. *)
@@ -85,7 +87,6 @@ type t = {
   energy_weight : float;  (** CHARM's EDP-aware placement weight (0 = off) *)
   power_cap_mw : float;  (** machine power cap in simulated mW (0 = off) *)
   check : bool;  (** executable invariants on *)
-  plant : Chipsim.Invariant.plant option;  (** deliberate bug, for checker tests *)
   workload : workload;
 }
 
@@ -161,7 +162,7 @@ val audit : Workloads.Csr.t -> functional -> unit
 
 val run : ?trace:Engine.Trace.t -> t -> outcome
 (** Build the instance (or cluster), arm energy accounting, checking,
-    faults and the planted bug, run the workload and collect its report.
+    faults (planted bugs among them), run the workload and collect its report.
     A single machine records its events into [trace]; a fleet given a
     [trace] records into a fresh router trace and one per shard instead.  With [check],
     a graph kernel's result is {!audit}ed, and the machine, the
@@ -183,15 +184,14 @@ val serve :
   Harness.Systems.instance * Serving.Server.report
 (** {!run}'s single-machine serving path, stopped before rendering: the
     instance it ran on (machine counters, energy meters, CHARM runtime)
-    and the typed report, under [t]'s planted bug.  [trace] receives the
+    and the typed report.  [trace] receives the
     server's events;
     [on_complete] observes every completed job
     ({!Serving.Server.config}'s [on_complete]).
     @raise Invalid_argument unless [t.workload] is [Serve _]. *)
 
 val fleet : ?trace:Engine.Trace.t -> t -> Fleet.Cluster.result
-(** {!run}'s fleet path, stopped before rendering, under [t]'s planted
-    bug.  Given a [trace], the
+(** {!run}'s fleet path, stopped before rendering.  Given a [trace], the
     cluster records into a fresh router trace and one per shard
     ([result.traces]); the argument itself receives nothing.
     @raise Invalid_argument unless [t.workload] is [Fleet _]. *)
@@ -217,9 +217,6 @@ val cli : defaults -> doc:string -> unit
     (a serving flag on a batch kernel, [--router] without [--fleet N],
     [--rate] on a closed loop, ...) exits 2.  A negative number after a
     flag is that flag's value ([--seed -5] reads as [--seed=-5]). *)
-
-val plant_conv : Chipsim.Invariant.plant Cmdliner.Arg.conv
-(** The [--plant] converter, shared with [charm_fuzz]. *)
 
 val parse_argv : Cmdliner.Cmd.info -> 'a Cmdliner.Term.t -> 'a
 (** Evaluate a term over [Sys.argv] as {!cli} does: [--help] prints and

@@ -9,6 +9,7 @@ type kind =
   | Xsocket of float
   | Membw of { node : int; factor : float }
   | Corruption of { seed : int }
+  | Plant of Invariant.plant
 
 type event = { at_ns : float; kind : kind }
 type t = event list
@@ -25,6 +26,7 @@ let describe = function
   | Membw { node; factor } ->
       Printf.sprintf "membw node %d -> %.2fx" node factor
   | Corruption { seed } -> Printf.sprintf "corrupt seed %d" seed
+  | Plant p -> "plant " ^ Invariant.plant_name p
 
 let sort t =
   (* stable, so same-instant events keep their spec order *)
@@ -77,7 +79,8 @@ let to_spec t =
          | Xsocket m -> Printf.sprintf "%s:xsocket:%s" us (f m)
          | Membw { node; factor } ->
              Printf.sprintf "%s:membw:%d:%s" us node (f factor)
-         | Corruption { seed } -> Printf.sprintf "%s:corrupt:%d" us seed)
+         | Corruption { seed } -> Printf.sprintf "%s:corrupt:%d" us seed
+         | Plant p -> Printf.sprintf "%s:plant:%s" us (Invariant.plant_name p))
        (sort t))
 
 (* -- spec parsing -------------------------------------------------------- *)
@@ -192,6 +195,10 @@ let parse_entry ~topo entry =
       | [ "corrupt"; s ] ->
           (* no range to check: the seed only picks which bit flips *)
           one (Corruption { seed = int_field entry "seed" s })
+      | [ "plant"; name ] -> (
+          match List.assoc_opt name Invariant.plants with
+          | Some p -> one (Plant p)
+          | None -> fail "%s: unknown plant %S" entry name)
       | kind :: _ -> fail "%s: unknown fault kind %S" entry kind
       | [] -> fail "%s: missing fault kind" entry)
   | [] -> fail "%s: empty entry" entry
@@ -223,20 +230,14 @@ let random ~topo ~seed ~n ~horizon_us =
 
 (* -- presets ------------------------------------------------------------- *)
 
-(* The bench scenario: one chiplet's cores throttle hard, its L3 loses
+(* The bench scenario: chiplet 0's cores throttle hard, its L3 loses
    most of its ways and its I/O-die link degrades — the compound
    "sick chiplet" from the paper's motivation for runtime adaptivity. *)
-let chiplet_meltdown ~topo ?(chiplet = 0) ~at_us () =
+let chiplet_meltdown ~topo ~at_us =
   let at_ns = at_us *. 1000.0 in
-  if chiplet < 0 || chiplet >= Topology.num_chiplets topo then
-    invalid_arg "Schedule.chiplet_meltdown: chiplet out of range";
-  let cpc = topo.Topology.cores_per_chiplet in
-  let dvfs =
-    List.init cpc (fun i ->
-        { at_ns; kind = Dvfs { core = (chiplet * cpc) + i; speed = 0.35 } })
-  in
-  dvfs
+  List.init topo.Topology.cores_per_chiplet (fun core ->
+      { at_ns; kind = Dvfs { core; speed = 0.35 } })
   @ [
-      { at_ns; kind = L3_ways { chiplet; ways = 2 } };
-      { at_ns; kind = Link { chiplet; mult = 6.0 } };
+      { at_ns; kind = L3_ways { chiplet = 0; ways = 2 } };
+      { at_ns; kind = Link { chiplet = 0; mult = 6.0 } };
     ]

@@ -15,6 +15,8 @@
     TIME_US:corrupt:SEED         arm a one-shot result corruption (SEED
                                  picks the flipped bit; see
                                  {!Chipsim.Modifiers.arm_corruption})
+    TIME_US:plant:BUG            arm a planted bug on this machine
+                                 ({!Chipsim.Invariant.plants})
     rand:SEED:N:HORIZON_US       N random events over [0, HORIZON_US)
     v}
 
@@ -39,6 +41,9 @@ type kind =
           that their token is poisoned — latency is unaffected).  Not in
           {!random}'s pool: the scenario fuzzer injects these separately
           so pre-existing seeds keep their schedules. *)
+  | Plant of Invariant.plant
+      (** arm a deliberate bug for the rest of the run
+          ({!Chipsim.Modifiers.arm_plant}); never in {!random}'s pool *)
 
 type event = { at_ns : float; kind : kind }
 type t = event list
@@ -69,7 +74,7 @@ val random : topo:Topology.t -> seed:int -> n:int -> horizon_us:float -> t
     generated schedule is expressible in the spec grammar.
     @raise Invalid_argument if [n < 0] or [horizon_us <= 0]. *)
 
-val chiplet_meltdown : topo:Topology.t -> ?chiplet:int -> at_us:float -> unit -> t
-(** The benchmark scenario: at [at_us], [chiplet] (default 0) throttles to
-    0.35x DVFS on every core, loses all but 2 L3 ways and suffers a 6x
-    I/O-die link degradation — a compound "sick chiplet". *)
+val chiplet_meltdown : topo:Topology.t -> at_us:float -> t
+(** The benchmark scenario: at [at_us], chiplet 0 throttles to 0.35x DVFS
+    on every core, loses all but 2 L3 ways and suffers a 6x I/O-die link
+    degradation — a compound "sick chiplet". *)

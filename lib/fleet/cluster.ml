@@ -277,6 +277,7 @@ let run cfg =
     Array.init n (fun s ->
         { Router.shard = s; capacity = 1.0; sick_fraction = 0.0; load_ns = 0.0; depth = 0 })
   in
+  let shard_mods s = Machine.modifiers (Session.instance sessions.(s)).Systems.machine in
   let sick_fraction s =
     let inst = Session.instance sessions.(s) in
     let topo = Machine.topology inst.Systems.machine in
@@ -344,21 +345,14 @@ let run cfg =
       Session.cost_estimate sessions.(0) r.kind
       *. float_of_int tenant_replicas.(r.tenant)
     in
-    let forced =
-      (* planted routing bug: aim at a fully-offline shard when one
-         exists, to prove the no-offline-placement invariant fires *)
-      if Chipsim.Invariant.planted Chipsim.Invariant.Route_offline then
-        Array.fold_left
-          (fun acc (v : Router.view) ->
-            if acc = None && v.Router.capacity <= 0.0 then Some v.Router.shard
-            else acc)
-          None views
-      else None
-    in
     let target =
-      match forced with
-      | Some s -> Some s
-      | None -> Router.choose router ~exclude:from_shard ~tenant:tname ~cost views
+      (* planted routing bug: aim at the first fully-offline shard when
+         that shard has the bug armed, to prove the no-offline-placement
+         invariant fires *)
+      let off = ref 0 in
+      while !off < n && views.(!off).Router.capacity > 0.0 do incr off done;
+      if !off < n && Modifiers.planted (shard_mods !off) Chipsim.Invariant.Route_offline then Some !off
+      else Router.choose router ~exclude:from_shard ~tenant:tname ~cost views
     in
     match target with
     | None ->
@@ -411,9 +405,9 @@ let run cfg =
         views.(s).Router.load_ns <-
           Float.max 0.0 (Session.backlog_ns sessions.(s) -. now);
         views.(s).Router.depth <- 0;
-        (* planted bug: relocated jobs vanish — fleet conservation
-           must trip *)
-        if not (Chipsim.Invariant.planted Chipsim.Invariant.Drop_relocated)
+        (* planted bug: the drained shard's relocated jobs vanish —
+           fleet conservation must trip *)
+        if not (Modifiers.planted (shard_mods s) Chipsim.Invariant.Drop_relocated)
         then
           List.iter
             (fun r -> incr relocations; place ~now ~from_shard:s r)

@@ -122,8 +122,6 @@ let make ?(cache_scale = 1) ?charm_config ?faults sys kind ~n_workers () =
   in
   { env = { Workloads.Exec_env.sched; alloc_shared }; machine; charm }
 
-(* [Sched.run] returned the max over workers' last busy clocks; the
-   cheapest faithful proxy here is the max worker clock *)
 let report instance =
   Engine.Stats.collect instance.machine
-    ~makespan_ns:(Engine.Sched.max_clock instance.env.Workloads.Exec_env.sched)
+    ~makespan_ns:(Engine.Sched.makespan instance.env.Workloads.Exec_env.sched)

@@ -80,4 +80,5 @@ val make :
     @raise Invalid_argument if the machine cannot host [n_workers]. *)
 
 val report : instance -> Engine.Stats.report
-(** End-of-run statistics; the makespan is the largest worker clock. *)
+(** End-of-run statistics; the makespan is the scheduler's
+    ({!Engine.Sched.makespan}). *)

@@ -1,5 +1,4 @@
 type t = {
-  min_value : float;
   growth : float;
   log_growth : float;
   mutable counts : int array;  (* grown on demand *)
@@ -8,11 +7,9 @@ type t = {
   mutable max_v : float;
 }
 
-let create ?(min_value = 1.0) ?(growth = 1.12) () =
-  if min_value <= 0.0 then invalid_arg "Histogram.create: min_value <= 0";
+let create ?(growth = 1.12) () =
   if growth <= 1.0 then invalid_arg "Histogram.create: growth <= 1";
   {
-    min_value;
     growth;
     log_growth = log growth;
     counts = Array.make 32 0;
@@ -24,21 +21,17 @@ let create ?(min_value = 1.0) ?(growth = 1.12) () =
 (* Hard cap on the bucket index: [int_of_float] on the huge (or infinite)
    result of the log formula is unspecified, and a single absurd sample
    must not allocate an unbounded counts array.  With growth 1.12 bucket
-   4096 already covers > 10^201 x min_value, so nothing real clamps. *)
+   4096 already covers > 10^201, so nothing real clamps. *)
 let max_bucket = 4096
 
-(* bucket 0 = (-inf, min_value]; bucket i>0 = (min_value*g^(i-1), min_value*g^i] *)
+(* bucket 0 = (-inf, 1]; bucket i>0 = (g^(i-1), g^i] *)
 let bucket_of t v =
   if Float.is_nan v then 0
-  else if v <= t.min_value then 0
-  else if v >= t.min_value *. (t.growth ** float_of_int max_bucket) then
-    max_bucket
-  else
-    min max_bucket
-      (1 + int_of_float (Float.floor (log (v /. t.min_value) /. t.log_growth)))
+  else if v <= 1.0 then 0
+  else if v >= t.growth ** float_of_int max_bucket then max_bucket
+  else min max_bucket (1 + int_of_float (Float.floor (log v /. t.log_growth)))
 
-let bucket_upper t i =
-  if i = 0 then t.min_value else t.min_value *. (t.growth ** float_of_int i)
+let bucket_upper t i = if i = 0 then 1.0 else t.growth ** float_of_int i
 
 let ensure t i =
   let n = Array.length t.counts in
@@ -80,7 +73,7 @@ let p99 t = quantile t 0.99
 let p999 t = quantile t 0.999
 
 let merge dst src =
-  if dst.min_value <> src.min_value || dst.growth <> src.growth then
+  if dst.growth <> src.growth then
     invalid_arg "Histogram.merge: incompatible bucket parameters";
   Array.iteri
     (fun i c ->

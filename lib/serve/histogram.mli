@@ -1,6 +1,6 @@
 (** Log-bucketed latency histogram.
 
-    Bucket boundaries grow geometrically from [min_value], so a fixed,
+    Bucket boundaries grow geometrically from 1, so a fixed,
     small number of integer counters covers nanoseconds to seconds with a
     bounded relative error of [growth - 1] per quantile.  This is the
     HdrHistogram idea reduced to what the serving layer needs: cheap
@@ -8,11 +8,11 @@
 
 type t
 
-val create : ?min_value:float -> ?growth:float -> unit -> t
-(** [min_value] is the upper bound of the first bucket (default 1.0, i.e.
-    1 ns when observing latencies in ns); [growth] is the geometric bucket
-    ratio (default 1.12, ~12%% worst-case quantile error).
-    @raise Invalid_argument if [min_value <= 0.] or [growth <= 1.]. *)
+val create : ?growth:float -> unit -> t
+(** The first bucket's upper bound is 1 (1 ns when observing latencies in
+    ns); [growth] is the geometric bucket ratio (default 1.12, ~12%%
+    worst-case quantile error).
+    @raise Invalid_argument if [growth <= 1.]. *)
 
 val observe : t -> float -> unit
 (** Record one sample.  Negative and NaN samples count into the first

@@ -27,8 +27,8 @@ let corrupt tok ~seed = Int64.logxor tok (Int64.shift_left 1L (abs seed mod 63))
 (* Plurality vote with a deterministic tie-break: among equally common
    tokens the one observed first (lowest replica index) wins.  O(k^2)
    over replica groups of 2-5 — no hashing, no allocation. *)
-let majority tokens =
-  if Array.length tokens = 0 then invalid_arg "Replica.majority: no replicas";
+let vote tokens =
+  if Array.length tokens = 0 then invalid_arg "Replica.vote: no replicas";
   let n = Array.length tokens in
   let best = ref tokens.(0) and best_count = ref 0 in
   for i = 0 to n - 1 do
@@ -43,10 +43,10 @@ let majority tokens =
   done;
   !best
 
-let vote tokens =
-  if Array.length tokens = 0 then invalid_arg "Replica.vote: no replicas";
-  if Chipsim.Invariant.planted Chipsim.Invariant.Vote_skip then tokens.(0)
-  else majority tokens
+let vote_on mods tokens =
+  if Chipsim.Modifiers.planted mods Chipsim.Invariant.Vote_skip && Array.length tokens > 0 then
+    tokens.(0)
+  else vote tokens
 
 let unanimous tokens =
   Array.for_all (fun t -> Int64.equal t tokens.(0)) tokens

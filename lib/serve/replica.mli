@@ -23,15 +23,13 @@ val corrupt : int64 -> seed:int -> int64
 (** Seeded single-bit flip — the injected silent-data-corruption model. *)
 
 val vote : int64 array -> int64
-(** Plurality winner with a deterministic tie-break (lowest replica index
-    first).  Under the planted bug {!Chipsim.Invariant.Vote_skip} (read
-    per call) it returns replica 0's token unchecked — the defect the
-    replica-agreement invariant and the fuzzer gate must catch.
+(** The honest plurality winner, with a deterministic tie-break (lowest
+    replica index first).  Checkers recompute it to audit {!vote_on}.
     @raise Invalid_argument on an empty group. *)
 
-val majority : int64 array -> int64
-(** The honest plurality computation, never subject to the plant —
-    checkers recompute it to audit {!vote}.
+val vote_on : Chipsim.Modifiers.t -> int64 array -> int64
+(** The vote cast on the machine the group ran on: {!vote}, or replica
+    0's token unchecked where {!Chipsim.Invariant.Vote_skip} is armed.
     @raise Invalid_argument on an empty group. *)
 
 val unanimous : int64 array -> bool

@@ -432,11 +432,11 @@ module Session = struct
       group
 
   and finish_group sess ctx st p ~tokens ~corrupted ~items =
-    let voted = Replica.vote tokens in
+    let voted = Replica.vote_on (Machine.modifiers sess.inst.Systems.machine) tokens in
     if not (Replica.unanimous tokens) then begin
       st.divergences <- st.divergences + 1;
       Metrics.incr sess.registry "serve.replica.divergent";
-      if Int64.equal voted (Replica.majority tokens) then
+      if Int64.equal voted (Replica.vote tokens) then
         Metrics.incr sess.registry "serve.replica.masked";
       match Sched.trace sess.sched with
       | Some tr ->
@@ -453,10 +453,10 @@ module Session = struct
          honest plurality — the vote-skip plant trips this whenever replica
          0 holds the poisoned minority token — and divergence is impossible
          without an injected corruption *)
-      if not (Int64.equal voted (Replica.majority tokens)) then
+      if not (Int64.equal voted (Replica.vote tokens)) then
         Chipsim.Invariant.fail
           "serve: tenant %s job %d voted token %Lx but the plurality is %Lx"
-          st.cfg_t.name p.req.id voted (Replica.majority tokens);
+          st.cfg_t.name p.req.id voted (Replica.vote tokens);
       if corrupted = 0 && not (Replica.unanimous tokens) then
         Chipsim.Invariant.fail
           "serve: tenant %s job %d replicas diverged without injected corruption"

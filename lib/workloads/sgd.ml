@@ -17,6 +17,7 @@ type model = {
 
 let flop_ns_per_feature = 0.5
 let sigmoid_ns = 5.0
+let learning_rate = 0.05
 
 let make_model env ~replica ~features =
   let machine = Exec_env.machine env in
@@ -88,7 +89,7 @@ let loss_epoch env ?grain model data =
     Workload_result.v ~label:"sgd-loss" ~makespan_ns:makespan
       ~work_items:(Dataset.bytes data) )
 
-let gradient_epoch env ?(learning_rate = 0.05) ?grain model data =
+let gradient_epoch env ?grain model data =
   let features = data.Dataset.features in
   let makespan =
     Exec_env.run env (fun ctx ->

@@ -29,10 +29,10 @@ val loss_epoch :
     [work_items] = bytes of sample data streamed. *)
 
 val gradient_epoch :
-  Exec_env.t -> ?learning_rate:float -> ?grain:int -> model -> Dataset.t ->
-  Workload_result.t
-(** One full SGD pass updating the replicas (averaged into replica 0 at
-    the end, as DimmWitted's model averaging does).  [grain] is the chunk
+  Exec_env.t -> ?grain:int -> model -> Dataset.t -> Workload_result.t
+(** One full SGD pass at learning rate 0.05 updating the replicas
+    (averaged into replica 0 at the end, as DimmWitted's model averaging
+    does).  [grain] is the chunk
     size in samples: DimmWitted's native engine uses one coarse chunk per
     core, CHARM uses fine chunks. *)
 

@@ -145,7 +145,7 @@ let test_fault_spec () =
   let topo = S.topology S.Amd_milan ~cache_scale:16 in
   Alcotest.(check bool) (line ^ ": Milan at cache scale 16") true (t.machine = S.Amd_milan && t.cache_scale = 16);
   Alcotest.(check bool) (line ^ ": meltdown") true
-    (t.faults = [ (0, Faults.Schedule.chiplet_meltdown ~topo ~chiplet:0 ~at_us:3000.0 ()) ])
+    (t.faults = [ (0, Faults.Schedule.chiplet_meltdown ~topo ~at_us:3000.0) ])
 
 (* -- figure rows -------------------------------------------------------- *)
 

@@ -143,15 +143,51 @@ let test_plant_is_part_of_the_spec () =
   let t =
     of_string_exn
       "charm_serve -m amd1s -n 2 --rate 15000 --jobs 1 --seed 1 --max-inflight 1 \
-       --queue-bound 1 --graph-scale 5 --tenant gold:1:bfs --check --plant skip-ready-clamp"
+       --queue-bound 1 --graph-scale 5 --tenant gold:1:bfs --check \
+       --faults 0:plant:skip-ready-clamp"
   in
-  Alcotest.(check bool) "plant parsed" true
-    (t.E.plant = Some Chipsim.Invariant.Skip_ready_clamp);
+  let planted = [ { Faults.Schedule.at_ns = 0.0; kind = Faults.Schedule.Plant Chipsim.Invariant.Skip_ready_clamp } ] in
+  Alcotest.(check bool) "plant parsed as a fault event" true (t.E.faults = [ (0, planted) ]);
   Alcotest.(check bool) "and printed" true (of_string_exn (E.to_string t) = t);
-  (match E.run t with
-  | _ -> Alcotest.fail "planted skip-ready-clamp was not caught"
-  | exception Chipsim.Invariant.Violation _ -> ());
-  Alcotest.(check bool) "the plant ends with the run" true (Chipsim.Invariant.plant () = None)
+  (* the spec's one-job serve as a server config, to run on instances of
+     its own *)
+  let make faults =
+    Harness.Systems.make ~cache_scale:16 ~faults Harness.Systems.Charm
+      Harness.Systems.Amd_milan_1s ~n_workers:2 ()
+  in
+  let base = Serving.Server.default_config ~seed:1 in
+  let cfg =
+    {
+      base with
+      Serving.Server.tenants =
+        [
+          {
+            Serving.Server.name = "gold";
+            weight = 1.0;
+            slo_factor = 3.0;
+            process = Serving.Arrivals.Open_loop { rate_per_s = 15000.0 };
+            jobs = 1;
+            mix = [ (Serving.Job.Bfs, 1) ];
+            replicas = 1;
+          };
+        ];
+      admission = { Serving.Admission.max_queue_per_tenant = 1; max_global_queue = 2 };
+      max_inflight = 1;
+      data = { Serving.Job.graph_scale = 5; dag_comm_aware = true; seed = 2 };
+      check = true;
+    }
+  in
+  let caught what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: planted skip-ready-clamp was not caught" what
+    | exception Chipsim.Invariant.Violation _ -> ()
+  in
+  (* an honest instance built before the planted run and run after it
+     still runs honest code: the plant is the planted machine's state *)
+  let honest = make [] in
+  caught "the spec" (fun () -> E.run t);
+  caught "the server config on a planted instance" (fun () -> Serving.Server.run (make planted) cfg);
+  ignore (Serving.Server.run honest cfg : Serving.Server.report)
 
 (* every malformed value fails with one line, never an exception *)
 let test_malformed_values_rejected () =
@@ -166,7 +202,7 @@ let test_malformed_values_rejected () =
       "-s frob"; "-m frob"; "--topology 'sockets 1; frobnicate 2'"; "-n x";
       "--cache-scale x"; "-w frob"; "-q x"; "--graph-scale x"; "--seed x";
       "--energy-weight nan"; "--power-cap -1"; "--faults 1:frob:2";
-      "--faults-shard x:1:core-off:0"; "--plant frob"; "--rate x"; "--rate 0";
+      "--faults-shard x:1:core-off:0"; "--faults 0:plant:frob"; "--plant frob"; "--rate x"; "--rate 0";
       "--jobs x"; "--max-inflight x"; "--queue-bound x"; "--slo-factor x";
       "--closed-loop x"; "--closed-loop 0"; "--think-us x"; "--tenant bad"; "--replicate graph";
       "--replicate nobody:2"; "--dag-mapper frob"; "--fleet x"; "--router frob";

@@ -56,6 +56,34 @@ let test_random_schedules_roundtrip () =
      4639.139488358511:core-on:0;4865.3171985070085:dvfs:39:0.7582834735850588"
     (Schedule.to_spec (Schedule.random ~topo ~seed:7 ~n:10 ~horizon_us:5000.0))
 
+(* a planted bug is one more event kind: every name parses and prints
+   back, and the fuzzer's random draws never contain one *)
+let test_plants_round_trip () =
+  let topo = topo () in
+  List.iter
+    (fun (name, p) ->
+      let spec = "0:plant:" ^ name in
+      let sched = Schedule.parse_exn ~topo spec in
+      Alcotest.(check bool) (name ^ " parses") true
+        (sched = [ { Schedule.at_ns = 0.0; kind = Schedule.Plant p } ]);
+      Alcotest.(check string) (name ^ " prints") spec (Schedule.to_spec sched);
+      Alcotest.(check bool) (name ^ " round-trips") true
+        (Schedule.parse_exn ~topo (Schedule.to_spec sched) = sched);
+      Alcotest.(check string) (name ^ " described") ("plant " ^ name)
+        (Schedule.describe (Schedule.Plant p)))
+    Invariant.plants;
+  (match Schedule.parse ~topo "0:plant:frob" with
+  | Ok _ -> Alcotest.fail "accepted an unknown plant"
+  | Error _ -> ());
+  for seed = 0 to 999 do
+    List.iter
+      (fun { Schedule.kind; _ } ->
+        match kind with
+        | Schedule.Plant _ -> Alcotest.failf "seed %d drew a plant" seed
+        | _ -> ())
+      (Schedule.random ~topo ~seed ~n:8 ~horizon_us:5000.0)
+  done
+
 let test_parse_rand_deterministic () =
   let topo = topo () in
   let parse seed =
@@ -339,6 +367,7 @@ let suite =
     Alcotest.test_case "rand expansion deterministic" `Quick
       test_parse_rand_deterministic;
     Alcotest.test_case "bad specs rejected" `Quick test_parse_rejects;
+    Alcotest.test_case "plants round-trip, never drawn" `Quick test_plants_round_trip;
     Alcotest.test_case "offline core migrates" `Quick
       test_offline_migrates_when_cores_free;
     Alcotest.test_case "offline core drains" `Quick

@@ -143,18 +143,18 @@ let test_router_skips_offline_shard () =
 
 (* -- planted bugs: the invariants must catch them ----------------------- *)
 
-let with_plant plant f =
-  Chipsim.Invariant.set_plant (Some plant);
-  Fun.protect ~finally:(fun () -> Chipsim.Invariant.set_plant None) f
+(* a plant is a fault event: the shard whose schedule carries it arms it *)
+let plant p = { Schedule.at_ns = 0.0; kind = Schedule.Plant p }
 
 let test_plant_drop_relocated_trips () =
   let cfg =
     {
       (base_config ~jobs:20 ~rate:12_000.0 ~seed:11 ()) with
-      Cluster.faults = [ (0, quarter_speed_everywhere ~at_us:150.0) ];
+      Cluster.faults =
+        [ (0, quarter_speed_everywhere ~at_us:150.0 @ [ plant Chipsim.Invariant.Drop_relocated ]) ];
     }
   in
-  match with_plant Chipsim.Invariant.Drop_relocated (fun () -> Cluster.run cfg) with
+  match Cluster.run cfg with
   | _ -> Alcotest.fail "planted drop-relocated bug was not caught"
   | exception Chipsim.Invariant.Violation msg ->
       Alcotest.(check bool)
@@ -166,16 +166,28 @@ let test_plant_route_offline_trips () =
   let cfg =
     {
       (base_config ~jobs:10 ~seed:5 ()) with
-      Cluster.faults = [ (1, all_cores_off) ];
+      Cluster.faults = [ (1, all_cores_off @ [ plant Chipsim.Invariant.Route_offline ]) ];
     }
   in
-  match with_plant Chipsim.Invariant.Route_offline (fun () -> Cluster.run cfg) with
+  match Cluster.run cfg with
   | _ -> Alcotest.fail "planted route-offline bug was not caught"
   | exception Chipsim.Invariant.Violation msg ->
       Alcotest.(check bool)
         ("message names the offline placement: " ^ msg)
         true
         (contains msg "fully-offline")
+
+(* the router asks the offline shard it would aim at, so the bug armed on
+   an online shard changes nothing *)
+let test_plant_route_offline_on_online_shard () =
+  let run faults =
+    let res = Cluster.run { (base_config ~jobs:10 ~seed:5 ()) with Cluster.faults } in
+    (res.Cluster.placement_log, Cluster.result_to_json res)
+  in
+  let honest = run [ (1, all_cores_off) ] in
+  let planted = run [ (1, all_cores_off); (0, [ plant Chipsim.Invariant.Route_offline ]) ] in
+  Alcotest.(check string) "same placements" (fst honest) (fst planted);
+  Alcotest.(check string) "same report" (snd honest) (snd planted)
 
 (* -- the EWMA policy ----------------------------------------------------- *)
 
@@ -293,6 +305,8 @@ let () =
             test_plant_drop_relocated_trips;
           Alcotest.test_case "planted route-offline trips" `Quick
             test_plant_route_offline_trips;
+          Alcotest.test_case "route-offline on an online shard is inert" `Quick
+            test_plant_route_offline_on_online_shard;
           Alcotest.test_case "ewma observe math" `Quick test_ewma_observe_math;
           Alcotest.test_case "ewma choice" `Quick test_ewma_choice;
           Alcotest.test_case "ewma avoids slow shard" `Quick

@@ -42,12 +42,12 @@ let test_majority_masks_minority () =
   let tok = Replica.token ~job_seed:1 ~kind:"bfs" in
   let bad = Replica.corrupt tok ~seed:9 in
   Alcotest.(check t64) "unanimous group" tok
-    (Replica.majority [| tok; tok; tok |]);
+    (Replica.vote [| tok; tok; tok |]);
   Alcotest.(check t64) "one corrupted of three is outvoted" tok
-    (Replica.majority [| bad; tok; tok |]);
+    (Replica.vote [| bad; tok; tok |]);
   Alcotest.(check t64) "two identical corruptions win the plurality" bad
-    (Replica.majority [| bad; tok; bad |]);
-  Alcotest.(check t64) "singleton group" tok (Replica.majority [| tok |])
+    (Replica.vote [| bad; tok; bad |]);
+  Alcotest.(check t64) "singleton group" tok (Replica.vote [| tok |])
 
 let test_majority_tie_break () =
   let tok = Replica.token ~job_seed:2 ~kind:"bfs" in
@@ -56,9 +56,9 @@ let test_majority_tie_break () =
      which is also why the vote-skip plant is undetectable at k = 2 and
      the CI gate runs 3-replica groups *)
   Alcotest.(check t64) "tie goes to replica 0" bad
-    (Replica.majority [| bad; tok |]);
+    (Replica.vote [| bad; tok |]);
   Alcotest.(check t64) "tie goes to replica 0 (swapped)" tok
-    (Replica.majority [| tok; bad |])
+    (Replica.vote [| tok; bad |])
 
 let test_empty_group_invalid () =
   let invalid name f =
@@ -66,12 +66,21 @@ let test_empty_group_invalid () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s: accepted an empty group" name
   in
-  invalid "majority" (fun () -> Replica.majority [||]);
-  invalid "vote" (fun () -> Replica.vote [||])
+  invalid "vote" (fun () -> Replica.vote [||]);
+  invalid "vote_on" (fun () ->
+      Replica.vote_on (Modifiers.create ~cores:1 ~chiplets:1 ~nodes:1) [||])
 
-let with_plant plant f =
-  Chipsim.Invariant.set_plant (Some plant);
-  Fun.protect ~finally:(fun () -> Chipsim.Invariant.set_plant None) f
+(* amd1s has 4 cores per chiplet: 24 workers span 6 chiplets, so a
+   3-replica group really lands on 3 distinct chiplets (k = 2 would make
+   a single corruption an undetectable 1-1 tie).  [faults] is a fault
+   spec the instance's scheduler replays. *)
+let replicated_inst ?(faults = "") () =
+  let faults =
+    Faults.Schedule.parse_exn
+      ~topo:(Sys_.topology Sys_.Amd_milan_1s ~cache_scale:16)
+      faults
+  in
+  Sys_.make ~cache_scale:16 ~faults Sys_.Charm Sys_.Amd_milan_1s ~n_workers:24 ()
 
 let test_vote_and_plant () =
   let tok = Replica.token ~job_seed:5 ~kind:"tpch" in
@@ -79,13 +88,18 @@ let test_vote_and_plant () =
   let group = [| bad; tok; tok |] in
   Alcotest.(check t64) "honest vote equals the plurality" tok
     (Replica.vote group);
-  (* the planted bug returns replica 0 unchecked; the plant is read per
-     call, so the defect switches on and off with it *)
-  with_plant Chipsim.Invariant.Vote_skip (fun () ->
-      Alcotest.(check t64) "planted voter returns replica 0" bad
-        (Replica.vote group));
-  Alcotest.(check t64) "plant off again after restore" tok
-    (Replica.vote group)
+  (* a plant is a fault event: the scheduler arms it on its own machine
+     once the run's frontier reaches its time, and the vote cast on that
+     machine returns replica 0 unchecked *)
+  let planted = replicated_inst ~faults:"0:plant:vote-skip" () in
+  let mods = Machine.modifiers planted.Sys_.machine in
+  Alcotest.(check t64) "not armed before the run reaches it" tok
+    (Replica.vote_on mods group);
+  ignore (Workloads.Exec_env.run planted.Sys_.env (fun _ -> ()) : float);
+  Alcotest.(check t64) "planted voter returns replica 0" bad
+    (Replica.vote_on mods group);
+  Alcotest.(check t64) "another machine votes honestly" tok
+    (Replica.vote_on (Machine.modifiers (replicated_inst ()).Sys_.machine) group)
 
 let test_unanimous () =
   let tok = Replica.token ~job_seed:8 ~kind:"bfs" in
@@ -169,12 +183,6 @@ let test_replicate_spec () =
 
 (* -- end to end through the server ------------------------------------- *)
 
-(* amd1s has 4 cores per chiplet: 24 workers span 6 chiplets, so a
-   3-replica group really lands on 3 distinct chiplets (k = 2 would make
-   a single corruption an undetectable 1-1 tie) *)
-let replicated_inst () =
-  Sys_.make ~cache_scale:16 Sys_.Charm Sys_.Amd_milan_1s ~n_workers:24 ()
-
 let replicated_cfg ~check seed =
   let base = Server.default_config ~seed in
   {
@@ -225,16 +233,15 @@ let test_server_clean_replication_agrees () =
 let test_server_detects_planted_voter () =
   (* the replica-agreement invariant must catch vote-skip: the corrupted
      replica 0 wins the planted vote while the honest plurality disagrees *)
-  with_plant Chipsim.Invariant.Vote_skip (fun () ->
-      let inst = replicated_inst () in
-      Modifiers.arm_corruption (Machine.modifiers inst.Sys_.machine) ~seed:6;
-      match Server.run inst (replicated_cfg ~check:true 17) with
-      | exception Chipsim.Invariant.Violation msg ->
-          Alcotest.(check bool)
-            (Printf.sprintf "violation names the vote: %s" msg)
-            true
-            (contains msg "voted token")
-      | _ -> Alcotest.fail "planted vote-skip went undetected")
+  let inst = replicated_inst ~faults:"0:plant:vote-skip" () in
+  Modifiers.arm_corruption (Machine.modifiers inst.Sys_.machine) ~seed:6;
+  match Server.run inst (replicated_cfg ~check:true 17) with
+  | exception Chipsim.Invariant.Violation msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "violation names the vote: %s" msg)
+        true
+        (contains msg "voted token")
+  | _ -> Alcotest.fail "planted vote-skip went undetected"
 
 let test_server_replication_deterministic () =
   let run () =

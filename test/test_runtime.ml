@@ -93,8 +93,8 @@ let test_finalize_reports () =
   let report = Systems.report inst in
   Alcotest.(check bool) "tasks executed" true (report.Engine.Stats.tasks_executed >= 1);
   Alcotest.(check bool) "switches counted" true (report.Engine.Stats.context_switches >= 1);
-  Alcotest.(check bool) "makespan covers the run" true
-    (report.Engine.Stats.makespan_ns >= makespan)
+  Alcotest.(check (float 0.0)) "makespan covers the run" makespan
+    report.Engine.Stats.makespan_ns
 
 let test_adaptation_under_pressure () =
   (* a working set that exceeds per-chiplet L3 even at full spread keeps
