@@ -40,7 +40,7 @@ let run_config config ~workers =
       ~samples ~features ()
   in
   let grain = if config.coarse then Some (max 1 (samples / workers)) else None in
-  let o = Dimmwitted.run env ~replica:config.replica ~epochs:2 ?grain data in
+  let o = Dimmwitted.run env ~replica:config.replica ?grain data in
   (o.Dimmwitted.loss_gbps, o.Dimmwitted.gradient_gbps)
 
 let table pick title =

@@ -18,7 +18,7 @@ let run sys =
       ~alloc:(fun ~elt_bytes ~count -> env.Exec_env.alloc_shared ~elt_bytes ~count)
       ~samples:1024 ~features:512 ()
   in
-  let outcome = Dimmwitted.run env ~replica:Sgd.Per_node ~epochs:2 data in
+  let outcome = Dimmwitted.run env ~replica:Sgd.Per_node data in
   let sched = env.Exec_env.sched in
   (outcome, Engine.Sched.total_spawned sched)
 

@@ -28,8 +28,8 @@ type t = {
          (rank_of_distance . classify_chiplets), for the nearest-holder
          scan on the L3-miss path *)
   scratch_clk : float array;
-      (* 1-slot clock cell backing the float-returning compat wrappers
-         around the [_clk] entry points *)
+      (* 1-slot cell backing the float-returning compat wrappers around
+         the [_clk] entry points, and [chiplet_energy_pj] *)
   last_cost : float array;
       (* 1-slot cell: raw latency of the last {!access_clk}, for callers
          that need the cost rather than the advanced clock *)
@@ -432,11 +432,17 @@ let flush_caches t =
 let mem_ns_cells t = t.mem_ns
 let energy_pj t ~core = t.energy_pj.(core)
 
+(* Meter sums are left-to-right loops over local accumulators: the order,
+   so every bit, of [Array.fold_left ( +. )] without a box per step. *)
+let sum_pj a =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length a - 1 do acc := !acc +. a.(i) done;
+  !acc
+
 (* memory-access energy only — the historical PR-8 meter; compute energy
    deliberately lands in [compute_pj] so this total is bit-identical
    whether or not per-quantum charging is enabled *)
-let total_energy_pj t =
-  Array.fold_left ( +. ) 0.0 t.energy_pj
+let total_energy_pj t = sum_pj t.energy_pj
 
 (* Per-quantum compute energy.  [dt_ns] is virtual time retired by the
    core during the quantum; the DVFS factor enters quadratically, so with
@@ -449,19 +455,34 @@ let charge_quantum t ~core ~dt_ns ~dvfs =
     +. (dt_ns *. Array.unsafe_get t.kind_compute_pw core *. dvfs *. dvfs))
 
 let compute_energy_pj t ~core = t.compute_pj.(core)
-let total_compute_energy_pj t = Array.fold_left ( +. ) 0.0 t.compute_pj
-let combined_energy_pj t = total_energy_pj t +. total_compute_energy_pj t
+let total_compute_energy_pj t = sum_pj t.compute_pj
+
+(* [total_energy_pj t +. total_compute_energy_pj t] in one pass *)
+let combined_energy_pj t =
+  let e = ref 0.0 and c = ref 0.0 in
+  for core = 0 to Array.length t.energy_pj - 1 do
+    e := !e +. t.energy_pj.(core);
+    c := !c +. t.compute_pj.(core)
+  done;
+  !e +. !c
+
+(* chiplet [ch]'s meters summed into [dst.(i)]: its cores are contiguous,
+   so in the order of a filtered scan over every core *)
+let chiplet_sum t ch dst i =
+  let cpc = t.topo.Topology.cores_per_chiplet in
+  dst.(i) <- 0.0;
+  for core = ch * cpc to ((ch + 1) * cpc) - 1 do
+    dst.(i) <- dst.(i) +. t.energy_pj.(core) +. t.compute_pj.(core)
+  done
 
 let chiplet_energy_pj t ~chiplet =
   if chiplet < 0 || chiplet >= t.nchiplets then
     invalid_arg "Machine.chiplet_energy_pj: chiplet out of range";
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun core ch ->
-      if ch = chiplet then
-        acc := !acc +. t.energy_pj.(core) +. t.compute_pj.(core))
-    t.core_chiplet;
-  !acc
+  chiplet_sum t chiplet t.scratch_clk 0;
+  t.scratch_clk.(0)
+
+let chiplet_energies t dst ~pos =
+  for ch = 0 to t.nchiplets - 1 do chiplet_sum t ch dst (pos + ch) done
 
 let accesses t = t.accesses
 

@@ -133,6 +133,10 @@ val chiplet_energy_pj : t -> chiplet:int -> float
     controller differentiates into a sliding-window power estimate.
     @raise Invalid_argument on an out-of-range chiplet. *)
 
+val chiplet_energies : t -> float array -> pos:int -> unit
+(** Every chiplet's {!chiplet_energy_pj} into [dst.(pos + chiplet)],
+    boxing no float. *)
+
 val accesses : t -> int
 (** Total simulated accesses ({!access_line} calls) since creation or
     {!reset}.  Every one is classified into exactly one PMU fill-source

@@ -5,7 +5,15 @@ open Chipsim
    every power figure here is in simulated milliwatts, no conversion
    constants anywhere. *)
 
-type sample = { t_ns : float; e_pj : float }
+(* the controller's floats, in an all-float record so updates box nothing *)
+type clock = {
+  mutable now_ns : float;  (* max clock seen: workers' clocks are not
+                              globally ordered, the estimator's timeline
+                              must be *)
+  mutable last_sample_ns : float;
+  mutable power_mw : float;  (* machine-wide windowed power at the last sample *)
+  mutable max_power_mw : float;
+}
 
 type t = {
   machine : Machine.t;
@@ -14,13 +22,15 @@ type t = {
   sample_ns : float;
   chiplets : int;
   cores_per_chiplet : int;
-  samples : sample Queue.t array;  (* per chiplet, oldest first *)
+  (* the window, a ring of samples oldest first: each stamps every chiplet
+     at one instant, into [times.(i)] and [energy.((i * chiplets) + ch)] *)
+  times : float array;
+  energy : float array;
+  mutable oldest : int;
+  mutable count : int;
+  power : float array;  (* per-chiplet windowed power at the last sample *)
+  clock : clock;
   level : float array;  (* per-chiplet DVFS level the controller holds *)
-  mutable now_ns : float;  (* max clock seen: workers' clocks are not
-                              globally ordered, the estimator's timeline
-                              must be *)
-  mutable last_sample_ns : float;
-  mutable max_power_mw : float;
   mutable sheds : int;
   mutable releases : int;
   mutable overcap_unshed : int;
@@ -46,18 +56,25 @@ let create ?(window_ns = 500_000.0) ?(sample_ns = 50_000.0) machine ~cap_mw =
     invalid_arg "Power_cap.create: window and sample period must be positive";
   let topo = Machine.topology machine in
   let chiplets = Topology.num_chiplets topo in
+  let window_ns = Float.max window_ns (2.0 *. sample_ns) in
+  (* samples are [sample_ns] apart or more and eviction keeps those inside
+     the window, so a push finds at most [window_ns / sample_ns + 1]; one
+     slot more absorbs rounding *)
+  let slots = int_of_float (window_ns /. sample_ns) + 3 in
   {
     machine;
     cap_mw;
-    window_ns = Float.max window_ns (2.0 *. sample_ns);
+    window_ns;
     sample_ns;
     chiplets;
     cores_per_chiplet = topo.Topology.cores_per_chiplet;
-    samples = Array.init chiplets (fun _ -> Queue.create ());
+    times = Array.make slots 0.0;
+    energy = Array.make (slots * chiplets) 0.0;
+    oldest = 0;
+    count = 0;
+    power = Array.make chiplets 0.0;
+    clock = { now_ns = 0.0; last_sample_ns = neg_infinity; power_mw = 0.0; max_power_mw = 0.0 };
     level = Array.make chiplets 1.0;
-    now_ns = 0.0;
-    last_sample_ns = neg_infinity;
-    max_power_mw = 0.0;
     sheds = 0;
     releases = 0;
     overcap_unshed = 0;
@@ -68,23 +85,10 @@ let cap_mw t = t.cap_mw
 let chiplet_power_mw t ~chiplet =
   if chiplet < 0 || chiplet >= t.chiplets then
     invalid_arg "Power_cap.chiplet_power_mw: chiplet out of range";
-  let q = t.samples.(chiplet) in
-  if Queue.length q < 2 then 0.0
-  else begin
-    let oldest = Queue.peek q in
-    let newest = Queue.fold (fun _ s -> s) oldest q in
-    let dt = newest.t_ns -. oldest.t_ns in
-    if dt <= 0.0 then 0.0 else (newest.e_pj -. oldest.e_pj) /. dt
-  end
+  t.power.(chiplet)
 
-let power_mw t =
-  let acc = ref 0.0 in
-  for ch = 0 to t.chiplets - 1 do
-    acc := !acc +. chiplet_power_mw t ~chiplet:ch
-  done;
-  !acc
-
-let max_power_mw t = t.max_power_mw
+let power_mw t = t.clock.power_mw
+let max_power_mw t = t.clock.max_power_mw
 let sheds t = t.sheds
 let releases t = t.releases
 let level t ~chiplet =
@@ -104,12 +108,9 @@ let apply_level t chiplet =
 let hottest_sheddable t =
   let best = ref (-1) and best_p = ref neg_infinity in
   for ch = 0 to t.chiplets - 1 do
-    if t.level.(ch) > level_floor then begin
-      let p = chiplet_power_mw t ~chiplet:ch in
-      if p > !best_p then begin
-        best_p := p;
-        best := ch
-      end
+    if t.level.(ch) > level_floor && t.power.(ch) > !best_p then begin
+      best_p := t.power.(ch);
+      best := ch
     end
   done;
   !best
@@ -124,27 +125,39 @@ let most_throttled t =
   done;
   !best
 
+(* push every chiplet's meter, evict samples older than the window (but
+   keep two), and differentiate each meter from the oldest to the newest *)
 let sample t =
+  let slots = Array.length t.times and now_ns = t.clock.now_ns in
+  if t.count = slots then failwith "Power_cap.sample: window ring overflow";
+  let slot = (t.oldest + t.count) mod slots in
+  t.times.(slot) <- now_ns;
+  Machine.chiplet_energies t.machine t.energy ~pos:(slot * t.chiplets);
+  t.count <- t.count + 1;
+  while t.count > 2 && t.times.(t.oldest) < now_ns -. t.window_ns do
+    t.oldest <- (t.oldest + 1) mod slots;
+    t.count <- t.count - 1
+  done;
+  let o = t.oldest * t.chiplets and n = slot * t.chiplets in
+  let dt = now_ns -. t.times.(t.oldest) in
+  t.clock.power_mw <- 0.0;
   for ch = 0 to t.chiplets - 1 do
-    let q = t.samples.(ch) in
-    Queue.push { t_ns = t.now_ns; e_pj = Machine.chiplet_energy_pj t.machine ~chiplet:ch } q;
-    while
-      Queue.length q > 2 && (Queue.peek q).t_ns < t.now_ns -. t.window_ns
-    do
-      ignore (Queue.pop q : sample)
-    done
+    t.power.(ch) <-
+      (if t.count < 2 || dt <= 0.0 then 0.0 else (t.energy.(n + ch) -. t.energy.(o + ch)) /. dt);
+    t.clock.power_mw <- t.clock.power_mw +. t.power.(ch)
   done
 
 type action = Idle | Shed of int | Release of int
 
 let tick t ~now_ns =
-  if now_ns > t.now_ns then t.now_ns <- now_ns;
-  if t.now_ns -. t.last_sample_ns < t.sample_ns then Idle
+  let c = t.clock in
+  if now_ns > c.now_ns then c.now_ns <- now_ns;
+  if c.now_ns -. c.last_sample_ns < t.sample_ns then Idle
   else begin
-    t.last_sample_ns <- t.now_ns;
+    c.last_sample_ns <- c.now_ns;
     sample t;
-    let p = power_mw t in
-    if p > t.max_power_mw then t.max_power_mw <- p;
+    let p = c.power_mw in
+    if p > c.max_power_mw then c.max_power_mw <- p;
     let action =
       if p > t.cap_mw then begin
         match hottest_sheddable t with
@@ -185,11 +198,11 @@ let verify t =
       t.overcap_unshed t.cap_mw;
   (* externally observable contract: if windowed power ever exceeded the
      cap, the controller must have reacted at least once *)
-  if t.max_power_mw > t.cap_mw && t.sheds = 0 then
+  if t.clock.max_power_mw > t.cap_mw && t.sheds = 0 then
     Invariant.fail
       "power-cap: windowed power peaked at %.1f mW over the %g mW cap but \
        the controller never shed"
-      t.max_power_mw t.cap_mw;
+      t.clock.max_power_mw t.cap_mw;
   (* the estimate itself must be sane *)
   let p = power_mw t in
   if not (Float.is_finite p) || p < 0.0 then

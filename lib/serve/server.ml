@@ -126,6 +126,9 @@ type tenant_state = {
   mutable divergences : int;  (** replica groups whose tokens disagreed *)
 }
 
+(* what a job of one kind reads per job, computed once per session *)
+type kind_info = { cost : float; jobs_key : string }
+
 type pending = {
   req : request;
   done_f : float Future.t;  (** fulfilled with the completion timestamp *)
@@ -236,6 +239,7 @@ module Session = struct
     sched : Sched.t;
     env : Workloads.Exec_env.t;
     data : Job.data;
+    kinds : (Job.kind * kind_info) list;  (** every kind in the tenants' mixes *)
     registry : Metrics.t;
     tenants : tenant_state array;
     fq : pending Fair_queue.t;
@@ -270,6 +274,11 @@ module Session = struct
       Chipsim.Modifiers.online_capacity (Machine.modifiers inst.Systems.machine)
     in
     let data = Job.prepare env cfg.data in
+    let kinds =
+      List.concat_map (fun t -> t.mix) cfg.tenants
+      |> List.map (fun (k, _) ->
+             (k, { cost = Job.cost_estimate data k; jobs_key = "serve.jobs." ^ Job.kind_name k }))
+    in
     let tenants =
       List.mapi
         (fun idx t ->
@@ -277,7 +286,7 @@ module Session = struct
             let num, den =
               List.fold_left
                 (fun (num, den) (k, w) ->
-                  (num +. (float_of_int w *. Job.cost_estimate data k), den + w))
+                  (num +. (float_of_int w *. (List.assoc k kinds).cost), den + w))
                 (0.0, 0) t.mix
             in
             num /. float_of_int den
@@ -318,6 +327,7 @@ module Session = struct
       sched;
       env;
       data;
+      kinds;
       registry;
       tenants;
       fq;
@@ -483,7 +493,7 @@ module Session = struct
     Histogram.observe st.lat_hist latency;
     Metrics.observe sess.registry "serve.latency_ns" latency;
     Metrics.incr sess.registry ~by:items "serve.work_items";
-    Metrics.incr sess.registry ("serve.jobs." ^ Job.kind_name r.kind);
+    Metrics.incr sess.registry (List.assoc r.kind sess.kinds).jobs_key;
     if latency > st.slo then st.slo_violations <- st.slo_violations + 1;
     (match sess.cfg.on_complete with
     | Some f ->
@@ -530,7 +540,7 @@ module Session = struct
   let enqueue sess req =
     let p = { req; done_f = Future.create () } in
     Fair_queue.push sess.fq ~tenant:req.tenant
-      ~cost:(Job.cost_estimate sess.data req.kind)
+      ~cost:(List.assoc req.kind sess.kinds).cost
       p;
     p
 
@@ -560,6 +570,8 @@ module Session = struct
   let submit sess (req : request) =
     if req.tenant < 0 || req.tenant >= Array.length sess.tenants then
       invalid_arg "Server.Session.submit: tenant index out of range";
+    if not (List.mem_assoc req.kind sess.kinds) then
+      invalid_arg "Server.Session.submit: a kind in no tenant's mix";
     let decision =
       admit_or_shed sess sess.tenants.(req.tenant) ~job_id:req.id ~kind:req.kind
         ~at_ns:req.submit_ns
@@ -612,7 +624,7 @@ module Session = struct
 
   let backlog_ns sess = Sched.max_clock sess.sched
 
-  let cost_estimate sess kind = Job.cost_estimate sess.data kind
+  let cost_estimate sess kind = (List.assoc kind sess.kinds).cost
   let instance sess = sess.inst
 
   let finish sess =

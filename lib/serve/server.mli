@@ -171,7 +171,8 @@ module Session : sig
   val submit : t -> request -> Admission.decision
   (** Offer one job to the shard's admission controller at virtual time
       [submit_ns].  Admitted jobs queue until the next {!drain}.
-      @raise Invalid_argument on a tenant index out of range. *)
+      @raise Invalid_argument on a tenant index out of range or a kind in
+      no tenant's mix. *)
 
   val drain : t -> horizon:float -> kick_ns:float -> unit
   (** Run the shard's scheduler until every dispatched job completes,
@@ -200,6 +201,8 @@ module Session : sig
       advanced. *)
 
   val cost_estimate : t -> Job.kind -> float
+  (** Computed at {!create}.  @raise Not_found on a kind in no mix. *)
+
   val instance : t -> Harness.Systems.instance
 
   val finish : t -> report

@@ -13,9 +13,8 @@ type outcome = {
 }
 
 val run :
-  Exec_env.t -> replica:Sgd.replica -> ?epochs:int -> ?grain:int ->
-  Dataset.t -> outcome
-(** [epochs] gradient passes (default 2) between the initial and final
-    loss evaluations; throughputs are averaged over passes. *)
+  Exec_env.t -> replica:Sgd.replica -> ?grain:int -> Dataset.t -> outcome
+(** Two gradient passes between the initial and final loss evaluations;
+    throughputs are averaged over passes. *)
 
 val pp : Format.formatter -> outcome -> unit

@@ -255,6 +255,102 @@ let test_graph_kernel_words () =
       ("sssp", fun () -> ignore (Sssp.run env gw ~source:1));
     ]
 
+(* The machine's energy meters are read per completed job (the serving
+   ledger) and the power cap samples every chiplet: on the 128-core
+   Milan a read allocates only its boxed result, and the array form
+   nothing.  Before: 1,026 words per [combined_energy_pj] (two folds
+   boxing their accumulator per core) and 25 per [chiplet_energy_pj]
+   (a closure over all 128 cores boxing its accumulator per hit). *)
+let test_energy_meter_words () =
+  let m = Machine.create (Presets.amd_milan ()) in
+  for core = 0 to 127 do
+    Machine.charge_quantum m ~core ~dt_ns:(float_of_int (core + 1)) ~dvfs:0.9
+  done;
+  let sink = ref 0.0 in
+  Alcotest.(check (float 0.0))
+    "combined_energy_pj words" (float_of_int draws *. boxed_float)
+    (words (fun () ->
+         for _ = 1 to draws do sink := Machine.combined_energy_pj m done));
+  Alcotest.(check (float 0.0))
+    "chiplet_energy_pj words" (float_of_int draws *. boxed_float)
+    (words (fun () ->
+         for i = 1 to draws do sink := Machine.chiplet_energy_pj m ~chiplet:(i land 15) done));
+  let dst = Array.make 16 0.0 in
+  Alcotest.(check (float 0.0))
+    "chiplet_energies words" 0.0
+    (words (fun () -> for _ = 1 to draws do Machine.chiplet_energies m dst ~pos:0 done))
+
+(* A power-cap tick that takes a sample (every chiplet's meter into the
+   window ring, eviction, the windowed estimate) allocates nothing but
+   the box its [~now_ns] argument arrives in.  Before: 532 words per
+   sample (per chiplet a meter read of 25 words, a record and a queue
+   cell, and a queue fold for each windowed estimate). *)
+let test_power_cap_tick_words () =
+  let m = Machine.create (Presets.amd_milan ()) in
+  let pc = Charm.Power_cap.create m ~cap_mw:1e9 in
+  let now = [| 0.0 |] in
+  let tick () =
+    now.(0) <- now.(0) +. 50_000.0;
+    Machine.charge_quantum m ~core:(int_of_float now.(0) land 127) ~dt_ns:1000.0 ~dvfs:1.0;
+    ignore (Sys.opaque_identity (Charm.Power_cap.tick pc ~now_ns:now.(0)))
+  in
+  (* fill the window so every measured sample also evicts *)
+  for _ = 1 to 32 do tick () done;
+  Alcotest.(check (float 0.0))
+    "Power_cap.tick words per sample" (float_of_int draws *. boxed_float)
+    (words (fun () -> for _ = 1 to draws do tick () done));
+  Alcotest.(check bool) "the ticks sampled power" true (Charm.Power_cap.power_mw pc > 0.0)
+
+(* A served GUPS-only session on CHARM (policy off, as above): beyond
+   what the scheduler spends on the jobs' tasks and quanta, each at its
+   ceiling above, a job allocates at most this many words for
+   admission, the fair queue, dispatch, its future and its completion's
+   ledgers.  Measured on OCaml 5.1.1: 83 words per job (157 before the
+   task and quantum ceilings are taken off); 1,176 while completion
+   summed the energy meters with boxing folds and built its counter key
+   per job. *)
+let max_words_per_served_job = 150.0
+
+let test_served_job_words () =
+  let module S = Serving.Server in
+  let inst =
+    Harness.Systems.make
+      ~charm_config:{ Charm.Config.default with Charm.Config.profile_while_running = false }
+      Harness.Systems.Charm Harness.Systems.Amd_milan ~n_workers:16 ()
+  in
+  let kind = Serving.Job.Gups 256 in
+  let base = S.default_config ~seed:3 in
+  let tenant = { (List.hd base.S.tenants) with S.mix = [ (kind, 1) ] } in
+  let sess = S.Session.create inst { base with S.tenants = [ tenant ] } in
+  let submitted = ref 0 in
+  let batch () =
+    let at = S.Session.backlog_ns sess in
+    for _ = 1 to 16 do
+      let id = !submitted in
+      incr submitted;
+      match S.Session.submit sess { S.id; tenant = 0; kind; seed = id; submit_ns = at } with
+      | Serving.Admission.Admit -> ()
+      | _ -> Alcotest.fail "a job was shed"
+    done;
+    S.Session.drain sess ~horizon:infinity ~kick_ns:at
+  in
+  (* warm up: the first batch registers the session's counters *)
+  batch ();
+  let before = Harness.Systems.report inst and jobs0 = !submitted in
+  let w = words (fun () -> for _ = 1 to 8 do batch () done) in
+  let after = Harness.Systems.report inst in
+  let tasks = after.Stats.tasks_executed - before.Stats.tasks_executed in
+  let quanta = after.Stats.context_switches - before.Stats.context_switches in
+  let jobs = !submitted - jobs0 in
+  let per_job =
+    (w -. (float_of_int tasks *. max_words_per_task)
+    -. (float_of_int quanta *. max_words_per_quantum))
+    /. float_of_int jobs
+  in
+  if per_job > max_words_per_served_job then
+    Alcotest.failf "%.0f words per served job beyond %d tasks and %d quanta, ceiling %.0f"
+      per_job tasks quanta max_words_per_served_job
+
 let suite =
   [
     Alcotest.test_case "rng draws" `Quick test_rng_draws;
@@ -266,4 +362,7 @@ let suite =
     Alcotest.test_case "quantum-end hook" `Quick test_quantum_end_hook_words;
     Alcotest.test_case "frontier merge" `Quick test_frontier_words;
     Alcotest.test_case "bfs and sssp words" `Quick test_graph_kernel_words;
+    Alcotest.test_case "energy meter reads" `Quick test_energy_meter_words;
+    Alcotest.test_case "power-cap sample" `Quick test_power_cap_tick_words;
+    Alcotest.test_case "served job words" `Quick test_served_job_words;
   ]

@@ -105,6 +105,237 @@ let test_reset_zeroes () =
   Alcotest.(check (float 0.0)) "reset clears combined energy" 0.0
     (Machine.combined_energy_pj m)
 
+(* -- meter sums against the folds they replaced ------------------------- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_bits name expected got =
+  if not (same_bits expected got) then
+    Alcotest.failf "%s: %h (%.17g), reference %h (%.17g)" name got got expected expected
+
+(* The meters on a 128-core Milan after random access and compute
+   charges of widely spread magnitudes, summed by the machine's loops and
+   by the formulas they replaced: [Array.fold_left ( +. )] over the
+   per-core meters, and a filtered [Array.iteri] over every core for a
+   chiplet.  The loops keep the summation order, so every bit agrees. *)
+let test_meter_sums_match_folds () =
+  let topo = Chipsim.Presets.amd_milan () in
+  let m = Machine.create topo in
+  let cores = Topology.num_cores topo and chiplets = Topology.num_chiplets topo in
+  let core_chiplet = Array.init cores (Topology.chiplet_of_core topo) in
+  let r = Machine.alloc m ~elt_bytes:8 ~count:4096 () in
+  let rng = Random.State.make [| 17 |] in
+  let dst = Array.make (chiplets + 3) nan in
+  for round = 1 to 25 do
+    for _ = 1 to 200 do
+      let core = Random.State.int rng cores in
+      if Random.State.bool rng then
+        ignore
+          (Machine.touch m ~core ~now_ns:0.0 ~write:(Random.State.bool rng) r
+             (Random.State.int rng 4096))
+      else
+        Machine.charge_quantum m ~core
+          ~dt_ns:(10.0 ** Random.State.float rng 9.0 /. 1000.0)
+          ~dvfs:(0.3 +. Random.State.float rng 0.7)
+    done;
+    let e = Array.init cores (fun core -> Machine.energy_pj m ~core) in
+    let c = Array.init cores (fun core -> Machine.compute_energy_pj m ~core) in
+    let name what = Printf.sprintf "round %d: %s" round what in
+    let fold_e = Array.fold_left ( +. ) 0.0 e and fold_c = Array.fold_left ( +. ) 0.0 c in
+    check_bits (name "total_energy_pj") fold_e (Machine.total_energy_pj m);
+    check_bits (name "total_compute_energy_pj") fold_c (Machine.total_compute_energy_pj m);
+    check_bits (name "combined_energy_pj") (fold_e +. fold_c) (Machine.combined_energy_pj m);
+    Machine.chiplet_energies m dst ~pos:3;
+    for chiplet = 0 to chiplets - 1 do
+      let acc = ref 0.0 in
+      Array.iteri
+        (fun core ch -> if ch = chiplet then acc := !acc +. e.(core) +. c.(core))
+        core_chiplet;
+      check_bits (name (Printf.sprintf "chiplet %d" chiplet)) !acc
+        (Machine.chiplet_energy_pj m ~chiplet);
+      check_bits (name (Printf.sprintf "chiplet_energies %d" chiplet)) !acc
+        dst.(3 + chiplet)
+    done
+  done
+
+(* -- the power-cap ring against the queue it replaced ------------------- *)
+
+(* The sliding window as it was before the ring: a queue of (time, energy)
+   samples per chiplet, each estimate read from the queue's oldest entry
+   and (by a fold) its newest.  The control law is restated beside it. *)
+module Queue_model = struct
+  type sample = { t_ns : float; e_pj : float }
+
+  type t = {
+    machine : Machine.t;
+    cap_mw : float;
+    window_ns : float;
+    sample_ns : float;
+    samples : sample Queue.t array;
+    level : float array;
+    mutable now_ns : float;
+    mutable last_sample_ns : float;
+    mutable max_power_mw : float;
+    mutable sheds : int;
+    mutable releases : int;
+    mutable evictions : int;
+  }
+
+  let create ~window_ns ~sample_ns machine ~cap_mw =
+    let chiplets = Topology.num_chiplets (Machine.topology machine) in
+    {
+      machine;
+      cap_mw;
+      window_ns = Float.max window_ns (2.0 *. sample_ns);
+      sample_ns;
+      samples = Array.init chiplets (fun _ -> Queue.create ());
+      level = Array.make chiplets 1.0;
+      now_ns = 0.0;
+      last_sample_ns = neg_infinity;
+      max_power_mw = 0.0;
+      sheds = 0;
+      releases = 0;
+      evictions = 0;
+    }
+
+  let chiplet_power_mw t ~chiplet =
+    let q = t.samples.(chiplet) in
+    if Queue.length q < 2 then 0.0
+    else begin
+      let oldest = Queue.peek q in
+      let newest = Queue.fold (fun _ s -> s) oldest q in
+      let dt = newest.t_ns -. oldest.t_ns in
+      if dt <= 0.0 then 0.0 else (newest.e_pj -. oldest.e_pj) /. dt
+    end
+
+  let power_mw t =
+    let acc = ref 0.0 in
+    for ch = 0 to Array.length t.level - 1 do
+      acc := !acc +. chiplet_power_mw t ~chiplet:ch
+    done;
+    !acc
+
+  let hottest_sheddable t =
+    let best = ref (-1) and best_p = ref neg_infinity in
+    Array.iteri
+      (fun ch l ->
+        let p = chiplet_power_mw t ~chiplet:ch in
+        if l > 0.3 && p > !best_p then begin
+          best_p := p;
+          best := ch
+        end)
+      t.level;
+    !best
+
+  let most_throttled t =
+    let best = ref (-1) and best_l = ref 1.0 in
+    Array.iteri
+      (fun ch l ->
+        if l < !best_l then begin
+          best_l := l;
+          best := ch
+        end)
+      t.level;
+    !best
+
+  let tick t ~now_ns =
+    if now_ns > t.now_ns then t.now_ns <- now_ns;
+    if t.now_ns -. t.last_sample_ns < t.sample_ns then Power_cap.Idle
+    else begin
+      t.last_sample_ns <- t.now_ns;
+      Array.iteri
+        (fun ch q ->
+          Queue.push
+            { t_ns = t.now_ns; e_pj = Machine.chiplet_energy_pj t.machine ~chiplet:ch }
+            q;
+          while Queue.length q > 2 && (Queue.peek q).t_ns < t.now_ns -. t.window_ns do
+            ignore (Queue.pop q : sample);
+            t.evictions <- t.evictions + 1
+          done)
+        t.samples;
+      let p = power_mw t in
+      if p > t.max_power_mw then t.max_power_mw <- p;
+      if p > t.cap_mw then
+        match hottest_sheddable t with
+        | -1 -> Power_cap.Idle
+        | ch ->
+            t.level.(ch) <- Float.max 0.3 (t.level.(ch) *. 0.75);
+            t.sheds <- t.sheds + 1;
+            Power_cap.Shed ch
+      else if p < 0.8 *. t.cap_mw then
+        match most_throttled t with
+        | -1 -> Power_cap.Idle
+        | ch ->
+            t.level.(ch) <- Float.min 1.0 (t.level.(ch) /. 0.75);
+            t.releases <- t.releases + 1;
+            Power_cap.Release ch
+      else Power_cap.Idle
+    end
+end
+
+(* A random tick sequence (stale clocks, sub-cadence ticks, jumps past the
+   whole window, load phases above the cap and far below it) drives the
+   controller and the queue model over one machine; the test charges the
+   meters itself at nominal DVFS, so the controller's actuation does not
+   feed back.  Every tick's action, estimate, peak, counters and levels
+   agree exactly. *)
+let test_ring_matches_queue_model () =
+  List.iter
+    (fun (label, machine, window_ns, sample_ns, cap_mw) ->
+      let m = machine () in
+      let cores = Topology.num_cores (Machine.topology m) in
+      let chiplets = Topology.num_chiplets (Machine.topology m) in
+      let pc = Power_cap.create ~window_ns ~sample_ns m ~cap_mw in
+      let model = Queue_model.create ~window_ns ~sample_ns m ~cap_mw in
+      let rng = Random.State.make [| 29 |] in
+      let now = ref 0.0 and load = ref 0.0 in
+      for i = 1 to 3000 do
+        if i mod 150 = 1 then
+          load := [| 0.0; 0.3; 0.9; 1.5; 4.0 |].(Random.State.int rng 5) *. cap_mw;
+        (* whole nanoseconds, so a sample can sit exactly on the window's
+           edge *)
+        let dt =
+          Float.round
+            (match Random.State.int rng 20 with
+            | 0 -> -.Random.State.float rng (2.0 *. sample_ns)
+            | 1 -> Random.State.float rng (4.0 *. window_ns)
+            | 2 -> sample_ns
+            | _ -> Random.State.float rng (1.5 *. sample_ns))
+        in
+        if dt > 0.0 && !load > 0.0 then
+          (* the load's energy over [dt], spread over a few random cores *)
+          for _ = 1 to 3 do
+            Machine.charge_quantum m ~core:(Random.State.int rng cores)
+              ~dt_ns:(dt *. !load *. Random.State.float rng 1.0)
+              ~dvfs:1.0
+          done;
+        now := !now +. dt;
+        let at = Printf.sprintf "%s tick %d" label i in
+        let a = Power_cap.tick pc ~now_ns:!now and b = Queue_model.tick model ~now_ns:!now in
+        if a <> b then Alcotest.failf "%s: actions differ" at;
+        check_bits (at ^ " power_mw") (Queue_model.power_mw model) (Power_cap.power_mw pc);
+        check_bits (at ^ " max_power_mw") model.max_power_mw (Power_cap.max_power_mw pc);
+        Alcotest.(check int) (at ^ " sheds") model.sheds (Power_cap.sheds pc);
+        Alcotest.(check int) (at ^ " releases") model.releases (Power_cap.releases pc);
+        for chiplet = 0 to chiplets - 1 do
+          check_bits (at ^ " chiplet power")
+            (Queue_model.chiplet_power_mw model ~chiplet)
+            (Power_cap.chiplet_power_mw pc ~chiplet);
+          check_bits (at ^ " level") model.level.(chiplet) (Power_cap.level pc ~chiplet)
+        done
+      done;
+      (* the sequence reached every branch the comparison is meant to cover *)
+      Alcotest.(check bool) (label ^ ": shed") true (Power_cap.sheds pc > 0);
+      Alcotest.(check bool) (label ^ ": released") true (Power_cap.releases pc > 0);
+      Alcotest.(check bool) (label ^ ": evicted") true (model.evictions > 0);
+      Power_cap.verify pc)
+    [
+      ("hetero", hetero, 200.0, 100.0, 1.0);
+      ("hetero, window clamped", hetero, 50.0, 100.0, 1.0);
+      ("milan", (fun () -> Machine.create (Chipsim.Presets.amd_milan ())), 500_000.0, 50_000.0, 20.0);
+      ("milan, uneven window", (fun () -> Machine.create (Chipsim.Presets.amd_milan ())), 330.0, 70.0, 20.0);
+    ]
+
 (* -- gating through the scheduler -------------------------------------- *)
 
 let small_serve_cfg seed =
@@ -341,6 +572,40 @@ let test_runtime_cap_wiring () =
             (Power_cap.max_power_mw pc > Power_cap.cap_mw pc);
           Power_cap.verify pc)
 
+(* A capped, energy-metered serve run's energy and power-cap figures, as
+   recorded before the meter sums became loops and the window a ring:
+   metering and the estimator's bookkeeping observe the run and must not
+   move a bit of it. *)
+let test_capped_serve_pinned () =
+  let inst =
+    Sys_.make ~cache_scale:16
+      ~charm_config:{ Charm.Config.default with power_cap_mw = 1.0 }
+      Sys_.Charm Sys_.Amd_milan_1s ~n_workers:8 ()
+  in
+  Engine.Sched.set_energy inst.Sys_.env.Workloads.Exec_env.sched true;
+  let r = Server.run inst (small_serve_cfg 7) in
+  let pc = Option.get (Charm.Runtime.power_cap (Option.get inst.Sys_.charm)) in
+  let g = Serving.Metrics.gauge_value r.Server.registry in
+  check_bits "makespan_ns" 0x1.4e5fd39e3504dp+21 r.Server.makespan_ns;
+  check_bits "serve.energy_uj" 0x1.24763017124fcp+3 (g "serve.energy_uj");
+  check_bits "serve.energy_overhead_uj" 0x1.b5e2a57c914b1p-16
+    (g "serve.energy_overhead_uj");
+  List.iter2
+    (fun (name, uj) t ->
+      Alcotest.(check string) "tenant order" name t.Server.tenant;
+      check_bits (name ^ " energy_uj") uj t.Server.energy_uj)
+    [ ("graph", 0x1.0d4a1fc74e236p+2); ("olap", 0x1.ac9f054dc1dc3p+1);
+      ("oltp", 0x1.9549411d30bb8p+0) ]
+    r.Server.tenant_reports;
+  check_bits "power_mw" 0x1.7188595fcb42p-1 (Power_cap.power_mw pc);
+  check_bits "max_power_mw" 0x1.f9840c5146102p+2 (Power_cap.max_power_mw pc);
+  Alcotest.(check int) "sheds" 9 (Power_cap.sheds pc);
+  Alcotest.(check int) "releases" 1 (Power_cap.releases pc);
+  Array.iteri
+    (fun chiplet l -> check_bits (Printf.sprintf "chiplet %d level" chiplet) l
+        (Power_cap.level pc ~chiplet))
+    [| 0.75; 0.75; 0.5625; 0.75; 0.75; 0.5625; 1.0; 1.0 |]
+
 let suite =
   [
     Alcotest.test_case "per-kind golden energies" `Quick test_charge_golden;
@@ -350,6 +615,10 @@ let suite =
     Alcotest.test_case "chiplet meters sum to combined" `Quick
       test_chiplet_sums;
     Alcotest.test_case "reset zeroes energy" `Quick test_reset_zeroes;
+    Alcotest.test_case "meter sums match the folds bit for bit" `Quick
+      test_meter_sums_match_folds;
+    Alcotest.test_case "power-cap ring matches the queue model" `Quick
+      test_ring_matches_queue_model;
     Alcotest.test_case "energy off is free and identical" `Quick
       test_energy_off_is_free;
     Alcotest.test_case "energy totals deterministic" `Quick
@@ -365,4 +634,5 @@ let suite =
     Alcotest.test_case "non-monotonic ticks" `Quick test_cap_nonmonotonic_ticks;
     Alcotest.test_case "runtime cap wiring end to end" `Quick
       test_runtime_cap_wiring;
+    Alcotest.test_case "capped serve run pinned" `Quick test_capped_serve_pinned;
   ]

@@ -282,6 +282,77 @@ let test_fair_queue_peek () =
   done;
   Alcotest.(check bool) "drained" true (Fair_queue.peek fq = None)
 
+(* The service order against the selection it replaced: the smallest
+   (finish, seq) by the polymorphic tuple [<=], scanning tenants in id
+   order.  Costs from a small set and 1:2:4 weights make equal finish
+   tags common, so ties between tenants are broken by seq; tenants are
+   added out of id order, and peeks, pops and pushes interleave. *)
+let test_fair_queue_matches_tuple_order () =
+  let tenants = [ (5, 1.0); (1, 2.0); (3, 4.0); (0, 1.0) ] in
+  let fq = Fair_queue.create () in
+  List.iter (fun (tenant, weight) -> Fair_queue.add_tenant fq ~tenant ~weight) tenants;
+  (* reference: per tenant, (start, finish, seq, payload) oldest first *)
+  let ids = List.sort compare (List.map fst tenants) in
+  let queues = Hashtbl.create 4 and last = Hashtbl.create 4 in
+  List.iter (fun (id, _) -> Hashtbl.add queues id (Queue.create ()); Hashtbl.add last id 0.0) tenants;
+  let vtime = ref 0.0 and seq = ref 0 in
+  let ref_push tenant cost payload =
+    let start = Float.max !vtime (Hashtbl.find last tenant) in
+    let finish = start +. (cost /. List.assoc tenant tenants) in
+    Hashtbl.replace last tenant finish;
+    Queue.add (start, finish, !seq, payload) (Hashtbl.find queues tenant);
+    incr seq
+  in
+  let ref_select () =
+    List.fold_left
+      (fun best id ->
+        match Queue.peek_opt (Hashtbl.find queues id) with
+        | None -> best
+        | Some ((_, f, s, _) as e) -> (
+            match best with
+            | Some (_, (_, bf, bs, _)) when (bf, bs) <= (f, s) -> best
+            | _ -> Some (id, e)))
+      None ids
+  in
+  let ref_peek () = Option.map (fun (id, (_, _, _, p)) -> (id, p)) (ref_select ()) in
+  let ref_pop () =
+    Option.map
+      (fun (id, (start, _, _, p)) ->
+        ignore (Queue.pop (Hashtbl.find queues id));
+        vtime := Float.max !vtime start;
+        (id, p))
+      (ref_select ())
+  in
+  let rng = Random.State.make [| 41 |] in
+  let ties = ref 0 in
+  for i = 1 to 5000 do
+    match Random.State.int rng 5 with
+    | 0 | 1 ->
+        let tenant = fst (List.nth tenants (Random.State.int rng 4)) in
+        let cost = [| 0.0; 50.0; 100.0; 200.0 |].(Random.State.int rng 4) in
+        Fair_queue.push fq ~tenant ~cost i;
+        ref_push tenant cost i
+    | 2 ->
+        Alcotest.(check (option (pair int int))) "peek" (ref_peek ()) (Fair_queue.peek fq)
+    | _ ->
+        (* count the pops whose finish tag another tenant's head shares *)
+        (match ref_select () with
+        | Some (id, (_, f, _, _)) ->
+            if
+              List.exists
+                (fun other ->
+                  other <> id
+                  && match Queue.peek_opt (Hashtbl.find queues other) with
+                     | Some (_, f', _, _) -> f' = f
+                     | None -> false)
+                ids
+            then incr ties
+        | None -> ());
+        let expected = ref_pop () in
+        Alcotest.(check (option (pair int int))) "pop" expected (Fair_queue.pop fq)
+  done;
+  Alcotest.(check bool) "cross-tenant finish ties were served" true (!ties > 100)
+
 (* -- end-to-end determinism -------------------------------------------- *)
 
 let run_default seed =
@@ -415,6 +486,8 @@ let suite =
     Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
     Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
     Alcotest.test_case "fair queue peek" `Quick test_fair_queue_peek;
+    Alcotest.test_case "fair queue order matches tuple compare" `Quick
+      test_fair_queue_matches_tuple_order;
     Alcotest.test_case "server deterministic" `Quick test_server_deterministic;
     Alcotest.test_case "registry projects the ledgers" `Quick
       test_registry_projects_ledgers;
