@@ -130,7 +130,7 @@ let run () =
                  ("makespan_us", Sim (Num (res.Cluster.makespan_ns /. 1e3)));
                  ("events", Sim (Int (Cluster.sim_events res)));
                  ("wall_s", Host (Num wall));
-                 ("sim_work_items_per_s", Host (Num (float_of_int work /. Float.max 1e-9 wall)));
+                 ("work_items_per_host_s", Host (Num (float_of_int work /. Float.max 1e-9 wall)));
                ]))
         policies;
       Util.row "\n")

@@ -1,11 +1,22 @@
 (** Sparse coherence directory: which chiplets hold a copy of each line.
 
     Presence is a bitmask (machine-wide chiplet index), so topologies of up
-    to 62 chiplets are supported. *)
+    to 62 chiplets are supported.  Masks are kept in 64-line pages: a
+    machine's directory holds pages for the regions it placed
+    ({!reserve}) and for the lines outside them that ever had a holder,
+    not for the whole address range below its highest line. *)
 
 type t
 
 val create : chiplets:int -> t
+(** An empty directory; it holds no page yet. *)
+
+val reserve : t -> first:int -> last:int -> unit
+(** Place the pages of lines [first .. last] now, so that recording a
+    holder there later allocates nothing ({!Machine.alloc} calls this for
+    every region it places).  Lines past the paged range are skipped.
+    @raise Invalid_argument if [first < 0] or [last < first]. *)
+
 val holders : t -> int -> int
 (** Bitmask of chiplets holding the line (0 if uncached). *)
 

@@ -179,8 +179,13 @@ let set_l3_ways t ~chiplet ~ways =
 let set_mem_capacity_factor t ~node factor =
   Memchan.set_capacity_factor t.chan ~node factor
 
+(* the region's directory pages are placed with it, so its first touches
+   on the per-access path allocate nothing *)
 let alloc t ?policy ~elt_bytes ~count () =
-  Simmem.alloc t.mem ?policy ~elt_bytes ~count ()
+  let r = Simmem.alloc t.mem ?policy ~elt_bytes ~count () in
+  Directory.reserve t.dir ~first:(r.Simmem.base lsr t.line_shift)
+    ~last:((r.Simmem.base + r.Simmem.length_bytes - 1) lsr t.line_shift);
+  r
 
 (* PMU event slots, bumped by direct index on the per-access path *)
 let ev_l2_hit = Pmu.event_index Pmu.L2_hit

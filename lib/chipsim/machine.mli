@@ -32,7 +32,9 @@ val set_mem_capacity_factor : t -> node:int -> float -> unit
 val alloc :
   t -> ?policy:Simmem.policy -> elt_bytes:int -> count:int -> unit ->
   Simmem.region
-(** Allocate simulated memory (see {!Simmem.alloc}). *)
+(** Allocate simulated memory (see {!Simmem.alloc}) and place the
+    region's directory pages ({!Directory.reserve}), so accesses to it
+    allocate nothing. *)
 
 val access_line :
   t -> core:int -> now_ns:float -> write:bool -> line:int -> float

@@ -1,10 +1,13 @@
-(* Each chunk's discoveries form a stack threaded through [link], one int
-   per entry, so a discovery writes one array slot and allocates nothing.
-   The merge walks the recorded heads backwards (latest-finished chunk
-   first) and each stack from its head (newest first). *)
+(* Each chunk's discoveries form a stack threaded through [link], one
+   32-bit little-endian slot per entry (half the words of an int array:
+   SSSP's per-edge array is its largest), so a discovery writes one slot
+   and allocates nothing.  The merge walks the recorded heads backwards
+   (latest-finished chunk first) and each stack from its head (newest
+   first). *)
 
 type t = {
-  link : int array;  (* per entry: the entry pushed before it, or [empty] *)
+  link : Bytes.t;
+      (* per entry, 4 bytes: the entry pushed before it, or [empty] *)
   by_edge : bool;  (* entries are edges of [col], else vertices *)
   col : int array;  (* edge -> vertex, when [by_edge] *)
   stamp : int array;  (* per vertex: last generation that saw it, when [by_edge] *)
@@ -15,9 +18,14 @@ type t = {
 
 let empty = -1
 
+(* a slot holds an int32, so entries are [0 .. 2^31 - 1] *)
+let max_entries = 1 lsl 31
+
 let make ~entries ~by_edge ~col ~stamp =
+  if entries > max_entries then
+    invalid_arg "Frontier: more than 2^31 entries do not fit a 32-bit link";
   {
-    link = Array.make entries empty;
+    link = Bytes.make (4 * entries) '\xff' (* every slot [empty] *);
     by_edge;
     col;
     stamp;
@@ -31,9 +39,13 @@ let of_vertices n = make ~entries:n ~by_edge:false ~col:[||] ~stamp:[||]
 let of_edges ~col ~vertices =
   make ~entries:(Array.length col) ~by_edge:true ~col ~stamp:(Array.make vertices 0)
 
+(* the bound check on [4 * entry] rejects an entry past the frontier's,
+   so every stored head is an int32 *)
 let push t ~head entry =
-  t.link.(entry) <- head;
+  Bytes.set_int32_le t.link (4 * entry) (Int32.of_int head);
   entry
+
+let[@inline] link t e = Int32.to_int (Bytes.get_int32_le t.link (4 * e))
 
 let finish t head =
   if head <> empty then begin
@@ -47,7 +59,7 @@ let finish t head =
   end
 
 let next t =
-  let link = t.link and heads = t.heads and col = t.col and stamp = t.stamp in
+  let heads = t.heads and col = t.col and stamp = t.stamp in
   (* by edge, a vertex is counted under [seen], then emitted at its first
      occurrence and restamped [emitted]; by vertex, every entry is a first
      occurrence *)
@@ -65,7 +77,7 @@ let next t =
           incr count
         end
       end;
-      e := link.(!e)
+      e := link t !e
     done
   done;
   let out = Array.make !count 0 and i = ref 0 in
@@ -84,7 +96,7 @@ let next t =
           incr i
         end
       end;
-      e := link.(!e)
+      e := link t !e
     done
   done;
   t.finished <- 0;

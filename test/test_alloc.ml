@@ -351,6 +351,61 @@ let test_served_job_words () =
     Alcotest.failf "%.0f words per served job beyond %d tasks and %d quanta, ceiling %.0f"
       per_job tasks quanta max_words_per_served_job
 
+(* words [f] allocates on both heaps: a block of more than 256 words
+   goes straight to the major heap, which [Gc.minor_words] does not see.
+   The major part is [Gc.counters]' major words less its promoted ones
+   (on OCaml 5.1 its minor count undercounts the live minor heap, so the
+   exact [words] is used for that part). *)
+let all_words f =
+  let major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let m0 = major () in
+  let minor = words f in
+  let m1 = major () in
+  let e0 = major () in
+  let e1 = major () in
+  minor +. ((m1 -. m0) -. (e1 -. e0))
+
+(* The directory places a region's 64-line pages when the machine places
+   the region, and nothing before: [Machine.alloc] of an N-line region
+   allocates at most its N/64 pages (65 words each), a few words for the
+   region's record and the directory's top-level array, doubled once to
+   cover the pages (at most two words a page).  A new directory holds no
+   page (59 words measured: its record, a 16-entry top-level array and an
+   empty Intmap), so [Machine.create] no longer allocates the 65,536-word
+   mask array it used to: a 2-chiplet machine's caches, channels and
+   tables come to about 54,600 words.  The region's first accesses then
+   allocate nothing. *)
+let test_directory_pages_words () =
+  let dir = all_words (fun () -> ignore (Sys.opaque_identity (Directory.create ~chiplets:62))) in
+  if dir > 128.0 then Alcotest.failf "Directory.create: %.0f words" dir;
+  let tiny =
+    Topology.v ~sockets:1 ~chiplets_per_socket:2 ~cores_per_chiplet:2 ~chiplet_group_size:1
+      ~l3_bytes_per_chiplet:(16 * 1024) ~l2_bytes_per_core:4096 ~mem_channels_per_socket:2 ()
+  in
+  let create = all_words (fun () -> ignore (Sys.opaque_identity (Machine.create tiny))) in
+  if create >= 65_536.0 then
+    Alcotest.failf "Machine.create on a 2-chiplet machine: %.0f words" create;
+  let m = Machine.create (Presets.amd_milan ()) in
+  let pages = 1024 in
+  let lines = 64 * pages in
+  let alloc () = Machine.alloc m ~elt_bytes:64 ~count:lines () in
+  let w = all_words (fun () -> ignore (Sys.opaque_identity (alloc ()))) in
+  (* the region's record and the call's own boxes: 9 words measured *)
+  let record = 16 in
+  let budget = (pages * 65) + (2 * (pages + 1)) + 1 + record in
+  if w > float_of_int budget then
+    Alcotest.failf "Machine.alloc of %d lines: %.0f words, budget %d" lines w budget;
+  let r = alloc () and clk = [| 0.0 |] in
+  Alcotest.(check (float 0.0))
+    "first touches of a region's lines" 0.0
+    (all_words (fun () ->
+         for i = 0 to lines - 1 do
+           Machine.access_clk m ~core:(i land 127) ~write:(i land 3 = 0) (Simmem.addr r i) clk 0
+         done))
+
 let suite =
   [
     Alcotest.test_case "rng draws" `Quick test_rng_draws;
@@ -361,6 +416,7 @@ let suite =
     Alcotest.test_case "policy tick" `Quick test_policy_tick_words;
     Alcotest.test_case "quantum-end hook" `Quick test_quantum_end_hook_words;
     Alcotest.test_case "frontier merge" `Quick test_frontier_words;
+    Alcotest.test_case "directory pages" `Quick test_directory_pages_words;
     Alcotest.test_case "bfs and sssp words" `Quick test_graph_kernel_words;
     Alcotest.test_case "energy meter reads" `Quick test_energy_meter_words;
     Alcotest.test_case "power-cap sample" `Quick test_power_cap_tick_words;

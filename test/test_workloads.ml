@@ -81,9 +81,27 @@ let test_pinned_runs () =
       ("sssp", `Sssp, ("0x1.6fda9b1d8249p+17", 82284, [ 7773; 6504; 0; 4352 ], 37, 2290));
     ]
 
+(* A link is 32 bits: an entry past a frontier's own, 2^31 and beyond
+   included, is refused at its push rather than stored truncated.  (The
+   refusal of a frontier over more than 2^31 entries is not exercised:
+   were it broken, the test would allocate 8 GB.) *)
+let test_entry_bound () =
+  let refused name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  let f = Frontier.of_vertices 8 in
+  refused "entry 2^31" (fun () -> ignore (Frontier.push f ~head:Frontier.empty (1 lsl 31)));
+  refused "entry 2^32 + 1" (fun () -> ignore (Frontier.push f ~head:Frontier.empty ((1 lsl 32) + 1)));
+  refused "entry 8 of 8" (fun () -> ignore (Frontier.push f ~head:Frontier.empty 8));
+  Alcotest.(check (list int)) "the frontier still works" [ 7; 2 ]
+    (merge f [ [ 2; 7 ] ])
+
 let frontier_suite =
   [
     Alcotest.test_case "merge keeps the cons-list order" `Quick test_merge_order;
+    Alcotest.test_case "entries beyond 2^31 - 1 refused" `Quick test_entry_bound;
     Alcotest.test_case "bfs and sssp runs pinned" `Quick test_pinned_runs;
   ]
 
