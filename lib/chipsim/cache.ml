@@ -194,5 +194,3 @@ let iter t f =
     end
   done
 
-let occupancy t =
-  Array.fold_left (fun n e -> if e >= 0 then n + 1 else n) 0 t.slots

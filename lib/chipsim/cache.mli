@@ -50,6 +50,3 @@ val set_effective_ways : ?on_drop:(int -> unit) -> t -> int -> unit
 val iter : t -> (int -> unit) -> unit
 (** Calls the function on every valid line (O(sets + lines); for
     invariant checks). *)
-
-val occupancy : t -> int
-(** Number of valid lines currently held (O(capacity); for tests/stats). *)

@@ -109,25 +109,9 @@ let remove t ~line ~chiplet =
   let bit = 1 lsl chiplet in
   if m land bit <> 0 then set_mask t line (m land lnot bit)
 
-let set_exclusive t ~line ~chiplet =
-  check t chiplet;
-  let bit = 1 lsl chiplet in
-  if holders t line <> bit then set_mask t line bit
-
 let holds t ~line ~chiplet =
   check t chiplet;
   holders t line land (1 lsl chiplet) <> 0
-
-let iter_holders t ~line f =
-  let m = holders t line in
-  for c = 0 to t.chiplets - 1 do
-    if m land (1 lsl c) <> 0 then f c
-  done
-
-let count_holders t ~line =
-  let m = holders t line in
-  let rec popcount m acc = if m = 0 then acc else popcount (m lsr 1) (acc + (m land 1)) in
-  popcount m 0
 
 (* Nearest chiplet in the holder mask [m] ([-1] if empty); int-coded so
    the hot path allocates no option.  The shift-loop stops at the highest

@@ -22,10 +22,7 @@ val holders : t -> int -> int
 
 val add : t -> line:int -> chiplet:int -> unit
 val remove : t -> line:int -> chiplet:int -> unit
-val set_exclusive : t -> line:int -> chiplet:int -> unit
 val holds : t -> line:int -> chiplet:int -> bool
-val iter_holders : t -> line:int -> (int -> unit) -> unit
-val count_holders : t -> line:int -> int
 val nearest_holder :
   Topology.t -> t -> line:int -> from_chiplet:int -> int option
 (** Closest chiplet (by {!Latency.classify_chiplets} order, same chiplet

@@ -80,10 +80,3 @@ let core_to_core_ns ?(profile = default_profile) topo a b =
   Topology.validate_core topo b;
   let base = of_distance profile (classify topo a b) in
   base *. (1.0 +. (0.08 *. pair_jitter (min a b) (max a b)))
-
-let distance_to_string = function
-  | Same_core -> "same-core"
-  | Same_chiplet -> "same-chiplet"
-  | Same_group -> "same-group"
-  | Same_socket -> "same-socket"
-  | Cross_socket -> "cross-socket"

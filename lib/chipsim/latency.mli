@@ -46,4 +46,3 @@ val core_to_core_ns : ?profile:profile -> Topology.t -> int -> int -> float
     deterministic per-pair jitter so the CDF is stepped but not degenerate. *)
 
 val of_distance : profile -> distance -> float
-val distance_to_string : distance -> string

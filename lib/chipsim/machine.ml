@@ -29,7 +29,7 @@ type t = {
          scan on the L3-miss path *)
   scratch_clk : float array;
       (* 1-slot cell backing the float-returning compat wrappers around
-         the [_clk] entry points, and [chiplet_energy_pj] *)
+         the [_clk] entry points *)
   last_cost : float array;
       (* 1-slot cell: raw latency of the last {!access_clk}, for callers
          that need the cost rather than the advanced clock *)
@@ -59,7 +59,7 @@ type t = {
       (* per-chiplet static I/O-die latency multiplier from the topology's
          link table; composes with the dynamic fault multiplier *)
   mutable accesses : int;
-      (* total access_line calls ever — every one must be classified into
+      (* total access_clk calls ever — every one must be classified into
          exactly one PMU fill-source counter, which check_invariants
          verifies *)
   mutable xfer_bytes : int;
@@ -326,15 +326,12 @@ let access_clk t ~core ~write addr clk slot =
   Array.unsafe_set t.last_cost 0 total;
   clk.(slot) <- now_ns +. total
 
-(* float-returning compat wrappers over the scratch clock cell *)
-let access_line t ~core ~now_ns ~write ~line =
+(* float-returning compat wrapper over the scratch clock cell *)
+let access t ~core ~now_ns ~write addr =
   let c = t.scratch_clk in
   c.(0) <- now_ns;
-  access_clk t ~core ~write (line lsl t.line_shift) c 0;
+  access_clk t ~core ~write addr c 0;
   t.last_cost.(0)
-
-let access t ~core ~now_ns ~write addr =
-  access_line t ~core ~now_ns ~write ~line:(addr / t.topo.Topology.line_bytes)
 
 let touch t ~core ~now_ns ~write region i =
   access t ~core ~now_ns ~write (Simmem.addr region i)
@@ -424,16 +421,6 @@ let core_to_core_ns t a b = Latency.core_to_core_ns ~profile:t.profile t.topo a 
 let dram_load_ratio t ~node ~now_ns = Memchan.load_ratio t.chan ~node ~now_ns
 let dram_bytes_served t ~node = Memchan.bytes_served t.chan ~node
 
-let flush_caches t =
-  Array.iter Cache.clear t.l3;
-  Array.iter Cache.clear t.l2;
-  Directory.clear t.dir;
-  Memchan.reset t.chan;
-  Memchan.reset t.links;
-  (* the links' byte totals restart, so the transfer ledger they bound
-     must restart with them *)
-  t.xfer_bytes <- 0
-
 let mem_ns_cells t = t.mem_ns
 let energy_pj t ~core = t.energy_pj.(core)
 
@@ -459,7 +446,6 @@ let charge_quantum t ~core ~dt_ns ~dvfs =
     (Array.unsafe_get t.compute_pj core
     +. (dt_ns *. Array.unsafe_get t.kind_compute_pw core *. dvfs *. dvfs))
 
-let compute_energy_pj t ~core = t.compute_pj.(core)
 let total_compute_energy_pj t = sum_pj t.compute_pj
 
 (* [total_energy_pj t +. total_compute_energy_pj t] in one pass *)
@@ -479,12 +465,6 @@ let chiplet_sum t ch dst i =
   for core = ch * cpc to ((ch + 1) * cpc) - 1 do
     dst.(i) <- dst.(i) +. t.energy_pj.(core) +. t.compute_pj.(core)
   done
-
-let chiplet_energy_pj t ~chiplet =
-  if chiplet < 0 || chiplet >= t.nchiplets then
-    invalid_arg "Machine.chiplet_energy_pj: chiplet out of range";
-  chiplet_sum t chiplet t.scratch_clk 0;
-  t.scratch_clk.(0)
 
 let chiplet_energies t dst ~pos =
   for ch = 0 to t.nchiplets - 1 do chiplet_sum t ch dst (pos + ch) done
@@ -555,10 +535,10 @@ let check_invariants_full t =
       t.xfer_bytes !link_total;
   (* energy conservation: the per-chiplet view is a re-partition of the
      per-core meters, so both sums must agree (to float re-association) *)
+  let chiplet_pj = Array.make t.nchiplets 0.0 in
+  chiplet_energies t chiplet_pj ~pos:0;
   let per_chiplet = ref 0.0 in
-  for ch = 0 to t.nchiplets - 1 do
-    per_chiplet := !per_chiplet +. chiplet_energy_pj t ~chiplet:ch
-  done;
+  Array.iter (fun e -> per_chiplet := !per_chiplet +. e) chiplet_pj;
   let total = combined_energy_pj t in
   if Float.abs (!per_chiplet -. total) > 1e-6 *. Float.max 1.0 total then
     Invariant.fail
@@ -586,7 +566,11 @@ let check_invariants_full t =
       done)
 
 let reset t =
-  flush_caches t;
+  Array.iter Cache.clear t.l3;
+  Array.iter Cache.clear t.l2;
+  Directory.clear t.dir;
+  Memchan.reset t.chan;
+  Memchan.reset t.links;
   Simmem.reset t.mem;
   Pmu.reset t.pmu;
   Array.fill t.mem_ns 0 (Array.length t.mem_ns) 0.0;

@@ -36,14 +36,10 @@ val alloc :
     region's directory pages ({!Directory.reserve}), so accesses to it
     allocate nothing. *)
 
-val access_line :
-  t -> core:int -> now_ns:float -> write:bool -> line:int -> float
-(** [access_line t ~core ~now_ns ~write ~line] simulates one memory access
-    to cache line [line] and returns its latency in virtual nanoseconds. *)
-
 val touch :
   t -> core:int -> now_ns:float -> write:bool -> Simmem.region -> int -> float
-(** Access element [i] of a region. *)
+(** Access element [i] of a region and return the access's latency in
+    virtual nanoseconds. *)
 
 val touch_range :
   t -> core:int -> now_ns:float -> write:bool -> Simmem.region ->
@@ -55,7 +51,7 @@ val access_clk : t -> core:int -> write:bool -> int -> float array -> int -> uni
 (** [access_clk t ~core ~write addr clk slot] simulates one access at
     virtual time [clk.(slot)] and advances [clk.(slot)] by its latency.
     Charging the caller's clock cell in place keeps boxed floats off the
-    per-access path (the float-returning {!access} is a wrapper over
+    per-access path (the float-returning {!touch} is a wrapper over
     this); the scheduler passes each worker's clock cell directly. *)
 
 val touch_range_clk :
@@ -80,7 +76,7 @@ val transfer :
 
 val transferred_bytes : t -> int
 (** Total payload bytes ever moved cross-chiplet by {!transfer}
-    (line-rounded) since creation, {!reset} or {!flush_caches} — the
+    (line-rounded) since creation or {!reset} — the
     ledger the edge-byte conservation invariant checks against the link
     channels' byte totals. *)
 
@@ -106,7 +102,7 @@ val energy_pj : t -> core:int -> float
 val total_energy_pj : t -> float
 (** Sum of {!energy_pj} over all cores — {e memory-access energy only}.
     Per-quantum compute energy deliberately accumulates in a separate
-    meter ({!compute_energy_pj}), so this total — and every figure built
+    meter ({!total_compute_energy_pj}), so this total — and every figure built
     on it before compute charging existed — is bit-identical whether or
     not [--energy] is on. *)
 
@@ -118,29 +114,22 @@ val charge_quantum : t -> core:int -> dt_ns:float -> dvfs:float -> unit
     power-cap actuator.  Never touches virtual time; the scheduler calls
     this at quantum end only when energy accounting is enabled. *)
 
-val compute_energy_pj : t -> core:int -> float
-(** Accumulated per-quantum compute energy charged to this core, in
-    picojoules.  Zeroed by {!reset}. *)
-
 val total_compute_energy_pj : t -> float
-(** Sum of {!compute_energy_pj} over all cores. *)
+(** Accumulated per-quantum compute energy charged to all cores, in
+    picojoules.  Zeroed by {!reset}. *)
 
 val combined_energy_pj : t -> float
 (** {!total_energy_pj} + {!total_compute_energy_pj}: the machine's whole
     energy story, what power estimates and per-tenant attribution use. *)
 
-val chiplet_energy_pj : t -> chiplet:int -> float
-(** Combined (access + compute) energy accumulated by the chiplet's
-    cores, in picojoules — the per-chiplet signal the power-cap
-    controller differentiates into a sliding-window power estimate.
-    @raise Invalid_argument on an out-of-range chiplet. *)
-
 val chiplet_energies : t -> float array -> pos:int -> unit
-(** Every chiplet's {!chiplet_energy_pj} into [dst.(pos + chiplet)],
-    boxing no float. *)
+(** Every chiplet's combined (access + compute) energy, in picojoules,
+    into [dst.(pos + chiplet)], boxing no float — the per-chiplet signal
+    the power-cap controller differentiates into a sliding-window power
+    estimate. *)
 
 val accesses : t -> int
-(** Total simulated accesses ({!access_line} calls) since creation or
+(** Total simulated accesses ({!access_clk} calls) since creation or
     {!reset}.  Every one is classified into exactly one PMU fill-source
     counter — the conservation law {!check_invariants} verifies. *)
 
@@ -158,10 +147,6 @@ val check_invariants_full : t -> unit
     check that the {!Directory} holder bits name exactly the lines each
     chiplet's L3 holds — end-of-run and fuzzer verification.
     @raise Invariant.Violation describing the first broken invariant. *)
-
-val flush_caches : t -> unit
-(** Drop all cached state (caches, directory, channel history) but keep
-    page placements and PMU counters. *)
 
 val reset : t -> unit
 (** Full reset: caches, directory, channels, page placements, PMU. *)

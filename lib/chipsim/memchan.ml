@@ -1,53 +1,43 @@
 type t = {
-  bin_ns : float;
   nodes : int;
   line_bytes : int;
   capacity_bytes_per_bin : float;  (* per node, at full health *)
   cap_factor : float array;  (* per node, fault throttling in (0, 1] *)
-  (* ring of recent bins per node: bins.(node * ring + (bin land mask));
-     ring is a power of two so the wrap is a mask, not an integer divide *)
-  ring : int;
-  ring_mask : int;
   bin_ids : int array;  (* which absolute bin each slot currently holds *)
   bin_bytes : int array;
   total_bytes : int array;  (* per node *)
   mutable stale_accesses : int;  (* accesses landing in an already-recycled bin *)
-  scratch_io : float array;  (* backs the float-returning access_ns wrapper *)
 }
 
-let ring_slots = 8192
+(* Ring of recent bins per node: bins.(node * ring + (bin land ring_mask));
+   the ring is a power of two so the wrap is a mask, not an integer
+   divide. *)
+let ring = 8192
+let ring_mask = ring - 1
+let bin_ns = 1000.0
 
-let create ?(bin_ns = 1000.0) ?(slots = ring_slots) ~nodes ~channels_per_node
-    ~bytes_per_ns_per_channel ~line_bytes () =
+let create ~nodes ~channels_per_node ~bytes_per_ns_per_channel ~line_bytes () =
   if nodes <= 0 then invalid_arg "Memchan.create: nodes must be positive";
   if channels_per_node <= 0 then
     invalid_arg "Memchan.create: channels_per_node must be positive";
-  if slots <= 0 then invalid_arg "Memchan.create: slots must be positive";
-  (* round the ring up to a power of two so slot wrap is a mask *)
-  let rec pow2 n acc = if acc >= n then acc else pow2 n (acc * 2) in
-  let slots = pow2 slots 1 in
   {
-    bin_ns;
     nodes;
     line_bytes;
     capacity_bytes_per_bin =
       float_of_int channels_per_node *. bytes_per_ns_per_channel *. bin_ns;
     cap_factor = Array.make nodes 1.0;
-    ring = slots;
-    ring_mask = slots - 1;
-    bin_ids = Array.make (nodes * slots) (-1);
-    bin_bytes = Array.make (nodes * slots) 0;
+    bin_ids = Array.make (nodes * ring) (-1);
+    bin_bytes = Array.make (nodes * ring) 0;
     total_bytes = Array.make nodes 0;
     stale_accesses = 0;
-    scratch_io = Array.make 2 0.0;
   }
 
-let slot t node bin = (node * t.ring) + (bin land t.ring_mask)
+let slot node bin = (node * ring) + (bin land ring_mask)
 
 (* clamp below at 0 so a (defensive) negative timestamp cannot index into
    another node's slot range *)
-let bin_of t now_ns =
-  let b = int_of_float (now_ns /. t.bin_ns) in
+let bin_of now_ns =
+  let b = int_of_float (now_ns /. bin_ns) in
   if b < 0 then 0 else b
 
 let check_node t node =
@@ -59,12 +49,8 @@ let set_capacity_factor t ~node factor =
   check_node t node;
   t.cap_factor.(node) <- Float.max 0.01 (Float.min 1.0 factor)
 
-let capacity_factor t ~node =
-  check_node t node;
-  t.cap_factor.(node)
-
 let current_bytes t node bin =
-  let s = slot t node bin in
+  let s = slot node bin in
   if t.bin_ids.(s) = bin then t.bin_bytes.(s) else 0
 
 
@@ -75,11 +61,11 @@ let current_bytes t node bin =
 let charge t ~node io =
   check_node t node;
   let now_ns = io.(0) and base_ns = io.(1) in
-  let bin = bin_of t now_ns in
+  let bin = bin_of now_ns in
   (* [node] is checked above and [bin] is clamped non-negative, so the
      ring index and the per-node reads below are in bounds by
      construction — unsafe accesses keep the per-fill path lean *)
-  let s = slot t node bin in
+  let s = slot node bin in
   let bin_ids = t.bin_ids and bin_bytes = t.bin_bytes in
   t.total_bytes.(node) <- t.total_bytes.(node) + t.line_bytes;
   let demand_bytes =
@@ -125,8 +111,8 @@ let charge_lines t ~node ~now_ns ~base_ns ~lines =
   if lines = 0 then base_ns
   else begin
     let bytes = lines * t.line_bytes in
-    let bin = bin_of t now_ns in
-    let s = slot t node bin in
+    let bin = bin_of now_ns in
+    let s = slot node bin in
     t.total_bytes.(node) <- t.total_bytes.(node) + bytes;
     let demand_bytes =
       let id = t.bin_ids.(s) in
@@ -152,20 +138,13 @@ let charge_lines t ~node ~now_ns ~base_ns ~lines =
       if load <= 1.0 then 1.0 +. (0.3 *. load)
       else 1.3 +. (2.0 *. (load -. 1.0))
     in
-    let serialization_ns = float_of_int bytes *. t.bin_ns /. cap in
+    let serialization_ns = float_of_int bytes *. bin_ns /. cap in
     (base_ns +. serialization_ns) *. f
   end
 
-let access_ns t ~node ~now_ns ~base_ns =
-  let io = t.scratch_io in
-  io.(0) <- now_ns;
-  io.(1) <- base_ns;
-  charge t ~node io;
-  io.(0)
-
 let load_ratio t ~node ~now_ns =
   check_node t node;
-  let bin = bin_of t now_ns in
+  let bin = bin_of now_ns in
   float_of_int (current_bytes t node bin) /. capacity t node
 
 let bytes_served t ~node =
@@ -201,7 +180,7 @@ let check_invariants t =
        difference is bins whose slots were since recycled), and a slot is
        populated iff it holds a bin *)
     let live = ref 0 in
-    for s = node * t.ring to ((node + 1) * t.ring) - 1 do
+    for s = node * ring to ((node + 1) * ring) - 1 do
       let id = t.bin_ids.(s) and bytes = t.bin_bytes.(s) in
       if bytes < 0 then
         Invariant.fail "memchan: node %d slot %d negative demand %d" node s
@@ -212,9 +191,9 @@ let check_invariants t =
       if id >= 0 && bytes = 0 then
         Invariant.fail "memchan: node %d slot %d holds bin %d with no bytes"
           node s id;
-      if id >= 0 && slot t node id <> s then
+      if id >= 0 && slot node id <> s then
         Invariant.fail "memchan: node %d slot %d holds bin %d that maps to slot %d"
-          node s id (slot t node id);
+          node s id (slot node id);
       live := !live + bytes
     done;
     if !live > t.total_bytes.(node) then

@@ -6,27 +6,22 @@
     (§2.2): more cores competing for a fixed number of channels degrade
     per-access latency once the node saturates.
 
-    Recent bins live in a fixed ring.  When virtual time spans more than
-    [slots] bins, a lagging access can alias with a newer bin that recycled
-    its slot; such stale accesses are counted (see {!stale_accesses}) and
-    charged at base load instead of clobbering the newer bin's demand
-    history.  A node's deliverable capacity can be throttled at runtime
+    Bins are 1000 virtual ns wide, and the 8,192 most recent live in a
+    fixed ring per node.  When virtual time spans more than 8,192 bins, a
+    lagging access can alias with a newer bin that recycled its slot;
+    such stale accesses are counted (see {!stale_accesses}) and charged
+    at base load instead of clobbering the newer bin's demand history.  A node's deliverable capacity can be throttled at runtime
     (fault injection) via {!set_capacity_factor}. *)
 
 type t
 
 val create :
-  ?bin_ns:float ->
-  ?slots:int ->
   nodes:int ->
   channels_per_node:int ->
   bytes_per_ns_per_channel:float ->
   line_bytes:int ->
   unit ->
   t
-(** [slots] is the ring length in bins (default 8192; exposed for
-    wraparound tests).  Rounded up to a power of two so the ring wrap is
-    a mask rather than an integer divide on the per-access path. *)
 
 val charge : t -> node:int -> float array -> unit
 (** [charge t ~node io] records one line transfer against [node].  On entry
@@ -34,11 +29,6 @@ val charge : t -> node:int -> float array -> unit
     [io.(0)] holds the contention-adjusted latency (at least [io.(1)]).
     Floats cross the module boundary through the caller-owned cell so the
     per-access hot path never boxes. *)
-
-val access_ns : t -> node:int -> now_ns:float -> base_ns:float -> float
-(** [access_ns t ~node ~now_ns ~base_ns] records one line transfer against
-    [node] at virtual time [now_ns] and returns the contention-adjusted
-    latency (at least [base_ns]).  Convenience wrapper over {!charge}. *)
 
 val charge_lines :
   t -> node:int -> now_ns:float -> base_ns:float -> lines:int -> float
@@ -66,12 +56,10 @@ val set_capacity_factor : t -> node:int -> float -> unit
 (** Throttle the node's deliverable bytes per bin to this fraction of
     nominal (clamped to [\[0.01, 1\]]).  Models memory-channel faults. *)
 
-val capacity_factor : t -> node:int -> float
-
 val stale_accesses : t -> int
 (** Accesses that landed in a bin whose ring slot was already recycled by
-    a newer bin (only possible once virtual time spans more than [slots]
-    bins). *)
+    a newer bin (only possible once virtual time spans more than the
+    ring's 8,192 bins). *)
 
 val reset : t -> unit
 (** Clears demand history and byte totals; capacity throttling persists

@@ -3,7 +3,7 @@
 
     All values start pristine (speed 1.0, everything online, all
     multipliers 1.0).  The scheduler reads {!core_speeds} to scale quantum
-    progress and {!core_online} to park workers; {!Machine.access_line}
+    progress and {!core_online} to park workers; {!Machine.access_clk}
     reads the link and cross-socket multipliers on every remote fill.
     DVFS state and core hotplug are OS-visible on real machines, so
     runtime components may read those directly; latency multipliers model

@@ -26,34 +26,6 @@ let event_index = function
   | Migration -> 9
   | Context_switch -> 10
 
-let event_name = function
-  | L2_hit -> "l2_hit"
-  | L3_local_hit -> "l3_local_hit"
-  | Fill_remote_chiplet -> "fill_remote_chiplet"
-  | Fill_remote_numa -> "fill_remote_numa"
-  | Dram_local -> "dram_local"
-  | Dram_remote -> "dram_remote"
-  | Coherence_invalidation -> "coherence_invalidation"
-  | Task_executed -> "task_executed"
-  | Task_stolen -> "task_stolen"
-  | Migration -> "migration"
-  | Context_switch -> "context_switch"
-
-let all_events =
-  [
-    L2_hit;
-    L3_local_hit;
-    Fill_remote_chiplet;
-    Fill_remote_numa;
-    Dram_local;
-    Dram_remote;
-    Coherence_invalidation;
-    Task_executed;
-    Task_stolen;
-    Migration;
-    Context_switch;
-  ]
-
 type t = { cores : int; counters : int array }
 
 let create ~cores =
@@ -85,10 +57,6 @@ let total t ev =
   !acc
 
 let reset t = Array.fill t.counters 0 (Array.length t.counters) 0
-
-let reset_core t ~core =
-  if core < 0 || core >= t.cores then invalid_arg "Pmu: core out of range";
-  Array.fill t.counters (core * num_events) num_events 0
 
 type snapshot = { snap_cores : int; values : int array }
 

@@ -20,8 +20,6 @@ type event =
 
 val num_events : int
 val event_index : event -> int
-val event_name : event -> string
-val all_events : event list
 
 type t
 
@@ -37,7 +35,6 @@ val add : t -> core:int -> event -> int -> unit
 val read : t -> core:int -> event -> int
 val total : t -> event -> int
 val reset : t -> unit
-val reset_core : t -> core:int -> unit
 
 type snapshot
 

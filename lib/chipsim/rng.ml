@@ -24,8 +24,6 @@ let[@inline] next t =
   Bytes.set_int64_le t 0 s;
   mix s
 
-let split t = of_state (mix (next t))
-
 let[@inline] int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in

@@ -1,4 +1,4 @@
-(** Deterministic splittable PRNG (splitmix64).
+(** Deterministic PRNG (splitmix64).
 
     Every simulated component owns its own stream so experiment results are
     reproducible regardless of scheduling order. *)
@@ -7,9 +7,6 @@ type t
 
 val create : int -> t
 (** Seeded generator; equal seeds give equal streams. *)
-
-val split : t -> t
-(** Derive an independent stream (e.g., one per worker). *)
 
 val next : t -> int64
 val int : t -> int -> int

@@ -23,7 +23,6 @@ type region = {
 }
 
 val create : Topology.t -> t
-val page_bytes : int
 
 val alloc : t -> ?policy:policy -> elt_bytes:int -> count:int -> unit -> region
 (** Allocate a region of [count] elements of [elt_bytes] bytes each,

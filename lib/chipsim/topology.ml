@@ -189,17 +189,10 @@ let group_of_chiplet t chiplet =
   let groups_per_socket = t.chiplets_per_socket / t.chiplet_group_size in
   (socket * groups_per_socket) + (local / t.chiplet_group_size)
 
-let first_core_of_chiplet t chiplet = chiplet * t.cores_per_chiplet
-
 let cores_of_chiplet t chiplet =
-  let base = first_core_of_chiplet t chiplet in
+  let base = chiplet * t.cores_per_chiplet in
   List.init t.cores_per_chiplet (fun i -> base + i)
 
-let chiplets_of_socket t socket =
-  let base = socket * t.chiplets_per_socket in
-  List.init t.chiplets_per_socket (fun i -> base + i)
-
-let same_chiplet t a b = chiplet_of_core t a = chiplet_of_core t b
 let same_socket t a b = socket_of_core t a = socket_of_core t b
 
 (* -- heterogeneity accessors -------------------------------------------- *)

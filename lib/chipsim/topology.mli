@@ -107,10 +107,6 @@ val group_of_chiplet : t -> int -> int
 val cores_of_chiplet : t -> int -> int list
 (** Ascending list of the core ids located on a chiplet. *)
 
-val first_core_of_chiplet : t -> int -> int
-val chiplets_of_socket : t -> int -> int list
-
-val same_chiplet : t -> int -> int -> bool
 val same_socket : t -> int -> int -> bool
 
 val validate_core : t -> int -> unit
@@ -136,7 +132,6 @@ val relative_capacity : t -> float
     1.0 — mirrors [Modifiers.online_capacity]'s convention so fleet
     routers can multiply the two.  Exactly 1.0 for homogeneous-big. *)
 
-val default_kind_specs : kind_spec array
 val default_link : link
 
 val equal : t -> t -> bool

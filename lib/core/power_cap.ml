@@ -32,7 +32,6 @@ type t = {
   clock : clock;
   level : float array;  (* per-chiplet DVFS level the controller holds *)
   mutable sheds : int;
-  mutable releases : int;
   mutable overcap_unshed : int;
       (* ticks where power exceeded the cap with shedding headroom left
          yet the controller did not act — always 0 unless the control
@@ -76,7 +75,6 @@ let create ?(window_ns = 500_000.0) ?(sample_ns = 50_000.0) machine ~cap_mw =
     clock = { now_ns = 0.0; last_sample_ns = neg_infinity; power_mw = 0.0; max_power_mw = 0.0 };
     level = Array.make chiplets 1.0;
     sheds = 0;
-    releases = 0;
     overcap_unshed = 0;
   }
 
@@ -90,7 +88,6 @@ let chiplet_power_mw t ~chiplet =
 let power_mw t = t.clock.power_mw
 let max_power_mw t = t.clock.max_power_mw
 let sheds t = t.sheds
-let releases t = t.releases
 let level t ~chiplet =
   if chiplet < 0 || chiplet >= t.chiplets then
     invalid_arg "Power_cap.level: chiplet out of range";
@@ -174,7 +171,6 @@ let tick t ~now_ns =
         | ch ->
             t.level.(ch) <- Float.min 1.0 (t.level.(ch) /. shed_factor);
             apply_level t ch;
-            t.releases <- t.releases + 1;
             Release ch
       end
       else Idle  (* dead band: hold *)

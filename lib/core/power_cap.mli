@@ -5,7 +5,7 @@
     milliwatts with no conversion constants.
 
     The estimator samples each chiplet's combined (access + compute)
-    energy meter ({!Chipsim.Machine.chiplet_energy_pj}) on a fixed virtual
+    energy meter ({!Chipsim.Machine.chiplet_energies}) on a fixed virtual
     cadence and differentiates over a sliding window.  When the
     machine-wide estimate exceeds the cap, the controller sheds the
     hottest chiplet's DVFS level by 25% (down to a floor), reusing the
@@ -63,8 +63,6 @@ val throttled : t -> chiplet:int -> bool
 val sheds : t -> int
 (** Total shed actuations (hysteresis tests assert this settles on a
     steady workload). *)
-
-val releases : t -> int
 
 val verify : t -> unit
 (** Power-cap invariants: no over-cap tick ever passed with shedding

@@ -13,10 +13,6 @@ type _ Effect.t +=
   | Suspend : unit Effect.t
 
 let create f = { state = Created f; last = Finished }
-let is_done t = t.state = Finished_
-
-let is_parked t =
-  match t.state with Created _ | Parked _ -> true | Running | Finished_ -> false
 
 let yield () = Effect.perform Yield
 let suspend () = Effect.perform Suspend

@@ -20,10 +20,6 @@ val resume : t -> outcome
 (** Run (or continue) the coroutine until it yields, suspends or returns.
     @raise Invalid_argument if it is not in a resumable state. *)
 
-val is_done : t -> bool
-val is_parked : t -> bool
-(** True after [Yielded] or [Suspended], until the next {!resume}. *)
-
 val yield : unit -> unit
 (** Within a coroutine: suspend, asking to be rescheduled immediately.
     @raise Effect.Unhandled if called outside a coroutine. *)

@@ -6,7 +6,6 @@ type 'a t = { mutable state : 'a state }
 
 let create () = { state = Pending [] }
 
-let is_fulfilled t = match t.state with Done _ -> true | Pending _ -> false
 let peek t = match t.state with Done v -> Some v | Pending _ -> None
 
 let fulfill ctx t v =

@@ -13,8 +13,6 @@ val fulfill : Sched.ctx -> 'a t -> 'a -> unit
 (** Publish the value and wake all waiters.
     @raise Invalid_argument if already fulfilled. *)
 
-val is_fulfilled : 'a t -> bool
-
 val await : Sched.ctx -> 'a t -> 'a
 (** The value, suspending the calling task until {!fulfill} runs. *)
 
@@ -25,7 +23,7 @@ val spawn : Sched.t -> ?worker:int -> (Sched.ctx -> 'a) -> 'a t
 
 val spawn_at : Sched.ctx -> ?worker:int -> ?at:float -> (Sched.ctx -> 'a) -> 'a t
 (** Same, from inside a task (child defaults to the caller's worker and,
-    like {!Par.call}, is immediately runnable).  [?at] is the earliest
-    virtual time the producer may start — serving dispatchers use it to
+    unlike a {!Par.all_do} call, is immediately runnable).  [?at] is the
+    earliest virtual time the producer may start — serving dispatchers use it to
     keep a job's start causally after its arrival even when a worker with
     a lagging clock steals it. *)

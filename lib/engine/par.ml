@@ -8,10 +8,6 @@ let call ctx ~worker f =
   let delay = Machine.core_to_core_ns machine here there in
   Sched.Ctx.spawn ctx ~worker ~at:(Sched.Ctx.now ctx +. delay) f
 
-let call_sync ctx ~worker f =
-  let task = call ctx ~worker f in
-  Sched.Ctx.await ctx task
-
 let all_do ctx f =
   let sched = Sched.Ctx.sched ctx in
   let n = Sched.n_workers sched in
@@ -42,7 +38,3 @@ let parallel_for ctx ~lo ~hi ?grain f =
     in
     Array.iter (fun task -> Sched.Ctx.await ctx task) tasks
   end
-
-let spawn_all sched ~n f =
-  List.init n (fun i ->
-      Sched.spawn sched ~worker:(i mod Sched.n_workers sched) (fun ctx -> f i ctx))

@@ -5,17 +5,12 @@
     policy differences live entirely in scheduler hooks, so the same
     workload code runs under every system. *)
 
-val call_sync : Sched.ctx -> worker:int -> (Sched.ctx -> unit) -> unit
-(** Dispatch a closure to another worker and await it; the message pays
-    the core-to-core latency before the task becomes runnable. *)
-
 val all_do : Sched.ctx -> (Sched.ctx -> int -> unit) -> unit
-(** Run [f ctx worker_id] on every worker; await all. *)
+(** Run [f ctx worker_id] on every worker; await all.  Each closure is
+    dispatched as the paper's [call]: its message pays the core-to-core
+    latency before the task becomes runnable. *)
 
 val parallel_for :
   Sched.ctx -> lo:int -> hi:int -> ?grain:int ->
   (Sched.ctx -> int -> int -> unit) -> unit
 (** Fork chunks of [\[lo, hi)] round-robin over workers; await all. *)
-
-val spawn_all : Sched.t -> n:int -> (int -> Sched.ctx -> unit) -> Sched.task list
-(** Top-level: spawn [n] tasks round-robin (task [i] gets its index). *)

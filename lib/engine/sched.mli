@@ -157,9 +157,6 @@ val worker_offlined : t -> int -> bool
 (** Whether the worker is dormant because its core went offline with no
     spare core to migrate to. *)
 
-val active_workers : t -> int
-(** Workers currently able to run tasks (not dormant). *)
-
 val migrate : t -> worker:int -> core:int -> unit
 (** Rebind a worker to another (free) core, charging the migration cost.
     No-op if already there, or if the target core is marked offline in the

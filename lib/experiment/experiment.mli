@@ -223,20 +223,3 @@ val parse_argv : Cmdliner.Cmd.info -> 'a Cmdliner.Term.t -> 'a
     exits 0; a malformed flag value prints one line on stderr and exits
     2. *)
 
-(** {2 Flag-value parsers}
-
-    Each returns a one-line error naming the offending field. *)
-
-val parse_tenant : string -> (tenant, string) result
-(** ["name:weight:kind+kind+..."]; kind names may contain [':'] ([tpch:3],
-    [dag:inception:3]); replicas start at 1. *)
-
-val parse_replication : string -> (string * int, string) result
-(** ["NAME:DEGREE"], split on the last [':']; degree >= 1. *)
-
-val parse_shard_machines :
-  string -> (Harness.Systems.machine_kind list, string) result
-(** Comma-separated presets and/or topology files or inline specs. *)
-
-val parse_shard_fault : string -> (int * string, string) result
-(** ["SHARD:SPEC"]; the spec is parsed later, against the shard's machine. *)

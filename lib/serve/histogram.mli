@@ -28,13 +28,13 @@ val mean : t -> float
 val max_value : t -> float
 (** [neg_infinity] when empty. *)
 
-val quantile : t -> float -> float
-(** [quantile t q] for [q] in [\[0, 1\]]: the upper bound of the bucket
-    holding the [ceil (q * count)]-th smallest sample, clamped to the
-    largest sample seen (so [quantile t 1.0 <= max_value t]).  0 when
-    empty.  Deterministic: depends only on the multiset of samples. *)
-
 val p50 : t -> float
+(** [p50], [p95], [p99] and {!p999} read the [q] = 0.5 .. 0.999 quantile:
+    the upper bound of the bucket holding the [ceil (q * count)]-th
+    smallest sample, clamped to the largest sample seen (so never above
+    {!max_value}).  0 when empty.  Deterministic: depends only on the
+    multiset of samples. *)
+
 val p95 : t -> float
 val p99 : t -> float
 

@@ -259,8 +259,8 @@ let test_graph_kernel_words () =
    ledger) and the power cap samples every chiplet: on the 128-core
    Milan a read allocates only its boxed result, and the array form
    nothing.  Before: 1,026 words per [combined_energy_pj] (two folds
-   boxing their accumulator per core) and 25 per [chiplet_energy_pj]
-   (a closure over all 128 cores boxing its accumulator per hit). *)
+   boxing their accumulator per core) and 25 per chiplet read (a
+   closure over all 128 cores boxing its accumulator per hit). *)
 let test_energy_meter_words () =
   let m = Machine.create (Presets.amd_milan ()) in
   for core = 0 to 127 do
@@ -271,10 +271,6 @@ let test_energy_meter_words () =
     "combined_energy_pj words" (float_of_int draws *. boxed_float)
     (words (fun () ->
          for _ = 1 to draws do sink := Machine.combined_energy_pj m done));
-  Alcotest.(check (float 0.0))
-    "chiplet_energy_pj words" (float_of_int draws *. boxed_float)
-    (words (fun () ->
-         for i = 1 to draws do sink := Machine.chiplet_energy_pj m ~chiplet:(i land 15) done));
   let dst = Array.make 16 0.0 in
   Alcotest.(check (float 0.0))
     "chiplet_energies words" 0.0

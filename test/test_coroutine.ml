@@ -5,7 +5,9 @@ let test_runs_to_completion () =
   let c = Coroutine.create (fun () -> hit := true) in
   Alcotest.(check bool) "finished" true (Coroutine.resume c = Coroutine.Finished);
   Alcotest.(check bool) "side effect" true !hit;
-  Alcotest.(check bool) "is_done" true (Coroutine.is_done c)
+  Alcotest.check_raises "is_done"
+    (Invalid_argument "Coroutine.resume: already finished") (fun () ->
+      ignore (Coroutine.resume c))
 
 let test_yield_resume () =
   let steps = ref [] in
@@ -33,8 +35,6 @@ let test_suspend_park_resume () =
   in
   Alcotest.(check bool) "suspended" true (Coroutine.resume c = Coroutine.Suspended);
   Alcotest.(check (list int)) "parked after step 1" [ 1 ] !steps;
-  Alcotest.(check bool) "parked" true (Coroutine.is_parked c);
-  Alcotest.(check bool) "not done" false (Coroutine.is_done c);
   Alcotest.(check bool) "resumes to completion" true (Coroutine.resume c = Coroutine.Finished);
   Alcotest.(check (list int)) "continued where it parked" [ 2; 1 ] !steps
 
@@ -51,7 +51,9 @@ let test_exception_propagates () =
      ignore (Coroutine.resume c);
      Alcotest.fail "no exception"
    with Failure msg -> Alcotest.(check string) "message" "boom" msg);
-  Alcotest.(check bool) "done after raise" true (Coroutine.is_done c)
+  Alcotest.check_raises "done after raise"
+    (Invalid_argument "Coroutine.resume: already finished") (fun () ->
+      ignore (Coroutine.resume c))
 
 let test_many_yields () =
   (* individual stacks: two coroutines interleave without corrupting state *)
@@ -64,13 +66,14 @@ let test_many_yields () =
         done)
   in
   let a = mk "a" 3 and b = mk "b" 3 in
+  let a_done = ref false and b_done = ref false in
+  let step c finished =
+    if not !finished then finished := Coroutine.resume c = Coroutine.Finished
+  in
   let rec pump () =
-    let more = ref false in
-    if not (Coroutine.is_done a) then
-      if Coroutine.resume a <> Coroutine.Finished then more := true;
-    if not (Coroutine.is_done b) then
-      if Coroutine.resume b <> Coroutine.Finished then more := true;
-    if !more then pump ()
+    step a a_done;
+    step b b_done;
+    if not (!a_done && !b_done) then pump ()
   in
   pump ();
   Alcotest.(check string) "interleaved" "a0 b0 a1 b1 a2 b2 " (Buffer.contents log)

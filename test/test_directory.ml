@@ -1,11 +1,15 @@
 open Chipsim
 
+let popcount m =
+  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
+  go m 0
+
 let test_add_remove () =
   let d = Directory.create ~chiplets:16 in
   Directory.add d ~line:7 ~chiplet:3;
   Directory.add d ~line:7 ~chiplet:11;
   Alcotest.(check bool) "holds 3" true (Directory.holds d ~line:7 ~chiplet:3);
-  Alcotest.(check int) "two holders" 2 (Directory.count_holders d ~line:7);
+  Alcotest.(check int) "two holders" 2 (popcount (Directory.holders d 7));
   Directory.remove d ~line:7 ~chiplet:3;
   Alcotest.(check bool) "removed" false (Directory.holds d ~line:7 ~chiplet:3);
   Directory.remove d ~line:7 ~chiplet:11;
@@ -15,8 +19,8 @@ let test_exclusive () =
   let d = Directory.create ~chiplets:4 in
   Directory.add d ~line:1 ~chiplet:0;
   Directory.add d ~line:1 ~chiplet:1;
-  Directory.set_exclusive d ~line:1 ~chiplet:2;
-  Alcotest.(check int) "only one holder" 1 (Directory.count_holders d ~line:1);
+  Alcotest.(check int) "the others held it" 0b11 (Directory.claim d ~line:1 ~chiplet:2);
+  Alcotest.(check int) "only one holder" 1 (popcount (Directory.holders d 1));
   Alcotest.(check bool) "it is chiplet 2" true (Directory.holds d ~line:1 ~chiplet:2)
 
 let test_nearest_holder () =
@@ -40,8 +44,10 @@ let test_iter () =
   Directory.add d ~line:3 ~chiplet:2;
   Directory.add d ~line:3 ~chiplet:5;
   let seen = ref [] in
-  Directory.iter_holders d ~line:3 (fun c -> seen := c :: !seen);
-  Alcotest.(check (list int)) "holders in order" [ 2; 5 ] (List.rev !seen)
+  Directory.iter d (fun line m -> seen := (line, m) :: !seen);
+  Alcotest.(check (list (pair int int))) "line 3 held by 2 and 5"
+    [ (3, (1 lsl 2) lor (1 lsl 5)) ]
+    !seen
 
 let test_bounds () =
   let d = Directory.create ~chiplets:4 in
@@ -89,10 +95,6 @@ module Dense = struct
     let m = holders t line and bit = 1 lsl chiplet in
     if m land bit <> 0 then set_mask t line (m land lnot bit)
 
-  let set_exclusive t ~line ~chiplet =
-    let bit = 1 lsl chiplet in
-    if holders t line <> bit then set_mask t line bit
-
   let nearest_in_mask m ~ranks ~row =
     let best = ref (-1) and best_rank = ref max_int in
     for c = 0 to 61 do
@@ -132,12 +134,8 @@ end
    (pages placed up front), stray lines outside them (pages placed at
    their first holder) and lines past the paged range (the Intmap), with
    an occasional [clear].  After every operation the two directories
-   agree on every line's holders and holder count, and [iter] lists the
-   same (line, mask) sequence. *)
-let popcount m =
-  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
-  go m 0
-
+   agree on every line's holders, and [iter] lists the same (line, mask)
+   sequence. *)
 let test_matches_dense_model () =
   let chiplets = 16 in
   let rng = Rng.create 35 in
@@ -177,10 +175,6 @@ let test_matches_dense_model () =
           Directory.remove d ~line:l ~chiplet;
           Dense.remove model ~line:l ~chiplet;
           "remove"
-      | k when k < 22 ->
-          Directory.set_exclusive d ~line:l ~chiplet;
-          Dense.set_exclusive model ~line:l ~chiplet;
-          "set_exclusive"
       | k when k < 32 ->
           let evicted = if Rng.bool rng then line () else -1 in
           if evicted >= 0 then Hashtbl.replace touched evicted ();
@@ -200,10 +194,9 @@ let test_matches_dense_model () =
     Hashtbl.iter
       (fun l () ->
         let m = Dense.holders model l in
-        let count = Directory.count_holders d ~line:l in
-        if Directory.holders d l <> m || count <> popcount m then
-          Alcotest.failf "step %d (%s), line %d: holders %d (count %d), dense model %d" step
-            what l (Directory.holders d l) count m)
+        if Directory.holders d l <> m then
+          Alcotest.failf "step %d (%s), line %d: holders %d, dense model %d" step what l
+            (Directory.holders d l) m)
       touched;
     let paged = listing Directory.iter d and dense = listing Dense.iter model in
     if paged <> dense then

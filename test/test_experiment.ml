@@ -226,6 +226,38 @@ let test_malformed_values_rejected () =
       "-q 3"; "-w bfs -q 3"; "-w gups --rate 100"; "--router ewma"; "--fleet 0 --router ewma";
       "--no-relocation"; "--think-us 9"; "--closed-loop 2 --rate 100";
     ];
+  (* a malformed tenant, replication, shard-machine or shard-fault spec
+     says what is wrong with it *)
+  List.iter
+    (fun (args, frag) ->
+      match E.of_string ("charm_serve " ^ args) with
+      | Ok _ -> Alcotest.failf "accepted %s" args
+      | Error msg ->
+          if not (contains msg frag) then Alcotest.failf "%s: %S does not mention %S" args msg frag)
+    [
+      ("--tenant ''", "want NAME:WEIGHT:KIND");
+      ("--tenant gold", "want NAME:WEIGHT:KIND");
+      ("--tenant gold:x:bfs", "weight");
+      ("--tenant gold:-1:bfs", "positive");
+      ("--tenant gold:nan:bfs", "positive");
+      ("--tenant gold:2:", "job-kind list");
+      ("--tenant gold:2:bfs+", "job-kind list");
+      ("--tenant gold:2:bfs+frob", "frob");
+      ("--replicate ''", "want NAME:DEGREE");
+      ("--replicate gold", "want NAME:DEGREE");
+      ("--replicate gold:", "want NAME:DEGREE");
+      ("--replicate :3", "want NAME:DEGREE");
+      ("--replicate gold:x", "not an integer");
+      ("--replicate gold:0", ">= 1");
+      (* the degree is the last ':' field: [a:b] is a (missing) tenant *)
+      ("--replicate a:b:2", "names no tenant");
+      ("--fleet 2 --shard-machines ''", "empty");
+      ("--fleet 2 --shard-machines amd,xeon", "xeon");
+      ("--fleet 2 --faults-shard membw", "want SHARD:SPEC");
+      ("--fleet 2 --faults-shard :membw", "want SHARD:SPEC");
+      ("--fleet 2 --faults-shard x:membw", "integer");
+      ("--fleet 2 --faults-shard=-1:membw", ">= 0");
+    ];
   (* the bounds themselves are accepted *)
   List.iter
     (fun line ->

@@ -109,6 +109,13 @@ let test_parse_rejects () =
 
 (* -- scheduler reaction ------------------------------------------------ *)
 
+(* workers able to run tasks: those not dormant *)
+let active_workers sched =
+  List.length
+    (List.filter
+       (fun w -> not (Sched.worker_offlined sched w))
+       (List.init (Sched.n_workers sched) Fun.id))
+
 let test_offline_migrates_when_cores_free () =
   (* plenty of spare cores: the evicted worker migrates instead of dying *)
   let m = machine () in
@@ -128,7 +135,7 @@ let test_offline_migrates_when_cores_free () =
     (Sched.worker_core sched 1 <> 1);
   Alcotest.(check int) "core 1 vacated" (-1)
     (Sched.worker_of_core sched 1);
-  Alcotest.(check int) "nobody lost" 4 (Sched.active_workers sched)
+  Alcotest.(check int) "nobody lost" 4 (active_workers sched)
 
 let test_offline_drains_and_completes () =
   (* every core owned: no migration target, so the worker offlines in
@@ -151,7 +158,7 @@ let test_offline_drains_and_completes () =
   Alcotest.(check int) "all tasks completed" (4 * n) !done_;
   Alcotest.(check bool) "worker on core 1 offlined" true
     (Sched.worker_offlined sched 1);
-  Alcotest.(check int) "one worker out" (n - 1) (Sched.active_workers sched)
+  Alcotest.(check int) "one worker out" (n - 1) (active_workers sched)
 
 let test_core_on_restores () =
   let m = machine () in
@@ -171,7 +178,7 @@ let test_core_on_restores () =
   Alcotest.(check int) "all tasks completed" 64 !done_;
   Alcotest.(check bool) "worker back online" false
     (Sched.worker_offlined sched 1);
-  Alcotest.(check int) "both workers active" 2 (Sched.active_workers sched)
+  Alcotest.(check int) "both workers active" 2 (active_workers sched)
 
 let test_dvfs_scales_makespan () =
   let run spec =
@@ -206,14 +213,15 @@ let observe_at monitor sched ~now =
 
 let traffic_round m ~monitor ~sched ~round =
   let observed = 0 and peer = 8 in
-  let now = ref (float_of_int round *. 50_000.0) in
+  let line_bytes = (Machine.topology m).Topology.line_bytes in
+  let now = [| float_of_int round *. 50_000.0 |] in
   for line = 0 to 63 do
-    now := !now +. Machine.access_line m ~core:peer ~now_ns:!now ~write:true ~line
+    Machine.access_clk m ~core:peer ~write:true (line * line_bytes) now 0
   done;
   for line = 0 to 63 do
-    now := !now +. Machine.access_line m ~core:observed ~now_ns:!now ~write:true ~line
+    Machine.access_clk m ~core:observed ~write:true (line * line_bytes) now 0
   done;
-  observe_at monitor sched ~now:!now
+  observe_at monitor sched ~now:now.(0)
 
 let test_silent_fault_detected () =
   let m = machine () in

@@ -2,18 +2,19 @@ open Chipsim
 
 let amd () = Presets.amd_milan ()
 
+(* a distance class, printed as its rank *)
+let distance =
+  Alcotest.testable
+    (fun ppf d -> Format.fprintf ppf "rank %d" (Latency.rank_of_distance d))
+    ( = )
+
 let test_classes () =
   let t = amd () in
-  Alcotest.(check string) "same core" "same-core"
-    (Latency.distance_to_string (Latency.classify t 5 5));
-  Alcotest.(check string) "same chiplet" "same-chiplet"
-    (Latency.distance_to_string (Latency.classify t 0 7));
-  Alcotest.(check string) "same group" "same-group"
-    (Latency.distance_to_string (Latency.classify t 0 8));
-  Alcotest.(check string) "same socket" "same-socket"
-    (Latency.distance_to_string (Latency.classify t 0 63));
-  Alcotest.(check string) "cross socket" "cross-socket"
-    (Latency.distance_to_string (Latency.classify t 0 64))
+  Alcotest.check distance "same core" Latency.Same_core (Latency.classify t 5 5);
+  Alcotest.check distance "same chiplet" Latency.Same_chiplet (Latency.classify t 0 7);
+  Alcotest.check distance "same group" Latency.Same_group (Latency.classify t 0 8);
+  Alcotest.check distance "same socket" Latency.Same_socket (Latency.classify t 0 63);
+  Alcotest.check distance "cross socket" Latency.Cross_socket (Latency.classify t 0 64)
 
 let test_hierarchy () =
   (* the paper's §2.1 ordering: chiplet < group < socket < cross-socket *)

@@ -69,7 +69,7 @@ let test_flush () =
   let m = machine () in
   let r = Machine.alloc m ~elt_bytes:8 ~count:8 () in
   ignore (Machine.touch m ~core:0 ~now_ns:0.0 ~write:false r 0);
-  Machine.flush_caches m;
+  Machine.reset m;
   let c = Machine.touch m ~core:0 ~now_ns:100.0 ~write:false r 0 in
   Alcotest.(check bool) "cold again" true (c >= 110.0)
 

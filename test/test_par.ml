@@ -50,19 +50,10 @@ let test_all_do_and_call () =
   ignore (Sched.run sched : float);
   Alcotest.(check (array int)) "each on its own worker" [| 0; 1; 2 |] seen
 
-let test_spawn_all () =
-  let sched = sched_of ~workers:4 in
-  let count = ref 0 in
-  let tasks = Engine.Par.spawn_all sched ~n:10 (fun _i _ctx -> incr count) in
-  Alcotest.(check int) "ten tasks" 10 (List.length tasks);
-  ignore (Sched.run sched : float);
-  Alcotest.(check int) "all ran" 10 !count
-
 let suite =
   [
     Alcotest.test_case "block distribution" `Quick test_block_distribution;
     Alcotest.test_case "empty range" `Quick test_parallel_for_empty_range;
     Alcotest.test_case "bad grain rejected" `Quick test_parallel_for_bad_grain;
     Alcotest.test_case "all_do" `Quick test_all_do_and_call;
-    Alcotest.test_case "spawn_all" `Quick test_spawn_all;
   ]

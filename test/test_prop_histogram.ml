@@ -32,7 +32,7 @@ let prop_ordering =
       let p999 = Serving.Histogram.p999 h in
       Serving.Histogram.count h = List.length samples
       && p50 <= p99 && p99 <= p999
-      && p999 <= Serving.Histogram.quantile h 1.0)
+      && p999 <= Serving.Histogram.max_value h)
 
 (* against clean samples the reported quantile brackets the exact sorted
    quantile within one geometric bucket (relative error <= growth - 1) *)
@@ -45,12 +45,12 @@ let prop_accuracy =
       let sorted = Array.of_list samples in
       Array.sort compare sorted;
       List.for_all
-        (fun q ->
+        (fun (q, quantile) ->
           let exact = exact_quantile sorted q in
-          let reported = Serving.Histogram.quantile h q in
+          let reported = quantile h in
           reported >= exact *. (1.0 -. 1e-9)
           && reported <= exact *. growth *. (1.0 +. 1e-9))
-        [ 0.5; 0.9; 0.99; 0.999 ])
+        Serving.Histogram.[ (0.5, p50); (0.95, p95); (0.99, p99); (0.999, p999) ])
 
 (* the overflow / NaN guard: absurd samples land in the first or top
    bucket instead of corrupting the counts array *)

@@ -153,33 +153,16 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let check_err name result frag =
-  match result with
-  | Ok _ -> Alcotest.failf "%s: accepted a malformed spec" name
-  | Error msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %S mentions %S" name msg frag)
-        true (contains msg frag)
-
+(* a valid spec through the CLIs' parser; the malformed ones (and the
+   last-colon split) are in test_experiment's rejection list *)
 let test_replicate_spec () =
-  (match Experiment.parse_replication "gold:3" with
-  | Ok (name, k) ->
-      Alcotest.(check string) "name" "gold" name;
-      Alcotest.(check int) "degree" 3 k
-  | Error msg -> Alcotest.failf "rejected valid spec: %s" msg);
-  (* the degree is the LAST ':' field, so tenant names may carry colons *)
-  (match Experiment.parse_replication "a:b:2" with
-  | Ok (name, k) ->
-      Alcotest.(check string) "colon-bearing name" "a:b" name;
-      Alcotest.(check int) "degree" 2 k
-  | Error msg -> Alcotest.failf "rejected colon-bearing name: %s" msg);
-  check_err "empty" (Experiment.parse_replication "") "want NAME:DEGREE";
-  check_err "no degree" (Experiment.parse_replication "gold") "want NAME:DEGREE";
-  check_err "dangling colon" (Experiment.parse_replication "gold:") "want NAME:DEGREE";
-  check_err "empty name" (Experiment.parse_replication ":3") "want NAME:DEGREE";
-  check_err "non-integer degree" (Experiment.parse_replication "gold:x")
-    "not an integer";
-  check_err "zero degree" (Experiment.parse_replication "gold:0") ">= 1"
+  match Experiment.of_string "charm_serve --replicate graph:3" with
+  | Ok { workload = Experiment.Serve { tenants; _ }; _ } ->
+      Alcotest.(check (list (pair string int))) "graph at degree 3"
+        [ ("graph", 3); ("olap", 1); ("oltp", 1) ]
+        (List.map (fun te -> (te.Experiment.name, te.Experiment.replicas)) tenants)
+  | Ok _ -> Alcotest.fail "not a serving run"
+  | Error msg -> Alcotest.failf "rejected valid spec: %s" msg
 
 (* -- end to end through the server ------------------------------------- *)
 

@@ -10,12 +10,6 @@ let test_seeds_differ () =
   let a = Rng.create 1 and b = Rng.create 2 in
   Alcotest.(check bool) "different first draw" true (Rng.next a <> Rng.next b)
 
-let test_split_independent () =
-  let a = Rng.create 1 in
-  let c = Rng.split a in
-  let x = Rng.next a and y = Rng.next c in
-  Alcotest.(check bool) "streams diverge" true (x <> y)
-
 let test_shuffle_permutes () =
   let rng = Rng.create 9 in
   let arr = Array.init 50 Fun.id in
@@ -65,7 +59,6 @@ type golden = {
   ints : int list;  (* [int _ 1000] *)
   floats : float list;  (* [float _ 1.0] *)
   bools : bool list;
-  split : int64 * int64;  (* the child's first draw, then the parent's *)
   shuffle : int array;  (* [0 .. 9] shuffled *)
 }
 
@@ -77,7 +70,6 @@ let goldens =
       ints = [ 883; 925; 419 ];
       floats = [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6 ];
       bools = [ true; false; true; false; true; false; true; false ];
-      split = (6235967106033911276L, 7960286522194355700L);
       shuffle = [| 6; 7; 5; 8; 2; 4; 1; 9; 0; 3 |];
     };
     {
@@ -86,7 +78,6 @@ let goldens =
       ints = [ 492; 673; 881 ];
       floats = [ 0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2; 0x1.c0cd7f0f6bcf6p-2 ];
       bools = [ false; true; true; false; true; false; false; false ];
-      split = (-1089616305791727635L, 6869446166584666695L);
       shuffle = [| 8; 6; 7; 4; 5; 9; 3; 1; 0; 2 |];
     };
     {
@@ -95,7 +86,6 @@ let goldens =
       ints = [ 570; 797; 285 ];
       floats = [ 0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3 ];
       bools = [ true; true; true; false; true; true; true; false ];
-      split = (3734525477312840781L, 2958219263312191191L);
       shuffle = [| 4; 1; 8; 6; 7; 3; 2; 5; 9; 0 |];
     };
     {
@@ -104,7 +94,6 @@ let goldens =
       ints = [ 688; 162; 529 ];
       floats = [ 0x1.47372396bd963p-1; 0x1.17e4fe55fbc3cp-3; 0x1.b5856541cb7c9p-1 ];
       bools = [ false; true; true; false; false; true; true; false ];
-      split = (5429898930646714277L, 2521065584565188649L);
       shuffle = [| 6; 0; 3; 9; 4; 5; 7; 1; 2; 8 |];
     };
     {
@@ -113,7 +102,6 @@ let goldens =
       ints = [ 601; 811; 915 ];
       floats = [ 0x1.6f1670196122cp-3; 0x1.5ed32218226f3p-1; 0x1.842985c0c4dfep-1 ];
       bools = [ true; false; true; true; false; true; true; true ];
-      split = (731272001813053759L, -5806950763503052372L);
       shuffle = [| 4; 9; 0; 6; 5; 2; 7; 8; 3; 1 |];
     };
   ]
@@ -137,10 +125,6 @@ let test_golden_streams () =
       let r = Rng.create g.seed in
       Alcotest.(check (list bool)) (name "bool") g.bools (draws 8 (fun () -> Rng.bool r));
       let r = Rng.create g.seed in
-      let child = Rng.split r in
-      let c = Rng.next child in
-      Alcotest.(check (pair int64 int64)) (name "split") g.split (c, Rng.next r);
-      let r = Rng.create g.seed in
       let a = Array.init 10 Fun.id in
       Rng.shuffle r a;
       Alcotest.(check (array int)) (name "shuffle") g.shuffle a)
@@ -151,7 +135,6 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "golden streams" `Quick test_golden_streams;
     Alcotest.test_case "seeds differ" `Quick test_seeds_differ;
-    Alcotest.test_case "split independent" `Quick test_split_independent;
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
     Alcotest.test_case "bad bound" `Quick test_int_bad_bound;
     QCheck_alcotest.to_alcotest prop_int_in_bounds;

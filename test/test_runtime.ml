@@ -54,15 +54,15 @@ let test_parallel_for_covers_range () =
   Alcotest.(check bool) "each index exactly once" true
     (Array.for_all (fun h -> h = 1) hits)
 
-let test_call_sync_runs_on_target () =
+(* [all_do] sends each worker its closure as a paper-style [call] *)
+let test_call_runs_on_target () =
   let inst, _rt = make ~n_workers:4 () in
-  let ran_on = ref (-1) in
+  let ran_on = Array.make 4 (-1) in
   ignore
     (run inst (fun ctx ->
-         Engine.Par.call_sync ctx ~worker:3 (fun ctx' ->
-             ran_on := Sched.Ctx.worker_id ctx'))
+         Engine.Par.all_do ctx (fun ctx' w -> ran_on.(w) <- Sched.Ctx.worker_id ctx'))
       : float);
-  Alcotest.(check int) "on worker 3" 3 !ran_on
+  Alcotest.(check (array int)) "each call on its worker" [| 0; 1; 2; 3 |] ran_on
 
 let test_call_pays_message_latency () =
   let inst, _rt = make ~n_workers:64 () in
@@ -70,8 +70,8 @@ let test_call_pays_message_latency () =
   ignore
     (run inst (fun ctx ->
          (* worker 63 is on another chiplet; message latency > 0 *)
-         Engine.Par.call_sync ctx ~worker:63 (fun ctx' ->
-             start_time := Sched.Ctx.now ctx'))
+         Engine.Par.all_do ctx (fun ctx' w ->
+             if w = 63 then start_time := Sched.Ctx.now ctx'))
       : float);
   Alcotest.(check bool) "message delayed" true (!start_time > 0.0)
 
@@ -133,7 +133,7 @@ let suite =
     Alcotest.test_case "run returns makespan" `Quick test_run_and_makespan;
     Alcotest.test_case "all_do covers workers" `Quick test_all_do_runs_every_worker;
     Alcotest.test_case "parallel_for covers range" `Quick test_parallel_for_covers_range;
-    Alcotest.test_case "call_sync on target worker" `Quick test_call_sync_runs_on_target;
+    Alcotest.test_case "call on target worker" `Quick test_call_runs_on_target;
     Alcotest.test_case "call pays message latency" `Quick test_call_pays_message_latency;
     Alcotest.test_case "barrier API" `Quick test_barrier_api;
     Alcotest.test_case "finalize reports" `Quick test_finalize_reports;

@@ -2,6 +2,9 @@ open Chipsim
 
 let mem () = Simmem.create (Presets.amd_milan ())
 
+(* the simulated page size *)
+let page_bytes = 4096
+
 let test_alloc_disjoint () =
   let m = mem () in
   let a = Simmem.alloc m ~elt_bytes:8 ~count:100 () in
@@ -9,7 +12,7 @@ let test_alloc_disjoint () =
   let a_last = Simmem.addr a 99 and b_first = Simmem.addr b 0 in
   Alcotest.(check bool) "regions ordered" true (a_last < b_first);
   Alcotest.(check bool) "no shared page" true
-    (a_last / Simmem.page_bytes < b_first / Simmem.page_bytes)
+    (a_last / page_bytes < b_first / page_bytes)
 
 let test_first_touch () =
   let m = mem () in
@@ -29,11 +32,11 @@ let test_bind () =
 let test_interleave () =
   let m = mem () in
   let pages = 8 in
-  let count = pages * Simmem.page_bytes / 8 in
+  let count = pages * page_bytes / 8 in
   let r = Simmem.alloc m ~policy:Simmem.Interleave ~elt_bytes:8 ~count () in
   let nodes =
     List.init pages (fun p ->
-        Simmem.node_of_addr m ~toucher_node:0 (Simmem.addr r (p * Simmem.page_bytes / 8)))
+        Simmem.node_of_addr m ~toucher_node:0 (Simmem.addr r (p * page_bytes / 8)))
   in
   Alcotest.(check (list int)) "alternating" [ 0; 1; 0; 1; 0; 1; 0; 1 ] nodes
 

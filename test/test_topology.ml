@@ -20,12 +20,15 @@ let test_mapping () =
     (Topology.cores_of_chiplet t 1);
   Alcotest.(check (list int)) "chiplets of socket 1"
     [ 8; 9; 10; 11; 12; 13; 14; 15 ]
-    (Topology.chiplets_of_socket t 1)
+    (List.filter
+       (fun ch -> Topology.socket_of_chiplet t ch = 1)
+       (List.init (Topology.num_chiplets t) Fun.id))
 
 let test_predicates () =
   let t = amd () in
-  Alcotest.(check bool) "same chiplet" true (Topology.same_chiplet t 0 7);
-  Alcotest.(check bool) "not same chiplet" false (Topology.same_chiplet t 7 8);
+  let same_chiplet a b = Topology.chiplet_of_core t a = Topology.chiplet_of_core t b in
+  Alcotest.(check bool) "same chiplet" true (same_chiplet 0 7);
+  Alcotest.(check bool) "not same chiplet" false (same_chiplet 7 8);
   Alcotest.(check bool) "same socket" true (Topology.same_socket t 0 63);
   Alcotest.(check bool) "not same socket" false (Topology.same_socket t 63 64)
 
@@ -131,7 +134,7 @@ let test_hetero_validation () =
    with Invalid_argument _ -> ());
   (* non-positive speed *)
   (try
-     let specs = Array.copy Topology.default_kind_specs in
+     let specs = Array.copy (amd ()).Topology.kind_specs in
      specs.(1) <- { specs.(1) with Topology.speed = 0.0 };
      ignore
        (Topology.v ~sockets:1 ~chiplets_per_socket:2 ~cores_per_chiplet:2
@@ -193,7 +196,7 @@ let prop_first_core =
     QCheck.(int_range 0 15)
     (fun chiplet ->
       let t = amd () in
-      Topology.chiplet_of_core t (Topology.first_core_of_chiplet t chiplet) = chiplet)
+      Topology.chiplet_of_core t (List.hd (Topology.cores_of_chiplet t chiplet)) = chiplet)
 
 let suite =
   [
