@@ -724,12 +724,14 @@ let exits =
 
 (* cmdliner reads every word that starts with '-' as an option, so a
    negative value written after its flag with a space ([--seed -5],
-   [-n -1]) would fail as an unknown option that names no flag.  Glue each
-   such value to the option word before it, in the forms cmdliner reads as
-   one: [--flag=V] and [-fV]. *)
+   [-n -1], [--faults-shard -1:membw]) would fail as an unknown option
+   that names no flag.  Glue each such value (a number, or any word whose
+   '-' a digit follows) to the option word before it, in the forms
+   cmdliner reads as one: [--flag=V] and [-fV]. *)
 let glue_negative_values argv =
   let negative w =
-    String.length w > 1 && w.[0] = '-' && Option.is_some (float_of_string_opt w)
+    String.length w > 1 && w.[0] = '-'
+    && (('0' <= w.[1] && w.[1] <= '9') || Option.is_some (float_of_string_opt w))
   in
   let long o =
     String.length o > 2 && String.starts_with ~prefix:"--" o && not (String.contains o '=')

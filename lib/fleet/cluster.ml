@@ -247,13 +247,24 @@ let run cfg =
         else None)
   in
   let router = Router.create cfg.policy in
+  let shard_instance s =
+    (* every schedule listed for this shard, replayed by its scheduler *)
+    let faults = List.concat_map (fun (s', sch) -> if s' = s then sch else []) cfg.faults in
+    Systems.make ~cache_scale:cfg.cache_scale ~faults cfg.sys (shard_machine s)
+      ~n_workers:cfg.n_workers ()
+  in
+  (* every shard serves the same datasets: they are generated once, on
+     shard 0, and placed on the others (fresh regions, shared host
+     arrays) *)
+  let inst0 = shard_instance 0 in
+  let data0 = Job.prepare inst0.Systems.env cfg.serve.Server.data in
   let sessions =
     Array.init n (fun s ->
-        (* every schedule listed for this shard, replayed by its scheduler *)
-        let faults = List.concat_map (fun (s', sch) -> if s' = s then sch else []) cfg.faults in
-        let inst =
-          Systems.make ~cache_scale:cfg.cache_scale ~faults cfg.sys (shard_machine s)
-            ~n_workers:cfg.n_workers ()
+        let inst, data =
+          if s = 0 then (inst0, data0)
+          else
+            let inst = shard_instance s in
+            (inst, Job.place inst.Systems.env data0)
         in
         let scfg =
           {
@@ -270,7 +281,7 @@ let run cfg =
                     ~service_ns:(finish_ns -. submit_ns));
           }
         in
-        Session.create inst scfg)
+        Session.create inst scfg data)
   in
 
   let views =

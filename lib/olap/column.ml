@@ -10,6 +10,10 @@ let ints ~alloc data =
 let floats ~alloc data =
   Floats { data; sim = alloc ~elt_bytes:8 ~count:(max 1 (Array.length data)) }
 
+let place ~alloc = function
+  | Ints { data; _ } -> ints ~alloc data
+  | Floats { data; _ } -> floats ~alloc data
+
 let length = function
   | Ints { data; _ } -> Array.length data
   | Floats { data; _ } -> Array.length data

@@ -14,6 +14,9 @@ val ints :
 val floats :
   alloc:(elt_bytes:int -> count:int -> Simmem.region) -> float array -> t
 
+val place : alloc:(elt_bytes:int -> count:int -> Simmem.region) -> t -> t
+(** The same values, shared, with a fresh region from [alloc]. *)
+
 val length : t -> int
 val sim : t -> Simmem.region
 

@@ -10,6 +10,18 @@ let v ~name ~rows cols =
     cols;
   { name; rows; cols }
 
+(* last column first: the order every recorded dataset placed a table's
+   regions in *)
+let place ~alloc t =
+  let cols =
+    List.fold_right
+      (fun (cname, c) acc ->
+        let c = Column.place ~alloc c in
+        (cname, c) :: acc)
+      t.cols []
+  in
+  { t with cols }
+
 let rows t = t.rows
 
 let col t cname =

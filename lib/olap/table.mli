@@ -5,6 +5,10 @@ type t
 val v : name:string -> rows:int -> (string * Column.t) list -> t
 (** @raise Invalid_argument if any column's length differs from [rows]. *)
 
+val place : alloc:(elt_bytes:int -> count:int -> Chipsim.Simmem.region) -> t -> t
+(** The same columns, values shared, each with a fresh region from
+    [alloc]; regions are allocated last column first. *)
+
 val rows : t -> int
 val col : t -> string -> Column.t
 (** @raise Not_found for unknown column names. *)

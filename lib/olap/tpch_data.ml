@@ -23,8 +23,26 @@ let day_of ~year =
   if year < 1992 || year > 1999 then invalid_arg "Tpch_data.day_of: year out of range";
   (year - 1992) * 365  (* leap days ignored; predicates only need ordering *)
 
-let generate ~alloc ?(seed = 1234) ~sf () =
-  if sf <= 0.0 then invalid_arg "Tpch_data.generate: sf must be positive";
+(* Every value is drawn into columns whose regions are left unplaced;
+   [place] then allocates them all.  So building a dataset on one machine
+   and placing a built one on another allocate in one order by
+   construction. *)
+let unplaced ~elt_bytes ~count:_ =
+  { Chipsim.Simmem.base = 0; length_bytes = 0; elt_bytes; region_policy = First_touch }
+
+let place ~alloc t =
+  let region = Table.place ~alloc t.region in
+  let nation = Table.place ~alloc t.nation in
+  let supplier = Table.place ~alloc t.supplier in
+  let customer = Table.place ~alloc t.customer in
+  let part = Table.place ~alloc t.part in
+  let partsupp = Table.place ~alloc t.partsupp in
+  let orders = Table.place ~alloc t.orders in
+  let lineitem = Table.place ~alloc t.lineitem in
+  { sf = t.sf; region; nation; supplier; customer; part; partsupp; orders; lineitem }
+
+let draw ~seed ~sf =
+  let alloc = unplaced in
   let rng = Chipsim.Rng.create seed in
   let scale base = max 1 (int_of_float (float_of_int base *. sf)) in
   let n_supplier = scale 10_000 in
@@ -35,9 +53,9 @@ let generate ~alloc ?(seed = 1234) ~sf () =
   let ri n = Chipsim.Rng.int rng n in
   let rf bound = Chipsim.Rng.float rng bound in
   (* A table's columns are built last first, the order every recorded
-     dataset was generated with: both the draws and the simulated
-     addresses follow it (a list literal's evaluation order is
-     unspecified, so it is spelled out). *)
+     dataset drew its values in ({!Table.place} allocates their regions
+     in it too; a list literal's evaluation order is unspecified, so it
+     is spelled out). *)
   let columns specs =
     List.fold_right
       (fun (name, make) acc ->
@@ -170,6 +188,10 @@ let generate ~alloc ?(seed = 1234) ~sf () =
          ])
   in
   { sf; region; nation; supplier; customer; part; partsupp; orders; lineitem }
+
+let generate ~alloc ?(seed = 1234) ~sf () =
+  if sf <= 0.0 then invalid_arg "Tpch_data.generate: sf must be positive";
+  place ~alloc (draw ~seed ~sf)
 
 let total_rows t =
   Table.rows t.region + Table.rows t.nation + Table.rows t.supplier

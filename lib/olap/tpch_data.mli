@@ -26,6 +26,12 @@ val generate :
   ?seed:int -> sf:float -> unit -> t
 (** @raise Invalid_argument if [sf <= 0]. *)
 
+val place : alloc:(elt_bytes:int -> count:int -> Simmem.region) -> t -> t
+(** The same dataset with fresh regions from [alloc], allocated in the
+    order {!generate} allocates them (table by table in field order, each
+    table last column first); every column's values are shared, not
+    copied. *)
+
 val total_rows : t -> int
 
 (** Dictionary sizes for encoded string columns. *)

@@ -99,30 +99,43 @@ type data = {
   alloc : elt_bytes:int -> count:int -> Simmem.region;
 }
 
-let prepare env cfg =
+(* Every region one machine needs, allocated in the order every recorded
+   run used (simulated addresses, and so every simulated value, follow
+   it): the graph's, then GUPS, the transaction log, YCSB, TPC-H and the
+   per-vertex arrays last to first.  [graph] and [tpch] build or place
+   those datasets; the OLTP table and log are mutable, so each machine
+   gets its own. *)
+let assemble env cfg ~graph ~tpch =
   let alloc ~elt_bytes ~count =
     env.Workloads.Exec_env.alloc_shared ~elt_bytes ~count
   in
-  let graph =
-    Workloads.Csr.of_kronecker ~weighted:false ~alloc
-      (Workloads.Kronecker.generate ~seed:cfg.seed ~scale:cfg.graph_scale
-         ~edge_factor ())
-  in
+  let graph = graph alloc in
   let n = graph.Workloads.Csr.n in
-  {
-    cfg;
-    graph;
-    bfs_levels = alloc ~elt_bytes:8 ~count:n;
-    pr_ranks = alloc ~elt_bytes:8 ~count:n;
-    pr_next = alloc ~elt_bytes:8 ~count:n;
-    tpch = Olap.Tpch_data.generate ~alloc ~seed:(cfg.seed + 1) ~sf:tpch_sf ();
-    ycsb_table =
-      Oltp.Storage.create_table ~alloc ~name:"serve-usertable"
-        ~rows:ycsb_records ~payload_words:13;
-    txn = Oltp.Txn.create ~alloc ();
-    gups_table = alloc ~elt_bytes:8 ~count:gups_table_words;
-    alloc;
-  }
+  let gups_table = alloc ~elt_bytes:8 ~count:gups_table_words in
+  let txn = Oltp.Txn.create ~alloc () in
+  let ycsb_table =
+    Oltp.Storage.create_table ~alloc ~name:"serve-usertable" ~rows:ycsb_records
+      ~payload_words:13
+  in
+  let tpch = tpch alloc in
+  let pr_next = alloc ~elt_bytes:8 ~count:n in
+  let pr_ranks = alloc ~elt_bytes:8 ~count:n in
+  let bfs_levels = alloc ~elt_bytes:8 ~count:n in
+  { cfg; graph; bfs_levels; pr_ranks; pr_next; tpch; ycsb_table; txn; gups_table; alloc }
+
+let prepare env cfg =
+  assemble env cfg
+    ~graph:(fun alloc ->
+      Workloads.Csr.of_kronecker ~weighted:false ~alloc
+        (Workloads.Kronecker.generate ~seed:cfg.seed ~scale:cfg.graph_scale
+           ~edge_factor ()))
+    ~tpch:(fun alloc ->
+      Olap.Tpch_data.generate ~alloc ~seed:(cfg.seed + 1) ~sf:tpch_sf ())
+
+let place env d =
+  assemble env d.cfg
+    ~graph:(fun alloc -> Workloads.Csr.place ~alloc d.graph)
+    ~tpch:(fun alloc -> Olap.Tpch_data.place ~alloc d.tpch)
 
 (* per-item factors calibrated against measured virtual service times on
    the default datasets (charm, 32 workers, cache_scale 16): BFS ~4.6 ns

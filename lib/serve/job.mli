@@ -46,6 +46,14 @@ val prepare : Workloads.Exec_env.t -> data_config -> data
 (** Allocate and populate every shared dataset through the environment's
     shared allocator (so placement policy applies to serving data too). *)
 
+val place : Workloads.Exec_env.t -> data -> data
+(** The same datasets on another machine, without generating them again:
+    every region is allocated afresh through that environment's shared
+    allocator, in {!prepare}'s order, over the read-only host arrays of
+    the graph and the TPC-H columns, which are shared.  The YCSB table
+    and transaction log are mutable, so they are new.  A fleet prepares
+    its datasets on one shard and places them on the others. *)
+
 val cost_estimate : data -> kind -> float
 (** Rough service demand (arbitrary units, consistent across kinds) used
     as the weighted-fair-queue cost and for SLO scaling; a pure function

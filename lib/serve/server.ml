@@ -264,7 +264,7 @@ module Session = struct
             construction *)
   }
 
-  let create inst cfg =
+  let create inst cfg data =
     validate cfg;
     let env = inst.Systems.env in
     let sched = env.Workloads.Exec_env.sched in
@@ -273,7 +273,6 @@ module Session = struct
     let capacity =
       Chipsim.Modifiers.online_capacity (Machine.modifiers inst.Systems.machine)
     in
-    let data = Job.prepare env cfg.data in
     let kinds =
       List.concat_map (fun t -> t.mix) cfg.tenants
       |> List.map (fun (k, _) ->
@@ -708,7 +707,7 @@ module Session = struct
 end
 
 let run inst cfg =
-  let sess = Session.create inst cfg in
+  let sess = Session.create inst cfg (Job.prepare inst.Systems.env cfg.data) in
   (* drive: one source per tenant, spawned from the main task *)
   let makespan =
     Workloads.Exec_env.run sess.Session.env (fun ctx ->

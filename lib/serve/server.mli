@@ -163,10 +163,11 @@ val run : Harness.Systems.instance -> config -> report
 module Session : sig
   type t
 
-  val create : Harness.Systems.instance -> config -> t
-  (** Prepare datasets, tenant ledgers and observability hooks; arrival
-      processes in the config are ignored ([submit] drives arrivals).
-      @raise Invalid_argument as {!run}. *)
+  val create : Harness.Systems.instance -> config -> Job.data -> t
+  (** Set up tenant ledgers and observability hooks over datasets already
+      prepared ({!Job.prepare}) or placed ({!Job.place}) on this
+      instance; arrival processes in the config are ignored ([submit]
+      drives arrivals).  @raise Invalid_argument as {!run}. *)
 
   val submit : t -> request -> Admission.decision
   (** Offer one job to the shard's admission controller at virtual time

@@ -11,6 +11,14 @@ type t = {
   sim_weight : Simmem.region;
 }
 
+(* Regions are allocated weight, column, row: the order every recorded
+   run placed them in, which simulated addresses follow. *)
+let with_regions ~alloc ~n ~m ~row_ptr ~col ~weight =
+  let sim_weight = alloc ~elt_bytes:8 ~count:(max m 1) in
+  let sim_col = alloc ~elt_bytes:8 ~count:(max m 1) in
+  let sim_row = alloc ~elt_bytes:8 ~count:(n + 1) in
+  { n; m; row_ptr; col; weight; sim_row; sim_col; sim_weight }
+
 let of_kronecker ~alloc ?(weighted = false) ?(seed = 7) kron =
   let src = kron.Kronecker.src and dst = kron.Kronecker.dst in
   let half = Array.length src in
@@ -43,16 +51,10 @@ let of_kronecker ~alloc ?(weighted = false) ?(seed = 7) kron =
   in
   scatter src dst;
   scatter dst src;
-  {
-    n;
-    m;
-    row_ptr;
-    col;
-    weight;
-    sim_row = alloc ~elt_bytes:8 ~count:(n + 1);
-    sim_col = alloc ~elt_bytes:8 ~count:(max m 1);
-    sim_weight = alloc ~elt_bytes:8 ~count:(max m 1);
-  }
+  with_regions ~alloc ~n ~m ~row_ptr ~col ~weight
+
+let place ~alloc t =
+  with_regions ~alloc ~n:t.n ~m:t.m ~row_ptr:t.row_ptr ~col:t.col ~weight:t.weight
 
 let degree t u = t.row_ptr.(u + 1) - t.row_ptr.(u)
 

@@ -26,6 +26,12 @@ val of_kronecker :
     order, then its reverse ones.
     @raise Invalid_argument if an edge names a vertex outside the graph. *)
 
+val place : alloc:(elt_bytes:int -> count:int -> Simmem.region) -> t -> t
+(** The same graph with fresh simulated regions from [alloc], allocated
+    in the order {!of_kronecker} allocates them; the host arrays are
+    shared, not copied.  One graph built once serves many machines this
+    way. *)
+
 val degree : t -> int -> int
 
 val default_source : t -> int

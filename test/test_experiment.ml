@@ -257,6 +257,7 @@ let test_malformed_values_rejected () =
       ("--fleet 2 --faults-shard :membw", "want SHARD:SPEC");
       ("--fleet 2 --faults-shard x:membw", "integer");
       ("--fleet 2 --faults-shard=-1:membw", ">= 0");
+      ("--fleet 2 --faults-shard -1:membw", "shard -1 must be >= 0");
     ];
   (* the bounds themselves are accepted *)
   List.iter
@@ -292,6 +293,7 @@ let test_negative_values () =
       ("--power-cap -1", "--power-cap"); ("--think-us -1", "--think-us");
       ("--closed-loop 2 --think-us -1", "--think-us"); ("--slo-factor -1", "--slo-factor");
       ("--queue-bound -1", "--queue-bound"); ("-n -1", "-n"); ("-s -1", "-s");
+      ("--fleet 2 --faults-shard -1:membw", "--faults-shard");
     ]
 
 (* two tenants under one name would share one set of metrics; the

@@ -288,6 +288,121 @@ let test_merged_trace_tracks () =
   in
   Alcotest.(check (list int)) "router and shard tracks" [ 0; 1; 2; 3 ] pids
 
+(* -- datasets shared across shards -------------------------------------- *)
+
+(* A fresh machine of [kind] whose shared allocator also records every
+   region it hands out, in order. *)
+let logged_env kind =
+  let env = (Sys_.make Sys_.Charm kind ~n_workers:4 ()).Sys_.env in
+  let log = ref [] in
+  let alloc_shared ~elt_bytes ~count =
+    let r = env.Workloads.Exec_env.alloc_shared ~elt_bytes ~count in
+    log := r :: !log;
+    r
+  in
+  ({ env with Workloads.Exec_env.alloc_shared }, fun () -> List.rev !log)
+
+let topology_file name =
+  match Sys_.custom_machine_of_spec ("../examples/topologies/" ^ name ^ ".topo") with
+  | Ok m -> m
+  | Error msg -> Alcotest.fail msg
+
+(* Placing a built dataset on a fresh machine gives the regions building
+   it there gives (base, length, element size and policy, in allocation
+   order) and shares the host arrays instead of copying them. *)
+let test_placed_datasets_match_built () =
+  let same_regions what built placed =
+    if built <> placed then Alcotest.failf "%s: placed regions differ from built ones" what
+  in
+  List.iter
+    (fun (name, kind) ->
+      let what s = name ^ ": " ^ s in
+      let env_a, log_a = logged_env kind and env_b, log_b = logged_env kind in
+      let g =
+        Workloads.Csr.of_kronecker ~alloc:env_a.Workloads.Exec_env.alloc_shared
+          (Workloads.Kronecker.generate ~seed:3 ~scale:8 ~edge_factor:8 ())
+      in
+      let d = Olap.Tpch_data.generate ~alloc:env_a.Workloads.Exec_env.alloc_shared ~sf:0.002 () in
+      let g' = Workloads.Csr.place ~alloc:env_b.Workloads.Exec_env.alloc_shared g in
+      let d' = Olap.Tpch_data.place ~alloc:env_b.Workloads.Exec_env.alloc_shared d in
+      same_regions (what "CSR and TPC-H") (log_a ()) (log_b ());
+      Alcotest.(check bool) (what "CSR regions") true
+        Workloads.Csr.(g.sim_row = g'.sim_row && g.sim_col = g'.sim_col && g.sim_weight = g'.sim_weight);
+      Alcotest.(check bool) (what "CSR arrays shared") true
+        Workloads.Csr.(g.row_ptr == g'.row_ptr && g.col == g'.col && g.weight == g'.weight);
+      List.iter
+        (fun (table, col) ->
+          let c = Olap.Table.col (table d) col and c' = Olap.Table.col (table d') col in
+          Alcotest.(check bool) (what (col ^ " region")) true (Olap.Column.sim c = Olap.Column.sim c');
+          Alcotest.(check bool) (what (col ^ " values shared")) true
+            (match (c, c') with
+            | Olap.Column.Ints { data; _ }, Olap.Column.Ints { data = data'; _ } -> data == data'
+            | Olap.Column.Floats { data; _ }, Olap.Column.Floats { data = data'; _ } -> data == data'
+            | _ -> false))
+        Olap.Tpch_data.
+          [
+            ((fun t -> t.region), "r_regionkey"); ((fun t -> t.nation), "n_name");
+            ((fun t -> t.supplier), "s_acctbal"); ((fun t -> t.customer), "c_custkey");
+            ((fun t -> t.part), "p_retailprice"); ((fun t -> t.partsupp), "ps_partkey");
+            ((fun t -> t.orders), "o_orderstatus"); ((fun t -> t.lineitem), "l_orderkey");
+            ((fun t -> t.lineitem), "l_shipinstruct");
+          ];
+      (* a shard's whole data set: prepared on one machine, placed on
+         another *)
+      let env_a, log_a = logged_env kind and env_b, log_b = logged_env kind in
+      let data = Serving.Job.prepare env_a Serving.Job.default_data_config in
+      ignore (Serving.Job.place env_b data : Serving.Job.data);
+      same_regions (what "Job data") (log_a ()) (log_b ()))
+    [
+      ("amd", Sys_.Amd_milan);
+      ("tiny-hetero", topology_file "tiny-hetero");
+      ("biglittle", topology_file "biglittle");
+    ]
+
+(* A four-shard fleet over both hand-written heterogeneous machines, with
+   the three tenant shapes that touch every shared dataset: DAG jobs, OLAP
+   queries over the TPC-H columns and a 3-way replicated graph tenant over
+   the CSR.  The digest was recorded when every shard still generated its
+   own datasets; placing shard 0's on the others must not move it. *)
+let hetero_fleet_config () =
+  let base = Cluster.default_config ~seed:11 in
+  let tenant name mix replicas =
+    {
+      Server.name;
+      weight = 1.0;
+      slo_factor = 3.0;
+      process = Serving.Arrivals.Open_loop { rate_per_s = 4000.0 };
+      jobs = 6;
+      mix = List.map (fun kind -> (kind, 1)) mix;
+      replicas;
+    }
+  in
+  {
+    base with
+    Cluster.n_shards = 4;
+    machines = [ topology_file "tiny-hetero"; topology_file "biglittle" ];
+    n_workers = 6;
+    serve =
+      {
+        base.Cluster.serve with
+        Server.tenants =
+          [
+            tenant "infer" [ Serving.Job.Dag (Taskgraph.Graph.Inception, 4) ] 1;
+            tenant "olap" [ Serving.Job.Tpch 1; Serving.Job.Tpch 6 ] 1;
+            tenant "graph" [ Serving.Job.Bfs; Serving.Job.Pagerank ] 3;
+          ];
+        data = { Serving.Job.default_data_config with Serving.Job.graph_scale = 8; seed = 5 };
+        check = true;
+      };
+  }
+
+let test_hetero_fleet_digest () =
+  let res = Cluster.run (hetero_fleet_config ()) in
+  Alcotest.(check string) "4-shard hetero fleet digest"
+    "8ef8c8bc3bb3f23c99ae6b7c94569001"
+    (Digest.to_hex
+       (Digest.string (Cluster.result_to_json res ^ res.Cluster.placement_log)))
+
 let () =
   Alcotest.run "fleet"
     [
@@ -314,5 +429,8 @@ let () =
           Alcotest.test_case "merged registry counters" `Quick
             test_merged_registry_counters;
           Alcotest.test_case "merged trace tracks" `Quick test_merged_trace_tracks;
+          Alcotest.test_case "placed datasets match built ones" `Quick
+            test_placed_datasets_match_built;
+          Alcotest.test_case "hetero fleet digest" `Quick test_hetero_fleet_digest;
         ] );
     ]
