@@ -23,45 +23,17 @@ let observe sys =
     ignore (Sgd.gradient_epoch env model data : Workload_result.t)
   done;
   let sched = env.Exec_env.sched in
-  let samples = Engine.Sched.concurrency_samples sched in
-  (* time-weighted statistics: each sample's concurrency holds until the
-     next event; at most one thread runs per core at a time *)
-  let n = Array.length samples in
-  let mean, var =
-    if n < 2 then (0.0, 0.0)
-    else begin
-      let total_time = ref 0.0 and acc = ref 0.0 and acc2 = ref 0.0 in
-      for i = 0 to n - 2 do
-        let t0, live = samples.(i) in
-        let t1, _ = samples.(i + 1) in
-        let dt = Float.max 0.0 (t1 -. t0) in
-        (* native: threads come and go with tasks (clamped to cores, i.e.
-           schedulable concurrency); CHARM: the worker pool is fixed, so
-           thread concurrency is the pool size for the whole run *)
-        let v =
-          match sys with
-          | Sys_.Dw_native | Sys_.Charm_os_threads ->
-              float_of_int (min live workers)
-          | _ -> float_of_int (workers + 1)
-        in
-        total_time := !total_time +. dt;
-        acc := !acc +. (v *. dt);
-        acc2 := !acc2 +. (v *. v *. dt)
-      done;
-      if !total_time <= 0.0 then (0.0, 0.0)
-      else begin
-        let mean = !acc /. !total_time in
-        (mean, (!acc2 /. !total_time) -. (mean *. mean))
-      end
-    end
-  in
-  let threads_made =
-    match sys with
-    | Sys_.Dw_native | Sys_.Charm_os_threads ->
-        Engine.Sched.total_spawned sched  (* one kernel thread per task *)
-    | _ -> workers + 1  (* pinned workers + the main thread *)
-  in
-  (mean, sqrt var, threads_made)
+  match sys with
+  | Sys_.Dw_native | Sys_.Charm_os_threads ->
+      (* time-weighted over task finishes: threads come and go with tasks
+         (clamped to cores, i.e. schedulable concurrency), one kernel
+         thread made per task *)
+      let mean, var = Engine.Sched.concurrency sched in
+      (mean, sqrt var, Engine.Sched.total_spawned sched)
+  | _ ->
+      (* CHARM: the worker pool is fixed, so thread concurrency is the
+         pinned workers plus the main thread for the whole run *)
+      (float_of_int (workers + 1), 0.0, workers + 1)
 
 let run () =
   Util.section "Fig. 12 - thread concurrency during SGD (32 cores)";

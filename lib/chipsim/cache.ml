@@ -142,10 +142,6 @@ let invalidate t line =
   end;
   p >= 0
 
-let clear t =
-  Array.fill t.slots 0 (Array.length t.slots) (-1);
-  Array.fill t.free 0 t.sets (ways_mask t.effective_ways)
-
 let size_bytes t = t.size_bytes
 let ways t = t.ways
 let sets t = t.sets

@@ -33,7 +33,6 @@ val probe : t -> int -> bool
 val invalidate : t -> int -> bool
 (** Remove a line if present; returns whether it was present. *)
 
-val clear : t -> unit
 val size_bytes : t -> int
 val ways : t -> int
 val sets : t -> int

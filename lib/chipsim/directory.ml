@@ -221,7 +221,3 @@ let iter t f =
       done)
     t.pages;
   Intmap.iter t.sparse f
-
-let clear t =
-  Array.iter (fun page -> Array.fill page 0 (Array.length page) 0) t.pages;
-  Intmap.clear t.sparse

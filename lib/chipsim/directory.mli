@@ -52,5 +52,3 @@ val claim : t -> line:int -> chiplet:int -> int
 val iter : t -> (int -> int -> unit) -> unit
 (** [iter t f] calls [f line mask] for every line with a non-empty holder
     mask (O(tracked lines); for invariant checks). *)
-
-val clear : t -> unit

@@ -122,8 +122,3 @@ let iter t f =
     let k = t.data.(2 * s) in
     if k >= 0 then f k t.data.((2 * s) + 1)
   done
-
-let clear t =
-  Array.fill t.data 0 (Array.length t.data) empty_slot;
-  t.size <- 0;
-  t.used <- 0

@@ -23,6 +23,3 @@ val remove : t -> int -> unit
 
 val iter : t -> (int -> int -> unit) -> unit
 (** Apply to every binding, in unspecified order. *)
-
-val clear : t -> unit
-(** Drop all bindings, keeping the current capacity. *)

@@ -564,17 +564,3 @@ let check_invariants_full t =
              but its L3 does not hold it"
             chiplet line
       done)
-
-let reset t =
-  Array.iter Cache.clear t.l3;
-  Array.iter Cache.clear t.l2;
-  Directory.clear t.dir;
-  Memchan.reset t.chan;
-  Memchan.reset t.links;
-  Simmem.reset t.mem;
-  Pmu.reset t.pmu;
-  Array.fill t.mem_ns 0 (Array.length t.mem_ns) 0.0;
-  Array.fill t.energy_pj 0 (Array.length t.energy_pj) 0.0;
-  Array.fill t.compute_pj 0 (Array.length t.compute_pj) 0.0;
-  t.accesses <- 0;
-  t.xfer_bytes <- 0

@@ -76,7 +76,7 @@ val transfer :
 
 val transferred_bytes : t -> int
 (** Total payload bytes ever moved cross-chiplet by {!transfer}
-    (line-rounded) since creation or {!reset} — the
+    (line-rounded) since creation — the
     ledger the edge-byte conservation invariant checks against the link
     channels' byte totals. *)
 
@@ -97,7 +97,7 @@ val mem_ns_cells : t -> float array
 val energy_pj : t -> core:int -> float
 (** Accumulated access energy charged to this core, in picojoules: each
     simulated access costs its core kind's [energy_pj] (see
-    {!Topology.kind_spec}).  Zeroed by {!reset}. *)
+    {!Topology.kind_spec}). *)
 
 val total_energy_pj : t -> float
 (** Sum of {!energy_pj} over all cores — {e memory-access energy only}.
@@ -116,7 +116,7 @@ val charge_quantum : t -> core:int -> dt_ns:float -> dvfs:float -> unit
 
 val total_compute_energy_pj : t -> float
 (** Accumulated per-quantum compute energy charged to all cores, in
-    picojoules.  Zeroed by {!reset}. *)
+    picojoules. *)
 
 val combined_energy_pj : t -> float
 (** {!total_energy_pj} + {!total_compute_energy_pj}: the machine's whole
@@ -129,8 +129,8 @@ val chiplet_energies : t -> float array -> pos:int -> unit
     estimate. *)
 
 val accesses : t -> int
-(** Total simulated accesses ({!access_clk} calls) since creation or
-    {!reset}.  Every one is classified into exactly one PMU fill-source
+(** Total simulated accesses ({!access_clk} calls) since creation.
+    Every one is classified into exactly one PMU fill-source
     counter — the conservation law {!check_invariants} verifies. *)
 
 val check_invariants : t -> unit
@@ -147,6 +147,3 @@ val check_invariants_full : t -> unit
     check that the {!Directory} holder bits name exactly the lines each
     chiplet's L3 holds — end-of-run and fuzzer verification.
     @raise Invariant.Violation describing the first broken invariant. *)
-
-val reset : t -> unit
-(** Full reset: caches, directory, channels, page placements, PMU. *)

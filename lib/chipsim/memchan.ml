@@ -153,12 +153,6 @@ let bytes_served t ~node =
 
 let stale_accesses t = t.stale_accesses
 
-let reset t =
-  Array.fill t.bin_ids 0 (Array.length t.bin_ids) (-1);
-  Array.fill t.bin_bytes 0 (Array.length t.bin_bytes) 0;
-  Array.fill t.total_bytes 0 (Array.length t.total_bytes) 0;
-  t.stale_accesses <- 0
-
 (* Full O(nodes * slots) scan — for tests, end-of-run verification and the
    scenario fuzzer, not the per-access hot path. *)
 let check_invariants t =

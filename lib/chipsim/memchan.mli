@@ -61,10 +61,6 @@ val stale_accesses : t -> int
     a newer bin (only possible once virtual time spans more than the
     ring's 8,192 bins). *)
 
-val reset : t -> unit
-(** Clears demand history and byte totals; capacity throttling persists
-    (a cache flush does not heal a hardware fault). *)
-
 val check_invariants : t -> unit
 (** Verify the channel's structural invariants: ring byte conservation
     (live bin demand never exceeds the bytes ever served, slots are

@@ -56,8 +56,6 @@ let total t ev =
   done;
   !acc
 
-let reset t = Array.fill t.counters 0 (Array.length t.counters) 0
-
 type snapshot = { snap_cores : int; values : int array }
 
 let snapshot t = { snap_cores = t.cores; values = Array.copy t.counters }

@@ -34,7 +34,6 @@ val incr : t -> core:int -> event -> unit
 val add : t -> core:int -> event -> int -> unit
 val read : t -> core:int -> event -> int
 val total : t -> event -> int
-val reset : t -> unit
 
 type snapshot
 

@@ -112,9 +112,3 @@ let node_of_addr t ~toucher_node a =
     set_page_node t page node;
     node
   end
-
-let reset t =
-  t.next_base <- page_bytes;
-  t.nregions <- 0;
-  Array.fill t.pagemap_dense 0 (Array.length t.pagemap_dense) 0;
-  Intmap.clear t.pagemap_sparse

@@ -35,5 +35,3 @@ val addr : region -> int -> int
 val node_of_addr : t -> toucher_node:int -> int -> int
 (** NUMA node holding the page of a simulated address, placing the page
     per the owning region's policy if this is the first touch. *)
-
-val reset : t -> unit

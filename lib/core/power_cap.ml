@@ -146,7 +146,9 @@ let sample t =
 
 type action = Idle | Shed of int | Release of int
 
-let tick t ~now_ns =
+(* the one body behind both entry points, inlined into each, so the cell
+   reader takes the clock without boxing it *)
+let[@inline] tick_at t now_ns =
   let c = t.clock in
   if now_ns > c.now_ns then c.now_ns <- now_ns;
   if c.now_ns -. c.last_sample_ns < t.sample_ns then Idle
@@ -185,6 +187,9 @@ let tick t ~now_ns =
           t.overcap_unshed <- t.overcap_unshed + 1);
     action
   end
+
+let tick t ~now_ns = tick_at t now_ns
+let tick_cell t cell = tick_at t cell.(0)
 
 let verify t =
   if t.overcap_unshed > 0 then

@@ -40,6 +40,11 @@ val tick : t -> now_ns:float -> action
     max-clock timeline).  At most one sample and one actuation per
     cadence period; between samples this is one float compare. *)
 
+val tick_cell : t -> float array -> action
+(** {!tick} at the clock in [cell.(0)], such as
+    {!Engine.Sched.worker_clock_cell}: the reading crosses no call boxed,
+    so a tick that takes no sample allocates nothing. *)
+
 val power_mw : t -> float
 (** Current machine-wide windowed power estimate (sum over chiplets). *)
 

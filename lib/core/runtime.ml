@@ -50,7 +50,7 @@ let init ?(config = Config.default) ?task_model ?faults machine ~n_workers =
           (match power_cap with
           | Some pc ->
               let action =
-                Power_cap.tick pc ~now_ns:(Sched.worker_clock sched worker)
+                Power_cap.tick_cell pc (Sched.worker_clock_cell sched worker)
               in
               (match (action, Sched.trace sched) with
               | Power_cap.Idle, _ | _, None -> ()

@@ -61,12 +61,15 @@ type t = {
   mutable runnable : int;
   mutable rr : int;  (* round-robin spawn cursor *)
   mutable next_tid : int;  (* per-instance so trace task ids are reproducible *)
-  (* concurrency samples in two parallel arrays: an unboxed float array
-     for the stamps and an int array for the counts, so sampling never
-     allocates a tuple on the task-finish path *)
-  mutable sample_ts : float array;
-  mutable sample_live : int array;
-  mutable nsamples : int;
+  conc : float array;
+      (* running sums over task finishes, in finish order: the last
+         finish's time, then sum dt, sum v*dt and sum v*v*dt, where dt is
+         the gap since the previous finish and v the live-task count
+         (clamped to the worker count) that held over it *)
+  mutable conc_v : int;  (* v since the last finish; -1 before the first *)
+  nil : task;
+      (* this scheduler's sentinel: it fills empty queue slots and stands
+         for "no task", compared with == only; it never runs *)
 }
 
 and worker = {
@@ -102,9 +105,12 @@ and worker = {
   mutable accesses : int;  (* this quantum *)
 }
 
+(* A task is also the [ctx] its body receives: it carries its
+   scheduler, so a spawn allocates no separate context record *)
 and task = {
   tid : int;
-  mutable coro : Coroutine.t option;
+  csched : t;
+  mutable coro : Coroutine.t;  (* set once, right after the record is built *)
   ready_at : float array;
       (* 1-element cell: a mutable float field of this mixed record would
          hold a box, and every requeue would allocate a new one *)
@@ -113,15 +119,15 @@ and task = {
   mutable waiters : task list;
 }
 
-and ctx = { csched : t; ctask : task }
+and ctx = task
 
 and hooks = {
   on_quantum_end : t -> int -> unit;
   steal_order : t -> thief:int -> int array;
 }
 
-(* specialised task ring deque: empty slots hold a dummy task, so pushes
-   and pops move bare pointers with no option boxing *)
+(* specialised task ring deque: empty slots hold the scheduler's [nil]
+   task, so pushes and pops move bare pointers with no option boxing *)
 and dq = {
   mutable dbuf : task array;
   mutable dtop : int;  (* index of oldest element *)
@@ -199,50 +205,48 @@ let heap_pop h =
 
 (* -- task deque and pending heap ----------------------------------------- *)
 
-(* the sentinel filling empty queue slots; compared with == only *)
-let dummy_task =
-  { tid = -1; coro = None; ready_at = [| 0.0 |]; last_worker = -1; finished = true; waiters = [] }
-
-let dq_create () = { dbuf = Array.make 16 dummy_task; dtop = 0; dbot = 0 }
+(* A deque starts with no buffer, since [nil] does not exist yet when
+   the workers are built; its first push allocates one.  The operations
+   that empty a slot take the scheduler's [nil] to fill it with. *)
+let dq_create () = { dbuf = [||]; dtop = 0; dbot = 0 }
 let dq_length q = q.dbot - q.dtop
 let dq_is_empty q = q.dbot = q.dtop
 let dq_slot q i = i land (Array.length q.dbuf - 1)
 
-let dq_grow q =
+let dq_grow q nil =
   let old = q.dbuf in
   let cap = Array.length old in
-  let buf = Array.make (cap * 2) dummy_task in
+  let cap' = max 16 (cap * 2) in
+  let buf = Array.make cap' nil in
   for i = q.dtop to q.dbot - 1 do
-    buf.(i land ((cap * 2) - 1)) <- old.(i land (cap - 1))
+    buf.(i land (cap' - 1)) <- old.(i land (cap - 1))
   done;
   q.dbuf <- buf
 
-let dq_push q x =
-  if dq_length q = Array.length q.dbuf then dq_grow q;
+let dq_push q nil x =
+  if dq_length q = Array.length q.dbuf then dq_grow q nil;
   q.dbuf.(dq_slot q q.dbot) <- x;
   q.dbot <- q.dbot + 1
 
-let dq_pop_front q =
-  if dq_is_empty q then dummy_task
-  else begin
-    let i = dq_slot q q.dtop in
-    let x = q.dbuf.(i) in
-    q.dbuf.(i) <- dummy_task;
-    q.dtop <- q.dtop + 1;
-    x
-  end
+(* the caller makes sure [q] is not empty *)
+let dq_pop_front q nil =
+  let i = dq_slot q q.dtop in
+  let x = q.dbuf.(i) in
+  q.dbuf.(i) <- nil;
+  q.dtop <- q.dtop + 1;
+  x
 
 let dq_get q i = q.dbuf.(dq_slot q (q.dtop + i))
 
 (* remove the [i]-th element from the front, preserving the relative order
    of everything else: the [i] elements ahead of it shift back one slot *)
-let dq_remove q i =
+let dq_remove q nil i =
   let j = ref i in
   while !j > 0 do
     q.dbuf.(dq_slot q (q.dtop + !j)) <- q.dbuf.(dq_slot q (q.dtop + !j - 1));
     decr j
   done;
-  q.dbuf.(dq_slot q q.dtop) <- dummy_task;
+  q.dbuf.(dq_slot q q.dtop) <- nil;
   q.dtop <- q.dtop + 1
 
 (* the pending heap holds bare ready_at keys, nothing else: values are
@@ -372,6 +376,8 @@ let create ?(task_model = Coroutines { switch_ns = 30.0 }) ?(hooks = no_hooks) ?
   in
   let heap = heap_create n_workers in
   Array.iter (fun w -> heap_push heap w) workers;
+  let nil_ready_at = [| 0.0 |] in
+  let rec t =
   {
     machine;
     task_model;
@@ -400,10 +406,15 @@ let create ?(task_model = Coroutines { switch_ns = 30.0 }) ?(hooks = no_hooks) ?
     runnable = 0;
     rr = 0;
     next_tid = 0;
-    sample_ts = Array.make 256 0.0;
-    sample_live = Array.make 256 0;
-    nsamples = 0;
+    conc = Array.make 4 0.0;
+    conc_v = -1;
+    nil;
   }
+  and nil =
+    { tid = -1; csched = t; coro = Coroutine.finished; ready_at = nil_ready_at;
+      last_worker = -1; finished = true; waiters = [] }
+  in
+  t
 
 let machine t = t.machine
 let n_workers t = Array.length t.workers
@@ -438,21 +449,36 @@ let max_clock t = Array.fold_left (fun acc w -> Float.max acc w.clock.(0)) 0.0 t
 let makespan t =
   Array.fold_left (fun acc w -> if w.did_work then Float.max acc w.busy_clock.(0) else acc) 0.0 t.workers
 
-let[@inline] sample t now =
-  let n = t.nsamples in
-  if n = Array.length t.sample_ts then begin
-    let ts = Array.make (2 * n) 0.0 and live = Array.make (2 * n) 0 in
-    Array.blit t.sample_ts 0 ts 0 n;
-    Array.blit t.sample_live 0 live 0 n;
-    t.sample_ts <- ts;
-    t.sample_live <- live
-  end;
-  t.sample_ts.(n) <- now;
-  t.sample_live.(n) <- t.live;
-  t.nsamples <- n + 1
+(* [Float.max], same nan and signed-zero rules, inlined here so neither
+   argument nor result is boxed *)
+let[@inline] fmax (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if Float.is_nan x then x else y
+  else if Float.is_nan y then y
+  else x
 
-let concurrency_samples t =
-  Array.init t.nsamples (fun i -> (t.sample_ts.(i), t.sample_live.(i)))
+(* A task finished at [now]: the count that held since the previous
+   finish is weighted by the gap, and the count after this finish holds
+   from here.  The sums add in finish order, as a fold over every
+   (time, count) sample would. *)
+let[@inline] sample_concurrency t now =
+  let c = t.conc in
+  if t.conc_v >= 0 then begin
+    let dt = fmax 0.0 (now -. c.(0)) and v = float_of_int t.conc_v in
+    c.(1) <- c.(1) +. dt;
+    c.(2) <- c.(2) +. (v *. dt);
+    c.(3) <- c.(3) +. (v *. v *. dt)
+  end;
+  c.(0) <- now;
+  t.conc_v <- min t.live (Array.length t.workers)
+
+let concurrency t =
+  let c = t.conc in
+  if c.(1) <= 0.0 then (0.0, 0.0)
+  else begin
+    let mean = c.(2) /. c.(1) in
+    (mean, (c.(3) /. c.(1)) -. (mean *. mean))
+  end
 
 let migrate t ~worker ~core =
   let w = t.workers.(worker) in
@@ -482,14 +508,6 @@ let migrate t ~worker ~core =
   end
 
 let task_id task = task.tid
-
-(* [Float.max], same nan and signed-zero rules, inlined here so neither
-   argument nor result is boxed *)
-let[@inline] fmax (x : float) y =
-  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
-    if Float.is_nan x then x else y
-  else if Float.is_nan y then y
-  else x
 
 (* The float-taking helpers below are [@inline]: a float passed to a call
    that is not inlined is boxed, and these run per quantum or per task. *)
@@ -539,21 +557,22 @@ let enqueue t task =
   let target = live_target t task.last_worker in
   task.last_worker <- target;
   let w = t.workers.(target) in
-  dq_push w.ready task;
+  dq_push w.ready t.nil task;
   if task.ready_at.(0) > w.clock.(0) then pend_push w task;
   t.runnable <- t.runnable + 1;
   unpark t w ~at:task.ready_at.(0);
   if run_queue_len w >= 2 then
     wake_one_thief t ~near:w ~at:(fmax w.clock.(0) task.ready_at.(0))
 
+(* a spawn allocates the task, its ready-time cell and its coroutine,
+   which applies [body] to the task itself: no closure, no context *)
 let[@inline] spawn_on t ~worker ~at body =
   t.next_tid <- t.next_tid + 1;
   let task =
-    { tid = t.next_tid; coro = None; ready_at = [| at |]; last_worker = worker;
-      finished = false; waiters = [] }
+    { tid = t.next_tid; csched = t; coro = Coroutine.finished; ready_at = [| at |];
+      last_worker = worker; finished = false; waiters = [] }
   in
-  let ctx = { csched = t; ctask = task } in
-  task.coro <- Some (Coroutine.create (fun () -> body ctx));
+  task.coro <- Coroutine.create_app body task;
   t.live <- t.live + 1;
   t.spawned <- t.spawned + 1;
   enqueue t task;
@@ -571,12 +590,14 @@ let spawn t ?worker ?(at = 0.0) body =
            directly (enqueue would redirect anyway, but the rr cursor
            should keep distributing evenly over the survivors) *)
         let n = Array.length t.workers in
-        let rec pick tries =
-          let w = t.rr in
-          t.rr <- (t.rr + 1) mod n;
-          if t.workers.(w).offlined && tries < n then pick (tries + 1) else w
-        in
-        pick 0
+        let w = ref t.rr and tries = ref 0 in
+        t.rr <- (t.rr + 1) mod n;
+        while t.workers.(!w).offlined && !tries < n do
+          incr tries;
+          w := t.rr;
+          t.rr <- (t.rr + 1) mod n
+        done;
+        !w
   in
   spawn_on t ~worker ~at body
 
@@ -594,27 +615,27 @@ let ready t ?at task =
    scheduler, because downstream service order depends on it.  When every
    queued task is in the future, the clock advances to the earliest
    ready_at; the advisory heap supplies that minimum in O(log n) where
-   the old code re-scanned the whole deque per pick.  Returns
-   [dummy_task] when the queue is empty. *)
-let rec pop_own_slow w =
+   the old code re-scanned the whole deque per pick.  Returns [nil] when
+   the queue is empty. *)
+let rec pop_own_slow nil w =
   let len = dq_length w.ready in
-  if len = 0 then dummy_task
+  if len = 0 then nil
   else begin
     let clock = w.clock.(0) in
-    let found = ref dummy_task and i = ref 0 in
+    let found = ref nil and i = ref 0 in
     while !i < len do
-      let task = dq_pop_front w.ready in
+      let task = dq_pop_front w.ready nil in
       if task.ready_at.(0) <= clock then begin
         found := task;
         i := len
       end
       else begin
-        dq_push w.ready task;
+        dq_push w.ready nil task;
         incr i
       end
     done;
     let found = !found in
-    if found != dummy_task then found
+    if found != nil then found
     else begin
       (* Nothing due: every queued task mirrors a live heap key above the
          clock, and any key at or below it is provably stale (its task
@@ -639,23 +660,23 @@ let rec pop_own_slow w =
         done;
         w.clock.(0) <- !m
       end;
-      pop_own_slow w
+      pop_own_slow nil w
     end
   end
 
 (* fast path: the front task is due (the steady state when the queue
    holds running work rather than timers) — no sweep state to set up *)
-let pop_own w =
+let pop_own nil w =
   let q = w.ready in
-  if dq_is_empty q then dummy_task
+  if dq_is_empty q then nil
   else begin
     let front = dq_get q 0 in
     if front.ready_at.(0) <= w.clock.(0) then begin
-      q.dbuf.(dq_slot q q.dtop) <- dummy_task;
+      q.dbuf.(dq_slot q q.dtop) <- nil;
       q.dtop <- q.dtop + 1;
       front
     end
-    else pop_own_slow w
+    else pop_own_slow nil w
   end
 
 (* Steal from one victim, skipping tasks scheduled beyond the thief's
@@ -666,14 +687,14 @@ let pop_own w =
    leave the owner's run order untouched (re-pushing refused tasks to the
    back would rotate it).  A stolen future task leaves its advisory heap
    key behind; the owner's next run-dry sweep drops it as stale. *)
-let steal_ready w victim =
+let steal_ready nil w victim =
   let horizon = w.clock.(0) +. steal_horizon_ns in
   let n = dq_length victim.ready in
-  let found = ref dummy_task and i = ref 0 in
+  let found = ref nil and i = ref 0 in
   while !i < n do
     let task = dq_get victim.ready !i in
     if task.ready_at.(0) <= horizon then begin
-      dq_remove victim.ready !i;
+      dq_remove victim.ready nil !i;
       found := task;
       i := n
     end
@@ -684,11 +705,11 @@ let steal_ready w victim =
 let try_steal t w =
   let order = t.hooks.steal_order t ~thief:w.wid in
   let topo = Machine.topology t.machine in
-  let found = ref dummy_task and i = ref 0 in
+  let found = ref t.nil and i = ref 0 in
   while !i < Array.length order do
     let victim = t.workers.(order.(!i)) in
-    let task = steal_ready w victim in
-    if task != dummy_task then begin
+    let task = steal_ready t.nil w victim in
+    if task != t.nil then begin
       let cost =
         2.0 *. Latency.core_to_core_ns ~profile:(Machine.profile t.machine) topo w.core victim.core
       in
@@ -714,17 +735,17 @@ let try_steal t w =
    through [try_steal]; this one attempt by hand is what the refused-steal
    regression test observes, and CI's dead-export step allowlists it. *)
 let steal_once t ~thief ~victim =
-  let task = steal_ready t.workers.(thief) t.workers.(victim) in
-  if task == dummy_task then -1
+  let task = steal_ready t.nil t.workers.(thief) t.workers.(victim) in
+  if task == t.nil then -1
   else begin
     t.runnable <- t.runnable - 1;
     task.tid
   end
 
 let next_task t w =
-  let task = pop_own w in
-  let task = if task == dummy_task then try_steal t w else task in
-  if task != dummy_task then t.runnable <- t.runnable - 1;
+  let task = pop_own t.nil w in
+  let task = if task == t.nil then try_steal t w else task in
+  if task != t.nil then t.runnable <- t.runnable - 1;
   task
 
 (* -- executable invariants (config.check / set_check) --------------------
@@ -847,8 +868,7 @@ let execute t w task =
       w.clock.(0) <- w.clock.(0) +. (switch_ns *. Float.max 1.0 over));
   Pmu.incr pmu ~core:w.core Pmu.Context_switch;
   task.last_worker <- w.wid;
-  let coro = Option.get task.coro in
-  let result = Coroutine.resume coro in
+  let result = Coroutine.resume task.coro in
   (* DVFS: a slowed core retires the same work in proportionally more
      virtual time.  Rescaling at quantum end keeps the memory model exact
      (accesses were charged at nominal latency inside the quantum) while
@@ -876,7 +896,7 @@ let execute t w task =
       task.finished <- true;
       t.live <- t.live - 1;
       Pmu.incr pmu ~core:w.core Pmu.Task_executed;
-      sample t w.clock.(0);
+      sample_concurrency t w.clock.(0);
       let waiters = task.waiters in
       task.waiters <- [];
       wake_waiters t w waiters);
@@ -938,9 +958,9 @@ let handle_core_offline t ~core =
              mirroring future ready times into the survivor's heap; the
              dead worker's own heap keys are orphaned wholesale *)
           while not (dq_is_empty w.ready) do
-            let task = dq_pop_front w.ready in
+            let task = dq_pop_front w.ready t.nil in
             task.last_worker <- d.wid;
-            dq_push d.ready task;
+            dq_push d.ready t.nil task;
             if task.ready_at.(0) > d.clock.(0) then pend_push d task
           done;
           w.pend_size <- 0;
@@ -1021,7 +1041,7 @@ let run t =
         end
         else begin
           let task = next_task t w in
-          if task != dummy_task then begin
+          if task != t.nil then begin
             execute t w task;
             heap_push t.heap w
           end
@@ -1048,9 +1068,9 @@ module Ctx = struct
   let sched c = c.csched
   let machine c = c.csched.machine
 
-  let[@inline] worker c = c.csched.workers.(c.ctask.last_worker)
+  let[@inline] worker c = c.csched.workers.(c.last_worker)
   let now c = (worker c).clock.(0)
-  let worker_id c = c.ctask.last_worker
+  let worker_id c = c.last_worker
   let core c = (worker c).core
   let quantum_accesses c = (worker c).accesses
 
@@ -1108,12 +1128,12 @@ module Ctx = struct
   (* nothing runs between the registration and the park, so the wait
      list cannot wake the task before it has parked *)
   let suspend c register =
-    register c.ctask;
+    register c;
     Coroutine.suspend ()
 
   let spawn c ?worker ?at body =
     let t = c.csched in
-    let worker = match worker with Some w -> w | None -> c.ctask.last_worker in
+    let worker = match worker with Some w -> w | None -> c.last_worker in
     if worker < 0 || worker >= Array.length t.workers then
       invalid_arg "Sched.spawn: worker out of range";
     (match t.task_model with
@@ -1127,7 +1147,7 @@ module Ctx = struct
 
   let await c task =
     if not task.finished then begin
-      task.waiters <- c.ctask :: task.waiters;
+      task.waiters <- c :: task.waiters;
       Coroutine.suspend ()
     end
 end

@@ -4,7 +4,7 @@ open Chipsim
 
     Workers model the runtime's OS-pinned worker threads: each owns a core
     binding, a virtual clock and a work-stealing deque of tasks
-    (coroutines).  The event loop always advances the least-advanced
+    (coroutines).  A task is also the context its body runs with.  The event loop always advances the least-advanced
     worker, so virtual time is near-monotone machine-wide.  All latencies
     charged by {!Ctx} memory operations accrue to the executing worker's
     clock; the makespan returned by {!run} is the virtual wall-clock time
@@ -178,7 +178,10 @@ val apply_due_faults : t -> now:float -> unit
 
 val spawn : t -> ?worker:int -> ?at:float -> (ctx -> unit) -> task
 (** Enqueue a new task.  Without [?worker] tasks are distributed
-    round-robin.  [?at] is the earliest virtual time it may start. *)
+    round-robin.  [?at] is the earliest virtual time it may start.  The
+    task is its body's [ctx] and its coroutine applies the body to it
+    directly, so a spawn allocates the task record, its ready-time cell
+    and one coroutine ({!Coroutine.create_app}), nothing else. *)
 
 val ready : t -> ?at:float -> task -> unit
 (** Requeue a previously suspended task (on the worker that last ran it). *)
@@ -187,9 +190,13 @@ val run : t -> float
 (** Run until no live task remains; returns the {!makespan} (ns). *)
 
 val total_spawned : t -> int
-val concurrency_samples : t -> (float * int) array
-(** [(virtual time, live task count)] recorded each time a task
-    finishes. *)
+
+val concurrency : t -> float * float
+(** Time-weighted mean and variance of the live-task count, clamped to
+    {!n_workers}, over the run so far: each task finish's count holds
+    until the next finish.  Kept as three running sums, so finishes
+    allocate nothing and nothing grows with the run.  [(0, 0)] until two
+    finishes are apart in virtual time. *)
 
 val task_id : task -> int
 

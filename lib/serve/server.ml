@@ -442,10 +442,14 @@ module Session = struct
 
   and finish_group sess ctx st p ~tokens ~corrupted ~items =
     let voted = Replica.vote_on (Machine.modifiers sess.inst.Systems.machine) tokens in
+    (* votes are judged against the known-good result, not the honest
+       plurality: a 2-way tie the tie rule hands to a corrupted primary
+       is a wrong answer, not a masked fault *)
+    let truth = Replica.token ~job_seed:p.req.seed ~kind:(Job.kind_name p.req.kind) in
     if not (Replica.unanimous tokens) then begin
       st.divergences <- st.divergences + 1;
       Metrics.incr sess.registry "serve.replica.divergent";
-      if Int64.equal voted (Replica.vote tokens) then
+      if Int64.equal voted truth then
         Metrics.incr sess.registry "serve.replica.masked";
       match Sched.trace sess.sched with
       | Some tr ->
@@ -458,14 +462,15 @@ module Session = struct
       | None -> ()
     end;
     if sess.cfg.check then begin
-      (* replica-agreement invariants: the voted result must match the
-         honest plurality — the vote-skip plant trips this whenever replica
-         0 holds the poisoned minority token — and divergence is impossible
+      (* replica-agreement invariants: the voted result must be the
+         ground truth — the vote-skip plant trips this whenever replica 0
+         holds the poisoned token, and so does a group too small to
+         out-vote a corrupted primary — and divergence is impossible
          without an injected corruption *)
-      if not (Int64.equal voted (Replica.vote tokens)) then
+      if not (Int64.equal voted truth) then
         Chipsim.Invariant.fail
-          "serve: tenant %s job %d voted token %Lx but the plurality is %Lx"
-          st.cfg_t.name p.req.id voted (Replica.vote tokens);
+          "serve: tenant %s job %d voted token %Lx but the ground truth is %Lx"
+          st.cfg_t.name p.req.id voted truth;
       if corrupted = 0 && not (Replica.unanimous tokens) then
         Chipsim.Invariant.fail
           "serve: tenant %s job %d replicas diverged without injected corruption"

@@ -42,14 +42,6 @@ let test_invalidate () =
   Alcotest.(check bool) "absent" false (Cache.invalidate c 9);
   Alcotest.(check bool) "miss after invalidate" false (is_hit (Cache.access c 9))
 
-let test_clear () =
-  let c = small () in
-  for i = 0 to 63 do
-    ignore (Cache.access c i)
-  done;
-  Cache.clear c;
-  Alcotest.(check int) "empty" 0 (occupancy c)
-
 let test_bad_geometry () =
   try
     ignore (Cache.create ~ways:16 ~size_bytes:512 ~line_bytes:64 ());
@@ -149,11 +141,6 @@ module Ref = struct
     if p >= 0 then t.tags.(p) <- -1;
     p >= 0
 
-  let clear t =
-    Array.fill t.tags 0 (Array.length t.tags) (-1);
-    Array.fill t.stamps 0 (Array.length t.stamps) 0;
-    t.clock <- 0
-
   (* returns the dropped lines *)
   let set_effective_ways t ways =
     let ways = max 1 (min t.ways ways) in
@@ -171,14 +158,13 @@ module Ref = struct
   let occupancy t = Array.fold_left (fun n tag -> if tag <> -1 then n + 1 else n) 0 t.tags
 end
 
-type op = Access of int | Invalidate of int | Probe of int | Ways of int | Clear
+type op = Access of int | Invalidate of int | Probe of int | Ways of int
 
 let pp_op = function
   | Access l -> Printf.sprintf "access %d" l
   | Invalidate l -> Printf.sprintf "invalidate %d" l
   | Probe l -> Printf.sprintf "probe %d" l
   | Ways n -> Printf.sprintf "ways %d" n
-  | Clear -> "clear"
 
 (* Lines come from a pool about three times the capacity, so sets see hits,
    conflict evictions and refills; a few sit past 2^16 to exercise the set
@@ -195,7 +181,6 @@ let gen_ops ~ways ~lines =
         (8, map (fun l -> Invalidate l) line);
         (6, map (fun l -> Probe l) line);
         (4, map (fun n -> Ways n) (int_range 0 (ways + 1)));
-        (1, return Clear);
       ]
   in
   list_size (int_range 500 1000) op
@@ -222,10 +207,6 @@ let prop_oracle ways =
                 let expected = Ref.set_effective_ways r n in
                 Cache.effective_ways c = r.Ref.eff
                 && List.sort compare !dropped = List.sort compare expected
-            | Clear ->
-                Cache.clear c;
-                Ref.clear r;
-                true
           in
           same && occupancy c = Ref.occupancy r)
         ops)
@@ -236,7 +217,6 @@ let suite =
     Alcotest.test_case "hit after insert" `Quick test_hit_after_insert;
     Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
     Alcotest.test_case "invalidate" `Quick test_invalidate;
-    Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "bad geometry" `Quick test_bad_geometry;
     Alcotest.test_case "too many ways" `Quick test_too_many_ways;
     QCheck_alcotest.to_alcotest prop_occupancy_bounded;

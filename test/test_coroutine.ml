@@ -55,6 +55,64 @@ let test_exception_propagates () =
     (Invalid_argument "Coroutine.resume: already finished") (fun () ->
       ignore (Coroutine.resume c))
 
+let test_create_app () =
+  let got = ref 0 in
+  let c = Coroutine.create_app (fun x -> got := x) 42 in
+  Alcotest.(check int) "nothing runs before the first resume" 0 !got;
+  Alcotest.(check bool) "finished" true (Coroutine.resume c = Coroutine.Finished);
+  Alcotest.(check int) "applied to its argument" 42 !got
+
+(* a coroutine whose fiber was started catches an exception from one it
+   resumed; its own yield must still park it, not the one that raised *)
+let test_exception_restores_running () =
+  let steps = ref [] in
+  let inner = Coroutine.create (fun () -> failwith "inner") in
+  let outer =
+    Coroutine.create (fun () ->
+        (try ignore (Coroutine.resume inner : Coroutine.outcome)
+         with Failure msg -> steps := msg :: !steps);
+        Coroutine.yield ();
+        steps := "outer" :: !steps)
+  in
+  Alcotest.(check bool) "outer yields" true (Coroutine.resume outer = Coroutine.Yielded);
+  Alcotest.(check (list string)) "caught the inner failure" [ "inner" ] !steps;
+  Alcotest.(check bool) "outer resumes to completion" true
+    (Coroutine.resume outer = Coroutine.Finished);
+  Alcotest.(check (list string)) "and continued where it yielded" [ "outer"; "inner" ] !steps;
+  Alcotest.check_raises "inner stays finished"
+    (Invalid_argument "Coroutine.resume: already finished") (fun () ->
+      ignore (Coroutine.resume inner))
+
+type _ Effect.t += Ask : int Effect.t
+
+(* an effect the coroutine handler does not know is passed on to the
+   enclosing handler, and the coroutine keeps working after it returns *)
+let test_foreign_effect () =
+  let got = ref 0 in
+  let c =
+    Coroutine.create (fun () ->
+        got := Effect.perform Ask + 1;
+        Coroutine.yield ();
+        got := !got * 2)
+  in
+  let answer =
+    {
+      Effect.Deep.effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Ask -> Some (fun (k : (a, _) Effect.Deep.continuation) -> Effect.Deep.continue k 41)
+          | _ -> None);
+    }
+  in
+  Alcotest.(check bool) "yields after the answer" true
+    (Effect.Deep.try_with Coroutine.resume c answer = Coroutine.Yielded);
+  Alcotest.(check int) "the outer handler answered" 42 !got;
+  Alcotest.(check bool) "finishes outside the handler" true
+    (Coroutine.resume c = Coroutine.Finished);
+  Alcotest.(check int) "continued after the yield" 84 !got;
+  Alcotest.check_raises "unanswered, it is unhandled" (Effect.Unhandled Ask) (fun () ->
+      ignore (Coroutine.resume (Coroutine.create (fun () -> ignore (Effect.perform Ask)))))
+
 let test_many_yields () =
   (* individual stacks: two coroutines interleave without corrupting state *)
   let log = Buffer.create 64 in
@@ -86,4 +144,8 @@ let suite =
     Alcotest.test_case "double resume rejected" `Quick test_double_resume_rejected;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "interleaving preserves state" `Quick test_many_yields;
+    Alcotest.test_case "create_app passes its argument" `Quick test_create_app;
+    Alcotest.test_case "exception restores the running coroutine" `Quick
+      test_exception_restores_running;
+    Alcotest.test_case "foreign effect reaches an outer handler" `Quick test_foreign_effect;
   ]

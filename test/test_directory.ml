@@ -124,16 +124,12 @@ module Dense = struct
   let iter t f =
     Array.iteri (fun line m -> if m <> 0 then f line m) t.dense;
     Intmap.iter t.sparse f
-
-  let clear t =
-    Array.fill t.dense 0 (Array.length t.dense) 0;
-    Intmap.clear t.sparse
 end
 
 (* Random operations on three kinds of line: lines of reserved regions
    (pages placed up front), stray lines outside them (pages placed at
-   their first holder) and lines past the paged range (the Intmap), with
-   an occasional [clear].  After every operation the two directories
+   their first holder) and lines past the paged range (the Intmap).
+   After every operation the two directories
    agree on every line's holders, and [iter] lists the same (line, mask)
    sequence. *)
 let test_matches_dense_model () =
@@ -163,10 +159,6 @@ let test_matches_dense_model () =
     Hashtbl.replace touched l ();
     let what =
       match Rng.int rng 40 with
-      | 0 ->
-          Directory.clear d;
-          Dense.clear model;
-          "clear"
       | k when k < 12 ->
           Directory.add d ~line:l ~chiplet;
           Dense.add model ~line:l ~chiplet;

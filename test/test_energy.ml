@@ -96,15 +96,6 @@ let test_chiplet_sums () =
   (* the executable energy-conservation invariant over the same state *)
   Machine.check_invariants_full m
 
-let test_reset_zeroes () =
-  let m = hetero () in
-  Machine.charge_quantum m ~core:3 ~dt_ns:500.0 ~dvfs:1.0;
-  Machine.reset m;
-  Alcotest.(check (float 0.0)) "reset clears compute energy" 0.0
-    (Machine.total_compute_energy_pj m);
-  Alcotest.(check (float 0.0)) "reset clears combined energy" 0.0
-    (Machine.combined_energy_pj m)
-
 (* -- meter sums against the folds they replaced ------------------------- *)
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -625,7 +616,6 @@ let suite =
       test_compute_meter_separate;
     Alcotest.test_case "chiplet meters sum to combined" `Quick
       test_chiplet_sums;
-    Alcotest.test_case "reset zeroes energy" `Quick test_reset_zeroes;
     Alcotest.test_case "meter sums match the folds bit for bit" `Quick
       test_meter_sums_match_folds;
     Alcotest.test_case "power-cap ring matches the queue model" `Quick

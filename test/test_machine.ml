@@ -65,14 +65,6 @@ let test_touch_range_lines () =
   Alcotest.(check int) "8 dram line fills" 8
     (Pmu.read (Machine.pmu m) ~core:0 Pmu.Dram_local)
 
-let test_flush () =
-  let m = machine () in
-  let r = Machine.alloc m ~elt_bytes:8 ~count:8 () in
-  ignore (Machine.touch m ~core:0 ~now_ns:0.0 ~write:false r 0);
-  Machine.reset m;
-  let c = Machine.touch m ~core:0 ~now_ns:100.0 ~write:false r 0 in
-  Alcotest.(check bool) "cold again" true (c >= 110.0)
-
 
 let test_prefetch_discount () =
   let m = machine () in
@@ -227,7 +219,6 @@ let suite =
     Alcotest.test_case "write invalidation" `Quick test_write_invalidation;
     Alcotest.test_case "remote dram" `Quick test_remote_dram;
     Alcotest.test_case "touch_range per line" `Quick test_touch_range_lines;
-    Alcotest.test_case "flush" `Quick test_flush;
     Alcotest.test_case "L3 way loss clears directory" `Quick
       test_l3_way_loss_clears_directory;
     Alcotest.test_case "access allocates nothing per fill class" `Quick

@@ -33,13 +33,6 @@ let test_remote_fill_events () =
   Charm.Profiler.read profiler ~worker:0 ~core:0;
   Alcotest.(check int) "alg1 counter" 4 (Charm.Profiler.remote_events profiler ~worker:0)
 
-let test_reset () =
-  let pmu = Pmu.create ~cores:2 in
-  Pmu.incr pmu ~core:0 Pmu.Migration;
-  Pmu.incr pmu ~core:1 Pmu.Migration;
-  Pmu.reset pmu;
-  Alcotest.(check int) "all reset" 0 (Pmu.total pmu Pmu.Migration)
-
 let test_bounds () =
   let pmu = Pmu.create ~cores:2 in
   Alcotest.check_raises "core out of range" (Invalid_argument "Pmu: core out of range")
@@ -74,7 +67,6 @@ let suite =
     Alcotest.test_case "incr/read/total" `Quick test_incr_read;
     Alcotest.test_case "snapshot delta" `Quick test_snapshot_delta;
     Alcotest.test_case "remote fill counter" `Quick test_remote_fill_events;
-    Alcotest.test_case "reset" `Quick test_reset;
     Alcotest.test_case "bounds" `Quick test_bounds;
     Alcotest.test_case "event names unique" `Quick test_event_names_unique;
   ]

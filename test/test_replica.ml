@@ -166,7 +166,7 @@ let test_replicate_spec () =
 
 (* -- end to end through the server ------------------------------------- *)
 
-let replicated_cfg ~check seed =
+let replicated_cfg ?(replicas = 3) ~check seed =
   let base = Server.default_config ~seed in
   {
     base with
@@ -179,7 +179,7 @@ let replicated_cfg ~check seed =
           process = Serving.Arrivals.Open_loop { rate_per_s = 5000.0 };
           jobs = 6;
           mix = [ (Serving.Job.Gups 512, 1) ];
-          replicas = 3;
+          replicas;
         };
       ];
     check;
@@ -212,6 +212,29 @@ let test_server_clean_replication_agrees () =
     tr.Server.divergences;
   Alcotest.(check int) "no masked votes" 0
     (Metrics.counter_value r.Server.registry "serve.replica.masked")
+
+(* Two replicas cannot out-vote a corrupted primary: the 2-way tie goes
+   to replica 0, so the voted result is wrong.  Judged against the
+   ground-truth token, nothing is masked and --check fails. *)
+let test_server_pair_cannot_mask_primary () =
+  let run ~check =
+    let inst = replicated_inst () in
+    (* seed 6 mod k=2 picks replica 0, the primary *)
+    Modifiers.arm_corruption (Machine.modifiers inst.Sys_.machine) ~seed:6;
+    Server.run inst (replicated_cfg ~replicas:2 ~check 17)
+  in
+  let r = run ~check:false in
+  Alcotest.(check int) "one divergent group" 1
+    (Metrics.counter_value r.Server.registry "serve.replica.divergent");
+  Alcotest.(check int) "nothing masked" 0
+    (Metrics.counter_value r.Server.registry "serve.replica.masked");
+  match run ~check:true with
+  | exception Chipsim.Invariant.Violation msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "violation names the ground truth: %s" msg)
+        true
+        (contains msg "ground truth")
+  | _ -> Alcotest.fail "a corrupted primary won a 2-way vote undetected"
 
 let test_server_detects_planted_voter () =
   (* the replica-agreement invariant must catch vote-skip: the corrupted
@@ -256,6 +279,8 @@ let suite =
       test_server_clean_replication_agrees;
     Alcotest.test_case "planted voter detected" `Quick
       test_server_detects_planted_voter;
+    Alcotest.test_case "a pair cannot mask a corrupted primary" `Quick
+      test_server_pair_cannot_mask_primary;
     Alcotest.test_case "replicated serving deterministic" `Quick
       test_server_replication_deterministic;
   ]

@@ -57,23 +57,95 @@ let test_os_threads_cost_more () =
   in
   Alcotest.(check bool) "kernel threads slower" true (os_threads > 3.0 *. coroutines)
 
+(* no victims: nothing moves a task off the worker it was spawned on *)
+let no_steal = { Sched.no_hooks with Sched.steal_order = (fun _ ~thief:_ -> [||]) }
+
+(* Two workers, two tasks each, every quantum a 30 ns switch plus the
+   task's work.  Worker 0 finishes A at 130 and C at 360, worker 1 B at
+   330 and D at 760; the least-advanced worker runs first, so the
+   finishes come A, B, C, D with 3, 2, 1, 0 tasks left live, clamped to
+   the 2 workers: 2 for 200 ns, 2 for 30 ns, 1 for 400 ns. *)
 let test_concurrency_samples () =
   let m = machine () in
-  let sched = Sched.create m ~n_workers:2 ~placement:(fun w -> w) in
-  for _ = 1 to 8 do
-    ignore (Sched.spawn sched (fun ctx -> Sched.Ctx.work ctx 50.0))
-  done;
-  ignore (Sched.run sched : float);
-  let samples = Sched.concurrency_samples sched in
-  Alcotest.(check int) "one sample per finish" 8 (Array.length samples);
-  let _, last = samples.(Array.length samples - 1) in
-  Alcotest.(check int) "drains to zero" 0 last
+  let sched = Sched.create ~hooks:no_steal m ~n_workers:2 ~placement:(fun w -> w) in
+  List.iter
+    (fun (worker, ns) ->
+      ignore (Sched.spawn sched ~worker (fun ctx -> Sched.Ctx.work ctx ns) : Sched.task))
+    [ (0, 100.0); (1, 300.0); (0, 200.0); (1, 400.0) ];
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "no finish, no concurrency" (0.0, 0.0)
+    (Sched.concurrency sched);
+  Alcotest.(check (float 0.0)) "makespan" 760.0 (Sched.run sched);
+  let total = 630.0 and acc = (2.0 *. 230.0) +. 400.0 and acc2 = (4.0 *. 230.0) +. 400.0 in
+  let mean = acc /. total in
+  Alcotest.(check (pair (float 1e-12) (float 1e-12))) "time-weighted mean and variance"
+    (mean, (acc2 /. total) -. (mean *. mean))
+    (Sched.concurrency sched)
+
+(* The statistic fig12 computed from a (time, live count) sample per
+   finish, kept here as the reference for the running sums *)
+let fold_samples ~workers samples =
+  let n = Array.length samples in
+  if n < 2 then (0.0, 0.0)
+  else begin
+    let total_time = ref 0.0 and acc = ref 0.0 and acc2 = ref 0.0 in
+    for i = 0 to n - 2 do
+      let t0, live = samples.(i) in
+      let t1, _ = samples.(i + 1) in
+      let dt = Float.max 0.0 (t1 -. t0) in
+      let v = float_of_int (min live workers) in
+      total_time := !total_time +. dt;
+      acc := !acc +. (v *. dt);
+      acc2 := !acc2 +. (v *. v *. dt)
+    done;
+    if !total_time <= 0.0 then (0.0, 0.0)
+    else begin
+      let mean = !acc /. !total_time in
+      (mean, (!acc2 /. !total_time) -. (mean *. mean))
+    end
+  end
+
+(* Random task trees (work, yields, children, awaits, delayed starts) on
+   2-6 workers with stealing on.  Each body logs the finish sample the
+   scheduler takes as it returns: its worker's clock, which the quantum
+   ends at on this homogeneous machine, and the tasks still live.  The
+   running sums must equal the fold over that log bit for bit. *)
+let test_concurrency_matches_sample_fold () =
+  let bits (a, b) = (Int64.bits_of_float a, Int64.bits_of_float b) in
+  for seed = 1 to 40 do
+    let rng = Rng.create seed in
+    let workers = 2 + Rng.int rng 5 in
+    let sched = Sched.create (machine ()) ~n_workers:workers ~placement:(fun w -> w) in
+    let live = ref 0 and log = ref [] in
+    let rec body depth ctx =
+      for _ = 0 to Rng.int rng 3 do
+        Sched.Ctx.work ctx (float_of_int (1 + Rng.int rng 500));
+        if Rng.bool rng then Sched.Ctx.yield ctx
+      done;
+      if depth < 3 then
+        for _ = 1 to Rng.int rng 3 do
+          incr live;
+          let child = Sched.Ctx.spawn ctx (body (depth + 1)) in
+          if Rng.int rng 4 = 0 then Sched.Ctx.await ctx child
+        done;
+      decr live;
+      log := (Sched.Ctx.now ctx, !live) :: !log
+    in
+    for _ = 1 to 1 + Rng.int rng 12 do
+      incr live;
+      ignore
+        (Sched.spawn sched ~at:(float_of_int (Rng.int rng 2000)) (body 0) : Sched.task)
+    done;
+    ignore (Sched.run sched : float);
+    let samples = Array.of_list (List.rev !log) in
+    let expected = fold_samples ~workers samples and got = Sched.concurrency sched in
+    if bits expected <> bits got then
+      Alcotest.failf "seed %d: %d finishes, fold (%h, %h), sums (%h, %h)" seed
+        (Array.length samples) (fst expected) (snd expected) (fst got) (snd got)
+  done
 
 let test_worker_local_spawn () =
   let m = machine () in
-  (* no victims: nothing can move the child off its spawner's worker *)
-  let hooks = { Sched.no_hooks with Sched.steal_order = (fun _ ~thief:_ -> [||]) } in
-  let sched = Sched.create ~hooks m ~n_workers:2 ~placement:(fun w -> w) in
+  let sched = Sched.create ~hooks:no_steal m ~n_workers:2 ~placement:(fun w -> w) in
   let child_worker = ref (-1) in
   ignore
     (Sched.spawn sched ~worker:1 (fun ctx ->
@@ -206,6 +278,8 @@ let suite =
     Alcotest.test_case "ready_at delays" `Quick test_ready_at_delays;
     Alcotest.test_case "os threads cost more" `Quick test_os_threads_cost_more;
     Alcotest.test_case "concurrency samples" `Quick test_concurrency_samples;
+    Alcotest.test_case "concurrency sums match the sample fold" `Quick
+      test_concurrency_matches_sample_fold;
     Alcotest.test_case "worker-local spawn" `Quick test_worker_local_spawn;
     Alcotest.test_case "external charge" `Quick test_charge;
     Alcotest.test_case "quantum hook" `Quick test_quantum_hook_runs;
