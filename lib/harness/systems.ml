@@ -101,6 +101,17 @@ let baseline_spec ~kind = function
   | Distributed_cache -> Baselines.Static_policy.distributed_cache ()
   | Charm | Charm_os_threads -> invalid_arg "Systems.baseline_spec: not a baseline"
 
+let pinned_cores sys kind ~cache_scale ~n_workers =
+  match sys with
+  | Charm | Charm_os_threads -> None
+  | _ -> (
+      let spec = baseline_spec ~kind sys in
+      match spec.Baselines.Baseline.on_tick with
+      | Some _ -> None
+      | None ->
+          let topo = topology kind ~cache_scale in
+          Some (Array.init n_workers (spec.Baselines.Baseline.placement topo ~n_workers)))
+
 let make ?(cache_scale = 1) ?charm_config ?faults sys kind ~n_workers () =
   let topo = topology kind ~cache_scale in
   let machine, sched, charm, shared_policy =

@@ -64,6 +64,13 @@ type instance = {
   charm : Charm.Runtime.t option;  (** present when [sys] is CHARM *)
 }
 
+val pinned_cores :
+  sys -> machine_kind -> cache_scale:int -> n_workers:int -> int array option
+(** The core each worker of [sys] is placed on, where no policy moves it
+    afterwards: [None] for CHARM (its policy migrates) and for a baseline
+    with a periodic tick (a migrating balancer).  A core going offline
+    still moves its worker ({!Engine.Sched.create}'s fault replay). *)
+
 val make :
   ?cache_scale:int ->
   ?charm_config:Charm.Config.t ->

@@ -100,6 +100,77 @@ let test_fault_spec_roundtrip () =
   done;
   Alcotest.(check bool) "schedules checked" true (!checked > 50)
 
+let corrupts (t : E.t) =
+  List.exists
+    (fun (_, evs) ->
+      List.exists
+        (fun { Faults.Schedule.kind; _ } ->
+          match kind with Faults.Schedule.Corruption _ -> true | _ -> false)
+        evs)
+    t.E.faults
+
+let sched_of ~cache_scale sys machine ~n_workers =
+  (Harness.Systems.make ~cache_scale sys machine ~n_workers ())
+    .Harness.Systems.env
+    .Workloads.Exec_env.sched
+
+(* where a system pins its workers, the scheduler it builds starts them
+   on exactly those cores *)
+let test_pinned_cores () =
+  let pinned = ref [] in
+  List.iter
+    (fun (name, sys) ->
+      List.iter
+        (fun n_workers ->
+          match
+            Harness.Systems.pinned_cores sys Harness.Systems.Amd_milan_1s ~cache_scale:16
+              ~n_workers
+          with
+          | None -> ()
+          | Some cores ->
+              pinned := name :: !pinned;
+              let sched = sched_of ~cache_scale:16 sys Harness.Systems.Amd_milan_1s ~n_workers in
+              Array.iteri
+                (fun w core ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s worker %d of %d" name w n_workers)
+                    core
+                    (Engine.Sched.worker_core sched w))
+                cores)
+        [ 2; 5; 12 ])
+    Harness.Systems.systems;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " pins its workers") true (List.mem name !pinned))
+    [ "ring"; "shoal" ];
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " moves its workers") false (List.mem name !pinned))
+    [ "charm"; "os-default"; "asymsched" ]
+
+(* A vote can mask an armed corruption only if the workers start on 2 or
+   more chiplets: every generated scenario and every shrink candidate
+   that carries one builds a scheduler whose workers do, and scatter-
+   placed RING on the smoke preset still draws corruption cases. *)
+let test_corruption_armed_where_maskable () =
+  let hosted t =
+    let sched = sched_of ~cache_scale:t.E.cache_scale t.E.sys t.E.machine ~n_workers:t.E.workers in
+    match Serving.Job.worker_chiplets sched with Some a -> Array.length a | None -> 0
+  in
+  let ring_armed = ref 0 in
+  for seed = 0 to 199 do
+    let t = Scenario.generate ~mode:Scenario.Smoke ~seed in
+    if corrupts t then begin
+      if t.E.sys = Harness.Systems.Ring then incr ring_armed;
+      List.iter
+        (fun c ->
+          if corrupts c && hosted c < 2 then
+            Alcotest.failf "seed %d arms corruption on one chiplet: %s" seed (E.to_string c))
+        (t :: Scenario.shrink t)
+    end
+  done;
+  Alcotest.(check bool) "RING scenarios arm corruption" true (!ring_armed >= 10)
+
 let suite =
   [
     Alcotest.test_case "generation deterministic" `Quick test_generation_deterministic;
@@ -107,4 +178,7 @@ let suite =
     Alcotest.test_case "shrink candidates well-formed" `Quick test_shrink_candidates;
     Alcotest.test_case "repro rendering" `Quick test_repro_rendering;
     Alcotest.test_case "fault specs round-trip" `Quick test_fault_spec_roundtrip;
+    Alcotest.test_case "pinned cores match the built scheduler" `Quick test_pinned_cores;
+    Alcotest.test_case "corruption armed where a vote can mask it" `Quick
+      test_corruption_armed_where_maskable;
   ]
