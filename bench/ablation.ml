@@ -9,7 +9,7 @@ module Sys_ = Harness.Systems
    spec describes *)
 let run_with_config config kernel ~workers =
   let t = Util.batch kernel Sys_.Charm ~workers in
-  let inst = Sys_.make ~cache_scale:t.cache_scale ~charm_config:config Sys_.Charm Sys_.Amd_milan ~n_workers:workers () in
+  let inst = Sys_.make ~cache_scale:t.cache_scale ~charm_config:config Sys_.Charm t.machine ~n_workers:workers () in
   Util.attach_trace inst;
   let env = inst.Sys_.env in
   let open Workloads in
@@ -72,7 +72,7 @@ let approach_compare () =
 let phased_scan config =
   let inst =
     Harness.Systems.make ~cache_scale:Util.base.cache_scale
-      ~charm_config:config Harness.Systems.Charm Harness.Systems.Amd_milan
+      ~charm_config:config Harness.Systems.Charm (Util.machine Harness.Systems.Amd_milan)
       ~n_workers:8 ()
   in
   Util.attach_trace inst;

@@ -41,7 +41,7 @@ let batch_updates = 1 lsl 18
 let batch_storm_tasks = 1 lsl 12
 
 let run_batch () =
-  let topo = Presets.amd_milan ~scale:cache_scale () in
+  let topo = Harness.Systems.topology (Util.machine Harness.Systems.Amd_milan) ~cache_scale in
   let machine = Machine.create topo in
   let sched = Sched.create machine ~n_workers:16 ~placement:(fun w -> w) in
   let region = Machine.alloc machine ~elt_bytes:8 ~count:batch_rows () in

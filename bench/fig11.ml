@@ -31,7 +31,7 @@ let configs =
 let core_counts = [ 8; 16; 32; 64; 128 ]
 
 let run_config config ~workers =
-  let inst = Sys_.make ~cache_scale config.sys Sys_.Amd_milan ~n_workers:workers () in
+  let inst = Sys_.make ~cache_scale config.sys (Util.machine Sys_.Amd_milan) ~n_workers:workers () in
   Util.attach_trace inst;
   let env = inst.Sys_.env in
   let data =

@@ -10,7 +10,7 @@ module Sys_ = Harness.Systems
 let workers = 32
 
 let observe sys =
-  let inst = Sys_.make ~cache_scale:16 sys Sys_.Amd_milan ~n_workers:workers () in
+  let inst = Sys_.make ~cache_scale:16 sys (Util.machine Sys_.Amd_milan) ~n_workers:workers () in
   Util.attach_trace inst;
   let env = inst.Sys_.env in
   let data =

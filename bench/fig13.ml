@@ -23,7 +23,7 @@ let run () =
      is chiplet-blind); +CHARM overrides scheduling and thread mapping.
      Each query is run once cold, then measured warm (the paper averages
      10 repetitions). *)
-  let base_inst = Sys_.make ~cache_scale Sys_.Os_default Sys_.Amd_milan ~n_workers:workers () in
+  let base_inst = Sys_.make ~cache_scale Sys_.Os_default (Util.machine Sys_.Amd_milan) ~n_workers:workers () in
   Util.attach_trace base_inst;
   let base_env = base_inst.Sys_.env in
   let base_data = dataset base_env in
@@ -37,7 +37,7 @@ let run () =
     }
   in
   let charm_inst =
-    Sys_.make ~cache_scale ~charm_config Sys_.Charm Sys_.Amd_milan
+    Sys_.make ~cache_scale ~charm_config Sys_.Charm (Util.machine Sys_.Amd_milan)
       ~n_workers:workers ()
   in
   Util.attach_trace charm_inst;

@@ -12,7 +12,7 @@ let cache_scale = 16  (* L3 slice = 2 MiB; aggregate on the socket = 16 MiB *)
 let threads = 8
 
 let time_one sys ~words =
-  let inst = Sys_.make ~cache_scale sys Sys_.Amd_milan_1s ~n_workers:threads () in
+  let inst = Sys_.make ~cache_scale sys (Util.machine Sys_.Amd_milan_1s) ~n_workers:threads () in
   Util.attach_trace inst;
   let env = inst.Sys_.env in
   let region = env.Exec_env.alloc_shared ~elt_bytes:8 ~count:words in

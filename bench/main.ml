@@ -56,6 +56,10 @@ let () =
      emits them to one file; [--topology SPEC] re-runs the requested
      figures on a data-driven topology (file path or inline spec) instead
      of their preset machine.  The remaining arguments select experiments. *)
+  (* fig3 prints Milan's latency table and fig4 public part data; power
+     and taskgraph run their own heterogeneous machine: their machine is
+     part of what they measure, so they refuse --topology *)
+  let fixed_machine = [ "fig3"; "fig4"; "power"; "taskgraph" ] in
   let usage fmt = Printf.ksprintf (fun m -> prerr_endline ("bench: " ^ m); exit 2) fmt in
   let rec parse flags names = function
     | f :: rest when List.mem f [ "--trace"; "--json"; "--topology" ] -> (
@@ -81,6 +85,9 @@ let () =
       | Ok m -> Util.machine_override := Some m
       | Error msg -> usage "bad --topology spec: %s" msg));
   let requested = match names with [] -> List.map fst experiments | _ -> names in
+  (match (topology_spec, List.find_opt (fun n -> List.mem n fixed_machine) requested) with
+  | Some _, Some n -> usage "--topology does not apply to %s: its machine is part of what it measures" n
+  | _ -> ());
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->

@@ -37,7 +37,8 @@ let experiment line =
 
 (* Optional machine override: set by the driver's [--topology SPEC] flag.
    Figures route their preset through {!machine} when building instances,
-   so one flag re-runs any figure on a data-driven topology. *)
+   so one flag re-runs any figure on a data-driven topology (the driver
+   refuses it for the few whose machine is fixed). *)
 let machine_override : Sys_.machine_kind option ref = ref None
 let machine kind = match !machine_override with Some m -> m | None -> kind
 

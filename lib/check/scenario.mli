@@ -18,9 +18,6 @@ val generate : mode:mode -> seed:int -> Experiment.t
 (** Deterministic: same [mode] and [seed] always yield the same
     experiment, with [check] on and no planted bug. *)
 
-val run : Experiment.t -> Experiment.outcome
-(** The fuzzer's run: {!Experiment.run} with a trace attached. *)
-
 type failure = {
   oracle : string;
       (** ["invariant"], ["determinism/report"], ["determinism/trace"],

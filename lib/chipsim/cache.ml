@@ -10,7 +10,6 @@ type t = {
   sets : int;  (* power of two *)
   ways : int;
   way_bits : int;  (* bits to hold a way index: ceil (log2 ways) *)
-  size_bytes : int;
   slots : int array;  (* sets * ways, recency-ordered per set *)
   free : int array;  (* per set: bitmask of enabled ways holding no line *)
   mutable effective_ways : int;  (* <= ways; disabled ways hold no lines *)
@@ -36,7 +35,6 @@ let create ?(ways = 16) ~size_bytes ~line_bytes () =
     sets;
     ways;
     way_bits = bits 0;
-    size_bytes = sets * ways * line_bytes;
     slots = Array.make (sets * ways) (-1);
     free = Array.make sets (ways_mask ways);
     effective_ways = ways;
@@ -142,9 +140,7 @@ let invalidate t line =
   end;
   p >= 0
 
-let size_bytes t = t.size_bytes
 let ways t = t.ways
-let sets t = t.sets
 let effective_ways t = t.effective_ways
 
 let set_effective_ways ?(on_drop = ignore) t ways =

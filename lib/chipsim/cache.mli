@@ -16,16 +16,12 @@ val create : ?ways:int -> size_bytes:int -> line_bytes:int -> unit -> t
 val hit : int
 (** Sentinel (-2) returned by {!access} on a hit. *)
 
-val miss : int
-(** Sentinel (-1) returned by {!access} on a miss that filled an empty way
-    (nothing evicted). *)
-
 val access : t -> int -> int
 (** [access t line] looks up [line], inserting it (LRU replacement) on miss
-    and refreshing recency on hit.  Returns {!hit}, {!miss}, or the evicted
-    line id ([>= 0]) when the chosen set was full.  The result is an int
-    sentinel rather than a variant so the per-access hot path allocates
-    nothing. *)
+    and refreshing recency on hit.  Returns {!hit}, [-1] on a miss that
+    filled an empty way (nothing evicted), or the evicted line id ([>= 0])
+    when the chosen set was full.  The result is an int sentinel rather
+    than a variant so the per-access hot path allocates nothing. *)
 
 val probe : t -> int -> bool
 (** Presence test without any state change. *)
@@ -33,9 +29,7 @@ val probe : t -> int -> bool
 val invalidate : t -> int -> bool
 (** Remove a line if present; returns whether it was present. *)
 
-val size_bytes : t -> int
 val ways : t -> int
-val sets : t -> int
 
 val effective_ways : t -> int
 (** Ways currently enabled (= [ways] unless degraded). *)

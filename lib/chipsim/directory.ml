@@ -207,11 +207,6 @@ let nearest_holder_id topo t ~line ~from_chiplet =
     !best
   end
 
-let nearest_holder topo t ~line ~from_chiplet =
-  match nearest_holder_id topo t ~line ~from_chiplet with
-  | -1 -> None
-  | c -> Some c
-
 let iter t f =
   Array.iteri
     (fun p page ->

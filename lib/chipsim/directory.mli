@@ -23,15 +23,11 @@ val holders : t -> int -> int
 val add : t -> line:int -> chiplet:int -> unit
 val remove : t -> line:int -> chiplet:int -> unit
 val holds : t -> line:int -> chiplet:int -> bool
-val nearest_holder :
-  Topology.t -> t -> line:int -> from_chiplet:int -> int option
-(** Closest chiplet (by {!Latency.classify_chiplets} order, same chiplet
-    excluded) holding the line, or [None] when uncached anywhere else. *)
-
 val nearest_holder_id :
   Topology.t -> t -> line:int -> from_chiplet:int -> int
-(** Like {!nearest_holder} but int-coded ([-1] = none) so the per-access
-    hot path allocates nothing. *)
+(** Closest chiplet (by {!Latency.classify_chiplets} order, same chiplet
+    excluded) holding the line, or [-1] when uncached anywhere else.
+    Int-coded so the per-access hot path allocates nothing. *)
 
 val fill :
   t -> line:int -> chiplet:int -> evicted:int -> ranks:int array -> row:int ->

@@ -27,9 +27,6 @@ type t = {
       (* chiplets x chiplets distance ranks
          (rank_of_distance . classify_chiplets), for the nearest-holder
          scan on the L3-miss path *)
-  scratch_clk : float array;
-      (* 1-slot cell backing the float-returning compat wrappers around
-         the [_clk] entry points *)
   last_cost : float array;
       (* 1-slot cell: raw latency of the last {!access_clk}, for callers
          that need the cost rather than the advanced clock *)
@@ -135,7 +132,6 @@ let create ?(profile = Latency.default_profile) topo =
       Array.init (chiplets * chiplets) (fun i ->
           Latency.rank_of_distance
             (Latency.classify_chiplets topo (i / chiplets) (i mod chiplets)));
-    scratch_clk = Array.make 1 0.0;
     last_cost = Array.make 1 0.0;
     chan_io = Array.make 2 0.0;
     mem_ns = Array.make cores 0.0;
@@ -164,7 +160,6 @@ let create ?(profile = Latency.default_profile) topo =
 let topology t = t.topo
 let profile t = t.profile
 let pmu t = t.pmu
-let mem t = t.mem
 let modifiers t = t.mods
 
 let set_l3_ways t ~chiplet ~ways =
@@ -326,16 +321,6 @@ let access_clk t ~core ~write addr clk slot =
   Array.unsafe_set t.last_cost 0 total;
   clk.(slot) <- now_ns +. total
 
-(* float-returning compat wrapper over the scratch clock cell *)
-let access t ~core ~now_ns ~write addr =
-  let c = t.scratch_clk in
-  c.(0) <- now_ns;
-  access_clk t ~core ~write addr c 0;
-  t.last_cost.(0)
-
-let touch t ~core ~now_ns ~write region i =
-  access t ~core ~now_ns ~write (Simmem.addr region i)
-
 (* Hardware prefetchers hide most of the latency of a sequential run:
    lines after the first are charged a fraction of their latency, while
    the bandwidth they consume is still fully accounted by the channel and
@@ -343,39 +328,23 @@ let touch t ~core ~now_ns ~write region i =
    magnitude more bandwidth than a pointer-chasing one. *)
 let prefetch_factor = 0.35
 
-(* io-cell variant: [clk.(slot)] holds the virtual time on entry and the
-   span's total cost on return.  Each line is charged at [now + total-so-
-   far], exactly the evaluation order of a caller summing per-line costs
-   itself, so the clock's float rounding is independent of how a range is
-   chunked. *)
-let touch_range_io t ~core ~write region ~lo ~hi clk slot =
-  let first = Simmem.addr region lo lsr t.line_shift in
-  let last = Simmem.addr region (hi - 1) lsr t.line_shift in
-  let now0 = clk.(slot) in
-  let total = ref 0.0 in
-  for line = first to last do
-    clk.(slot) <- now0 +. !total;
-    access_clk t ~core ~write (line lsl t.line_shift) clk slot;
-    let cost = t.last_cost.(0) in
-    let cost = if line = first then cost else cost *. prefetch_factor in
-    total := !total +. cost
-  done;
-  clk.(slot) <- !total
-
+(* Each line is charged at [now + total-so-far], exactly the evaluation
+   order of a caller summing per-line costs itself, so the clock's float
+   rounding is independent of how a range is chunked. *)
 let touch_range_clk t ~core ~write region ~lo ~hi clk slot =
   if lo < hi then begin
+    let first = Simmem.addr region lo lsr t.line_shift in
+    let last = Simmem.addr region (hi - 1) lsr t.line_shift in
     let now0 = clk.(slot) in
-    touch_range_io t ~core ~write region ~lo ~hi clk slot;
-    clk.(slot) <- now0 +. clk.(slot)
-  end
-
-let touch_range t ~core ~now_ns ~write region ~lo ~hi =
-  if lo >= hi then 0.0
-  else begin
-    let c = t.scratch_clk in
-    c.(0) <- now_ns;
-    touch_range_io t ~core ~write region ~lo ~hi c 0;
-    c.(0)
+    let total = ref 0.0 in
+    for line = first to last do
+      clk.(slot) <- now0 +. !total;
+      access_clk t ~core ~write (line lsl t.line_shift) clk slot;
+      let cost = t.last_cost.(0) in
+      let cost = if line = first then cost else cost *. prefetch_factor in
+      total := !total +. cost
+    done;
+    clk.(slot) <- now0 +. !total
   end
 
 (* Bulk chiplet-to-chiplet transfer — the task-graph edge path.  Bytes are
@@ -422,7 +391,6 @@ let dram_load_ratio t ~node ~now_ns = Memchan.load_ratio t.chan ~node ~now_ns
 let dram_bytes_served t ~node = Memchan.bytes_served t.chan ~node
 
 let mem_ns_cells t = t.mem_ns
-let energy_pj t ~core = t.energy_pj.(core)
 
 (* Meter sums are left-to-right loops over local accumulators: the order,
    so every bit, of [Array.fold_left ( +. )] without a box per step. *)

@@ -13,7 +13,6 @@ val create : ?profile:Latency.profile -> Topology.t -> t
 val topology : t -> Topology.t
 val profile : t -> Latency.profile
 val pmu : t -> Pmu.t
-val mem : t -> Simmem.t
 
 val modifiers : t -> Modifiers.t
 (** Dynamic fault state (DVFS factors, offline cores, link/cross-socket
@@ -36,29 +35,19 @@ val alloc :
     region's directory pages ({!Directory.reserve}), so accesses to it
     allocate nothing. *)
 
-val touch :
-  t -> core:int -> now_ns:float -> write:bool -> Simmem.region -> int -> float
-(** Access element [i] of a region and return the access's latency in
-    virtual nanoseconds. *)
-
-val touch_range :
-  t -> core:int -> now_ns:float -> write:bool -> Simmem.region ->
-  lo:int -> hi:int -> float
-(** Sequentially access elements [lo, hi) of a region, touching each covered
-    cache line exactly once.  Returns the summed latency. *)
-
 val access_clk : t -> core:int -> write:bool -> int -> float array -> int -> unit
 (** [access_clk t ~core ~write addr clk slot] simulates one access at
     virtual time [clk.(slot)] and advances [clk.(slot)] by its latency.
     Charging the caller's clock cell in place keeps boxed floats off the
-    per-access path (the float-returning {!touch} is a wrapper over
-    this); the scheduler passes each worker's clock cell directly. *)
+    per-access path; the scheduler passes each worker's clock cell
+    directly. *)
 
 val touch_range_clk :
   t -> core:int -> write:bool -> Simmem.region -> lo:int -> hi:int ->
   float array -> int -> unit
-(** Clock-cell variant of {!touch_range}: advances [clk.(slot)] by the
-    summed (prefetch-discounted) latency of the range. *)
+(** Sequentially access elements [lo, hi) of a region, touching each
+    covered cache line exactly once, and advance [clk.(slot)] by the
+    summed latency: lines after the first are prefetch-discounted. *)
 
 val transfer :
   t -> src_chiplet:int -> dst_chiplet:int -> now_ns:float -> bytes:int ->
@@ -94,13 +83,10 @@ val mem_ns_cells : t -> float array
     directly while compute time and scheduling delays leave it untouched;
     {!Core.Health_monitor} feeds on exactly that ratio. *)
 
-val energy_pj : t -> core:int -> float
-(** Accumulated access energy charged to this core, in picojoules: each
-    simulated access costs its core kind's [energy_pj] (see
-    {!Topology.kind_spec}). *)
-
 val total_energy_pj : t -> float
-(** Sum of {!energy_pj} over all cores — {e memory-access energy only}.
+(** Accumulated access energy over all cores, in picojoules: each
+    simulated access costs its core kind's [energy_pj] (see
+    {!Topology.kind_spec}) — {e memory-access energy only}.
     Per-quantum compute energy deliberately accumulates in a separate
     meter ({!total_compute_energy_pj}), so this total — and every figure built
     on it before compute charging existed — is bit-identical whether or

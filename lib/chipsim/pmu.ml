@@ -60,12 +60,6 @@ type snapshot = { snap_cores : int; values : int array }
 
 let snapshot t = { snap_cores = t.cores; values = Array.copy t.counters }
 
-let delta ~before ~after ~core ev =
-  if before.snap_cores <> after.snap_cores then
-    invalid_arg "Pmu.delta: snapshots from different PMUs";
-  let i = (core * num_events) + event_index ev in
-  after.values.(i) - before.values.(i)
-
 let delta_total ~before ~after ev =
   let idx = event_index ev in
   let acc = ref 0 in

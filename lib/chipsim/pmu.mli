@@ -38,7 +38,6 @@ val total : t -> event -> int
 type snapshot
 
 val snapshot : t -> snapshot
-val delta : before:snapshot -> after:snapshot -> core:int -> event -> int
 val delta_total : before:snapshot -> after:snapshot -> event -> int
 
 type fill_classes = {

@@ -62,11 +62,6 @@ let intel_spr ?(scale = 1) () =
   in
   scale_topology base ~scale
 
-let tiny () =
-  Topology.v ~sockets:1 ~chiplets_per_socket:2 ~cores_per_chiplet:2
-    ~chiplet_group_size:1 ~l3_bytes_per_chiplet:(kib 16)
-    ~l2_bytes_per_core:4096 ~mem_channels_per_socket:2 ()
-
 let intel_profile =
   {
     Latency.default_profile with

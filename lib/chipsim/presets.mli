@@ -24,9 +24,6 @@ val intel_spr : ?scale:int -> unit -> Topology.t
     socket with a shared-ish L3 split in tile slices and a faster on-die
     interconnect than AMD's. *)
 
-val tiny : unit -> Topology.t
-(** 1 socket x 2 chiplets x 2 cores with KB-scale caches, for unit tests. *)
-
 val intel_profile : Latency.profile
 (** Latency profile for the Intel preset: flatter hierarchy (faster mesh
     between tiles, slightly slower intra-tile L3) per paper §5.3. *)

@@ -8,7 +8,6 @@ type t
 val create : int -> t
 (** Seeded generator; equal seeds give equal streams. *)
 
-val next : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 

@@ -193,8 +193,6 @@ let cores_of_chiplet t chiplet =
   let base = chiplet * t.cores_per_chiplet in
   List.init t.cores_per_chiplet (fun i -> base + i)
 
-let same_socket t a b = socket_of_core t a = socket_of_core t b
-
 (* -- heterogeneity accessors -------------------------------------------- *)
 
 let kind_of_chiplet t chiplet = t.chiplet_kinds.(chiplet)
@@ -217,8 +215,6 @@ let relative_capacity t =
     acc := !acc +. Float.min 1.0 (core_speed t c)
   done;
   !acc /. float_of_int n
-
-let equal a b = a = b
 
 (* -- printing ------------------------------------------------------------ *)
 
@@ -343,7 +339,6 @@ let to_lines t =
     t.links;
   List.rev !buf
 
-let to_string t = String.concat "\n" (to_lines t) ^ "\n"
 let to_spec t = String.concat "; " (to_lines t)
 
 (* key-value pair scanner for [kind]/[link] directives: remaining tokens

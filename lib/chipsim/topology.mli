@@ -107,8 +107,6 @@ val group_of_chiplet : t -> int -> int
 val cores_of_chiplet : t -> int -> int list
 (** Ascending list of the core ids located on a chiplet. *)
 
-val same_socket : t -> int -> int -> bool
-
 val validate_core : t -> int -> unit
 (** @raise Invalid_argument if the core id is out of range. *)
 
@@ -124,17 +122,12 @@ val core_speed : t -> int -> float
 val chiplet_accepts_general : t -> int -> bool
 (** Whether a chiplet's kind accepts general (non-task-graph) work. *)
 
-val heterogeneous : t -> bool
-(** True iff not all chiplets share one kind. *)
-
 val relative_capacity : t -> float
 (** Mean per-core throughput relative to a big core, each core capped at
     1.0 — mirrors [Modifiers.online_capacity]'s convention so fleet
     routers can multiply the two.  Exactly 1.0 for homogeneous-big. *)
 
 val default_link : link
-
-val equal : t -> t -> bool
 
 (** {1 Config files} *)
 
@@ -145,13 +138,10 @@ val of_string : string -> (t, string) result
 
 val of_file : string -> (t, string) result
 
-val to_string : t -> string
-(** Canonical multi-line rendering; [of_string (to_string t)] yields a
-    topology [equal] to [t]. *)
-
 val to_spec : t -> string
-(** Same directives joined with ["; "] — a single-line form suitable for
-    embedding in a CLI argument. *)
+(** Canonical rendering, its directives joined with ["; "] — a
+    single-line form suitable for embedding in a CLI argument;
+    [of_string (to_spec t)] yields a topology equal to [t]. *)
 
 val format_float : float -> string
 (** The shortest float literal that parses back to the same value ([%g]

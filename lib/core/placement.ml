@@ -81,20 +81,3 @@ let core_of_worker topo ~spread_rate ~n_workers ~worker =
     if slot >= cpc || chiplet >= topo.Topology.chiplets_per_socket then -1
     else (socket * cps) + (topo.Topology.chiplet_order.(socket).(chiplet) * cpc) + slot
   end
-
-let gang topo ~spread_rate ~n_workers =
-  if not (valid_spread topo ~spread_rate ~n_workers) then None
-  else begin
-    let cores = Array.make n_workers (-1) in
-    let seen = Array.make (Topology.num_cores topo) false in
-    let ok = ref true in
-    for w = 0 to n_workers - 1 do
-      let core = core_of_worker topo ~spread_rate ~n_workers ~worker:w in
-      if core < 0 || seen.(core) then ok := false
-      else begin
-        seen.(core) <- true;
-        cores.(w) <- core
-      end
-    done;
-    if !ok then Some cores else None
-  end

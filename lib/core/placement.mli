@@ -37,7 +37,3 @@ val max_general_spread : Topology.t -> n_workers:int -> int
     chiplets ([Topology.kind_spec.general_tasks = false]); equals
     [chiplets_per_socket] when the gang cannot fit on general chiplets
     alone (or the machine has none). *)
-
-val gang :
-  Topology.t -> spread_rate:int -> n_workers:int -> int array option
-(** All workers' cores at once ([gang.(w)] = core of worker [w]). *)

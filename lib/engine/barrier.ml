@@ -9,8 +9,6 @@ let create n =
   if n <= 0 then invalid_arg "Barrier.create: parties must be positive";
   { parties = n; arrived = [] }
 
-let waiting t = List.length t.arrived
-
 let log2_ceil n =
   let rec go acc v = if v >= n then acc else go (acc + 1) (v * 2) in
   go 0 1

@@ -12,8 +12,6 @@ type t
 val create : int -> t
 (** Barrier for [n] participants.  @raise Invalid_argument if [n <= 0]. *)
 
-val waiting : t -> int
-
 val wait : Sched.ctx -> t -> unit
 (** Block the calling task until [n] tasks have arrived; the barrier then
     resets for reuse (cyclic). *)

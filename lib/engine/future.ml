@@ -6,8 +6,6 @@ type 'a t = { mutable state : 'a state }
 
 let create () = { state = Pending [] }
 
-let peek t = match t.state with Done v -> Some v | Pending _ -> None
-
 let fulfill ctx t v =
   match t.state with
   | Done _ -> invalid_arg "Future.fulfill: already fulfilled"
@@ -25,12 +23,6 @@ let await ctx t =
       (match t.state with
       | Done v -> v
       | Pending _ -> assert false)
-
-let spawn sched ?worker f =
-  let t = create () in
-  ignore
-    (Sched.spawn sched ?worker (fun ctx -> fulfill ctx t (f ctx)) : Sched.task);
-  t
 
 let spawn_at ctx ?worker ?at f =
   let t = create () in

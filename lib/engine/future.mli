@@ -16,14 +16,10 @@ val fulfill : Sched.ctx -> 'a t -> 'a -> unit
 val await : Sched.ctx -> 'a t -> 'a
 (** The value, suspending the calling task until {!fulfill} runs. *)
 
-val peek : 'a t -> 'a option
-
-val spawn : Sched.t -> ?worker:int -> (Sched.ctx -> 'a) -> 'a t
-(** Run a function as a task; its return value fulfills the future. *)
-
 val spawn_at : Sched.ctx -> ?worker:int -> ?at:float -> (Sched.ctx -> 'a) -> 'a t
-(** Same, from inside a task (child defaults to the caller's worker and,
-    unlike a {!Par.all_do} call, is immediately runnable).  [?at] is the
+(** Run a function as a task spawned from inside a task; its return value
+    fulfills the future.  The child defaults to the caller's worker and,
+    unlike a {!Par.all_do} call, is immediately runnable.  [?at] is the
     earliest virtual time the producer may start — serving dispatchers use it to
     keep a job's start causally after its arrival even when a worker with
     a lagging clock steals it. *)

@@ -507,7 +507,6 @@ let migrate t ~worker ~core =
     | None -> ()
   end
 
-let task_id task = task.tid
 
 (* The float-taking helpers below are [@inline]: a float passed to a call
    that is not inlined is boxed, and these run per quantum or per task. *)

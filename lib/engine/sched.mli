@@ -198,8 +198,6 @@ val concurrency : t -> float * float
     allocate nothing and nothing grows with the run.  [(0, 0)] until two
     finishes are apart in virtual time. *)
 
-val task_id : task -> int
-
 module Ctx : sig
   val sched : ctx -> t
   val machine : ctx -> Machine.t

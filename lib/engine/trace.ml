@@ -75,11 +75,6 @@ let pid t = t.pid
 let num_events t = t.len
 let dropped t = t.dropped
 
-let clear t =
-  t.head <- 0;
-  t.len <- 0;
-  t.dropped <- 0
-
 let push t e =
   t.buf.(t.head) <- e;
   t.head <- (t.head + 1) mod t.capacity;

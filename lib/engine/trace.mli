@@ -107,8 +107,6 @@ val num_events : t -> int
 val dropped : t -> int
 (** Events overwritten because the ring was full. *)
 
-val clear : t -> unit
-
 val events : t -> event list
 (** Retained events, oldest first (for tests and offline analysis). *)
 

@@ -1043,7 +1043,7 @@ let serve ?trace ?on_complete t =
       (inst, report)
   | Batch _ | Fleet _ -> invalid_arg "Experiment.serve: not a single-machine serving experiment"
 
-let fleet ?trace t =
+let fleet_traced ~traced t =
   match t.workload with
   | Fleet (s, f) ->
       Fleet.Cluster.run
@@ -1060,9 +1060,11 @@ let fleet ?trace t =
           diurnal_period_us = f.diurnal_period_us;
           faults = t.faults;
           relocation = f.relocation;
-          trace = Option.is_some trace;
+          trace = traced;
         }
   | Batch _ | Serve _ -> invalid_arg "Experiment.fleet: not a fleet experiment"
+
+let fleet t = fleet_traced ~traced:false t
 
 let run ?trace t =
   match t.workload with
@@ -1097,7 +1099,7 @@ let run ?trace t =
         sim_events = Engine.Stats.sim_events inst.Systems.machine;
       }
   | Fleet _ ->
-      let res = fleet ?trace t in
+      let res = fleet_traced ~traced:(Option.is_some trace) t in
       {
         report = Fleet.Cluster.result_to_json res ^ "\n";
         result = Placements res.Fleet.Cluster.placement_log;

@@ -190,10 +190,8 @@ val serve :
     ({!Serving.Server.config}'s [on_complete]).
     @raise Invalid_argument unless [t.workload] is [Serve _]. *)
 
-val fleet : ?trace:Engine.Trace.t -> t -> Fleet.Cluster.result
-(** {!run}'s fleet path, stopped before rendering.  Given a [trace], the
-    cluster records into a fresh router trace and one per shard
-    ([result.traces]); the argument itself receives nothing.
+val fleet : t -> Fleet.Cluster.result
+(** {!run}'s fleet path, untraced and stopped before rendering.
     @raise Invalid_argument unless [t.workload] is [Fleet _]. *)
 
 (** {1 Command line} *)

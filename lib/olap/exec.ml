@@ -3,11 +3,11 @@ module Sched = Engine.Sched
 
 type alloc = elt_bytes:int -> count:int -> Simmem.region
 
-let default_morsel = 2048
+let morsel = 2048  (* rows per parallel_scan task *)
 let compare_ns = 1.5  (* per row comparison in sorts *)
 let row_work_ns = 0.6  (* per row of scan logic *)
 
-let parallel_scan ctx table ~columns ?(morsel = default_morsel) f =
+let parallel_scan ctx table ~columns f =
   let rows = Table.rows table in
   if rows > 0 then begin
     let cols = List.map (Table.col table) columns in
@@ -32,7 +32,6 @@ module Hash_join = struct
     table : (int, int list) Hashtbl.t;
     slab : Simmem.region;
     capacity : int;
-    mutable entries : int;
   }
 
   let create ~alloc ~expected =
@@ -41,7 +40,6 @@ module Hash_join = struct
       table = Hashtbl.create (max 16 expected);
       slab = alloc ~elt_bytes:16 ~count:capacity;
       capacity;
-      entries = 0;
     }
 
   (* [Hashtbl.find] with a handler rather than [find_opt]: no option is
@@ -54,8 +52,7 @@ module Hash_join = struct
     let prev = payloads t key in
     (* chained entries touch an extra line *)
     if prev <> [] then Sched.Ctx.write ctx t.slab ((b + 1) mod t.capacity);
-    Hashtbl.replace t.table key (payload :: prev);
-    t.entries <- t.entries + 1
+    Hashtbl.replace t.table key (payload :: prev)
 
   let probe ctx t ~key =
     let b = bucket_of ~capacity:t.capacity key in
@@ -73,8 +70,6 @@ module Hash_join = struct
     let b = bucket_of ~capacity:t.capacity key in
     Sched.Ctx.read ctx t.slab b;
     Hashtbl.mem t.table key
-
-  let size t = t.entries
 end
 
 module Hash_agg = struct

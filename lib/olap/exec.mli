@@ -15,12 +15,11 @@ val parallel_scan :
   Engine.Sched.ctx ->
   Table.t ->
   columns:string list ->
-  ?morsel:int ->
   (Engine.Sched.ctx -> int -> unit) ->
   unit
-(** Scan the table in morsels spread over all workers; the named columns
-    are charged as sequential reads per morsel, then the callback runs for
-    every row of the morsel. *)
+(** Scan the table in morsels of 2048 rows spread over all workers; the
+    named columns are charged as sequential reads per morsel, then the
+    callback runs for every row of the morsel. *)
 
 (** Charged multimap hash table for joins. *)
 module Hash_join : sig
@@ -28,10 +27,8 @@ module Hash_join : sig
 
   val create : alloc:alloc -> expected:int -> t
   val insert : Engine.Sched.ctx -> t -> key:int -> payload:int -> unit
-  val probe : Engine.Sched.ctx -> t -> key:int -> int list
   val probe_iter : Engine.Sched.ctx -> t -> key:int -> (int -> unit) -> unit
   val mem : Engine.Sched.ctx -> t -> key:int -> bool
-  val size : t -> int
 end
 
 (** Charged hash aggregation: per-key float accumulators. *)

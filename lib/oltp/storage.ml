@@ -44,6 +44,3 @@ let write_field ctx t ~row ~word v =
 let read_record ctx t row = read_field ctx t ~row ~word:0
 let write_record ctx t row v = write_field ctx t ~row ~word:0 v
 
-let peek t ~row ~word =
-  check t row word;
-  t.values.((row * t.payload_words) + word)

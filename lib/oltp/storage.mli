@@ -21,5 +21,3 @@ val write_record : Engine.Sched.ctx -> table -> int -> int -> unit
 
 val read_field : Engine.Sched.ctx -> table -> row:int -> word:int -> int
 val write_field : Engine.Sched.ctx -> table -> row:int -> word:int -> int -> unit
-val peek : table -> row:int -> word:int -> int
-(** Uncharged value access (assertions/tests). *)

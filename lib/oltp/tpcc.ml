@@ -140,7 +140,7 @@ let stock_level ctx db p rng engine ~home =
 let run env p =
   let alloc = env.Exec_env.alloc_shared in
   let db = make_db ~alloc p in
-  let engine = Txn.create ~alloc () in
+  let engine = Txn.create ~alloc in
   let workers = Exec_env.n_workers env in
   let per_worker = (p.txns + workers - 1) / workers in
   let new_orders = ref 0 in

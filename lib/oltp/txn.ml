@@ -1,19 +1,19 @@
 module Sched = Engine.Sched
 
+(* log-device service time per committed transaction, and the commits a
+   worker batches per log flush *)
+let commit_service_ns = 350.0
+let group_size = 8
+
 type t = {
-  commit_service_ns : float;
-  group_size : int;
   sim_log_tail : Chipsim.Simmem.region;
   mutable log_busy_until : float;
   mutable n_commits : int;
   mutable pending : int array;  (* worker -> commits since last flush *)
 }
 
-let create ~alloc ?(commit_service_ns = 350.0) ?(group_size = 8) () =
-  if group_size <= 0 then invalid_arg "Txn.create: group_size must be positive";
+let create ~alloc =
   {
-    commit_service_ns;
-    group_size;
     sim_log_tail = alloc ~elt_bytes:8 ~count:8;
     log_busy_until = 0.0;
     n_commits = 0;
@@ -28,7 +28,7 @@ let flush t ctx ~batch =
   Sched.Ctx.write ctx t.sim_log_tail 0;
   let now = Sched.Ctx.now ctx in
   let start = Float.max now t.log_busy_until in
-  let service = t.commit_service_ns *. float_of_int batch in
+  let service = commit_service_ns *. float_of_int batch in
   t.log_busy_until <- start +. service;
   Sched.Ctx.work ctx (start -. now +. service)
 
@@ -41,14 +41,14 @@ let commit t ctx =
     t.pending <- grown
   end;
   let pending = 1 + t.pending.(worker) in
-  if pending >= t.group_size then begin
+  if pending >= group_size then begin
     t.pending.(worker) <- 0;
     flush t ctx ~batch:pending
   end
   else begin
     t.pending.(worker) <- pending;
     (* commit record written to the worker-local buffer *)
-    Sched.Ctx.work ctx (t.commit_service_ns *. 0.1)
+    Sched.Ctx.work ctx (commit_service_ns *. 0.1)
   end
 
 let commits t = t.n_commits

@@ -28,7 +28,7 @@ let run env params =
     Storage.create_table ~alloc ~name:"usertable" ~rows:params.records
       ~payload_words:params.payload_words
   in
-  let engine = Txn.create ~alloc () in
+  let engine = Txn.create ~alloc in
   let workers = Exec_env.n_workers env in
   let per_worker = (params.ops + workers - 1) / workers in
   let read_sum = ref 0 in

@@ -1,17 +1,16 @@
+(* the geometric bucket ratio: ~12% worst-case quantile error *)
+let growth = 1.12
+let log_growth = log growth
+
 type t = {
-  growth : float;
-  log_growth : float;
   mutable counts : int array;  (* grown on demand *)
   mutable total : int;
   mutable sum : float;
   mutable max_v : float;
 }
 
-let create ?(growth = 1.12) () =
-  if growth <= 1.0 then invalid_arg "Histogram.create: growth <= 1";
+let create () =
   {
-    growth;
-    log_growth = log growth;
     counts = Array.make 32 0;
     total = 0;
     sum = 0.0;
@@ -25,13 +24,13 @@ let create ?(growth = 1.12) () =
 let max_bucket = 4096
 
 (* bucket 0 = (-inf, 1]; bucket i>0 = (g^(i-1), g^i] *)
-let bucket_of t v =
+let bucket_of v =
   if Float.is_nan v then 0
   else if v <= 1.0 then 0
-  else if v >= t.growth ** float_of_int max_bucket then max_bucket
-  else min max_bucket (1 + int_of_float (Float.floor (log v /. t.log_growth)))
+  else if v >= growth ** float_of_int max_bucket then max_bucket
+  else min max_bucket (1 + int_of_float (Float.floor (log v /. log_growth)))
 
-let bucket_upper t i = if i = 0 then 1.0 else t.growth ** float_of_int i
+let bucket_upper i = if i = 0 then 1.0 else growth ** float_of_int i
 
 let ensure t i =
   let n = Array.length t.counts in
@@ -42,7 +41,7 @@ let ensure t i =
   end
 
 let observe t v =
-  let i = bucket_of t v in
+  let i = bucket_of v in
   ensure t i;
   t.counts.(i) <- t.counts.(i) + 1;
   t.total <- t.total + 1;
@@ -64,7 +63,7 @@ let quantile t q =
       seen := !seen + t.counts.(!i);
       if !seen < rank then incr i
     done;
-    Float.min (bucket_upper t !i) t.max_v
+    Float.min (bucket_upper !i) t.max_v
   end
 
 let p50 t = quantile t 0.50
@@ -73,8 +72,6 @@ let p99 t = quantile t 0.99
 let p999 t = quantile t 0.999
 
 let merge dst src =
-  if dst.growth <> src.growth then
-    invalid_arg "Histogram.merge: incompatible bucket parameters";
   Array.iteri
     (fun i c ->
       if c > 0 then begin

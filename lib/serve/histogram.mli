@@ -2,17 +2,15 @@
 
     Bucket boundaries grow geometrically from 1, so a fixed,
     small number of integer counters covers nanoseconds to seconds with a
-    bounded relative error of [growth - 1] per quantile.  This is the
+    bounded relative error of 12% per quantile (bucket ratio 1.12).  This is the
     HdrHistogram idea reduced to what the serving layer needs: cheap
     [observe], deterministic quantiles, mergeability. *)
 
 type t
 
-val create : ?growth:float -> unit -> t
+val create : unit -> t
 (** The first bucket's upper bound is 1 (1 ns when observing latencies in
-    ns); [growth] is the geometric bucket ratio (default 1.12, ~12%%
-    worst-case quantile error).
-    @raise Invalid_argument if [growth <= 1.]. *)
+    ns); each next bound is 1.12 times the last. *)
 
 val observe : t -> float -> unit
 (** Record one sample.  Negative and NaN samples count into the first
@@ -42,6 +40,4 @@ val p999 : t -> float
 (** The 99.9th percentile — the serving-tail metric SLO reports quote. *)
 
 val merge : t -> t -> unit
-(** [merge dst src] adds [src]'s samples into [dst].
-    @raise Invalid_argument if the two histograms have different bucket
-    parameters. *)
+(** [merge dst src] adds [src]'s samples into [dst]. *)

@@ -112,7 +112,7 @@ let assemble env cfg ~graph ~tpch =
   let graph = graph alloc in
   let n = graph.Workloads.Csr.n in
   let gups_table = alloc ~elt_bytes:8 ~count:gups_table_words in
-  let txn = Oltp.Txn.create ~alloc () in
+  let txn = Oltp.Txn.create ~alloc in
   let ycsb_table =
     Oltp.Storage.create_table ~alloc ~name:"serve-usertable" ~rows:ycsb_records
       ~payload_words:13

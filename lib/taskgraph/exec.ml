@@ -28,7 +28,7 @@ type result = { span_ns : float; cross_bytes : int; nodes_run : int }
 
 let start_eps = 1e-6
 
-let run ?(tenant = "dag") ?(job_id = 0) ctx (m : Mapper.t) (g : Graph.t) =
+let run ?(job_id = 0) ctx (m : Mapper.t) (g : Graph.t) =
   let sched = Sched.Ctx.sched ctx in
   let machine = Sched.Ctx.machine ctx in
   let topo = Machine.topology machine in
@@ -93,7 +93,7 @@ let run ?(tenant = "dag") ?(job_id = 0) ctx (m : Mapper.t) (g : Graph.t) =
       g.Graph.succs.(i);
     match trace with
     | Some tr ->
-        Engine.Trace.dag_node tr ~tenant ~job_id ~node:i
+        Engine.Trace.dag_node tr ~tenant:"dag" ~job_id ~node:i
           ~op:(Graph.op_name nd.Graph.op) ~chiplet:dst ~start_ns:start
           ~end_ns:stop
     | None -> ()

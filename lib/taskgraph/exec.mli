@@ -17,7 +17,6 @@ type result = {
 }
 
 val run :
-  ?tenant:string ->
   ?job_id:int ->
   Engine.Sched.ctx ->
   Mapper.t ->

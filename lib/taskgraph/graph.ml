@@ -55,7 +55,6 @@ let total_cost_ns t =
 let scaled_cost_ns topo kind n =
   n.cost_ns *. op_mult kind n.op /. (Topology.spec_of_kind topo kind).Topology.speed
 
-let equal a b = a.name = b.name && a.nodes = b.nodes && a.edges = b.edges
 
 (* Validate and build: positive finite costs, in-range edge endpoints, no
    self or duplicate edges, and no cycles (Kahn's algorithm, smallest

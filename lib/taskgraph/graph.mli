@@ -46,8 +46,6 @@ val scaled_cost_ns : Topology.t -> Topology.core_kind -> node -> float
 (** Effective cost of a node on a chiplet of this kind, in big-core ns:
     [cost * op_mult kind op / kind speed]. *)
 
-val equal : t -> t -> bool
-
 (** {1 Deterministic generator} *)
 
 type shape = Chain | Inception | Fanout

@@ -53,4 +53,3 @@ let generate ?(seed = 42) ?(edge_factor = 16) ~scale () =
   { scale; edge_factor; src; dst }
 
 let num_vertices t = 1 lsl t.scale
-let num_edges t = Array.length t.src

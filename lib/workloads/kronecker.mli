@@ -16,4 +16,3 @@ val generate : ?seed:int -> ?edge_factor:int -> scale:int -> unit -> t
 (** @raise Invalid_argument if [scale < 1] or [edge_factor < 1]. *)
 
 val num_vertices : t -> int
-val num_edges : t -> int

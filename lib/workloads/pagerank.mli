@@ -1,4 +1,5 @@
-(** Push-style parallel PageRank (fixed iteration count).
+(** Push-style parallel PageRank (3 iterations unless a serving job asks
+    for another count).
 
     The push phase performs random writes into the next-rank vector —
     cross-chiplet invalidation traffic when the gang is spread — while the
@@ -6,9 +7,7 @@
     sensitive to placement in paper Fig. 7.  The damping factor is
     0.85. *)
 
-val run :
-  Exec_env.t -> Csr.t -> ?iterations:int -> unit ->
-  float array * Workload_result.t
+val run : Exec_env.t -> Csr.t -> unit -> float array * Workload_result.t
 (** Returns final ranks; [work_items] counts edge updates
     (edges x iterations). *)
 
@@ -20,4 +19,4 @@ val run_in :
     serving mix); [ranks]/[next] are the simulated shadows of the rank
     vectors.  Returns final ranks and the number of edge updates. *)
 
-val reference : Csr.t -> ?iterations:int -> unit -> float array
+val reference : Csr.t -> unit -> float array

@@ -9,9 +9,6 @@ type params = {
   seed : int;
 }
 
-let default_params =
-  { points = 4096; dims = 32; batch = 1024; k_max = 20; search_rounds = 4; seed = 5 }
-
 type outcome = {
   result : Workload_result.t;
   total_cost : float;

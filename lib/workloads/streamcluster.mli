@@ -17,8 +17,6 @@ type params = {
   seed : int;
 }
 
-val default_params : params
-
 type outcome = {
   result : Workload_result.t;
   total_cost : float;  (** sum of point-to-center distances (quality) *)

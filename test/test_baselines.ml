@@ -98,7 +98,7 @@ let test_asymsched_rebalances () =
   let now = Engine.Sched.worker_clock sched 0 in
   let region = Machine.alloc machine ~policy:(Simmem.Bind 0) ~elt_bytes:8 ~count:100_000 () in
   for i = 0 to 8_000 do
-    ignore (Machine.touch machine ~core:0 ~now_ns:now ~write:false region (i * 8))
+    Machine.access_clk machine ~core:0 ~write:false (Simmem.addr region (i * 8)) [| now |] 0
   done;
   let before = Topology.socket_of_core (Machine.topology machine) (Engine.Sched.worker_core sched 0) in
   (match spec.B.on_tick with

@@ -11,11 +11,14 @@ let occupancy c =
   Cache.iter c (fun _ -> incr n);
   !n
 
+(* 16 sets of 4 ways: a pool of distinct lines fills exactly 64 slots *)
 let test_geometry () =
   let c = small () in
   Alcotest.(check int) "ways" 4 (Cache.ways c);
-  Alcotest.(check int) "sets" 16 (Cache.sets c);
-  Alcotest.(check int) "bytes" 4096 (Cache.size_bytes c)
+  for l = 0 to 9_999 do
+    ignore (Cache.access c l)
+  done;
+  Alcotest.(check int) "lines held" 64 (occupancy c)
 
 let test_hit_after_insert () =
   let c = small () in
@@ -87,8 +90,7 @@ module Ref = struct
     mutable eff : int;
   }
 
-  let of_cache c =
-    let sets = Cache.sets c and ways = Cache.ways c in
+  let create ~sets ~ways =
     {
       sets;
       ways;
@@ -123,7 +125,7 @@ module Ref = struct
     end
     else begin
       let way = if !free >= 0 then !free else !victim in
-      let evicted = if !free >= 0 then Cache.miss else t.tags.(base + way) in
+      let evicted = if !free >= 0 then -1 else t.tags.(base + way) in
       t.tags.(base + way) <- line;
       t.stamps.(base + way) <- t.clock;
       evicted
@@ -193,7 +195,7 @@ let prop_oracle ways =
        (gen_ops ~ways ~lines:(sets * ways)))
     (fun ops ->
       let c = Cache.create ~ways ~size_bytes:(sets * ways * 64) ~line_bytes:64 () in
-      let r = Ref.of_cache c in
+      let r = Ref.create ~sets ~ways in
       List.for_all
         (fun op ->
           let same =

@@ -28,16 +28,16 @@ let test_nearest_holder () =
   let d = Directory.create ~chiplets:16 in
   (* from chiplet 0: chiplet 1 is same-group, 4 is same-socket, 8 is remote *)
   Directory.add d ~line:5 ~chiplet:8;
-  Alcotest.(check (option int)) "remote only" (Some 8)
-    (Directory.nearest_holder topo d ~line:5 ~from_chiplet:0);
+  Alcotest.(check int) "remote only" 8
+    (Directory.nearest_holder_id topo d ~line:5 ~from_chiplet:0);
   Directory.add d ~line:5 ~chiplet:4;
-  Alcotest.(check (option int)) "same socket preferred" (Some 4)
-    (Directory.nearest_holder topo d ~line:5 ~from_chiplet:0);
+  Alcotest.(check int) "same socket preferred" 4
+    (Directory.nearest_holder_id topo d ~line:5 ~from_chiplet:0);
   Directory.add d ~line:5 ~chiplet:1;
-  Alcotest.(check (option int)) "same group preferred" (Some 1)
-    (Directory.nearest_holder topo d ~line:5 ~from_chiplet:0);
-  Alcotest.(check (option int)) "self excluded" None
-    (Directory.nearest_holder topo d ~line:99 ~from_chiplet:0)
+  Alcotest.(check int) "same group preferred" 1
+    (Directory.nearest_holder_id topo d ~line:5 ~from_chiplet:0);
+  Alcotest.(check int) "self excluded" (-1)
+    (Directory.nearest_holder_id topo d ~line:99 ~from_chiplet:0)
 
 let test_iter () =
   let d = Directory.create ~chiplets:8 in

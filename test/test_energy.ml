@@ -19,6 +19,10 @@ let hetero () =
        ~chiplet_kinds:[| Topology.Big; Topology.Big; Topology.Little; Topology.Accel |]
        ~sockets:1 ~chiplets_per_socket:4 ~cores_per_chiplet:2 ())
 
+(* one access at virtual time 0 *)
+let access m ~core ~write r i =
+  Machine.access_clk m ~core ~write (Chipsim.Simmem.addr r i) [| 0.0 |] 0
+
 (* compute power densities in pJ/ns at nominal DVFS: spec.energy_pj x
    spec.speed (Big 0.87 x 1.0, Little 0.30 x 0.6, Accel 0.22 x 2.5) *)
 let big_pw = 0.87
@@ -71,7 +75,7 @@ let test_compute_meter_separate () =
      with --energy off *)
   let m = hetero () in
   let r = Machine.alloc m ~elt_bytes:8 ~count:256 () in
-  ignore (Machine.touch_range m ~core:0 ~now_ns:0.0 ~write:false r ~lo:0 ~hi:256);
+  Machine.touch_range_clk m ~core:0 ~write:false r ~lo:0 ~hi:256 [| 0.0 |] 0;
   let mem_before = Machine.total_energy_pj m in
   Alcotest.(check bool) "accesses metered memory energy" true (mem_before > 0.0);
   Alcotest.(check (float 0.0)) "accesses leave the compute meter at 0" 0.0
@@ -87,7 +91,7 @@ let test_chiplet_sums () =
   let m = hetero () in
   let r = Machine.alloc m ~elt_bytes:8 ~count:512 () in
   for core = 0 to 7 do
-    ignore (Machine.touch m ~core ~now_ns:0.0 ~write:(core mod 2 = 0) r core);
+    access m ~core ~write:(core mod 2 = 0) r core;
     Machine.charge_quantum m ~core ~dt_ns:(float_of_int ((core + 1) * 10)) ~dvfs:0.9
   done;
   Alcotest.(check (float 1e-6)) "chiplet meters sum to the combined meter"
@@ -109,9 +113,9 @@ let check_bits name expected got =
    by the formulas they replaced: [Array.fold_left ( +. )] over the
    per-core meters, and a filtered [Array.iteri] over every core for a
    chiplet.  The loops keep the summation order, so every bit agrees.
-   The per-core compute meters are restated here, each charge the
-   machine's [dt x (energy_pj x speed) x dvfs^2] in its order of
-   evaluation. *)
+   The per-core meters are restated here: each access adds its core
+   kind's [energy_pj], and each compute charge is the machine's
+   [dt x (energy_pj x speed) x dvfs^2] in its order of evaluation. *)
 let test_meter_sums_match_folds () =
   let topo = Chipsim.Presets.amd_milan () in
   let m = Machine.create topo in
@@ -120,19 +124,16 @@ let test_meter_sums_match_folds () =
   let r = Machine.alloc m ~elt_bytes:8 ~count:4096 () in
   let rng = Random.State.make [| 17 |] in
   let dst = Array.make (chiplets + 3) nan in
-  let pw =
-    Array.init cores (fun core ->
-        let spec = Topology.spec_of_kind topo (Topology.kind_of_core topo core) in
-        spec.Topology.energy_pj *. spec.Topology.speed)
-  in
-  let c = Array.make cores 0.0 in
+  let spec core = Topology.spec_of_kind topo (Topology.kind_of_core topo core) in
+  let pw = Array.init cores (fun core -> let s = spec core in s.Topology.energy_pj *. s.Topology.speed) in
+  let e = Array.make cores 0.0 and c = Array.make cores 0.0 in
   for round = 1 to 25 do
     for _ = 1 to 200 do
       let core = Random.State.int rng cores in
-      if Random.State.bool rng then
-        ignore
-          (Machine.touch m ~core ~now_ns:0.0 ~write:(Random.State.bool rng) r
-             (Random.State.int rng 4096))
+      if Random.State.bool rng then begin
+        access m ~core ~write:(Random.State.bool rng) r (Random.State.int rng 4096);
+        e.(core) <- e.(core) +. (spec core).Topology.energy_pj
+      end
       else begin
         let dvfs = 0.3 +. Random.State.float rng 0.7 in
         let dt_ns = 10.0 ** Random.State.float rng 9.0 /. 1000.0 in
@@ -140,7 +141,6 @@ let test_meter_sums_match_folds () =
         c.(core) <- c.(core) +. (dt_ns *. pw.(core) *. dvfs *. dvfs)
       end
     done;
-    let e = Array.init cores (fun core -> Machine.energy_pj m ~core) in
     let name what = Printf.sprintf "round %d: %s" round what in
     let fold_e = Array.fold_left ( +. ) 0.0 e and fold_c = Array.fold_left ( +. ) 0.0 c in
     check_bits (name "total_energy_pj") fold_e (Machine.total_energy_pj m);

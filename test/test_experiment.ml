@@ -111,7 +111,7 @@ let test_repro_replays_fuzzer_report () =
     | E.Batch _ -> ()
     | E.Serve _ | E.Fleet _ ->
         incr replayed;
-        let fuzzer = (Scenario.run t).E.report in
+        let fuzzer = (E.run ~trace:(Engine.Trace.create ()) t).E.report in
         let repro = (E.run (of_string_exn (E.to_string t))).E.report in
         if fuzzer <> repro then
           Alcotest.failf "seed %d: the repro's report differs from the fuzzer's\n%s" seed

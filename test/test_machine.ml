@@ -2,27 +2,38 @@ open Chipsim
 
 let machine () = Machine.create (Presets.amd_milan ())
 
+(* one access through the machine's clock-cell path; returns its latency *)
+let touch m ~core ~now_ns ~write r i =
+  let clk = [| now_ns |] in
+  Machine.access_clk m ~core ~write (Simmem.addr r i) clk 0;
+  clk.(0) -. now_ns
+
+let touch_range m ~core ~now_ns ~write r ~lo ~hi =
+  let clk = [| now_ns |] in
+  Machine.touch_range_clk m ~core ~write r ~lo ~hi clk 0;
+  clk.(0) -. now_ns
+
 let test_dram_then_l3 () =
   let m = machine () in
   let r = Machine.alloc m ~elt_bytes:8 ~count:8 () in
-  let c1 = Machine.touch m ~core:0 ~now_ns:0.0 ~write:false r 0 in
+  let c1 = touch m ~core:0 ~now_ns:0.0 ~write:false r 0 in
   (* first touch: local DRAM *)
   Alcotest.(check bool) "dram cost" true (c1 >= 110.0);
   Alcotest.(check int) "dram local counted" 1 (Pmu.read (Machine.pmu m) ~core:0 Pmu.Dram_local);
   (* L2 now holds it *)
-  let c2 = Machine.touch m ~core:0 ~now_ns:200.0 ~write:false r 0 in
+  let c2 = touch m ~core:0 ~now_ns:200.0 ~write:false r 0 in
   Alcotest.(check bool) "l2 hit cheap" true (c2 < 15.0);
   (* another core on the same chiplet misses L2, hits the shared L3 *)
-  let c3 = Machine.touch m ~core:1 ~now_ns:400.0 ~write:false r 0 in
+  let c3 = touch m ~core:1 ~now_ns:400.0 ~write:false r 0 in
   Alcotest.(check bool) "l3 local" true (c3 >= 20.0 && c3 < 40.0);
   Alcotest.(check int) "l3 hit counted" 1 (Pmu.read (Machine.pmu m) ~core:1 Pmu.L3_local_hit)
 
 let test_remote_chiplet_fill () =
   let m = machine () in
   let r = Machine.alloc m ~elt_bytes:8 ~count:8 () in
-  ignore (Machine.touch m ~core:0 ~now_ns:0.0 ~write:false r 0);
+  ignore (touch m ~core:0 ~now_ns:0.0 ~write:false r 0);
   (* core 8 is chiplet 1, same group: cache-to-cache fill *)
-  let c = Machine.touch m ~core:8 ~now_ns:100.0 ~write:false r 0 in
+  let c = touch m ~core:8 ~now_ns:100.0 ~write:false r 0 in
   Alcotest.(check bool) "group-fill cost" true (c >= 80.0 && c <= 100.0);
   Alcotest.(check int) "remote chiplet fill" 1
     (Pmu.read (Machine.pmu m) ~core:8 Pmu.Fill_remote_chiplet)
@@ -30,8 +41,8 @@ let test_remote_chiplet_fill () =
 let test_remote_numa_fill () =
   let m = machine () in
   let r = Machine.alloc m ~elt_bytes:8 ~count:8 () in
-  ignore (Machine.touch m ~core:0 ~now_ns:0.0 ~write:false r 0);
-  let c = Machine.touch m ~core:64 ~now_ns:100.0 ~write:false r 0 in
+  ignore (touch m ~core:0 ~now_ns:0.0 ~write:false r 0);
+  let c = touch m ~core:64 ~now_ns:100.0 ~write:false r 0 in
   Alcotest.(check bool) "cross-socket cost" true (c >= 200.0);
   Alcotest.(check int) "remote numa fill" 1
     (Pmu.read (Machine.pmu m) ~core:64 Pmu.Fill_remote_numa)
@@ -39,20 +50,20 @@ let test_remote_numa_fill () =
 let test_write_invalidation () =
   let m = machine () in
   let r = Machine.alloc m ~elt_bytes:8 ~count:8 () in
-  ignore (Machine.touch m ~core:0 ~now_ns:0.0 ~write:false r 0);
-  ignore (Machine.touch m ~core:8 ~now_ns:100.0 ~write:false r 0);
+  ignore (touch m ~core:0 ~now_ns:0.0 ~write:false r 0);
+  ignore (touch m ~core:8 ~now_ns:100.0 ~write:false r 0);
   (* a write from chiplet 2 invalidates both copies *)
-  ignore (Machine.touch m ~core:16 ~now_ns:200.0 ~write:true r 0);
+  ignore (touch m ~core:16 ~now_ns:200.0 ~write:true r 0);
   Alcotest.(check int) "two invalidations" 2
     (Pmu.read (Machine.pmu m) ~core:16 Pmu.Coherence_invalidation);
   (* chiplet 0 must now re-fetch from chiplet 2 *)
-  let c = Machine.touch m ~core:2 ~now_ns:300.0 ~write:false r 0 in
+  let c = touch m ~core:2 ~now_ns:300.0 ~write:false r 0 in
   Alcotest.(check bool) "refetch is a fill" true (c >= 80.0)
 
 let test_remote_dram () =
   let m = machine () in
   let r = Machine.alloc m ~policy:(Simmem.Bind 1) ~elt_bytes:8 ~count:8 () in
-  let c = Machine.touch m ~core:0 ~now_ns:0.0 ~write:false r 0 in
+  let c = touch m ~core:0 ~now_ns:0.0 ~write:false r 0 in
   Alcotest.(check bool) "remote dram cost" true (c >= 190.0);
   Alcotest.(check int) "remote dram counted" 1
     (Pmu.read (Machine.pmu m) ~core:0 Pmu.Dram_remote)
@@ -61,7 +72,7 @@ let test_touch_range_lines () =
   let m = machine () in
   (* 64 elements of 8B = 8 cache lines *)
   let r = Machine.alloc m ~elt_bytes:8 ~count:64 () in
-  ignore (Machine.touch_range m ~core:0 ~now_ns:0.0 ~write:false r ~lo:0 ~hi:64);
+  ignore (touch_range m ~core:0 ~now_ns:0.0 ~write:false r ~lo:0 ~hi:64);
   Alcotest.(check int) "8 dram line fills" 8
     (Pmu.read (Machine.pmu m) ~core:0 Pmu.Dram_local)
 
@@ -71,11 +82,11 @@ let test_prefetch_discount () =
   (* 512 elements x 8B = 64 lines, all cold DRAM *)
   let r1 = Machine.alloc m ~elt_bytes:8 ~count:512 () in
   let r2 = Machine.alloc m ~elt_bytes:8 ~count:512 () in
-  let seq = Machine.touch_range m ~core:0 ~now_ns:0.0 ~write:false r1 ~lo:0 ~hi:512 in
+  let seq = touch_range m ~core:0 ~now_ns:0.0 ~write:false r1 ~lo:0 ~hi:512 in
   let random = ref 0.0 in
   (* one element per cache line, touched individually *)
   for i = 0 to 63 do
-    random := !random +. Machine.touch m ~core:0 ~now_ns:!random ~write:false r2 (i * 8)
+    random := !random +. touch m ~core:0 ~now_ns:!random ~write:false r2 (i * 8)
   done;
   Alcotest.(check bool) "streaming is much cheaper than pointer chasing" true
     (seq < 0.6 *. !random)
@@ -86,7 +97,7 @@ let test_link_saturation () =
   let solo =
     let m = machine () in
     let r = Machine.alloc m ~elt_bytes:8 ~count:(1 lsl 16) () in
-    Machine.touch_range m ~core:0 ~now_ns:0.0 ~write:false r ~lo:0 ~hi:(1 lsl 16)
+    touch_range m ~core:0 ~now_ns:0.0 ~write:false r ~lo:0 ~hi:(1 lsl 16)
   in
   let crowded =
     let m = machine () in
@@ -97,10 +108,8 @@ let test_link_saturation () =
     for step = 0 to ((1 lsl 16) / chunk) - 1 do
       for core = 0 to 7 do
         let lo = step * chunk in
-        clocks.(core) <-
-          clocks.(core)
-          +. Machine.touch_range m ~core ~now_ns:clocks.(core) ~write:false
-               regions.(core) ~lo ~hi:(lo + chunk)
+        Machine.touch_range_clk m ~core ~write:false regions.(core) ~lo ~hi:(lo + chunk)
+          clocks core
       done
     done;
     clocks.(0)
@@ -122,15 +131,13 @@ let test_kind_costs () =
   let r = Machine.alloc m ~elt_bytes:8 ~count:64 () in
   (* identical cold DRAM access from a big core (0) and a little core
      (2), on disjoint lines so neither warms the other's path *)
-  let big = Machine.touch m ~core:0 ~now_ns:0.0 ~write:false r 0 in
-  let little = Machine.touch m ~core:2 ~now_ns:0.0 ~write:false r 32 in
-  let mult = (Topology.spec_of_kind hetero Topology.Little).Topology.access_mult in
-  Alcotest.(check (float 1e-6)) "little pays access-mult" (big *. mult) little;
   let e_big = (Topology.spec_of_kind hetero Topology.Big).Topology.energy_pj in
   let e_little = (Topology.spec_of_kind hetero Topology.Little).Topology.energy_pj in
-  Alcotest.(check (float 1e-9)) "big energy" e_big (Machine.energy_pj m ~core:0);
-  Alcotest.(check (float 1e-9)) "little energy" e_little
-    (Machine.energy_pj m ~core:2);
+  let big = touch m ~core:0 ~now_ns:0.0 ~write:false r 0 in
+  Alcotest.(check (float 1e-9)) "big energy" e_big (Machine.total_energy_pj m);
+  let little = touch m ~core:2 ~now_ns:0.0 ~write:false r 32 in
+  let mult = (Topology.spec_of_kind hetero Topology.Little).Topology.access_mult in
+  Alcotest.(check (float 1e-6)) "little pays access-mult" (big *. mult) little;
   Alcotest.(check (float 1e-9)) "total energy" (e_big +. e_little)
     (Machine.total_energy_pj m)
 
@@ -140,8 +147,8 @@ let test_homogeneous_bit_identical () =
   let ra = Machine.alloc a ~elt_bytes:8 ~count:256 () in
   let rb = Machine.alloc b ~elt_bytes:8 ~count:256 () in
   for i = 0 to 255 do
-    let ca = Machine.touch a ~core:(i mod 16) ~now_ns:(float_of_int i) ~write:(i mod 3 = 0) ra i in
-    let cb = Machine.touch b ~core:(i mod 16) ~now_ns:(float_of_int i) ~write:(i mod 3 = 0) rb i in
+    let ca = touch a ~core:(i mod 16) ~now_ns:(float_of_int i) ~write:(i mod 3 = 0) ra i in
+    let cb = touch b ~core:(i mod 16) ~now_ns:(float_of_int i) ~write:(i mod 3 = 0) rb i in
     if ca <> cb then Alcotest.failf "access %d diverged: %f vs %f" i ca cb
   done
 
@@ -192,12 +199,12 @@ let test_l3_way_loss_clears_directory () =
   let lines = 8192 in
   let r = Machine.alloc m ~elt_bytes:64 ~count:lines () in
   for i = 0 to lines - 1 do
-    ignore (Machine.touch m ~core:0 ~now_ns:0.0 ~write:false r i)
+    ignore (touch m ~core:0 ~now_ns:0.0 ~write:false r i)
   done;
   Machine.set_l3_ways m ~chiplet:0 ~ways:1;
   Machine.check_invariants_full m;
   for i = 0 to lines - 1 do
-    ignore (Machine.touch m ~core:8 ~now_ns:0.0 ~write:false r i)
+    ignore (touch m ~core:8 ~now_ns:0.0 ~write:false r i)
   done;
   let pmu = Machine.pmu m in
   Alcotest.(check int) "remote-chiplet fills" 512

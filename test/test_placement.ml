@@ -3,6 +3,18 @@ module Placement = Charm.Placement
 
 let amd () = Presets.amd_milan ()
 
+(* every worker's core at once, or None when the spread is invalid, a
+   worker gets no core or two workers share one *)
+let gang topo ~spread_rate ~n_workers =
+  if not (Placement.valid_spread topo ~spread_rate ~n_workers) then None
+  else begin
+    let cores =
+      Array.init n_workers (fun worker -> Placement.core_of_worker topo ~spread_rate ~n_workers ~worker)
+    in
+    let distinct = List.length (List.sort_uniq compare (Array.to_list cores)) = n_workers in
+    if distinct && not (Array.mem (-1) cores) then Some cores else None
+  end
+
 let test_paper_example () =
   (* 64 workers, 8-core chiplets: spread_rate 1 is invalid (paper §4.3) *)
   let topo = amd () in
@@ -15,7 +27,7 @@ let test_paper_example () =
 
 let test_compact_fills_chiplet () =
   let topo = amd () in
-  match Placement.gang topo ~spread_rate:1 ~n_workers:8 with
+  match gang topo ~spread_rate:1 ~n_workers:8 with
   | Some cores ->
       Alcotest.(check (array int)) "chiplet 0 cores" (Array.init 8 Fun.id) cores
   | None -> Alcotest.fail "spread 1 should be valid for 8 workers"
@@ -23,7 +35,7 @@ let test_compact_fills_chiplet () =
 let test_spread_uses_more_chiplets () =
   let topo = amd () in
   let chiplets_used spread n =
-    match Placement.gang topo ~spread_rate:spread ~n_workers:n with
+    match gang topo ~spread_rate:spread ~n_workers:n with
     | None -> -1
     | Some cores ->
         Array.to_list cores
@@ -37,7 +49,7 @@ let test_spread_uses_more_chiplets () =
 let test_socket_fill () =
   let topo = amd () in
   (* 64 workers stay on socket 0 regardless of spread *)
-  match Placement.gang topo ~spread_rate:8 ~n_workers:64 with
+  match gang topo ~spread_rate:8 ~n_workers:64 with
   | None -> Alcotest.fail "valid gang expected"
   | Some cores ->
       Array.iter
@@ -47,7 +59,7 @@ let test_socket_fill () =
 
 let test_second_socket_spills () =
   let topo = amd () in
-  match Placement.gang topo ~spread_rate:8 ~n_workers:96 with
+  match gang topo ~spread_rate:8 ~n_workers:96 with
   | None -> Alcotest.fail "valid gang expected"
   | Some cores ->
       let sockets = Array.map (Topology.socket_of_core topo) cores in
@@ -64,7 +76,7 @@ let prop_collision_free =
       let topo = amd () in
       if not (Placement.valid_spread topo ~spread_rate ~n_workers) then true
       else
-        match Placement.gang topo ~spread_rate ~n_workers with
+        match gang topo ~spread_rate ~n_workers with
         | Some cores ->
             Array.for_all (fun c -> c >= 0 && c < Topology.num_cores topo) cores
         | None -> false)
@@ -75,7 +87,7 @@ let prop_intel_collision_free =
     (fun (spread_rate, n_workers) ->
       let topo = Presets.intel_spr () in
       if not (Placement.valid_spread topo ~spread_rate ~n_workers) then true
-      else Option.is_some (Placement.gang topo ~spread_rate ~n_workers))
+      else Option.is_some (gang topo ~spread_rate ~n_workers))
 
 (* heterogeneity: a gang on a big/little machine fills big chiplets
    first, and a homogeneous machine keeps the identity order *)
@@ -87,7 +99,7 @@ let hetero () =
 
 let test_prefer_big_cores () =
   let topo = hetero () in
-  (match Placement.gang topo ~spread_rate:2 ~n_workers:4 with
+  (match gang topo ~spread_rate:2 ~n_workers:4 with
   | None -> Alcotest.fail "valid gang expected"
   | Some cores ->
       (* general-task chiplets first: big chiplet 2 (1.0), littles 0 and 3
@@ -96,7 +108,7 @@ let test_prefer_big_cores () =
          general chiplets *)
       Alcotest.(check (array int)) "fast general chiplets first"
         [| 4; 0; 5; 1 |] cores);
-  match Placement.gang (amd ()) ~spread_rate:1 ~n_workers:8 with
+  match gang (amd ()) ~spread_rate:1 ~n_workers:8 with
   | None -> Alcotest.fail "valid gang expected"
   | Some cores ->
       Alcotest.(check (array int)) "homogeneous unchanged"
@@ -109,7 +121,7 @@ let prop_hetero_collision_free =
       let topo = hetero () in
       if not (Placement.valid_spread topo ~spread_rate ~n_workers) then true
       else
-        match Placement.gang topo ~spread_rate ~n_workers with
+        match gang topo ~spread_rate ~n_workers with
         | Some cores ->
             let sorted = Array.copy cores in
             Array.sort compare sorted;

@@ -40,7 +40,7 @@ let prop_accuracy =
   QCheck.Test.make ~name:"quantiles within one bucket of exact" ~count:300
     QCheck.(list_of_size Gen.(int_range 1 300) (float_range 1.0 1e9))
     (fun samples ->
-      let h = Serving.Histogram.create ~growth () in
+      let h = Serving.Histogram.create () in
       List.iter (Serving.Histogram.observe h) samples;
       let sorted = Array.of_list samples in
       Array.sort compare sorted;

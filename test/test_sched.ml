@@ -213,12 +213,14 @@ let test_refused_steal_preserves_order () =
   let m = machine () in
   let sched = Sched.create m ~n_workers:2 ~placement:(fun w -> w) in
   Sched.charge sched ~worker:0 1_000_000.0;
-  let ids =
-    List.init 5 (fun _ ->
-        Sched.task_id
-          (Sched.spawn sched ~worker:0 ~at:1_000_000.0 (fun _ -> ())))
-  in
-  Alcotest.(check (list int)) "all queued ready" ids (Sched.ready_queue_ids sched 0);
+  for _ = 1 to 5 do
+    ignore (Sched.spawn sched ~worker:0 ~at:1_000_000.0 (fun _ -> ()) : Sched.task)
+  done;
+  (* task ids count up per spawn, so spawn order is ascending order *)
+  let ids = Sched.ready_queue_ids sched 0 in
+  Alcotest.(check (list int)) "all queued ready, in spawn order"
+    (List.sort_uniq compare ids) ids;
+  Alcotest.(check int) "five queued" 5 (List.length ids);
   (* the thief's clock is 0, so every task sits beyond its steal horizon *)
   Alcotest.(check int) "sweep refuses all" (-1) (Sched.steal_once sched ~thief:1 ~victim:0);
   Alcotest.(check (list int)) "victim order untouched" ids (Sched.ready_queue_ids sched 0);

@@ -1,7 +1,10 @@
 open Chipsim
 open Engine
 
-let machine () = Machine.create (Presets.tiny ())
+let machine () =
+  match Topology.of_file "../examples/topologies/tiny.topo" with
+  | Ok topo -> Machine.create topo
+  | Error m -> Alcotest.fail m
 
 let test_single_task () =
   let m = machine () in

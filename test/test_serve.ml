@@ -70,10 +70,7 @@ let test_histogram_merge () =
   done;
   Histogram.merge a b;
   Alcotest.(check int) "merged count" 100 (Histogram.count a);
-  Alcotest.(check (float 0.001)) "merged max" 100.0 (Histogram.max_value a);
-  Alcotest.check_raises "parameter mismatch"
-    (Invalid_argument "Histogram.merge: incompatible bucket parameters")
-    (fun () -> Histogram.merge a (Histogram.create ~growth:2.0 ()))
+  Alcotest.(check (float 0.001)) "merged max" 100.0 (Histogram.max_value a)
 
 let test_histogram_p999 () =
   let h = Histogram.create () in

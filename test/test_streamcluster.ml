@@ -5,13 +5,7 @@ let env sys ~workers =
   inst.Harness.Systems.env
 
 let params =
-  {
-    Streamcluster.default_params with
-    Streamcluster.points = 512;
-    dims = 8;
-    batch = 256;
-    search_rounds = 3;
-  }
+  { Streamcluster.points = 512; dims = 8; batch = 256; k_max = 20; search_rounds = 3; seed = 5 }
 
 let test_runs_and_counts () =
   let o = Streamcluster.run (env Harness.Systems.Charm ~workers:4) params in

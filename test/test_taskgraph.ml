@@ -51,11 +51,11 @@ let test_generator_deterministic () =
       let b = Graph.generate ~shape ~layers ~seed () in
       Alcotest.(check bool)
         (Printf.sprintf "%s equal across calls" (Graph.name a))
-        true (Graph.equal a b);
+        true (a = b);
       let c = Graph.generate ~shape ~layers ~seed:(seed + 1) () in
       Alcotest.(check bool)
         (Printf.sprintf "%s differs across seeds" (Graph.name a))
-        false (Graph.equal a c))
+        false (a = c))
     all_cases
 
 let test_generator_shapes () =
@@ -188,24 +188,24 @@ let test_gang_avoids_accel () =
      chiplet, at any spread the general band allows *)
   let max_spread = Charm.Placement.max_general_spread hetero_topo ~n_workers:4 in
   Alcotest.(check int) "general spread caps at the general band" 3 max_spread;
+  let cores ~spread_rate ~n_workers =
+    List.init n_workers (fun worker ->
+        Charm.Placement.core_of_worker hetero_topo ~spread_rate ~n_workers ~worker)
+  in
   for spread_rate = 1 to max_spread do
     if Charm.Placement.valid_spread hetero_topo ~spread_rate ~n_workers:4 then
-      match Charm.Placement.gang hetero_topo ~spread_rate ~n_workers:4 with
-      | None -> ()
-      | Some cores ->
-          Array.iter
-            (fun core ->
-              Alcotest.(check bool)
-                (Printf.sprintf "spread %d: core %d not on accel" spread_rate core)
-                false (List.mem core accel_cores))
-            cores
+      List.iter
+        (fun core ->
+          Alcotest.(check bool)
+            (Printf.sprintf "spread %d: core %d not on accel" spread_rate core)
+            false (List.mem core accel_cores))
+        (cores ~spread_rate ~n_workers:4)
   done;
   (* a gang too big for the general band does reach the accel chiplet *)
-  match Charm.Placement.gang hetero_topo ~spread_rate:4 ~n_workers:8 with
-  | None -> Alcotest.fail "full-machine gang rejected"
-  | Some cores ->
-      Alcotest.(check bool) "8 workers must use the accel chiplet" true
-        (Array.exists (fun c -> List.mem c accel_cores) cores)
+  let full = cores ~spread_rate:4 ~n_workers:8 in
+  Alcotest.(check bool) "full-machine gang placed" false (List.mem (-1) full);
+  Alcotest.(check bool) "8 workers must use the accel chiplet" true
+    (List.exists (fun c -> List.mem c accel_cores) full)
 
 let test_olap_serving_avoids_accel () =
   (* end to end: an OLAP/OLTP-only serving run on the hetero machine with

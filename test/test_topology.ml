@@ -2,6 +2,12 @@ open Chipsim
 
 let amd () = Presets.amd_milan ()
 
+(* 1 socket x 2 chiplets x 2 cores with KB-scale caches:
+   examples/topologies/tiny.topo *)
+let tiny () =
+  Topology.v ~sockets:1 ~chiplets_per_socket:2 ~cores_per_chiplet:2 ~chiplet_group_size:1
+    ~l3_bytes_per_chiplet:(16 * 1024) ~l2_bytes_per_core:4096 ~mem_channels_per_socket:2 ()
+
 let test_geometry () =
   let t = amd () in
   Alcotest.(check int) "cores" 128 (Topology.num_cores t);
@@ -29,8 +35,9 @@ let test_predicates () =
   let same_chiplet a b = Topology.chiplet_of_core t a = Topology.chiplet_of_core t b in
   Alcotest.(check bool) "same chiplet" true (same_chiplet 0 7);
   Alcotest.(check bool) "not same chiplet" false (same_chiplet 7 8);
-  Alcotest.(check bool) "same socket" true (Topology.same_socket t 0 63);
-  Alcotest.(check bool) "not same socket" false (Topology.same_socket t 63 64)
+  let same_socket a b = Topology.socket_of_core t a = Topology.socket_of_core t b in
+  Alcotest.(check bool) "same socket" true (same_socket 0 63);
+  Alcotest.(check bool) "not same socket" false (same_socket 63 64)
 
 let test_validation () =
   let t = amd () in
@@ -60,7 +67,7 @@ let contains hay needle =
 
 let test_pp_units () =
   (* tiny's 16 KiB L3 used to integer-divide to "0 MiB" *)
-  let tiny = Presets.tiny () in
+  let tiny = tiny () in
   let s = Format.asprintf "%a" Topology.pp tiny in
   Alcotest.(check bool)
     (Printf.sprintf "tiny pp shows KiB (%s)" s)
@@ -103,8 +110,8 @@ let test_groups_per_socket () =
 
 let test_hetero_accessors () =
   let t = hetero_tiny () in
-  Alcotest.(check bool) "heterogeneous" true (Topology.heterogeneous t);
-  Alcotest.(check bool) "homogeneous" false (Topology.heterogeneous (amd ()));
+  Alcotest.(check bool) "homogeneous" true
+    (Array.for_all (( = ) Topology.Big) (amd ()).Topology.chiplet_kinds);
   Alcotest.(check bool) "core 0 is big" true (Topology.kind_of_core t 0 = Topology.Big);
   Alcotest.(check bool) "core 4 is little" true
     (Topology.kind_of_core t 4 = Topology.Little);
@@ -179,8 +186,7 @@ let test_scale_floors () =
 
 let test_scale_preserves_hetero () =
   let t = Presets.scale_topology (hetero_tiny ()) ~scale:2 in
-  Alcotest.(check bool) "kinds survive scaling" true (Topology.heterogeneous t);
-  Alcotest.(check bool) "kinds equal" true
+  Alcotest.(check bool) "kinds survive scaling" true
     (t.Topology.chiplet_kinds = (hetero_tiny ()).Topology.chiplet_kinds)
 
 let prop_core_roundtrip =
